@@ -476,12 +476,13 @@ def measure_lookback(
     steady-state micro-batch and is individually wall-clocked; the median
     filters allocator/GC noise.
     """
-    engine = TiltEngine(workers=1, incremental=incremental)
+    engine = TiltEngine(workers=1)
     try:
         session = engine.open_session(
             _lookback_program(depth_events),
             [_lookback_source(LOOKBACK_WARMUP_POLL)],
             retain_output=False,
+            incremental=incremental,  # the oracle switch: force either tick path
         )
         ingested = 0
         while ingested < depth_events + LOOKBACK_WARMUP_POLL:

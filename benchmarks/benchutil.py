@@ -28,9 +28,9 @@ from typing import Dict, List, Optional
 RECORDS: List[dict] = []
 
 #: the engine-behaviour env knobs worth recording with a perf number — a
-#: result measured under the process executor or incremental ticks is not
+#: result measured under the process executor or with tracing on is not
 #: comparable to one measured without
-_ENV_KNOBS = ("REPRO_EXECUTOR", "REPRO_INCREMENTAL", "REPRO_TRACE")
+_ENV_KNOBS = ("REPRO_EXECUTOR", "REPRO_TRACE")
 
 _METADATA: Optional[dict] = None
 

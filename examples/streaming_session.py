@@ -37,6 +37,13 @@ def main() -> None:
     engine = TiltEngine(workers=4)
     session = engine.open_session(trend.to_program(), [feed], retain_output=False)
     print("boundary:", session.boundary.describe())
+    plan = session.plan  # resolved by the session itself, not configured
+    print(f"tick path: {plan['tick_path']} ({plan['reason']})")
+    for site in plan["sites"]:
+        print(
+            f"  {site['aggregate']}(~{site['ref']}{list(site['window'])}): "
+            f"{site['state']} [{site['strategy']}] — {site['reason']}"
+        )
     print(f"carry-over per tick: lookback={session.boundary.max_lookback:g}s of input\n")
 
     for _ in range(20):

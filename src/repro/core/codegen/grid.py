@@ -31,12 +31,17 @@ from ..runtime.ssbuf import SSBuf
 __all__ = ["evaluation_times", "evaluation_times_for_accesses", "snap_to_precision"]
 
 
+def _grid_index(times: np.ndarray, precision: float) -> np.ndarray:
+    """Index ``k`` of the grid point ``k * precision`` each time snaps *up*
+    to; a time within 1e-9 grid steps above a grid point counts as on it."""
+    return np.ceil(times / precision - 1e-9)
+
+
 def snap_to_precision(times: np.ndarray, precision: float) -> np.ndarray:
     """Snap candidate times up to the next multiple of ``precision``."""
     if precision <= 0 or len(times) == 0:
         return times
-    snapped = np.ceil(times / precision - 1e-9) * precision
-    return snapped
+    return _grid_index(times, precision) * precision
 
 
 def evaluation_times_for_accesses(
@@ -64,14 +69,19 @@ def evaluation_times_for_accesses(
             if t_start + offset < buf.start_time <= t_end + offset:
                 pieces.append(np.array([buf.start_time - offset]))
             candidates.extend(pieces)
-    times = np.unique(np.concatenate(candidates))
-    times = snap_to_precision(times, tdom.precision)
-    if tdom.precision > 0:
+    times = np.concatenate(candidates)
+    if tdom.precision <= 0:
+        times = np.unique(times)
+    else:
         # the value *before* a change must also be materialized on the grid:
-        # if the output changes at grid point g, the old value's last holding
-        # point g - precision needs an explicit snapshot.
-        times = np.concatenate([times, times - tdom.precision])
-    times = np.unique(times)
+        # if the output changes at grid point k, the old value's last holding
+        # point k - 1 needs an explicit snapshot.  Both are derived from the
+        # integer index so every grid time is the same float ``k * precision``
+        # however it was reached: on a non-dyadic precision ``k * p - p`` can
+        # differ from ``(k - 1) * p`` by an ulp, and two snapshots an ulp
+        # apart are split differently by tick edges than by a one-shot run.
+        k = _grid_index(times, tdom.precision)
+        times = np.unique(np.concatenate([k, k - 1.0])) * tdom.precision
     mask = (times > t_start + 1e-12) & (times <= t_end + 1e-12)
     times = times[mask]
     if len(times) == 0 or times[-1] < t_end:

@@ -1,302 +1,134 @@
-"""Persistent per-kernel window state for incremental tick execution.
+"""Persistent reduce-site state for in-process tick execution.
 
-A full-recompute streaming tick rebuilds every range-aggregation index over
-the whole carry-over tail, so tick cost is O(lookback + new events).  The
-classes here make tick cost O(new events): each reduction site of a kernel
-(one ``rt.reduce`` call in the generated source, recorded in
+A partition-and-recompute streaming tick rebuilds every range-aggregation
+index over the whole carry-over tail, so tick cost is O(lookback + new
+events).  A session on the in-process tick path (see
+:class:`~repro.core.runtime.session.StreamingSession`) instead runs its
+output kernel with an :class:`IncrementalKernelRuntime`, whose reduction
+sites (one ``rt.reduce`` call in the generated source, recorded in
 :attr:`KernelSpec.reduce_sites <repro.core.codegen.pysource.KernelSpec>`)
-owns a state object that *persists across ticks* and only ingests the input
+may own state that *persists across ticks* and only ingests the input
 snapshots that arrived since the previous tick.
 
-Site strategies (the Init/Acc/Result/Deacc escalation of the paper's
-aggregation template, Section 6.1.2):
+Which sites persist is decided per site by :func:`reduce_site_plan` — the
+Init/Acc/Result/Deacc escalation of the paper's aggregation template
+(Section 6.1.2), read off :attr:`AggregateFunction.strategy`:
 
-* :class:`ExtendablePrefixIndex` — for aggregates with a prefix
-  decomposition (Sum, Count, Mean, SumSquares, Variance, StdDev).  The
-  growable counterpart of
+* prefix-decomposable aggregates (Sum, Count, Mean, SumSquares, Variance,
+  StdDev) over a *program input* keep a growable
   :class:`~repro.windowing.prefix.PrefixRangeIndex`: appending a tick's tail
-  extends the component cumsums in O(new); queries use the identical
-  ``searchsorted`` + prefix-difference math.  Extended-precision aggregates
-  (variance/stddev) accumulate in longdouble around a *fixed* center — the
-  per-buffer re-centering of ``_variance_prefix_arrays`` cannot be applied
-  chunk-wise, but variance is shift-invariant so any fixed finite center
-  preserves the result.
-* :class:`OnlineSweepSite` — for everything else, a monotone two-pointer
-  sweep over the site's retained snapshots driving one of the online
-  aggregators from :mod:`repro.windowing.online`
-  (:func:`~repro.windowing.online.make_online_aggregator` escalation:
-  Subtract-on-Evict for invertible aggregates, two-stacks for mergeable
-  ones, full re-folding otherwise).  Correct because a session's query
-  windows are monotone: evaluation times strictly increase across ticks
-  (every tick evaluates ``(t_emitted, w]`` with ``w`` advancing), so window
-  edges only ever move forward.
+  extends the component cumsums in O(new) and queries stay vectorized.
+* every other reduction stays on the per-invocation vectorized
+  :class:`~repro.windowing.sliding.RangeAggregator` of the base runtime.
+  Their persistent form, :class:`OnlineSweep` (a monotone two-pointer sweep
+  driving an online aggregator from :mod:`repro.windowing.online`), walks
+  snapshots in Python and is slower per tick than rebuilding the vectorized
+  index, so only the explicit ``incremental=True`` oracle switch selects it.
+* reductions over *intermediate* expressions never persist: intermediates
+  are rebuilt from scratch each tick over their margin window, whereas
+  input columns are append-only (which makes "ingest the new tail"
+  well-defined) and the output interval advances monotonically (which the
+  sweep pointers require).
 
-Persistent sites apply only to reductions over *program inputs* evaluated by
-the session's **output** kernel: input columns are append-only (which makes
-"ingest the new tail" well-defined) and the output interval advances
-monotonically (which the sweep pointers require).  Reductions over
-intermediate expressions — which are rebuilt from scratch each tick over
-their margin window — fall back to the per-invocation
-:class:`~repro.windowing.sliding.RangeAggregator` path of the base runtime.
-
-:class:`SessionStateStore` aggregates the per-kernel states for one
-streaming session, keyed by the kernel's spec digest.  It also exposes the
-*retention floor* the session's carry-over pruning must respect: input
-snapshots newer than a site's ingest horizon have not been consumed yet and
-must survive pruning (see ``StreamingSession._prune_floor``).
+The runtime also exposes the *retention floor* the session's carry-over
+pruning must respect: input snapshots newer than a site's ingest horizon
+have not been consumed yet and must survive pruning (see
+``StreamingSession._prune_floor``).
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Dict, List, Mapping, MutableMapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import ExecutionError
 from ...windowing.functions import AggregateFunction
 from ...windowing.online import make_online_aggregator
+from ...windowing.prefix import PrefixRangeIndex, snapshot_range_indices
+from ..runtime.growable import GrowableArray
 from ..runtime.ssbuf import SSBuf
 from .runtime_support import KernelRuntime
 
 __all__ = [
-    "site_strategy",
-    "ExtendablePrefixIndex",
-    "OnlineSweepSite",
-    "KernelIncrementalState",
+    "reduce_site_plan",
+    "OnlineSweep",
+    "PersistentSite",
     "IncrementalKernelRuntime",
-    "SessionStateStore",
 ]
 
 _INF = float("inf")
 
-#: entries already dead at the front of a site's arrays are compacted away
-#: only once they outnumber the live tail and exceed this count — pruning
-#: is O(log n) per tick and O(live) amortized.
-_COMPACT_MIN_DEAD = 256
 
+def reduce_site_plan(
+    spec, input_refs, all_eligible: bool = False, blanket: Optional[str] = None
+) -> List[Dict[str, object]]:
+    """One row per entry of ``spec.reduce_sites``: does its state persist
+    across ticks, and why.
 
-def site_strategy(agg: AggregateFunction) -> str:
-    """Incremental strategy used for a reduction over ``agg``.
-
-    ``'prefix'`` → :class:`ExtendablePrefixIndex`; the online strategies all
-    run through :class:`OnlineSweepSite` with the corresponding structure
-    from :mod:`repro.windowing.online`.
+    ``blanket`` is a reason *no* site of this kernel persists (the session
+    partitions its ticks, or the kernel materializes an intermediate);
+    ``all_eligible`` is the ``incremental=True`` override that also persists
+    sites without a prefix decomposition.
     """
-    if agg.prefix_arrays is not None and agg.prefix_result is not None:
-        return "prefix"
-    if agg.invertible:
-        return "subtract-on-evict"
-    if agg.mergeable:
-        return "two-stacks"
-    return "refold"
-
-
-class _GrowableArray:
-    """Append-only NumPy array with geometric growth and front compaction."""
-
-    __slots__ = ("_data", "_n")
-
-    def __init__(self, dtype=np.float64, seed: Optional[List[float]] = None):
-        self._data = np.zeros(16, dtype=dtype)
-        self._n = 0
-        if seed:
-            self.append(np.asarray(seed, dtype=dtype))
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._data[: self._n]
-
-    def append(self, arr: np.ndarray) -> None:
-        m = len(arr)
-        if m == 0:
-            return
-        if self._n + m > len(self._data):
-            cap = max(len(self._data) * 2, self._n + m)
-            grown = np.empty(cap, dtype=self._data.dtype)
-            grown[: self._n] = self._data[: self._n]
-            self._data = grown
-        self._data[self._n : self._n + m] = arr
-        self._n += m
-
-    def drop_prefix(self, k: int) -> None:
-        if k <= 0:
-            return
-        live = self._data[k : self._n].copy()
-        self._n -= k
-        self._data[: self._n] = live
-
-
-class _SiteBase:
-    """Shared ingest logic: consume the input column's new tail by time."""
-
-    __slots__ = ("agg", "_elem_idx", "_ingested_through", "_times", "_istarts")
-
-    def __init__(self, agg: AggregateFunction, elem_idx: int):
-        self.agg = agg
-        self._elem_idx = elem_idx
-        self._ingested_through = -_INF
-        self._times = _GrowableArray()
-        self._istarts = _GrowableArray()
-
-    @property
-    def ingested_through(self) -> float:
-        """Input time up to which this site has consumed snapshots."""
-        return self._ingested_through
-
-    def retained(self) -> int:
-        """Snapshots currently held in the site's own arrays."""
-        return len(self._times)
-
-    def ingest(self, buf: SSBuf, rt: KernelRuntime) -> None:
-        """Append every snapshot of ``buf`` newer than the ingest horizon.
-
-        Idempotent within a tick (a second call over the same buffer is a
-        no-op) and robust to carry-over pruning between ticks: snapshots the
-        column dropped below the retention floor are — by the margin
-        invariant — strictly older than any window a future tick queries.
-        """
-        times = buf.times
-        n = len(times)
-        idx = int(np.searchsorted(times, self._ingested_through, side="right"))
-        if idx >= n:
-            return
-        new_times = np.asarray(times[idx:], dtype=np.float64)
-        # interval starts of the tail, without materializing the whole
-        # buffer's interval_starts (that would be O(retained) per tick)
-        first_start = buf.start_time if idx == 0 else float(times[idx - 1])
-        new_istarts = np.empty(n - idx, dtype=np.float64)
-        new_istarts[0] = first_start
-        new_istarts[1:] = times[idx : n - 1]
-        values = np.asarray(buf.values[idx:], dtype=np.float64)
-        ok = np.asarray(buf.valid[idx:], dtype=bool)
-        if self._elem_idx >= 0:
-            mapped, mapped_ok = rt.element_functions[self._elem_idx](values, rt)
-            values = np.asarray(mapped, dtype=np.float64)
-            ok = ok & np.asarray(mapped_ok, dtype=bool)
-        self._times.append(new_times)
-        self._istarts.append(new_istarts)
-        self._extend(new_times, values, ok)
-        self._ingested_through = float(new_times[-1])
-
-    def _extend(self, times: np.ndarray, values: np.ndarray, ok: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _range_indices(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.searchsorted(self._times.view, window_starts, side="right")
-        hi = np.searchsorted(self._istarts.view, window_ends, side="left")
-        return lo, hi
-
-
-class ExtendablePrefixIndex(_SiteBase):
-    """Growable prefix-sum range index (see module docstring).
-
-    Query math is identical to
-    :class:`~repro.windowing.prefix.PrefixRangeIndex`; only the construction
-    differs — component cumsums are *extended* per tick instead of rebuilt.
-    Pruning rebases the cumsums to the new front so totals stay bounded by
-    the retained window, which keeps floating-point drift of a long-running
-    session within the tolerance of ``SSBuf.__eq__``.
-    """
-
-    __slots__ = ("dtype", "_center", "_prefixes", "_valid_prefix")
-
-    strategy = "prefix"
-
-    def __init__(self, agg: AggregateFunction, elem_idx: int):
-        if agg.prefix_arrays is None or agg.prefix_result is None:
-            raise ValueError(f"aggregate {agg.name!r} has no prefix decomposition")
-        super().__init__(agg, elem_idx)
-        self.dtype = np.longdouble if agg.prefix_extended_precision else np.float64
-        self._center: Optional[float] = None
-        self._prefixes: Optional[List[_GrowableArray]] = None
-        self._valid_prefix = _GrowableArray(seed=[0.0])
-
-    def _extend(self, times: np.ndarray, values: np.ndarray, ok: np.ndarray) -> None:
-        masked = np.where(ok, values, 0.0).astype(self.dtype, copy=False)
-        if self.agg.prefix_extended_precision:
-            # fixed center (variance is shift-invariant); chosen from the
-            # first chunk so components stay small for large-mean data
-            if self._center is None:
-                self._center = float(np.mean(np.asarray(masked, dtype=np.float64))) if len(masked) else 0.0
-            centered = masked - self.dtype(self._center)
-            components = (centered, centered * centered, np.ones(len(masked), dtype=self.dtype))
+    rows = []
+    for ref, start_offset, end_offset, agg_idx, _ in spec.reduce_sites:
+        strategy = spec.aggregates[agg_idx].strategy
+        if blanket is not None:
+            persisted, reason = False, blanket
+        elif ref not in input_refs:
+            persisted, reason = False, "reduces an intermediate expression"
+        elif strategy.range == "prefix":
+            persisted, reason = True, "prefix-decomposable over a program input"
+        elif all_eligible:
+            persisted, reason = True, "explicit override"
         else:
-            components = self.agg.prefix_arrays(masked)
-        if self._prefixes is None:
-            self._prefixes = [
-                _GrowableArray(dtype=self.dtype, seed=[0.0]) for _ in components
-            ]
-        for grow, comp in zip(self._prefixes, components):
-            comp = np.where(ok, np.asarray(comp, dtype=self.dtype), 0.0)
-            grow.append(np.cumsum(comp, dtype=self.dtype) + grow.view[-1])
-        self._valid_prefix.append(
-            np.cumsum(ok.astype(np.float64)) + self._valid_prefix.view[-1]
+            persisted, reason = False, "no prefix decomposition"
+        rows.append(
+            {
+                "kernel": spec.name,
+                "ref": ref,
+                "window": (start_offset, end_offset),
+                "aggregate": spec.aggregates[agg_idx].name,
+                "strategy": strategy.persistent if persisted else strategy.range,
+                "state": "persisted" if persisted else "per-invocation",
+                "reason": reason,
+            }
         )
-
-    def query(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate each window ``(ws_i, we_i]``; φ when no valid snapshot."""
-        window_starts = np.asarray(window_starts, dtype=np.float64)
-        window_ends = np.asarray(window_ends, dtype=np.float64)
-        if self._prefixes is None:
-            n = len(window_starts)
-            return np.zeros(n), np.zeros(n, dtype=bool)
-        lo, hi = self._range_indices(window_starts, window_ends)
-        hi = np.maximum(hi, lo)
-        vp = self._valid_prefix.view
-        counts = vp[hi] - vp[lo]
-        sums = [p.view[hi] - p.view[lo] for p in self._prefixes]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            results = np.asarray(self.agg.prefix_result(*sums), dtype=np.float64)
-        valid = counts > 0
-        return np.where(valid, results, 0.0), valid
-
-    def prune(self, t: float) -> None:
-        """Drop (amortized) snapshots at or before ``t`` and rebase cumsums."""
-        k = int(np.searchsorted(self._times.view, t, side="right"))
-        if k < _COMPACT_MIN_DEAD or k * 2 < len(self._times):
-            return
-        self._times.drop_prefix(k)
-        self._istarts.drop_prefix(k)
-        self._valid_prefix.drop_prefix(k)
-        self._valid_prefix.view[:] -= self._valid_prefix.view[0]
-        if self._prefixes is not None:
-            for p in self._prefixes:
-                p.drop_prefix(k)
-                p.view[:] -= p.view[0].copy()
+    return rows
 
 
-class OnlineSweepSite(_SiteBase):
+class OnlineSweep:
     """Monotone two-pointer sweep over one online aggregator.
 
     ``insert`` consumes snapshots entering the newest queried window,
     ``evict`` removes snapshots that fell out of the oldest edge; both
-    pointers only move forward (session windows are monotone), so each
-    retained snapshot is inserted and evicted at most once — amortized
-    O(new events) per tick regardless of lookback depth.
+    pointers only move forward, so each retained snapshot is inserted and
+    evicted at most once — amortized O(new events) per tick regardless of
+    lookback depth.  Correct because a session's query windows are
+    monotone: evaluation times strictly increase across ticks (every tick
+    evaluates ``(t_emitted, w]`` with ``w`` advancing).
     """
 
-    __slots__ = ("strategy", "_aggregator", "_values", "_valid", "_insert_idx", "_evict_idx")
-
-    def __init__(self, agg: AggregateFunction, elem_idx: int):
-        super().__init__(agg, elem_idx)
-        self.strategy = site_strategy(agg)
+    def __init__(self, agg: AggregateFunction):
         self._aggregator = make_online_aggregator(agg)
-        self._values = _GrowableArray()
-        self._valid = _GrowableArray(dtype=bool)
+        #: start time, then every snapshot time (as in ``PrefixRangeIndex``)
+        self._edges = GrowableArray()
+        self._values = GrowableArray()
+        self._valid = GrowableArray(dtype=bool)
         self._insert_idx = 0
         self._evict_idx = 0
 
-    def _extend(self, times: np.ndarray, values: np.ndarray, ok: np.ndarray) -> None:
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def extend(
+        self, times: np.ndarray, values: np.ndarray, valid: np.ndarray, start_time: float
+    ) -> None:
+        if not len(self._edges):
+            self._edges.append((start_time,))
+        self._edges.append(times)
         self._values.append(values)
-        self._valid.append(ok)
+        self._valid.append(valid)
 
     def query(
         self, window_starts: np.ndarray, window_ends: np.ndarray
@@ -306,12 +138,13 @@ class OnlineSweepSite(_SiteBase):
         Windows that overlap no snapshot leave the sweep state untouched, so
         duplicate or empty queries are harmless.
         """
-        window_starts = np.asarray(window_starts, dtype=np.float64)
-        window_ends = np.asarray(window_ends, dtype=np.float64)
-        lo, hi = self._range_indices(window_starts, window_ends)
         n = len(window_starts)
         out = np.zeros(n)
         ok = np.zeros(n, dtype=bool)
+        if not len(self._edges):
+            return out, ok
+        edges = self._edges.view
+        lo, hi = snapshot_range_indices(edges[1:], edges[:-1], window_starts, window_ends)
         values = self._values.view
         valid = self._valid.view
         state = self._aggregator
@@ -336,190 +169,112 @@ class OnlineSweepSite(_SiteBase):
         return out, ok
 
     def prune(self, t: float) -> None:
-        """Drop (amortized) already-evicted snapshots at or before ``t``."""
-        k = int(np.searchsorted(self._times.view, t, side="right"))
+        """Drop already-evicted snapshots at or before ``t``."""
+        k = int(np.searchsorted(self._edges.view[1:], t, side="right"))
         k = min(k, self._evict_idx)
-        if k < _COMPACT_MIN_DEAD or k * 2 < len(self._times):
-            return
-        self._times.drop_prefix(k)
-        self._istarts.drop_prefix(k)
-        self._values.drop_prefix(k)
-        self._valid.drop_prefix(k)
+        for arr in (self._edges, self._values, self._valid):
+            arr.drop_prefix(k)
         self._insert_idx -= k
         self._evict_idx -= k
 
 
-class KernelIncrementalState:
-    """Persistent reduction-site states for one kernel.
+class PersistentSite:
+    """One reduce site's cross-tick state: the range structure plus the
+    input time it has consumed through."""
 
-    Sites are created from the spec's ``reduce_sites`` descriptor for every
-    reduction over a program input; prefix-capable aggregates share one
-    index per ``(ref, aggregate, element-map)`` — the index is
-    window-agnostic, exactly like the per-invocation aggregator cache of the
-    base runtime — while sweep sites are per-window (their pointers track
-    one window's edges).
-    """
+    __slots__ = ("structure", "_elem_idx", "ingested_through")
 
-    def __init__(self, spec, input_refs):
-        self.spec = spec
-        self.input_refs = frozenset(input_refs)
-        self._sites: Dict[tuple, _SiteBase] = {}
-        for ref, so, eo, agg_idx, elem_idx in getattr(spec, "reduce_sites", ()):
-            if ref in self.input_refs:
-                self.site(ref, so, eo, agg_idx, elem_idx)
+    def __init__(self, agg: AggregateFunction, elem_idx: int):
+        self.structure = (
+            PrefixRangeIndex(agg) if agg.strategy.range == "prefix" else OnlineSweep(agg)
+        )
+        self._elem_idx = elem_idx
+        #: input time up to which this site has consumed snapshots
+        self.ingested_through = -_INF
 
-    def site(
-        self, ref: str, start_offset: float, end_offset: float, agg_idx: int, elem_idx: int
-    ) -> Optional[_SiteBase]:
-        """The persistent site for one ``rt.reduce`` call (``None`` when the
-        reduction targets an intermediate and must use the per-run path)."""
-        if ref not in self.input_refs:
-            return None
-        agg = self.spec.aggregates[agg_idx]
-        if site_strategy(agg) == "prefix":
-            key = (ref, None, None, agg_idx, elem_idx)
-            existing = self._sites.get(key)
-            if existing is None:
-                existing = self._sites[key] = ExtendablePrefixIndex(agg, elem_idx)
-            return existing
-        key = (ref, float(start_offset), float(end_offset), agg_idx, elem_idx)
-        existing = self._sites.get(key)
-        if existing is None:
-            existing = self._sites[key] = OnlineSweepSite(agg, elem_idx)
-        return existing
+    def ingest(self, buf: SSBuf, rt: KernelRuntime) -> None:
+        """Append every snapshot of ``buf`` newer than the ingest horizon.
 
-    @property
-    def sites(self) -> Mapping[tuple, _SiteBase]:
-        return dict(self._sites)
-
-    def ingested_floor(self) -> float:
-        """Oldest ingest horizon across sites — input newer than this has
-        not been consumed yet and must not be pruned."""
-        horizons = [s.ingested_through for s in self._sites.values()]
-        return min(horizons) if horizons else _INF
-
-    def retained(self) -> int:
-        return sum(s.retained() for s in self._sites.values())
-
-    def prune(self, t: float) -> None:
-        for s in self._sites.values():
-            s.prune(t)
-
-    def clear(self) -> None:
-        """Forget all accumulated state (sites re-ingest from the retained
-        carry-over on the next tick) — the rewind/replay reset."""
-        spec, refs = self.spec, self.input_refs
-        self._sites.clear()
-        for ref, so, eo, agg_idx, elem_idx in getattr(spec, "reduce_sites", ()):
-            if ref in refs:
-                self.site(ref, so, eo, agg_idx, elem_idx)
+        Idempotent within a tick (a second call over the same buffer is a
+        no-op) and robust to carry-over pruning between ticks: snapshots the
+        column dropped below the retention floor are — by the margin
+        invariant — strictly older than any window a future tick queries.
+        ``buf`` must be the unsliced input column: a slice-clipped phantom
+        snapshot must never be ingested.
+        """
+        times = buf.times
+        idx = int(np.searchsorted(times, self.ingested_through, side="right"))
+        if idx >= len(times):
+            return
+        values = np.asarray(buf.values[idx:], dtype=np.float64)
+        ok = np.asarray(buf.valid[idx:], dtype=bool)
+        if self._elem_idx >= 0:
+            mapped, mapped_ok = rt.element_functions[self._elem_idx](values, rt)
+            values = np.asarray(mapped, dtype=np.float64)
+            ok = ok & np.asarray(mapped_ok, dtype=bool)
+        first_start = buf.start_time if idx == 0 else float(times[idx - 1])
+        self.structure.extend(times[idx:], values, ok, first_start)
+        self.ingested_through = float(times[-1])
 
 
 class IncrementalKernelRuntime(KernelRuntime):
-    """A :class:`KernelRuntime` whose reductions hit persistent site state.
+    """A :class:`KernelRuntime` whose planned reductions hit persistent
+    site state.
 
     Shares the compiled kernel's registries (aggregates, element maps,
     access patterns) but is **session-private**: the shared immutable
     runtime of a :class:`~repro.core.codegen.compiled.CompiledKernel` is
-    never mutated, so concurrent sessions — incremental or not — over the
-    same compiled query cannot interfere.
+    never mutated, so concurrent sessions over the same compiled query
+    cannot interfere.
     """
 
-    def __init__(self, base: KernelRuntime, state: KernelIncrementalState):
+    def __init__(self, kernel, input_refs, all_eligible: bool = False):
+        base = kernel.runtime
         super().__init__(base.accesses, base.tdom, base.aggregates, base.element_functions)
-        self.state = state
+        self._reduce_sites = kernel.spec.reduce_sites
+        #: :func:`reduce_site_plan` rows, aligned with ``spec.reduce_sites``
+        self.plan = reduce_site_plan(kernel.spec, frozenset(input_refs), all_eligible)
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget all accumulated state (sites re-ingest from the retained
+        carry-over on the next tick) — also the rewind/replay reset."""
+        shared: Dict[tuple, PersistentSite] = {}
+        self._by_call: Dict[tuple, PersistentSite] = {}
+        for call, row in zip(self._reduce_sites, self.plan):
+            if row["state"] != "persisted":
+                continue
+            ref, start_offset, end_offset, agg_idx, elem_idx = call
+            # a prefix index is window-agnostic, so every window over the
+            # same (input, aggregate, element map) shares one; a sweep's
+            # pointers track one window's edges
+            key = (ref, agg_idx, elem_idx)
+            if row["strategy"] != "prefix":
+                key += (start_offset, end_offset)
+            site = shared.get(key)
+            if site is None:
+                site = shared[key] = PersistentSite(self.aggregates[agg_idx], elem_idx)
+            self._by_call[call] = site
+        self._sites = list(shared.values())
 
     def reduce(self, env, ref, start_offset, end_offset, agg_idx, elem_idx, ts, cache):
-        site = self.state.site(ref, start_offset, end_offset, agg_idx, elem_idx)
+        site = self._by_call.get((ref, start_offset, end_offset, agg_idx, elem_idx))
         if site is None:
             return super().reduce(
                 env, ref, start_offset, end_offset, agg_idx, elem_idx, ts, cache
             )
-        buf = env.get(ref)
-        if buf is None:
-            raise ExecutionError(f"unknown temporal object ~{ref}")
-        site.ingest(buf, self)
-        return site.query(ts + start_offset, ts + end_offset)
-
-
-class SessionStateStore:
-    """Per-session registry of kernel states, keyed by spec digest.
-
-    The digest key makes the store line up with the engine's other caches
-    (per-process kernel rebuilds, compile cache): two kernels with the same
-    digest are interchangeable executables, so their incremental states have
-    the same shape.  State itself is never shared across sessions — each
-    session advances its own watermark.
-    """
-
-    def __init__(self, compiled, registry=None):
-        self._compiled = compiled
-        self._input_refs = frozenset(compiled.program.inputs)
-        self._states: "Dict[str, KernelIncrementalState]" = {}
-        self._runtimes: "Dict[int, IncrementalKernelRuntime]" = {}
-        # optional MetricsRegistry hooks: a *hit* is a tick reusing persistent
-        # state (the incremental win); a *miss* creates fresh state
-        self._m_hits = self._m_misses = None
-        if registry is not None:
-            self._m_hits = registry.counter(
-                "repro_incremental_state_hits_total",
-                "Kernel lookups served from persistent incremental state",
-            )
-            self._m_misses = registry.counter(
-                "repro_incremental_state_misses_total",
-                "Kernel lookups that created fresh incremental state",
-            )
-
-    @property
-    def states(self) -> Mapping[str, KernelIncrementalState]:
-        return dict(self._states)
-
-    def state_for(self, kernel) -> KernelIncrementalState:
-        runtime = self.runtime_for(kernel)
-        return runtime.state
-
-    def runtime_for(self, kernel) -> IncrementalKernelRuntime:
-        """Session-private incremental runtime for ``kernel`` (memoized, so
-        the spec digest is computed once per kernel, not once per tick)."""
-        memo = self._runtimes.get(id(kernel))
-        if memo is not None:
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            return memo
-        try:
-            digest = kernel.spec.digest()
-        except (pickle.PicklingError, TypeError, AttributeError, ValueError):
-            # specs with unpicklable custom aggregates have no content
-            # digest (they cannot leave the process anyway); key by
-            # identity — the session holds its kernels alive, so the id is
-            # stable for the store's lifetime
-            digest = f"unpicklable:{id(kernel.spec)}"
-        state = self._states.get(digest)
-        if state is None:
-            if self._m_misses is not None:
-                self._m_misses.inc()
-            state = self._states[digest] = KernelIncrementalState(
-                kernel.spec, self._input_refs
-            )
-        elif self._m_hits is not None:
-            self._m_hits.inc()
-        runtime = IncrementalKernelRuntime(kernel.runtime, state)
-        self._runtimes[id(kernel)] = runtime
-        return runtime
+        site.ingest(env[ref], self)
+        return site.structure.query(ts + start_offset, ts + end_offset)
 
     def ingested_floor(self) -> float:
-        """Oldest input time still awaiting consumption by some site."""
-        floors = [s.ingested_floor() for s in self._states.values()]
-        return min(floors) if floors else _INF
+        """Oldest ingest horizon across sites — input newer than this has
+        not been consumed yet and must not be pruned."""
+        return min((s.ingested_through for s in self._sites), default=_INF)
 
-    def retained_snapshots(self) -> int:
+    def retained(self) -> int:
         """Total snapshots held across all site states (introspection)."""
-        return sum(s.retained() for s in self._states.values())
+        return sum(len(s.structure) for s in self._sites)
 
     def prune(self, t: float) -> None:
-        for state in self._states.values():
-            state.prune(t)
-
-    def clear(self) -> None:
-        for state in self._states.values():
-            state.clear()
+        for s in self._sites:
+            s.structure.prune(t)

@@ -81,12 +81,13 @@ class KernelSpec:
     aggregates: List[AggregateFunction]
     accesses: Dict[str, AccessPattern]
     referenced: List[str]
-    #: incremental-state descriptor: one entry per ``rt.reduce`` call site in
-    #: the generated source, as ``(ref, start_offset, end_offset, agg_idx,
-    #: elem_idx)``.  Derived from the same compilation pass that emits the
-    #: call, so it is exactly the set of reductions an incremental session
-    #: must carry state for.  Not part of :meth:`digest` — it is fully
-    #: determined by ``source`` (every entry mirrors an emitted call).
+    #: one entry per ``rt.reduce`` call site in the generated source, as
+    #: ``(ref, start_offset, end_offset, agg_idx, elem_idx)``.  Derived from
+    #: the same compilation pass that emits the call, so it is exactly the
+    #: set of reductions a session plans state for (see
+    #: :func:`repro.core.codegen.incremental.reduce_site_plan`).  Not part
+    #: of :meth:`digest` — it is fully determined by ``source`` (every entry
+    #: mirrors an emitted call).
     reduce_sites: List[Tuple[str, float, float, int, int]] = field(default_factory=list)
     #: the fused IR this spec was generated from.  The native codegen tier
     #: (:mod:`repro.core.codegen.native`) re-lowers it to C instead of
@@ -145,26 +146,6 @@ class KernelSpec:
         for agg in self.aggregates:
             h.update(pickle.dumps(agg, protocol=4))
         return h.hexdigest()
-
-    def incremental_plan(self, input_refs) -> Dict[Tuple[str, float, float, int, int], str]:
-        """Incremental strategy per reduction site, for introspection.
-
-        Maps each entry of :attr:`reduce_sites` to the strategy an
-        incremental session uses for it (``'prefix'``,
-        ``'subtract-on-evict'``, ``'two-stacks'``, ``'refold'``) — or
-        ``'full-recompute'`` for reductions over intermediate expressions,
-        which stay on the per-invocation path.
-        """
-        from .incremental import site_strategy
-
-        inputs = frozenset(input_refs)
-        plan = {}
-        for ref, so, eo, agg_idx, elem_idx in self.reduce_sites:
-            if ref in inputs:
-                plan[(ref, so, eo, agg_idx, elem_idx)] = site_strategy(self.aggregates[agg_idx])
-            else:
-                plan[(ref, so, eo, agg_idx, elem_idx)] = "full-recompute"
-        return plan
 
 
 class _Emitter:

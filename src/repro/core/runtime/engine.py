@@ -111,17 +111,6 @@ class TiltEngine:
         toolchain is present).  ``None`` (default) resolves to the
         ``REPRO_CODEGEN`` environment variable, else ``"numpy"``.
         Interpreted mode ignores the tier — it never generates kernels.
-    incremental:
-        Default for sessions opened on this engine: persist per-kernel
-        window state across ticks so tick cost is O(new events) instead of
-        O(lookback + new events) (see
-        :mod:`repro.core.codegen.incremental`).  ``None`` (default) resolves
-        to the ``REPRO_INCREMENTAL`` environment variable (truthy values:
-        ``1/true/yes/on`` — how the CI matrix runs the whole suite
-        incrementally), else ``False``, preserving the full-recompute path
-        as the reference implementation.  Sessions can override per-session
-        via ``open_session(..., incremental=...)``; one-shot ``run`` calls
-        are unaffected.
     compile_cache_size:
         Bound on the per-engine compile cache (LRU eviction).  A long-lived
         engine serving many distinct programs — the multi-tenant service —
@@ -155,7 +144,6 @@ class TiltEngine:
         optimize: bool = True,
         enable_fusion: bool = True,
         codegen_tier: Optional[str] = None,
-        incremental: Optional[bool] = None,
         compile_cache_size: int = 32,
         trace=None,
         registry: Optional[MetricsRegistry] = None,
@@ -177,13 +165,6 @@ class TiltEngine:
                 f"unknown codegen tier {codegen_tier!r} "
                 f"(expected one of {native.CODEGEN_TIERS})"
             )
-        if incremental is None:
-            incremental = os.environ.get("REPRO_INCREMENTAL", "").strip().lower() in (
-                "1",
-                "true",
-                "yes",
-                "on",
-            )
         if compile_cache_size < 1:
             raise QueryBuildError("compile_cache_size must be >= 1")
         self.workers = int(workers)
@@ -197,7 +178,6 @@ class TiltEngine:
         # engine performs uses one concrete tier, and the compile-cache key
         # stays stable for the engine's lifetime
         self.codegen_tier = resolve_codegen_tier(codegen_tier)
-        self.incremental = bool(incremental)
         self.compile_cache_size = int(compile_cache_size)
         self.tracer = make_tracer(trace)
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -400,7 +380,10 @@ class TiltEngine:
         ``query`` is compiled once (and cached, so several sessions over the
         same program share kernels); ``sources`` must cover every program
         input (see :mod:`repro.datagen.sources`).  Keyword arguments are
-        forwarded to :class:`StreamingSession`.
+        forwarded to :class:`StreamingSession`, which resolves the session's
+        tick path itself — in-process against persistent reduce-site state,
+        or partition-and-dispatch — and reports it as ``session.plan``;
+        there is nothing to choose here.
         """
         # imported here: session.py imports this module at load time
         from .session import StreamingSession

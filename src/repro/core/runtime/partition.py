@@ -24,9 +24,9 @@ Both the one-shot engine and the streaming session layer
   and may prune everything older.
 
 Partition edges are additionally snapped to the query's coarsest
-time-domain precision (``align``); streaming tick boundaries follow the
-same rule, so a tick edge is indistinguishable from an interior partition
-edge of a one-shot run.
+time-domain precision (``align``) with :func:`snap_down`; streaming tick
+boundaries use the same function, so a tick edge is indistinguishable from
+an interior partition edge of a one-shot run.
 """
 
 from __future__ import annotations
@@ -39,7 +39,26 @@ from ...errors import QueryBuildError
 from ..lineage.boundary import BoundarySpec
 from .ssbuf import SSBuf
 
-__all__ = ["Partition", "plan_partitions", "partition_inputs"]
+__all__ = ["Partition", "snap_down", "plan_partitions", "partition_inputs"]
+
+
+def snap_down(t: float, precision: float) -> float:
+    """Largest grid point ``k * precision`` (integer ``k``) not above ``t``.
+
+    Grid points are the floats ``k * precision`` — the representation the
+    evaluation grid (:mod:`repro.core.codegen.grid`) emits — so an edge
+    snapped here is bit-identical to the evaluation time at that grid point.
+    ``floor(t / precision)`` alone is not enough on a non-dyadic precision:
+    the division can round across an integer, landing one step low (a tick
+    that emits nothing) or one ulp *above* ``t`` (an edge past the safe
+    watermark); both are corrected against the products themselves.
+    """
+    k = math.floor(t / precision)
+    if (k + 1) * precision <= t:
+        k += 1
+    elif k * precision > t:
+        k -= 1
+    return k * precision
 
 
 @dataclass(frozen=True)
@@ -114,9 +133,7 @@ def plan_partitions(
         # would otherwise create a partition that begins before (and overlaps)
         # the requested output range.  Clamped edges collapse into empty
         # partitions and are filtered below.
-        interior = [
-            max(math.floor(e / align) * align, edges[0]) for e in edges[1:-1]
-        ]
+        interior = [max(snap_down(e, align), edges[0]) for e in edges[1:-1]]
         edges = [edges[0]] + interior + [edges[-1]]
     bounds: List[Tuple[float, float]] = []
     for i in range(len(edges) - 1):

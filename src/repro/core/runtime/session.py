@@ -52,10 +52,13 @@ import numpy as np
 
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
 from ..codegen.compiled import CompiledQuery
-from ..codegen.incremental import SessionStateStore
+from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
+from ..codegen.native import NATIVE_TIER
 from ..ir.nodes import TiltProgram
 from ..lineage.boundary import resolve_boundaries
 from .engine import QueryResult, TiltEngine
+from .growable import GrowableArray
+from .partition import snap_down
 from .ssbuf import SSBuf, _ssbuf_from_arrays
 from .stream import Event
 
@@ -77,12 +80,12 @@ class _IngestColumn:
     it (see :meth:`prune`), matching ``SSBuf.slice``'s clamping semantics so
     partition slices taken from the pruned buffer are unchanged.
 
-    Storage is a trio of geometrically grown arrays with a lazily advanced
-    live-prefix index: appending a tick's events, materializing the buffer
-    (a zero-copy view) and pruning the dead head are all O(new events) per
-    tick — O(live) only when the amortized compaction fires.  Keeping every
-    per-tick column operation off the O(retained) path is what lets
-    incremental sessions achieve lookback-independent tick cost.
+    Storage is a trio of :class:`GrowableArray`: appending a tick's events,
+    materializing the buffer (a zero-copy view) and pruning the dead head
+    are all O(new events) per tick — O(live) only when the amortized
+    compaction fires.  Keeping every per-tick column operation off the
+    O(retained) path is what lets sessions with persistent reduce-site
+    state achieve lookback-independent tick cost.
     """
 
     __slots__ = (
@@ -93,25 +96,17 @@ class _IngestColumn:
         "_times",
         "_values",
         "_valid",
-        "_n",
-        "_lo",
         "_cache",
     )
-
-    #: dead-head entries are compacted away only once they outnumber the
-    #: live tail and exceed this count
-    _COMPACT_MIN_DEAD = 4096
 
     def __init__(self, name: str, field: Optional[str] = None):
         self.name = name
         self.field = field
         self.anchor: Optional[float] = None
         self.prev_end: Optional[float] = None
-        self._times = np.empty(0, dtype=np.float64)
-        self._values = np.empty(0, dtype=np.float64)
-        self._valid = np.empty(0, dtype=bool)
-        self._n = 0
-        self._lo = 0
+        self._times = GrowableArray()
+        self._values = GrowableArray()
+        self._valid = GrowableArray(dtype=bool)
         self._cache: Optional[SSBuf] = None
 
     @property
@@ -151,9 +146,9 @@ class _IngestColumn:
         # one snapshot per event end, plus a φ snapshot at each gap start
         gaps = starts > prev_ends
         m = len(events) + int(np.count_nonzero(gaps))
-        times = np.empty(m)
-        values = np.empty(m)
-        valid = np.empty(m, dtype=bool)
+        times = self._times.grow(m)
+        values = self._values.grow(m)
+        valid = self._valid.grow(m)
         pos = np.arange(len(events)) + np.cumsum(gaps)
         times[pos] = ends
         values[pos] = vals
@@ -163,22 +158,7 @@ class _IngestColumn:
         values[gap_pos] = 0.0
         valid[gap_pos] = False
         self.prev_end = float(ends[-1])
-        self._append(times, values, valid)
         self._cache = None
-
-    def _append(self, times: np.ndarray, values: np.ndarray, valid: np.ndarray) -> None:
-        m = len(times)
-        if self._n + m > len(self._times):
-            cap = max(64, 2 * len(self._times), self._n + m)
-            for attr in ("_times", "_values", "_valid"):
-                old = getattr(self, attr)
-                grown = np.empty(cap, dtype=old.dtype)
-                grown[: self._n] = old[: self._n]
-                setattr(self, attr, grown)
-        self._times[self._n : self._n + m] = times
-        self._values[self._n : self._n + m] = values
-        self._valid[self._n : self._n + m] = valid
-        self._n += m
 
     def materialize(self) -> SSBuf:
         """The retained tail of this input as a snapshot buffer.
@@ -190,14 +170,11 @@ class _IngestColumn:
         """
         if self._cache is None:
             anchor = 0.0 if self.anchor is None else float(self.anchor)
-            if self._n == self._lo:
+            if not len(self._times):
                 self._cache = SSBuf.empty(anchor)
             else:
                 self._cache = _ssbuf_from_arrays(
-                    self._times[self._lo : self._n],
-                    self._values[self._lo : self._n],
-                    self._valid[self._lo : self._n],
-                    anchor,
+                    self._times.view, self._values.view, self._valid.view, anchor
                 )
         return self._cache
 
@@ -214,23 +191,15 @@ class _IngestColumn:
         """
         if t <= (self.anchor if self.anchor is not None else 0.0):
             return 0
-        pruned = int(
-            np.searchsorted(self._times[self._lo : self._n], t, side="right")
-        )
-        self._lo += pruned
+        pruned = int(np.searchsorted(self._times.view, t, side="right"))
+        for arr in (self._times, self._values, self._valid):
+            arr.drop_prefix(pruned)
         self.anchor = t
         self._cache = None
-        if self._lo >= self._COMPACT_MIN_DEAD and 2 * self._lo >= self._n:
-            live = self._n - self._lo
-            for attr in ("_times", "_values", "_valid"):
-                arr = getattr(self, attr)
-                arr[:live] = arr[self._lo : self._n].copy()
-            self._n = live
-            self._lo = 0
         return pruned
 
     def retained_snapshots(self) -> int:
-        return self._n - self._lo
+        return len(self._times)
 
 
 @dataclass
@@ -296,12 +265,22 @@ class StreamingSession:
         output buffer.  Turn off for indefinitely running sessions, where
         only the per-tick deltas and live metrics are wanted.
     incremental:
-        Persist per-kernel window state across ticks (see
-        :mod:`repro.core.codegen.incremental`) so tick cost is O(new
-        events) instead of O(lookback + new events).  ``None`` (default)
-        inherits the engine's ``incremental`` setting (env override
-        ``REPRO_INCREMENTAL``).  Interpreted-mode sessions silently fall
-        back to full recompute — the reference path is always available.
+        Leave at ``None``: the session then *resolves* its tick path once,
+        from what it can observe, and reports the result as :attr:`plan`.
+        A compiled query whose output kernel runs the NumPy tier ticks
+        **in-process**: one evaluation of ``(t_emitted, w]`` against
+        reduce-site state that persists across ticks where that pays
+        (prefix-decomposable aggregates over program inputs — tick cost
+        O(new events) instead of O(lookback + new events); see
+        :mod:`repro.core.codegen.incremental`).  Interpreted sessions and
+        sessions whose output kernel is native **partition and dispatch**
+        each tick like a one-shot run (persistent state interposes on
+        ``rt.reduce`` calls, which neither the interpreter nor a fused C
+        loop makes).  ``False`` / ``True`` is the oracle switch the
+        differential tests and benchmark probes use to force
+        partition-and-dispatch / in-process ticks with *every* eligible
+        site persisted (on a native output kernel ``True`` therefore runs
+        its NumPy twin); interpreted sessions ignore it.
     trace_attrs:
         Attributes stamped onto every ``session.tick`` span this session
         emits (e.g. ``{"tenant": "alice"}``).  Ignored — at zero cost —
@@ -326,13 +305,30 @@ class StreamingSession:
         program, compiled = engine._prepare(query)
         self._program = program
         self._compiled = compiled
-        if incremental is None:
-            incremental = engine.incremental
-        self._state_store: Optional[SessionStateStore] = (
-            SessionStateStore(compiled, registry=engine.registry)
-            if incremental and compiled is not None
-            else None
-        )
+        in_process, reason = self._resolve_tick_path(compiled, incremental)
+        #: persistent reduce-site state of the output kernel (in-process
+        #: tick path only)
+        self._state: Optional[IncrementalKernelRuntime] = None
+        if in_process:
+            self._state = IncrementalKernelRuntime(
+                compiled.kernel_named(compiled.output),
+                program.inputs,
+                all_eligible=incremental is True,
+            )
+        blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
+        sites: List[Dict[str, object]] = []
+        for kernel in compiled.kernels if compiled is not None else ():
+            if in_process and kernel.name == compiled.output:
+                sites += self._state.plan
+            else:
+                sites += reduce_site_plan(kernel.spec, (), blanket=blanket)
+        #: the resolved execution plan: tick path and why, and per reduce
+        #: site whether its state persists across ticks and why
+        self.plan: Dict[str, object] = {
+            "tick_path": "in-process" if in_process else "partition+dispatch",
+            "reason": reason,
+            "sites": sites,
+        }
         self._pins: List[float] = []
         self._boundary = (
             compiled.boundary if compiled is not None else resolve_boundaries(program)
@@ -397,6 +393,17 @@ class StreamingSession:
             "repro_late_events_total",
             "Ingest batches rejected for out-of-order/overlapping arrival",
         )
+        # a *hit* is a tick evaluated against state a previous tick left
+        # behind; a *miss* starts from empty state (first tick, rewind)
+        self._m_state_hits = engine.registry.counter(
+            "repro_incremental_state_hits_total",
+            "Ticks served from persistent reduce-site state",
+        )
+        self._m_state_misses = engine.registry.counter(
+            "repro_incremental_state_misses_total",
+            "Ticks that started from empty reduce-site state",
+        )
+        self._state_warm = False
         engine._register_session(self)
 
     # ------------------------------------------------------------------ #
@@ -424,19 +431,33 @@ class StreamingSession:
     def ticks(self) -> int:
         return self._ticks
 
+    @staticmethod
+    def _resolve_tick_path(
+        compiled: Optional[CompiledQuery], incremental: Optional[bool]
+    ) -> Tuple[bool, str]:
+        """``(in-process?, reason)`` — see the ``incremental`` parameter."""
+        if compiled is None:
+            return False, "interpreted"
+        if incremental is not None:
+            return bool(incremental), "explicit override"
+        if compiled.kernel_named(compiled.output).active_tier == NATIVE_TIER:
+            return False, "native output kernel"
+        return True, "numpy output kernel"
+
     @property
     def incremental(self) -> bool:
-        """True when this session persists per-kernel window state."""
-        return self._state_store is not None
+        """True when this session ticks in-process against persistent
+        reduce-site state (``plan["tick_path"] == "in-process"``)."""
+        return self._state is not None
 
     def retained_snapshots(self) -> int:
         """Total input snapshots currently held as carry-over state."""
         return sum(col.retained_snapshots() for col in self._columns.values())
 
     def state_snapshots(self) -> int:
-        """Snapshots retained inside incremental kernel state (0 when the
-        session runs the full-recompute path)."""
-        return 0 if self._state_store is None else self._state_store.retained_snapshots()
+        """Snapshots retained inside persistent reduce-site state (0 on the
+        partition-and-dispatch path)."""
+        return 0 if self._state is None else self._state.retained()
 
     @property
     def exhausted(self) -> bool:
@@ -550,9 +571,9 @@ class StreamingSession:
         Emitted deltas beyond ``token`` are discarded (a delta straddling it
         is clipped; the clip duplicates the value the replayed output holds
         at ``token`` and is canonically removed by ``compact``), the
-        watermark drops to ``token``, and — in incremental mode — all
-        persistent kernel state is cleared so the next tick re-ingests from
-        the retained carry-over.  The pin stays active until released.
+        watermark drops to ``token``, and all persistent reduce-site state
+        is cleared so the next tick re-ingests from the retained
+        carry-over.  The pin stays active until released.
         """
         if self._closed:
             raise ExecutionError("session is closed")
@@ -570,8 +591,9 @@ class StreamingSession:
                 kept.append(clipped)
         self._deltas = kept
         self._t_emit = token
-        if self._state_store is not None:
-            self._state_store.clear()
+        if self._state is not None:
+            self._state.clear()
+            self._state_warm = False
 
     def run_to_exhaustion(self, max_ticks: Optional[int] = None) -> List[TickResult]:
         """Tick until every (finite) source is exhausted, then close.
@@ -657,19 +679,19 @@ class StreamingSession:
         else:
             w = horizon - self._boundary.max_lookahead
             if w < _INF and self._alignment > 0:
-                w = float(np.floor(w / self._alignment) * self._alignment)
+                w = snap_down(w, self._alignment)
         if not (w > self._t_emit) or w == _INF:
             return (self._t_emit, self._t_emit, SSBuf.empty(self._t_emit), 0)
 
         with self._tracer.span("tick.emit", t_start=self._t_emit, t_end=w):
             inputs = {name: col.materialize() for name, col in self._columns.items()}
-            if self._state_store is not None:
-                # incremental path: one in-process evaluation of (t_emit, w]
-                # against persistent per-kernel state — no partitioner, no
-                # executor, no O(lookback) index rebuilds.
+            if self._state is not None:
+                # in-process path: one evaluation of (t_emit, w] against
+                # persistent reduce-site state — no partitioner, no
+                # executor, no O(lookback) rebuild of the persisted indexes.
                 with self._tracer.span("emit.incremental") as sp:
                     piece = self._run_incremental(inputs, self._t_emit, w)
-                    sp.set(state_snapshots=self._state_store.retained_snapshots())
+                    sp.set(state_snapshots=self._state.retained())
                 delta = SSBuf.concat([piece]).compact() if len(piece) else SSBuf.empty(self._t_emit)
                 num_partitions = 1
             else:
@@ -704,8 +726,8 @@ class StreamingSession:
                 pruned = 0
                 for col in self._columns.values():
                     pruned += col.prune(prune_to)
-                if self._state_store is not None:
-                    self._state_store.prune(prune_to)
+                if self._state is not None:
+                    self._state.prune(prune_to)
                 if pruned:
                     self._m_pruned.inc(pruned)
                 sp.set(pruned=pruned, floor=prune_to)
@@ -715,12 +737,13 @@ class StreamingSession:
         """Oldest input time the carry-over must retain after emitting ``w``.
 
         The naive rule ``w - max_lookback`` is correct only for stateless
-        full-recompute sessions.  Two things can hold input alive longer:
+        partition-and-dispatch sessions.  Two things can hold input alive
+        longer:
 
         * an active checkpoint pin (a :meth:`rewind` may re-emit from the
           pinned watermark, whose partitions read back to
           ``pin - max_lookback``);
-        * incremental kernel state whose ingest horizon trails the
+        * persistent reduce-site state whose ingest horizon trails the
           watermark — input newer than a site's ``ingested_through`` has not
           been consumed into any persistent index yet, so discarding it
           would silently corrupt every later window crossing the gap.
@@ -729,17 +752,17 @@ class StreamingSession:
         if self._pins:
             floor = min(floor, min(self._pins))
         floor -= self._boundary.max_lookback
-        if self._state_store is not None:
-            floor = min(floor, self._state_store.ingested_floor())
+        if self._state is not None:
+            floor = min(floor, self._state.ingested_floor())
         return floor
 
     def _run_incremental(self, inputs: Dict[str, SSBuf], t_start: float, t_end: float) -> SSBuf:
-        """Evaluate ``(t_start, t_end]`` against the persistent state store.
+        """Evaluate ``(t_start, t_end]`` against the persistent site state.
 
-        The output kernel runs over the *unsliced* carry-over buffers with a
-        session-private :class:`IncrementalKernelRuntime`, so its reductions
-        over program inputs extend persistent indices by exactly the new
-        tail (the buffers must be unsliced: sites may only ever ingest true
+        The output kernel runs over the *unsliced* carry-over buffers with
+        the session-private :class:`IncrementalKernelRuntime`, so its
+        persisted reductions extend their indices by exactly the new tail
+        (the buffers must be unsliced: sites may only ever ingest true
         input snapshots, never slice-clipped phantoms).  In an unfused query
         the intermediate kernels are rebuilt each tick over their margin
         window from margin slices of the inputs — byte-identical to the
@@ -747,28 +770,24 @@ class StreamingSession:
         cost requires the (default) fusion to a single kernel.
         """
         compiled = self._compiled
-        assert compiled is not None and self._state_store is not None
-        output = compiled.output
-        if len(compiled.kernels) == 1:
-            kernel = compiled.kernels[0]
-            return kernel.run(
-                inputs, t_start, t_end, runtime=self._state_store.runtime_for(kernel)
-            )
-        lookback = self._boundary.max_lookback
-        lookahead = self._boundary.max_lookahead
-        ienv: Dict[str, SSBuf] = {}
-        for name, buf in inputs.items():
-            in_lo, in_hi = self._boundary.input_interval(name, t_start, t_end)
-            ienv[name] = buf.slice(in_lo, in_hi)
+        (self._m_state_hits if self._state_warm else self._m_state_misses).inc()
+        self._state_warm = True
         env = dict(inputs)
-        for kernel in compiled.kernels:
-            if kernel.name == output:
-                continue
-            piece = kernel.run(ienv, t_start - lookback, t_end + lookahead)
-            ienv[kernel.name] = piece
-            env[kernel.name] = piece
-        kernel = compiled.kernel_named(output)
-        return kernel.run(env, t_start, t_end, runtime=self._state_store.runtime_for(kernel))
+        if len(compiled.kernels) > 1:
+            lookback = self._boundary.max_lookback
+            lookahead = self._boundary.max_lookahead
+            ienv: Dict[str, SSBuf] = {}
+            for name, buf in inputs.items():
+                in_lo, in_hi = self._boundary.input_interval(name, t_start, t_end)
+                ienv[name] = buf.slice(in_lo, in_hi)
+            for kernel in compiled.kernels:
+                if kernel.name != compiled.output:
+                    env[kernel.name] = ienv[kernel.name] = kernel.run(
+                        ienv, t_start - lookback, t_end + lookahead
+                    )
+        return compiled.kernel_named(compiled.output).run(
+            env, t_start, t_end, runtime=self._state
+        )
 
     def _finish_tick(
         self,

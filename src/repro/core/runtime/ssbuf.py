@@ -345,12 +345,9 @@ class SSBuf:
         """
         if len(self.times) <= 1:
             return self
+        valid, values = self.valid, self.values
         keep = np.ones(len(self.times), dtype=bool)
-        for i in range(len(self.times) - 1):
-            same_validity = self.valid[i] == self.valid[i + 1]
-            same_value = (not self.valid[i]) or self.values[i] == self.values[i + 1]
-            if same_validity and same_value:
-                keep[i] = False
+        keep[:-1] = (valid[:-1] != valid[1:]) | (valid[:-1] & (values[:-1] != values[1:]))
         return SSBuf(
             self.times[keep], self.values[keep], self.valid[keep], start_time=self.start_time
         )

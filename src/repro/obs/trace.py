@@ -49,7 +49,7 @@ __all__ = [
     "make_tracer",
 ]
 
-#: truthy values accepted by ``REPRO_TRACE`` (mirrors ``REPRO_INCREMENTAL``)
+#: truthy values accepted by ``REPRO_TRACE``
 _TRUTHY = ("1", "true", "yes", "on")
 
 

@@ -182,8 +182,9 @@ class TenantSession:
             src.close()
 
     # -- introspection --------------------------------------------------- #
-    def describe(self) -> Dict[str, float]:
-        """JSON-friendly per-tenant stats row."""
+    def describe(self) -> Dict[str, object]:
+        """JSON-friendly per-tenant stats row, including the session's
+        resolved execution plan."""
         m = self.session.metrics
         return {
             "state": self.state,
@@ -200,6 +201,7 @@ class TenantSession:
             "cost_ewma": float(self.cost_ewma or 0.0),
             "static_cost": float(self.static_cost),
             "watermark": self.session.watermark,
+            "plan": self.session.plan,
             "error": repr(self.error) if self.error is not None else "",
             "traceback": self.traceback or "",
         }
@@ -220,7 +222,7 @@ class ServiceStats:
     submitted: int
     rejected_tenants: int
     fleet: FleetSnapshot
-    tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: flight-recorder snapshot (recent/pinned slow-tick evidence); ``None``
     #: when the service's engine runs with tracing disabled
     flight: Optional[Dict[str, object]] = None
@@ -523,7 +525,6 @@ class QueryService:
         deadline: Optional[float] = None,
         retain_output: bool = True,
         max_events_per_tick: Optional[int] = None,
-        incremental: Optional[bool] = None,
     ) -> str:
         """Admit a tenant query; returns its tenant name.
 
@@ -542,10 +543,8 @@ class QueryService:
         policy; ``deadline`` (seconds of wall-clock output staleness)
         escalates the tenant past the policy when overdue.
 
-        ``incremental`` selects per-tick execution for this tenant's
-        session — persistent per-kernel window state (O(new events) ticks)
-        versus full recompute; ``None`` defers to the engine's setting
-        (``REPRO_INCREMENTAL``).
+        The tenant's session resolves its own tick path; ``describe()`` /
+        ``/tenants`` report the resolved plan.
         """
         if hasattr(query, "to_program"):
             query = query.to_program()
@@ -593,7 +592,6 @@ class QueryService:
                 list(sources),
                 retain_output=retain_output,
                 max_events_per_tick=max_events_per_tick,
-                incremental=incremental,
                 trace_attrs={"tenant": tenant_name},
             )
         except BaseException:
@@ -873,7 +871,7 @@ class QueryService:
                 kernels[k.name] = "unpicklable"
         return {
             "output": compiled.output,
-            "incremental": tenant.session.incremental,
+            "plan": tenant.session.plan,
             "kernels": kernels,
             "codegen_tiers": dict(compiled.codegen_tiers),
             "generated_source": compiled.sources(),

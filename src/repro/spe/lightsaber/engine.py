@@ -70,7 +70,10 @@ class LightSaberEngine(GrizzlyEngine):
         num_panes = last_pane - first_pane + 1
         rel_idx = pane_idx - first_pane
 
-        if agg.prefix_arrays is not None and agg.prefix_result is not None:
+        if agg.strategy.range == "prefix":
+            if agg.prefix_extended_precision:
+                # shift-invariant and cancellation-prone: center first
+                values = values - np.mean(values)
             pane_components, pane_counts = self._decomposable_pane_partials(
                 agg, rel_idx, values, num_panes
             )

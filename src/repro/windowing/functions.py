@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from ..errors import QueryBuildError
 
 __all__ = [
     "AggregateFunction",
+    "AggregateStrategy",
     "SUM",
     "COUNT",
     "PRODUCT",
@@ -53,6 +54,27 @@ __all__ = [
 ]
 
 State = Any
+
+
+class AggregateStrategy(NamedTuple):
+    """How an aggregate is evaluated — the one place its optional hooks are
+    ranked.  Every consumer (the per-buffer :class:`RangeAggregator`, the
+    online insert/evict aggregators, a session's persistent reduce sites and
+    the plan it reports) reads this instead of probing the hooks itself.
+    """
+
+    #: vectorized index built per buffer: ``'prefix'`` (prefix sums),
+    #: ``'rmq'`` (sparse table) or ``'fold'`` (per-window reduction)
+    range: str
+    #: insert/evict structure: ``'subtract-on-evict'`` (has ``deacc``),
+    #: ``'two-stacks'`` (has ``merge``) or ``'refold'``
+    online: str
+
+    @property
+    def persistent(self) -> str:
+        """Structure a reduce site uses when its state outlives a tick: the
+        growable prefix index when there is one, else the online sweep."""
+        return "prefix" if self.range == "prefix" else self.online
 
 
 @dataclass(frozen=True)
@@ -74,10 +96,13 @@ class AggregateFunction:
     merge: Optional[Callable[[State, State], State]] = None
     prefix_arrays: Optional[Callable[[np.ndarray], Tuple[np.ndarray, ...]]] = None
     prefix_result: Optional[Callable[..., np.ndarray]] = None
-    #: accumulate prefix sums in extended precision.  Only aggregates whose
-    #: result is a *cancellation* of large prefix components (variance's
-    #: sum-of-squares formula, amplified by stddev's sqrt near zero) need
-    #: this; plain sums/means stay on fast float64.
+    #: accumulate prefix sums in extended precision, over values shifted by
+    #: a fixed center (the prefix index picks the mean of the first values
+    #: it sees).  Only shift-invariant aggregates whose result is a
+    #: *cancellation* of large prefix components (variance's sum-of-squares
+    #: formula, amplified by stddev's sqrt near zero) set this: centering
+    #: keeps the components small when ``mean² >> variance``.  Plain
+    #: sums/means stay on fast float64.
     prefix_extended_precision: bool = False
     rmq: Optional[str] = None  # 'max' | 'min'
     vector_eval: Optional[Callable[[np.ndarray], float]] = None
@@ -94,6 +119,23 @@ class AggregateFunction:
     def mergeable(self) -> bool:
         """True when partial states can be combined (parallel reduction)."""
         return self.merge is not None
+
+    @property
+    def strategy(self) -> AggregateStrategy:
+        """Cheapest evaluation structures the provided hooks admit."""
+        if self.prefix_arrays is not None and self.prefix_result is not None:
+            ranged = "prefix"
+        elif self.rmq is not None:
+            ranged = "rmq"
+        else:
+            ranged = "fold"
+        if self.invertible:
+            online = "subtract-on-evict"
+        elif self.mergeable:
+            online = "two-stacks"
+        else:
+            online = "refold"
+        return AggregateStrategy(ranged, online)
 
     def fold(self, values: Sequence[float]) -> Tuple[float, bool]:
         """Reduce a sequence of values with the scalar template.
@@ -143,19 +185,6 @@ class AggregateFunction:
 # ---------------------------------------------------------------------- #
 def _safe_sqrt(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(x, 0.0))
-
-
-def _variance_prefix_arrays(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center values on the buffer mean before building variance prefix arrays.
-
-    Variance is shift-invariant, but the sum-of-squares formula over raw
-    prefix sums cancels catastrophically when ``mean² >> variance`` (large
-    prefix totals minus large prefix totals).  Centering keeps the component
-    arrays small, so windowed variance/stddev stay accurate even over long
-    buffers of large values.
-    """
-    centered = vals - np.mean(vals) if len(vals) else vals
-    return (centered, centered * centered, np.ones_like(vals))
 
 
 SUM = AggregateFunction(
@@ -232,7 +261,7 @@ VARIANCE = AggregateFunction(
     result=lambda s: max(s[1] / s[2] - (s[0] / s[2]) ** 2, 0.0) if s[2] else 0.0,
     deacc=lambda s, v: (s[0] - v, s[1] - v * v, s[2] - 1.0),
     merge=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-    prefix_arrays=_variance_prefix_arrays,
+    prefix_arrays=lambda vals: (vals, vals * vals, np.ones_like(vals)),
     prefix_extended_precision=True,
     prefix_result=lambda s, sq, n: np.maximum(
         np.where(

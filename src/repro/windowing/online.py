@@ -147,15 +147,19 @@ class RecomputeAggregator:
         return len(self._window)
 
 
+_ONLINE = {
+    "subtract-on-evict": SubtractOnEvict,
+    "two-stacks": TwoStacksAggregator,
+    "refold": RecomputeAggregator,
+}
+
+
 def make_online_aggregator(agg: AggregateFunction):
     """Pick the best online aggregator available for ``agg``.
 
     Subtract-on-Evict for invertible aggregates, two-stacks for mergeable
-    ones, and full recomputation otherwise — the same escalation the paper's
-    code generator applies.
+    ones, and full recomputation otherwise — the escalation the paper's
+    code generator applies, ranked once in
+    :attr:`AggregateFunction.strategy`.
     """
-    if agg.invertible:
-        return SubtractOnEvict(agg)
-    if agg.mergeable:
-        return TwoStacksAggregator(agg)
-    return RecomputeAggregator(agg)
+    return _ONLINE[agg.strategy.online](agg)

@@ -6,14 +6,21 @@ can be computed from prefix sums of a few per-snapshot component arrays.
 Building the index is O(n); answering *any number* of range queries is a
 vectorized O(log n) ``searchsorted`` plus array arithmetic.  This is the
 workhorse of the NumPy code-generation backend for window reductions.
+
+The index is *growable*: a one-shot kernel invocation builds it with a
+single :meth:`PrefixRangeIndex.extend` over the whole buffer (one
+allocation and one ``cumsum`` per component), a streaming session keeps it
+across ticks, extending it by each tick's new snapshots and pruning what no
+future window can reach — the same class, the same query math.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..core.runtime.growable import GrowableArray
 from .functions import AggregateFunction
 
 __all__ = ["PrefixRangeIndex", "snapshot_range_indices"]
@@ -43,30 +50,18 @@ def snapshot_range_indices(
 
 
 class PrefixRangeIndex:
-    """Range-aggregate index backed by prefix sums.
+    """Growable range-aggregate index backed by prefix sums.
 
-    Parameters
-    ----------
-    times, interval_starts, values, valid:
-        Snapshot arrays of the input SSBuf.
-    agg:
-        An aggregate with ``prefix_arrays`` / ``prefix_result`` hooks.
+    ``agg`` must have a prefix decomposition (``agg.strategy.range ==
+    'prefix'``).  Snapshots are appended with :meth:`extend`; the interval
+    of each is ``(previous time, time]``, the first one starting at the
+    ``start_time`` of the first :meth:`extend`.
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        interval_starts: np.ndarray,
-        values: np.ndarray,
-        valid: np.ndarray,
-        agg: AggregateFunction,
-    ):
-        if agg.prefix_arrays is None or agg.prefix_result is None:
+    def __init__(self, agg: AggregateFunction):
+        if agg.strategy.range != "prefix":
             raise ValueError(f"aggregate {agg.name!r} has no prefix decomposition")
         self.agg = agg
-        self.times = np.asarray(times, dtype=np.float64)
-        self.interval_starts = np.asarray(interval_starts, dtype=np.float64)
-        valid = np.asarray(valid, dtype=bool)
         # Aggregates whose result cancels large prefix components against
         # each other (variance/stddev) accumulate in extended precision:
         # a windowed value is the difference of two potentially huge prefix
@@ -77,20 +72,62 @@ class PrefixRangeIndex:
         # already bake in more rounding error than the longdouble prefixes
         # can cancel.  Everything else (sums, means, counts) stays on fast
         # float64.
-        dtype = np.longdouble if agg.prefix_extended_precision else np.float64
+        self.dtype = np.longdouble if agg.prefix_extended_precision else np.float64
+        #: ``start_time`` followed by every snapshot time: ``edges[1:]`` are
+        #: the snapshot times, ``edges[:-1]`` their interval starts
+        self._edges = GrowableArray()
+        self._center: Optional[np.longdouble] = None
+        self._valid_prefix = GrowableArray()
+        self._prefixes: List[GrowableArray] = []
+
+    def __len__(self) -> int:
+        """Snapshots currently held."""
+        return max(len(self._edges) - 1, 0)
+
+    def extend(
+        self, times: np.ndarray, values: np.ndarray, valid: np.ndarray, start_time: float
+    ) -> None:
+        """Append snapshots that follow the ones already held.
+
+        ``start_time`` is the interval start of the first appended snapshot;
+        only the first call reads it (later chunks continue from the last
+        time held).  O(appended): the component cumsums are extended, not
+        rebuilt.
+        """
+        if len(times) == 0:
+            return
+        valid = np.asarray(valid, dtype=bool)
         masked = np.where(valid, np.asarray(values, dtype=np.float64), 0.0).astype(
-            dtype, copy=False
+            self.dtype, copy=False
         )
-        components = agg.prefix_arrays(masked)
-        # invalid snapshots must contribute nothing to *any* component
-        # (e.g. the count component of Mean), hence the explicit masking.
-        self._prefixes = []
-        self._valid_prefix = np.concatenate(([0.0], np.cumsum(valid.astype(np.float64))))
-        for comp in components:
-            comp = np.where(valid, comp, 0.0)
-            prefix = np.zeros(len(comp) + 1, dtype=dtype)
-            np.cumsum(comp, dtype=dtype, out=prefix[1:])
-            self._prefixes.append(prefix)
+        if self.agg.prefix_extended_precision:
+            # one fixed center for the index's lifetime (a per-chunk center
+            # could not be cancelled across chunks); for a one-shot build
+            # that is the buffer mean
+            if self._center is None:
+                self._center = np.mean(masked)
+            masked = masked - self._center
+        components = self.agg.prefix_arrays(masked)
+        if not len(self._edges):
+            self._edges.append((start_time,))
+            self._valid_prefix.append((0.0,))
+            self._prefixes = [GrowableArray(self.dtype) for _ in components]
+            for prefix in self._prefixes:
+                prefix.append((0.0,))
+        self._edges.append(times)
+        self._accumulate(self._valid_prefix, valid.astype(np.float64))
+        for prefix, comp in zip(self._prefixes, components):
+            # invalid snapshots must contribute nothing to *any* component
+            # (e.g. the count component of Mean), hence the explicit masking.
+            self._accumulate(prefix, np.where(valid, comp, 0.0))
+
+    @staticmethod
+    def _accumulate(prefix: GrowableArray, comp: np.ndarray) -> None:
+        last = prefix.view[-1]
+        tail = prefix.grow(len(comp))
+        np.cumsum(comp, dtype=tail.dtype, out=tail)
+        if last:
+            tail += last
 
     def query(
         self, window_starts: np.ndarray, window_ends: np.ndarray
@@ -102,13 +139,33 @@ class PrefixRangeIndex:
         """
         window_starts = np.asarray(window_starts, dtype=np.float64)
         window_ends = np.asarray(window_ends, dtype=np.float64)
-        lo, hi = snapshot_range_indices(
-            self.times, self.interval_starts, window_starts, window_ends
-        )
+        if not len(self._edges):
+            n = len(window_starts)
+            return np.zeros(n), np.zeros(n, dtype=bool)
+        edges = self._edges.view
+        lo, hi = snapshot_range_indices(edges[1:], edges[:-1], window_starts, window_ends)
         hi = np.maximum(hi, lo)
-        counts = self._valid_prefix[hi] - self._valid_prefix[lo]
-        sums = [p[hi] - p[lo] for p in self._prefixes]
+        valid_prefix = self._valid_prefix.view
+        counts = valid_prefix[hi] - valid_prefix[lo]
+        sums = [p.view[hi] - p.view[lo] for p in self._prefixes]
         with np.errstate(invalid="ignore", divide="ignore"):
             results = np.asarray(self.agg.prefix_result(*sums), dtype=np.float64)
         valid = counts > 0
         return np.where(valid, results, 0.0), valid
+
+    def prune(self, t: float) -> None:
+        """Drop snapshots at or before ``t`` once they outnumber the rest.
+
+        The cumsums are rebased to the new front so totals stay bounded by
+        the retained window, which keeps the floating-point drift of a
+        long-running session within the tolerance of ``SSBuf.__eq__``.
+        Amortized: O(log n) per call, O(live) when the drop fires.
+        """
+        k = int(np.searchsorted(self._edges.view[1:], t, side="right"))
+        if k < GrowableArray.COMPACT_MIN_DEAD or 2 * k < len(self):
+            return
+        self._edges.drop_prefix(k)
+        for prefix in (self._valid_prefix, *self._prefixes):
+            prefix.drop_prefix(k)
+            live = prefix.view
+            live -= live[0]

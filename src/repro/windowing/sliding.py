@@ -40,16 +40,17 @@ class RangeAggregator:
         self.agg = agg
         self._prefix: Optional[PrefixRangeIndex] = None
         self._rmq: Optional[SparseTableRMQ] = None
-        interval_starts = buf.interval_starts
-        if agg.prefix_arrays is not None and agg.prefix_result is not None:
-            self._prefix = PrefixRangeIndex(
-                buf.times, interval_starts, buf.values, buf.valid, agg
-            )
-        elif agg.rmq is not None:
-            self._rmq = SparseTableRMQ(
-                buf.times, interval_starts, buf.values, buf.valid, mode=agg.rmq
-            )
-        self._interval_starts = interval_starts
+        self._interval_starts: Optional[np.ndarray] = None
+        kind = agg.strategy.range
+        if kind == "prefix":
+            self._prefix = PrefixRangeIndex(agg)
+            self._prefix.extend(buf.times, buf.values, buf.valid, buf.start_time)
+        else:
+            self._interval_starts = buf.interval_starts
+            if kind == "rmq":
+                self._rmq = SparseTableRMQ(
+                    buf.times, self._interval_starts, buf.values, buf.valid, mode=agg.rmq
+                )
 
     def query(
         self, window_starts: np.ndarray, window_ends: np.ndarray

@@ -124,6 +124,16 @@ class TestEvaluationGrid:
         interior = times[:-1]
         assert np.allclose(np.mod(interior, 5.0), 0.0)
 
+    def test_grid_points_have_one_float_each(self):
+        """On a non-dyadic precision ``k * p - p`` and ``(k - 1) * p`` can
+        differ by an ulp; a grid point reached both ways (as a change's own
+        point and as the next change's predecessor) must still be one
+        evaluation time, not two an ulp apart."""
+        buf = SSBuf(np.arange(1, 60) * 0.1, np.arange(59.0), start_time=0.0)
+        times = evaluation_times(TIndex("x", 0.0), {"x": buf}, TDom(precision=0.1), 0.0, 5.9)
+        assert np.all(np.diff(times) > 0.05)
+        assert set(times) <= {k * 0.1 for k in range(60)}
+
     def test_empty_range(self, simple_buf):
         expr = TIndex("simple", 0.0)
         assert len(evaluation_times(expr, {"simple": simple_buf}, TDom(), 10.0, 10.0)) == 0

@@ -1,5 +1,7 @@
 """Tests for the parallel runtime: partitioning, executors and the engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core.frontend.query import LEFT, PAYLOAD, RIGHT, source
 from repro.core.lineage import BoundarySpec
 from repro.core.runtime.engine import QueryResult, TiltEngine
 from repro.core.runtime.executor import SerialExecutor, ThreadPoolExecutor, make_executor
-from repro.core.runtime.partition import partition_inputs, plan_partitions
+from repro.core.runtime.partition import partition_inputs, plan_partitions, snap_down
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import EventStream
 from repro.errors import ExecutionError, QueryBuildError
@@ -54,6 +56,22 @@ class TestPlanPartitions:
         for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
             assert hi == lo
         assert bounds[-1][1] == 3900.0
+
+    def test_snap_down_names_grid_points_like_the_evaluation_grid(self):
+        """Edges are ``k * p`` exactly (the float the evaluation grid emits
+        for grid point k) and never exceed the time they snap: a bare
+        ``floor(t / p) * p`` is one step low at 3 * 0.3 and one ulp high at
+        4993.799999999999 / 0.6."""
+        assert snap_down(3 * 0.3, 0.3) == 3 * 0.3  # 0.8999999999999999 / 0.3 < 3
+        t = 4993.799999999999
+        assert math.floor(t / 0.6) * 0.6 > t
+        assert snap_down(t, 0.6) == 8322 * 0.6 <= t
+        assert snap_down(0.3, 0.1) == 2 * 0.1  # 3 * 0.1 is one ulp above 0.3
+        assert snap_down(7.25, 0.5) == 7.0
+        # interior partition edges use it
+        bounds = plan_partitions(0.0, 3.0, num_partitions=10, align=0.3)
+        grid = {k * 0.3 for k in range(11)}
+        assert all(hi in grid for _, hi in bounds[:-1])
 
     def test_empty_and_invalid(self):
         assert plan_partitions(5.0, 5.0, num_partitions=3) == []

@@ -1,20 +1,20 @@
-"""Differential equivalence harness for incremental tick execution.
+"""Differential equivalence harness for session tick execution.
 
-Incremental sessions (persistent per-kernel window state,
-:mod:`repro.core.codegen.incremental`) must be *byte-identical* — same
-timestamps, validity mask and start time, values equal to within
-floating-point reassociation (``SSBuf.__eq__``) — to both
-
-* the full-recompute session path over the same tick schedule, and
-* one one-shot ``TiltEngine.run`` over the complete input,
-
-across applications, aggregates, window parameters, ragged tick schedules
-(empty ticks, watermark stalls) and executor backends.  The full-recompute
-path is the reference implementation the incremental engine is diffed
-against; the batch run is the ground truth both descend from.
+A session resolves its own tick path (``incremental=None``: in-process
+against persistent reduce-site state where that pays, see
+:mod:`repro.core.codegen.incremental`); ``incremental=False`` / ``True``
+force partition-and-dispatch / in-process with every eligible site
+persisted.  All three must be *byte-identical* — same timestamps, validity
+mask and start time, values equal to within floating-point reassociation
+(``SSBuf.__eq__``) — to each other and to one one-shot ``TiltEngine.run``
+over the complete input, across applications, aggregates, window
+parameters, ragged tick schedules (empty ticks, watermark stalls) and
+executor backends.  The partition-and-dispatch path is the reference the
+others are diffed against; the batch run is the ground truth all descend
+from.
 
 Also covers the carry-over pruning interaction: checkpoint pins and
-incremental ingest horizons must hold input alive past the naive
+reduce-site ingest horizons must hold input alive past the naive
 ``w - max_lookback`` rule (a regression test demonstrates the naive prune
 corrupting a rewind-replay).
 """
@@ -24,21 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import get_application
+from repro.apps import ALL_APPLICATIONS, get_application
+from repro.core.codegen import native
 from repro.core.ir import IRBuilder
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.session import StreamingSession
 from repro.core.runtime.stream import EventStream
 from repro.datagen.sources import QueuedSource, sources_for_streams
 from repro.errors import ExecutionError
-from repro.windowing import MAX, MEAN, SUM
+from repro.windowing import SUM
 from repro.windowing.functions import builtin_aggregates, custom_aggregate
 
 N_EVENTS = 2_500
 
-#: same application matrix as the core streaming-equivalence suite: scalar
-#: (trading, normalize) and structured (ysb, frauddet) inputs
-EQUIVALENCE_APPS = ["ysb", "frauddet", "normalize", "trading"]
+#: the session's own resolution, then the two forced paths
+MODES = (None, False, True)
 
 
 def run_session(engine, program, streams, tick_events, **kwargs):
@@ -61,35 +61,37 @@ def uniform_stream(n, seed, period=0.5, low=0.5, high=2.0):
 
 
 class TestDifferentialEquivalence:
-    @pytest.mark.parametrize("app_name", EQUIVALENCE_APPS)
-    def test_incremental_matches_full_and_batch(self, app_name):
+    @pytest.mark.parametrize("app_name", sorted(ALL_APPLICATIONS))
+    def test_every_tick_path_matches_batch(self, app_name):
         app = get_application(app_name)
         streams = app.streams(N_EVENTS, seed=21)
         engine = TiltEngine(workers=1)
         batch = engine.run(app.program(), streams)
         for tick_events in (171, 1024):
-            inc = run_session(engine, app.program(), streams, tick_events, incremental=True)
-            full = run_session(engine, app.program(), streams, tick_events, incremental=False)
+            default, full, inc = (
+                run_session(engine, app.program(), streams, tick_events, incremental=mode)
+                for mode in MODES
+            )
             assert inc.incremental and not full.incremental
-            assert inc.result().output == batch.output
             assert full.result().output == batch.output
+            assert default.result().output == full.result().output
             assert inc.result().output == full.result().output
         engine.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("executor_kind", ["serial", "thread", "process"])
-    def test_executor_matrix(self, executor_kind):
-        """The engine's worker-pool backend must not perturb incremental
-        output: incremental ticks run in-process, batch/full paths use the
-        pool, and all three remain byte-identical."""
+    def test_executor_matrix(self, executor_kind, workers):
+        """The engine's worker-pool backend must not perturb session output:
+        in-process ticks bypass the pool, batch and partitioned ticks use
+        it, and all remain byte-identical."""
         app = get_application("trading")
         streams = app.streams(1_500, seed=22)
-        engine = TiltEngine(workers=2, executor_kind=executor_kind)
+        engine = TiltEngine(workers=workers, executor_kind=executor_kind)
         try:
             batch = engine.run(app.program(), streams)
-            inc = run_session(engine, app.program(), streams, 137, incremental=True)
-            full = run_session(engine, app.program(), streams, 137, incremental=False)
-            assert inc.result().output == batch.output
-            assert full.result().output == batch.output
+            for mode in MODES:
+                session = run_session(engine, app.program(), streams, 137, incremental=mode)
+                assert session.result().output == batch.output
         finally:
             engine.close()
 
@@ -97,8 +99,8 @@ class TestDifferentialEquivalence:
         "agg", list(builtin_aggregates().values()), ids=lambda a: a.name
     )
     def test_every_builtin_aggregate(self, agg):
-        """Each built-in exercises its own incremental strategy (prefix
-        index, subtract-on-evict, two-stacks, refold)."""
+        """Forced to persist, each built-in exercises its own structure
+        (prefix index, subtract-on-evict, two-stacks, refold)."""
         program = lookback_program(agg)
         stream = uniform_stream(800, seed=23)
         engine = TiltEngine(workers=1)
@@ -107,9 +109,8 @@ class TestDifferentialEquivalence:
         assert inc.result().output == batch.output
 
     def test_custom_invertible_aggregate(self):
-        """A user-defined aggregate with a deacc runs Subtract-on-Evict; its
-        spec has no content digest (lambda callables), exercising the
-        identity-keyed state-store fallback."""
+        """A user-defined aggregate with a deacc sweeps with
+        Subtract-on-Evict when forced to persist."""
         csum = custom_aggregate(
             "csum",
             init=lambda: 0.0,
@@ -133,17 +134,24 @@ class TestDifferentialEquivalence:
         compiled = engine.compile_cached(app.program())
         assert len(compiled.kernels) > 1
         batch = engine.run(compiled, streams)
-        inc = run_session(engine, compiled, streams, 149, incremental=True)
-        assert inc.result().output == batch.output
+        for mode in MODES:
+            session = run_session(engine, compiled, streams, 149, incremental=mode)
+            assert session.result().output == batch.output
 
-    def test_interpreted_mode_silently_full_recompute(self):
+    def test_interpreted_mode_partitions(self):
+        """No compiled kernels, no reduce sites to carry state for: the
+        interpreter always partitions, whatever the override says."""
         app = get_application("wsum")
         streams = app.streams(600, seed=26)
-        engine = TiltEngine(workers=1, mode="interpreted", incremental=True)
+        engine = TiltEngine(workers=1, mode="interpreted")
         batch = engine.run(app.program(), streams)
-        session = run_session(engine, app.program(), streams, 90)
-        assert not session.incremental  # no compiled kernels to carry state for
-        assert session.result().output == batch.output
+        for mode in MODES:
+            session = run_session(engine, app.program(), streams, 90, incremental=mode)
+            assert not session.incremental
+            assert session.plan == {
+                "tick_path": "partition+dispatch", "reason": "interpreted", "sites": []
+            }
+            assert session.result().output == batch.output
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -162,7 +170,7 @@ class TestDifferentialEquivalence:
         schedule = list(ticks) + [500]  # guarantee forward progress
         engine = TiltEngine(workers=1)
         batch = engine.run(program, {"x": stream})
-        for incremental in (True, False):
+        for incremental in MODES:
             session = engine.open_session(
                 program, sources_for_streams({"x": stream}), incremental=incremental
             )
@@ -181,7 +189,7 @@ class TestDifferentialEquivalence:
         engine = TiltEngine(workers=1)
         batch = engine.run(app.program(), streams)
         events = streams["stock"].events
-        for incremental in (True, False):
+        for incremental in MODES:
             src = QueuedSource("stock", capacity=2_048)
             session = engine.open_session(app.program(), [src], incremental=incremental)
             src.push(events[:300])
@@ -217,13 +225,13 @@ class TestPruneStateInteraction:
         streams = app.streams(1_800, seed=31)
         engine = TiltEngine(workers=1)
         batch = engine.run(app.program(), streams)
-        for incremental in (True, False):
+        for incremental in MODES:
             session = self._flow(engine, app, streams, incremental=incremental)
             assert session.result().output == batch.output
 
     def test_naive_prune_corrupts_rewind_replay(self, monkeypatch):
         """Regression: pruning straight to ``w - max_lookback`` — ignoring
-        checkpoint pins and incremental ingest horizons — discards input a
+        checkpoint pins and reduce-site ingest horizons — discards input a
         rewind-replay still needs, and the replayed output diverges from
         batch.  This is the failure mode ``_prune_floor`` exists to prevent.
         """
@@ -236,7 +244,7 @@ class TestPruneStateInteraction:
         streams = app.streams(1_800, seed=31)
         engine = TiltEngine(workers=1)
         batch = engine.run(app.program(), streams)
-        session = self._flow(engine, app, streams, incremental=True)
+        session = self._flow(engine, app, streams)
         assert session.result().output != batch.output
 
     def test_pin_holds_carry_over(self):
@@ -278,24 +286,86 @@ class TestPruneStateInteraction:
             session.checkpoint()
 
 
-class TestServePassThrough:
-    def test_service_submit_incremental(self):
+class TestResolvedPlan:
+    """What ``open_session`` resolved is visible, per reduce site.  (Engines
+    pin the NumPy tier: under ``REPRO_CODEGEN=native`` the same queries
+    resolve to partition-and-dispatch, which has its own test below.)"""
+
+    @staticmethod
+    def _plan(engine, app_name, **kwargs):
+        app = get_application(app_name)
+        session = engine.open_session(
+            app.program(), sources_for_streams(app.streams(200, seed=36)), **kwargs
+        )
+        return session.plan
+
+    def test_only_prefix_sites_over_inputs_persist(self):
+        engine = TiltEngine(workers=1, codegen_tier="numpy")
+        plan = self._plan(engine, "vibration")
+        assert (plan["tick_path"], plan["reason"]) == ("in-process", "numpy output kernel")
+        by_agg = {row["aggregate"]: row for row in plan["sites"]}
+        assert by_agg["mean"]["state"] == "persisted"
+        assert by_agg["mean"]["strategy"] == "prefix"
+        for name, strategy in (("max", "rmq"), ("kurtosis", "fold")):
+            assert by_agg[name]["state"] == "per-invocation"
+            assert by_agg[name]["strategy"] == strategy
+            assert by_agg[name]["reason"] == "no prefix decomposition"
+        # pantom's output kernel reduces an intermediate: nothing to persist
+        # (its five-point derivative and band-pass means live in
+        # intermediate kernels, rebuilt over their margin each tick)
+        plan = self._plan(engine, "pantom")
+        assert plan["tick_path"] == "in-process"
+        assert {row["state"] for row in plan["sites"]} == {"per-invocation"}
+        reasons = {row["kernel"]: row["reason"] for row in plan["sites"]}
+        assert reasons["qrs"] == "reduces an intermediate expression"
+        assert reasons["squared"] == "intermediate kernel: rebuilt each tick"
+
+    def test_explicit_override_is_reported(self):
+        engine = TiltEngine(workers=1, codegen_tier="numpy")
+        forced = self._plan(engine, "vibration", incremental=True)
+        assert (forced["tick_path"], forced["reason"]) == ("in-process", "explicit override")
+        assert {row["state"] for row in forced["sites"]} == {"persisted"}
+        strategies = {row["aggregate"]: row["strategy"] for row in forced["sites"]}
+        assert strategies == {
+            "mean": "prefix", "max": "two-stacks", "kurtosis": "subtract-on-evict"
+        }
+        off = self._plan(engine, "vibration", incremental=False)
+        assert (off["tick_path"], off["reason"]) == ("partition+dispatch", "explicit override")
+        assert {row["reason"] for row in off["sites"]} == {"partitioned tick path"}
+
+    @pytest.mark.skipif(not native.native_available(), reason="needs cffi + C compiler")
+    def test_native_output_kernel_keeps_partition_and_dispatch(self):
+        """Persistent state interposes on ``rt.reduce``, which the fused C
+        loop never calls: resolving to in-process would silently discard
+        the native kernel, so the session partitions instead."""
+        app = get_application("trading")
+        streams = app.streams(900, seed=37)
+        engine = TiltEngine(workers=1, codegen_tier="native")
+        batch = engine.run(app.program(), streams)
+        session = run_session(engine, app.program(), streams, 128)
+        assert session.plan["tick_path"] == "partition+dispatch"
+        assert session.plan["reason"] == "native output kernel"
+        assert session._compiled.codegen_tiers == {"uptrend": "native"}
+        assert session.state_snapshots() == 0
+        assert session.result().output == batch.output
+
+    def test_service_reports_tenant_plans(self):
         from repro.serve.service import QueryService
 
         app = get_application("trading")
         streams = app.streams(900, seed=34)
-        engine = TiltEngine(workers=1)
+        engine = TiltEngine(workers=1, codegen_tier="numpy")
         batch = engine.run(app.program(), streams)
         service = QueryService(engine)
         try:
             name = service.submit(
-                app.program(),
-                sources=sources_for_streams(streams, events_per_poll=200),
-                incremental=True,
+                app.program(), sources=sources_for_streams(streams, events_per_poll=200)
             )
             service.run_until_idle()
-            tenant_output = service.result(name).output
-            assert tenant_output == batch.output
+            assert service.result(name).output == batch.output
+            plan = service.stats().tenants[name]["plan"]
+            assert plan["tick_path"] == "in-process"
+            assert [row["state"] for row in plan["sites"]] == ["persisted", "persisted"]
         finally:
             service.close()
 
@@ -306,27 +376,8 @@ class TestIncrementalInternals:
         after the input carry-over has been pruned and compacted."""
         program = lookback_program(SUM, lookback=40.0, precision=1.0)
         stream = uniform_stream(2_000, seed=35)
-        engine = TiltEngine(workers=1)
+        engine = TiltEngine(workers=1, codegen_tier="numpy")
         batch = engine.run(program, {"x": stream})
-        session = run_session(engine, program, {"x": stream}, 128, incremental=True)
-        assert session.state_snapshots() > 0
+        session = run_session(engine, program, {"x": stream}, 128)
+        assert 0 < session.state_snapshots() < 2_000
         assert session.result().output == batch.output
-
-    def test_incremental_plan_introspection(self):
-        program = lookback_program(MAX)
-        engine = TiltEngine(workers=1)
-        compiled = engine.compile_cached(program)
-        spec = compiled.kernels[-1].spec
-        plan = spec.incremental_plan(compiled.program.inputs)
-        assert plan  # at least the one reduce site
-        assert set(plan.values()) <= {
-            "prefix",
-            "subtract-on-evict",
-            "two-stacks",
-            "refold",
-            "full-recompute",
-        }
-        assert any(v == "two-stacks" for v in plan.values())
-        mean_plan = engine.compile_cached(lookback_program(MEAN))
-        spec = mean_plan.kernels[-1].spec
-        assert "prefix" in spec.incremental_plan(mean_plan.program.inputs).values()

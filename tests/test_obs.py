@@ -39,11 +39,13 @@ from repro.serve.service import QueryService
 APP_EVENTS = 600
 
 
-def run_traced_session(engine, app_name="trading", events=APP_EVENTS, per_poll=200):
+def run_traced_session(
+    engine, app_name="trading", events=APP_EVENTS, per_poll=200, **session_kwargs
+):
     app = get_application(app_name)
     streams = app.streams(events, seed=7)
     session = engine.open_session(
-        app.program(), sources_for_streams(streams, events_per_poll=per_poll)
+        app.program(), sources_for_streams(streams, events_per_poll=per_poll), **session_kwargs
     )
     session.run_to_exhaustion()
     return session
@@ -265,20 +267,25 @@ class TestChromeTrace:
 # engine/session instrumentation
 # ---------------------------------------------------------------------- #
 class TestInstrumentation:
+    @staticmethod
+    def _emitting_tick_trees(engine):
+        trees = build_span_trees(engine.tracer.drain())
+        tick_trees = [t for t in trees if t.name == "session.tick"]
+        assert tick_trees, "no tick spans recorded"
+        # every regular tick ingests; the closing flush may not
+        regular = [t for t in tick_trees if "closing" not in t.record.attrs]
+        assert regular and all(t.find("tick.ingest") for t in regular)
+        emitting = [t for t in tick_trees if t.find("tick.emit")]
+        assert emitting, "no tick emitted output"
+        return emitting
+
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_span_trees_per_tick_across_backends(self, kind):
         with TiltEngine(workers=2, executor_kind=kind, trace=True) as engine:
-            run_traced_session(engine)
-            records = engine.tracer.drain()
-            trees = build_span_trees(records)
-            tick_trees = [t for t in trees if t.name == "session.tick"]
-            assert tick_trees, "no tick spans recorded"
-            emitting = [t for t in tick_trees if t.find("tick.emit")]
-            assert emitting, "no tick emitted output"
-            # every regular tick ingests; the closing flush may not
-            regular = [t for t in tick_trees if "closing" not in t.record.attrs]
-            assert regular and all(t.find("tick.ingest") for t in regular)
-            for tree in emitting:
+            # partition-and-dispatch ticks: the executor shows up in the tree
+            run_traced_session(engine, incremental=False)
+            for tree in self._emitting_tick_trees(engine):
+                assert not tree.find("emit.incremental")
                 dispatches = tree.find("executor.dispatch")
                 assert dispatches
                 assert dispatches[0].record.attrs["backend"] == kind
@@ -289,6 +296,17 @@ class TestInstrumentation:
                     if kind == "process":
                         # worker-side spans carry the worker's pid
                         assert k.record.pid != tree.record.pid
+        # the resolved default (NumPy-tier output kernel) ticks in-process
+        # whatever the backend
+        with TiltEngine(
+            workers=2, executor_kind=kind, trace=True, codegen_tier="numpy"
+        ) as engine:
+            run_traced_session(engine)
+            for tree in self._emitting_tick_trees(engine):
+                (emit,) = tree.find("tick.emit")
+                assert [c.name for c in emit.children] == ["emit.incremental", "emit.prune"]
+                assert not tree.find("executor.dispatch")
+                assert not tree.find("kernel.partition")
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_traced_output_byte_identical(self, kind):
@@ -330,13 +348,9 @@ class TestInstrumentation:
             run_traced_session(engine)
             assert engine.tracer is NULL_TRACER
 
-    def test_incremental_tick_spans_and_state_counters(self):
-        with TiltEngine(workers=1, trace=True, incremental=True) as engine:
+    def test_persistent_state_counters(self):
+        with TiltEngine(workers=1, codegen_tier="numpy") as engine:
             run_traced_session(engine)
-            records = engine.tracer.drain()
-            names = {r.name for r in records}
-            assert "emit.incremental" in names
-            assert "executor.dispatch" not in names
             doc = engine.registry.to_json()
             hits = doc["repro_incremental_state_hits_total"]["series"][0]["value"]
             misses = doc["repro_incremental_state_misses_total"]["series"][0]["value"]
@@ -344,11 +358,11 @@ class TestInstrumentation:
             assert hits >= 1  # every tick after the first reuses state
 
     def test_registry_sees_engine_and_session_counters(self):
-        with TiltEngine(workers=1, trace=True) as engine:
+        with TiltEngine(workers=1, executor_kind="serial", trace=True) as engine:
             program = get_application("trading").program()
             engine.compile_cached(program)
             engine.compile_cached(program)  # same object: a cache hit
-            run_traced_session(engine)
+            run_traced_session(engine, incremental=False)  # dispatches kernels
             doc = engine.registry.to_json()
             assert doc["repro_compile_cache_misses_total"]["series"][0]["value"] >= 1
             assert doc["repro_compile_cache_hits_total"]["series"][0]["value"] >= 1

@@ -2,8 +2,9 @@
 
 Focus on the deaccumulation edge cases that the differential harness only
 hits probabilistically: single-element windows, fully-masked lanes, NaN
-inputs, and the extended-precision (longdouble) variance/stddev prefix
-state used by the incremental execution path.
+inputs, and the growable prefix index (chunked ``extend`` ≡ one-shot build,
+extended-precision variance/stddev state, prune rebasing) that sessions
+keep across ticks.
 
 :class:`RecomputeAggregator` is the semantic reference throughout — it
 re-folds the window on every query, so whatever it answers *is* the
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.codegen.incremental import ExtendablePrefixIndex, site_strategy
+from repro.core.codegen.incremental import PersistentSite
 from repro.core.runtime.ssbuf import SSBuf
 from repro.windowing import (
     COUNT,
@@ -25,6 +26,7 @@ from repro.windowing import (
     MEAN,
     MIN,
     PRODUCT,
+    PrefixRangeIndex,
     STDDEV,
     SUM,
     SUM_SQUARES,
@@ -194,14 +196,20 @@ class TestEscalation:
         assert isinstance(make_online_aggregator(FIRST), RecomputeAggregator)
         assert isinstance(make_online_aggregator(LAST), RecomputeAggregator)
 
-    def test_site_strategy_matches_capabilities(self):
-        strategies = {a.name: site_strategy(a) for a in builtin_aggregates().values()}
-        assert strategies["sum"] == "prefix"
-        assert strategies["variance"] == "prefix"
-        assert strategies["stddev"] == "prefix"
-        assert strategies["max"] == "two-stacks"
-        assert strategies["product"] == "two-stacks"
-        assert strategies["first"] == "refold"
+    def test_strategy_matches_capabilities(self):
+        """The one classification every consumer reads: which index a
+        RangeAggregator builds, which online aggregator runs, and which of
+        the two a persistent reduce site would use."""
+        strategies = {a.name: a.strategy for a in builtin_aggregates().values()}
+        assert strategies["sum"] == ("prefix", "subtract-on-evict")
+        assert strategies["variance"] == ("prefix", "subtract-on-evict")
+        assert strategies["max"] == ("rmq", "two-stacks")
+        assert strategies["product"] == ("fold", "two-stacks")
+        assert strategies["first"] == ("fold", "refold")
+        persistent = {name: s.persistent for name, s in strategies.items()}
+        assert persistent["sum"] == persistent["stddev"] == "prefix"
+        assert persistent["max"] == persistent["product"] == "two-stacks"
+        assert persistent["first"] == "refold"
 
 
 def reference_query(buf, agg, window_starts, window_ends):
@@ -211,21 +219,18 @@ def reference_query(buf, agg, window_starts, window_ends):
     )
 
 
-def ingest_chunked(site, buf, chunks):
-    """Feed ``buf`` to the site as successive progressively-longer prefixes,
-    mimicking how carry-over grows tick by tick.  Prefix *sub-buffers* (not
-    ``slice``) on purpose: ``slice`` clips the spanning snapshot to the cut
-    point, and sites must never ingest such phantom snapshots — ingest is
-    horizon-idempotent, so re-feeding a longer prefix appends only the tail.
-    """
-    n = len(buf)
-    times, values, valid = buf.times, buf.values, buf.valid
-    for k in np.linspace(1, n, chunks).astype(int):
-        prefix = SSBuf(times[:k], values[:k], valid[:k], start_time=buf.start_time)
-        site.ingest(prefix, None)
+def extend_chunked(index, buf, chunks):
+    """Feed ``buf`` to the index as ``chunks`` consecutive pieces, the way a
+    session's carry-over grows tick by tick (plain sub-arrays, not
+    ``slice``: an index must only ever see true snapshots)."""
+    cuts = np.linspace(0, len(buf), chunks + 1).astype(int)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        start = buf.start_time if lo == 0 else float(buf.times[lo - 1])
+        index.extend(buf.times[lo:hi], buf.values[lo:hi], buf.valid[lo:hi], start)
+    return index
 
 
-class TestExtendablePrefixIndex:
+class TestGrowablePrefixIndex:
     def _buf(self, n=400, seed=11, mean=0.0, masked=None):
         rng = np.random.default_rng(seed)
         times = np.cumsum(rng.uniform(0.2, 1.0, n))
@@ -240,8 +245,7 @@ class TestExtendablePrefixIndex:
     )
     def test_chunked_ingest_matches_range_aggregator(self, agg):
         buf = self._buf()
-        site = ExtendablePrefixIndex(agg, -1)
-        ingest_chunked(site, buf, chunks=9)
+        site = extend_chunked(PrefixRangeIndex(agg), buf, chunks=9)
         ws = np.arange(0.0, buf.end_time - 5.0, 3.7)
         we = ws + 5.0
         got, got_ok = site.query(ws, we)
@@ -258,9 +262,8 @@ class TestExtendablePrefixIndex:
         the center cannot be re-picked per chunk)."""
         assert agg.prefix_extended_precision
         buf = self._buf(mean=1e8, seed=12)
-        site = ExtendablePrefixIndex(agg, -1)
+        site = extend_chunked(PrefixRangeIndex(agg), buf, chunks=13)
         assert site.dtype == np.longdouble
-        ingest_chunked(site, buf, chunks=13)
         ws = np.arange(0.0, buf.end_time - 8.0, 2.9)
         we = ws + 8.0
         got, got_ok = site.query(ws, we)
@@ -271,8 +274,7 @@ class TestExtendablePrefixIndex:
 
     def test_all_masked_lanes_are_phi(self):
         buf = self._buf(n=100, masked=slice(None))
-        site = ExtendablePrefixIndex(SUM, -1)
-        ingest_chunked(site, buf, chunks=4)
+        site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=4)
         ws = np.array([0.0, 10.0, 20.0])
         got, got_ok = site.query(ws, ws + 6.0)
         assert not got_ok.any()
@@ -280,8 +282,7 @@ class TestExtendablePrefixIndex:
 
     def test_masked_run_matches_reference(self):
         buf = self._buf(n=300, masked=slice(80, 200))
-        site = ExtendablePrefixIndex(MEAN, -1)
-        ingest_chunked(site, buf, chunks=6)
+        site = extend_chunked(PrefixRangeIndex(MEAN), buf, chunks=6)
         ws = np.arange(0.0, buf.end_time - 4.0, 1.3)
         got, got_ok = site.query(ws, ws + 4.0)
         want, want_ok = reference_query(buf, MEAN, ws, ws + 4.0)
@@ -290,8 +291,7 @@ class TestExtendablePrefixIndex:
 
     def test_single_snapshot_windows(self):
         buf = SSBuf([1.0, 2.0, 3.0], [5.0, 7.0, 11.0], start_time=0.0)
-        site = ExtendablePrefixIndex(SUM, -1)
-        site.ingest(buf, None)
+        site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=1)
         # each window covers exactly one interval
         got, got_ok = site.query(
             np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
@@ -301,32 +301,76 @@ class TestExtendablePrefixIndex:
 
     def test_window_before_data_is_phi(self):
         buf = SSBuf([10.0, 11.0], [1.0, 2.0], start_time=9.0)
-        site = ExtendablePrefixIndex(COUNT, -1)
-        site.ingest(buf, None)
+        site = extend_chunked(PrefixRangeIndex(COUNT), buf, chunks=1)
         got, got_ok = site.query(np.array([2.0]), np.array([5.0]))
         assert not got_ok[0] and got[0] == 0.0
 
     def test_prune_preserves_answers_and_drops_state(self):
         buf = self._buf(n=600, seed=13)
-        site = ExtendablePrefixIndex(VARIANCE, -1)
-        ingest_chunked(site, buf, chunks=8)
-        before = site.retained()
+        site = extend_chunked(PrefixRangeIndex(VARIANCE), buf, chunks=8)
         cut = float(buf.times[400])
         site.prune(cut)
-        assert site.retained() < before
+        assert len(site) == len(buf) - 401
         ws = np.arange(cut + 1.0, buf.end_time - 5.0, 2.1)
         got, got_ok = site.query(ws, ws + 5.0)
         want, want_ok = reference_query(buf, VARIANCE, ws, ws + 5.0)
         np.testing.assert_array_equal(got_ok, want_ok)
         np.testing.assert_allclose(got[got_ok], want[want_ok], rtol=1e-9, atol=1e-9)
 
-    def test_reingest_is_idempotent(self):
+    @pytest.mark.parametrize(
+        "agg", [SUM, COUNT, MEAN, SUM_SQUARES, VARIANCE, STDDEV], ids=lambda a: a.name
+    )
+    def test_single_extend_is_the_batch_build(self, agg):
+        """One ``extend`` over the whole buffer is what ``RangeAggregator``
+        does per kernel invocation; a chunked build of the same buffer may
+        differ only by cumsum reassociation."""
+        buf = self._buf(mean=50.0)
+        ws = np.arange(0.0, buf.end_time - 5.0, 3.7)
+        batch, batch_ok = reference_query(buf, agg, ws, ws + 5.0)
+        one, one_ok = extend_chunked(PrefixRangeIndex(agg), buf, chunks=1).query(ws, ws + 5.0)
+        np.testing.assert_array_equal(one_ok, batch_ok)
+        np.testing.assert_array_equal(one, batch)
+        many, many_ok = extend_chunked(PrefixRangeIndex(agg), buf, chunks=7).query(ws, ws + 5.0)
+        np.testing.assert_array_equal(many_ok, batch_ok)
+        np.testing.assert_allclose(many, batch, rtol=1e-9, atol=1e-9)
+
+    def test_prune_rebases_prefix_totals(self):
+        """After a prune the retained cumsums restart from zero, so totals
+        stay bounded by the live window however long the session runs."""
+        buf = self._buf(n=600, seed=15, mean=1e6)
+        site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=5)
+        site.prune(float(buf.times[499]))
+        assert len(site) == 100
+        total, ok = site.query(np.array([buf.times[499]]), np.array([buf.end_time]))
+        assert ok[0]
+        assert total[0] == pytest.approx(float(np.sum(buf.values[500:])), rel=1e-12)
+        assert all(p.view[0] == 0.0 for p in site._prefixes)
+        assert float(site._prefixes[0].view[-1]) == pytest.approx(total[0], rel=1e-12)
+
+    def test_small_prunes_are_deferred(self):
+        buf = self._buf(n=600, seed=16)
+        site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=3)
+        site.prune(float(buf.times[99]))  # dead head smaller than the live tail
+        assert len(site) == 600
+
+    def test_empty_index_answers_phi(self):
+        got, ok = PrefixRangeIndex(SUM).query(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+        assert not ok.any() and not got.any()
+
+    def test_rejects_aggregate_without_prefix_decomposition(self):
+        with pytest.raises(ValueError):
+            PrefixRangeIndex(MAX)
+
+    def test_site_reingest_is_idempotent(self):
+        """A reduce site sees the same input column once per ``rt.reduce``
+        call of a tick (two windows share one index): only snapshots past
+        its ingest horizon may be appended."""
         buf = self._buf(n=50, seed=14)
-        site = ExtendablePrefixIndex(SUM, -1)
+        site = PersistentSite(SUM, -1)
         site.ingest(buf, None)
-        site.ingest(buf, None)  # same tick replay: must be a no-op
-        assert site.retained() == 50
+        site.ingest(buf, None)
+        assert len(site.structure) == 50
         ws = np.array([buf.start_time])
-        got, _ = site.query(ws, np.array([buf.end_time]))
+        got, _ = site.structure.query(ws, np.array([buf.end_time]))
         want, _ = reference_query(buf, SUM, ws, np.array([buf.end_time]))
         np.testing.assert_allclose(got, want, rtol=1e-9)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_application
+from repro.apps.ysb import ysb_query
 from repro.core.ir import IRBuilder
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.session import StreamingSession
@@ -28,6 +29,16 @@ N_EVENTS = 2_500
 #: (ysb, frauddet) inputs, per the streaming-equivalence acceptance bar
 EQUIVALENCE_APPS = ["ysb", "frauddet", "normalize", "trading"]
 
+#: (app, window override, events).  The 0.1 / 0.3 windows put the query on a
+#: non-dyadic precision grid, where ``k * p`` and ``(k + 1) * p - p`` differ
+#: by an ulp: evaluation times, tick edges and partition edges must all name
+#: a grid point by the same float or a tick edge splits a snapshot the
+#: one-shot run keeps whole (needs enough windows for the ulps to show).
+EQUIVALENCE_QUERIES = [(name, None, N_EVENTS) for name in EQUIVALENCE_APPS] + [
+    ("ysb", 0.1, 20_000),
+    ("ysb", 0.3, 20_000),
+]
+
 
 def run_session(engine, program, streams, tick_events, **kwargs):
     """Drive a session over replayed streams until exhaustion; return output."""
@@ -38,16 +49,20 @@ def run_session(engine, program, streams, tick_events, **kwargs):
 
 
 class TestStreamingEquivalence:
-    @pytest.mark.parametrize("app_name", EQUIVALENCE_APPS)
+    @pytest.mark.parametrize("app_name,window,events", EQUIVALENCE_QUERIES)
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_tick_concat_equals_batch(self, app_name, workers):
+    def test_tick_concat_equals_batch(self, app_name, window, events, workers):
         app = get_application(app_name)
-        streams = app.streams(N_EVENTS, seed=1)
+        program = app.program() if window is None else ysb_query(window).to_program()
+        streams = app.streams(events, seed=1)
         engine = TiltEngine(workers=workers)
-        batch = engine.run(app.program(), streams)
+        batch = engine.run(program, streams)
         for tick_events in (171, 1024):
-            session = run_session(engine, app.program(), streams, tick_events)
-            assert session.result().output == batch.output
+            for incremental in (None, False):
+                session = run_session(
+                    engine, program, streams, tick_events, incremental=incremental
+                )
+                assert session.result().output == batch.output
         engine.close()
 
     def test_single_giant_tick_equals_batch(self):
