@@ -44,6 +44,7 @@ from .core import (
     LEFT,
     PAYLOAD,
     RIGHT,
+    ColumnChunk,
     CompiledQuery,
     Event,
     EventStream,
@@ -83,6 +84,7 @@ __all__ = [
     "when",
     "resolve_boundaries",
     "optimize",
+    "ColumnChunk",
     "Event",
     "EventStream",
     "SSBuf",

@@ -21,6 +21,13 @@ by memory:
     Counter names end in ``_total``; gauge/histogram names never do; all
     names are ``snake_case`` (the PR 8 exporter contract — a scraper-facing
     API that silently breaks dashboards when drifted).
+``LNT104`` — per-event Python in the ingest hot path
+    ``session.py``, ``datagen/sources.py`` and ``stream.py`` move events as
+    :class:`~repro.core.runtime.stream.ColumnChunk` arrays; a ``for e in
+    events`` loop, a comprehension over ``.events`` or an ``Event(...)``
+    construction there puts a Python object per event back between source
+    and kernel (0.66 µs/event, 0.78 of a YSB tick before PR 13).  The one
+    coercion loop at the public API edge carries an explicit allow.
 
 A violation line can be suppressed explicitly with a trailing
 ``# lint: allow(LNT101)`` comment; the suppression is itself visible in
@@ -45,6 +52,13 @@ __all__ = ["LintViolation", "lint_file", "lint_paths", "lint_source"]
 KERNEL_HELPER_MODULES = (
     "core/codegen/runtime_support.py",
     "core/codegen/incremental.py",
+)
+
+#: modules between a source's ``poll`` and the kernel — the LNT104 scope
+INGEST_HOT_PATH_MODULES = (
+    "core/runtime/session.py",
+    "core/runtime/stream.py",
+    "datagen/sources.py",
 )
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([A-Z0-9,\s]+)\)")
@@ -320,6 +334,43 @@ class _MetricNameDiscipline(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------- #
+# LNT104: per-event Python in the ingest hot path
+# ---------------------------------------------------------------------- #
+class _ColumnarIngestDiscipline(ast.NodeVisitor):
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.violations: List[LintViolation] = []
+
+    def _flag(self, node: ast.AST, what: str) -> None:
+        self.violations.append(
+            LintViolation(
+                path=self.path,
+                line=node.lineno,
+                code="LNT104",
+                message=f"{what} in an ingest hot-path module; move columns, not events",
+            )
+        )
+
+    def _check_iter(self, iterable: ast.expr) -> None:
+        name = _terminal_name(iterable)
+        if name is not None and name.lstrip("_") == "events":
+            self._flag(iterable, f"per-event iteration over {name!r}")
+
+    def visit_For(self, node: ast.For) -> None:  # noqa: N802
+        self._check_iter(node.iter)
+        self.generic_visit(node)
+
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        self._check_iter(node.iter)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:  # noqa: N802
+        if _terminal_name(node.func) == "Event":
+            self._flag(node, "Event(...) construction")
+        self.generic_visit(node)
+
+
+# ---------------------------------------------------------------------- #
 # driver
 # ---------------------------------------------------------------------- #
 def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
@@ -342,6 +393,8 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
     normalized = path.replace("\\", "/")
     if any(normalized.endswith(helper) for helper in KERNEL_HELPER_MODULES):
         checkers.append(_SharedStateDiscipline(path, tree))
+    if any(normalized.endswith(module) for module in INGEST_HOT_PATH_MODULES):
+        checkers.append(_ColumnarIngestDiscipline(path))
     violations: List[LintViolation] = []
     for checker in checkers:
         checker.visit(tree)

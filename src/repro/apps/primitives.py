@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
 from ..core.frontend.query import LEFT, PAYLOAD, RIGHT, QueryNode, source
-from ..core.runtime.stream import EventStream
+from ..core.runtime.stream import ColumnChunk, EventStream
 from ..datagen.generators import uniform_value_stream
 from .base import StreamingApplication
 
@@ -56,11 +58,8 @@ def _single_stream(num_events: int, seed: int) -> Dict[str, EventStream]:
 
 
 def _integer_stream(num_events: int, seed: int) -> Dict[str, EventStream]:
-    stream = uniform_value_stream(num_events, seed=seed + 29)
-    rounded = [e for e in stream.events]
-    from ..core.runtime.stream import Event
-
-    rounded = [Event(e.start, e.end, float(round(e.value()))) for e in rounded]
+    cols = uniform_value_stream(num_events, seed=seed + 29).columns()
+    rounded = ColumnChunk(cols.starts, cols.ends, np.round(cols.values))
     return {"values": EventStream(rounded, name="values", check_order=False)}
 
 

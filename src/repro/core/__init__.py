@@ -5,7 +5,7 @@ from .frontend import LEFT, PAYLOAD, RIGHT, source
 from .ir import IRBuilder, TiltProgram, when
 from .lineage import BoundarySpec, resolve_boundaries
 from .optimizer import optimize
-from .runtime import Event, EventStream, SSBuf
+from .runtime import ColumnChunk, Event, EventStream, SSBuf
 from .runtime.engine import QueryResult, TiltEngine
 
 # imported after the engine: the session module sits above the low-level
@@ -28,6 +28,7 @@ __all__ = [
     "BoundarySpec",
     "resolve_boundaries",
     "optimize",
+    "ColumnChunk",
     "Event",
     "EventStream",
     "SSBuf",

@@ -9,9 +9,10 @@ free of upward dependencies.
 from .executor import Executor, SerialExecutor, ThreadPoolExecutor, make_executor
 from .partition import Partition, partition_inputs, plan_partitions
 from .ssbuf import SSBuf, Snapshot, ssbuf_from_stream, ssbufs_from_stream
-from .stream import Event, EventStream, interleave
+from .stream import ColumnChunk, Event, EventStream, interleave
 
 __all__ = [
+    "ColumnChunk",
     "Event",
     "EventStream",
     "interleave",

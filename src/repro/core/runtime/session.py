@@ -5,9 +5,11 @@ returns.  A :class:`StreamingSession` is the long-running execution path: it
 compiles the query once and then advances it incrementally over unbounded
 sources in micro-batch *ticks*.  Each tick
 
-1. polls every source for newly arrived events and appends them to the
-   per-input snapshot buffers (change-point form, exactly as
-   :meth:`SSBuf.from_events` would build them);
+1. polls every source for newly arrived events — one
+   :class:`~repro.core.runtime.stream.ColumnChunk` per source, no per-event
+   objects — and appends them to the per-input snapshot buffers through
+   :func:`~repro.core.runtime.ssbuf.change_points`, the builder
+   :meth:`SSBuf.from_events` uses;
 2. computes the new output **watermark** ``w`` — the time up to which the
    output is fully determined by the ingested input;
 3. re-plans only the new output interval ``(t_emitted, w]`` with the same
@@ -59,8 +61,8 @@ from ..lineage.boundary import resolve_boundaries
 from .engine import QueryResult, TiltEngine
 from .growable import GrowableArray
 from .partition import snap_down
-from .ssbuf import SSBuf, _ssbuf_from_arrays
-from .stream import Event
+from .ssbuf import SSBuf, _ssbuf_from_arrays, change_points
+from .stream import ColumnChunk
 
 __all__ = ["TickResult", "StreamingSession"]
 
@@ -70,11 +72,13 @@ _INF = float("inf")
 class _IngestColumn:
     """Incremental change-point accumulation for one program input.
 
-    Appending an in-order event ``(s, e]`` mirrors ``SSBuf.from_events``:
-    a φ snapshot at ``s`` when a gap precedes it, then a value snapshot at
-    ``e``.  The column therefore materializes, at any point, exactly the
-    prefix of the buffer the batch ingest would have built — which is what
-    the byte-identical equivalence of session and batch execution rests on.
+    Each source chunk is laid out once by
+    :func:`~repro.core.runtime.ssbuf.change_points` — the builder behind
+    ``SSBuf.from_events`` — and appended to every column the source feeds
+    (see :func:`_append_chunk`).  The column therefore materializes, at any
+    point, exactly the prefix of the buffer the batch ingest would have
+    built — which is what the byte-identical equivalence of session and
+    batch execution rests on.
 
     ``anchor`` is the materialized buffer's ``start_time``; pruning advances
     it (see :meth:`prune`), matching ``SSBuf.slice``'s clamping semantics so
@@ -113,51 +117,12 @@ class _IngestColumn:
     def started(self) -> bool:
         return self.prev_end is not None
 
-    def extend(self, events: Sequence[Event]) -> None:
-        if not events:
-            return
-        if self.field is not None:
-            f = self.field
-            vals = np.asarray([e.field(f) for e in events], dtype=np.float64)
-        else:
-            vals = np.asarray([e.value() for e in events], dtype=np.float64)
-        starts = np.asarray([e.start for e in events], dtype=np.float64)
-        ends = np.asarray([e.end for e in events], dtype=np.float64)
-        prev_end = self.prev_end
-        first_anchor = None
-        if prev_end is None:
-            # auto-derived start, matching from_events: the first
-            # snapshot interval is empty, values before it are φ
-            first_anchor = float(starts[0])
-            prev_end = first_anchor
-        prev_ends = np.empty(len(ends))
-        prev_ends[0] = prev_end
-        prev_ends[1:] = ends[:-1]
-        overlap = starts < prev_ends
-        if np.any(overlap):
-            i = int(np.argmax(overlap))
-            raise OverlappingEventsError(
-                f"input {self.name!r}: event starting at {starts[i]:g} overlaps or "
-                f"precedes ingested data ending at {prev_ends[i]:g}; sessions require "
-                "in-order, non-overlapping arrival"
-            )
-        if first_anchor is not None:
-            self.anchor = first_anchor
-        # one snapshot per event end, plus a φ snapshot at each gap start
-        gaps = starts > prev_ends
-        m = len(events) + int(np.count_nonzero(gaps))
-        times = self._times.grow(m)
-        values = self._values.grow(m)
-        valid = self._valid.grow(m)
-        pos = np.arange(len(events)) + np.cumsum(gaps)
-        times[pos] = ends
-        values[pos] = vals
-        valid[pos] = True
-        gap_pos = pos[gaps] - 1
-        times[gap_pos] = starts[gaps]
-        values[gap_pos] = 0.0
-        valid[gap_pos] = False
-        self.prev_end = float(ends[-1])
+    def append(self, times: np.ndarray, values: np.ndarray, valid: np.ndarray) -> None:
+        """Append change points ending the ingested data at ``times[-1]``."""
+        self._times.append(times)
+        self._values.append(values)
+        self._valid.append(valid)
+        self.prev_end = float(times[-1])
         self._cache = None
 
     def materialize(self) -> SSBuf:
@@ -200,6 +165,31 @@ class _IngestColumn:
 
     def retained_snapshots(self) -> int:
         return len(self._times)
+
+
+def _append_chunk(cols: List[_IngestColumn], chunk: ColumnChunk) -> None:
+    """Append one source chunk to every column that source feeds.
+
+    The columns of one source have seen the same events, so the overlap
+    check and the gap layout are computed once, not once per field.
+    """
+    head = cols[0]
+    first_start = float(chunk.starts[0])
+    # auto-derived start, matching from_events: the first snapshot
+    # interval is empty, values before it are φ
+    prev_end = head.prev_end if head.started else first_start
+    try:
+        times, valid, values = change_points(
+            chunk.starts, chunk.ends, [chunk.column(col.field) for col in cols], prev_end
+        )
+    except OverlappingEventsError as exc:
+        raise OverlappingEventsError(
+            f"input {head.name!r}: {exc}; sessions require in-order, non-overlapping arrival"
+        ) from None
+    for col, vals in zip(cols, values):
+        if not col.started:
+            col.anchor = first_start
+        col.append(times, vals, valid)
 
 
 @dataclass
@@ -642,16 +632,15 @@ class StreamingSession:
         ingested = 0
         with self._tracer.span("tick.ingest") as sp:
             for src, cols in self._source_columns:
-                events = src.poll(budget)
-                if not events:
+                chunk = ColumnChunk.coerce(src.poll(budget))
+                if not len(chunk):
                     continue
                 try:
-                    for col in cols:
-                        col.extend(events)
+                    _append_chunk(cols, chunk)
                 except OverlappingEventsError:
-                    self._m_late.inc(len(events))
+                    self._m_late.inc(len(chunk))
                     raise
-                ingested += len(events)
+                ingested += len(chunk)
             self._total_events += ingested
             sp.set(events=ingested)
         return ingested

@@ -16,11 +16,10 @@ the engines.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.runtime.stream import Event, EventStream
+from ..core.runtime.stream import ColumnChunk, EventStream
 
 __all__ = [
     "stock_price_stream",
@@ -77,13 +76,9 @@ def random_signal_stream(
     values = offset + scale * rng.standard_normal(num_events)
     if missing_fraction <= 0:
         return EventStream.from_samples(values, period=period, name=name)
-    keep = rng.random(num_events) >= missing_fraction
-    events = [
-        Event(i * period, (i + 1) * period, float(v))
-        for i, (v, k) in enumerate(zip(values, keep))
-        if k
-    ]
-    return EventStream(events, name=name, check_order=False)
+    kept = np.flatnonzero(rng.random(num_events) >= missing_fraction)
+    chunk = ColumnChunk(kept * period, (kept + 1) * period, values[kept])
+    return EventStream(chunk, name=name, check_order=False)
 
 
 def ecg_stream(
@@ -183,15 +178,8 @@ def credit_card_stream(
     # that event intervals never overlap.
     next_starts = np.concatenate((starts[1:], [starts[-1] + mean_interarrival]))
     ends = np.minimum(starts + 60.0, next_starts)
-    events = [
-        Event(
-            float(s),
-            float(e),
-            {"user": float(u), "amount": float(a), "is_fraud": 1.0 if f else 0.0},
-        )
-        for s, e, u, a, f in zip(starts, ends, users, amounts, fraud)
-    ]
-    return EventStream(events, name=name, check_order=False)
+    chunk = ColumnChunk(starts, ends, {"user": users, "amount": amounts, "is_fraud": fraud})
+    return EventStream(chunk, name=name, check_order=False)
 
 
 def ysb_stream(
@@ -215,15 +203,13 @@ def ysb_stream(
     ads = rng.integers(0, 10 * num_campaigns, num_events)
     event_types = rng.choice([0.0, 1.0, 2.0], size=num_events,
                              p=[view_fraction, (1 - view_fraction) / 2, (1 - view_fraction) / 2])
-    events = [
-        Event(
-            i * period,
-            (i + 1) * period,
-            {"campaign": float(c), "ad": float(a), "event_type": float(t)},
-        )
-        for i, (c, a, t) in enumerate(zip(campaigns, ads, event_types))
-    ]
-    return EventStream(events, name=name, check_order=False)
+    i = np.arange(num_events)
+    chunk = ColumnChunk(
+        i * period,
+        (i + 1) * period,
+        {"campaign": campaigns, "ad": ads, "event_type": event_types},
+    )
+    return EventStream(chunk, name=name, check_order=False)
 
 
 def uniform_value_stream(

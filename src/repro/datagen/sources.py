@@ -8,7 +8,9 @@ event producers) to a small pull protocol consumed by
 :class:`~repro.core.runtime.session.StreamingSession`:
 
 * :meth:`EventSource.poll` hands over the next batch of events, in
-  start-time order;
+  start-time order, as one :class:`~repro.core.runtime.stream.ColumnChunk`
+  (arrays, never per-event objects: every source in this module slices or
+  shifts the columns it holds);
 * :attr:`EventSource.horizon` is the *completeness watermark*: the source
   guarantees that every event with ``start < horizon`` has already been
   delivered by previous ``poll`` calls.  The session derives its output
@@ -29,9 +31,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional
 
-from ..core.runtime.stream import Event, EventStream
+import numpy as np
+
+from ..core.runtime.stream import ColumnChunk, Events, EventStream
 from ..errors import QueryBuildError, QueueClosedError
 
 __all__ = [
@@ -66,8 +70,13 @@ class EventSource:
     #: would never terminate.
     finite: bool = True
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
-        """Return the next in-order batch of events (possibly empty)."""
+    def poll(self, max_events: Optional[int] = None) -> ColumnChunk:
+        """Return the next in-order batch of events (possibly empty).
+
+        The protocol is columnar: return a :class:`ColumnChunk`.  A
+        user-defined source may still return a ``List[Event]`` — the session
+        coerces it (``ColumnChunk.coerce``) as it ingests, at per-event cost.
+        """
         raise NotImplementedError
 
     @property
@@ -100,31 +109,29 @@ class StreamReplaySource(EventSource):
         if events_per_poll is not None and events_per_poll < 1:
             raise QueryBuildError("events_per_poll must be >= 1")
         self.name = name or stream.name
-        self._events = list(stream.events)
+        self._chunk = stream.columns()
         self._pos = 0
         self._events_per_poll = events_per_poll
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
-        limit = len(self._events) - self._pos
+    def poll(self, max_events: Optional[int] = None) -> ColumnChunk:
+        limit = len(self._chunk) - self._pos
         if self._events_per_poll is not None:
             limit = min(limit, self._events_per_poll)
         if max_events is not None:
             limit = min(limit, max_events)
-        if limit <= 0:
-            return []
-        chunk = self._events[self._pos : self._pos + limit]
-        self._pos += limit
-        return chunk
+        out = self._chunk[self._pos : self._pos + max(limit, 0)]
+        self._pos += len(out)
+        return out
 
     @property
     def horizon(self) -> float:
-        if self._pos >= len(self._events):
+        if self.exhausted:
             return _INF
-        return self._events[self._pos].start
+        return float(self._chunk.starts[self._pos])
 
     @property
     def exhausted(self) -> bool:
-        return self._pos >= len(self._events)
+        return self._pos >= len(self._chunk)
 
 
 class GeneratorSource(EventSource):
@@ -159,7 +166,7 @@ class GeneratorSource(EventSource):
         self._events_per_poll = events_per_poll
         self._chunk_index = 0
         self._offset = 0.0
-        self._pending: Deque[Event] = deque()
+        self._pending = ColumnChunk.empty()
 
     def _refill(self) -> None:
         chunk = self._make_chunk(self._chunk_index)
@@ -168,30 +175,28 @@ class GeneratorSource(EventSource):
             raise QueryBuildError("generator chunk produced no events")
         lo, hi = chunk.time_range()
         shift = self._offset - min(lo, 0.0)
-        for e in chunk.events:
-            self._pending.append(Event(e.start + shift, e.end + shift, e.payload))
+        self._pending = ColumnChunk.concat([self._pending, chunk.columns().shifted(shift)])
         self._offset = shift + hi
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
-        limit = self._events_per_poll if self._events_per_poll is not None else None
+    def poll(self, max_events: Optional[int] = None) -> ColumnChunk:
+        limit = self._events_per_poll
         if max_events is not None:
             limit = max_events if limit is None else min(limit, max_events)
         if limit is None:
             # no rate configured: release exactly one chunk per poll
-            if not self._pending:
+            if not len(self._pending):
                 self._refill()
-            out = list(self._pending)
-            self._pending.clear()
-            return out
+            limit = len(self._pending)
         while len(self._pending) < limit:
             self._refill()
-        return [self._pending.popleft() for _ in range(limit)]
+        out, self._pending = self._pending[:limit], self._pending[limit:]
+        return out
 
     @property
     def horizon(self) -> float:
-        if not self._pending:
+        if not len(self._pending):
             self._refill()
-        return self._pending[0].start
+        return float(self._pending.starts[0])
 
 
 class ThrottledSource(EventSource):
@@ -204,7 +209,7 @@ class ThrottledSource(EventSource):
         self.name = inner.name
         self._events_per_poll = int(events_per_poll)
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
+    def poll(self, max_events: Optional[int] = None) -> ColumnChunk:
         limit = self._events_per_poll
         if max_events is not None:
             limit = min(limit, max_events)
@@ -235,28 +240,32 @@ class BoundedIngestQueue:
 
     Producers block when the queue holds ``capacity`` events, which is the
     micro-batch backpressure contract: ingest can never run further ahead of
-    the consumer than one queue's worth of events.
+    the consumer than one queue's worth of events.  The queue *holds*
+    :class:`ColumnChunk` s but *accounts* in events: capacity, ``len`` and
+    ``drain(max_events)`` all count events, splitting a chunk where a limit
+    falls inside it.
     """
 
     def __init__(self, capacity: int = 65_536):
         if capacity < 1:
             raise QueryBuildError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._events: Deque[Event] = deque()
+        self._chunks: Deque[ColumnChunk] = deque()
+        self._depth = 0
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._closed = False
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return self._depth
 
     @property
     def closed(self) -> bool:
         with self._lock:
             return self._closed
 
-    def put(self, events: Sequence[Event], timeout: Optional[float] = None) -> int:
+    def put(self, events: Events, timeout: Optional[float] = None) -> int:
         """Append events, blocking while the queue is full.
 
         Returns the number of events actually enqueued.  ``timeout`` is a
@@ -270,22 +279,22 @@ class BoundedIngestQueue:
         (no deadlock), with ``exc.enqueued`` reporting the prefix that was
         accepted before the close and stays deliverable to the consumer.
         """
-        remaining = list(events)
+        chunk = ColumnChunk.coerce(events)
         enqueued = 0
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_full:
-            while remaining:
+            while enqueued < len(chunk):
                 if self._closed:
                     raise QueueClosedError(
-                        f"put into closed queue ({enqueued} of "
-                        f"{enqueued + len(remaining)} events were accepted "
-                        "before the close)",
+                        f"put into closed queue ({enqueued} of {len(chunk)} "
+                        "events were accepted before the close)",
                         enqueued=enqueued,
                     )
-                free = self.capacity - len(self._events)
+                free = self.capacity - self._depth
                 if free > 0:
-                    take, remaining = remaining[:free], remaining[free:]
-                    self._events.extend(take)
+                    take = chunk[enqueued : enqueued + free]
+                    self._chunks.append(take)
+                    self._depth += len(take)
                     enqueued += len(take)
                     continue
                 wait = None if deadline is None else deadline - time.monotonic()
@@ -295,19 +304,29 @@ class BoundedIngestQueue:
                     break
         return enqueued
 
-    def drain(self, max_events: Optional[int] = None) -> List[Event]:
+    def drain(self, max_events: Optional[int] = None) -> ColumnChunk:
         """Pop up to ``max_events`` events (all of them when None)."""
         with self._not_full:
-            count = len(self._events) if max_events is None else min(max_events, len(self._events))
-            out = [self._events.popleft() for _ in range(count)]
-            if count:
+            want = self._depth if max_events is None else min(max_events, self._depth)
+            parts: List[ColumnChunk] = []
+            taken = 0
+            while taken < want:
+                head = self._chunks.popleft()
+                if taken + len(head) > want:
+                    # the limit falls inside the head chunk: split it
+                    self._chunks.appendleft(head[want - taken :])
+                    head = head[: want - taken]
+                parts.append(head)
+                taken += len(head)
+            self._depth -= taken
+            if taken:
                 self._not_full.notify_all()
-            return out
+        return ColumnChunk.concat(parts)
 
     def peek_start(self) -> Optional[float]:
         """Start time of the first queued event (None when empty)."""
         with self._lock:
-            return self._events[0].start if self._events else None
+            return float(self._chunks[0].starts[0]) if self._chunks else None
 
     def close(self) -> None:
         """Reject further ``put`` calls and wake blocked producers."""
@@ -336,44 +355,47 @@ class QueuedSource(EventSource):
         # put must be atomic, or two in-order batches could interleave
         self._push_lock = threading.Lock()
 
-    def push(self, events: Sequence[Event], timeout: Optional[float] = None) -> int:
+    def push(self, events: Events, timeout: Optional[float] = None) -> int:
         """Producer side: enqueue in-order events (blocks when full).
 
-        Returns the number of events accepted.  On timeout the accepted
-        prefix stays delivered and the order/watermark state only reflects
-        it, so the producer can safely retry ``events[n:]``.  Pushing into a
-        closed source raises :class:`~repro.errors.QueueClosedError`; any
-        prefix accepted before the close stays delivered and is reflected in
-        the watermark before the exception propagates.
+        ``events`` is a :class:`ColumnChunk` (arrays go straight through) or
+        a sequence of :class:`Event` objects, converted once, here, in the
+        producer's thread.  Returns the number of events accepted.  On
+        timeout the accepted prefix stays delivered and the order/watermark
+        state only reflects it, so the producer can safely retry
+        ``events[n:]``.  Pushing into a closed source raises
+        :class:`~repro.errors.QueueClosedError`; any prefix accepted before
+        the close stays delivered and is reflected in the watermark before
+        the exception propagates.
 
         Thread-safe: concurrent producers are serialized, so each one's
         order check sees the state its batch will actually follow.  (A
         blocked push holds the serialization lock — concurrent producers
         queue behind it and are all woken by :meth:`close`.)
         """
-        events = list(events)
+        chunk = ColumnChunk.coerce(events)
+        starts = chunk.starts
         with self._push_lock:
-            last = self._last_pushed_start
-            for e in events:
-                if e.start < last:
-                    raise QueryBuildError(
-                        f"source {self.name!r}: events must be pushed in start order"
-                    )
-                last = e.start
+            if len(chunk) and (
+                starts[0] < self._last_pushed_start or (starts[1:] < starts[:-1]).any()
+            ):
+                raise QueryBuildError(
+                    f"source {self.name!r}: events must be pushed in start order"
+                )
             try:
                 # deliberate (see docstring): a blocked push parks concurrent
                 # producers on the serialization lock; close() wakes them all
-                n = self.queue.put(events, timeout=timeout)  # lint: allow(LNT101)
+                n = self.queue.put(chunk, timeout=timeout)  # lint: allow(LNT101)
             except QueueClosedError as exc:
-                self._record_pushed(events, exc.enqueued)
+                self._record_pushed(starts, exc.enqueued)
                 raise
-            self._record_pushed(events, n)
+            self._record_pushed(starts, n)
             return n
 
-    def _record_pushed(self, events: Sequence[Event], n: int) -> None:
+    def _record_pushed(self, starts: np.ndarray, n: int) -> None:
         if n:
-            self._last_pushed_start = events[n - 1].start
-            self._watermark = max(self._watermark, events[n - 1].start)
+            self._last_pushed_start = float(starts[n - 1])
+            self._watermark = max(self._watermark, self._last_pushed_start)
 
     def advance_to(self, t: float) -> None:
         """Promise that no future event will start before ``t``."""
@@ -384,7 +406,7 @@ class QueuedSource(EventSource):
         self._closed = True
         self.queue.close()
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
+    def poll(self, max_events: Optional[int] = None) -> ColumnChunk:
         return self.queue.drain(max_events)
 
     @property

@@ -22,8 +22,9 @@ A shared engine protects itself at two points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
+from ..core.runtime.stream import ColumnChunk
 from ..datagen.sources import QueuedSource
 from ..errors import AdmissionError, QueryBuildError
 
@@ -73,7 +74,7 @@ class AdmissionController:
     def offer(
         self,
         source: QueuedSource,
-        events: Sequence,
+        events: ColumnChunk,
         *,
         timeout: Optional[float] = None,
     ) -> Tuple[int, int]:

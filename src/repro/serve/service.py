@@ -47,7 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.runtime.engine import QueryResult, TiltEngine
 from ..core.runtime.session import StreamingSession, TickResult
-from ..core.runtime.stream import Event
+from ..core.runtime.stream import ColumnChunk, Events
 from ..datagen.sources import QueuedSource
 from ..errors import ExecutionError, QueryBuildError
 from ..metrics.fleet import FleetSnapshot, aggregate_fleet
@@ -687,19 +687,23 @@ class QueryService:
     def ingest(
         self,
         name: str,
-        events: Sequence[Event],
+        events: Events,
         *,
         stream: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> int:
         """Push events to a push-fed tenant; returns the number accepted.
 
+        ``events`` is a :class:`~repro.core.runtime.stream.ColumnChunk`
+        (arrays, enqueued as they are) or a sequence of ``Event`` objects,
+        converted to columns once, here, in the producer's thread.
+
         Overload behaviour follows the service's admission policy: under
         ``"shed"`` the overflow is dropped and counted; under ``"block"``
         this call blocks (without holding any service lock) until the
         scheduler drains the tenant's queue or the timeout expires.
         """
-        events = list(events)
+        events = ColumnChunk.coerce(events)
         source = self._push_source(name, stream)
         # blocking push must happen outside the lock: the scheduler needs
         # the lock to select the tick that will drain this very queue

@@ -2,70 +2,33 @@
 
 Trill processes events in columnar micro-batches handed from operator to
 operator; the batch size is the knob behind the latency/throughput trade-off
-measured in Figure 9 of the paper.  A batch stores start/end/payload columns
-as NumPy arrays; operators may process it column-wise (the Grizzly-like and
+measured in Figure 9 of the paper.  A batch is the runtime's own
+:class:`~repro.core.runtime.stream.ColumnChunk` (start/end/payload columns
+as NumPy arrays); operators may process it column-wise (the Grizzly-like and
 LightSaber-like engines) or event-by-event (the Trill-like and StreamBox-like
 engines).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
-import numpy as np
-
-from ...core.runtime.stream import Event, EventStream
+from ...core.runtime.stream import ColumnChunk, EventStream
 
 __all__ = ["ColumnarBatch", "batches_from_stream", "stream_from_batches"]
 
-
-@dataclass
-class ColumnarBatch:
-    """A micro-batch of events in columnar form."""
-
-    starts: np.ndarray
-    ends: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def __iter__(self) -> Iterator[Event]:
-        for s, e, v in zip(self.starts, self.ends, self.values):
-            yield Event(float(s), float(e), float(v))
-
-    @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "ColumnarBatch":
-        return cls(
-            starts=np.array([e.start for e in events], dtype=np.float64),
-            ends=np.array([e.end for e in events], dtype=np.float64),
-            values=np.array([e.value() for e in events], dtype=np.float64),
-        )
-
-    @classmethod
-    def empty(cls) -> "ColumnarBatch":
-        return cls(np.empty(0), np.empty(0), np.empty(0))
-
-    def to_events(self) -> List[Event]:
-        return list(self)
+#: a micro-batch *is* a column chunk; the name survives for the baselines
+ColumnarBatch = ColumnChunk
 
 
 def batches_from_stream(stream: EventStream, batch_size: int) -> List[ColumnarBatch]:
-    """Split a stream into fixed-size columnar micro-batches."""
+    """Split a stream into fixed-size columnar micro-batches (zero-copy)."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    events = stream.events
-    return [
-        ColumnarBatch.from_events(events[i : i + batch_size])
-        for i in range(0, len(events), batch_size)
-    ]
+    columns = stream.columns()
+    return [columns[i : i + batch_size] for i in range(0, len(columns), batch_size)]
 
 
 def stream_from_batches(batches: Sequence[ColumnarBatch], name: str = "output") -> EventStream:
     """Concatenate micro-batches back into an event stream."""
-    events: List[Event] = []
-    for batch in batches:
-        events.extend(batch.to_events())
-    events.sort(key=lambda e: (e.start, e.end))
-    return EventStream(events, name=name, check_order=False)
+    return EventStream(ColumnChunk.concat(batches).sorted(), name=name, check_order=False)

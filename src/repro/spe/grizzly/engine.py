@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ...core.frontend.query import (
     WindowAggregate,
 )
 from ...core.runtime.executor import make_executor
-from ...core.runtime.stream import Event, EventStream
+from ...core.runtime.stream import ColumnChunk, EventStream
 from ...errors import ExecutionError, UnsupportedOperationError
 from ...windowing.functions import AggregateFunction
 from ..common.vectoreval import eval_expr_vectorized
@@ -46,31 +46,6 @@ PAYLOAD_VAR = "%payload"
 
 #: events per shared-state synchronization round-trip
 _CHUNK = 512
-
-
-class _Columns:
-    """Internal columnar representation used between operators."""
-
-    def __init__(self, starts: np.ndarray, ends: np.ndarray, values: np.ndarray):
-        self.starts = starts
-        self.ends = ends
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    @classmethod
-    def from_stream(cls, stream: EventStream) -> "_Columns":
-        return cls(stream.starts(), stream.ends(), stream.values())
-
-    def select(self, mask: np.ndarray) -> "_Columns":
-        return _Columns(self.starts[mask], self.ends[mask], self.values[mask])
-
-    def to_events(self) -> List[Event]:
-        return [
-            Event(float(s), float(e), float(v))
-            for s, e, v in zip(self.starts, self.ends, self.values)
-        ]
 
 
 class GrizzlyEngine:
@@ -85,38 +60,32 @@ class GrizzlyEngine:
     # ------------------------------------------------------------------ #
     def run(self, query: QueryNode, streams: Mapping[str, EventStream]) -> EventStream:
         """Execute a Select/Where/Window-aggregate query."""
-        events = self._execute(query, streams)
-        return EventStream(sorted(events, key=lambda e: (e.start, e.end)),
-                          name="output", check_order=False)
+        columns = self._columns_for(query, streams)
+        return EventStream(columns.sorted(), name="output", check_order=False)
 
-    # ------------------------------------------------------------------ #
-    def _execute(self, node: QueryNode, streams: Mapping[str, EventStream]) -> List[Event]:
-        columns = self._columns_for(node, streams)
-        return columns.to_events()
-
-    def _columns_for(self, node: QueryNode, streams: Mapping[str, EventStream]) -> _Columns:
+    def _columns_for(self, node: QueryNode, streams: Mapping[str, EventStream]) -> ColumnChunk:
         if isinstance(node, StreamSource):
             stream = streams.get(node.stream)
             if stream is None:
                 raise ExecutionError(f"missing input stream {node.stream!r}")
             if node.field is not None:
                 stream = stream.select_field(node.field)
-            return _Columns.from_stream(stream)
+            return stream.columns()
         if isinstance(node, Select):
             cols = self._columns_for(node.parents[0], streams)
             n = len(cols)
             values, valid = eval_expr_vectorized(
                 node.expr, {PAYLOAD_VAR: (cols.values, np.ones(n, dtype=bool))}, n
             )
-            cols = _Columns(cols.starts, cols.ends, np.asarray(values, dtype=np.float64))
-            return cols.select(valid)
+            cols = ColumnChunk(cols.starts, cols.ends, np.asarray(values, dtype=np.float64))
+            return cols[valid]
         if isinstance(node, Where):
             cols = self._columns_for(node.parents[0], streams)
             n = len(cols)
             keep, valid = eval_expr_vectorized(
                 node.predicate, {PAYLOAD_VAR: (cols.values, np.ones(n, dtype=bool))}, n
             )
-            return cols.select(valid & (keep != 0))
+            return cols[valid & (keep != 0)]
         if isinstance(node, WindowAggregate):
             cols = self._columns_for(node.parents[0], streams)
             return self._window_aggregate(cols, node)
@@ -129,9 +98,9 @@ class GrizzlyEngine:
     # ------------------------------------------------------------------ #
     # shared-state parallel window aggregation
     # ------------------------------------------------------------------ #
-    def _window_aggregate(self, cols: _Columns, node: WindowAggregate) -> _Columns:
+    def _window_aggregate(self, cols: ColumnChunk, node: WindowAggregate) -> ColumnChunk:
         if len(cols) == 0:
-            return _Columns(np.empty(0), np.empty(0), np.empty(0))
+            return ColumnChunk.empty()
         agg = node.agg
         size, stride = node.size, node.stride
         values = cols.values
@@ -140,7 +109,7 @@ class GrizzlyEngine:
             values, valid = eval_expr_vectorized(
                 node.element, {PAYLOAD_VAR: (values, np.ones(n, dtype=bool))}, n
             )
-            cols = _Columns(cols.starts[valid], cols.ends[valid], values[valid])
+            cols = ColumnChunk(cols.starts[valid], cols.ends[valid], values[valid])
             values = cols.values
 
         shared_state: Dict[int, Tuple] = {}
@@ -171,14 +140,14 @@ class GrizzlyEngine:
             executor.shutdown()
 
         if not shared_state:
-            return _Columns(np.empty(0), np.empty(0), np.empty(0))
+            return ColumnChunk.empty()
         windows = np.array(sorted(shared_state.keys()), dtype=np.int64)
         results = np.array(
             [self._finalize_state(agg, shared_state[w]) for w in windows], dtype=np.float64
         )
         ends = windows.astype(np.float64) * stride
         starts = ends - stride
-        return _Columns(starts, ends, results)
+        return ColumnChunk(starts, ends, results)
 
     @staticmethod
     def _chunk_partials(

@@ -23,10 +23,11 @@ import numpy as np
 
 from ...core.frontend.query import WindowAggregate
 from ...core.runtime.executor import make_executor
+from ...core.runtime.stream import ColumnChunk
 from ...errors import UnsupportedOperationError
 from ...windowing.functions import AggregateFunction
 from ..common.vectoreval import eval_expr_vectorized
-from ..grizzly.engine import PAYLOAD_VAR, GrizzlyEngine, _Columns
+from ..grizzly.engine import PAYLOAD_VAR, GrizzlyEngine
 
 __all__ = ["LightSaberEngine"]
 
@@ -39,9 +40,9 @@ class LightSaberEngine(GrizzlyEngine):
     # ------------------------------------------------------------------ #
     # pane-based window aggregation (overrides Grizzly's shared-state path)
     # ------------------------------------------------------------------ #
-    def _window_aggregate(self, cols: _Columns, node: WindowAggregate) -> _Columns:
+    def _window_aggregate(self, cols: ColumnChunk, node: WindowAggregate) -> ColumnChunk:
         if len(cols) == 0:
-            return _Columns(np.empty(0), np.empty(0), np.empty(0))
+            return ColumnChunk.empty()
         agg = node.agg
         if not agg.mergeable:
             raise UnsupportedOperationError(
@@ -60,7 +61,7 @@ class LightSaberEngine(GrizzlyEngine):
             )
             starts, ends, values = starts[valid], ends[valid], values[valid]
             if len(starts) == 0:
-                return _Columns(np.empty(0), np.empty(0), np.empty(0))
+                return ColumnChunk.empty()
 
         # assign each event to the pane containing its start time; pane k
         # covers ((k-1)*pane, k*pane].
@@ -165,10 +166,10 @@ class LightSaberEngine(GrizzlyEngine):
     def _combine_decomposable(
         self, agg, pane_components, pane_counts, first_pane, pane,
         panes_per_window, panes_per_stride, stride, last_event_end,
-    ) -> _Columns:
+    ) -> ColumnChunk:
         grid = self._window_grid(first_pane, pane, stride, last_event_end)
         if not len(grid):
-            return _Columns(np.empty(0), np.empty(0), np.empty(0))
+            return ColumnChunk.empty()
         # window ending at grid g spans panes (g/pane - panes_per_window, g/pane]
         end_pane = np.round(grid / pane).astype(np.int64) - first_pane
         lo_pane = end_pane - panes_per_window + 1
@@ -181,12 +182,12 @@ class LightSaberEngine(GrizzlyEngine):
         with np.errstate(invalid="ignore", divide="ignore"):
             results = np.asarray(agg.prefix_result(*sums), dtype=np.float64)
         keep = counts > 0
-        return _Columns(grid[keep] - stride, grid[keep], results[keep])
+        return ColumnChunk(grid[keep] - stride, grid[keep], results[keep])
 
     def _combine_generic(
         self, agg, pane_states, first_pane, pane,
         panes_per_window, panes_per_stride, stride, last_event_end,
-    ) -> _Columns:
+    ) -> ColumnChunk:
         grid = self._window_grid(first_pane, pane, stride, last_event_end)
         out_starts, out_ends, out_values = [], [], []
         for g in grid:
@@ -203,7 +204,7 @@ class LightSaberEngine(GrizzlyEngine):
                 out_starts.append(g - stride)
                 out_ends.append(g)
                 out_values.append(float(agg.result(state)))
-        return _Columns(np.array(out_starts), np.array(out_ends), np.array(out_values))
+        return ColumnChunk(np.array(out_starts), np.array(out_ends), np.array(out_values))
 
     @staticmethod
     def _pane_size(size: float, stride: float) -> float:

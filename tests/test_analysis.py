@@ -287,9 +287,23 @@ class TestLint:
             ("LNT103", 11),
         }
 
+    def test_columnar_ingest_fixture(self):
+        found = lint_file(LINT_FIXTURES / "datagen" / "sources.py")
+        assert self.codes_at(found) == {
+            ("LNT104", 9),
+            ("LNT104", 16),
+            ("LNT104", 20),
+        }
+
+    def test_columnar_ingest_rule_only_applies_to_the_ingest_hot_path(self):
+        src = "def f(events):\n    return [e.start for e in events]\n"
+        assert lint_source(src, "spe/trill/engine.py") == []
+        for module in ("core/runtime/session.py", "datagen/sources.py"):
+            assert [v.code for v in lint_source(src, module)] == ["LNT104"]
+
     def test_directory_walk_finds_all_seeded_violations(self):
         found = lint_paths([LINT_FIXTURES])
-        assert len(found) == 12
+        assert len(found) == 15
 
     def test_suppression_comment_silences_a_violation(self):
         src = (

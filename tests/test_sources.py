@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.runtime.stream import Event, EventStream
+from repro.core.runtime.stream import ColumnChunk, Event, EventStream
 from repro.datagen import stock_price_stream
 from repro.datagen.sources import (
     BoundedIngestQueue,
@@ -25,6 +25,19 @@ def sample_stream(n=10, period=1.0, name="s"):
     return EventStream.from_samples(np.arange(n, dtype=float), period=period, name=name)
 
 
+@pytest.fixture(params=["events", "chunk"])
+def batch(request):
+    """``batch(n)``: n in-order sample events, as a ``List[Event]`` or as the
+    ``ColumnChunk`` it coerces to — the queue must treat both alike."""
+    if request.param == "events":
+        return lambda n: sample_stream(n).events
+    return lambda n: sample_stream(n).columns()
+
+
+def starts_of(chunk):
+    return chunk.starts.tolist()
+
+
 class TestStreamReplaySource:
     def test_replays_in_order_with_rate(self):
         src = StreamReplaySource(sample_stream(10), events_per_poll=3)
@@ -34,7 +47,7 @@ class TestStreamReplaySource:
             assert len(chunk) <= 3
             seen.extend(chunk)
         assert [e.start for e in seen] == [float(i) for i in range(10)]
-        assert src.poll() == []
+        assert len(src.poll()) == 0
 
     def test_horizon_is_next_undelivered_start(self):
         src = StreamReplaySource(sample_stream(4), events_per_poll=2)
@@ -101,21 +114,43 @@ class TestThrottledSource:
 
 
 class TestBoundedIngestQueue:
-    def test_put_drain_roundtrip(self):
+    def test_put_drain_roundtrip(self, batch):
         q = BoundedIngestQueue(capacity=8)
-        events = sample_stream(5).events
-        assert q.put(events)
+        assert q.put(batch(5)) == 5
         assert len(q) == 5
         assert q.peek_start() == 0.0
-        assert [e.start for e in q.drain(2)] == [0.0, 1.0]
+        assert starts_of(q.drain(2)) == [0.0, 1.0]
         assert len(q.drain()) == 3
-        assert q.peek_start() is None
+        assert q.peek_start() is None and len(q.drain()) == 0
 
-    def test_put_blocks_until_drained(self):
+    def test_put_splits_a_chunk_at_capacity(self, batch):
+        """Capacity counts events, not chunks: a batch larger than the free
+        space is split, and only the prefix that fits is enqueued."""
+        q = BoundedIngestQueue(capacity=5)
+        assert q.put(batch(3)) == 3
+        assert q.put(batch(4), timeout=0.0) == 2  # 2 free slots of 5
+        assert len(q) == 5
+        assert starts_of(q.drain()) == [0.0, 1.0, 2.0, 0.0, 1.0]
+
+    def test_drain_splits_the_head_chunk(self, batch):
+        """``drain(max_events)`` counts events: it takes part of the head
+        chunk, leaves the rest queued, and re-joins across chunk borders;
+        depth and ``peek_start`` stay exact throughout."""
+        q = BoundedIngestQueue(capacity=16)
+        q.put(batch(4))
+        q.put(sample_stream(10).columns()[4:9])
+        assert starts_of(q.drain(3)) == [0.0, 1.0, 2.0]
+        assert len(q) == 6 and q.peek_start() == 3.0
+        assert starts_of(q.drain(3)) == [3.0, 4.0, 5.0]  # spans both chunks
+        assert len(q) == 3 and q.peek_start() == 6.0
+        assert starts_of(q.drain(100)) == [6.0, 7.0, 8.0]
+        assert len(q) == 0 and q.peek_start() is None
+
+    def test_put_blocks_until_drained(self, batch):
         """Backpressure: a producer pushing past capacity blocks until the
         consumer drains."""
         q = BoundedIngestQueue(capacity=4)
-        events = sample_stream(8).events
+        events = batch(8)
         done = threading.Event()
 
         def producer():
@@ -136,11 +171,11 @@ class TestBoundedIngestQueue:
         assert q.put(sample_stream(2).events) == 2
         assert q.put(sample_stream(2).events, timeout=0.05) == 0
 
-    def test_put_reports_partial_delivery(self):
+    def test_put_reports_partial_delivery(self, batch):
         """The timeout is a total deadline and put returns the enqueued
         prefix length, so producers can retry events[n:] safely."""
         q = BoundedIngestQueue(capacity=4)
-        events = sample_stream(8).events
+        events = batch(8)
         start = time.monotonic()
         n = q.put(events, timeout=0.05)
         assert n == 4
@@ -157,7 +192,7 @@ class TestBoundedIngestQueue:
         assert exc_info.value.enqueued == 0
         assert q.closed
 
-    def test_close_releases_blocked_producer(self):
+    def test_close_releases_blocked_producer(self, batch):
         """A producer blocked on a full queue must be woken by ``close`` and
         raise (no deadlock); the accepted prefix stays deliverable."""
         q = BoundedIngestQueue(capacity=3)
@@ -165,7 +200,7 @@ class TestBoundedIngestQueue:
 
         def producer():
             try:
-                q.put(sample_stream(8).events)  # 8 into 3 slots: blocks
+                q.put(batch(8))  # 8 into 3 slots: blocks
             except QueueClosedError as exc:
                 outcome["enqueued"] = exc.enqueued
 
@@ -178,7 +213,7 @@ class TestBoundedIngestQueue:
         assert not t.is_alive()
         assert outcome["enqueued"] == 3
         # the accepted prefix is still drainable by the consumer
-        assert [e.start for e in q.drain()] == [0.0, 1.0, 2.0]
+        assert starts_of(q.drain()) == [0.0, 1.0, 2.0]
 
     def test_push_after_close_raises(self):
         src = QueuedSource("s", capacity=4)
@@ -192,9 +227,9 @@ class TestBoundedIngestQueue:
 
 
 class TestQueuedSource:
-    def test_push_poll_and_watermark(self):
+    def test_push_poll_and_watermark(self, batch):
         src = QueuedSource("s", capacity=16)
-        events = sample_stream(4).events
+        events = batch(4)
         src.push(events[:2])
         assert src.horizon == 0.0  # first queued, undrained event
         assert [e.start for e in src.poll()] == [0.0, 1.0]
@@ -210,8 +245,13 @@ class TestQueuedSource:
     def test_rejects_out_of_order_push(self):
         src = QueuedSource("s")
         src.push([Event(5.0, 6.0, 1.0)])
-        with pytest.raises(QueryBuildError):
-            src.push([Event(1.0, 2.0, 1.0)])
+        with pytest.raises(QueryBuildError, match="must be pushed in start order"):
+            src.push([Event(1.0, 2.0, 1.0)])  # before the last pushed start
+        with pytest.raises(QueryBuildError, match="must be pushed in start order"):
+            src.push(ColumnChunk([6.0, 8.0, 7.0], [7.0, 9.0, 8.0], [1.0, 1.0, 1.0]))  # inside
+        assert src.depth == 1  # a rejected batch enqueues nothing
+        # start-ordered but overlapping is *not* a push error: the tick rejects it
+        assert src.push([Event(5.0, 10.0, 1.0), Event(6.0, 12.0, 2.0)]) == 2
 
     def test_concurrent_producers_never_corrupt_order(self):
         """push serializes validate+put: racing producers either land in
@@ -249,16 +289,43 @@ class TestQueuedSource:
         # sources without a queue report zero rather than failing
         assert ThrottledSource(StreamReplaySource(sample_stream(3)), 2).depth == 0
 
-    def test_partial_push_is_retryable(self):
+    def test_partial_push_is_retryable(self, batch):
         """A timed-out push must leave order/watermark state matching the
         delivered prefix so the producer can retry the remainder."""
         src = QueuedSource("s", capacity=3)
-        events = sample_stream(6).events
+        events = batch(6)
         n = src.push(events, timeout=0.05)
-        assert n == 3 and src.horizon == 0.0
+        assert n == 3 and src.horizon == 0.0 and src.depth == 3
+        assert starts_of(src.poll(2)) == [0.0, 1.0]
+        # partial drain: the horizon is the first event still queued ...
+        assert src.depth == 1 and src.horizon == 2.0
         src.poll()
+        # ... and, once drained, the last *accepted* start — not events[5]'s
+        assert src.depth == 0 and src.horizon == 2.0
         assert src.push(events[n:], timeout=0.05) == 3  # no order error
-        assert [e.start for e in src.poll()] == [3.0, 4.0, 5.0]
+        assert starts_of(src.poll()) == [3.0, 4.0, 5.0]
+
+    def test_close_wakes_blocked_push_with_accepted_prefix(self, batch):
+        """A push blocked on a full queue is woken by ``close``; the
+        watermark reflects exactly the prefix ``exc.enqueued`` reports."""
+        src = QueuedSource("s", capacity=3)
+        outcome = {}
+
+        def producer():
+            try:
+                src.push(batch(8))
+            except QueueClosedError as exc:
+                outcome["enqueued"] = exc.enqueued
+
+        t = threading.Thread(target=producer, daemon=True)
+        t.start()
+        time.sleep(0.05)
+        assert src.depth == 3 and "enqueued" not in outcome
+        src.close()
+        t.join(timeout=2.0)
+        assert not t.is_alive() and outcome["enqueued"] == 3
+        assert starts_of(src.poll()) == [0.0, 1.0, 2.0]
+        assert src.exhausted and src.horizon == INF
 
 
 class TestFiniteness:

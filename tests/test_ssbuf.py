@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.runtime.ssbuf import SSBuf, Snapshot, ssbuf_from_stream, ssbufs_from_stream
-from repro.core.runtime.stream import Event, EventStream
+from repro.core.runtime.ssbuf import (
+    SSBuf,
+    Snapshot,
+    change_points,
+    ssbuf_from_stream,
+    ssbufs_from_stream,
+)
+from repro.core.runtime.stream import ColumnChunk, Event, EventStream
 from repro.errors import OverlappingEventsError, QueryBuildError
 
 
@@ -234,3 +240,39 @@ def test_property_slice_preserves_values(events, width, offset):
     fv, fk = buf.values_at(grid)
     assert np.array_equal(sk, fk)
     assert np.allclose(sv[sk], fv[fk])
+
+
+def loop_change_points(events, prev_end):
+    """The per-event construction ``change_points`` replaced (the reference)."""
+    times, values, valid = [], [], []
+    for e in events:
+        if e.start > prev_end:
+            times.append(e.start), values.append(0.0), valid.append(False)
+        times.append(e.end), values.append(e.payload), valid.append(True)
+        prev_end = e.end
+    return times, values, valid
+
+
+@given(disjoint_event_lists(), st.sampled_from([0.0, 0.5, 2.0]), st.integers(min_value=0, max_value=30))
+@settings(max_examples=80, deadline=None)
+def test_property_change_points_matches_the_per_event_loop(events, lead, cut):
+    """The one vectorised builder equals the loop, whole or in two appends —
+    the prefix identity tick-by-tick ingestion rests on."""
+    chunk = ColumnChunk.coerce(events)
+    prev_end = events[0].start - lead  # lead > 0: an explicit earlier start
+    want = loop_change_points(events, prev_end)
+
+    def build(part, prev):
+        times, valid, (vals, twice) = change_points(
+            part.starts, part.ends, [part.values, 2 * part.values], prev
+        )
+        assert np.array_equal(twice, 2 * vals)  # every column shares the layout
+        return times.tolist(), vals.tolist(), valid.tolist()
+
+    assert build(chunk, prev_end) == want
+    cut = min(cut, len(events))
+    if 0 < cut < len(events):
+        head, tail = build(chunk[:cut], prev_end), build(chunk[cut:], events[cut - 1].end)
+        assert tuple(h + t for h, t in zip(head, tail)) == want
+    with pytest.raises(OverlappingEventsError, match="overlaps or precedes"):
+        change_points(chunk.starts, chunk.ends, [chunk.values], events[0].start + 0.05)

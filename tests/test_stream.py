@@ -52,8 +52,22 @@ class TestEventStream:
 
     def test_order_enforced(self):
         events = [Event(5.0, 6.0, 1.0), Event(1.0, 2.0, 2.0)]
-        with pytest.raises(StreamOrderError):
+        with pytest.raises(StreamOrderError, match="starting at 1.0 arrived after 5.0"):
             EventStream(events)
+
+    def test_invalid_interval_rejected_for_arrays(self):
+        with pytest.raises(QueryBuildError, match=r"end > start, got \(1.0, 1.0\]"):
+            EventStream.from_arrays([0, 1], [1, 1], [1.0, 2.0])
+        with pytest.raises(QueryBuildError):
+            EventStream.from_samples([1.0, 2.0], period=0.0)
+
+    def test_columns_back_the_stream_and_events_materialise_once(self):
+        s = EventStream.from_samples([1.0, 2.0, 3.0], period=0.5)
+        cols = s.columns()
+        assert cols.starts.tolist() == [0.0, 0.5, 1.0] and cols.values.tolist() == [1.0, 2.0, 3.0]
+        assert s.starts() is cols.starts and s.values() is cols.values
+        assert s.events is s.events and s.events == cols.to_events()
+        assert s[-1] == Event(1.0, 1.5, 3.0) and len(s.events[1:]) == 2
 
     def test_time_range(self, simple_stream):
         assert simple_stream.time_range() == (5.0, 35.0)
