@@ -5,8 +5,8 @@ machine-readable record (name, params, events/sec, latency percentiles) and
 written to a JSON file, so a perf trajectory can be recorded across
 commits:
 
-* argparse-driven scripts (``bench_sustained_throughput.py``,
-  ``bench_multitenant.py``) take ``--json PATH`` (see :func:`add_json_option`);
+* the argparse-driven ``bench_multitenant.py`` takes ``--json PATH`` (see
+  :func:`add_json_option`);
 * pytest-benchmark suites (the ``bench_fig*`` files) take
   ``pytest --bench-json PATH`` (wired in ``conftest.py``) — every
   :func:`record_throughput` row is collected automatically.
@@ -20,17 +20,11 @@ import platform
 import socket
 import subprocess
 import sys
-import time
 from typing import Dict, List, Optional
 
 #: machine-readable results collected during this process (one dict per
 #: benchmark row; see :func:`record_result` for the schema)
 RECORDS: List[dict] = []
-
-#: the engine-behaviour env knobs worth recording with a perf number — a
-#: result measured under the process executor or with tracing on is not
-#: comparable to one measured without
-_ENV_KNOBS = ("REPRO_EXECUTOR", "REPRO_TRACE")
 
 _METADATA: Optional[dict] = None
 
@@ -49,36 +43,11 @@ def _git_sha() -> Optional[str]:
     return out.stdout.strip() or None if out.returncode == 0 else None
 
 
-def hardware_score(repeats: int = 5) -> float:
-    """A dimensionless single-core speed score for this machine.
-
-    Times a small fixed NumPy kernel (best-of-``repeats``, so scheduler
-    noise only ever makes the machine look *slower*) and returns work per
-    second, scaled so ~1.0 lands on a mid-range 2020s core.  Recorded into
-    every result file, it lets :mod:`check_regression` compare a number
-    measured on a laptop against a baseline seeded in CI: throughput is
-    expected to scale roughly with this score, and the gate calibrates by
-    the ratio instead of hard-failing on hardware difference.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(200_000)
-    b = rng.standard_normal(200_000)
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        c = np.cumsum(a * b)
-        s = float(np.sort(c)[::4].sum())
-        best = min(best, time.perf_counter() - t0)
-        assert s == s  # keep the work observable
-    return round(0.002 / best, 3)
-
-
 def run_metadata(refresh: bool = False) -> dict:
     """Provenance of this benchmark process, computed once and attached to
-    every recorded row: a result file must identify the commit, machine and
-    engine configuration it was measured under to be comparable later."""
+    every recorded row: a result file must identify the commit and machine
+    it was measured on to be comparable later (the engine configuration is
+    in each row's ``params``)."""
     global _METADATA
     if _METADATA is None or refresh:
         import numpy as np
@@ -90,8 +59,6 @@ def run_metadata(refresh: bool = False) -> dict:
             "numpy": np.__version__,
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
-            "env": {k: os.environ[k] for k in _ENV_KNOBS if k in os.environ},
-            "hardware_score": hardware_score(),
         }
     return dict(_METADATA)
 

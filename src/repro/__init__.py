@@ -21,7 +21,7 @@ runtime for stream queries.  This package provides:
   scheduling (round-robin / deficit fair-share), admission control and
   fleet-level observability over one shared engine;
 * ``repro.obs`` — the cross-cutting observability layer: span tracing
-  (``TiltEngine(trace=True)`` / ``REPRO_TRACE=1``), the unified
+  (``TiltEngine(trace=True)``), the unified
   :class:`~repro.obs.MetricsRegistry` with Prometheus/JSON exporters,
   Chrome trace-event export and the per-tenant flight recorder.
 

@@ -29,6 +29,14 @@ by memory:
     and kernel (0.66 µs/event, 0.78 of a YSB tick before PR 13).  The one
     coercion loop at the public API edge carries an explicit allow.
 
+``LNT105`` — execution settings read from the environment
+    Every execution setting (backend, codegen tier, tracing, tick path) is
+    a ``TiltEngine`` constructor argument resolved once; an ``os.environ``
+    read elsewhere is a second, invisible place that decides how queries
+    run (the ``REPRO_EXECUTOR``/``REPRO_CODEGEN``/``REPRO_TRACE`` overrides
+    PR 15 deleted).  Only the deployment settings in
+    :data:`ALLOWED_ENV_READS` may come from the environment.
+
 A violation line can be suppressed explicitly with a trailing
 ``# lint: allow(LNT101)`` comment; the suppression is itself visible in
 review, which is the point.
@@ -59,6 +67,13 @@ INGEST_HOT_PATH_MODULES = (
     "core/runtime/session.py",
     "core/runtime/stream.py",
     "datagen/sources.py",
+)
+
+#: environment variables the package may read — where the toolchain, its
+#: cache and the multiprocessing start method live on this host, plus the
+#: test hook that simulates a missing toolchain (the LNT105 allow-list)
+ALLOWED_ENV_READS = frozenset(
+    {"REPRO_NATIVE_CC", "REPRO_NATIVE_CACHE", "REPRO_MP_CONTEXT", "REPRO_NATIVE_DISABLE"}
 )
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([A-Z0-9,\s]+)\)")
@@ -371,6 +386,63 @@ class _ColumnarIngestDiscipline(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------- #
+# LNT105: execution settings read from the environment
+# ---------------------------------------------------------------------- #
+def _is_environ(expr: ast.expr) -> bool:
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "environ" and _terminal_name(expr.value) == "os"
+    return isinstance(expr, ast.Name) and expr.id == "environ"
+
+
+class _EnvironmentDiscipline(ast.NodeVisitor):
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.violations: List[LintViolation] = []
+
+    def _flag(self, node: ast.AST, what: str) -> None:
+        self.violations.append(
+            LintViolation(
+                path=self.path,
+                line=node.lineno,
+                code="LNT105",
+                message=(
+                    f"{what}; execution settings are TiltEngine arguments — only "
+                    "the deployment settings in ALLOWED_ENV_READS come from the environment"
+                ),
+            )
+        )
+
+    def _check_key(self, node: ast.AST, key: Optional[ast.expr]) -> None:
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            self._flag(node, "environment read with a computed variable name")
+        elif key.value not in ALLOWED_ENV_READS:
+            self._flag(node, f"environment read of {key.value!r}")
+
+    def visit_Call(self, node: ast.Call) -> None:  # noqa: N802
+        func = node.func
+        if isinstance(func, ast.Attribute) and (
+            (func.attr == "get" and _is_environ(func.value))
+            or (func.attr == "getenv" and _terminal_name(func.value) == "os")
+        ):
+            self._check_key(node, node.args[0] if node.args else None)
+            for arg in node.args[1:]:
+                self.visit(arg)
+            return
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:  # noqa: N802
+        if _is_environ(node.value):
+            self._check_key(node, node.slice)
+            return
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:  # noqa: N802
+        if _is_environ(node):
+            self._flag(node, "os.environ used other than to read one named variable")
+        self.generic_visit(node)
+
+
+# ---------------------------------------------------------------------- #
 # driver
 # ---------------------------------------------------------------------- #
 def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
@@ -389,6 +461,7 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
     checkers: List[ast.NodeVisitor] = [
         _LockDiscipline(path),
         _MetricNameDiscipline(path),
+        _EnvironmentDiscipline(path),
     ]
     normalized = path.replace("\\", "/")
     if any(normalized.endswith(helper) for helper in KERNEL_HELPER_MODULES):

@@ -7,6 +7,12 @@ temporal expression and wraps everything into a :class:`CompiledQuery` whose
 ``run`` method executes the query over an arbitrary symbolic interval
 ``(Ts, Te]`` — exactly the callable-with-parametrized-boundaries artifact of
 Figure 3d, which the parallel runtime then invokes once per partition.
+
+Every kernel runs on one of three tiers behind the same ``run`` signature:
+the generated NumPy source, its native C lowering, or — the internal
+:data:`INTERPRETED_TIER` behind ``TiltEngine(mode="interpreted")`` — the
+reference interpreter evaluating the kernel's IR directly.  The runtime
+therefore executes one kind of artifact however it was made.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -28,26 +35,18 @@ from ..lineage.boundary import BoundarySpec, resolve_boundaries
 from ..optimizer.passes import PassManager, default_pass_manager
 from ..runtime.ssbuf import SSBuf
 from . import native
+from .interpreter import evaluate_temporal_expr
 from .native import NATIVE_TIER, NUMPY_TIER
 from .pysource import ELEMENT_FUNCTION_NAME, KERNEL_FUNCTION_NAME, KernelSpec, generate_kernel_spec
 from .runtime_support import KernelRuntime
 
-__all__ = ["CompiledKernel", "CompiledQuery", "compile_program", "resolve_codegen_tier"]
+__all__ = ["CompiledKernel", "CompiledQuery", "compile_program", "INTERPRETED_TIER"]
 
-
-def resolve_codegen_tier(codegen_tier: str) -> str:
-    """Resolve a user-facing tier name to a concrete one.
-
-    ``"auto"`` picks the native tier exactly when its toolchain is present;
-    unknown names raise :class:`CompilationError`.
-    """
-    if codegen_tier not in native.CODEGEN_TIERS:
-        raise CompilationError(
-            f"unknown codegen tier {codegen_tier!r} (expected one of {native.CODEGEN_TIERS})"
-        )
-    if codegen_tier == "auto":
-        return NATIVE_TIER if native.native_available() else NUMPY_TIER
-    return codegen_tier
+#: the oracle's kernel tier: ``run`` evaluates the kernel's IR with the
+#: reference interpreter and never ``exec``s generated source, so its output
+#: is independent of the code generator.  Internal — users spell it
+#: ``TiltEngine(mode="interpreted")``.
+INTERPRETED_TIER = "interpreted"
 
 #: per-process kernel rebuild cache, keyed by spec content digest.  When a
 #: pickled kernel arrives in a worker process (or is unpickled repeatedly in
@@ -70,21 +69,28 @@ def _rebuild_kernel(spec: KernelSpec, tier: str = NUMPY_TIER) -> "CompiledKernel
 
 
 class CompiledKernel:
-    """One executable kernel: generated source + its runtime support object.
+    """One executable kernel: a spec instantiated on a tier in this process.
 
     The class separates *what a kernel is* (the :class:`KernelSpec`: sources,
-    aggregate descriptors, access pattern — picklable whenever its aggregates
-    are) from *a kernel instantiated in this process* (the exec'd function
-    and its :class:`KernelRuntime`, which never cross a process boundary).
-    Pickling therefore ships only the spec; unpickling re-instantiates
-    through the per-process rebuild cache.
+    fused IR, aggregate descriptors, access pattern — picklable whenever its
+    aggregates are) from *a kernel instantiated in this process* (the exec'd
+    function and its :class:`KernelRuntime`, which never cross a process
+    boundary).  Pickling therefore ships only the spec and the tier;
+    unpickling re-instantiates through the per-process rebuild cache.
     """
 
     def __init__(self, spec: KernelSpec, tier: str = NUMPY_TIER):
         self.spec = spec
-        #: the *requested* codegen tier; :attr:`active_tier` is what actually
-        #: serves ``run`` after any per-kernel fallback
+        #: the *requested* tier; :attr:`active_tier` is what actually serves
+        #: ``run`` after any per-kernel fallback
         self.tier = tier
+        self._native = None
+        self.native_fallback_reason: Optional[str] = None
+        self.native_build_seconds = 0.0
+        if tier == INTERPRETED_TIER:
+            self.runtime = self._function = None
+            self.active_tier = INTERPRETED_TIER
+            return
         element_functions = [
             self._compile_function(src, ELEMENT_FUNCTION_NAME, f"<tilt-element-{spec.name}-{i}>")
             for i, src in enumerate(spec.element_sources)
@@ -93,15 +99,10 @@ class CompiledKernel:
         self._function = self._compile_function(
             spec.source, KERNEL_FUNCTION_NAME, f"<tilt-kernel-{spec.name}>"
         )
-        self._native = None
-        self.native_fallback_reason: Optional[str] = None
-        self.native_build_seconds = 0.0
         if tier == NATIVE_TIER:
-            import time as _time
-
-            started = _time.perf_counter()
+            started = time.perf_counter()
             self._native, self.native_fallback_reason = native.instantiate(spec)
-            self.native_build_seconds = _time.perf_counter() - started
+            self.native_build_seconds = time.perf_counter() - started
         self.active_tier = NATIVE_TIER if self._native is not None else NUMPY_TIER
 
     @classmethod
@@ -163,8 +164,12 @@ class CompiledKernel:
         here so reductions hit persistent per-session state.  A runtime
         override therefore forces the NumPy path even on a native-tier
         kernel: the override's whole point is interposing on ``rt.reduce``
-        calls, which the fused C loop does not make.
+        calls, which the fused C loop does not make (nor does the
+        interpreted tier, which ignores the override — sessions never pass
+        one to it).
         """
+        if self._function is None:  # interpreted tier: evaluate the IR itself
+            return evaluate_temporal_expr(self.spec.te, env, t_start, t_end)
         if runtime is None and self._native is not None:
             return self._native.run(env, t_start, t_end, self.runtime)
         return self._function(env, t_start, t_end, runtime if runtime is not None else self.runtime)
@@ -259,10 +264,18 @@ class CompiledQuery:
         """True when the whole query collapsed into a single kernel."""
         return len(self.kernels) == 1
 
-    @property
-    def codegen_tiers(self) -> Dict[str, str]:
-        """Per-kernel *active* tier (post-fallback), keyed by kernel name."""
-        return {k.name: k.active_tier for k in self.kernels}
+    def kernel_plan(self) -> List[Dict[str, Optional[str]]]:
+        """One row per kernel: the tier requested, the tier actually serving
+        ``run`` and, when they differ, why."""
+        return [
+            {
+                "kernel": k.name,
+                "requested_tier": k.tier,
+                "active_tier": k.active_tier,
+                "fallback_reason": k.native_fallback_reason,
+            }
+            for k in self.kernels
+        ]
 
     def kernel_named(self, name: str) -> CompiledKernel:
         for k in self.kernels:
@@ -271,15 +284,34 @@ class CompiledQuery:
         raise KeyError(name)
 
     def sources(self) -> str:
-        """Concatenated generated sources (debugging / golden tests)."""
-        return "\n\n".join(k.spec.describe() for k in self.kernels)
+        """Concatenated sources of the kernels that execute generated code
+        (debugging / golden tests / flight-recorder evidence)."""
+        return "\n\n".join(
+            k.spec.describe()
+            if k.active_tier != INTERPRETED_TIER
+            else f"# ~{k.name}: interpreted, executes no generated source"
+            for k in self.kernels
+        )
 
-    def run(self, inputs: Mapping[str, SSBuf], t_start: float, t_end: float) -> SSBuf:
+    def run(
+        self,
+        inputs: Mapping[str, SSBuf],
+        t_start: float,
+        t_end: float,
+        output_runtime: Optional[KernelRuntime] = None,
+    ) -> SSBuf:
         """Execute the query over ``(t_start, t_end]`` and return the output buffer.
 
         Intermediate (non-output) expressions are materialized over an
         interval extended by the resolved margins so that downstream kernels
         can read into the past/future they need.
+
+        ``output_runtime`` is the in-process session tick: the output kernel
+        runs with that session-private runtime over ``inputs`` *unsliced*
+        (its persistent reduce sites may only ever ingest true input
+        snapshots, never slice-clipped phantoms), while intermediates are
+        rebuilt from the margin slices a partition would have handed them —
+        byte-identical to the single-partition batch materialization.
         """
         env: Dict[str, SSBuf] = dict(inputs)
         missing = [name for name in self.program.inputs if name not in env]
@@ -287,11 +319,19 @@ class CompiledQuery:
             raise ExecutionError(f"missing input streams: {missing}")
         lookback = self.boundary.max_lookback
         lookahead = self.boundary.max_lookahead
+        margin_env = env
+        if output_runtime is not None and len(self.kernels) > 1:
+            margin_env = {
+                name: buf.slice(*self.boundary.input_interval(name, t_start, t_end))
+                for name, buf in inputs.items()
+            }
         for kernel in self.kernels:
             if kernel.name == self.program.output:
-                env[kernel.name] = kernel.run(env, t_start, t_end)
+                env[kernel.name] = kernel.run(env, t_start, t_end, runtime=output_runtime)
             else:
-                env[kernel.name] = kernel.run(env, t_start - lookback, t_end + lookahead)
+                env[kernel.name] = margin_env[kernel.name] = kernel.run(
+                    margin_env, t_start - lookback, t_end + lookahead
+                )
         return env[self.program.output]
 
 
@@ -307,11 +347,17 @@ def compile_program(
 
     ``optimize=False`` skips the optimizer entirely (the "UnOpt" configuration
     of the Figure 10 study); ``enable_fusion=False`` keeps the cleanup passes
-    but disables operator fusion.  ``codegen_tier`` selects the lowering
-    tier per kernel (``"numpy"``, ``"native"`` or ``"auto"``); native-tier
-    kernels that cannot be lowered fall back to NumPy individually.
+    but disables operator fusion.  ``codegen_tier`` selects the tier every
+    kernel is instantiated on (``"numpy"`` or ``"native"``; native-tier
+    kernels that cannot be lowered fall back to NumPy individually).  The
+    engine's interpreted mode is ``optimize=False`` on
+    :data:`INTERPRETED_TIER`.
     """
-    tier = resolve_codegen_tier(codegen_tier)
+    tiers = native.CODEGEN_TIERS + (INTERPRETED_TIER,)
+    if codegen_tier not in tiers:
+        raise CompilationError(
+            f"unknown codegen tier {codegen_tier!r} (expected one of {tiers})"
+        )
     validate_program(program)
     pm: Optional[PassManager] = None
     if optimize:
@@ -335,7 +381,7 @@ def compile_program(
     specs = [generate_kernel_spec(by_name[name]) for name in order]
     for spec in specs:
         spec.bounds_proof = f"{proof}:{spec.name}"
-    kernels = [CompiledKernel(spec, tier=tier) for spec in specs]
+    kernels = [CompiledKernel(spec, tier=codegen_tier) for spec in specs]
     return CompiledQuery(
         program=program, boundary=boundary, kernels=kernels, pass_manager=pm, report=report
     )

@@ -19,16 +19,15 @@ Init/Acc/Result/Deacc escalation of the paper's aggregation template
   :class:`~repro.windowing.prefix.PrefixRangeIndex`: appending a tick's tail
   extends the component cumsums in O(new) and queries stay vectorized.
 * every other reduction stays on the per-invocation vectorized
-  :class:`~repro.windowing.sliding.RangeAggregator` of the base runtime.
-  Their persistent form, :class:`OnlineSweep` (a monotone two-pointer sweep
-  driving an online aggregator from :mod:`repro.windowing.online`), walks
-  snapshots in Python and is slower per tick than rebuilding the vectorized
-  index, so only the explicit ``incremental=True`` oracle switch selects it.
+  :class:`~repro.windowing.sliding.RangeAggregator` of the base runtime: a
+  persistent form would have to walk snapshots in Python (the online
+  aggregators of :mod:`repro.windowing.online`, the paper's reference
+  algorithms), which measured slower per tick than rebuilding the
+  vectorized index.
 * reductions over *intermediate* expressions never persist: intermediates
   are rebuilt from scratch each tick over their margin window, whereas
   input columns are append-only (which makes "ingest the new tail"
-  well-defined) and the output interval advances monotonically (which the
-  sweep pointers require).
+  well-defined).
 
 The runtime also exposes the *retention floor* the session's carry-over
 pruning must respect: input snapshots newer than a site's ingest horizon
@@ -38,37 +37,26 @@ have not been consumed yet and must survive pruning (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ...windowing.functions import AggregateFunction
-from ...windowing.online import make_online_aggregator
-from ...windowing.prefix import PrefixRangeIndex, snapshot_range_indices
-from ..runtime.growable import GrowableArray
+from ...windowing.prefix import PrefixRangeIndex
 from ..runtime.ssbuf import SSBuf
 from .runtime_support import KernelRuntime
 
-__all__ = [
-    "reduce_site_plan",
-    "OnlineSweep",
-    "PersistentSite",
-    "IncrementalKernelRuntime",
-]
+__all__ = ["reduce_site_plan", "PersistentSite", "IncrementalKernelRuntime"]
 
 _INF = float("inf")
 
 
-def reduce_site_plan(
-    spec, input_refs, all_eligible: bool = False, blanket: Optional[str] = None
-) -> List[Dict[str, object]]:
+def reduce_site_plan(spec, input_refs, blanket: Optional[str] = None) -> List[Dict[str, object]]:
     """One row per entry of ``spec.reduce_sites``: does its state persist
     across ticks, and why.
 
     ``blanket`` is a reason *no* site of this kernel persists (the session
-    partitions its ticks, or the kernel materializes an intermediate);
-    ``all_eligible`` is the ``incremental=True`` override that also persists
-    sites without a prefix decomposition.
+    partitions its ticks, or the kernel materializes an intermediate).
     """
     rows = []
     for ref, start_offset, end_offset, agg_idx, _ in spec.reduce_sites:
@@ -79,8 +67,6 @@ def reduce_site_plan(
             persisted, reason = False, "reduces an intermediate expression"
         elif strategy.range == "prefix":
             persisted, reason = True, "prefix-decomposable over a program input"
-        elif all_eligible:
-            persisted, reason = True, "explicit override"
         else:
             persisted, reason = False, "no prefix decomposition"
         rows.append(
@@ -89,7 +75,7 @@ def reduce_site_plan(
                 "ref": ref,
                 "window": (start_offset, end_offset),
                 "aggregate": spec.aggregates[agg_idx].name,
-                "strategy": strategy.persistent if persisted else strategy.range,
+                "strategy": strategy.range,
                 "state": "persisted" if persisted else "per-invocation",
                 "reason": reason,
             }
@@ -97,97 +83,14 @@ def reduce_site_plan(
     return rows
 
 
-class OnlineSweep:
-    """Monotone two-pointer sweep over one online aggregator.
-
-    ``insert`` consumes snapshots entering the newest queried window,
-    ``evict`` removes snapshots that fell out of the oldest edge; both
-    pointers only move forward, so each retained snapshot is inserted and
-    evicted at most once — amortized O(new events) per tick regardless of
-    lookback depth.  Correct because a session's query windows are
-    monotone: evaluation times strictly increase across ticks (every tick
-    evaluates ``(t_emitted, w]`` with ``w`` advancing).
-    """
-
-    def __init__(self, agg: AggregateFunction):
-        self._aggregator = make_online_aggregator(agg)
-        #: start time, then every snapshot time (as in ``PrefixRangeIndex``)
-        self._edges = GrowableArray()
-        self._values = GrowableArray()
-        self._valid = GrowableArray(dtype=bool)
-        self._insert_idx = 0
-        self._evict_idx = 0
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def extend(
-        self, times: np.ndarray, values: np.ndarray, valid: np.ndarray, start_time: float
-    ) -> None:
-        if not len(self._edges):
-            self._edges.append((start_time,))
-        self._edges.append(times)
-        self._values.append(values)
-        self._valid.append(valid)
-
-    def query(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate each window ``(ws_i, we_i]``; φ when no valid snapshot.
-
-        Windows that overlap no snapshot leave the sweep state untouched, so
-        duplicate or empty queries are harmless.
-        """
-        n = len(window_starts)
-        out = np.zeros(n)
-        ok = np.zeros(n, dtype=bool)
-        if not len(self._edges):
-            return out, ok
-        edges = self._edges.view
-        lo, hi = snapshot_range_indices(edges[1:], edges[:-1], window_starts, window_ends)
-        values = self._values.view
-        valid = self._valid.view
-        state = self._aggregator
-        insert_idx = self._insert_idx
-        evict_idx = self._evict_idx
-        for i in range(n):
-            l, h = int(lo[i]), int(hi[i])
-            if h <= l:
-                continue
-            while insert_idx < h:
-                if valid[insert_idx]:
-                    state.insert(float(values[insert_idx]))
-                insert_idx += 1
-            target = l if l < insert_idx else insert_idx
-            while evict_idx < target:
-                if valid[evict_idx]:
-                    state.evict(float(values[evict_idx]))
-                evict_idx += 1
-            out[i], ok[i] = state.query()
-        self._insert_idx = insert_idx
-        self._evict_idx = evict_idx
-        return out, ok
-
-    def prune(self, t: float) -> None:
-        """Drop already-evicted snapshots at or before ``t``."""
-        k = int(np.searchsorted(self._edges.view[1:], t, side="right"))
-        k = min(k, self._evict_idx)
-        for arr in (self._edges, self._values, self._valid):
-            arr.drop_prefix(k)
-        self._insert_idx -= k
-        self._evict_idx -= k
-
-
 class PersistentSite:
-    """One reduce site's cross-tick state: the range structure plus the
-    input time it has consumed through."""
+    """One reduce site's cross-tick state: the growable prefix index plus
+    the input time it has consumed through."""
 
     __slots__ = ("structure", "_elem_idx", "ingested_through")
 
     def __init__(self, agg: AggregateFunction, elem_idx: int):
-        self.structure = (
-            PrefixRangeIndex(agg) if agg.strategy.range == "prefix" else OnlineSweep(agg)
-        )
+        self.structure = PrefixRangeIndex(agg)
         self._elem_idx = elem_idx
         #: input time up to which this site has consumed snapshots
         self.ingested_through = -_INF
@@ -228,12 +131,12 @@ class IncrementalKernelRuntime(KernelRuntime):
     cannot interfere.
     """
 
-    def __init__(self, kernel, input_refs, all_eligible: bool = False):
+    def __init__(self, kernel, input_refs):
         base = kernel.runtime
         super().__init__(base.accesses, base.tdom, base.aggregates, base.element_functions)
         self._reduce_sites = kernel.spec.reduce_sites
         #: :func:`reduce_site_plan` rows, aligned with ``spec.reduce_sites``
-        self.plan = reduce_site_plan(kernel.spec, frozenset(input_refs), all_eligible)
+        self.plan = reduce_site_plan(kernel.spec, frozenset(input_refs))
         self.clear()
 
     def clear(self) -> None:
@@ -244,13 +147,10 @@ class IncrementalKernelRuntime(KernelRuntime):
         for call, row in zip(self._reduce_sites, self.plan):
             if row["state"] != "persisted":
                 continue
-            ref, start_offset, end_offset, agg_idx, elem_idx = call
+            ref, _, _, agg_idx, elem_idx = call
             # a prefix index is window-agnostic, so every window over the
-            # same (input, aggregate, element map) shares one; a sweep's
-            # pointers track one window's edges
+            # same (input, aggregate, element map) shares one
             key = (ref, agg_idx, elem_idx)
-            if row["strategy"] != "prefix":
-                key += (start_offset, end_offset)
             site = shared.get(key)
             if site is None:
                 site = shared[key] = PersistentSite(self.aggregates[agg_idx], elem_idx)

@@ -41,10 +41,10 @@ Compiled artifacts are cached at two levels, both keyed by
   path.  The generated ``.c`` source is kept next to the ``.so`` for
   debuggability.
 
-Environment knobs: ``REPRO_NATIVE_CC`` (compiler, default ``cc``),
-``REPRO_NATIVE_CACHE`` (disk cache directory), ``REPRO_NATIVE_DISABLE``
-(force the tier unavailable — how tests and the no-dependency CI entry
-simulate a missing optional dependency).
+Deployment settings: ``REPRO_NATIVE_CC`` (compiler, default ``cc``) and
+``REPRO_NATIVE_CACHE`` (disk cache directory).  ``REPRO_NATIVE_DISABLE``
+forces the tier unavailable — the test hook that simulates a missing
+optional dependency.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ __all__ = [
 
 NUMPY_TIER = "numpy"
 NATIVE_TIER = "native"
-#: accepted values for ``TiltEngine(codegen_tier=...)`` / ``REPRO_CODEGEN``
-#: ("auto" resolves to native when the toolchain is present, else numpy)
-CODEGEN_TIERS = (NUMPY_TIER, NATIVE_TIER, "auto")
+#: accepted values for ``TiltEngine(codegen_tier=...)``
+CODEGEN_TIERS = (NUMPY_TIER, NATIVE_TIER)
 
 _FUNC_NAME = "tilt_native"
 

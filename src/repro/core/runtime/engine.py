@@ -5,9 +5,10 @@
 1. the query (a :class:`~repro.core.ir.nodes.TiltProgram`, usually produced
    by the frontend translator) is validated and optimized;
 2. boundary conditions are resolved;
-3. one vectorized kernel per remaining temporal expression is generated and
-   compiled (or, in ``mode='interpreted'``, the reference interpreter is
-   used);
+3. one kernel per remaining temporal expression is generated and
+   instantiated on the engine's tier (``mode='interpreted'`` skips the
+   optimizer and instantiates every kernel on the reference-interpreter
+   tier — the same artifact, evaluated by the oracle);
 4. at run time the input streams are converted to snapshot buffers,
    partitioned according to the boundary conditions, executed by a worker
    pool, and the per-partition outputs are concatenated back into a single
@@ -16,26 +17,26 @@
 
 from __future__ import annotations
 
-import os
+import logging
 import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ...errors import ExecutionError, QueryBuildError
 from ...obs.registry import MetricsRegistry
 from ...obs.trace import make_tracer
 from ..codegen import native
-from ..codegen.compiled import CompiledQuery, compile_program, resolve_codegen_tier
-from ..codegen.interpreter import evaluate_program
+from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery, compile_program
 from ..ir.nodes import TiltProgram
-from ..lineage.boundary import BoundarySpec, resolve_boundaries
+from ..lineage.boundary import BoundarySpec
 from .executor import (  # noqa: F401 - Executor re-exported
     EXECUTOR_KINDS,
     Executor,
     PayloadMissError,
+    default_kind,
     make_executor,
     run_compiled_partition,
 )
@@ -46,6 +47,8 @@ from .stream import EventStream
 __all__ = ["QueryResult", "TiltEngine"]
 
 StreamLike = Union[EventStream, SSBuf]
+
+_LOG = logging.getLogger("repro.engine")
 
 
 @dataclass
@@ -75,10 +78,15 @@ class QueryResult:
 class TiltEngine:
     """Compile and execute TiLT queries.
 
+    Every execution setting below is resolved once, here, into a read-only
+    attribute; nothing downstream (sessions, the service, the environment)
+    overrides it.  Per-query and per-kernel downgrades are counted and
+    reported by :meth:`dispatch_plan` / ``CompiledQuery.kernel_plan``.
+
     Parameters
     ----------
     workers:
-        Number of parallel worker threads (1 = serial execution).
+        Number of parallel workers (1 = serial execution).
     partition_interval:
         Fixed output-interval size per partition.  When omitted, the output
         range is split into ``partitions_per_worker * workers`` equal
@@ -87,30 +95,26 @@ class TiltEngine:
         Partitions created per worker when ``partition_interval`` is not set.
     mode:
         ``'compiled'`` (default) uses the code-generating backend;
-        ``'interpreted'`` runs the reference interpreter (the "UnOpt"
-        execution model).
+        ``'interpreted'`` is the test oracle: the unoptimized program with
+        every kernel on the reference-interpreter tier (the "UnOpt"
+        execution model).  It ignores ``optimize`` and ``codegen_tier``.
     executor_kind:
         Worker-pool backend: ``'serial'``, ``'thread'`` or ``'process'``.
-        ``None`` (default) keeps the historical behavior — serial for one
-        worker, a thread pool otherwise — unless the ``REPRO_EXECUTOR``
-        environment variable names a kind (how the CI matrix runs the whole
-        suite on the process backend).  ``'process'`` executes partitions in
-        a pool of worker processes, sidestepping the GIL entirely; queries
-        whose artifacts cannot be pickled (lambda-based custom aggregates)
-        and interpreted-mode runs fall back to an in-process thread pool
-        automatically.
+        ``None`` (default) derives it from ``workers`` — serial for one
+        worker, a thread pool otherwise.  ``'process'`` executes partitions
+        in a pool of worker processes, sidestepping the GIL entirely; a
+        query whose artifacts cannot be pickled (lambda-based custom
+        aggregates) runs on an in-process fallback pool instead, counted in
+        ``repro_dispatch_fallbacks_total`` and logged once per query.
     optimize / enable_fusion:
         Control the optimizer pipeline (see
         :func:`repro.core.codegen.compile_program`).
     codegen_tier:
-        Kernel lowering tier: ``"numpy"`` (the reference vectorized tier),
-        ``"native"`` (single-pass compiled-C kernels via
-        :mod:`repro.core.codegen.native`, falling back per kernel when a
-        construct is not lowerable or the optional cffi/C-compiler
-        dependency is missing) or ``"auto"`` (native exactly when the
-        toolchain is present).  ``None`` (default) resolves to the
-        ``REPRO_CODEGEN`` environment variable, else ``"numpy"``.
-        Interpreted mode ignores the tier — it never generates kernels.
+        Kernel lowering tier: ``"numpy"`` (default, the reference
+        vectorized tier) or ``"native"`` (single-pass compiled-C kernels via
+        :mod:`repro.core.codegen.native`, falling back per kernel — counted,
+        with the reason on the kernel — when a construct is not lowerable
+        or the optional cffi/C-compiler dependency is missing).
     compile_cache_size:
         Bound on the per-engine compile cache (LRU eviction).  A long-lived
         engine serving many distinct programs — the multi-tenant service —
@@ -118,20 +122,27 @@ class TiltEngine:
         compiled forever.
     trace:
         Span tracing for every execution layer of this engine (see
-        :mod:`repro.obs.trace`).  ``None`` (default) resolves to the
-        ``REPRO_TRACE`` environment variable; ``True`` creates a fresh
+        :mod:`repro.obs.trace`).  ``True`` creates a fresh
         :class:`~repro.obs.trace.Tracer`; an existing tracer instance is
         shared (how a service traces several engines into one buffer).
-        Disabled tracing is a strict no-op — instrumentation points call
-        into the shared null tracer, which allocates and records nothing —
-        and enabled tracing never changes query output (pinned by the
-        ``REPRO_TRACE=1`` CI matrix entry).
+        Disabled tracing (the default) is a strict no-op — instrumentation
+        points call into the shared null tracer, which allocates and
+        records nothing — and enabled tracing never changes query output.
     registry:
         The :class:`~repro.obs.registry.MetricsRegistry` this engine (and
         its sessions) publish into.  ``None`` creates a private one;
         pass a shared registry to aggregate several engines into one
         exporter endpoint.
     """
+
+    #: attributes ``__init__`` resolves once; rebinding one afterwards raises
+    _SETTINGS = frozenset(
+        {
+            "workers", "partition_interval", "partitions_per_worker", "mode",
+            "executor_kind", "optimize", "enable_fusion", "codegen_tier",
+            "compile_cache_size", "tracer", "registry",
+        }
+    )
 
     def __init__(
         self,
@@ -143,9 +154,9 @@ class TiltEngine:
         executor_kind: Optional[str] = None,
         optimize: bool = True,
         enable_fusion: bool = True,
-        codegen_tier: Optional[str] = None,
+        codegen_tier: str = native.NUMPY_TIER,
         compile_cache_size: int = 32,
-        trace=None,
+        trace=False,
         registry: Optional[MetricsRegistry] = None,
     ):
         if mode not in ("compiled", "interpreted"):
@@ -153,13 +164,11 @@ class TiltEngine:
         if workers < 1:
             raise QueryBuildError("workers must be >= 1")
         if executor_kind is None:
-            executor_kind = os.environ.get("REPRO_EXECUTOR") or None
-        if executor_kind is not None and executor_kind not in EXECUTOR_KINDS:
+            executor_kind = default_kind(workers)
+        if executor_kind not in EXECUTOR_KINDS:
             raise QueryBuildError(
                 f"unknown executor kind {executor_kind!r} (expected one of {EXECUTOR_KINDS})"
             )
-        if codegen_tier is None:
-            codegen_tier = os.environ.get("REPRO_CODEGEN", "").strip() or native.NUMPY_TIER
         if codegen_tier not in native.CODEGEN_TIERS:
             raise QueryBuildError(
                 f"unknown codegen tier {codegen_tier!r} "
@@ -167,17 +176,16 @@ class TiltEngine:
             )
         if compile_cache_size < 1:
             raise QueryBuildError("compile_cache_size must be >= 1")
+        interpreted = mode == "interpreted"
         self.workers = int(workers)
         self.partition_interval = partition_interval
         self.partitions_per_worker = int(partitions_per_worker)
         self.mode = mode
         self.executor_kind = executor_kind
-        self.optimize = optimize
+        self.optimize = bool(optimize) and not interpreted
         self.enable_fusion = enable_fusion
-        # "auto" resolves once, at engine construction: every compile this
-        # engine performs uses one concrete tier, and the compile-cache key
-        # stays stable for the engine's lifetime
-        self.codegen_tier = resolve_codegen_tier(codegen_tier)
+        #: the tier every kernel this engine compiles is instantiated on
+        self.codegen_tier = INTERPRETED_TIER if interpreted else codegen_tier
         self.compile_cache_size = int(compile_cache_size)
         self.tracer = make_tracer(trace)
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -195,9 +203,14 @@ class TiltEngine:
             "repro_native_fallbacks_total",
             "Kernels that requested the native tier but fell back to NumPy",
         )
+        self._m_dispatch_fallbacks = self.registry.counter(
+            "repro_dispatch_fallbacks_total",
+            "Partition maps run on the in-process fallback instead of the engine's pool",
+            reason="unpicklable",
+        )
         self._m_backend: Dict[str, tuple] = {}
         # shared across run() calls and all sessions of this engine: one
-        # worker pool and one CompiledQuery per program (see open_session).
+        # worker pool and one CompiledQuery per program (see compile_cached).
         # Both are created/looked up under the lock — many sessions open
         # concurrently from different threads (the multi-tenant service
         # does exactly that) and must not race pool creation or compile
@@ -205,7 +218,7 @@ class TiltEngine:
         self._lock = threading.RLock()
         self._executor: Optional[Executor] = None
         self._fallback_executor: Optional[Executor] = None
-        self._compile_cache: "OrderedDict[tuple, Tuple[TiltProgram, CompiledQuery]]" = (
+        self._compile_cache: "OrderedDict[int, Tuple[TiltProgram, CompiledQuery]]" = (
             OrderedDict()
         )
         self._sessions: List["weakref.ref"] = []
@@ -217,11 +230,19 @@ class TiltEngine:
             # a session worker, ...), inheriting mid-held locks.
             self.shared_executor()
 
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._SETTINGS and name in self.__dict__:
+            raise AttributeError(
+                f"engine setting {name!r} is resolved at construction and read-only"
+            )
+        super().__setattr__(name, value)
+
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
     def compile(self, program: TiltProgram) -> CompiledQuery:
-        """Compile a program (always uses the code-generating backend)."""
+        """Compile ``program`` with this engine's settings (uncached — ``run``
+        and ``open_session`` go through :meth:`compile_cached`)."""
         compiled = compile_program(
             program,
             optimize=self.optimize,
@@ -255,13 +276,13 @@ class TiltEngine:
         """Compile ``program``, reusing a previous compilation of the same
         program object.
 
-        Compilation is a one-time cost for a long-running streaming query;
-        caching lets multiple concurrent sessions over the same program
-        share one set of generated kernels.  The key includes the engine's
-        compilation settings, so flipping ``optimize``/``enable_fusion``
-        between sessions recompiles instead of returning stale kernels.
-        (Entries hold a strong reference to the program, so the ``id``-based
-        key stays valid; ``close()`` empties the cache.)  Thread-safe: the
+        The one compile entry point of ``run`` and ``open_session``:
+        compilation is a one-time cost per program object, and multiple
+        concurrent sessions over the same program share one set of kernels.
+        The key is the program's identity alone — the engine's compilation
+        settings are fixed at construction.  (Entries hold a strong
+        reference to the program, so the ``id``-based key stays valid;
+        ``close()`` empties the cache.)  Thread-safe: the
         whole check-compile-insert is one critical section, so concurrent
         sessions over the same program get the same ``CompiledQuery`` and
         the program is compiled exactly once.
@@ -275,7 +296,7 @@ class TiltEngine:
         invalidates running work — at worst a later ``open_session`` over an
         evicted program recompiles.
         """
-        key = (id(program), self.optimize, self.enable_fusion, self.codegen_tier)
+        key = id(program)
         with self._lock:
             entry = self._compile_cache.get(key)
             if entry is not None and entry[0] is program:
@@ -308,18 +329,36 @@ class TiltEngine:
                 self._executor = make_executor(self.workers, self.executor_kind)
             return self._executor
 
-    def _thread_fallback(self) -> Executor:
-        """In-process executor used when the process backend cannot take a
-        query (unpicklable artifacts, or interpreted mode).
+    def dispatch_plan(self, compiled: CompiledQuery) -> Dict[str, str]:
+        """``{backend, reason}``: the pool ``compiled``'s partitions execute
+        on — the engine's ``executor_kind`` unless the query cannot cross
+        the process boundary — and why."""
+        if self.executor_kind == "process" and not compiled.picklable:
+            return {"backend": default_kind(self.workers), "reason": "unpicklable"}
+        return {"backend": self.executor_kind, "reason": "engine setting"}
+
+    def _fallback_for(self, compiled: CompiledQuery) -> Executor:
+        """The in-process pool for a query the process backend cannot take —
+        a counted, once-per-query-logged downgrade, never a silent one.
 
         Created lazily alongside — not instead of — the process pool, so a
         mixed workload degrades only the queries that cannot cross the
         process boundary.  Thread-safe, released by ``close``.
         """
+        self._m_dispatch_fallbacks.inc()
+        if not getattr(compiled, "_fallback_logged", False):
+            compiled._fallback_logged = True
+            _LOG.warning(
+                "query %r cannot be pickled (custom aggregate callables?); "
+                "running it on the in-process %s fallback instead of the process pool",
+                compiled.output,
+                default_kind(self.workers),
+                extra={"output": compiled.output, "reason": "unpicklable"},
+            )
         with self._lock:
             if self._fallback_executor is None:
                 self._fallback_executor = make_executor(
-                    self.workers, "thread" if self.workers > 1 else "serial"
+                    self.workers, default_kind(self.workers)
                 )
             return self._fallback_executor
 
@@ -388,8 +427,6 @@ class TiltEngine:
         # imported here: session.py imports this module at load time
         from .session import StreamingSession
 
-        if isinstance(query, TiltProgram) and self.mode == "compiled":
-            query = self.compile_cached(query)
         return StreamingSession(self, query, sources, **kwargs)
 
     # ------------------------------------------------------------------ #
@@ -410,13 +447,13 @@ class TiltEngine:
         the union of the input time ranges.
         """
         with self.tracer.span("engine.run") as run_span:
-            program, compiled = self._prepare(query)
+            compiled = self._prepare(query)
+            program, boundary = compiled.program, compiled.boundary
             run_span.set(output=program.output)
             with self.tracer.span("run.ingest"):
                 inputs, input_events = self._ingest(program, streams)
             t_start, t_end = self._time_range(inputs, t_start, t_end)
 
-            boundary = compiled.boundary if compiled is not None else resolve_boundaries(program)
             # partition boundaries must not fall inside a precision interval of
             # any temporal expression, otherwise workers would evaluate the query
             # at off-grid times (see plan_partitions).
@@ -425,7 +462,7 @@ class TiltEngine:
                 partitions = self._partition(inputs, boundary, t_start, t_end, alignment)
 
             start = time.perf_counter()
-            pieces = self._map_partitions(compiled, program, boundary, partitions)
+            pieces = self._map_partitions(compiled, partitions)
             output = SSBuf.concat(pieces).compact() if pieces else SSBuf.empty(t_start)
             elapsed = time.perf_counter() - start
             run_span.set(input_events=input_events, partitions=len(partitions))
@@ -442,21 +479,15 @@ class TiltEngine:
     # helpers
     # ------------------------------------------------------------------ #
     def _map_partitions(
-        self,
-        compiled: Optional[CompiledQuery],
-        program: TiltProgram,
-        boundary: BoundarySpec,
-        partitions: List[Partition],
+        self, compiled: CompiledQuery, partitions: List[Partition]
     ) -> List[SSBuf]:
-        """Execute the partitions on the engine's worker pool.
+        """Execute the partitions on the pool :meth:`dispatch_plan` names.
 
         The single dispatch point shared by one-shot ``run`` calls and
-        streaming-session ticks.  On the process backend a compiled query is
+        streaming-session ticks.  On the process backend the query is
         shipped as its cached pickle payload (serialized once, rebuilt once
-        per worker process); queries that cannot cross the process boundary
-        — unpicklable custom aggregates, or interpreted-mode execution,
-        whose closures cannot be pickled at all — degrade gracefully to the
-        engine's in-process thread fallback instead of failing.
+        per worker process); a query that cannot cross the process boundary
+        runs on the engine's in-process fallback (see :meth:`_fallback_for`).
 
         Every dispatch is wrapped in an ``executor.dispatch`` span and
         charged to the per-backend ``repro_kernel_seconds_total`` counter.
@@ -465,76 +496,26 @@ class TiltEngine:
         backend) timed worker-side and shipped back with the result, then
         adopted under the dispatch span.
         """
-        executor = self.shared_executor()
+        backend = self.dispatch_plan(compiled)["backend"]
+        if backend == "process":
+            return self._map_on_processes(compiled, partitions)
+        executor = (
+            self.shared_executor()
+            if backend == self.executor_kind
+            else self._fallback_for(compiled)
+        )
         tracer = self.tracer
-        if executor.kind == "process":
-            payload = compiled.pickle_payload() if compiled is not None else None
-            if payload is not None:
-                trace_workers = tracer.enabled
-                with tracer.span(
-                    "executor.dispatch",
-                    backend="process",
-                    partitions=len(partitions),
-                    kernel_digest=payload[0][:12],
-                ):
-                    started = time.perf_counter()
-                    digest, blob = payload
-                    # ship the payload only until the pool has run it once;
-                    # after that a long-lived session sends digest-only tasks
-                    # per tick, and a worker that evicted (or never saw) the
-                    # query raises PayloadMissError for one re-seeding retry.
-                    pieces = None
-                    if digest in executor.seeded_digests:
-                        try:
-                            pieces = executor.map(
-                                run_compiled_partition,
-                                [(digest, None, p, trace_workers) for p in partitions],
-                            )
-                        except PayloadMissError:
-                            pieces = None
-                    if pieces is None:
-                        pieces = executor.map(
-                            run_compiled_partition,
-                            [(digest, blob, p, trace_workers) for p in partitions],
-                        )
-                        if partitions:
-                            # an empty map never delivered the payload to
-                            # anyone — only a completed non-empty map counts
-                            # as seeding
-                            executor.seeded_digests.add(digest)
-                    if trace_workers:
-                        # traced tasks return (buffer, worker span records);
-                        # re-parent the shipped records under this dispatch
-                        outputs = []
-                        shipped = []
-                        for buf, records in pieces:
-                            outputs.append(buf)
-                            shipped.extend(records)
-                        tracer.adopt(shipped)
-                        pieces = outputs
-                    self._charge_backend("process", time.perf_counter() - started, len(partitions))
-                return pieces
-            executor = self._thread_fallback()
-        backend = executor.kind
         with tracer.span(
             "executor.dispatch", backend=backend, partitions=len(partitions)
         ):
             started = time.perf_counter()
-            if compiled is not None:
-                run_partition = lambda p: compiled.run(p.inputs, p.t_start, p.t_end)  # noqa: E731
-            else:
-                run_partition = lambda p: evaluate_program(  # noqa: E731
-                    program, p.inputs, p.t_start, p.t_end, boundary=boundary
-                )[program.output]
+            run_partition = lambda p: compiled.run(p.inputs, p.t_start, p.t_end)  # noqa: E731
             if tracer.enabled:
                 # worker threads have empty span stacks, so the partition
                 # spans name the dispatch span as parent explicitly
                 parent = tracer.current_span_id()
-                digest12 = ""
-                if compiled is not None:
-                    payload = compiled.pickle_payload()  # memoized
-                    if payload is not None:
-                        digest12 = payload[0][:12]
+                payload = compiled.pickle_payload()  # memoized
+                digest12 = payload[0][:12] if payload is not None else ""
                 inner = run_partition
 
                 def run_partition(p):
@@ -546,6 +527,56 @@ class TiltEngine:
 
             pieces = executor.map(run_partition, partitions)
             self._charge_backend(backend, time.perf_counter() - started, len(partitions))
+        return pieces
+
+    def _map_on_processes(
+        self, compiled: CompiledQuery, partitions: List[Partition]
+    ) -> List[SSBuf]:
+        executor = self.shared_executor()
+        tracer = self.tracer
+        digest, blob = compiled.pickle_payload()
+        trace_workers = tracer.enabled
+        with tracer.span(
+            "executor.dispatch",
+            backend="process",
+            partitions=len(partitions),
+            kernel_digest=digest[:12],
+        ):
+            started = time.perf_counter()
+            # ship the payload only until the pool has run it once;
+            # after that a long-lived session sends digest-only tasks
+            # per tick, and a worker that evicted (or never saw) the
+            # query raises PayloadMissError for one re-seeding retry.
+            pieces = None
+            if digest in executor.seeded_digests:
+                try:
+                    pieces = executor.map(
+                        run_compiled_partition,
+                        [(digest, None, p, trace_workers) for p in partitions],
+                    )
+                except PayloadMissError:
+                    pieces = None
+            if pieces is None:
+                pieces = executor.map(
+                    run_compiled_partition,
+                    [(digest, blob, p, trace_workers) for p in partitions],
+                )
+                if partitions:
+                    # an empty map never delivered the payload to
+                    # anyone — only a completed non-empty map counts
+                    # as seeding
+                    executor.seeded_digests.add(digest)
+            if trace_workers:
+                # traced tasks return (buffer, worker span records);
+                # re-parent the shipped records under this dispatch
+                outputs = []
+                shipped = []
+                for buf, records in pieces:
+                    outputs.append(buf)
+                    shipped.extend(records)
+                tracer.adopt(shipped)
+                pieces = outputs
+            self._charge_backend("process", time.perf_counter() - started, len(partitions))
         return pieces
 
     def _charge_backend(self, kind: str, seconds: float, partitions: int) -> None:
@@ -568,17 +599,12 @@ class TiltEngine:
         if partitions:
             counters[1].inc(partitions)
 
-    def _prepare(
-        self, query: Union[TiltProgram, CompiledQuery]
-    ) -> Tuple[TiltProgram, Optional[CompiledQuery]]:
+    def _prepare(self, query: Union[TiltProgram, CompiledQuery]) -> CompiledQuery:
         if isinstance(query, CompiledQuery):
-            return query.program, query
+            return query
         if not isinstance(query, TiltProgram):
             raise QueryBuildError(f"cannot execute object of type {type(query).__name__}")
-        if self.mode == "compiled":
-            compiled = self.compile(query)
-            return compiled.program, compiled
-        return query, None
+        return self.compile_cached(query)
 
     @staticmethod
     def _ingest(

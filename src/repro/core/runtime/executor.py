@@ -21,7 +21,8 @@ Process dispatch cannot ship closures, so the engine submits the
 module-level :func:`run_compiled_partition` task with a ``(digest, payload,
 partition)`` tuple; queries whose artifacts cannot be pickled (e.g.
 lambda-based custom aggregates) never reach this path — the engine falls
-back to its thread executor (see :meth:`TiltEngine._map_partitions`).
+back to its in-process executor, counted and reported (see
+:meth:`TiltEngine.dispatch_plan`).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
+    "default_kind",
     "make_executor",
     "run_compiled_partition",
 ]
@@ -177,16 +179,19 @@ class ProcessPoolExecutor(Executor):
         self._pool.shutdown(wait=True)
 
 
-def make_executor(workers: int, kind: Optional[str] = None) -> Executor:
-    """Build an executor.
+def default_kind(workers: int) -> str:
+    """The in-process backend for a worker count: serial for one worker, a
+    thread pool otherwise."""
+    return "serial" if workers <= 1 else "thread"
 
-    ``kind=None`` keeps the historical default: serial for one worker, a
-    thread pool otherwise.  Explicit kinds force the backend regardless of
-    the worker count (a one-worker process pool is still a separate
-    process — useful for testing the serialization path).
+
+def make_executor(workers: int, kind: str) -> Executor:
+    """Build an executor of the given kind.
+
+    The kind forces the backend regardless of the worker count (a
+    one-worker process pool is still a separate process — useful for
+    testing the serialization path).
     """
-    if kind is None:
-        return SerialExecutor() if workers <= 1 else ThreadPoolExecutor(workers)
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
@@ -233,10 +238,10 @@ def _worker_compiled_query(digest: str, payload: Optional[bytes]):
     import pickle
 
     with _WORKER_QUERY_LOCK:
-        compiled = _WORKER_QUERY_CACHE.get(digest)
-        if compiled is not None:
+        cached = _WORKER_QUERY_CACHE.get(digest)
+        if cached is not None:
             _WORKER_QUERY_CACHE.move_to_end(digest)
-            return compiled
+            return cached
     if payload is None:
         raise PayloadMissError(digest)
     compiled = pickle.loads(payload)

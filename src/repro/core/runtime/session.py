@@ -53,11 +53,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
-from ..codegen.compiled import CompiledQuery
+from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery
 from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
-from ..codegen.native import NATIVE_TIER
+from ..codegen.native import NUMPY_TIER
 from ..ir.nodes import TiltProgram
-from ..lineage.boundary import resolve_boundaries
 from .engine import QueryResult, TiltEngine
 from .growable import GrowableArray
 from .partition import snap_down
@@ -257,20 +256,21 @@ class StreamingSession:
     incremental:
         Leave at ``None``: the session then *resolves* its tick path once,
         from what it can observe, and reports the result as :attr:`plan`.
-        A compiled query whose output kernel runs the NumPy tier ticks
+        A query whose output kernel runs the NumPy tier ticks
         **in-process**: one evaluation of ``(t_emitted, w]`` against
         reduce-site state that persists across ticks where that pays
         (prefix-decomposable aggregates over program inputs — tick cost
         O(new events) instead of O(lookback + new events); see
-        :mod:`repro.core.codegen.incremental`).  Interpreted sessions and
-        sessions whose output kernel is native **partition and dispatch**
-        each tick like a one-shot run (persistent state interposes on
+        :mod:`repro.core.codegen.incremental`).  Sessions whose output
+        kernel is native or interpreted **partition and dispatch** each
+        tick like a one-shot run (persistent state interposes on
         ``rt.reduce`` calls, which neither the interpreter nor a fused C
         loop makes).  ``False`` / ``True`` is the oracle switch the
         differential tests and benchmark probes use to force
-        partition-and-dispatch / in-process ticks with *every* eligible
-        site persisted (on a native output kernel ``True`` therefore runs
-        its NumPy twin); interpreted sessions ignore it.
+        partition-and-dispatch / in-process ticks with the same resolved
+        site plan (on a native output kernel ``True`` therefore runs its
+        NumPy twin); an interpreted output kernel has no such twin and
+        ignores it.
     trace_attrs:
         Attributes stamped onto every ``session.tick`` span this session
         emits (e.g. ``{"tenant": "alice"}``).  Ignored — at zero cost —
@@ -292,7 +292,8 @@ class StreamingSession:
         self._engine = engine
         self._tracer = engine.tracer
         self._trace_attrs = dict(trace_attrs) if trace_attrs else {}
-        program, compiled = engine._prepare(query)
+        compiled = engine._prepare(query)
+        program = compiled.program
         self._program = program
         self._compiled = compiled
         in_process, reason = self._resolve_tick_path(compiled, incremental)
@@ -301,28 +302,32 @@ class StreamingSession:
         self._state: Optional[IncrementalKernelRuntime] = None
         if in_process:
             self._state = IncrementalKernelRuntime(
-                compiled.kernel_named(compiled.output),
-                program.inputs,
-                all_eligible=incremental is True,
+                compiled.kernel_named(compiled.output), program.inputs
             )
         blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
         sites: List[Dict[str, object]] = []
-        for kernel in compiled.kernels if compiled is not None else ():
+        for kernel in compiled.kernels:
             if in_process and kernel.name == compiled.output:
                 sites += self._state.plan
             else:
                 sites += reduce_site_plan(kernel.spec, (), blanket=blanket)
-        #: the resolved execution plan: tick path and why, and per reduce
-        #: site whether its state persists across ticks and why
+        #: the resolved execution plan: tick path and why; where a
+        #: partitioned tick dispatches and why; per kernel the tier requested,
+        #: the tier active and any fallback reason; per reduce site whether
+        #: its state persists across ticks and why
         self.plan: Dict[str, object] = {
             "tick_path": "in-process" if in_process else "partition+dispatch",
             "reason": reason,
+            "dispatch": (
+                {"backend": "in-process", "reason": "ticks bypass the worker pool"}
+                if in_process
+                else engine.dispatch_plan(compiled)
+            ),
+            "kernels": compiled.kernel_plan(),
             "sites": sites,
         }
         self._pins: List[float] = []
-        self._boundary = (
-            compiled.boundary if compiled is not None else resolve_boundaries(program)
-        )
+        self._boundary = compiled.boundary
         self._alignment = max((te.tdom.precision for te in program.exprs), default=0.0)
         self._max_events_per_tick = max_events_per_tick
         self._retain_output = retain_output
@@ -404,6 +409,11 @@ class StreamingSession:
         return self._program
 
     @property
+    def compiled(self) -> CompiledQuery:
+        """The compiled query this session executes."""
+        return self._compiled
+
+    @property
     def boundary(self):
         """Resolved boundary margins governing watermark and carry-over."""
         return self._boundary
@@ -423,16 +433,13 @@ class StreamingSession:
 
     @staticmethod
     def _resolve_tick_path(
-        compiled: Optional[CompiledQuery], incremental: Optional[bool]
+        compiled: CompiledQuery, incremental: Optional[bool]
     ) -> Tuple[bool, str]:
         """``(in-process?, reason)`` — see the ``incremental`` parameter."""
-        if compiled is None:
-            return False, "interpreted"
-        if incremental is not None:
+        tier = compiled.kernel_named(compiled.output).active_tier
+        if incremental is not None and tier != INTERPRETED_TIER:
             return bool(incremental), "explicit override"
-        if compiled.kernel_named(compiled.output).active_tier == NATIVE_TIER:
-            return False, "native output kernel"
-        return True, "numpy output kernel"
+        return tier == NUMPY_TIER, f"{tier} output kernel"
 
     @property
     def incremental(self) -> bool:
@@ -678,8 +685,15 @@ class StreamingSession:
                 # in-process path: one evaluation of (t_emit, w] against
                 # persistent reduce-site state — no partitioner, no
                 # executor, no O(lookback) rebuild of the persisted indexes.
+                # (An unfused query's intermediates are still rebuilt over
+                # their margin each tick, so flat-in-lookback tick cost
+                # needs the default fusion to a single kernel.)
                 with self._tracer.span("emit.incremental") as sp:
-                    piece = self._run_incremental(inputs, self._t_emit, w)
+                    (self._m_state_hits if self._state_warm else self._m_state_misses).inc()
+                    self._state_warm = True
+                    piece = self._compiled.run(
+                        inputs, self._t_emit, w, output_runtime=self._state
+                    )
                     sp.set(state_snapshots=self._state.retained())
                 delta = SSBuf.concat([piece]).compact() if len(piece) else SSBuf.empty(self._t_emit)
                 num_partitions = 1
@@ -689,12 +703,8 @@ class StreamingSession:
                         inputs, self._boundary, self._t_emit, w, self._alignment
                     )
                     sp.set(partitions=len(partitions))
-                # single dispatch point shared with TiltEngine.run: picks the
-                # engine's worker pool, ships picklable compiled queries to
-                # the process backend, and falls back to threads otherwise.
-                pieces = self._engine._map_partitions(
-                    self._compiled, self._program, self._boundary, partitions
-                )
+                # single dispatch point shared with TiltEngine.run
+                pieces = self._engine._map_partitions(self._compiled, partitions)
                 delta = SSBuf.concat(pieces).compact() if pieces else SSBuf.empty(self._t_emit)
                 num_partitions = len(partitions)
             t_lo = self._t_emit
@@ -744,39 +754,6 @@ class StreamingSession:
         if self._state is not None:
             floor = min(floor, self._state.ingested_floor())
         return floor
-
-    def _run_incremental(self, inputs: Dict[str, SSBuf], t_start: float, t_end: float) -> SSBuf:
-        """Evaluate ``(t_start, t_end]`` against the persistent site state.
-
-        The output kernel runs over the *unsliced* carry-over buffers with
-        the session-private :class:`IncrementalKernelRuntime`, so its
-        persisted reductions extend their indices by exactly the new tail
-        (the buffers must be unsliced: sites may only ever ingest true
-        input snapshots, never slice-clipped phantoms).  In an unfused query
-        the intermediate kernels are rebuilt each tick over their margin
-        window from margin slices of the inputs — byte-identical to the
-        single-partition batch materialization — so flat-in-lookback tick
-        cost requires the (default) fusion to a single kernel.
-        """
-        compiled = self._compiled
-        (self._m_state_hits if self._state_warm else self._m_state_misses).inc()
-        self._state_warm = True
-        env = dict(inputs)
-        if len(compiled.kernels) > 1:
-            lookback = self._boundary.max_lookback
-            lookahead = self._boundary.max_lookahead
-            ienv: Dict[str, SSBuf] = {}
-            for name, buf in inputs.items():
-                in_lo, in_hi = self._boundary.input_interval(name, t_start, t_end)
-                ienv[name] = buf.slice(in_lo, in_hi)
-            for kernel in compiled.kernels:
-                if kernel.name != compiled.output:
-                    env[kernel.name] = ienv[kernel.name] = kernel.run(
-                        ienv, t_start - lookback, t_end + lookahead
-                    )
-        return compiled.kernel_named(compiled.output).run(
-            env, t_start, t_end, runtime=self._state
-        )
 
     def _finish_tick(
         self,

@@ -5,8 +5,7 @@ instrumented against the interfaces in this package:
 
 * :mod:`repro.obs.trace` — low-overhead span tracing with per-thread
   buffers, a strict no-op disabled path (:data:`NULL_TRACER`) and
-  cross-process record adoption; enable with ``TiltEngine(trace=True)`` or
-  ``REPRO_TRACE=1``;
+  cross-process record adoption; enable with ``TiltEngine(trace=True)``;
 * :mod:`repro.obs.registry` — the unified :class:`MetricsRegistry`
   (counters / gauges / histograms) every layer publishes into, with
   Prometheus text (:meth:`MetricsRegistry.to_prometheus`) and JSON
@@ -64,7 +63,6 @@ from .trace import (
     SpanRecord,
     Tracer,
     make_tracer,
-    trace_enabled_by_env,
 )
 
 __all__ = [
@@ -73,7 +71,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "make_tracer",
-    "trace_enabled_by_env",
     "Counter",
     "Gauge",
     "Histogram",

@@ -25,10 +25,9 @@ The design goals, in order:
    re-parents them under the dispatching span (ids embed the producing pid,
    so adopted records never collide with local ones).
 
-Enable tracing per engine (``TiltEngine(trace=True)``) or globally via the
-``REPRO_TRACE=1`` environment variable.  Tracing never alters query output:
-the ``REPRO_TRACE=1`` CI matrix entry runs the whole equivalence suite to
-pin that down.
+Enable tracing per engine (``TiltEngine(trace=True)``).  Tracing never
+alters query output: the traced entry of the test suite's ``ENGINE_PLANS``
+runs the differential suites to pin that down.
 """
 
 from __future__ import annotations
@@ -45,18 +44,8 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "Tracer",
-    "trace_enabled_by_env",
     "make_tracer",
 ]
-
-#: truthy values accepted by ``REPRO_TRACE``
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def trace_enabled_by_env() -> bool:
-    """Whether the ``REPRO_TRACE`` environment variable requests tracing."""
-    return os.environ.get("REPRO_TRACE", "").strip().lower() in _TRUTHY
-
 
 class SpanRecord:
     """One finished span: a named, timed stage with attributes and a parent.
@@ -340,19 +329,17 @@ class Tracer:
 
 
 def make_tracer(trace) -> "Tracer | NullTracer":
-    """Resolve a ``trace`` knob into a tracer instance.
+    """Turn ``TiltEngine(trace=...)`` into a tracer instance.
 
-    ``None`` defers to ``REPRO_TRACE``; ``True``/``False`` force a fresh
-    :class:`Tracer` / the shared :data:`NULL_TRACER`; an existing tracer
-    (anything with a ``span`` method) passes through — engines can share
-    one tracer so a service's spans land in a single buffer.
+    ``True`` creates a fresh :class:`Tracer`, ``False``/``None`` is the
+    shared :data:`NULL_TRACER`; an existing tracer (anything with a
+    ``span`` method) passes through — engines can share one tracer so a
+    service's spans land in a single buffer.
     """
-    if trace is None:
-        trace = trace_enabled_by_env()
     if trace is True:
         return Tracer()
-    if trace is False:
+    if trace is False or trace is None:
         return NULL_TRACER
     if hasattr(trace, "span"):
         return trace
-    raise TypeError(f"trace must be None, bool or a tracer, got {type(trace).__name__}")
+    raise TypeError(f"trace must be a bool or a tracer, got {type(trace).__name__}")

@@ -264,19 +264,9 @@ class QueryService:
         ``close`` disposes of) its own ``TiltEngine(workers=workers)``.
     workers:
         Worker count for the internally created engine (ignored when
-        ``engine`` is given).
-    executor_kind:
-        Worker-pool backend for the internally created engine
-        (``"serial"``/``"thread"``/``"process"``; ``None`` keeps the
-        engine's default).  A fleet of compiled tenant queries on the
-        ``"process"`` backend scales across cores instead of contending on
-        the GIL; tenants whose queries cannot be pickled fall back to
-        threads per query.  Ignored when ``engine`` is given.
-    codegen_tier:
-        Codegen tier for the internally created engine (``"numpy"``,
-        ``"native"``, or ``"auto"``; ``None`` keeps the engine's default,
-        which honours ``REPRO_CODEGEN``).  Ignored when ``engine`` is
-        given.
+        ``engine`` is given).  Every other execution setting — backend,
+        codegen tier, tracing — belongs to the engine: build a
+        :class:`TiltEngine` and pass it in.
     policy:
         Scheduler policy: ``"fair"`` (default), ``"round_robin"``, or a
         :class:`~repro.serve.scheduler.SchedulerPolicy` instance.
@@ -291,7 +281,7 @@ class QueryService:
         :meth:`stats`).  The string ``"adaptive"`` pins relative outliers
         (ticks past a multiple of the tenant's rolling p99) instead of a
         fixed cutoff.  Only meaningful when the engine traces
-        (``TiltEngine(trace=True)`` or ``REPRO_TRACE=1``); ``None`` keeps
+        (``TiltEngine(trace=True)``); ``None`` keeps
         the recent-tick rings without pinning.
     flight_capacity:
         Recent tick span trees the flight recorder retains per tenant.
@@ -319,8 +309,6 @@ class QueryService:
         engine: Optional[TiltEngine] = None,
         *,
         workers: int = 4,
-        executor_kind: Optional[str] = None,
-        codegen_tier: Optional[str] = None,
         policy: Union[str, SchedulerPolicy] = "fair",
         max_tenants: int = 64,
         max_pending_events: int = 65_536,
@@ -335,15 +323,7 @@ class QueryService:
         telemetry_port: Optional[int] = None,
         telemetry_host: str = "127.0.0.1",
     ):
-        self._engine = (
-            engine
-            if engine is not None
-            else TiltEngine(
-                workers=workers,
-                executor_kind=executor_kind,
-                codegen_tier=codegen_tier,
-            )
-        )
+        self._engine = engine if engine is not None else TiltEngine(workers=workers)
         self._owns_engine = engine is None
         self._tracer = self._engine.tracer
         self._recorder: Optional[FlightRecorder] = (
@@ -485,8 +465,9 @@ class QueryService:
         """Static-analysis reports for the ``/analyze`` route.
 
         Without ``?tenant=`` returns every tenant's report summary; with it,
-        that tenant's full finding list (or an ``error`` entry for unknown /
-        interpreted-mode tenants, which have no compiled report).
+        that tenant's full finding list (or an ``error`` entry for an
+        unknown tenant, or one submitted as a pre-compiled query that no
+        longer carries its report).
         """
         with self._lock:
             tenants = list(self._tenants.items())
@@ -494,15 +475,13 @@ class QueryService:
             match = dict(tenants).get(tenant)
             if match is None:
                 return {"error": f"unknown tenant {tenant!r}"}
-            report = getattr(
-                getattr(match.session, "_compiled", None), "report", None
-            )
+            report = match.session.compiled.report
             if report is None:
                 return {"error": f"tenant {tenant!r} has no analysis report"}
             return report.to_dict()
         doc: Dict[str, object] = {}
         for name, t in tenants:
-            report = getattr(getattr(t.session, "_compiled", None), "report", None)
+            report = t.session.compiled.report
             doc[name] = report.summary() if report is not None else None
         return doc
 
@@ -613,14 +592,12 @@ class QueryService:
                 push_sources=push_sources,
                 now=self._clock(),
             )
-            compiled = getattr(session, "_compiled", None)
-            if compiled is not None:
-                # analyzer cost estimates (window depth × op count) seed the
-                # fair-share policy's cost EWMA: admit() converts them to
-                # seconds via the fleet's observed seconds-per-cost-unit
-                tenant.static_cost = float(
-                    sum(k.spec.static_cost for k in compiled.kernels)
-                )
+            # analyzer cost estimates (window depth × op count) seed the
+            # fair-share policy's cost EWMA: admit() converts them to
+            # seconds via the fleet's observed seconds-per-cost-unit
+            tenant.static_cost = float(
+                sum(k.spec.static_cost for k in session.compiled.kernels)
+            )
             self._tenants[tenant_name] = tenant
             self._scheduler.admit(tenant)
             self._submitted += 1
@@ -863,10 +840,12 @@ class QueryService:
 
     @staticmethod
     def _flight_context(tenant: TenantSession) -> Dict[str, object]:
-        """Kernel/source evidence attached to this tenant's pinned ticks."""
-        compiled = getattr(tenant.session, "_compiled", None)
-        if compiled is None:
-            return {"output": tenant.session.program.output, "mode": "interpreted"}
+        """Kernel/source evidence attached to this tenant's pinned ticks.
+
+        ``plan`` is the session's resolved plan: tick path, dispatch backend
+        and per-kernel requested/active tier with any fallback reason.
+        """
+        compiled = tenant.session.compiled
         kernels: Dict[str, str] = {}
         for k in compiled.kernels:
             try:
@@ -877,7 +856,6 @@ class QueryService:
             "output": compiled.output,
             "plan": tenant.session.plan,
             "kernels": kernels,
-            "codegen_tiers": dict(compiled.codegen_tiers),
             "generated_source": compiled.sources(),
             # static-analysis rollup (finding counts by code) so a pinned
             # slow tick carries the query's bounds proof / cost evidence

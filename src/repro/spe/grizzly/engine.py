@@ -34,7 +34,7 @@ from ...core.frontend.query import (
     Where,
     WindowAggregate,
 )
-from ...core.runtime.executor import make_executor
+from ...core.runtime.executor import default_kind, make_executor
 from ...core.runtime.stream import ColumnChunk, EventStream
 from ...errors import ExecutionError, UnsupportedOperationError
 from ...windowing.functions import AggregateFunction
@@ -118,7 +118,7 @@ class GrizzlyEngine:
         # split events across workers; each worker synchronizes on the shared
         # state once per mini-chunk (the "atomic updates" cost).
         slices = np.array_split(np.arange(len(cols)), self.workers)
-        executor = make_executor(self.workers)
+        executor = make_executor(self.workers, default_kind(self.workers))
 
         def work(index_slice: np.ndarray) -> None:
             for lo in range(0, len(index_slice), _CHUNK):

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ...core.frontend.query import WindowAggregate
-from ...core.runtime.executor import make_executor
+from ...core.runtime.executor import default_kind, make_executor
 from ...core.runtime.stream import ColumnChunk
 from ...errors import UnsupportedOperationError
 from ...windowing.functions import AggregateFunction
@@ -97,7 +97,7 @@ class LightSaberEngine(GrizzlyEngine):
         """Per-pane component sums via ``np.bincount``, parallel over worker slices."""
         components = agg.prefix_arrays(values)
         slices = np.array_split(np.arange(len(values)), self.workers)
-        executor = make_executor(self.workers)
+        executor = make_executor(self.workers, default_kind(self.workers))
 
         def work(index_slice: np.ndarray):
             if not len(index_slice):
@@ -127,7 +127,7 @@ class LightSaberEngine(GrizzlyEngine):
     ) -> Dict[int, Tuple]:
         """Per-pane states for non-decomposable aggregates (e.g. Max/Min)."""
         slices = np.array_split(np.arange(len(values)), self.workers)
-        executor = make_executor(self.workers)
+        executor = make_executor(self.workers, default_kind(self.workers))
 
         def work(index_slice: np.ndarray) -> Dict[int, Tuple]:
             out: Dict[int, Tuple] = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence
 
 from ...core.frontend.query import QueryNode, Select, Shift, Where
-from ...core.runtime.executor import make_executor
+from ...core.runtime.executor import default_kind, make_executor
 from ...core.runtime.stream import Event, EventStream
 from ..common.operators import NestedLoopJoinOperator, SelectOperator, ShiftOperator, WhereOperator
 from ..trill.engine import TrillEngine, _chunks
@@ -54,7 +54,8 @@ class StreamBoxEngine(TrillEngine):
                 Where: lambda n: WhereOperator(n.predicate),
                 Shift: lambda n: ShiftOperator(n.delay),
             }[type(node)]
-            executor = make_executor(min(self.workers, len(chunks)))
+            pool_size = min(self.workers, len(chunks))
+            executor = make_executor(pool_size, default_kind(pool_size))
             try:
                 results = executor.map(lambda c: fresh(node).process(c), chunks)
             finally:

@@ -34,7 +34,7 @@ from ...core.frontend.query import (
     Where,
     WindowAggregate,
 )
-from ...core.runtime.executor import make_executor
+from ...core.runtime.executor import default_kind, make_executor
 from ...core.runtime.stream import Event, EventStream, interleave
 from ...errors import ExecutionError, UnsupportedOperationError
 from ..common.operators import (
@@ -87,7 +87,7 @@ class TrillEngine:
         output stream.  The degree of parallelism is limited by the number of
         partitions, as the paper points out.
         """
-        executor = make_executor(self.workers)
+        executor = make_executor(self.workers, default_kind(self.workers))
         try:
             outputs = executor.map(lambda p: self.run(query, p), list(partitions))
         finally:

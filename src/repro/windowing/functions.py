@@ -70,12 +70,6 @@ class AggregateStrategy(NamedTuple):
     #: ``'two-stacks'`` (has ``merge``) or ``'refold'``
     online: str
 
-    @property
-    def persistent(self) -> str:
-        """Structure a reduce site uses when its state outlives a tick: the
-        growable prefix index when there is one, else the online sweep."""
-        return "prefix" if self.range == "prefix" else self.online
-
 
 @dataclass(frozen=True)
 class AggregateFunction:

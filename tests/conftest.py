@@ -2,11 +2,71 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Mapping
+
 import numpy as np
 import pytest
 
+from repro.core.codegen import native
+from repro.core.codegen.interpreter import evaluate_program
+from repro.core.lineage.boundary import resolve_boundaries
+from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
+
+
+@dataclass(frozen=True)
+class EnginePlan:
+    """One point of the engine's configuration space (see ENGINE_PLANS)."""
+
+    name: str
+    settings: Mapping[str, object] = field(default_factory=dict)
+
+    def engine(self, **overrides) -> TiltEngine:
+        return TiltEngine(**{**self.settings, **overrides})
+
+    def events(self, n: int) -> int:
+        """Input size for this plan: the interpreter evaluates one snapshot
+        at a time in Python, so its inputs are cut to keep tier 1 fast."""
+        return n // 4 if self.name == "interpreted" else n
+
+
+#: the engine configurations every differential suite must agree on — each
+#: used to be a CI leg selected by an environment variable; now one fixture
+ENGINE_PLANS = [
+    EnginePlan("default", {"workers": 1}),
+    EnginePlan("thread2", {"workers": 2, "executor_kind": "thread"}),
+    EnginePlan("process2", {"workers": 2, "executor_kind": "process"}),
+    EnginePlan("traced", {"workers": 1, "trace": True}),
+    EnginePlan("native", {"workers": 1, "codegen_tier": "native"}),
+    EnginePlan("interpreted", {"workers": 1, "mode": "interpreted"}),
+]
+
+
+@pytest.fixture(scope="session", params=ENGINE_PLANS, ids=lambda plan: plan.name)
+def engine_plan(request) -> EnginePlan:
+    plan = request.param
+    if plan.name == "native" and not native.native_available():
+        pytest.skip("native codegen toolchain (cffi + C compiler) unavailable")
+    return plan
+
+
+@pytest.fixture
+def oracle():
+    """``oracle(program, streams)``: the output every plan must reproduce —
+    one direct ``evaluate_program`` call over the whole input, with no
+    engine, optimizer, generated code or partitioning in the way."""
+
+    def evaluate(program, streams) -> SSBuf:
+        inputs, _ = TiltEngine._ingest(program, streams)
+        t_start, t_end = TiltEngine._time_range(inputs, None, None)
+        env = evaluate_program(
+            program, inputs, t_start, t_end, boundary=resolve_boundaries(program)
+        )
+        return env[program.output].compact()
+
+    return evaluate
 
 
 @pytest.fixture

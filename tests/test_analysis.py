@@ -295,6 +295,10 @@ class TestLint:
             ("LNT104", 20),
         }
 
+    def test_environment_settings_fixture(self):
+        found = lint_file(LINT_FIXTURES / "env_settings.py")
+        assert self.codes_at(found) == {("LNT105", line) for line in range(10, 15)}
+
     def test_columnar_ingest_rule_only_applies_to_the_ingest_hot_path(self):
         src = "def f(events):\n    return [e.start for e in events]\n"
         assert lint_source(src, "spe/trill/engine.py") == []
@@ -303,7 +307,7 @@ class TestLint:
 
     def test_directory_walk_finds_all_seeded_violations(self):
         found = lint_paths([LINT_FIXTURES])
-        assert len(found) == 15
+        assert len(found) == 20
 
     def test_suppression_comment_silences_a_violation(self):
         src = (

@@ -3,16 +3,16 @@
 The paper's scalability argument rests on compiled kernels being pure
 functions of their partition; the worker-pool backend must therefore be
 unobservable in the output.  This suite pins that down: every application in
-``repro.apps`` produces byte-identical snapshot buffers on the serial,
-thread and process backends (including over ragged partition grids), a
-streaming session ticks identically on the process backend, and the
-serialization contract (specs, buffers, partitions, payload caching,
-thread fallback for unpicklable queries) holds.
+``repro.apps`` produces the reference interpreter's snapshot buffers on
+every plan of ``ENGINE_PLANS`` (serial, thread and process pools, traced,
+native, interpreted — including over ragged partition grids), a streaming
+session ticks identically on the process backend, and the serialization
+contract (specs, buffers, partitions, payload caching, the counted and
+logged in-process fallback for unpicklable queries) holds.
 """
 
-import gc
+import logging
 import pickle
-import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from repro.core.runtime.executor import (
     ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
+    default_kind,
     make_executor,
     run_compiled_partition,
 )
@@ -97,14 +98,12 @@ def assert_bitwise_equal(got: SSBuf, want: SSBuf) -> None:
 # ---------------------------------------------------------------------- #
 class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(ALL_APPLICATIONS))
-    def test_every_app_identical_across_backends(self, name, thread_engine, process_engine):
+    def test_every_app_identical_on_every_plan(self, name, engine_plan, oracle):
         app = ALL_APPLICATIONS[name]
         program = app.program()
-        streams = app.streams(APP_EVENTS, seed=17)
-        with TiltEngine(workers=1) as serial:
-            reference = serial.run(program, streams).output
-        assert thread_engine.run(program, streams).output == reference
-        assert process_engine.run(program, streams).output == reference
+        streams = app.streams(engine_plan.events(APP_EVENTS), seed=17)
+        with engine_plan.engine(partitions_per_worker=3) as engine:
+            assert engine.run(program, streams).output == oracle(program, streams)
 
     @pytest.mark.parametrize("interval", [13.0, 41.5])
     def test_ragged_partition_intervals(self, interval):
@@ -347,8 +346,8 @@ class TestSerialization:
 # ---------------------------------------------------------------------- #
 class TestBackendSelection:
     def test_make_executor_kinds(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(3), ThreadPoolExecutor)
+        assert default_kind(1) == "serial" and default_kind(3) == "thread"
+        assert isinstance(make_executor(3, "thread"), ThreadPoolExecutor)
         assert isinstance(make_executor(4, "serial"), SerialExecutor)
         with make_executor(2, "process") as pool:
             assert isinstance(pool, ProcessPoolExecutor)
@@ -360,41 +359,72 @@ class TestBackendSelection:
         with pytest.raises(QueryBuildError):
             TiltEngine(workers=2, executor_kind="gpu")
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        engine = TiltEngine(workers=2)
-        try:
-            assert engine.executor_kind == "process"
-            assert engine.shared_executor().kind == "process"
-        finally:
-            engine.close()
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+    def test_constructor_resolves_backend_once(self, monkeypatch):
+        """The kind is derived from the worker count or taken from the
+        constructor — nothing else, the environment included, selects it —
+        and is read-only afterwards."""
+        for name in ("REPRO_EXECUTOR", "REPRO_CODEGEN", "REPRO_TRACE"):
+            monkeypatch.setenv(name, "process" if name == "REPRO_EXECUTOR" else "1")
+        with TiltEngine(workers=1) as engine:
+            assert engine.executor_kind == engine.shared_executor().kind == "serial"
+            assert engine.codegen_tier == "numpy" and not engine.tracer.enabled
         with TiltEngine(workers=2) as engine:
+            assert engine.executor_kind == engine.shared_executor().kind == "thread"
+            with pytest.raises(AttributeError, match="read-only"):
+                engine.executor_kind = "process"
+        with TiltEngine(workers=2, executor_kind="serial") as engine:
             assert engine.shared_executor().kind == "serial"
+        with TiltEngine(workers=2, executor_kind="process") as engine:
+            assert engine.shared_executor().kind == "process"
 
-    def test_explicit_kind_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        with TiltEngine(workers=2, executor_kind="thread") as engine:
-            assert engine.shared_executor().kind == "thread"
-
-    def test_unpicklable_query_falls_back_to_threads(self):
-        """A lambda-aggregate query on the process backend silently runs on
-        the in-process fallback and still matches serial output."""
+    def test_unpicklable_query_falls_back_counted_and_logged(self, caplog):
+        """A lambda-aggregate query on the process backend runs on the
+        in-process fallback and still matches serial output — and the
+        downgrade is counted per dispatch, logged once per query and
+        reported by the dispatch plan."""
         app = get_application("vibration")  # custom lambda aggregates
         program = app.program()
         streams = app.streams(400, seed=2)
         with TiltEngine(workers=1) as serial:
             reference = serial.run(program, streams).output
         with TiltEngine(workers=2, executor_kind="process") as engine:
-            assert not engine.compile(program).picklable
-            assert engine.run(program, streams).output == reference
-            assert engine._fallback_executor is not None
+            compiled = engine.compile(program)
+            assert not compiled.picklable
+            assert engine.dispatch_plan(compiled) == {
+                "backend": "thread", "reason": "unpicklable"
+            }
+            with caplog.at_level(logging.WARNING, logger="repro.engine"):
+                assert engine.run(compiled, streams).output == reference
+                assert engine.run(compiled, streams).output == reference
             assert engine._fallback_executor.kind == "thread"
+            assert engine._m_dispatch_fallbacks.value == 2
+            assert [r.reason for r in caplog.records] == ["unpicklable"]
+            assert 'repro_dispatch_fallbacks_total{reason="unpicklable"} 2' in (
+                engine.registry.to_prometheus()
+            )
+            # a picklable query on the same engine is not degraded
+            trading = engine.compile(get_application("trading").program())
+            assert engine.dispatch_plan(trading) == {
+                "backend": "process", "reason": "engine setting"
+            }
+            session = engine.open_session(
+                compiled, sources_for_streams(streams), incremental=False
+            )
+            assert session.plan["dispatch"]["reason"] == "unpicklable"
 
-    def test_interpreted_mode_falls_back_to_threads(self, random_walk_stream):
+    def test_interpreted_queries_run_on_the_process_pool(self, random_walk_stream):
+        """The oracle is one more kernel tier: its queries pickle (IR, no
+        closures) and run on the process pool byte-identically."""
         program = get_application("trading").program()
+        streams = {"stock": random_walk_stream}
         with TiltEngine(workers=1, mode="interpreted") as serial:
-            reference = serial.run(program, {"stock": random_walk_stream}).output
-        with TiltEngine(workers=2, executor_kind="process", mode="interpreted") as engine:
-            assert engine.run(program, {"stock": random_walk_stream}).output == reference
-            assert engine._fallback_executor is not None
+            reference = serial.run(program, streams).output
+        with TiltEngine(
+            workers=2, executor_kind="process", mode="interpreted", partition_interval=1e9
+        ) as engine:
+            compiled = engine.compile(program)
+            assert compiled.picklable
+            assert {row["active_tier"] for row in compiled.kernel_plan()} == {"interpreted"}
+            assert_bitwise_equal(engine.run(compiled, streams).output, reference)
+            assert compiled.pickle_payload()[0] in engine.shared_executor().seeded_digests
+            assert engine._fallback_executor is None

@@ -3,9 +3,10 @@
 Events reach a session as :class:`ColumnChunk` arrays.  ``Event`` lists
 survive only at the public API edge (``QueuedSource.push``, a user source
 whose ``poll`` returns a list) and go through the one ``ColumnChunk.coerce``.
-The differential test below drives the same query the same way through every
-feed style and requires byte-identical output; the guard after it pins that a
-generator-built stream reaches the kernel without one ``Event`` object.
+The differential tests below drive the same query the same way through every
+feed style — on every engine plan of ``ENGINE_PLANS`` — and require
+byte-identical output; the guard after them pins that a generator-built
+stream reaches the kernel without one ``Event`` object.
 """
 
 import numpy as np
@@ -105,23 +106,32 @@ def buffer_bytes(buf):
     )
 
 
+def assert_feed_styles_agree(engine, program, streams, sizes):
+    """Every feed style, byte for byte; returns the (one) tick-concat output."""
+    outputs = {feed: tick_concat(engine, program, streams, feed, sizes) for feed in FEEDS}
+    reference = buffer_bytes(outputs["replay"])
+    for feed, output in outputs.items():
+        assert buffer_bytes(output) == reference, feed
+    assert outputs["replay"] == engine.run(program, streams).output
+    return outputs["replay"]
+
+
 @pytest.mark.parametrize("app_name", APPS)
 @settings(max_examples=8, deadline=None)
 @given(sizes=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=8))
 def test_every_feed_style_gives_the_same_bytes(app_name, sizes):
     app = get_application(app_name)
-    program, streams = app.program(), app.streams(N_EVENTS, seed=11)
-    engine = TiltEngine(workers=1)
-    try:
-        outputs = {
-            feed: tick_concat(engine, program, streams, feed, sizes) for feed in FEEDS
-        }
-        reference = buffer_bytes(outputs["replay"])
-        for feed, output in outputs.items():
-            assert buffer_bytes(output) == reference, feed
-        assert outputs["replay"] == engine.run(program, streams).output
-    finally:
-        engine.close()
+    with TiltEngine(workers=1) as engine:
+        assert_feed_styles_agree(engine, app.program(), app.streams(N_EVENTS, seed=11), sizes)
+
+
+@pytest.mark.parametrize("app_name", APPS)
+def test_feed_styles_agree_on_every_plan(app_name, engine_plan, oracle):
+    app = get_application(app_name)
+    program, streams = app.program(), app.streams(engine_plan.events(N_EVENTS), seed=11)
+    with engine_plan.engine() as engine:
+        output = assert_feed_styles_agree(engine, program, streams, [37, 400, 1, 113])
+    assert output == oracle(program, streams)
 
 
 @pytest.mark.parametrize("app_name", ["trading", "ysb"])

@@ -8,7 +8,12 @@ import pytest
 from repro.core.frontend.query import LEFT, PAYLOAD, RIGHT, source
 from repro.core.lineage import BoundarySpec
 from repro.core.runtime.engine import QueryResult, TiltEngine
-from repro.core.runtime.executor import SerialExecutor, ThreadPoolExecutor, make_executor
+from repro.core.runtime.executor import (
+    SerialExecutor,
+    ThreadPoolExecutor,
+    default_kind,
+    make_executor,
+)
 from repro.core.runtime.partition import partition_inputs, plan_partitions, snap_down
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import EventStream
@@ -109,8 +114,8 @@ class TestExecutors:
             assert pool.map(lambda x: x * x, list(range(20))) == [x * x for x in range(20)]
 
     def test_make_executor(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(3)
+        assert isinstance(make_executor(1, default_kind(1)), SerialExecutor)
+        pool = make_executor(3, default_kind(3))
         assert isinstance(pool, ThreadPoolExecutor)
         pool.shutdown()
 

@@ -3,15 +3,15 @@
 A session resolves its own tick path (``incremental=None``: in-process
 against persistent reduce-site state where that pays, see
 :mod:`repro.core.codegen.incremental`); ``incremental=False`` / ``True``
-force partition-and-dispatch / in-process with every eligible site
-persisted.  All three must be *byte-identical* — same timestamps, validity
-mask and start time, values equal to within floating-point reassociation
+force partition-and-dispatch / in-process with the same resolved site plan.
+All three must be *byte-identical* — same timestamps, validity mask and
+start time, values equal to within floating-point reassociation
 (``SSBuf.__eq__``) — to each other and to one one-shot ``TiltEngine.run``
 over the complete input, across applications, aggregates, window
-parameters, ragged tick schedules (empty ticks, watermark stalls) and
-executor backends.  The partition-and-dispatch path is the reference the
-others are diffed against; the batch run is the ground truth all descend
-from.
+parameters, ragged tick schedules (empty ticks, watermark stalls) and every
+engine plan of ``ENGINE_PLANS``.  The partition-and-dispatch path is the
+reference the others are diffed against; the batch run is the ground truth
+all descend from, itself pinned to a direct ``evaluate_program`` call.
 
 Also covers the carry-over pruning interaction: checkpoint pins and
 reduce-site ingest horizons must hold input alive past the naive
@@ -62,45 +62,33 @@ def uniform_stream(n, seed, period=0.5, low=0.5, high=2.0):
 
 class TestDifferentialEquivalence:
     @pytest.mark.parametrize("app_name", sorted(ALL_APPLICATIONS))
-    def test_every_tick_path_matches_batch(self, app_name):
+    def test_every_tick_path_matches_batch_on_every_plan(self, app_name, engine_plan, oracle):
+        """Nothing the engine was configured with may perturb session
+        output: in-process ticks bypass the pool, batch and partitioned
+        ticks use it, on whatever kernel tier, traced or not — and all
+        remain byte-identical to the reference interpreter."""
         app = get_application(app_name)
-        streams = app.streams(N_EVENTS, seed=21)
-        engine = TiltEngine(workers=1)
-        batch = engine.run(app.program(), streams)
-        for tick_events in (171, 1024):
-            default, full, inc = (
-                run_session(engine, app.program(), streams, tick_events, incremental=mode)
-                for mode in MODES
-            )
-            assert inc.incremental and not full.incremental
-            assert full.result().output == batch.output
-            assert default.result().output == full.result().output
-            assert inc.result().output == full.result().output
-        engine.close()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("executor_kind", ["serial", "thread", "process"])
-    def test_executor_matrix(self, executor_kind, workers):
-        """The engine's worker-pool backend must not perturb session output:
-        in-process ticks bypass the pool, batch and partitioned ticks use
-        it, and all remain byte-identical."""
-        app = get_application("trading")
-        streams = app.streams(1_500, seed=22)
-        engine = TiltEngine(workers=workers, executor_kind=executor_kind)
-        try:
+        streams = app.streams(engine_plan.events(N_EVENTS), seed=21)
+        with engine_plan.engine() as engine:
             batch = engine.run(app.program(), streams)
-            for mode in MODES:
-                session = run_session(engine, app.program(), streams, 137, incremental=mode)
-                assert session.result().output == batch.output
-        finally:
-            engine.close()
+            assert batch.output == oracle(app.program(), streams)
+            for tick_events in (171, 1024):
+                default, full, inc = (
+                    run_session(engine, app.program(), streams, tick_events, incremental=mode)
+                    for mode in MODES
+                )
+                assert not full.incremental
+                assert inc.incremental == (engine.mode == "compiled")
+                assert full.result().output == batch.output
+                assert default.result().output == full.result().output
+                assert inc.result().output == full.result().output
 
     @pytest.mark.parametrize(
         "agg", list(builtin_aggregates().values()), ids=lambda a: a.name
     )
     def test_every_builtin_aggregate(self, agg):
-        """Forced to persist, each built-in exercises its own structure
-        (prefix index, subtract-on-evict, two-stacks, refold)."""
+        """In-process ticks for each built-in: prefix-decomposable ones
+        against their persisted index, the rest per invocation."""
         program = lookback_program(agg)
         stream = uniform_stream(800, seed=23)
         engine = TiltEngine(workers=1)
@@ -109,8 +97,8 @@ class TestDifferentialEquivalence:
         assert inc.result().output == batch.output
 
     def test_custom_invertible_aggregate(self):
-        """A user-defined aggregate with a deacc sweeps with
-        Subtract-on-Evict when forced to persist."""
+        """A user-defined aggregate has no prefix decomposition, so its
+        in-process ticks fold per invocation."""
         csum = custom_aggregate(
             "csum",
             init=lambda: 0.0,
@@ -139,8 +127,9 @@ class TestDifferentialEquivalence:
             assert session.result().output == batch.output
 
     def test_interpreted_mode_partitions(self):
-        """No compiled kernels, no reduce sites to carry state for: the
-        interpreter always partitions, whatever the override says."""
+        """The interpreter makes no ``rt.reduce`` calls to carry state for:
+        an interpreted output kernel always partitions, whatever the
+        override says."""
         app = get_application("wsum")
         streams = app.streams(600, seed=26)
         engine = TiltEngine(workers=1, mode="interpreted")
@@ -148,9 +137,13 @@ class TestDifferentialEquivalence:
         for mode in MODES:
             session = run_session(engine, app.program(), streams, 90, incremental=mode)
             assert not session.incremental
-            assert session.plan == {
-                "tick_path": "partition+dispatch", "reason": "interpreted", "sites": []
-            }
+            plan = session.plan
+            assert (plan["tick_path"], plan["reason"]) == (
+                "partition+dispatch", "interpreted output kernel"
+            )
+            assert plan["dispatch"] == {"backend": "serial", "reason": "engine setting"}
+            assert {row["active_tier"] for row in plan["kernels"]} == {"interpreted"}
+            assert {row["state"] for row in plan["sites"]} <= {"per-invocation"}
             assert session.result().output == batch.output
 
     @settings(max_examples=20, deadline=None)
@@ -287,9 +280,8 @@ class TestPruneStateInteraction:
 
 
 class TestResolvedPlan:
-    """What ``open_session`` resolved is visible, per reduce site.  (Engines
-    pin the NumPy tier: under ``REPRO_CODEGEN=native`` the same queries
-    resolve to partition-and-dispatch, which has its own test below.)"""
+    """What ``open_session`` resolved is visible: tick path, dispatch
+    backend, per-kernel tier and per reduce site."""
 
     @staticmethod
     def _plan(engine, app_name, **kwargs):
@@ -300,7 +292,7 @@ class TestResolvedPlan:
         return session.plan
 
     def test_only_prefix_sites_over_inputs_persist(self):
-        engine = TiltEngine(workers=1, codegen_tier="numpy")
+        engine = TiltEngine(workers=1)
         plan = self._plan(engine, "vibration")
         assert (plan["tick_path"], plan["reason"]) == ("in-process", "numpy output kernel")
         by_agg = {row["aggregate"]: row for row in plan["sites"]}
@@ -321,17 +313,16 @@ class TestResolvedPlan:
         assert reasons["squared"] == "intermediate kernel: rebuilt each tick"
 
     def test_explicit_override_is_reported(self):
-        engine = TiltEngine(workers=1, codegen_tier="numpy")
+        """Forcing a path changes the path, never which sites persist."""
+        engine = TiltEngine(workers=1)
         forced = self._plan(engine, "vibration", incremental=True)
         assert (forced["tick_path"], forced["reason"]) == ("in-process", "explicit override")
-        assert {row["state"] for row in forced["sites"]} == {"persisted"}
-        strategies = {row["aggregate"]: row["strategy"] for row in forced["sites"]}
-        assert strategies == {
-            "mean": "prefix", "max": "two-stacks", "kurtosis": "subtract-on-evict"
-        }
+        assert forced["sites"] == self._plan(engine, "vibration")["sites"]
+        assert forced["dispatch"]["backend"] == "in-process"
         off = self._plan(engine, "vibration", incremental=False)
         assert (off["tick_path"], off["reason"]) == ("partition+dispatch", "explicit override")
         assert {row["reason"] for row in off["sites"]} == {"partitioned tick path"}
+        assert off["dispatch"] == {"backend": "serial", "reason": "engine setting"}
 
     @pytest.mark.skipif(not native.native_available(), reason="needs cffi + C compiler")
     def test_native_output_kernel_keeps_partition_and_dispatch(self):
@@ -345,7 +336,14 @@ class TestResolvedPlan:
         session = run_session(engine, app.program(), streams, 128)
         assert session.plan["tick_path"] == "partition+dispatch"
         assert session.plan["reason"] == "native output kernel"
-        assert session._compiled.codegen_tiers == {"uptrend": "native"}
+        assert session.plan["kernels"] == [
+            {
+                "kernel": "uptrend",
+                "requested_tier": "native",
+                "active_tier": "native",
+                "fallback_reason": None,
+            }
+        ]
         assert session.state_snapshots() == 0
         assert session.result().output == batch.output
 
@@ -354,7 +352,7 @@ class TestResolvedPlan:
 
         app = get_application("trading")
         streams = app.streams(900, seed=34)
-        engine = TiltEngine(workers=1, codegen_tier="numpy")
+        engine = TiltEngine(workers=1)
         batch = engine.run(app.program(), streams)
         service = QueryService(engine)
         try:
@@ -376,7 +374,7 @@ class TestIncrementalInternals:
         after the input carry-over has been pruned and compacted."""
         program = lookback_program(SUM, lookback=40.0, precision=1.0)
         stream = uniform_stream(2_000, seed=35)
-        engine = TiltEngine(workers=1, codegen_tier="numpy")
+        engine = TiltEngine(workers=1)
         batch = engine.run(program, {"x": stream})
         session = run_session(engine, program, {"x": stream}, 128)
         assert 0 < session.state_snapshots() < 2_000

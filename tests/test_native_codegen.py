@@ -2,9 +2,9 @@
 
 The cross-backend *equivalence* of the native tier lives in
 ``tests/test_backends.py`` (``TestCodegenTierEquivalence``); this module
-pins down the tier machinery itself — knob resolution (constructor arg,
-``REPRO_CODEGEN``, ``"auto"``), per-kernel fallback when the toolchain is
-absent or a construct is not lowerable, digest-keyed JIT caching (memory
+pins down the tier machinery itself — tier selection (the constructor
+argument, nothing else), per-kernel fallback when the toolchain is absent
+or a construct is not lowerable, digest-keyed JIT caching (memory
 LRU + shared disk cache + warm ``precompile``), tier-aware compile-cache
 keying and pickling, and the metrics/span/flight-recorder evidence trail.
 """
@@ -22,7 +22,6 @@ from repro.core.codegen.compiled import (
     NUMPY_TIER,
     CompiledKernel,
     compile_program,
-    resolve_codegen_tier,
 )
 from repro.core.frontend.query import source
 from repro.core.runtime.engine import TiltEngine
@@ -53,45 +52,28 @@ def custom_agg_program():
 # tier selection
 # ---------------------------------------------------------------------- #
 class TestTierSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
+    def test_default_is_numpy(self):
         with TiltEngine(workers=1) as engine:
             assert engine.codegen_tier == NUMPY_TIER
 
-    @requires_native
     def test_constructor_selects_native(self):
+        """The request is honoured whether or not the toolchain is present —
+        each kernel falls back on its own when it is not."""
         with TiltEngine(workers=1, codegen_tier="native") as engine:
             assert engine.codegen_tier == NATIVE_TIER
-
-    @requires_native
-    def test_env_var_selects_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "native")
-        with TiltEngine(workers=1) as engine:
-            assert engine.codegen_tier == NATIVE_TIER
-
-    @requires_native
-    def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "native")
-        with TiltEngine(workers=1, codegen_tier="numpy") as engine:
-            assert engine.codegen_tier == NUMPY_TIER
+            (kernel,) = engine.compile(mean_program()).kernels
+            assert kernel.tier == NATIVE_TIER
+            assert (kernel.active_tier == NATIVE_TIER) == native.native_available()
 
     def test_invalid_tier_rejected(self):
-        with pytest.raises(QueryBuildError):
-            TiltEngine(workers=1, codegen_tier="fortran")
-        with pytest.raises(CompilationError):
-            compile_program(mean_program(), codegen_tier="fortran")
-
-    def test_invalid_env_tier_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "fortran")
-        with pytest.raises(QueryBuildError):
-            TiltEngine(workers=1)
-
-    def test_auto_resolves_by_availability(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        assert resolve_codegen_tier("auto") == NUMPY_TIER
-        monkeypatch.delenv("REPRO_NATIVE_DISABLE")
-        if native.native_available():
-            assert resolve_codegen_tier("auto") == NATIVE_TIER
+        """``"auto"`` is gone with the rest: the tiers are the two names."""
+        for tier in ("fortran", "auto"):
+            with pytest.raises(QueryBuildError):
+                TiltEngine(workers=1, codegen_tier=tier)
+            with pytest.raises(CompilationError):
+                compile_program(mean_program(), codegen_tier=tier)
+        with pytest.raises(QueryBuildError):  # the oracle is spelled mode=
+            TiltEngine(workers=1, codegen_tier="interpreted")
 
     def test_numpy_tier_has_no_native_kernel(self):
         compiled = compile_program(mean_program())
@@ -136,8 +118,11 @@ class TestFallback:
         kernel, not per query."""
         app = get_application("pantom")
         compiled = compile_program(app.program(), codegen_tier=NATIVE_TIER)
-        tiers = compiled.codegen_tiers
-        assert set(tiers.values()) == {NUMPY_TIER, NATIVE_TIER}
+        rows = compiled.kernel_plan()
+        assert {row["active_tier"] for row in rows} == {NUMPY_TIER, NATIVE_TIER}
+        for row in rows:
+            assert row["requested_tier"] == NATIVE_TIER
+            assert (row["fallback_reason"] is None) == (row["active_tier"] == NATIVE_TIER)
         streams = app.streams(300, seed=3)
         with TiltEngine(workers=1, codegen_tier="native") as engine:
             nat = engine.run(app.program(), streams).output
@@ -152,12 +137,13 @@ class TestFallback:
 
     @requires_native
     def test_interpreted_mode_never_goes_native(self, random_walk_stream):
-        """Interpreted mode has no KernelSpec to lower — the knob composes
-        by simply never reaching the native tier."""
+        """Interpreted mode resolves every kernel to the interpreter tier —
+        the tier argument composes by never being consulted."""
         program = get_application("trading").program()
         with TiltEngine(workers=1, mode="interpreted") as reference_engine:
             reference = reference_engine.run(program, {"stock": random_walk_stream}).output
         with TiltEngine(workers=1, mode="interpreted", codegen_tier="native") as engine:
+            assert engine.codegen_tier == "interpreted"
             assert engine.run(program, {"stock": random_walk_stream}).output == reference
 
 
@@ -287,7 +273,8 @@ class TestObservability:
 
         app = get_application("trading")
         streams = app.streams(300, seed=5)
-        service = QueryService(workers=1, codegen_tier="native")
+        engine = TiltEngine(workers=1, codegen_tier="native")
+        service = QueryService(engine)
         try:
             name = service.submit(
                 app.program(),
@@ -296,10 +283,13 @@ class TestObservability:
             service.run_until_idle()
             tenant = service._tenants[name]
             context = QueryService._flight_context(tenant)
-            assert set(context["codegen_tiers"].values()) <= {NUMPY_TIER, NATIVE_TIER}
-            assert NATIVE_TIER in context["codegen_tiers"].values()
+            assert context["plan"]["kernels"] == tenant.session.compiled.kernel_plan()
+            assert context["plan"]["kernels"] == tenant.describe()["plan"]["kernels"]
+            assert NATIVE_TIER in {row["active_tier"] for row in context["plan"]["kernels"]}
+            assert context["plan"]["dispatch"] == {"backend": "serial", "reason": "engine setting"}
         finally:
             service.close()
+            engine.close()
 
     def test_module_stats_shape(self):
         counters = native.stats()

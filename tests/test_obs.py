@@ -150,14 +150,12 @@ class TestTracer:
         assert root.find("kernel.sub")[0].record.parent_id == "fff-w1"
 
     def test_make_tracer_resolution(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")  # no longer consulted
         assert make_tracer(False) is NULL_TRACER
+        assert make_tracer(None) is NULL_TRACER
         assert make_tracer(True).enabled
         existing = Tracer()
         assert make_tracer(existing) is existing
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert make_tracer(None) is NULL_TRACER
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert make_tracer(None).enabled
         with pytest.raises(TypeError):
             make_tracer(42)
 
@@ -298,9 +296,7 @@ class TestInstrumentation:
                         assert k.record.pid != tree.record.pid
         # the resolved default (NumPy-tier output kernel) ticks in-process
         # whatever the backend
-        with TiltEngine(
-            workers=2, executor_kind=kind, trace=True, codegen_tier="numpy"
-        ) as engine:
+        with TiltEngine(workers=2, executor_kind=kind, trace=True) as engine:
             run_traced_session(engine)
             for tree in self._emitting_tick_trees(engine):
                 (emit,) = tree.find("tick.emit")
@@ -322,34 +318,27 @@ class TestInstrumentation:
                 outputs.append(session.result().output)
         assert outputs[0] == outputs[1]
 
-    def test_trace_env_var_enables_and_is_equivalent(self, monkeypatch):
+    def test_trace_argument_enables_and_is_equivalent(self):
         app = get_application("normalize")
         streams = app.streams(APP_EVENTS, seed=5)
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         with TiltEngine(workers=1) as engine:
             plain = engine.run(app.program(), streams)
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        with TiltEngine(workers=1) as engine:
-            assert engine.tracer.enabled
+        shared = Tracer()
+        with TiltEngine(workers=1, trace=shared) as engine:
+            assert engine.tracer is shared
             traced = engine.run(app.program(), streams)
-            assert engine.tracer.drain()
+            assert shared.drain()
         assert plain.output == traced.output
 
-    def test_disabled_mode_records_zero_spans(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        with TiltEngine(workers=2) as engine:
-            run_traced_session(engine)
-            assert engine.tracer is NULL_TRACER
-            assert engine.tracer.drain() == []
-        # an explicit opt-out beats the environment (matters under the
-        # REPRO_TRACE=1 CI matrix entry)
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        with TiltEngine(workers=2, trace=False) as engine:
-            run_traced_session(engine)
-            assert engine.tracer is NULL_TRACER
+    def test_disabled_mode_records_zero_spans(self):
+        for kwargs in ({}, {"trace": False}):
+            with TiltEngine(workers=2, **kwargs) as engine:
+                run_traced_session(engine)
+                assert engine.tracer is NULL_TRACER
+                assert engine.tracer.drain() == []
 
     def test_persistent_state_counters(self):
-        with TiltEngine(workers=1, codegen_tier="numpy") as engine:
+        with TiltEngine(workers=1) as engine:
             run_traced_session(engine)
             doc = engine.registry.to_json()
             hits = doc["repro_incremental_state_hits_total"]["series"][0]["value"]
@@ -470,8 +459,7 @@ class TestFlightRecorder:
                 tick = service.recorder.recent("slow")[-1].find("session.tick")[0]
                 assert tick.record.attrs["tenant"] == "slow"
 
-    def test_untraced_service_has_no_recorder(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_untraced_service_has_no_recorder(self):
         with QueryService(workers=1) as service:
             assert service.recorder is None
             assert service.stats().flight is None
@@ -656,11 +644,11 @@ class TestAdaptiveFlightRecorder:
         assert summary["adaptive"] is False
         assert "adaptive_threshold_ms" not in summary["tenants"]["t"]
 
-    def test_service_accepts_adaptive_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        with QueryService(workers=1, slow_tick_threshold="adaptive") as service:
-            assert service.recorder.adaptive
-            assert service.stats().flight["adaptive"] is True
+    def test_service_accepts_adaptive_threshold(self):
+        with TiltEngine(workers=1, trace=True) as engine:
+            with QueryService(engine, slow_tick_threshold="adaptive") as service:
+                assert service.recorder.adaptive
+                assert service.stats().flight["adaptive"] is True
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ The central property is *tick-concatenation equivalence*: feeding a dataset
 through a :class:`StreamingSession` in micro-batch ticks must produce output
 byte-identical (``SSBuf.__eq__``: same timestamps, values, validity mask and
 start time) to one ``TiltEngine.run`` over the full input — across
-applications, worker counts, tick sizes and ragged arrival patterns.
+applications, engine plans, tick sizes and ragged arrival patterns.
 """
 
 import numpy as np
@@ -50,20 +50,20 @@ def run_session(engine, program, streams, tick_events, **kwargs):
 
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("app_name,window,events", EQUIVALENCE_QUERIES)
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_tick_concat_equals_batch(self, app_name, window, events, workers):
+    def test_tick_concat_equals_batch(self, app_name, window, events, engine_plan, oracle):
+        """tick-concat ≡ one-shot ≡ ``evaluate_program``, on every plan."""
         app = get_application(app_name)
         program = app.program() if window is None else ysb_query(window).to_program()
-        streams = app.streams(events, seed=1)
-        engine = TiltEngine(workers=workers)
-        batch = engine.run(program, streams)
-        for tick_events in (171, 1024):
-            for incremental in (None, False):
-                session = run_session(
-                    engine, program, streams, tick_events, incremental=incremental
-                )
-                assert session.result().output == batch.output
-        engine.close()
+        streams = app.streams(engine_plan.events(events), seed=1)
+        with engine_plan.engine() as engine:
+            batch = engine.run(program, streams)
+            assert batch.output == oracle(program, streams)
+            for tick_events in (171, 1024):
+                for incremental in (None, False):
+                    session = run_session(
+                        engine, program, streams, tick_events, incremental=incremental
+                    )
+                    assert session.result().output == batch.output
 
     def test_single_giant_tick_equals_batch(self):
         app = get_application("trading")
@@ -297,16 +297,31 @@ class TestSessionWiring:
         results = session.run_to_exhaustion(max_ticks=4)
         assert session.closed and len(results) == 5  # 4 ticks + final flush
 
-    def test_compile_cache_respects_engine_settings(self):
+    def test_compile_settings_are_fixed_per_engine(self):
+        """An engine's compilation settings cannot change under its cache:
+        they are read-only, and a different setting is a different engine."""
         engine = TiltEngine(workers=1)
         program = get_application("trading").program()
         fused = engine.compile_cached(program)
-        engine.enable_fusion = False
-        unfused = engine.compile_cached(program)
-        assert fused is not unfused
-        assert len(unfused.kernels) > len(fused.kernels)
-        engine.enable_fusion = True
+        with pytest.raises(AttributeError, match="read-only"):
+            engine.enable_fusion = False
         assert engine.compile_cached(program) is fused
+        unfused = TiltEngine(workers=1, enable_fusion=False).compile_cached(program)
+        assert len(unfused.kernels) > len(fused.kernels)
+
+    def test_run_compiles_a_program_once(self):
+        """``run`` shares ``open_session``'s compile cache: two runs of one
+        program object are one compilation."""
+        app = get_application("trading")
+        program, streams = app.program(), app.streams(300, seed=12)
+        with TiltEngine(workers=1) as engine:
+            first = engine.run(program, streams)
+            assert engine.run(program, streams).output == first.output
+            assert engine._m_compile_misses.value == 1
+            assert engine._m_compile_hits.value == 1
+            session = engine.open_session(program, sources_for_streams(streams))
+            assert session.compiled is engine.compile_cached(program)
+            assert engine._m_compile_misses.value == 1
 
     def test_engine_run_still_works_as_context_manager(self):
         app = get_application("trading")
