@@ -36,6 +36,13 @@ by memory:
     run (the ``REPRO_EXECUTOR``/``REPRO_CODEGEN``/``REPRO_TRACE`` overrides
     PR 15 deleted).  Only the deployment settings in
     :data:`ALLOWED_ENV_READS` may come from the environment.
+``LNT106`` — per-snapshot Python or a comparison sort in the run path
+    ``ssbuf.py``, ``partition.py``, ``grid.py`` and ``prefix.py`` sit between
+    ``TiltEngine.run`` and the kernel: they hand out views and merge sorted
+    runs.  ``list(buf.times[lo:hi])``, an ``.append`` in a loop that walks an
+    array, or ``np.unique``/``np.sort``/``argsort`` there rebuilds or
+    re-sorts an ordered array (``SSBuf.slice`` through lists was 45 % of a
+    one-shot run before PR 16); code off the run path carries an allow.
 
 A violation line can be suppressed explicitly with a trailing
 ``# lint: allow(LNT101)`` comment; the suppression is itself visible in
@@ -67,6 +74,14 @@ INGEST_HOT_PATH_MODULES = (
     "core/runtime/session.py",
     "core/runtime/stream.py",
     "datagen/sources.py",
+)
+
+#: modules between ``TiltEngine.run`` and the kernel — the LNT106 scope
+RUN_PATH_MODULES = (
+    "core/runtime/ssbuf.py",
+    "core/runtime/partition.py",
+    "core/codegen/grid.py",
+    "windowing/prefix.py",
 )
 
 #: environment variables the package may read — where the toolchain, its
@@ -443,6 +458,59 @@ class _EnvironmentDiscipline(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------- #
+# LNT106: per-snapshot Python or a comparison sort in the run path
+# ---------------------------------------------------------------------- #
+class _RunPathDiscipline(ast.NodeVisitor):
+    _SORTS = {"unique", "sort", "argsort", "lexsort"}
+    _SNAPSHOT_ARRAYS = {"times", "values", "valid"}
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.violations: List[LintViolation] = []
+        self._array_loops = 0  # enclosing loops that walk an array
+
+    def _flag(self, node: ast.AST, what: str) -> None:
+        self.violations.append(
+            LintViolation(
+                path=self.path,
+                line=node.lineno,
+                code="LNT106",
+                message=f"{what} in a run-path module; hand out views and merge sorted runs",
+            )
+        )
+
+    def _walks_array(self, iterable: ast.expr) -> bool:
+        return any(
+            isinstance(node, ast.Subscript)
+            or (isinstance(node, ast.Call) and _terminal_name(node.func) == "range")
+            or _terminal_name(node) in self._SNAPSHOT_ARRAYS
+            for node in ast.walk(iterable)
+        )
+
+    def _visit_loop(self, node) -> None:
+        walks = isinstance(node, ast.While) or self._walks_array(node.iter)
+        self._array_loops += walks
+        self.generic_visit(node)
+        self._array_loops -= walks
+
+    visit_For = _visit_loop  # noqa: N815
+    visit_While = _visit_loop  # noqa: N815
+
+    def visit_Call(self, node: ast.Call) -> None:  # noqa: N802
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "list" and len(node.args) == 1:
+            arg = node.args[0]
+            if isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Attribute):
+                self._flag(node, "list(...) of an array slice")
+        elif isinstance(func, ast.Attribute):
+            if func.attr in self._SORTS:
+                self._flag(node, f"comparison sort .{func.attr}()")
+            elif func.attr == "append" and self._array_loops:
+                self._flag(node, ".append() in a loop over an array")
+        self.generic_visit(node)
+
+
+# ---------------------------------------------------------------------- #
 # driver
 # ---------------------------------------------------------------------- #
 def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
@@ -468,6 +536,8 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
         checkers.append(_SharedStateDiscipline(path, tree))
     if any(normalized.endswith(module) for module in INGEST_HOT_PATH_MODULES):
         checkers.append(_ColumnarIngestDiscipline(path))
+    if any(normalized.endswith(module) for module in RUN_PATH_MODULES):
+        checkers.append(_RunPathDiscipline(path))
     violations: List[LintViolation] = []
     for checker in checkers:
         checker.visit(tree)

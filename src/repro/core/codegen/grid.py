@@ -20,7 +20,7 @@ so a materialized buffer covers its whole output interval, which downstream
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import List, Mapping
 
 import numpy as np
 
@@ -44,6 +44,61 @@ def snap_to_precision(times: np.ndarray, precision: float) -> np.ndarray:
     return _grid_index(times, precision) * precision
 
 
+def _merge_runs(runs: List[np.ndarray]) -> np.ndarray:
+    """Sorted union of non-decreasing runs: each run is deduplicated, then
+    placed into the union by one monotone ``searchsorted`` pass of the
+    shorter side over the longer — no comparison sort."""
+    a = np.empty(0)
+    for b in runs:
+        fresh = b[1:] != b[:-1]
+        if not fresh.all():
+            b = b[np.concatenate(([True], fresh))]
+        if len(a) < len(b):
+            a, b = b, a
+        if not len(b):
+            continue
+        at = np.searchsorted(a, b, side="left")
+        fresh = a[np.minimum(at, len(a) - 1)] != b
+        b, at = b[fresh], at[fresh]
+        at += np.arange(len(b))
+        union = np.empty(len(a) + len(b))
+        from_a = np.ones(len(union), dtype=bool)
+        from_a[at] = False
+        union[at] = b
+        union[from_a] = a
+        a = union
+    return a
+
+
+#: the grid range is read off a bitmap while it has at most this many cells
+#: per candidate time; candidates sparser than that are merged instead
+_BITMAP_CELLS_PER_CANDIDATE = 8
+
+
+def _grid_union(runs: List[np.ndarray], precision: float) -> np.ndarray:
+    """Sorted union of the candidate runs on the precision grid.
+
+    The value *before* a change must also be materialized on the grid: if
+    the output changes at grid point ``k``, the old value's last holding
+    point ``k - 1`` needs an explicit snapshot.  Both are derived from the
+    integer index so every grid time is the same float ``k * precision``
+    however it was reached: on a non-dyadic precision ``k * p - p`` can
+    differ from ``(k - 1) * p`` by an ulp, and two snapshots an ulp apart
+    are split differently by tick edges than by a one-shot run.
+    """
+    ks = [_grid_index(run, precision) for run in runs]
+    first = min(k[0] for k in ks) - 1.0
+    cells = max(k[-1] for k in ks) - first + 1.0
+    if cells > _BITMAP_CELLS_PER_CANDIDATE * sum(len(k) for k in ks) + 64:
+        return _merge_runs([run for k in ks for run in (k, k - 1.0)]) * precision
+    marked = np.zeros(int(cells), dtype=bool)
+    for k in ks:
+        at = (k - first).astype(np.intp)
+        marked[at] = True
+        marked[at - 1] = True
+    return (np.flatnonzero(marked) + first) * precision
+
+
 def evaluation_times_for_accesses(
     accesses: Mapping[str, AccessPattern],
     env: Mapping[str, SSBuf],
@@ -52,10 +107,17 @@ def evaluation_times_for_accesses(
     t_end: float,
 ) -> np.ndarray:
     """Output timestamps at which an expression with the given access pattern
-    must be evaluated over ``(t_start, t_end]``."""
+    must be evaluated over ``(t_start, t_end]``.
+
+    The candidates are sorted runs, one per (input, boundary offset), so
+    their union never needs a comparison sort: on a precision grid it is
+    read off a bitmap over the partition's grid range, otherwise (no
+    precision, or candidates sparse relative to that range) the runs are
+    merged.
+    """
     if t_end <= t_start:
         return np.empty(0)
-    candidates = [np.array([t_end])]
+    runs = [np.array([t_end])]
     for ref, pattern in accesses.items():
         buf = env.get(ref)
         if buf is None or len(buf) == 0:
@@ -65,25 +127,13 @@ def evaluation_times_for_accesses(
             # the buffer's start_time is an implicit change point (φ → first
             # value), so it is included as well.
             changes = buf.change_times_in(t_start + offset, t_end + offset)
-            pieces = [changes - offset] if len(changes) else []
+            if len(changes):
+                runs.append(changes - offset)
             if t_start + offset < buf.start_time <= t_end + offset:
-                pieces.append(np.array([buf.start_time - offset]))
-            candidates.extend(pieces)
-    times = np.concatenate(candidates)
-    if tdom.precision <= 0:
-        times = np.unique(times)
-    else:
-        # the value *before* a change must also be materialized on the grid:
-        # if the output changes at grid point k, the old value's last holding
-        # point k - 1 needs an explicit snapshot.  Both are derived from the
-        # integer index so every grid time is the same float ``k * precision``
-        # however it was reached: on a non-dyadic precision ``k * p - p`` can
-        # differ from ``(k - 1) * p`` by an ulp, and two snapshots an ulp
-        # apart are split differently by tick edges than by a one-shot run.
-        k = _grid_index(times, tdom.precision)
-        times = np.unique(np.concatenate([k, k - 1.0])) * tdom.precision
-    mask = (times > t_start + 1e-12) & (times <= t_end + 1e-12)
-    times = times[mask]
+                runs.append(np.array([buf.start_time - offset]))
+    times = _grid_union(runs, tdom.precision) if tdom.precision > 0 else _merge_runs(runs)
+    lo, hi = np.searchsorted(times, (t_start + 1e-12, t_end + 1e-12), side="right")
+    times = times[lo:hi]
     if len(times) == 0 or times[-1] < t_end:
         times = np.append(times, t_end)
     return times

@@ -164,7 +164,11 @@ class IncrementalKernelRuntime(KernelRuntime):
                 env, ref, start_offset, end_offset, agg_idx, elem_idx, ts, cache
             )
         site.ingest(env[ref], self)
-        return site.structure.query(ts + start_offset, ts + end_offset)
+        index = site.structure
+        # cursors into the persistent index, not the (pruned) input column
+        return index.query_indices(
+            *self._window(cache, index, index, ts, start_offset, end_offset)
+        )
 
     def ingested_floor(self) -> float:
         """Oldest ingest horizon across sites — input newer than this has

@@ -207,7 +207,7 @@ class _ExprCompiler:
             ref = expr.name if isinstance(expr, TRef) else expr.ref
             offset = 0.0 if isinstance(expr, TRef) else expr.offset
             v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v}, {k} = rt.point(env, {ref!r}, {offset!r}, _ts)")
+            self.emitter.emit(f"{v}, {k} = rt.point(env, {ref!r}, {offset!r}, _ts, _cache)")
             return v, k
         if isinstance(expr, Reduce):
             if not self.allow_temporal:
@@ -351,9 +351,10 @@ class _KernelBuilder:
             "        return rt.empty(t_start)",
             "    _TRUE = _np.ones(_n, dtype=bool)",
             "    _FALSE = _np.zeros(_n, dtype=bool)",
-            # per-run aggregator cache: execution state lives in the kernel
-            # invocation, never in the shared KernelRuntime (concurrent
-            # partitions of one compiled query must not see each other)
+            # per-run cursor table and aggregator indexes: execution state
+            # lives in the kernel invocation, never in the shared
+            # KernelRuntime (concurrent partitions of one compiled query must
+            # not see each other)
             "    _cache = {}",
             # both branches of a conditional (and domain-guarded operands)
             # are evaluated eagerly, then discarded through the validity

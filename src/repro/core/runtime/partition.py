@@ -135,12 +135,7 @@ def plan_partitions(
         # partitions and are filtered below.
         interior = [max(snap_down(e, align), edges[0]) for e in edges[1:-1]]
         edges = [edges[0]] + interior + [edges[-1]]
-    bounds: List[Tuple[float, float]] = []
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if hi > lo:
-            bounds.append((lo, hi))
-    return bounds
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def partition_inputs(

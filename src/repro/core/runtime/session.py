@@ -695,7 +695,7 @@ class StreamingSession:
                         inputs, self._t_emit, w, output_runtime=self._state
                     )
                     sp.set(state_snapshots=self._state.retained())
-                delta = SSBuf.concat([piece]).compact() if len(piece) else SSBuf.empty(self._t_emit)
+                delta = piece.compact()
                 num_partitions = 1
             else:
                 with self._tracer.span("emit.plan") as sp:

@@ -63,7 +63,15 @@ class SSBuf:
         Validity mask; False marks a φ (null) snapshot.
     start_time:
         Time at which the first snapshot's interval begins.  Values before
-        ``start_time`` are undefined (treated as φ).
+        ``start_time`` are undefined (treated as φ).  Defaults to the first
+        timestamp (an empty first interval).
+
+    This constructor and :meth:`from_events` *validate* (equal lengths,
+    strictly increasing times — an O(n) pass).  Everything that derives a
+    buffer from already-ordered arrays is validated by construction and
+    skips the pass: :meth:`slice`, :meth:`compact`, :meth:`concat`,
+    :meth:`shift`, the kernels' ``rt.build`` and a session column's
+    ``_IngestColumn.materialize``.
     """
 
     def __init__(
@@ -84,11 +92,7 @@ class SSBuf:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise QueryBuildError("snapshot timestamps must be strictly increasing")
         if start_time is None:
-            start_time = float(self.times[0]) if len(self.times) else 0.0
-            # by convention an auto-derived start leaves no room before the
-            # first snapshot, i.e. the first snapshot interval is empty unless
-            # the caller provided an explicit earlier start.
-            start_time = min(start_time, float(self.times[0]) - 0.0) if len(self.times) else 0.0
+            start_time = self.times[0] if len(self.times) else 0.0
         self.start_time = float(start_time)
         if len(self.times) and self.start_time > self.times[0]:
             raise QueryBuildError("start_time must not exceed the first snapshot timestamp")
@@ -153,27 +157,20 @@ class SSBuf:
 
         # Overlap resolution via a boundary sweep: the most recently started
         # active event provides the value of each elementary interval.
-        bounds = np.unique(np.concatenate((starts, ends)))
-        times_l: List[float] = []
-        values_l: List[float] = []
-        valid_l: List[bool] = []
-        if buf_start < bounds[0]:
-            times_l.append(bounds[0])
-            values_l.append(0.0)
-            valid_l.append(False)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # (the one sort in this module: overlapping events are unordered, and
+        # this is the explicit-policy ingest edge, not the run path)
+        bounds = np.unique(np.concatenate((starts, ends)))  # lint: allow(LNT106)
+        # an explicit earlier start is a leading φ snapshot ending at bounds[0]
+        first = 0 if buf_start < bounds[0] else 1
+        winners = np.full(len(bounds), -1)
+        for i in range(1, len(bounds)):
+            lo, hi = bounds[i - 1], bounds[i]
             active = np.nonzero((starts < hi) & (ends >= hi) & (starts <= lo))[0]
             if len(active):
-                winner = active[np.argmax(starts[active])]
-                times_l.append(hi)
-                values_l.append(float(vals[winner]))
-                valid_l.append(True)
-            else:
-                times_l.append(hi)
-                values_l.append(0.0)
-                valid_l.append(False)
-        buf = cls(times_l, values_l, valid_l, start_time=buf_start)
-        return buf.compact()
+                winners[i] = active[np.argmax(starts[active])]
+        valid = winners >= 0
+        values = np.where(valid, vals[winners], 0.0)
+        return cls(bounds[first:], values[first:], valid[first:], start_time=buf_start).compact()
 
     @classmethod
     def constant(cls, value: float, start: float, end: float) -> "SSBuf":
@@ -242,14 +239,19 @@ class SSBuf:
             return (0.0, False)
         return (float(self.values[idx]), True)
 
-    def values_at(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`value_at` over an array of query times."""
+    def values_at(
+        self, ts: np.ndarray, idx: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`value_at` over an array of query times (``idx``:
+        their left cursor ``searchsorted(times, ts, "left")``, when the caller
+        already holds it)."""
         ts = np.asarray(ts, dtype=np.float64)
         if not len(self.times):
             return np.zeros(len(ts)), np.zeros(len(ts), dtype=bool)
-        idx = np.searchsorted(self.times, ts, side="left")
+        if idx is None:
+            idx = np.searchsorted(self.times, ts, side="left")
         in_range = (ts > self.start_time) & (ts <= self.times[-1])
-        idx_c = np.clip(idx, 0, len(self.times) - 1)
+        idx_c = np.minimum(idx, len(self.times) - 1)
         vals = self.values[idx_c]
         ok = in_range & self.valid[idx_c]
         return np.where(ok, vals, 0.0), ok
@@ -279,23 +281,26 @@ class SSBuf:
         partitions to the full stream.  A snapshot spanning ``end`` is
         clipped to ``end`` (keeping its value), so a slice always covers its
         whole interval.
+
+        The result holds read-only *views* of this buffer's arrays (one
+        appended copy only when the last snapshot is clipped): a partition
+        is handed margins of its input, never a rebuilt input.
         """
         if end <= start:
             return SSBuf.empty(start)
         start = max(start, self.start_time)
-        if not len(self.times) or start >= self.times[-1]:
+        if not len(self.times) or start >= self.times[-1] or end <= start:
             return SSBuf.empty(start)
         lo = int(np.searchsorted(self.times, start, side="right"))
         hi = int(np.searchsorted(self.times, end, side="right"))
-        times = list(self.times[lo:hi])
-        values = list(self.values[lo:hi])
-        valid = list(self.valid[lo:hi])
-        if hi < len(self.times) and (not times or times[-1] < end):
+        columns = [self.times[lo:hi], self.values[lo:hi], self.valid[lo:hi]]
+        if hi < len(self.times) and (hi == lo or self.times[hi - 1] < end):
             # the snapshot at index `hi` spans past `end`; clip it.
-            times.append(end)
-            values.append(float(self.values[hi]))
-            valid.append(bool(self.valid[hi]))
-        return SSBuf(times, values, valid, start_time=start)
+            clipped = (end, self.values[hi], self.valid[hi])
+            columns = [np.append(col, last) for col, last in zip(columns, clipped)]
+        for col in columns:
+            col.flags.writeable = False
+        return _ssbuf_from_arrays(*columns, float(start))
 
     def shift(self, dt: float) -> "SSBuf":
         """Shift the buffer forward in time by ``dt`` seconds.
@@ -304,7 +309,9 @@ class SSBuf:
         ``t - dt`` — the semantics of the ``Shift`` operator used by the RSI,
         imputation, resampling and fraud-detection queries.
         """
-        return SSBuf(self.times + dt, self.values.copy(), self.valid.copy(), self.start_time + dt)
+        return _ssbuf_from_arrays(
+            self.times + dt, self.values.copy(), self.valid.copy(), self.start_time + dt
+        )
 
     def compact(self) -> "SSBuf":
         """Merge adjacent snapshots that hold identical values.
@@ -323,9 +330,9 @@ class SSBuf:
         valid, values = self.valid, self.values
         keep = np.ones(len(self.times), dtype=bool)
         keep[:-1] = (valid[:-1] != valid[1:]) | (valid[:-1] & (values[:-1] != values[1:]))
-        return SSBuf(
-            self.times[keep], self.values[keep], self.valid[keep], start_time=self.start_time
-        )
+        if keep.all():
+            return self
+        return _ssbuf_from_arrays(self.times[keep], values[keep], valid[keep], self.start_time)
 
     def map_values(self, fn) -> "SSBuf":
         """Apply ``fn`` to every valid snapshot value (φ snapshots unchanged)."""
@@ -351,34 +358,28 @@ class SSBuf:
     # combination helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def merged_change_times(bufs: Sequence["SSBuf"], start: float, end: float) -> np.ndarray:
-        """Union of the change timestamps of several buffers inside ``(start, end]``.
-
-        This is the grid on which a fused temporal expression must be
-        evaluated: the output can only change when one of its inputs changes
-        (the invariant exploited by loop synthesis in Section 6.1.3).
-        """
-        pieces = [b.change_times_in(start, end) for b in bufs]
-        pieces = [p for p in pieces if len(p)]
-        if not pieces:
-            return np.empty(0)
-        return np.unique(np.concatenate(pieces))
-
-    @staticmethod
     def concat(parts: Sequence["SSBuf"]) -> "SSBuf":
-        """Concatenate partition results back into one buffer (in time order)."""
-        parts = [p for p in parts if len(p)]
+        """Concatenate partition results back into one buffer (in time order).
+
+        The pieces are ordered runs, so nothing is sorted: each piece (in
+        ``start_time`` order) contributes the snapshots after the end of what
+        precedes it, losing a repeated edge time or an overlapping head.  The
+        result starts at the earliest piece's ``start_time`` — also when
+        every piece is empty — and a single piece is not copied.
+        """
         if not parts:
             return SSBuf.empty()
         parts = sorted(parts, key=lambda b: b.start_time)
-        times = np.concatenate([p.times for p in parts])
-        values = np.concatenate([p.values for p in parts])
-        valid = np.concatenate([p.valid for p in parts])
-        order = np.argsort(times, kind="mergesort")
-        times, values, valid = times[order], values[order], valid[order]
-        uniq = np.ones(len(times), dtype=bool)
-        uniq[1:] = np.diff(times) > 0
-        return SSBuf(times[uniq], values[uniq], valid[uniq], start_time=parts[0].start_time)
+        runs, end = [], -np.inf
+        for part in parts:
+            skip = int(np.searchsorted(part.times, end, side="right"))
+            if skip < len(part):
+                runs.append((part.times[skip:], part.values[skip:], part.valid[skip:]))
+                end = part.times[-1]
+        if not runs:
+            return SSBuf.empty(parts[0].start_time)
+        columns = runs[0] if len(runs) == 1 else [np.concatenate(c) for c in zip(*runs)]
+        return _ssbuf_from_arrays(*columns, parts[0].start_time)
 
 
 def change_points(
@@ -424,8 +425,10 @@ def change_points(
 
 
 def _ssbuf_from_arrays(times, values, valid, start_time) -> "SSBuf":
-    """Unpickle hook: rebuild an :class:`SSBuf` from its raw arrays without
-    re-running constructor validation (see :meth:`SSBuf.__reduce__`)."""
+    """An :class:`SSBuf` over arrays that are ordered and equal-length by
+    construction: no validation pass, no copy.  The one constructor behind
+    every derived buffer (see the class docstring) and the unpickle hook of
+    :meth:`SSBuf.__reduce__`."""
     buf = SSBuf.__new__(SSBuf)
     buf.times = times
     buf.values = values

@@ -28,24 +28,39 @@ __all__ = ["PrefixRangeIndex", "snapshot_range_indices"]
 
 def snapshot_range_indices(
     times: np.ndarray,
-    interval_starts: np.ndarray,
+    start_time: float,
     window_starts: np.ndarray,
     window_ends: np.ndarray,
+    left_starts: Optional[np.ndarray] = None,
+    left_ends: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Map time windows to contiguous snapshot index ranges.
 
-    A snapshot with interval ``(s_i, t_i]`` overlaps the query window
-    ``(ws, we]`` iff ``t_i > ws`` and ``s_i < we``.  Because snapshots are
-    ordered and contiguous, the overlapping snapshots form the index range
-    ``[lo, hi)`` with::
+    A snapshot with interval ``(s_i, t_i]`` (``s_0 = start_time``,
+    ``s_i = t_{i-1}``) overlaps the query window ``(ws, we]`` iff
+    ``t_i > ws`` and ``s_i < we``.  Because snapshots are ordered and
+    contiguous, the overlapping snapshots form the index range ``[lo, hi)``
+    with::
 
         lo = first i such that t_i > ws
         hi = first i such that s_i >= we
 
-    Returns ``(lo, hi)`` arrays; empty windows have ``lo >= hi``.
+    Both follow from the edge's *left cursor* (the number of snapshot times
+    strictly before it), so a window costs one ``searchsorted`` per edge —
+    none when the caller already holds the cursors (``left_starts`` /
+    ``left_ends``: a kernel making several accesses at one offset of one
+    input).  Returns ``(lo, hi)`` arrays; empty windows have ``lo >= hi``.
     """
-    lo = np.searchsorted(times, window_starts, side="right")
-    hi = np.searchsorted(interval_starts, window_ends, side="left")
+    if not len(times):
+        none = np.zeros(len(window_starts), dtype=np.intp)
+        return none, none
+    if left_starts is None:
+        left_starts = np.searchsorted(times, window_starts, side="left")
+    if left_ends is None:
+        left_ends = np.searchsorted(times, window_ends, side="left")
+    last = len(times) - 1
+    lo = left_starts + (times[np.minimum(left_starts, last)] == window_starts)
+    hi = np.minimum(left_ends, last) + (window_ends > start_time)
     return lo, hi
 
 
@@ -129,21 +144,24 @@ class PrefixRangeIndex:
         if last:
             tail += last
 
-    def query(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate each window ``(ws_i, we_i]``.
+    @property
+    def times(self) -> np.ndarray:
+        """Times of the snapshots held (what window cursors index into)."""
+        return self._edges.view[1:]
 
-        Returns ``(values, valid)`` where windows containing no valid
+    @property
+    def start_time(self) -> float:
+        """Interval start of the first snapshot held."""
+        return float(self._edges.view[0]) if len(self._edges) else 0.0
+
+    def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Aggregate each snapshot index range ``[lo_i, hi_i)``.
+
+        Returns ``(values, valid)`` where ranges containing no valid
         snapshot produce ``valid=False`` (φ).
         """
-        window_starts = np.asarray(window_starts, dtype=np.float64)
-        window_ends = np.asarray(window_ends, dtype=np.float64)
         if not len(self._edges):
-            n = len(window_starts)
-            return np.zeros(n), np.zeros(n, dtype=bool)
-        edges = self._edges.view
-        lo, hi = snapshot_range_indices(edges[1:], edges[:-1], window_starts, window_ends)
+            return np.zeros(len(lo)), np.zeros(len(lo), dtype=bool)
         hi = np.maximum(hi, lo)
         valid_prefix = self._valid_prefix.view
         counts = valid_prefix[hi] - valid_prefix[lo]

@@ -40,47 +40,51 @@ class RangeAggregator:
         self.agg = agg
         self._prefix: Optional[PrefixRangeIndex] = None
         self._rmq: Optional[SparseTableRMQ] = None
-        self._interval_starts: Optional[np.ndarray] = None
         kind = agg.strategy.range
         if kind == "prefix":
             self._prefix = PrefixRangeIndex(agg)
             self._prefix.extend(buf.times, buf.values, buf.valid, buf.start_time)
-        else:
-            self._interval_starts = buf.interval_starts
-            if kind == "rmq":
-                self._rmq = SparseTableRMQ(
-                    buf.times, self._interval_starts, buf.values, buf.valid, mode=agg.rmq
-                )
+        elif kind == "rmq":
+            self._rmq = SparseTableRMQ(buf.values, buf.valid, mode=agg.rmq)
 
     def query(
         self, window_starts: np.ndarray, window_ends: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate every window ``(ws_i, we_i]``; returns (values, valid)."""
+        """Aggregate every time window ``(ws_i, we_i]``; returns (values, valid)."""
         window_starts = np.asarray(window_starts, dtype=np.float64)
         window_ends = np.asarray(window_ends, dtype=np.float64)
-        if self._prefix is not None:
-            return self._prefix.query(window_starts, window_ends)
-        if self._rmq is not None:
-            return self._rmq.query(window_starts, window_ends)
-        return self._generic(window_starts, window_ends)
-
-    def _generic(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = snapshot_range_indices(
-            self.buf.times, self._interval_starts, window_starts, window_ends
+        return self.query_indices(
+            *snapshot_range_indices(
+                self.buf.times, self.buf.start_time, window_starts, window_ends
+            )
         )
-        out = np.zeros(len(window_starts))
-        ok = np.zeros(len(window_starts), dtype=bool)
-        values = self.buf.values
-        valid = self.buf.valid
-        for i in range(len(window_starts)):
-            if hi[i] <= lo[i]:
-                continue
-            window_vals = values[lo[i]:hi[i]][valid[lo[i]:hi[i]]]
-            if len(window_vals) == 0:
-                continue
-            out[i], ok[i] = self.agg.fold_array(window_vals)
+
+    def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Aggregate every snapshot index range ``[lo_i, hi_i)`` of the buffer
+        (see :func:`~repro.windowing.prefix.snapshot_range_indices`)."""
+        if self._prefix is not None:
+            return self._prefix.query_indices(lo, hi)
+        if self._rmq is not None:
+            return self._rmq.query_indices(lo, hi)
+        return self._fold(lo, hi)
+
+    def _fold(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One reduction call per window holding a valid snapshot; the valid
+        counts are vectorised, and only a window containing a φ is masked."""
+        values, valid = self.buf.values, self.buf.valid
+        hi = np.maximum(hi, lo)
+        valid_prefix = np.concatenate(([0], np.cumsum(valid)))
+        counts = valid_prefix[hi] - valid_prefix[lo]
+        ok = counts > 0
+        at = np.flatnonzero(ok)
+        dense = counts[at] == (hi - lo)[at]
+        fold = self.agg.vector_eval or (lambda window: self.agg.fold(window)[0])
+        results = [
+            float(fold(values[a:b] if whole else values[a:b][valid[a:b]]))
+            for a, b, whole in zip(lo[at].tolist(), hi[at].tolist(), dense.tolist())
+        ]
+        out = np.zeros(len(lo))
+        out[at] = results
         return out, ok
 
 

@@ -14,8 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .prefix import snapshot_range_indices
-
 __all__ = ["SparseTableRMQ"]
 
 
@@ -24,9 +22,6 @@ class SparseTableRMQ:
 
     Parameters
     ----------
-    times, interval_starts:
-        Snapshot timing arrays (used to translate time windows to index
-        ranges).
     values, valid:
         Snapshot values and validity mask; invalid snapshots never win a
         query.
@@ -34,21 +29,12 @@ class SparseTableRMQ:
         ``'max'`` or ``'min'``.
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        interval_starts: np.ndarray,
-        values: np.ndarray,
-        valid: np.ndarray,
-        mode: str = "max",
-    ):
+    def __init__(self, values: np.ndarray, valid: np.ndarray, mode: str = "max"):
         if mode not in ("max", "min"):
             raise ValueError("mode must be 'max' or 'min'")
         self.mode = mode
-        self.times = np.asarray(times, dtype=np.float64)
-        self.interval_starts = np.asarray(interval_starts, dtype=np.float64)
         valid = np.asarray(valid, dtype=bool)
-        n = len(self.times)
+        n = len(valid)
         fill = -np.inf if mode == "max" else np.inf
         base = np.where(valid, np.asarray(values, dtype=np.float64), fill)
         self._valid_prefix = np.concatenate(([0.0], np.cumsum(valid.astype(np.float64))))
@@ -74,25 +60,13 @@ class SparseTableRMQ:
         results = np.full(len(lo), 0.0)
         nonempty = lengths > 0
         if np.any(nonempty):
-            ln = lengths[nonempty]
-            k = np.floor(np.log2(ln)).astype(np.int64)
-            out = np.empty(len(ln))
-            for level in np.unique(k):
+            lo, hi = lo[nonempty], hi[nonempty]
+            k = np.floor(np.log2(hi - lo)).astype(np.int64)
+            out = np.empty(len(lo))
+            for level in np.unique(k).tolist():
                 sel = k == level
-                span = 1 << int(level)
-                table = self._levels[int(level)]
-                a = table[lo[nonempty][sel]]
-                b = table[hi[nonempty][sel] - span]
-                out[sel] = self._reduce(a, b)
+                table = self._levels[level]
+                out[sel] = self._reduce(table[lo[sel]], table[hi[sel] - (1 << level)])
             results[nonempty] = out
         valid = counts > 0
         return np.where(valid, results, 0.0), valid
-
-    def query(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate over time windows ``(ws_i, we_i]`` (vectorized)."""
-        lo, hi = snapshot_range_indices(
-            self.times, self.interval_starts, np.asarray(window_starts), np.asarray(window_ends)
-        )
-        return self.query_indices(lo, hi)

@@ -299,6 +299,22 @@ class TestLint:
         found = lint_file(LINT_FIXTURES / "env_settings.py")
         assert self.codes_at(found) == {("LNT105", line) for line in range(10, 15)}
 
+    def test_run_path_fixture(self):
+        """The parent's list-based ``SSBuf.slice``, an argsort/unique concat
+        and a per-snapshot append loop all fail the gate; a loop over
+        partitions and an allowed sort do not."""
+        found = lint_file(LINT_FIXTURES / "core" / "runtime" / "ssbuf.py")
+        assert self.codes_at(found) == {
+            ("LNT106", line) for line in (21, 22, 23, 33, 34, 40)
+        }
+
+    def test_run_path_rule_only_applies_to_run_path_modules(self):
+        src = "import numpy as np\ndef f(buf):\n    return np.unique(list(buf.times[1:]))\n"
+        assert lint_source(src, "spe/trill/engine.py") == []
+        for module in ("core/runtime/ssbuf.py", "core/runtime/partition.py",
+                       "core/codegen/grid.py", "windowing/prefix.py"):
+            assert [v.code for v in lint_source(src, module)] == ["LNT106", "LNT106"]
+
     def test_columnar_ingest_rule_only_applies_to_the_ingest_hot_path(self):
         src = "def f(events):\n    return [e.start for e in events]\n"
         assert lint_source(src, "spe/trill/engine.py") == []
@@ -307,7 +323,7 @@ class TestLint:
 
     def test_directory_walk_finds_all_seeded_violations(self):
         found = lint_paths([LINT_FIXTURES])
-        assert len(found) == 20
+        assert len(found) == 26
 
     def test_suppression_comment_silences_a_violation(self):
         src = (

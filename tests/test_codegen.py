@@ -18,6 +18,7 @@ from repro.core.codegen import (
     evaluate_program,
     evaluate_temporal_expr,
     evaluation_times,
+    evaluation_times_for_accesses,
     generate_kernel_spec,
     snap_to_precision,
 )
@@ -38,6 +39,7 @@ from repro.core.ir import (
     when,
 )
 from repro.core.lineage import resolve_boundaries
+from repro.core.lineage.boundary import AccessPattern
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
 from repro.errors import ExecutionError
@@ -138,6 +140,101 @@ class TestEvaluationGrid:
         expr = TIndex("simple", 0.0)
         assert len(evaluation_times(expr, {"simple": simple_buf}, TDom(), 10.0, 10.0)) == 0
 
+    @pytest.mark.parametrize("precision", [0.0, 1.0 / 128, 0.1])
+    def test_sort_free_grid_takes_both_routes(self, precision, monkeypatch):
+        """Dense candidates are read off the bitmap, candidates sparse
+        relative to the grid range (and every precision-0 grid) are merged —
+        and both equal the sorted formulation byte for byte."""
+        from repro.core.codegen import grid
+
+        merges = []
+        merge = grid._merge_runs
+        monkeypatch.setattr(
+            grid, "_merge_runs", lambda runs: merges.append(len(runs)) or merge(runs)
+        )
+        accesses = {"x": AccessPattern({0.0}, {(-3.0, -0.5)})}
+        rng = np.random.default_rng(7)
+        dense = SSBuf(np.cumsum(rng.uniform(0.01, 0.2, 4000)), np.zeros(4000), start_time=0.0)
+        sparse = SSBuf(np.cumsum(rng.uniform(50.0, 9000.0, 40)), np.zeros(40), start_time=0.0)
+        for buf, merged in ((dense, precision == 0.0), (sparse, True)):
+            del merges[:]
+            env, tdom = {"x": buf}, TDom(precision=precision)
+            got = evaluation_times_for_accesses(accesses, env, tdom, 1.0, buf.end_time - 1.0)
+            want = sorted_grid(accesses, env, tdom, 1.0, buf.end_time - 1.0)
+            assert got.tobytes() == want.tobytes()
+            assert bool(merges) == merged
+
+
+def sorted_grid(accesses, env, tdom, t_start, t_end):
+    """The evaluation grid as it was built before it stopped sorting:
+    concatenate every candidate run and ``np.unique`` them (the reference)."""
+    if t_end <= t_start:
+        return np.empty(0)
+    candidates = [np.array([t_end])]
+    for ref, pattern in accesses.items():
+        buf = env.get(ref)
+        if buf is None or len(buf) == 0:
+            continue
+        for offset in pattern.boundary_offsets():
+            changes = buf.change_times_in(t_start + offset, t_end + offset)
+            pieces = [changes - offset] if len(changes) else []
+            if t_start + offset < buf.start_time <= t_end + offset:
+                pieces.append(np.array([buf.start_time - offset]))
+            candidates.extend(pieces)
+    times = np.concatenate(candidates)
+    if tdom.precision <= 0:
+        times = np.unique(times)
+    else:
+        k = np.ceil(times / tdom.precision - 1e-9)
+        times = np.unique(np.concatenate([k, k - 1.0])) * tdom.precision
+    mask = (times > t_start + 1e-12) & (times <= t_end + 1e-12)
+    times = times[mask]
+    if len(times) == 0 or times[-1] < t_end:
+        times = np.append(times, t_end)
+    return times
+
+
+@st.composite
+def grid_cases(draw):
+    """Access patterns over one or two inputs whose change times are dense,
+    sparse relative to the precision grid, absent, or a lone implicit change
+    at ``start_time`` — on a shared grid, so runs collide exactly."""
+    step = draw(st.sampled_from([1.0 / 128, 0.1, 1.0, 977.0]))
+    offsets = st.sampled_from([0.0, -1.0, 1.0, -0.3, -2.5, -3900.0, -step, 3 * step])
+    env, accesses = {}, {}
+    for ref in draw(st.sampled_from([("a",), ("a", "b")])):
+        shape = draw(st.sampled_from(["dense", "sparse", "empty", "start-only"]))
+        start = draw(st.integers(0, 50)) * step
+        n = {"dense": draw(st.integers(1, 60)), "sparse": draw(st.integers(1, 6))}.get(shape, 0)
+        gaps = draw(st.lists(st.integers(1, 4 if shape == "dense" else 5000), min_size=n, max_size=n))
+        jitter = draw(st.sampled_from([0.0, 1e-4]))
+        times = start + np.cumsum(gaps) * step + jitter
+        if shape == "start-only":  # one snapshot far away: only start_time is in range
+            times = np.array([start + 1e7 * step])
+        env[ref] = SSBuf(times, np.zeros(len(times)), start_time=start)
+        points = set(draw(st.lists(offsets, max_size=2)))
+        edges = draw(st.lists(st.tuples(offsets, offsets), max_size=2))
+        windows = {(min(a, b), max(a, b)) for a, b in edges if a != b}
+        if not points and not windows:
+            points = {0.0}
+        accesses[ref] = AccessPattern(points, windows)
+    t_start = draw(st.integers(0, 80)) * step + draw(st.sampled_from([0.0, 0.37 * step]))
+    t_end = t_start + draw(st.integers(1, 400)) * step + draw(st.sampled_from([0.0, 0.5 * step]))
+    return accesses, env, t_start, t_end
+
+
+@pytest.mark.parametrize("precision", [0.0, 1.0 / 128, 0.1])
+@given(grid_cases())
+@settings(max_examples=120, deadline=None)
+def test_property_sort_free_grid_matches_the_sorted_grid(precision, case):
+    accesses, env, t_start, t_end = case
+    tdom = TDom(precision=precision)
+    got = evaluation_times_for_accesses(accesses, env, tdom, t_start, t_end)
+    want = sorted_grid(accesses, env, tdom, t_start, t_end)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for buf in env.values():
+        assert not np.shares_memory(got, buf.times)
+
 
 # ---------------------------------------------------------------------- #
 # generated kernels
@@ -187,6 +284,74 @@ class TestKernelGeneration:
         compiled = compile_program(_trend_program())
         with pytest.raises(ExecutionError):
             compiled.run({}, 0.0, 10.0)
+
+
+class TestCursorTable:
+    """One ``searchsorted`` per (input, offset) per invocation, whoever reads
+    the cursor — and the same bytes as searching afresh for every access."""
+
+    @staticmethod
+    def calls(kernel, env, t_start, t_end):
+        rt = kernel.runtime
+        ts = rt.eval_times(env, t_start, t_end)
+        sites = [
+            lambda cache, site=site: rt.reduce(env, site[0], site[1], site[2], site[3], site[4], ts, cache)
+            for site in kernel.spec.reduce_sites
+        ]
+        points = [
+            lambda cache, ref=ref, o=o: rt.point(env, ref, o, ts, cache)
+            for ref, pattern in kernel.spec.accesses.items()
+            for o in sorted(pattern.boundary_offsets())
+        ]
+        return ts, sites + points
+
+    @staticmethod
+    def same(a, b):
+        return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    def test_two_windows_sharing_an_edge(self):
+        from repro.apps import get_application
+        from repro.windowing import RangeAggregator
+
+        app = get_application("trading")
+        compiled = compile_program(app.program())
+        (kernel,) = compiled.kernels
+        env = {"stock": ssbuf_from_stream(app.streams(3000, seed=4)["stock"])}
+        ts, calls = self.calls(kernel, env, 100.0, 2900.0)
+        assert len({(a, b) for _, a, b, _, _ in kernel.spec.reduce_sites}) == 2
+        shared = {}
+        for call in calls:
+            assert self.same(call(shared), call({}))
+        # (−20, 0] and (−10, 0] share the edge at 0: three cursors, not four
+        cursors = [key for key in shared if len(key) == 2]
+        assert sorted(offset for _, offset in cursors) == [-20.0, -10.0, 0.0]
+        # and both equal the search-per-access formulation
+        for (ref, a, b, agg_idx, _), call in zip(kernel.spec.reduce_sites, calls):
+            aggregator = RangeAggregator(env[ref], kernel.spec.aggregates[agg_idx])
+            assert self.same(call(shared), aggregator.query(ts + a, ts + b))
+        assert self.same(calls[-1](shared), env["stock"].values_at(ts + 0.0))
+
+    def test_element_mapped_and_unmapped_reduce_share_cursors(self):
+        b = IRBuilder()
+        stock = b.stream("stock")
+        energy = stock.window(-12, 0).reduce(SUM, element=Var(ELEM_VAR) * Var(ELEM_VAR))
+        peak = stock.window(-12, -2).reduce(MAX)
+        b.define("out", energy + peak + stock.at(-2.0), precision=1)
+        compiled = compile_program(b.build(output="out"))
+        (kernel,) = compiled.kernels
+        values = np.where(np.arange(400) % 17 == 0, np.nan, np.arange(400.0) % 23)
+        stream = EventStream(
+            [Event(float(i), i + 1.0, v) for i, v in enumerate(values) if v == v], name="stock"
+        )
+        env = {"stock": ssbuf_from_stream(stream)}
+        ts, calls = self.calls(kernel, env, 20.0, 380.0)
+        shared = {}
+        for call in calls:
+            assert self.same(call(shared), call({}))
+        assert sorted(o for key in shared if len(key) == 2 for o in key[1:]) == [-12.0, -2.0, 0.0]
+        piece = compiled.run(env, 20.0, 380.0)
+        want = evaluate_program(compiled.program, env, 20.0, 380.0)["out"]
+        assert piece == want
 
 
 # ---------------------------------------------------------------------- #

@@ -205,6 +205,32 @@ class TestTiltEngine:
         result = TiltEngine().run(trend_query().to_program(), {"stock": empty})
         assert result.output.num_valid() == 0
 
+    def test_all_phi_output_keeps_its_start_time(self, random_walk_stream):
+        """A ``where`` that filters everything: the output is φ over the
+        whole range and still starts at ``t_start``, at one partition and at
+        many.  (Every partition materialises its end point, so the engine
+        never hands ``concat`` only empty pieces; ``concat`` keeping the
+        earliest start of all-empty pieces is pinned in ``test_ssbuf.py``.)"""
+        query = source("stock").where(PAYLOAD > 1e12).to_program()
+        for workers in (1, 3):
+            with TiltEngine(workers=workers) as engine:
+                out = engine.run(query, {"stock": random_walk_stream}, 25.0, 180.0).output
+                assert out.num_valid() == 0 and out.start_time == 25.0
+                assert out.times.tolist() == [180.0]
+                empty = engine.run(query, {"stock": random_walk_stream}, 25.0, 25.0).output
+                assert len(empty) == 0 and empty.start_time == 25.0
+
+    def test_partition_before_a_late_input_reads_phi(self):
+        """An input that starts after a partition ends is φ there — the
+        list-built slice clipped a snapshot to before the buffer's start and
+        failed its own validation."""
+        early = EventStream.from_samples(np.arange(100.0), period=1.0, name="early")
+        late = EventStream.from_samples(np.arange(20.0), period=1.0, start=80.0, name="late")
+        query = source("early").join(source("late"), LEFT + RIGHT).to_program()
+        with TiltEngine(workers=1) as serial, TiltEngine(workers=4) as parallel:
+            streams = {"early": early, "late": late}
+            assert parallel.run(query, streams).output == serial.run(query, streams).output
+
     def test_explicit_time_range(self, random_walk_stream):
         program = trend_query().to_program()
         result = TiltEngine().run(program, {"stock": random_walk_stream}, t_start=50.0, t_end=100.0)

@@ -36,6 +36,7 @@ from repro.windowing import (
     SubtractOnEvict,
     TwoStacksAggregator,
     make_online_aggregator,
+    snapshot_range_indices,
 )
 from repro.windowing.functions import builtin_aggregates
 
@@ -216,6 +217,16 @@ def reference_query(buf, agg, window_starts, window_ends):
     )
 
 
+def query_times(index, window_starts, window_ends):
+    """Time windows over a prefix index: its own cursors, then the range
+    query — what a kernel does with the invocation's shared cursor table."""
+    ws = np.asarray(window_starts, dtype=np.float64)
+    we = np.asarray(window_ends, dtype=np.float64)
+    return index.query_indices(
+        *snapshot_range_indices(index.times, index.start_time, ws, we)
+    )
+
+
 def extend_chunked(index, buf, chunks):
     """Feed ``buf`` to the index as ``chunks`` consecutive pieces, the way a
     session's carry-over grows tick by tick (plain sub-arrays, not
@@ -245,7 +256,7 @@ class TestGrowablePrefixIndex:
         site = extend_chunked(PrefixRangeIndex(agg), buf, chunks=9)
         ws = np.arange(0.0, buf.end_time - 5.0, 3.7)
         we = ws + 5.0
-        got, got_ok = site.query(ws, we)
+        got, got_ok = query_times(site, ws, we)
         want, want_ok = reference_query(buf, agg, ws, we)
         np.testing.assert_array_equal(got_ok, want_ok)
         np.testing.assert_allclose(got[got_ok], want[want_ok], rtol=1e-9, atol=1e-9)
@@ -263,7 +274,7 @@ class TestGrowablePrefixIndex:
         assert site.dtype == np.longdouble
         ws = np.arange(0.0, buf.end_time - 8.0, 2.9)
         we = ws + 8.0
-        got, got_ok = site.query(ws, we)
+        got, got_ok = query_times(site, ws, we)
         want, want_ok = reference_query(buf, agg, ws, we)
         np.testing.assert_array_equal(got_ok, want_ok)
         # spread is O(1), so answers are O(1): demand real relative accuracy
@@ -273,7 +284,7 @@ class TestGrowablePrefixIndex:
         buf = self._buf(n=100, masked=slice(None))
         site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=4)
         ws = np.array([0.0, 10.0, 20.0])
-        got, got_ok = site.query(ws, ws + 6.0)
+        got, got_ok = query_times(site, ws, ws + 6.0)
         assert not got_ok.any()
         np.testing.assert_array_equal(got, 0.0)
 
@@ -281,7 +292,7 @@ class TestGrowablePrefixIndex:
         buf = self._buf(n=300, masked=slice(80, 200))
         site = extend_chunked(PrefixRangeIndex(MEAN), buf, chunks=6)
         ws = np.arange(0.0, buf.end_time - 4.0, 1.3)
-        got, got_ok = site.query(ws, ws + 4.0)
+        got, got_ok = query_times(site, ws, ws + 4.0)
         want, want_ok = reference_query(buf, MEAN, ws, ws + 4.0)
         np.testing.assert_array_equal(got_ok, want_ok)
         np.testing.assert_allclose(got[got_ok], want[want_ok], rtol=1e-9, atol=1e-9)
@@ -290,8 +301,8 @@ class TestGrowablePrefixIndex:
         buf = SSBuf([1.0, 2.0, 3.0], [5.0, 7.0, 11.0], start_time=0.0)
         site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=1)
         # each window covers exactly one interval
-        got, got_ok = site.query(
-            np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+        got, got_ok = query_times(
+            site, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
         )
         assert got_ok.all()
         np.testing.assert_allclose(got, [5.0, 7.0, 11.0])
@@ -299,7 +310,7 @@ class TestGrowablePrefixIndex:
     def test_window_before_data_is_phi(self):
         buf = SSBuf([10.0, 11.0], [1.0, 2.0], start_time=9.0)
         site = extend_chunked(PrefixRangeIndex(COUNT), buf, chunks=1)
-        got, got_ok = site.query(np.array([2.0]), np.array([5.0]))
+        got, got_ok = query_times(site, np.array([2.0]), np.array([5.0]))
         assert not got_ok[0] and got[0] == 0.0
 
     def test_prune_preserves_answers_and_drops_state(self):
@@ -309,7 +320,7 @@ class TestGrowablePrefixIndex:
         site.prune(cut)
         assert len(site) == len(buf) - 401
         ws = np.arange(cut + 1.0, buf.end_time - 5.0, 2.1)
-        got, got_ok = site.query(ws, ws + 5.0)
+        got, got_ok = query_times(site, ws, ws + 5.0)
         want, want_ok = reference_query(buf, VARIANCE, ws, ws + 5.0)
         np.testing.assert_array_equal(got_ok, want_ok)
         np.testing.assert_allclose(got[got_ok], want[want_ok], rtol=1e-9, atol=1e-9)
@@ -324,10 +335,10 @@ class TestGrowablePrefixIndex:
         buf = self._buf(mean=50.0)
         ws = np.arange(0.0, buf.end_time - 5.0, 3.7)
         batch, batch_ok = reference_query(buf, agg, ws, ws + 5.0)
-        one, one_ok = extend_chunked(PrefixRangeIndex(agg), buf, chunks=1).query(ws, ws + 5.0)
+        one, one_ok = query_times(extend_chunked(PrefixRangeIndex(agg), buf, chunks=1), ws, ws + 5.0)
         np.testing.assert_array_equal(one_ok, batch_ok)
         np.testing.assert_array_equal(one, batch)
-        many, many_ok = extend_chunked(PrefixRangeIndex(agg), buf, chunks=7).query(ws, ws + 5.0)
+        many, many_ok = query_times(extend_chunked(PrefixRangeIndex(agg), buf, chunks=7), ws, ws + 5.0)
         np.testing.assert_array_equal(many_ok, batch_ok)
         np.testing.assert_allclose(many, batch, rtol=1e-9, atol=1e-9)
 
@@ -338,7 +349,7 @@ class TestGrowablePrefixIndex:
         site = extend_chunked(PrefixRangeIndex(SUM), buf, chunks=5)
         site.prune(float(buf.times[499]))
         assert len(site) == 100
-        total, ok = site.query(np.array([buf.times[499]]), np.array([buf.end_time]))
+        total, ok = query_times(site, np.array([buf.times[499]]), np.array([buf.end_time]))
         assert ok[0]
         assert total[0] == pytest.approx(float(np.sum(buf.values[500:])), rel=1e-12)
         assert all(p.view[0] == 0.0 for p in site._prefixes)
@@ -351,7 +362,7 @@ class TestGrowablePrefixIndex:
         assert len(site) == 600
 
     def test_empty_index_answers_phi(self):
-        got, ok = PrefixRangeIndex(SUM).query(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+        got, ok = query_times(PrefixRangeIndex(SUM), np.array([0.0, 1.0]), np.array([2.0, 3.0]))
         assert not ok.any() and not got.any()
 
     def test_rejects_aggregate_without_prefix_decomposition(self):
@@ -368,6 +379,6 @@ class TestGrowablePrefixIndex:
         site.ingest(buf, None)
         assert len(site.structure) == 50
         ws = np.array([buf.start_time])
-        got, _ = site.structure.query(ws, np.array([buf.end_time]))
+        got, _ = query_times(site.structure, ws, np.array([buf.end_time]))
         want, _ = reference_query(buf, SUM, ws, np.array([buf.end_time]))
         np.testing.assert_allclose(got, want, rtol=1e-9)

@@ -148,12 +148,6 @@ class TestTransformations:
 
 
 class TestCombination:
-    def test_merged_change_times(self, simple_buf):
-        other = SSBuf([12.0, 40.0], [1.0, 2.0], [True, True], 0.0)
-        merged = SSBuf.merged_change_times([simple_buf, other], 0.0, 50.0)
-        assert 12.0 in merged and 16.0 in merged and 40.0 in merged
-        assert list(merged) == sorted(set(merged))
-
     def test_concat_ordered_pieces(self, regular_buf):
         a = regular_buf.slice(0.0, 40.0)
         b = regular_buf.slice(40.0, 100.0)
@@ -276,3 +270,91 @@ def test_property_change_points_matches_the_per_event_loop(events, lead, cut):
         assert tuple(h + t for h, t in zip(head, tail)) == want
     with pytest.raises(OverlappingEventsError, match="overlaps or precedes"):
         change_points(chunk.starts, chunk.ends, [chunk.values], events[0].start + 0.05)
+
+
+def list_slice(self, start, end):
+    """``SSBuf.slice`` as it was before it returned views, verbatim: every
+    sliced column rebuilt through a Python list and the validating
+    constructor (the reference)."""
+    if end <= start:
+        return SSBuf.empty(start)
+    start = max(start, self.start_time)
+    if not len(self.times) or start >= self.times[-1]:
+        return SSBuf.empty(start)
+    lo = int(np.searchsorted(self.times, start, side="right"))
+    hi = int(np.searchsorted(self.times, end, side="right"))
+    times = list(self.times[lo:hi])
+    values = list(self.values[lo:hi])
+    valid = list(self.valid[lo:hi])
+    if hi < len(self.times) and (not times or times[-1] < end):
+        # the snapshot at index `hi` spans past `end`; clip it.
+        times.append(end)
+        values.append(float(self.values[hi]))
+        valid.append(bool(self.valid[hi]))
+    return SSBuf(times, values, valid, start_time=start)
+
+
+def assert_same_bytes(got: SSBuf, want: SSBuf):
+    assert type(got.start_time) is float and got.start_time == want.start_time
+    for name in ("times", "values", "valid"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@given(
+    disjoint_event_lists(),
+    st.floats(min_value=-5.0, max_value=120.0),
+    st.floats(min_value=-5.0, max_value=120.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_view_slice_matches_the_list_slice(events, a, b, prune, on_snapshot):
+    """The view-returning slice equals the list-built one byte for byte —
+    dtypes, the clipped last snapshot, ``start_time``, the empty cases — and
+    is stable under pruning, without ever copying or exposing its source."""
+    buf = SSBuf.from_events(events, start_time=events[0].start - 1.0)
+    if on_snapshot:  # cut exactly on snapshot times: no clip, spanning starts
+        a, b = buf.times[int(a) % len(buf)], buf.times[int(b) % len(buf)]
+    got = buf.slice(a, b)
+    if a < b <= buf.start_time:
+        # wholly before the buffer: the list slice clipped a snapshot to
+        # ``b`` and then failed its own validation; the answer is φ
+        with pytest.raises(QueryBuildError):
+            list_slice(buf, a, b)
+        assert len(got) == 0 and got.start_time == buf.start_time
+        return
+    want = list_slice(buf, a, b)
+    assert_same_bytes(got, want)
+    # stable under pruning: slicing a retained tail gives the same bytes
+    t = buf.start_time + prune * (max(a, buf.start_time) - buf.start_time)
+    if t <= a:
+        assert_same_bytes(buf.slice(t, buf.end_time).slice(a, b), want)
+    for name in ("times", "values", "valid") if len(got) else ():
+        column = getattr(got, name)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[:1] = 0
+    if len(got) and got.times[-1] <= buf.end_time and b in buf.times:
+        assert np.shares_memory(got.times, buf.times)  # a view, not a copy
+    assert buf.times.flags.writeable  # the source stays the owner's to grow
+
+
+class TestConcatAndCompactKeepWhatTheyAreGiven:
+    def test_concat_of_empty_pieces_keeps_the_earliest_start(self):
+        assert SSBuf.concat([SSBuf.empty(5.0)]).start_time == 5.0
+        assert SSBuf.concat([SSBuf.empty(9.0), SSBuf.empty(5.0)]).start_time == 5.0
+        assert SSBuf.concat([]).start_time == 0.0
+
+    def test_concat_single_piece_is_not_copied(self, regular_buf):
+        piece = regular_buf.slice(10.0, 40.0)
+        out = SSBuf.concat([SSBuf.empty(3.0), piece])
+        assert out.start_time == 3.0 and np.shares_memory(out.times, piece.times)
+
+    def test_concat_drops_a_repeated_edge_and_overlap(self, regular_buf):
+        a, b = regular_buf.slice(0.0, 40.0), regular_buf.slice(30.0, 100.0)
+        assert_same_bytes(SSBuf.concat([b, a]), regular_buf.slice(0.0, 100.0))
+
+    def test_compact_of_a_canonical_buffer_is_itself(self, regular_buf):
+        assert regular_buf.compact() is regular_buf

@@ -330,3 +330,70 @@ class TestSessionWiring:
             result = engine.run(app.program(), streams)
             assert result.output.num_valid() >= 0
         assert engine._executor is None
+
+
+class TestViewsDoNotOutliveTheirSource:
+    """Partition inputs are read-only views of the caller's buffers / the
+    session's ingest columns; nothing a run returns may alias them."""
+
+    @staticmethod
+    def programs():
+        from repro.apps import REAL_WORLD_APPLICATIONS
+        from repro.core.frontend.query import PAYLOAD, source
+
+        cases = [(app.name, app.program(), app) for app in REAL_WORLD_APPLICATIONS]
+        passthrough = source("stock").select(PAYLOAD).to_program()
+        return cases + [("select", passthrough, get_application("trading"))]
+
+    def test_run_output_shares_no_memory_with_its_inputs(self):
+        for name, program, app in self.programs():
+            inputs, _ = TiltEngine._ingest(program, app.streams(1200, seed=5))
+            for workers in (1, 3):
+                with TiltEngine(workers=workers) as engine:
+                    out = engine.run(program, inputs).output
+                assert len(out), name
+                for buf in inputs.values():
+                    for mine in (out.times, out.values, out.valid):
+                        for theirs in (buf.times, buf.values, buf.valid):
+                            assert not np.shares_memory(mine, theirs), name
+                    assert buf.times.flags.writeable  # only the views are frozen
+
+    @pytest.mark.parametrize("name", ["select", "trading", "rsi"])
+    def test_retained_deltas_survive_in_place_column_compaction(self, name, monkeypatch):
+        """A partition-path session slices views of its ingest columns; the
+        columns compact *in place* under those views once the pruned head
+        outnumbers the tail.  Every retained delta must still hold the bytes
+        it was emitted with, and their concat must equal the one-shot run."""
+        from repro.core.runtime.growable import GrowableArray
+
+        compactions = []
+        drop_prefix = GrowableArray.drop_prefix
+
+        def spy(self, k):
+            dead = self._lo + k
+            drop_prefix(self, k)
+            if self._lo < dead:
+                compactions.append(dead)
+
+        monkeypatch.setattr(GrowableArray, "drop_prefix", spy)
+        _, program, app = next(c for c in self.programs() if c[0] == name)
+        streams = app.streams(4000, seed=9)
+        with TiltEngine(workers=1) as engine:
+            sources = sources_for_streams(streams, events_per_poll=150)
+            session = engine.open_session(program, sources, incremental=False)
+            assert session.plan["tick_path"] == "partition+dispatch"
+            emitted = []
+            while not session.exhausted:
+                delta = session.tick().delta
+                if len(delta):
+                    emitted.append(
+                        (delta, delta.times.tobytes(), delta.values.tobytes(), delta.valid.tobytes())
+                    )
+            session.close()
+            assert len(compactions) >= 3, "the columns never compacted under the views"
+            for delta, times, values, valid in emitted:
+                assert any(delta is kept for kept in session._deltas)
+                assert delta.times.tobytes() == times
+                assert delta.values.tobytes() == values
+                assert delta.valid.tobytes() == valid
+            assert session.result().output == engine.run(program, streams).output

@@ -41,16 +41,47 @@ def brute_force_window(buf: SSBuf, ws: float, we: float, agg):
 class TestSnapshotRangeIndices:
     def test_simple(self, simple_buf):
         lo, hi = snapshot_range_indices(
-            simple_buf.times, simple_buf.interval_starts, np.array([6.0]), np.array([20.0])
+            simple_buf.times, simple_buf.start_time, np.array([6.0]), np.array([20.0])
         )
         # snapshots overlapping (6, 20]: indices 0 (event a), 1 (gap), 2 (event b)
         assert lo[0] == 0 and hi[0] == 3
 
     def test_empty_window(self, simple_buf):
         lo, hi = snapshot_range_indices(
-            simple_buf.times, simple_buf.interval_starts, np.array([100.0]), np.array([110.0])
+            simple_buf.times, simple_buf.start_time, np.array([100.0]), np.array([110.0])
         )
         assert hi[0] <= lo[0]
+
+
+    @given(
+        st.lists(st.integers(1, 5), min_size=0, max_size=40),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(-4, 130), st.integers(-4, 130)), min_size=1, max_size=30),
+        st.sampled_from([0.0, 0.25]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cursor_derivation_matches_two_searches(self, gaps, lead, windows, jitter):
+        """``lo``/``hi`` derived from the left cursors of the window edges
+        equal the two-search formulation they replaced (``right`` over the
+        times, ``left`` over the interval starts) — with edges on and off
+        snapshot times, before the start and past the end, and shared
+        cursors passed in."""
+        start_time = 10.0
+        times = start_time + lead + np.cumsum(np.array(gaps, dtype=float)) * 0.5
+        interval_starts = np.concatenate(([start_time], times[:-1]))
+        ws = np.array([a for a, _ in windows]) * 0.5 + jitter
+        we = np.array([b for _, b in windows]) * 0.5 + jitter
+        lo, hi = snapshot_range_indices(times, start_time, ws, we)
+        if len(times):
+            assert np.array_equal(lo, np.searchsorted(times, ws, side="right"))
+            assert np.array_equal(hi, np.searchsorted(interval_starts, we, side="left"))
+        else:
+            assert not lo.any() and not hi.any()
+        shared = snapshot_range_indices(
+            times, start_time, ws, we,
+            np.searchsorted(times, ws, side="left"), np.searchsorted(times, we, side="left"),
+        )
+        assert np.array_equal(shared[0], lo) and np.array_equal(shared[1], hi)
 
 
 class TestRangeAggregation:
@@ -99,16 +130,14 @@ class TestRangeAggregation:
 class TestSparseTable:
     def test_max_and_min_queries(self, random_walk_buf):
         for agg, mode in ((MAX, "max"), (MIN, "min")):
-            table = SparseTableRMQ(
-                random_walk_buf.times,
-                random_walk_buf.interval_starts,
-                random_walk_buf.values,
-                random_walk_buf.valid,
-                mode=mode,
-            )
+            table = SparseTableRMQ(random_walk_buf.values, random_walk_buf.valid, mode=mode)
             starts = np.array([5.0, 17.0, 100.0])
             ends = np.array([25.0, 18.0, 299.0])
-            values, valid = table.query(starts, ends)
+            values, valid = table.query_indices(
+                *snapshot_range_indices(
+                    random_walk_buf.times, random_walk_buf.start_time, starts, ends
+                )
+            )
             for i in range(len(starts)):
                 expected, ok = brute_force_window(random_walk_buf, starts[i], ends[i], agg)
                 assert valid[i] == ok
@@ -117,7 +146,7 @@ class TestSparseTable:
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            SparseTableRMQ(np.array([1.0]), np.array([0.0]), np.array([1.0]), np.array([True]), mode="sum")
+            SparseTableRMQ(np.array([1.0]), np.array([True]), mode="sum")
 
 
 class TestOnlineAggregators:
