@@ -5,12 +5,17 @@ Usage::
     python -m repro.analysis PATH [PATH ...]   # lint specific files/dirs
     python -m repro.analysis --self            # lint the repro package itself
     python -m repro.analysis --apps            # analyze all benchmark programs
+    python -m repro.analysis --rows            # print the two semantics tables
 
 Exit status is 0 when no error-severity finding (or lint violation) was
 produced, 1 otherwise — so each mode drops straight into CI as a hard gate.
 ``--apps`` additionally proves the bounds-safety obligation for every
 program in :data:`repro.apps.ALL_APPLICATIONS`, in both the raw and the
-optimized (fused) form the compiler actually lowers.
+optimized (fused) form the compiler actually lowers.  ``--rows`` lists every
+operator row (``repro.core.ops.OPS``) and every built-in aggregate row with
+the tiers that have a lowering for it — the listing a ``kernel_plan()``
+fallback reason ("operator '%' has no bit-stable native lowering") is
+checked against.
 """
 
 from __future__ import annotations
@@ -64,6 +69,35 @@ def _run_apps(verbose: bool) -> int:
     return 1 if failures else 0
 
 
+def _run_rows() -> int:
+    from ..core.codegen.incremental import persists
+    from ..core.ops import OPS
+    from ..windowing.functions import builtin_aggregates
+
+    def tiers(native: bool) -> str:
+        return "scalar numpy " + ("native" if native else "-")
+
+    print(f"operators ({len(OPS)} rows)")
+    print(f"  {'name':<7s}{'forms':<11s}{'arity':<6s}{'tiers':<21s}domain (φ outside)")
+    for row in OPS.values():
+        print(
+            f"  {row.name:<7s}{'/'.join(row.forms):<11s}{row.arity:<6d}"
+            f"{tiers(row.c is not None):<21s}{row.numpy_domain or '-'}"
+        )
+    aggregates = builtin_aggregates()
+    print(f"aggregates ({len(aggregates)} rows)")
+    print(f"  {'name':<13s}{'range':<8s}{'online':<19s}{'session state':<16s}{'accumulator':<13s}tiers")
+    for agg in aggregates.values():
+        strategy = agg.strategy
+        state = "persisted" if persists(agg) else "per-invocation"
+        accumulator = agg.prefix_dtype.__name__ if strategy.range == "prefix" else "-"
+        print(
+            f"  {agg.name:<13s}{strategy.range:<8s}{strategy.online:<19s}{state:<16s}"
+            f"{accumulator:<13s}{tiers(agg.c_lowerable)}"
+        )
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -82,12 +116,17 @@ def main(argv=None) -> int:
         help="run the program analyzer over every repro.apps program",
     )
     parser.add_argument(
+        "--rows",
+        action="store_true",
+        help="print the operator and aggregate tables: lowerings per tier, range strategy",
+    )
+    parser.add_argument(
         "-v", "--verbose", action="store_true", help="print full reports with --apps"
     )
     args = parser.parse_args(argv)
 
-    if not (args.paths or args.lint_self or args.apps):
-        parser.error("nothing to do: pass paths, --self, or --apps")
+    if not (args.paths or args.lint_self or args.apps or args.rows):
+        parser.error("nothing to do: pass paths, --self, --apps, or --rows")
 
     status = 0
     paths = list(args.paths)
@@ -97,6 +136,8 @@ def main(argv=None) -> int:
         status |= _run_lint(paths)
     if args.apps:
         status |= _run_apps(args.verbose)
+    if args.rows:
+        status |= _run_rows()
     return status
 
 

@@ -44,6 +44,18 @@ by memory:
     re-sorts an ordered array (``SSBuf.slice`` through lists was 45 % of a
     one-shot run before PR 16); code off the run path carries an allow.
 
+``LNT107`` — a second encoding of an operator or an aggregate
+    What an operator or a built-in aggregate *means* — its arity, domain,
+    NumPy and C lowering, range strategy — is one row of ``core/ops.py`` /
+    ``windowing/functions.py``, read by the interpreter, the folder, both
+    codegen tiers and the range indexes.  Outside those two modules,
+    comparing a ``.name`` / ``.op`` / ``.func`` against a string literal
+    that names a row, or a dict or set literal keyed by two or more row
+    names, is a parallel table that will drift (before PR 17 there were
+    twelve operator dicts and four aggregate name sets, and they had).
+    The analyzer's ``DOM00x`` proofs, which reason about specific
+    operators, carry an explicit allow.
+
 A violation line can be suppressed explicitly with a trailing
 ``# lint: allow(LNT101)`` comment; the suppression is itself visible in
 review, which is the point.
@@ -55,6 +67,7 @@ them over the installed ``repro`` package (the CI gate).
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,6 +96,9 @@ RUN_PATH_MODULES = (
     "core/codegen/grid.py",
     "windowing/prefix.py",
 )
+
+#: the two modules that *are* the semantics tables — the LNT107 exemption
+TABLE_MODULES = ("core/ops.py", "windowing/functions.py")
 
 #: environment variables the package may read — where the toolchain, its
 #: cache and the multiprocessing start method live on this host, plus the
@@ -511,6 +527,73 @@ class _RunPathDiscipline(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------- #
+# LNT107: a second encoding of an operator or an aggregate
+# ---------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def _table_row_names() -> frozenset:
+    # the tables themselves say which names are rows (imported lazily: no
+    # other checker needs the package's NumPy-importing modules)
+    from ..core.ops import OPS
+    from ..windowing.functions import builtin_aggregates
+
+    return frozenset(OPS) | frozenset(builtin_aggregates())
+
+
+class _SemanticsTableDiscipline(ast.NodeVisitor):
+    _ROW_FIELDS = {"name", "op", "func"}
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.violations: List[LintViolation] = []
+        self._rows = _table_row_names()
+
+    def _flag(self, node: ast.AST, what: str) -> None:
+        self.violations.append(
+            LintViolation(
+                path=self.path,
+                line=node.lineno,
+                code="LNT107",
+                message=(
+                    f"{what}; an operator's or aggregate's meaning is one row of "
+                    "core/ops.py / windowing/functions.py — read the row"
+                ),
+            )
+        )
+
+    def _row_names(self, nodes: Iterable[Optional[ast.expr]]) -> List[str]:
+        return [
+            n.value
+            for n in nodes
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in self._rows
+        ]
+
+    def visit_Compare(self, node: ast.Compare) -> None:  # noqa: N802
+        sides = [node.left, *node.comparators]
+        if any(_terminal_name(side) in self._ROW_FIELDS for side in sides):
+            literals = [
+                e
+                for side in sides
+                for e in (side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side])
+            ]
+            named = self._row_names(literals)
+            if named:
+                self._flag(node, f"comparison against the row name {named[0]!r}")
+        self.generic_visit(node)
+
+    def _check_keys(self, node: ast.AST, keys: Sequence[Optional[ast.expr]]) -> None:
+        if len(keys) >= 2 and len(self._row_names(keys)) == len(keys):
+            self._flag(node, f"{type(node).__name__.lower()} literal keyed by {len(keys)} row names")
+
+    def visit_Dict(self, node: ast.Dict) -> None:  # noqa: N802
+        self._check_keys(node, node.keys)
+        self.generic_visit(node)
+
+    def visit_Set(self, node: ast.Set) -> None:  # noqa: N802
+        self._check_keys(node, node.elts)
+        self.generic_visit(node)
+
+
+# ---------------------------------------------------------------------- #
 # driver
 # ---------------------------------------------------------------------- #
 def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
@@ -538,6 +621,8 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
         checkers.append(_ColumnarIngestDiscipline(path))
     if any(normalized.endswith(module) for module in RUN_PATH_MODULES):
         checkers.append(_RunPathDiscipline(path))
+    if not any(normalized.endswith(module) for module in TABLE_MODULES):
+        checkers.append(_SemanticsTableDiscipline(path))
     violations: List[LintViolation] = []
     for checker in checkers:
         checker.visit(tree)

@@ -161,6 +161,10 @@ def _merge(acc: Dict[str, Tuple[float, float]], name: str, lo: float, hi: float)
 class _DomainChecker(ExprVisitor):
     """Flag unguarded φ/NaN-producing sites (``/``, ``%``, sqrt, log).
 
+    These proofs reason about *specific* operators (which operand is the
+    divisor, that ``abs`` and ``x * x`` are non-negative) — knowledge the
+    operator table does not carry — hence the explicit LNT107 allows.
+
     A site is *guarded* when an enclosing ``IsValid`` or ``Coalesce``
     observes its φ, or when the critical operand is a constant provably in
     the operation's domain.  ``abs(x)`` feeding ``sqrt`` also counts.
@@ -189,7 +193,7 @@ class _DomainChecker(ExprVisitor):
 
     # sites ------------------------------------------------------------ #
     def visit_binop(self, node: BinOp) -> None:
-        if node.op in ("/", "%") and self._guard_depth == 0:
+        if node.op in ("/", "%") and self._guard_depth == 0:  # lint: allow(LNT107)
             if not self._nonzero_const(node.rhs):
                 self.sites.append(
                     ("DOM001", f"'{node.op}' with a possibly-zero divisor")
@@ -210,9 +214,9 @@ class _DomainChecker(ExprVisitor):
     def _check_unary(self, op: str, operand: Expr) -> None:
         if self._guard_depth:
             return
-        if op == "sqrt" and not self._nonnegative(operand):
+        if op == "sqrt" and not self._nonnegative(operand):  # lint: allow(LNT107)
             self.sites.append(("DOM002", "sqrt of a possibly-negative operand"))
-        elif op == "log" and not self._positive_const(operand):
+        elif op == "log" and not self._positive_const(operand):  # lint: allow(LNT107)
             self.sites.append(("DOM003", "log of a possibly-non-positive operand"))
 
     # operand facts ---------------------------------------------------- #
@@ -224,11 +228,11 @@ class _DomainChecker(ExprVisitor):
     def _nonnegative(expr: Expr) -> bool:
         if isinstance(expr, Const):
             return expr.value >= 0.0
-        if isinstance(expr, UnaryOp) and expr.op == "abs":
+        if isinstance(expr, UnaryOp) and expr.op == "abs":  # lint: allow(LNT107)
             return True
         if isinstance(expr, IsValid):
             return True  # 0.0 or 1.0
-        if isinstance(expr, BinOp) and expr.op == "*" and expr.lhs == expr.rhs:
+        if isinstance(expr, BinOp) and expr.op == "*" and expr.lhs == expr.rhs:  # lint: allow(LNT107)
             return True  # x * x
         return False
 

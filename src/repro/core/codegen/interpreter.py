@@ -38,7 +38,7 @@ from ..ir.nodes import (
     UnaryOp,
     Var,
 )
-from ..ops import eval_binop, eval_call, eval_unop
+from ..ops import eval_op
 from ..runtime.ssbuf import SSBuf
 from .grid import evaluation_times
 
@@ -79,17 +79,14 @@ def evaluate_expr_at(
         return _evaluate_reduce(expr, t, env, bindings)
     if isinstance(expr, TWindow):
         raise ExecutionError("windowed temporal object evaluated outside a reduction")
-    if isinstance(expr, BinOp):
-        lv, lok = evaluate_expr_at(expr.lhs, t, env, bindings)
-        rv, rok = evaluate_expr_at(expr.rhs, t, env, bindings)
-        if not (lok and rok):
-            return (0.0, False)
-        return eval_binop(expr.op, lv, rv)
-    if isinstance(expr, UnaryOp):
-        v, ok = evaluate_expr_at(expr.operand, t, env, bindings)
-        if not ok:
-            return (0.0, False)
-        return eval_unop(expr.op, v)
+    if isinstance(expr, (BinOp, UnaryOp, Call)):
+        vals = []
+        for operand in expr.children():
+            v, ok = evaluate_expr_at(operand, t, env, bindings)
+            if not ok:
+                return (0.0, False)
+            vals.append(v)
+        return eval_op(expr.row, vals)
     if isinstance(expr, IfThenElse):
         cv, cok = evaluate_expr_at(expr.cond, t, env, bindings)
         if not cok:
@@ -104,14 +101,6 @@ def evaluate_expr_at(
         if ok:
             return (v, True)
         return evaluate_expr_at(expr.default, t, env, bindings)
-    if isinstance(expr, Call):
-        vals = []
-        for arg in expr.args:
-            v, ok = evaluate_expr_at(arg, t, env, bindings)
-            if not ok:
-                return (0.0, False)
-            vals.append(v)
-        return eval_call(expr.func, vals)
     if isinstance(expr, Let):
         scope = dict(bindings)
         for name, value in expr.bindings:

@@ -17,15 +17,18 @@ The native tier is **bit-compatible** with the NumPy tier: for every
 lowerable construct the emitted C replicates NumPy's observable arithmetic
 exactly — sequential ``np.cumsum`` prefix sums, ``np.maximum``'s
 first-operand-wins NaN ordering, extended ``long double`` accumulation for
-variance/stddev with the centering mean computed by ``np.mean`` itself
-(pairwise summation is not replicated in C; the one place it matters is
-computed Python-side and passed in), hex-float constants, and
-division-by-zero masking.  Constructs whose NumPy lowering is *not*
-bit-replicable in portable C — pairwise-summed ``np.prod``, SIMD
-transcendentals (``exp``/``log``/``sin``/``cos``/``pow``/``atan2``/``%``)
-— and custom Python aggregates are **not lowered**: such kernels silently
-stay on the NumPy tier, observable through :func:`stats` and the engine's
-``repro_native_fallbacks_total`` counter.
+extended-precision rows with the centering mean computed by ``np.mean``
+itself (pairwise summation is not replicated in C; the one place it matters
+is computed Python-side and passed in), hex-float constants, and
+division-by-zero masking.  What lowers is whatever carries a C fragment in
+the two semantics tables — an :class:`~repro.core.ops.Op` row with a ``c``
+template, a built-in :class:`~repro.windowing.functions.AggregateFunction`
+row that is ``c_lowerable`` (``python -m repro.analysis --rows`` lists
+both).  Rows without one — NumPy lowerings that portable C cannot
+replicate bit for bit (pairwise-summed ``np.prod``, SIMD transcendentals,
+``np.mod``) — and custom Python aggregates are **not lowered**: such
+kernels silently stay on the NumPy tier, observable through :func:`stats`
+and the engine's ``repro_native_fallbacks_total`` counter.
 
 Caching
 -------
@@ -56,12 +59,12 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ExecutionError
-from ...windowing.functions import _BUILTIN_SINGLETONS
+from ...windowing.functions import _BUILTIN_SINGLETONS, RMQ_DIRECTIONS, AggregateFunction
 from ..ir.nodes import (
     ELEM_VAR,
     BinOp,
@@ -80,6 +83,7 @@ from ..ir.nodes import (
     UnaryOp,
     Var,
 )
+from ..ops import bind
 from .pysource import KernelSpec
 
 __all__ = [
@@ -101,53 +105,6 @@ NATIVE_TIER = "native"
 CODEGEN_TIERS = (NUMPY_TIER, NATIVE_TIER)
 
 _FUNC_NAME = "tilt_native"
-
-# ---------------------------------------------------------------------- #
-# lowerable construct sets — everything here has a C lowering that matches
-# the NumPy tier bit for bit; anything else falls back per kernel
-# ---------------------------------------------------------------------- #
-_C_BINOPS = {
-    "+": "({a} + {b})",
-    "-": "({a} - {b})",
-    "*": "({a} * {b})",
-    "/": "(({b} != 0.0) ? ({a} / {b}) : 0.0)",
-    "min": "NPMIN({a}, {b})",
-    "max": "NPMAX({a}, {b})",
-    ">": "(({a} > {b}) ? 1.0 : 0.0)",
-    "<": "(({a} < {b}) ? 1.0 : 0.0)",
-    ">=": "(({a} >= {b}) ? 1.0 : 0.0)",
-    "<=": "(({a} <= {b}) ? 1.0 : 0.0)",
-    "==": "(({a} == {b}) ? 1.0 : 0.0)",
-    "!=": "(({a} != {b}) ? 1.0 : 0.0)",
-    "and": "((({a} != 0.0) && ({b} != 0.0)) ? 1.0 : 0.0)",
-    "or": "((({a} != 0.0) || ({b} != 0.0)) ? 1.0 : 0.0)",
-}
-_C_BINOP_DOMAIN = {"/": "({b} != 0.0)"}
-_C_UNOPS = {
-    "neg": "(-({a}))",
-    "not": "(({a} == 0.0) ? 1.0 : 0.0)",
-    "abs": "fabs({a})",
-    "sqrt": "sqrt(NPMAX({a}, 0.0))",
-    "floor": "floor({a})",
-    "ceil": "ceil({a})",
-    # np.sign: ±0 -> +0.0, NaN -> NaN
-    "sign": "(({a} > 0.0) ? 1.0 : (({a} < 0.0) ? -1.0 : (({a} == 0.0) ? 0.0 : ({a}))))",
-}
-_C_UNOP_DOMAIN = {"sqrt": "({a} >= 0.0)"}
-_C_CALLS = {
-    "sqrt": _C_UNOPS["sqrt"],
-    "abs": _C_UNOPS["abs"],
-    "floor": _C_UNOPS["floor"],
-    "ceil": _C_UNOPS["ceil"],
-}
-_C_CALL_DOMAIN = {"sqrt": _C_UNOP_DOMAIN["sqrt"]}
-
-#: built-in aggregates with a bit-exact C lowering, by index strategy
-_PREFIX_AGGS = {"sum", "count", "mean", "sum_squares"}
-_PREFIX_EXT_AGGS = {"variance", "stddev"}
-_RMQ_AGGS = {"max", "min"}
-_FOLD_AGGS = {"first", "last"}
-_LOWERABLE_AGGS = _PREFIX_AGGS | _PREFIX_EXT_AGGS | _RMQ_AGGS | _FOLD_AGGS
 
 # ---------------------------------------------------------------------- #
 # toolchain detection / process-global state
@@ -238,7 +195,8 @@ def _cache_dir() -> str:
 # lowerability analysis
 # ---------------------------------------------------------------------- #
 def lowering_blockers(spec: KernelSpec) -> List[str]:
-    """Reasons this spec has no bit-exact native lowering (empty: lowerable).
+    """Reasons this spec has no bit-exact native lowering (empty: lowerable):
+    an operator or aggregate whose table row carries no C fragment.
 
     Checked *before* :meth:`KernelSpec.digest` — custom aggregates can make
     ``digest`` raise, and they are precisely what this walk rejects.
@@ -248,22 +206,17 @@ def lowering_blockers(spec: KernelSpec) -> List[str]:
     blockers: List[str] = []
 
     def visit(expr: Expr) -> None:
-        if isinstance(expr, BinOp):
-            if expr.op not in _C_BINOPS:
-                blockers.append(f"operator {expr.op!r} has no bit-stable native lowering")
-        elif isinstance(expr, UnaryOp):
-            if expr.op not in _C_UNOPS:
-                blockers.append(f"operator {expr.op!r} has no bit-stable native lowering")
-        elif isinstance(expr, Call):
-            if expr.func not in _C_CALLS:
-                blockers.append(f"function {expr.func!r} has no bit-stable native lowering")
+        if isinstance(expr, (BinOp, UnaryOp, Call)):
+            if expr.row.c is None:
+                kind = "function" if isinstance(expr, Call) else "operator"
+                blockers.append(f"{kind} {expr.row.name!r} has no bit-stable native lowering")
         elif isinstance(expr, Reduce):
             agg = expr.agg
             if _BUILTIN_SINGLETONS.get(agg.name) is not agg:
                 blockers.append(f"custom aggregate {agg.name!r} requires Python folds")
-            elif agg.name not in _LOWERABLE_AGGS:
+            elif not agg.c_lowerable:
                 blockers.append(f"aggregate {agg.name!r} has no bit-stable native lowering")
-            elif agg.name in _PREFIX_EXT_AGGS:
+            elif agg.prefix_extended_precision:
                 if expr.element is not None:
                     # the centering mean would have to be taken over the
                     # element-mapped array NumPy-side; not worth the seam
@@ -292,27 +245,17 @@ def _c_float(value: float) -> str:
     return value.hex()
 
 
-class _Group:
+class _Group(NamedTuple):
     """One per-(ref, aggregate, element) index built before the main loop.
 
-    Mirrors the NumPy tier's per-run aggregator cache key, so e.g. two MEAN
+    Mirrors the NumPy tier's per-run reduce-site cache key, so e.g. two MEAN
     windows over the same stream share one prefix index in both tiers.
     """
 
-    __slots__ = ("index", "ref", "agg_name", "element", "kind", "ext")
-
-    def __init__(self, index: int, ref: str, agg_name: str, element: Optional[Expr]):
-        self.index = index
-        self.ref = ref
-        self.agg_name = agg_name
-        self.element = element
-        if agg_name in _PREFIX_AGGS or agg_name in _PREFIX_EXT_AGGS:
-            self.kind = "prefix"
-        elif agg_name in _RMQ_AGGS:
-            self.kind = "rmq"
-        else:
-            self.kind = "fold"
-        self.ext = agg_name in _PREFIX_EXT_AGGS
+    index: int
+    ref: str
+    agg: AggregateFunction  # the row: range strategy, accumulator type, C fragments
+    element: Optional[Expr]
 
 
 class _CEmitter:
@@ -391,25 +334,15 @@ class _CEmitter:
             return self._reduce_site(expr)
         if isinstance(expr, TWindow):
             raise ValueError("windowed temporal object used outside a reduction")
-        if isinstance(expr, BinOp):
-            lv, lk = self.compile(expr.lhs, scope, out, elem)
-            rv, rk = self.compile(expr.rhs, scope, out, elem)
+        if isinstance(expr, (BinOp, UnaryOp, Call)):
+            row = expr.row
+            pairs = [self.compile(operand, scope, out, elem) for operand in expr.children()]
             v, k = self.fresh()
-            emit(f"        double {v} = {_C_BINOPS[expr.op].format(a=lv, b=rv)};")
-            mask = f"{lk} && {rk}"
-            domain = _C_BINOP_DOMAIN.get(expr.op)
-            if domain is not None:
-                mask = f"({mask}) && {domain.format(a=lv, b=rv)}"
-            emit(f"        int {k} = {mask};")
-            return v, k
-        if isinstance(expr, UnaryOp):
-            ov, ok = self.compile(expr.operand, scope, out, elem)
-            v, k = self.fresh()
-            emit(f"        double {v} = {_C_UNOPS[expr.op].format(a=ov)};")
-            mask = ok
-            domain = _C_UNOP_DOMAIN.get(expr.op)
-            if domain is not None:
-                mask = f"({ok}) && {domain.format(a=ov)}"
+            vals = bind(p[0] for p in pairs)
+            emit(f"        double {v} = {row.c.format(**vals)};")
+            mask = " && ".join(p[1] for p in pairs)
+            if row.c_domain is not None:
+                mask = f"({mask}) && {row.c_domain.format(**vals)}"
             emit(f"        int {k} = {mask};")
             return v, k
         if isinstance(expr, IfThenElse):
@@ -432,16 +365,6 @@ class _CEmitter:
             v, k = self.fresh()
             emit(f"        double {v} = ({ok} ? {ov} : {dv});")
             emit(f"        int {k} = {ok} || {dk};")
-            return v, k
-        if isinstance(expr, Call):
-            pairs = [self.compile(a, scope, out, elem) for a in expr.args]
-            v, k = self.fresh()
-            emit(f"        double {v} = {_C_CALLS[expr.func].format(a=pairs[0][0])};")
-            mask = " && ".join(p[1] for p in pairs) or "1"
-            domain = _C_CALL_DOMAIN.get(expr.func)
-            if domain is not None:
-                mask = f"({mask}) && {domain.format(a=pairs[0][0])}"
-            emit(f"        int {k} = {mask};")
             return v, k
         if isinstance(expr, Let):
             inner = dict(scope)
@@ -483,7 +406,7 @@ class _CEmitter:
         key = (ref, id(agg), id(element) if element is not None else None)
         group = self.groups.get(key)
         if group is None:
-            group = _Group(len(self.groups), ref, agg.name, element)
+            group = _Group(len(self.groups), ref, agg, element)
             self.groups[key] = group
             self._emit_group_build(group)
         return group
@@ -516,47 +439,37 @@ class _CEmitter:
         self._alloc("int64_t", f"{g}_vp", f"{m} + 1", pre)
         loop: List[str] = []
         xv, xk = self._emit_elem(group, loop)
-        if group.kind == "prefix":
-            ctype = "long double" if group.ext else "double"
-            ncomp = (
-                3
-                if group.ext
-                else {"sum": 1, "count": 1, "sum_squares": 1, "mean": 2}[group.agg_name]
-            )
+        agg = group.agg
+        kind = agg.strategy.range
+        if kind == "prefix":
+            ext = agg.prefix_extended_precision
+            ctype = "long double" if ext else "double"
+            ncomp = len(agg.c_components)
             for c in range(ncomp):
                 self._alloc(ctype, f"{g}_p{c}", f"{m} + 1", pre)
             pre.append(f"    {g}_vp[0] = 0;")
             for c in range(ncomp):
                 pre.append(f"    {g}_p{c}[0] = 0.0;")
-            if group.ext:
-                center = f"centers[{len(self.center_refs)}]"
-                self.center_refs.append(group.ref)
             pre.append(f"    for (int64_t j = 0; j < {m}; j++) {{")
             pre.extend(loop)
-            # masked exactly as PrefixRangeIndex: zeros at φ lanes, then
-            # each component re-masked to contribute nothing at φ
-            if group.ext:
+            # masked exactly as AggregateFunction.prefix_components: zeros at
+            # φ lanes, centred for an extended-precision row, then each
+            # component as the row's C text states it
+            if ext:
+                center = f"centers[{len(self.center_refs)}]"
+                self.center_refs.append(group.ref)
                 pre.append(f"        long double {g}_mx = (long double)({xk} ? {xv} : 0.0);")
                 pre.append(f"        long double {g}_cx = {g}_mx - {center};")
-                comps = [
-                    f"({xk} ? {g}_cx : 0.0L)",
-                    f"({xk} ? {g}_cx * {g}_cx : 0.0L)",
-                    f"({xk} ? 1.0L : 0.0L)",
-                ]
+                x, suffix = f"{g}_cx", "L"
             else:
                 pre.append(f"        double {g}_mx = {xk} ? {xv} : 0.0;")
-                comps = {
-                    "sum": [f"{g}_mx"],
-                    "count": [f"({xk} ? 1.0 : 0.0)"],
-                    "mean": [f"{g}_mx", f"({xk} ? 1.0 : 0.0)"],
-                    "sum_squares": [f"{g}_mx * {g}_mx"],
-                }[group.agg_name]
-            for c, comp in enumerate(comps):
-                pre.append(f"        {g}_p{c}[j + 1] = {g}_p{c}[j] + {comp};")
+                x, suffix = f"{g}_mx", ""
+            for c, comp in enumerate(agg.c_components):
+                pre.append(f"        {g}_p{c}[j + 1] = {g}_p{c}[j] + {comp.format(x=x, k=xk, L=suffix)};")
             pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
             pre.append("    }")
-        elif group.kind == "rmq":
-            fill = "(-INFINITY)" if group.agg_name == "max" else "INFINITY"
+        elif kind == "rmq":
+            fill = _c_float(RMQ_DIRECTIONS[agg.rmq].fill)
             self._alloc("double", f"{g}_base", f"{m} > 0 ? {m} : 1", pre)
             self._alloc("int64_t", f"{g}_nc", f"{m} + 1", pre)
             pre.append(f"    {g}_vp[0] = 0; {g}_nc[0] = 0;")
@@ -566,7 +479,7 @@ class _CEmitter:
             pre.append(f"        {g}_nc[j + 1] = {g}_nc[j] + (isnan({g}_base[j]) ? 1 : 0);")
             pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
             pre.append("    }")
-        else:  # fold: first / last via valid-neighbour index arrays
+        else:  # fold with an edge marker: valid-neighbour index arrays
             self._alloc("double", f"{g}_x", f"{m} > 0 ? {m} : 1", pre)
             self._alloc("unsigned char", f"{g}_ok", f"{m} > 0 ? {m} : 1", pre)
             self._alloc("int64_t", f"{g}_nxt", f"{m} + 1", pre)
@@ -617,30 +530,20 @@ class _CEmitter:
         body.append(f"        int64_t {s}_qlo = {s}_lo;")
         body.append(f"        int64_t {s}_qhi = ({s}_hi > {s}_lo) ? {s}_hi : {s}_lo;")
         body.append(f"        int64_t {s}_cnt = {g}_vp[{s}_qhi] - {g}_vp[{s}_qlo];")
-        if group.kind == "prefix":
-            ag = group.agg_name
+        agg = group.agg
+        kind = agg.strategy.range
+        if kind == "prefix":
             body.append(f"        int {k} = {s}_cnt > 0;")
-            if ag in ("sum", "count", "sum_squares"):
-                body.append(f"        double {s}_res = {g}_p0[{s}_qhi] - {g}_p0[{s}_qlo];")
-            elif ag == "mean":
-                body.append(f"        double {s}_s = {g}_p0[{s}_qhi] - {g}_p0[{s}_qlo];")
-                body.append(f"        double {s}_n = {g}_p1[{s}_qhi] - {g}_p1[{s}_qlo];")
-                body.append(f"        double {s}_res = ({s}_n != 0.0) ? ({s}_s / {s}_n) : 0.0;")
-            else:  # variance / stddev in long double, exactly as PrefixRangeIndex
-                body.append(f"        long double {s}_s = {g}_p0[{s}_qhi] - {g}_p0[{s}_qlo];")
-                body.append(f"        long double {s}_sq = {g}_p1[{s}_qhi] - {g}_p1[{s}_qlo];")
-                body.append(f"        long double {s}_n = {g}_p2[{s}_qhi] - {g}_p2[{s}_qlo];")
-                body.append(
-                    f"        long double {s}_var = ({s}_n != 0.0L)"
-                    f" ? ({s}_sq / {s}_n - ({s}_s / {s}_n) * ({s}_s / {s}_n)) : 0.0L;"
-                )
-                body.append(f"        {s}_var = NPMAX({s}_var, 0.0L);")
-                if ag == "stddev":
-                    body.append(f"        {s}_var = sqrtl(NPMAX({s}_var, 0.0L));")
-                body.append(f"        double {s}_res = (double){s}_var;")
+            # the row's result text over its components' window sums, in the
+            # accumulator type (long double exactly as PrefixRangeIndex)
+            sums = {
+                f"d{c}": f"{g}_p{c}[{s}_qhi] - {g}_p{c}[{s}_qlo]"
+                for c in range(len(agg.c_components))
+            }
+            body.extend("        " + line.format(s=s, **sums) for line in agg.c_result)
             body.append(f"        double {v} = {k} ? {s}_res : 0.0;")
-        elif group.kind == "rmq":
-            pop = "<=" if group.agg_name == "max" else ">="
+        elif kind == "rmq":
+            pop = RMQ_DIRECTIONS[agg.rmq].c_evicts
             self._alloc("int64_t", f"{s}_dq", f"{m} > 0 ? {m} : 1", self.prelude)
             self.decls.append(f"    int64_t {s}_dh = 0, {s}_dt = 0, {s}_push = 0;")
             body.append(f"        while ({s}_push < {s}_qhi) {{")
@@ -660,11 +563,11 @@ class _CEmitter:
             body.append(f"            if ({g}_nc[{s}_qhi] - {g}_nc[{s}_qlo] > 0) {v} = NAN;")
             body.append(f"            else {v} = {g}_base[{s}_dq[{s}_dh]];")
             body.append("        }")
-        else:  # fold: first / last
+        else:  # fold: the window's first / last valid snapshot
             body.append(f"        int {k} = 0;")
             body.append(f"        double {v} = 0.0;")
             body.append(f"        if ({s}_qhi > {s}_qlo) {{")
-            if group.agg_name == "first":
+            if agg.edge == 0:
                 body.append(f"            int64_t {s}_j = {g}_nxt[{s}_qlo];")
                 body.append(f"            if ({s}_j < {s}_qhi) {{ {v} = {g}_x[{s}_j]; {k} = 1; }}")
             else:

@@ -25,6 +25,7 @@ cannot be serialized into source text).
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import re
 from dataclasses import dataclass, field
@@ -54,14 +55,7 @@ from ..ir.nodes import (
     Var,
 )
 from ..lineage.boundary import AccessPattern, collect_accesses
-from ..ops import (
-    NUMPY_BINOP_DOMAIN,
-    NUMPY_BINOPS,
-    NUMPY_CALL_DOMAIN,
-    NUMPY_CALLS,
-    NUMPY_UNOP_DOMAIN,
-    NUMPY_UNOPS,
-)
+from ..ops import bind
 
 __all__ = ["KernelSpec", "generate_kernel_spec", "KERNEL_FUNCTION_NAME", "ELEMENT_FUNCTION_NAME"]
 
@@ -189,7 +183,9 @@ class _ExprCompiler:
     def compile(self, expr: Expr) -> Tuple[str, str]:
         if isinstance(expr, Const):
             v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = _np.full(_n, {expr.value!r})")
+            # NaN/±inf (a folded ``Const(-8) ** Const(0.5)``) have no literal
+            literal = repr(expr.value) if math.isfinite(expr.value) else f"float({str(expr.value)!r})"
+            self.emitter.emit(f"{v} = _np.full(_n, {literal})")
             self.emitter.emit(f"{k} = _TRUE")
             return v, k
         if isinstance(expr, Phi):
@@ -215,26 +211,15 @@ class _ExprCompiler:
             return self._compile_reduce(expr)
         if isinstance(expr, TWindow):
             raise CompilationError("windowed temporal object used outside a reduction")
-        if isinstance(expr, BinOp):
-            lv, lk = self.compile(expr.lhs)
-            rv, rk = self.compile(expr.rhs)
+        if isinstance(expr, (BinOp, UnaryOp, Call)):
+            row = expr.row
+            pairs = [self.compile(operand) for operand in expr.children()]
             v, k = self.emitter.fresh()
-            template = NUMPY_BINOPS[expr.op]
-            self.emitter.emit(f"{v} = " + template.format(a=lv, b=rv))
-            mask = f"{lk} & {rk}"
-            domain = NUMPY_BINOP_DOMAIN.get(expr.op)
-            if domain is not None:
-                mask = f"({mask}) & " + domain.format(a=lv, b=rv)
-            self.emitter.emit(f"{k} = {mask}")
-            return v, k
-        if isinstance(expr, UnaryOp):
-            ov, ok = self.compile(expr.operand)
-            v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = " + NUMPY_UNOPS[expr.op].format(a=ov))
-            mask = ok
-            domain = NUMPY_UNOP_DOMAIN.get(expr.op)
-            if domain is not None:
-                mask = f"({ok}) & " + domain.format(a=ov)
+            vals = bind(p[0] for p in pairs)
+            self.emitter.emit(f"{v} = " + row.numpy.format(**vals))
+            mask = " & ".join(p[1] for p in pairs)
+            if row.numpy_domain is not None:
+                mask = f"({mask}) & " + row.numpy_domain.format(**vals)
             self.emitter.emit(f"{k} = {mask}")
             return v, k
         if isinstance(expr, IfThenElse):
@@ -257,17 +242,6 @@ class _ExprCompiler:
             v, k = self.emitter.fresh()
             self.emitter.emit(f"{v} = _np.where({ok}, {ov}, {dv})")
             self.emitter.emit(f"{k} = {ok} | {dk}")
-            return v, k
-        if isinstance(expr, Call):
-            arg_pairs = [self.compile(a) for a in expr.args]
-            v, k = self.emitter.fresh()
-            arg_vals = [p[0] for p in arg_pairs]
-            self.emitter.emit(f"{v} = " + NUMPY_CALLS[expr.func].format(*arg_vals))
-            mask = " & ".join(p[1] for p in arg_pairs) or "_TRUE"
-            domain = NUMPY_CALL_DOMAIN.get(expr.func)
-            if domain is not None:
-                mask = f"({mask}) & " + domain.format(*arg_vals)
-            self.emitter.emit(f"{k} = {mask}")
             return v, k
         if isinstance(expr, Let):
             saved = dict(self.scope)

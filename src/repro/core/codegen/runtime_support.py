@@ -9,20 +9,74 @@ buffer constructors — is provided through a :class:`KernelRuntime` instance
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ExecutionError
 from ...windowing.functions import AggregateFunction
 from ...windowing.prefix import snapshot_range_indices
-from ...windowing.sliding import RangeAggregator
+from ...windowing.sliding import build_range_index
 from ..ir.nodes import TDom
 from ..lineage.boundary import AccessPattern
 from ..runtime.ssbuf import SSBuf, _ssbuf_from_arrays
 from .grid import evaluation_times_for_accesses
 
-__all__ = ["KernelRuntime"]
+__all__ = ["KernelRuntime", "ReduceSite"]
+
+
+class ReduceSite:
+    """One ``(input, aggregate, element map)`` reduction's state: the
+    element map, the range index the aggregate's row picks, and the input
+    time the index has consumed through.
+
+    The same object serves both lifetimes.  A one-shot run creates it in the
+    invocation's ``cache`` and its single :meth:`ingest` builds the index
+    over the partition's slice; a session keeps it (see
+    :class:`~repro.core.codegen.incremental.IncrementalKernelRuntime`) and
+    every tick's :meth:`ingest` appends the input column's new tail.  All
+    windows over the same triple share one site: an index is window-agnostic.
+    """
+
+    __slots__ = ("agg", "_element", "index", "ingested_through")
+
+    def __init__(self, agg: AggregateFunction, element: Optional[Callable] = None, index=None):
+        self.agg = agg
+        self._element = element
+        #: built by the first :meth:`ingest`, unless the keeper hands in a
+        #: growable one up front
+        self.index = index
+        #: input time up to which this site has consumed snapshots
+        self.ingested_through = -float("inf")
+
+    def ingest(self, buf: SSBuf, rt: "KernelRuntime") -> None:
+        """Consume every snapshot of ``buf`` newer than the ingest horizon.
+
+        Idempotent within an invocation (a second call over the same buffer
+        is a no-op) and robust to carry-over pruning between ticks:
+        snapshots the column dropped below the retention floor are — by the
+        margin invariant — strictly older than any window a future tick
+        queries.  A site that outlives the invocation must be fed the
+        unsliced input column: a slice-clipped phantom snapshot must never
+        be appended to.
+        """
+        times = buf.times
+        idx = int(np.searchsorted(times, self.ingested_through, side="right"))
+        if idx >= len(times) and self.index is not None:
+            return
+        values = np.asarray(buf.values[idx:], dtype=np.float64)
+        ok = np.asarray(buf.valid[idx:], dtype=bool)
+        if self._element is not None:
+            mapped, mapped_ok = self._element(values, rt)
+            values = np.asarray(mapped, dtype=np.float64)
+            ok = ok & np.asarray(mapped_ok, dtype=bool)
+        first_start = buf.start_time if idx == 0 else float(times[idx - 1])
+        if self.index is None:
+            self.index = build_range_index(self.agg, times[idx:], values, ok, first_start)
+        else:  # only a growable (prefix) index is ever kept past its build
+            self.index.extend(times[idx:], values, ok, first_start)
+        if len(times):
+            self.ingested_through = float(times[-1])
 
 
 class KernelRuntime:
@@ -31,7 +85,7 @@ class KernelRuntime:
     The runtime is **immutable after construction**: it carries only the
     compile-time registries (aggregates, element maps, access patterns), no
     execution state.  Anything that lives for one kernel invocation — the
-    cursor table and the :class:`RangeAggregator` indexes, both held in the
+    cursor table and the :class:`ReduceSite` indexes, both held in the
     invocation's ``cache`` dict — is allocated by the generated
     kernel itself and threaded through the ``rt`` calls, so one compiled
     query can run concurrently over many partitions (threads sharing a
@@ -69,6 +123,10 @@ class KernelRuntime:
         self.tdom = tdom
         self.aggregates = aggregates
         self.element_functions = element_functions
+        #: reduce sites that outlive an invocation, by ``(ref, agg_idx,
+        #: elem_idx)`` — none on a compiled kernel's shared runtime; a
+        #: session's private runtime fills it from its site plan
+        self.sites: Dict[tuple, ReduceSite] = {}
 
     # ------------------------------------------------------------------ #
     # hooks called from generated code
@@ -105,16 +163,26 @@ class KernelRuntime:
 
         ``cache`` is the invocation's private state (a fresh dict per
         generated-kernel call): several reductions over the same input
-        within one invocation share the built :class:`RangeAggregator`
-        index and the cursors of their window edges, and nothing outlives
-        the run.
+        within one invocation share the :class:`ReduceSite` and the cursors
+        of their window edges, and nothing outlives the run — except a site
+        the runtime itself keeps (:attr:`sites`), whose windows index the
+        site's own timeline, not the (pruned) input column.
         """
         buf = env.get(ref)
         if buf is None:
             raise ExecutionError(f"unknown temporal object ~{ref}")
-        aggregator = self._aggregator(buf, ref, agg_idx, elem_idx, cache)
-        return aggregator.query_indices(
-            *self._window(cache, ref, buf, ts, start_offset, end_offset)
+        # keyed by input *name*, not id(buf): within one invocation the env
+        # binding is stable, and names cannot be recycled the way object ids
+        # of freed buffers can.
+        key = (ref, agg_idx, elem_idx)
+        kept = self.sites.get(key)
+        site = kept if kept is not None else cache.get(key)
+        if site is None:
+            site = cache[key] = self.new_site(agg_idx, elem_idx)
+        site.ingest(buf, self)
+        held, cursors = (buf, ref) if kept is None else (site.index, site)
+        return site.index.query_indices(
+            *self._window(cache, cursors, held, ts, start_offset, end_offset)
         )
 
     def build(self, ts: np.ndarray, values, valid, t_start: float) -> SSBuf:
@@ -127,6 +195,11 @@ class KernelRuntime:
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), ts.shape).copy()
         valid = np.broadcast_to(np.asarray(valid, dtype=bool), ts.shape).copy()
         return _ssbuf_from_arrays(ts, values, valid, float(t_start))
+
+    def new_site(self, agg_idx: int, elem_idx: int, index=None) -> ReduceSite:
+        """A fresh site for registry entries ``agg_idx`` / ``elem_idx`` (-1: none)."""
+        element = self.element_functions[elem_idx] if elem_idx >= 0 else None
+        return ReduceSite(self.aggregates[agg_idx], element, index)
 
     # ------------------------------------------------------------------ #
     # internal helpers
@@ -154,33 +227,3 @@ class KernelRuntime:
         return snapshot_range_indices(
             times, held.start_time, starts, ends, left_starts, left_ends
         )
-
-    def _aggregator(
-        self,
-        buf: SSBuf,
-        ref: str,
-        agg_idx: int,
-        elem_idx: int,
-        cache: dict,
-    ) -> RangeAggregator:
-        # keyed by input *name*, not id(buf): within one invocation the env
-        # binding is stable, and names cannot be recycled the way object ids
-        # of freed buffers can.
-        key = (ref, agg_idx, elem_idx)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        agg = self.aggregates[agg_idx]
-        target = buf
-        if elem_idx >= 0:
-            element_fn = self.element_functions[elem_idx]
-            mapped_vals, mapped_ok = element_fn(buf.values, self)
-            target = _ssbuf_from_arrays(
-                buf.times,
-                np.asarray(mapped_vals, dtype=np.float64),
-                np.asarray(buf.valid, dtype=bool) & np.asarray(mapped_ok, dtype=bool),
-                buf.start_time,
-            )
-        aggregator = RangeAggregator(target, agg)
-        cache[key] = aggregator
-        return aggregator

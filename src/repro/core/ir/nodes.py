@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ...errors import ValidationError
+from ..ops import OPS, Op
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for type checkers
     from ...windowing.functions import AggregateFunction
@@ -59,11 +60,6 @@ __all__ = [
     "TiltProgram",
     "when",
     "lift",
-    "ARITHMETIC_OPS",
-    "COMPARISON_OPS",
-    "LOGICAL_OPS",
-    "UNARY_OPS",
-    "CALL_FUNCTIONS",
 ]
 
 INFINITY = math.inf
@@ -72,11 +68,13 @@ INFINITY = math.inf
 #: element expression (see :class:`Reduce`).
 ELEM_VAR = "%elem"
 
-ARITHMETIC_OPS = ("+", "-", "*", "/", "%", "**", "min", "max")
-COMPARISON_OPS = (">", "<", ">=", "<=", "==", "!=")
-LOGICAL_OPS = ("and", "or")
-UNARY_OPS = ("neg", "not", "abs", "sqrt", "exp", "log", "floor", "ceil", "sign")
-CALL_FUNCTIONS = ("sqrt", "exp", "log", "abs", "floor", "ceil", "sin", "cos", "pow", "atan2")
+
+def _op_row(name: str, form: str, what: str) -> Op:
+    """The operator-table row a node of type ``form`` may carry under ``name``."""
+    row = OPS.get(name)
+    if row is None or form not in row.forms:
+        raise ValidationError(f"unknown {what} {name!r}")
+    return row
 
 
 def lift(value: Union["Expr", float, int, bool]) -> "Expr":
@@ -278,8 +276,11 @@ class BinOp(Expr):
     rhs: Expr
 
     def __post_init__(self) -> None:
-        if self.op not in ARITHMETIC_OPS + COMPARISON_OPS + LOGICAL_OPS:
-            raise ValidationError(f"unknown binary operator {self.op!r}")
+        _op_row(self.op, "binop", "binary operator")
+
+    @property
+    def row(self) -> Op:
+        return OPS[self.op]
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.lhs, self.rhs)
@@ -293,8 +294,11 @@ class UnaryOp(Expr):
     operand: Expr
 
     def __post_init__(self) -> None:
-        if self.op not in UNARY_OPS:
-            raise ValidationError(f"unknown unary operator {self.op!r}")
+        _op_row(self.op, "unop", "unary operator")
+
+    @property
+    def row(self) -> Op:
+        return OPS[self.op]
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -345,9 +349,15 @@ class Call(Expr):
     args: Tuple[Expr, ...]
 
     def __post_init__(self) -> None:
-        if self.func not in CALL_FUNCTIONS:
-            raise ValidationError(f"unknown external function {self.func!r}")
         object.__setattr__(self, "args", tuple(self.args))
+        if len(self.args) != _op_row(self.func, "call", "external function").arity:
+            raise ValidationError(
+                f"function {self.func!r} takes {self.row.arity} argument(s), got {len(self.args)}"
+            )
+
+    @property
+    def row(self) -> Op:
+        return OPS[self.func]
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args

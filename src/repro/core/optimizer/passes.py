@@ -38,7 +38,7 @@ from ..ir.nodes import (
     Var,
 )
 from ..ir.visitor import ExprTransformer
-from ..ops import eval_binop, eval_call, eval_unop
+from ..ops import eval_op
 from .fusion import fuse_operators
 from .rewrite import substitute_vars
 
@@ -54,48 +54,36 @@ __all__ = [
 
 ProgramPass = Callable[[TiltProgram], TiltProgram]
 
-_PHI_STRICT_BINOPS = set("+ - * / % **".split()) | {"min", "max", ">", "<", ">=", "<=", "==", "!=", "and", "or"}
-
-
 class _ConstantFolder(ExprTransformer):
-    def visit_binop(self, node: BinOp) -> Expr:
-        lhs = self.visit(node.lhs)
-        rhs = self.visit(node.rhs)
-        if isinstance(lhs, Phi) or isinstance(rhs, Phi):
+    def _fold_op(self, node: Expr, operands: Tuple[Expr, ...], rebuilt: Expr) -> Expr:
+        """One rule for BinOp/UnaryOp/Call: a φ operand gives φ, constant
+        operands apply the operator-table row, and a row's identity constant
+        (``x + 0``, ``1 * x``; holds for φ operands as well) drops out."""
+        if any(isinstance(o, Phi) for o in operands):
             return Phi()
-        if isinstance(lhs, Const) and isinstance(rhs, Const):
-            value, ok = eval_binop(node.op, lhs.value, rhs.value)
+        row = node.row
+        if all(isinstance(o, Const) for o in operands):
+            value, ok = eval_op(row, [o.value for o in operands])
             return Const(value) if ok else Phi()
-        # safe algebraic identities (hold for φ operands as well)
-        if isinstance(rhs, Const):
-            if node.op in ("+", "-") and rhs.value == 0:
+        if len(operands) == 2:
+            lhs, rhs = operands
+            if isinstance(rhs, Const) and rhs.value == row.identity[1]:
                 return lhs
-            if node.op in ("*", "/") and rhs.value == 1:
-                return lhs
-        if isinstance(lhs, Const):
-            if node.op == "+" and lhs.value == 0:
+            if isinstance(lhs, Const) and lhs.value == row.identity[0]:
                 return rhs
-            if node.op == "*" and lhs.value == 1:
-                return rhs
-        return BinOp(node.op, lhs, rhs)
+        return rebuilt
+
+    def visit_binop(self, node: BinOp) -> Expr:
+        lhs, rhs = self.visit(node.lhs), self.visit(node.rhs)
+        return self._fold_op(node, (lhs, rhs), BinOp(node.op, lhs, rhs))
 
     def visit_unaryop(self, node: UnaryOp) -> Expr:
         operand = self.visit(node.operand)
-        if isinstance(operand, Phi):
-            return Phi()
-        if isinstance(operand, Const):
-            value, ok = eval_unop(node.op, operand.value)
-            return Const(value) if ok else Phi()
-        return UnaryOp(node.op, operand)
+        return self._fold_op(node, (operand,), UnaryOp(node.op, operand))
 
     def visit_call(self, node: Call) -> Expr:
         args = tuple(self.visit(a) for a in node.args)
-        if any(isinstance(a, Phi) for a in args):
-            return Phi()
-        if all(isinstance(a, Const) for a in args):
-            value, ok = eval_call(node.func, [a.value for a in args])
-            return Const(value) if ok else Phi()
-        return Call(node.func, args)
+        return self._fold_op(node, args, Call(node.func, args))
 
     def visit_ifthenelse(self, node: IfThenElse) -> Expr:
         cond = self.visit(node.cond)

@@ -27,14 +27,7 @@ from ...core.ir.nodes import (
     UnaryOp,
     Var,
 )
-from ...core.ops import (
-    NUMPY_BINOP_DOMAIN,
-    NUMPY_BINOPS,
-    NUMPY_CALL_DOMAIN,
-    NUMPY_CALLS,
-    NUMPY_UNOP_DOMAIN,
-    NUMPY_UNOPS,
-)
+from ...core.ops import bind
 from ...errors import ExecutionError
 
 __all__ = ["eval_expr_vectorized"]
@@ -42,19 +35,10 @@ __all__ = ["eval_expr_vectorized"]
 ArrayResult = Tuple[np.ndarray, np.ndarray]
 
 
-def _apply_template(template: str, **arrays: np.ndarray) -> np.ndarray:
+def _apply_template(template: str, arrays: Dict[str, np.ndarray]) -> np.ndarray:
     # The NumPy operator templates in repro.core.ops are written for the code
     # generator; here we evaluate them directly with a restricted namespace.
-    namespace = {"_np": np}
-    namespace.update(arrays)
-    return eval(template.format(**{k: k for k in arrays}), namespace)  # noqa: S307
-
-
-def _apply_call_template(template: str, args) -> np.ndarray:
-    names = {f"a{i}": arg for i, arg in enumerate(args)}
-    namespace = {"_np": np}
-    namespace.update(names)
-    return eval(template.format(*names.keys()), namespace)  # noqa: S307
+    return eval(template.format(**{k: k for k in arrays}), {"_np": np, **arrays})  # noqa: S307
 
 
 def eval_expr_vectorized(expr: Expr, bindings: Dict[str, ArrayResult], n: int) -> ArrayResult:
@@ -71,23 +55,16 @@ def eval_expr_vectorized(expr: Expr, bindings: Dict[str, ArrayResult], n: int) -
         if expr.name not in bindings:
             raise ExecutionError(f"unbound variable {expr.name!r}")
         return bindings[expr.name]
-    if isinstance(expr, BinOp):
-        lv, lk = eval_expr_vectorized(expr.lhs, bindings, n)
-        rv, rk = eval_expr_vectorized(expr.rhs, bindings, n)
-        values = _apply_template(NUMPY_BINOPS[expr.op], a=lv, b=rv)
-        valid = lk & rk
-        domain = NUMPY_BINOP_DOMAIN.get(expr.op)
-        if domain is not None:
-            valid = valid & _apply_template(domain, a=lv, b=rv)
-        return np.asarray(values, dtype=np.float64), valid
-    if isinstance(expr, UnaryOp):
-        ov, ok = eval_expr_vectorized(expr.operand, bindings, n)
-        values = _apply_template(NUMPY_UNOPS[expr.op], a=ov)
-        valid = ok
-        domain = NUMPY_UNOP_DOMAIN.get(expr.op)
-        if domain is not None:
-            valid = valid & _apply_template(domain, a=ov)
-        return np.asarray(values, dtype=np.float64), valid
+    if isinstance(expr, (BinOp, UnaryOp, Call)):
+        row = expr.row
+        pairs = [eval_expr_vectorized(operand, bindings, n) for operand in expr.children()]
+        arrays = bind(p[0] for p in pairs)
+        valid = np.ones(n, dtype=bool)
+        for _, ok in pairs:
+            valid = valid & ok
+        if row.numpy_domain is not None:
+            valid = valid & _apply_template(row.numpy_domain, arrays)
+        return np.asarray(_apply_template(row.numpy, arrays), dtype=np.float64), valid
     if isinstance(expr, IfThenElse):
         cv, ck = eval_expr_vectorized(expr.cond, bindings, n)
         tv, tk = eval_expr_vectorized(expr.then, bindings, n)
@@ -102,16 +79,6 @@ def eval_expr_vectorized(expr: Expr, bindings: Dict[str, ArrayResult], n: int) -
         ov, ok = eval_expr_vectorized(expr.operand, bindings, n)
         dv, dk = eval_expr_vectorized(expr.default, bindings, n)
         return np.where(ok, ov, dv), ok | dk
-    if isinstance(expr, Call):
-        pairs = [eval_expr_vectorized(a, bindings, n) for a in expr.args]
-        values = _apply_call_template(NUMPY_CALLS[expr.func], [p[0] for p in pairs])
-        valid = np.ones(n, dtype=bool)
-        for _, ok in pairs:
-            valid = valid & ok
-        domain = NUMPY_CALL_DOMAIN.get(expr.func)
-        if domain is not None:
-            valid = valid & _apply_call_template(domain, [p[0] for p in pairs])
-        return np.asarray(values, dtype=np.float64), valid
     if isinstance(expr, Let):
         scope = dict(bindings)
         for name, value in expr.bindings:

@@ -72,9 +72,6 @@ class LightSaberEngine(GrizzlyEngine):
         rel_idx = pane_idx - first_pane
 
         if agg.strategy.range == "prefix":
-            if agg.prefix_extended_precision:
-                # shift-invariant and cancellation-prone: center first
-                values = values - np.mean(values)
             pane_components, pane_counts = self._decomposable_pane_partials(
                 agg, rel_idx, values, num_panes
             )
@@ -95,7 +92,10 @@ class LightSaberEngine(GrizzlyEngine):
         self, agg: AggregateFunction, rel_idx: np.ndarray, values: np.ndarray, num_panes: int
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Per-pane component sums via ``np.bincount``, parallel over worker slices."""
-        components = agg.prefix_arrays(values)
+        # the row's decomposition (centred first where the row says so),
+        # narrowed to what ``bincount`` accumulates in
+        components, _ = agg.prefix_components(values, np.ones(len(values), dtype=bool))
+        components = [comp.astype(np.float64, copy=False) for comp in components]
         slices = np.array_split(np.arange(len(values)), self.workers)
         executor = make_executor(self.workers, default_kind(self.workers))
 
@@ -179,8 +179,7 @@ class LightSaberEngine(GrizzlyEngine):
         lo = np.clip(lo_pane, 0, len(pane_counts))
         sums = [c[hi] - c[lo] for c in cum]
         counts = cum_counts[hi] - cum_counts[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            results = np.asarray(agg.prefix_result(*sums), dtype=np.float64)
+        results = agg.prefix_finish(sums)
         keep = counts > 0
         return ColumnChunk(grid[keep] - stride, grid[keep], results[keep])
 

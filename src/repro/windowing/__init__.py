@@ -30,7 +30,7 @@ from .online import (
 )
 from .prefix import PrefixRangeIndex, snapshot_range_indices
 from .sliding import (
-    RangeAggregator,
+    build_range_index,
     range_aggregate,
     streaming_window_aggregate,
     window_aggregate,
@@ -60,7 +60,7 @@ __all__ = [
     "PrefixRangeIndex",
     "snapshot_range_indices",
     "SparseTableRMQ",
-    "RangeAggregator",
+    "build_range_index",
     "range_aggregate",
     "window_aggregate",
     "streaming_window_aggregate",

@@ -9,20 +9,28 @@ user-defined — is expressed with four lambdas:
 * ``deacc``  — (optional) removes a value from the state; only invertible
   aggregates provide it, enabling the Subtract-on-Evict algorithm.
 
-On top of the paper's template this module adds two optional *vectorized*
-hooks used by the NumPy code-generation backend:
+An :class:`AggregateFunction` is also the aggregate's one **table row**:
+next to the paper's template it carries every optional lowering a consumer
+may derive, and nothing elsewhere is keyed by an aggregate's name —
 
-* ``prefix_arrays`` / ``prefix_result`` — express the aggregate as sums of a
-  few per-snapshot component arrays, so window results can be computed with
-  prefix sums and ``searchsorted`` (Sum, Count, Mean, Variance, StdDev, ...).
-* ``rmq`` — the aggregate is a range-min/range-max query answered by a sparse
-  table (Max, Min).
+* ``prefix_arrays`` / ``prefix_result`` (+ ``prefix_extended_precision``) —
+  the aggregate as sums of a few per-snapshot component arrays, so window
+  results come from prefix sums (Sum, Count, Mean, Variance, StdDev, ...);
+  ``c_components`` / ``c_result`` state the same decomposition as C text
+  for the native tier.
+* ``rmq`` — a range-min/range-max query answered by a sparse table
+  (:data:`RMQ_DIRECTIONS` holds what each direction means in NumPy and C).
+* ``edge`` — the aggregate picks the window's first / last valid snapshot.
 * ``vector_eval`` — a generic NumPy reduction applied per window (used by
   custom aggregates such as kurtosis or crest factor).
 
-The scalar template (init/acc/result/deacc/merge) is always present and is
-the semantic reference; vectorized hooks are pure optimizations and the test
-suite checks they agree with the scalar fold.
+:attr:`AggregateFunction.strategy` ranks these hooks once; the range index
+(``windowing/sliding.py::build_range_index``), the native emitter, a
+session's reduce-site plan and ``python -m repro.analysis --rows`` all read
+it.  Adding a built-in aggregate is adding one row below.  The scalar
+template (init/acc/result/deacc/merge) is always present and is the
+semantic reference; ``tests/test_conformance.py`` checks every row's
+lowerings against the scalar fold.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from ..errors import QueryBuildError
 __all__ = [
     "AggregateFunction",
     "AggregateStrategy",
+    "RmqDirection",
+    "RMQ_DIRECTIONS",
     "SUM",
     "COUNT",
     "PRODUCT",
@@ -58,9 +68,9 @@ State = Any
 
 class AggregateStrategy(NamedTuple):
     """How an aggregate is evaluated — the one place its optional hooks are
-    ranked.  Every consumer (the per-buffer :class:`RangeAggregator`, the
-    online insert/evict aggregators, a session's persistent reduce sites and
-    the plan it reports) reads this instead of probing the hooks itself.
+    ranked.  Every consumer (the range index a reduce site builds, the
+    online insert/evict aggregators, the native emitter, a session's reduce
+    site plan) reads this instead of probing the hooks itself.
     """
 
     #: vectorized index built per buffer: ``'prefix'`` (prefix sums),
@@ -69,6 +79,22 @@ class AggregateStrategy(NamedTuple):
     #: insert/evict structure: ``'subtract-on-evict'`` (has ``deacc``),
     #: ``'two-stacks'`` (has ``merge``) or ``'refold'``
     online: str
+
+
+class RmqDirection(NamedTuple):
+    """What an ``rmq`` direction means to the sparse table and the C deque."""
+
+    reduce: np.ufunc
+    #: what a φ snapshot holds so it never wins a query
+    fill: float
+    #: the C monotone deque evicts its back while ``back <evicts> incoming``
+    c_evicts: str
+
+
+RMQ_DIRECTIONS = {
+    "max": RmqDirection(np.maximum, -math.inf, "<="),
+    "min": RmqDirection(np.minimum, math.inf, ">="),
+}
 
 
 @dataclass(frozen=True)
@@ -98,8 +124,18 @@ class AggregateFunction:
     #: keeps the components small when ``mean² >> variance``.  Plain
     #: sums/means stay on fast float64.
     prefix_extended_precision: bool = False
-    rmq: Optional[str] = None  # 'max' | 'min'
+    rmq: Optional[str] = None  # a key of RMQ_DIRECTIONS
     vector_eval: Optional[Callable[[np.ndarray], float]] = None
+    #: the window's first (``0``) or last (``-1``) valid snapshot is the result
+    edge: Optional[int] = None
+    #: C text of the prefix decomposition (``None``: no native lowering):
+    #: one expression per component over the masked — and, for
+    #: extended-precision rows, centred — value ``{x}``, its validity ``{k}``
+    #: and the accumulator's literal suffix ``{L}``; ``c_result`` is the
+    #: statements computing ``double {s}_res`` from the components' window
+    #: sums ``{d0}``, ``{d1}``, ...
+    c_components: Optional[Tuple[str, ...]] = None
+    c_result: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------ #
     # scalar evaluation (semantic reference)
@@ -146,13 +182,43 @@ class AggregateFunction:
             state = self.acc(state, float(v))
         return (float(self.result(state)), True)
 
-    def fold_array(self, values: np.ndarray) -> Tuple[float, bool]:
-        """Reduce a NumPy array, preferring the vectorized hook when present."""
-        if len(values) == 0:
-            return (0.0, False)
-        if self.vector_eval is not None:
-            return (float(self.vector_eval(np.asarray(values, dtype=np.float64))), True)
-        return self.fold(values)
+    # ------------------------------------------------------------------ #
+    # row accessors: the prefix decomposition and the native lowering
+    # ------------------------------------------------------------------ #
+    @property
+    def prefix_dtype(self) -> type:
+        """Accumulator dtype of the prefix sums (see ``prefix_extended_precision``)."""
+        return np.longdouble if self.prefix_extended_precision else np.float64
+
+    def prefix_components(self, values: np.ndarray, valid: np.ndarray, center=None):
+        """Per-snapshot component arrays of one chunk, in the accumulator
+        dtype, φ lanes contributing nothing to *any* component (e.g. the
+        count component of Mean).  Extended-precision rows subtract
+        ``center`` first (default: this chunk's mean); returns
+        ``(components, center)`` so a growable index can keep one center for
+        its lifetime.  The component arrays are built in the accumulator
+        dtype too — squaring in float64 first would already bake in more
+        rounding error than longdouble prefixes can cancel."""
+        masked = np.where(valid, np.asarray(values, dtype=np.float64), 0.0).astype(
+            self.prefix_dtype, copy=False
+        )
+        if self.prefix_extended_precision:
+            if center is None:
+                center = np.mean(masked)
+            masked = masked - center
+        return [np.where(valid, comp, 0.0) for comp in self.prefix_arrays(masked)], center
+
+    def prefix_finish(self, sums: Sequence[np.ndarray]) -> np.ndarray:
+        """Window results (float64) from the components' window sums."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.asarray(self.prefix_result(*sums), dtype=np.float64)
+
+    @property
+    def c_lowerable(self) -> bool:
+        """True when the row carries a C fragment for its range strategy."""
+        if self.strategy.range == "prefix":
+            return self.c_components is not None and self.c_result is not None
+        return self.rmq is not None or self.edge is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AggregateFunction({self.name})"
@@ -181,6 +247,21 @@ def _safe_sqrt(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(x, 0.0))
 
 
+_C_ONE = "({k} ? 1.0{L} : 0.0{L})"
+_C_SUM = ("double {s}_res = {d0};",)
+# after centring a φ lane holds ``-center``, hence the explicit re-mask
+_C_MOMENTS = ("({k} ? {x} : 0.0{L})", "({k} ? {x} * {x} : 0.0{L})", _C_ONE)
+_C_VARIANCE = (
+    "long double {s}_s = {d0};",
+    "long double {s}_sq = {d1};",
+    "long double {s}_n = {d2};",
+    "long double {s}_var = ({s}_n != 0.0L)"
+    " ? ({s}_sq / {s}_n - ({s}_s / {s}_n) * ({s}_s / {s}_n)) : 0.0L;",
+    "{s}_var = NPMAX({s}_var, 0.0L);",
+)
+_C_NARROW = ("double {s}_res = (double){s}_var;",)
+
+
 SUM = AggregateFunction(
     name="sum",
     init=lambda: 0.0,
@@ -191,6 +272,8 @@ SUM = AggregateFunction(
     prefix_arrays=lambda vals: (vals,),
     prefix_result=lambda s: s,
     vector_eval=np.sum,
+    c_components=("{x}",),
+    c_result=_C_SUM,
 )
 
 COUNT = AggregateFunction(
@@ -203,6 +286,8 @@ COUNT = AggregateFunction(
     prefix_arrays=lambda vals: (np.ones_like(vals),),
     prefix_result=lambda n: n,
     vector_eval=lambda vals: float(len(vals)),
+    c_components=(_C_ONE,),
+    c_result=_C_SUM,
 )
 
 PRODUCT = AggregateFunction(
@@ -244,6 +329,12 @@ MEAN = AggregateFunction(
     prefix_arrays=lambda vals: (vals, np.ones_like(vals)),
     prefix_result=lambda s, n: np.divide(s, n, out=np.zeros_like(s), where=n != 0),
     vector_eval=np.mean,
+    c_components=("{x}", _C_ONE),
+    c_result=(
+        "double {s}_s = {d0};",
+        "double {s}_n = {d1};",
+        "double {s}_res = ({s}_n != 0.0) ? ({s}_s / {s}_n) : 0.0;",
+    ),
 )
 
 VARIANCE = AggregateFunction(
@@ -266,6 +357,8 @@ VARIANCE = AggregateFunction(
         0.0,
     ),
     vector_eval=lambda vals: float(np.var(vals)),
+    c_components=_C_MOMENTS,
+    c_result=_C_VARIANCE + _C_NARROW,
 )
 
 STDDEV = AggregateFunction(
@@ -279,6 +372,8 @@ STDDEV = AggregateFunction(
     prefix_extended_precision=True,
     prefix_result=lambda s, sq, n: _safe_sqrt(VARIANCE.prefix_result(s, sq, n)),
     vector_eval=lambda vals: float(np.std(vals)),
+    c_components=_C_MOMENTS,
+    c_result=_C_VARIANCE + ("{s}_var = sqrtl(NPMAX({s}_var, 0.0L));",) + _C_NARROW,
 )
 
 SUM_SQUARES = AggregateFunction(
@@ -291,6 +386,8 @@ SUM_SQUARES = AggregateFunction(
     prefix_arrays=lambda vals: (vals * vals,),
     prefix_result=lambda s: s,
     vector_eval=lambda vals: float(np.sum(vals * vals)),
+    c_components=("{x} * {x}",),
+    c_result=_C_SUM,
 )
 
 FIRST = AggregateFunction(
@@ -299,6 +396,7 @@ FIRST = AggregateFunction(
     acc=lambda s, v: v if s is None else s,
     result=lambda s: 0.0 if s is None else s,
     vector_eval=lambda vals: float(vals[0]),
+    edge=0,
 )
 
 LAST = AggregateFunction(
@@ -307,6 +405,7 @@ LAST = AggregateFunction(
     acc=lambda s, v: v,
     result=lambda s: 0.0 if s is None else s,
     vector_eval=lambda vals: float(vals[-1]),
+    edge=-1,
 )
 
 

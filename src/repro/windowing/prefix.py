@@ -82,12 +82,9 @@ class PrefixRangeIndex:
         # a windowed value is the difference of two potentially huge prefix
         # totals, and float64 cancellation there is what used to make a
         # near-zero windowed variance come out at ~1e-8 (so ~1e-4 stddev
-        # after the sqrt amplification).  The component arrays themselves
-        # are built in that dtype too — squaring in float64 first would
-        # already bake in more rounding error than the longdouble prefixes
-        # can cancel.  Everything else (sums, means, counts) stays on fast
-        # float64.
-        self.dtype = np.longdouble if agg.prefix_extended_precision else np.float64
+        # after the sqrt amplification).  Everything else (sums, means,
+        # counts) stays on fast float64.
+        self.dtype = agg.prefix_dtype
         #: ``start_time`` followed by every snapshot time: ``edges[1:]`` are
         #: the snapshot times, ``edges[:-1]`` their interval starts
         self._edges = GrowableArray()
@@ -112,17 +109,10 @@ class PrefixRangeIndex:
         if len(times) == 0:
             return
         valid = np.asarray(valid, dtype=bool)
-        masked = np.where(valid, np.asarray(values, dtype=np.float64), 0.0).astype(
-            self.dtype, copy=False
-        )
-        if self.agg.prefix_extended_precision:
-            # one fixed center for the index's lifetime (a per-chunk center
-            # could not be cancelled across chunks); for a one-shot build
-            # that is the buffer mean
-            if self._center is None:
-                self._center = np.mean(masked)
-            masked = masked - self._center
-        components = self.agg.prefix_arrays(masked)
+        # one fixed center for the index's lifetime (a per-chunk center
+        # could not be cancelled across chunks); for a one-shot build that
+        # is the buffer mean
+        components, self._center = self.agg.prefix_components(values, valid, self._center)
         if not len(self._edges):
             self._edges.append((start_time,))
             self._valid_prefix.append((0.0,))
@@ -132,9 +122,7 @@ class PrefixRangeIndex:
         self._edges.append(times)
         self._accumulate(self._valid_prefix, valid.astype(np.float64))
         for prefix, comp in zip(self._prefixes, components):
-            # invalid snapshots must contribute nothing to *any* component
-            # (e.g. the count component of Mean), hence the explicit masking.
-            self._accumulate(prefix, np.where(valid, comp, 0.0))
+            self._accumulate(prefix, comp)
 
     @staticmethod
     def _accumulate(prefix: GrowableArray, comp: np.ndarray) -> None:
@@ -165,9 +153,7 @@ class PrefixRangeIndex:
         hi = np.maximum(hi, lo)
         valid_prefix = self._valid_prefix.view
         counts = valid_prefix[hi] - valid_prefix[lo]
-        sums = [p.view[hi] - p.view[lo] for p in self._prefixes]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            results = np.asarray(self.agg.prefix_result(*sums), dtype=np.float64)
+        results = self.agg.prefix_finish([p.view[hi] - p.view[lo] for p in self._prefixes])
         valid = counts > 0
         return np.where(valid, results, 0.0), valid
 

@@ -2,11 +2,11 @@
 
 Two entry points:
 
-* :func:`range_aggregate` — evaluate an aggregate over *arbitrary* per-output
-  windows ``(ws_i, we_i]`` of an SSBuf.  Chooses a prefix-sum index, a sparse
-  table, or a generic per-window reduction depending on the aggregate's
-  capabilities.  This is the primitive the code-generation backend calls for
-  every ``Reduce`` node.
+* :func:`build_range_index` / :func:`range_aggregate` — evaluate an aggregate
+  over *arbitrary* per-output windows ``(ws_i, we_i]`` of an SSBuf.  The
+  aggregate's row picks a prefix-sum index, a sparse table, or a generic
+  per-window reduction.  This is the primitive every reduce site of the
+  code-generation backend builds for a ``Reduce`` node.
 * :func:`window_aggregate` — classic size/stride sliding-window aggregation
   producing a new SSBuf on a regular grid (used by the baseline engines and
   by the interpreted TiLT mode for standalone Window operators).
@@ -24,68 +24,56 @@ from .online import make_online_aggregator
 from .prefix import PrefixRangeIndex, snapshot_range_indices
 from .sparse_table import SparseTableRMQ
 
-__all__ = ["RangeAggregator", "range_aggregate", "window_aggregate", "window_grid"]
+__all__ = ["FoldRangeIndex", "build_range_index", "range_aggregate", "window_aggregate", "window_grid"]
 
 
-class RangeAggregator:
-    """Reusable per-(buffer, aggregate) range aggregation object.
+class FoldRangeIndex:
+    """The ``fold`` range strategy: one reduction call per window holding a
+    valid snapshot; the valid counts are vectorised, and only a window
+    containing a φ is masked."""
 
-    Builds the appropriate index once so that repeated queries (e.g. the two
-    different windows of the trend query, or per-partition evaluation) do not
-    pay the construction cost again.
-    """
-
-    def __init__(self, buf: SSBuf, agg: AggregateFunction):
-        self.buf = buf
-        self.agg = agg
-        self._prefix: Optional[PrefixRangeIndex] = None
-        self._rmq: Optional[SparseTableRMQ] = None
-        kind = agg.strategy.range
-        if kind == "prefix":
-            self._prefix = PrefixRangeIndex(agg)
-            self._prefix.extend(buf.times, buf.values, buf.valid, buf.start_time)
-        elif kind == "rmq":
-            self._rmq = SparseTableRMQ(buf.values, buf.valid, mode=agg.rmq)
-
-    def query(
-        self, window_starts: np.ndarray, window_ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate every time window ``(ws_i, we_i]``; returns (values, valid)."""
-        window_starts = np.asarray(window_starts, dtype=np.float64)
-        window_ends = np.asarray(window_ends, dtype=np.float64)
-        return self.query_indices(
-            *snapshot_range_indices(
-                self.buf.times, self.buf.start_time, window_starts, window_ends
-            )
-        )
+    def __init__(self, agg: AggregateFunction, values: np.ndarray, valid: np.ndarray):
+        self._values, self._valid = values, valid
+        self._valid_prefix = np.concatenate(([0], np.cumsum(valid)))
+        self._fold = agg.vector_eval or (lambda window: agg.fold(window)[0])
 
     def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate every snapshot index range ``[lo_i, hi_i)`` of the buffer
-        (see :func:`~repro.windowing.prefix.snapshot_range_indices`)."""
-        if self._prefix is not None:
-            return self._prefix.query_indices(lo, hi)
-        if self._rmq is not None:
-            return self._rmq.query_indices(lo, hi)
-        return self._fold(lo, hi)
-
-    def _fold(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One reduction call per window holding a valid snapshot; the valid
-        counts are vectorised, and only a window containing a φ is masked."""
-        values, valid = self.buf.values, self.buf.valid
+        values, valid = self._values, self._valid
         hi = np.maximum(hi, lo)
-        valid_prefix = np.concatenate(([0], np.cumsum(valid)))
-        counts = valid_prefix[hi] - valid_prefix[lo]
+        counts = self._valid_prefix[hi] - self._valid_prefix[lo]
         ok = counts > 0
         at = np.flatnonzero(ok)
         dense = counts[at] == (hi - lo)[at]
-        fold = self.agg.vector_eval or (lambda window: self.agg.fold(window)[0])
         results = [
-            float(fold(values[a:b] if whole else values[a:b][valid[a:b]]))
+            float(self._fold(values[a:b] if whole else values[a:b][valid[a:b]]))
             for a, b, whole in zip(lo[at].tolist(), hi[at].tolist(), dense.tolist())
         ]
         out = np.zeros(len(lo))
         out[at] = results
         return out, ok
+
+
+def build_range_index(
+    agg: AggregateFunction,
+    times: np.ndarray,
+    values: np.ndarray,
+    valid: np.ndarray,
+    start_time: float,
+):
+    """Build the range index the aggregate's row picks
+    (``agg.strategy.range``) over one run of snapshots.  Every index answers
+    ``query_indices(lo, hi)`` — snapshot index ranges from
+    :func:`~repro.windowing.prefix.snapshot_range_indices` — with
+    ``(values, valid)``; only the prefix index also grows (``extend``), which
+    is why only prefix reduce sites persist across a session's ticks."""
+    kind = agg.strategy.range
+    if kind == "prefix":
+        index = PrefixRangeIndex(agg)
+        index.extend(times, values, valid, start_time)
+        return index
+    if kind == "rmq":
+        return SparseTableRMQ(values, valid, mode=agg.rmq)
+    return FoldRangeIndex(agg, values, valid)
 
 
 def range_aggregate(
@@ -94,8 +82,18 @@ def range_aggregate(
     window_ends: np.ndarray,
     agg: AggregateFunction,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot :class:`RangeAggregator` query."""
-    return RangeAggregator(buf, agg).query(window_starts, window_ends)
+    """Aggregate every time window ``(ws_i, we_i]`` of ``buf``; returns
+    ``(values, valid)``.  One index build plus one search per window edge —
+    what a kernel's ``rt.reduce`` does with its shared cursor table."""
+    index = build_range_index(agg, buf.times, buf.values, buf.valid, buf.start_time)
+    return index.query_indices(
+        *snapshot_range_indices(
+            buf.times,
+            buf.start_time,
+            np.asarray(window_starts, dtype=np.float64),
+            np.asarray(window_ends, dtype=np.float64),
+        )
+    )
 
 
 def window_grid(t_start: float, t_end: float, stride: float) -> np.ndarray:

@@ -14,6 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .functions import RMQ_DIRECTIONS
+
 __all__ = ["SparseTableRMQ"]
 
 
@@ -26,20 +28,20 @@ class SparseTableRMQ:
         Snapshot values and validity mask; invalid snapshots never win a
         query.
     mode:
-        ``'max'`` or ``'min'``.
+        ``'max'`` or ``'min'`` (a key of
+        :data:`~repro.windowing.functions.RMQ_DIRECTIONS`).
     """
 
     def __init__(self, values: np.ndarray, valid: np.ndarray, mode: str = "max"):
-        if mode not in ("max", "min"):
-            raise ValueError("mode must be 'max' or 'min'")
+        if mode not in RMQ_DIRECTIONS:
+            raise ValueError(f"mode must be one of {sorted(RMQ_DIRECTIONS)}")
         self.mode = mode
+        self._reduce, fill, _ = RMQ_DIRECTIONS[mode]
         valid = np.asarray(valid, dtype=bool)
         n = len(valid)
-        fill = -np.inf if mode == "max" else np.inf
         base = np.where(valid, np.asarray(values, dtype=np.float64), fill)
         self._valid_prefix = np.concatenate(([0.0], np.cumsum(valid.astype(np.float64))))
         self._levels = [base]
-        self._reduce = np.maximum if mode == "max" else np.minimum
         # level k answers queries over spans of 2**k; level k+1 combines two
         # overlapping level-k entries and has length n - 2**(k+1) + 1.
         span = 1

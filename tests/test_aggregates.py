@@ -1,4 +1,8 @@
-"""Tests for the aggregate function templates (Init/Acc/Result/Deacc)."""
+"""Tests for the aggregate function templates (Init/Acc/Result/Deacc).
+
+Every row's lowerings (prefix decomposition, range index, ``vector_eval``,
+native kernel) are checked against the scalar fold in
+``tests/test_conformance.py``; these pin the fold itself."""
 
 import numpy as np
 import pytest
@@ -51,10 +55,6 @@ class TestBuiltinFolds:
         for agg in builtin_aggregates().values():
             assert agg.fold([]) == (0.0, False)
 
-    def test_fold_array_uses_vector_eval(self):
-        value, valid = MEAN.fold_array(np.array(VALUES))
-        assert valid and value == pytest.approx(np.mean(VALUES))
-
     def test_registry_contents(self):
         registry = builtin_aggregates()
         assert {"sum", "count", "mean", "max", "min", "stddev", "variance"} <= set(registry)
@@ -77,16 +77,6 @@ class TestBuiltinFolds:
             assert agg.result(merged) == pytest.approx(full, rel=1e-9)
 
 
-class TestPrefixDecomposition:
-    @pytest.mark.parametrize("agg", [SUM, COUNT, MEAN, VARIANCE, STDDEV, SUM_SQUARES])
-    def test_prefix_result_matches_fold(self, agg):
-        arrays = agg.prefix_arrays(np.array(VALUES))
-        sums = [np.array([np.sum(a)]) for a in arrays]
-        via_prefix = float(np.asarray(agg.prefix_result(*sums))[0])
-        via_fold, _ = agg.fold(VALUES)
-        assert via_prefix == pytest.approx(via_fold, rel=1e-9)
-
-
 class TestCustomAggregate:
     def test_custom_range(self):
         value_range = custom_aggregate(
@@ -99,8 +89,7 @@ class TestCustomAggregate:
         )
         folded, ok = value_range.fold(VALUES)
         assert ok and folded == max(VALUES) - min(VALUES)
-        vectored, ok = value_range.fold_array(np.array(VALUES))
-        assert ok and vectored == folded
+        assert value_range.vector_eval(np.array(VALUES)) == folded
 
     def test_custom_requires_callables(self):
         with pytest.raises(QueryBuildError):

@@ -321,9 +321,22 @@ class TestLint:
         for module in ("core/runtime/session.py", "datagen/sources.py"):
             assert [v.code for v in lint_source(src, module)] == ["LNT104"]
 
+    def test_semantics_table_fixture(self):
+        """The parent's name-keyed dicts, name sets and ``== "max"`` tests all
+        fail the gate; a dict with non-row keys, a non-row literal and a
+        lookup in a table do not."""
+        found = lint_file(LINT_FIXTURES / "semantics_tables.py")
+        assert self.codes_at(found) == {("LNT107", line) for line in (7, 8, 12, 14, 16)}
+
+    def test_semantics_table_rule_exempts_the_two_table_modules(self):
+        src = 'ROWS = {"sum": 1, "mean": 2}\ndef f(agg):\n    return agg.name == "max"\n'
+        assert [v.code for v in lint_source(src, "core/codegen/native.py")] == ["LNT107"] * 2
+        for module in ("core/ops.py", "windowing/functions.py"):
+            assert lint_source(src, module) == []
+
     def test_directory_walk_finds_all_seeded_violations(self):
         found = lint_paths([LINT_FIXTURES])
-        assert len(found) == 26
+        assert len(found) == 31
 
     def test_suppression_comment_silences_a_violation(self):
         src = (
@@ -346,6 +359,22 @@ class TestLint:
     def test_syntax_error_is_reported_not_raised(self):
         found = lint_source("def broken(:\n", "x.py")
         assert [v.code for v in found] == ["LNT000"]
+
+    def test_rows_listing_matches_the_fallback_reasons(self, capsys):
+        """``--rows`` prints one line per table row; a row it lists without a
+        native lowering is exactly one ``lowering_blockers`` refuses."""
+        from repro.analysis.__main__ import main
+        from repro.core.ops import OPS
+        from repro.windowing import builtin_aggregates
+
+        assert main(["--rows"]) == 0
+        operators, aggregates = capsys.readouterr().out.split("aggregates (")
+        for text, rows, lowered in (
+            (operators, OPS, lambda row: row.c is not None),
+            (aggregates, builtin_aggregates(), lambda agg: agg.c_lowerable),
+        ):
+            listed = {line.split()[0]: "native" in line.split() for line in text.splitlines()[2:]}
+            assert listed == {name: lowered(row) for name, row in rows.items()}
 
     def test_src_repro_is_lint_clean(self):
         repo_src = Path(__file__).parent.parent / "src" / "repro"

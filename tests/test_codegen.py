@@ -311,7 +311,7 @@ class TestCursorTable:
 
     def test_two_windows_sharing_an_edge(self):
         from repro.apps import get_application
-        from repro.windowing import RangeAggregator
+        from repro.windowing import range_aggregate
 
         app = get_application("trading")
         compiled = compile_program(app.program())
@@ -327,8 +327,8 @@ class TestCursorTable:
         assert sorted(offset for _, offset in cursors) == [-20.0, -10.0, 0.0]
         # and both equal the search-per-access formulation
         for (ref, a, b, agg_idx, _), call in zip(kernel.spec.reduce_sites, calls):
-            aggregator = RangeAggregator(env[ref], kernel.spec.aggregates[agg_idx])
-            assert self.same(call(shared), aggregator.query(ts + a, ts + b))
+            agg = kernel.spec.aggregates[agg_idx]
+            assert self.same(call(shared), range_aggregate(env[ref], ts + a, ts + b, agg))
         assert self.same(calls[-1](shared), env["stock"].values_at(ts + 0.0))
 
     def test_element_mapped_and_unmapped_reduce_share_cursors(self):

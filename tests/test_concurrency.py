@@ -129,20 +129,19 @@ class TestKernelRuntimeIsolation:
 
     def test_concurrent_eval_times_cannot_stomp_a_running_invocation(self, monkeypatch):
         """Simulates the hostile interleave: partition B calls
-        ``eval_times`` while partition A is mid-run.  A's aggregator cache
+        ``eval_times`` while partition A is mid-run.  A's reduce-site cache
         must survive — the same (input, aggregate) key is reused, not
         rebuilt (the old runtime cleared it and rebuilt)."""
         import repro.core.codegen.runtime_support as rs
-        from repro.windowing.sliding import RangeAggregator
 
         builds = []
 
-        class CountingAggregator(RangeAggregator):
-            def __init__(self, buf, agg):
+        class CountingSite(rs.ReduceSite):
+            def __init__(self, agg, *rest):
                 builds.append(agg.name)
-                super().__init__(buf, agg)
+                super().__init__(agg, *rest)
 
-        monkeypatch.setattr(rs, "RangeAggregator", CountingAggregator)
+        monkeypatch.setattr(rs, "ReduceSite", CountingSite)
         program = source("stock").window(10, 1).aggregate(MEAN).to_program()
         compiled = compile_program(program)
         rt = compiled.kernels[0].runtime

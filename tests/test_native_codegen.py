@@ -307,26 +307,9 @@ class TestObservability:
 # ---------------------------------------------------------------------- #
 @requires_native
 class TestConstructEquivalence:
-    """Single-construct programs, compared bitwise against the NumPy tier —
-    narrower than the app sweep in test_backends.py, so a mismatch points
-    at one template."""
-
-    @pytest.mark.parametrize("agg_name", sorted(native._LOWERABLE_AGGS))
-    def test_every_lowerable_aggregate_bitwise(self, agg_name, random_walk_buf):
-        from repro.windowing.functions import builtin_aggregates
-
-        agg = builtin_aggregates()[agg_name]
-        program = source("x").window(10, 1).aggregate(agg).to_program()
-        np_out = compile_program(program).run({"x": random_walk_buf}, 0.0, 200.0)
-        nat_compiled = compile_program(program, codegen_tier=NATIVE_TIER)
-        assert nat_compiled.kernels[-1].active_tier == NATIVE_TIER, agg_name
-        nat_out = nat_compiled.run({"x": random_walk_buf}, 0.0, 200.0)
-        assert np.array_equal(np_out.times, nat_out.times)
-        assert np.array_equal(np_out.valid, nat_out.valid)
-        assert np.array_equal(
-            np.asarray(np_out.values).view(np.uint64),
-            np.asarray(nat_out.values).view(np.uint64),
-        ), agg_name
+    """Constructs the row-driven sweep of ``tests/test_conformance.py``
+    (every operator and aggregate row, bitwise against the NumPy tier) does
+    not reach."""
 
     def test_nan_propagation_through_rmq(self):
         """NaNs inside a max/min window poison exactly the windows NumPy
@@ -339,10 +322,9 @@ class TestConstructEquivalence:
         values[7] = np.nan
         values[31] = np.nan
         buf = SSBuf(times, values, np.ones(n, dtype=bool), start_time=0.0)
-        for agg_name in ("max", "min"):
-            from repro.windowing.functions import builtin_aggregates
+        from repro.windowing.functions import builtin_aggregates
 
-            agg = builtin_aggregates()[agg_name]
+        for agg in (a for a in builtin_aggregates().values() if a.rmq is not None):
             program = source("x").window(8, 1).aggregate(agg).to_program()
             np_out = compile_program(program).run({"x": buf}, 0.0, float(n))
             nat = compile_program(program, codegen_tier=NATIVE_TIER)
@@ -351,4 +333,4 @@ class TestConstructEquivalence:
             assert np.array_equal(
                 np.asarray(np_out.values).view(np.uint64),
                 np.asarray(nat_out.values).view(np.uint64),
-            ), agg_name
+            ), agg.name

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.codegen.incremental import PersistentSite
+from repro.core.codegen.runtime_support import ReduceSite
 from repro.core.runtime.ssbuf import SSBuf
 from repro.windowing import (
     COUNT,
@@ -31,7 +31,7 @@ from repro.windowing import (
     SUM,
     SUM_SQUARES,
     VARIANCE,
-    RangeAggregator,
+    range_aggregate,
     RecomputeAggregator,
     SubtractOnEvict,
     TwoStacksAggregator,
@@ -199,7 +199,7 @@ class TestEscalation:
 
     def test_strategy_matches_capabilities(self):
         """The one classification every consumer reads: which index a
-        RangeAggregator builds (``prefix`` is also what a session's reduce
+        a reduce site builds (``prefix`` is also what a session's reduce
         site persists) and which online aggregator runs."""
         strategies = {a.name: a.strategy for a in builtin_aggregates().values()}
         assert strategies["sum"] == ("prefix", "subtract-on-evict")
@@ -211,10 +211,7 @@ class TestEscalation:
 
 
 def reference_query(buf, agg, window_starts, window_ends):
-    return RangeAggregator(buf, agg).query(
-        np.asarray(window_starts, dtype=np.float64),
-        np.asarray(window_ends, dtype=np.float64),
-    )
+    return range_aggregate(buf, window_starts, window_ends, agg)
 
 
 def query_times(index, window_starts, window_ends):
@@ -329,7 +326,7 @@ class TestGrowablePrefixIndex:
         "agg", [SUM, COUNT, MEAN, SUM_SQUARES, VARIANCE, STDDEV], ids=lambda a: a.name
     )
     def test_single_extend_is_the_batch_build(self, agg):
-        """One ``extend`` over the whole buffer is what ``RangeAggregator``
+        """One ``extend`` over the whole buffer is what ``build_range_index``
         does per kernel invocation; a chunked build of the same buffer may
         differ only by cumsum reassociation."""
         buf = self._buf(mean=50.0)
@@ -374,11 +371,11 @@ class TestGrowablePrefixIndex:
         call of a tick (two windows share one index): only snapshots past
         its ingest horizon may be appended."""
         buf = self._buf(n=50, seed=14)
-        site = PersistentSite(SUM, -1)
+        site = ReduceSite(SUM)
         site.ingest(buf, None)
         site.ingest(buf, None)
-        assert len(site.structure) == 50
+        assert len(site.index) == 50
         ws = np.array([buf.start_time])
-        got, _ = query_times(site.structure, ws, np.array([buf.end_time]))
+        got, _ = query_times(site.index, ws, np.array([buf.end_time]))
         want, _ = reference_query(buf, SUM, ws, np.array([buf.end_time]))
         np.testing.assert_allclose(got, want, rtol=1e-9)

@@ -14,7 +14,6 @@ from repro.windowing import (
     STDDEV,
     SUM,
     PrefixRangeIndex,
-    RangeAggregator,
     RecomputeAggregator,
     SparseTableRMQ,
     SubtractOnEvict,
