@@ -61,11 +61,14 @@ class TestScalability:
         engine = TiltEngine(workers=workers, executor_kind=backend, codegen_tier=tier)
         try:
             compiled = engine.compile(YSB.program())
+            # the series names a tier, so put the query on it now instead of
+            # waiting for it to get hot (a no-op on the numpy tier)
+            compiled.promote()
             inputs = tilt_native_inputs(ysb_streams)
             # warm up the worker pool outside the timed region: process
-            # workers fork and rebuild the kernels once (the native tier
-            # additionally JIT-compiles into the shared disk cache),
-            # exactly as a long-lived engine amortizes them in production
+            # workers fork and rebuild the kernels once (loading the native
+            # tier's from the shared disk cache), exactly as a long-lived
+            # engine amortizes them in production
             engine.run(compiled, inputs)
             benchmark.pedantic(lambda: engine.run(compiled, inputs), rounds=3, iterations=1)
             record_throughput(

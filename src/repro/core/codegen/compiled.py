@@ -13,17 +13,35 @@ the generated NumPy source, its native C lowering, or — the internal
 :data:`INTERPRETED_TIER` behind ``TiltEngine(mode="interpreted")`` — the
 reference interpreter evaluating the kernel's IR directly.  The runtime
 therefore executes one kind of artifact however it was made.
+
+Life of a kernel that requested the native tier: ``numpy`` → ``queued`` →
+``building`` → ``native`` (or ``refused``, with the reason).  It is always
+instantiated on its NumPy twin, which costs what a NumPy-tier kernel costs
+and needs no toolchain; ``run`` charges the twin's wall time to the kernel,
+and once a query's undecided kernels have together cost more than building
+them is expected to (:func:`~repro.core.codegen.native.expected_build_seconds`
+each — break-even, the classic tier-up rule) the query is handed, once, to
+whoever compiled it (``on_hot``; the engine queues it for the process's
+builder thread).  Publishing the C kernel is one attribute store that
+``run`` branches on per call, and the tiers are bit-identical, so the swap
+is invisible in the output.  :meth:`CompiledQuery.promote` is the same
+build on the calling thread.  Where a process pool's workers run the
+kernels, the engine charges the parent's copy what each dispatch took
+(:meth:`CompiledQuery.charge`); a promoted query pickles to a new payload,
+so the pool is seeded again and its workers — which never compile — load
+what the build left in the disk cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Tuple
 
 from ...analysis.findings import ProgramReport
 from ...analysis.program import analyze_program
@@ -40,7 +58,13 @@ from .native import NATIVE_TIER, NUMPY_TIER
 from .pysource import ELEMENT_FUNCTION_NAME, KERNEL_FUNCTION_NAME, KernelSpec, generate_kernel_spec
 from .runtime_support import KernelRuntime
 
-__all__ = ["CompiledKernel", "CompiledQuery", "compile_program", "INTERPRETED_TIER"]
+__all__ = [
+    "CompiledKernel",
+    "CompiledQuery",
+    "compile_program",
+    "lower_program",
+    "INTERPRETED_TIER",
+]
 
 #: the oracle's kernel tier: ``run`` evaluates the kernel's IR with the
 #: reference interpreter and never ``exec``s generated source, so its output
@@ -60,12 +84,24 @@ _KERNEL_REBUILD_LOCK = threading.Lock()
 _KERNEL_REBUILD_LIMIT = 128
 
 
-def _rebuild_kernel(spec: KernelSpec, tier: str = NUMPY_TIER) -> "CompiledKernel":
+#: guards the once-only hand-off of a hot query (held for two stores)
+_HAND_OFF_LOCK = threading.Lock()
+
+
+def _rebuild_kernel(
+    spec: KernelSpec, tier: str = NUMPY_TIER, promoted: bool = False
+) -> "CompiledKernel":
     """Unpickle hook for :class:`CompiledKernel` (module-level so it pickles
-    by reference).  The requested codegen tier rides in the pickle, so a
-    process-pool worker rebuilding a native-tier kernel re-instantiates it
-    natively (hitting the shared disk cache rather than the C compiler)."""
-    return CompiledKernel.from_spec(spec, tier=tier)
+    by reference).  The requested codegen tier rides in the pickle; a
+    process-pool worker rebuilding a native-tier kernel loads the C kernel
+    the shared disk cache holds for it and otherwise serves from the NumPy
+    twin — workers never run the compiler.  ``promoted`` says the sender's
+    copy was on its C kernel, so the artifact is on disk by now: a worker
+    that rebuilt this kernel before it was looks again."""
+    kernel = CompiledKernel.from_spec(spec, tier=tier)
+    if promoted:
+        kernel.load_cached()
+    return kernel
 
 
 class CompiledKernel:
@@ -82,14 +118,21 @@ class CompiledKernel:
     def __init__(self, spec: KernelSpec, tier: str = NUMPY_TIER):
         self.spec = spec
         #: the *requested* tier; :attr:`active_tier` is what actually serves
-        #: ``run`` after any per-kernel fallback
+        #: ``run`` right now
         self.tier = tier
         self._native = None
         self.native_fallback_reason: Optional[str] = None
-        self.native_build_seconds = 0.0
+        #: ``numpy`` / ``queued`` / ``building`` / ``native`` / ``refused``
+        #: (see the module docstring); an interpreted kernel's is its tier
+        self.state = NUMPY_TIER
+        #: wall seconds the NumPy twin has served without a runtime override
+        self.numpy_seconds = 0.0
+        #: wall seconds :meth:`promote` spent deciding this kernel
+        self.build_seconds = 0.0
+        self._promote_lock = threading.Lock()
         if tier == INTERPRETED_TIER:
             self.runtime = self._function = None
-            self.active_tier = INTERPRETED_TIER
+            self.state = INTERPRETED_TIER
             return
         element_functions = [
             self._compile_function(src, ELEMENT_FUNCTION_NAME, f"<tilt-element-{spec.name}-{i}>")
@@ -99,11 +142,48 @@ class CompiledKernel:
         self._function = self._compile_function(
             spec.source, KERNEL_FUNCTION_NAME, f"<tilt-kernel-{spec.name}>"
         )
-        if tier == NATIVE_TIER:
-            started = time.perf_counter()
-            self._native, self.native_fallback_reason = native.instantiate(spec)
-            self.native_build_seconds = time.perf_counter() - started
-        self.active_tier = NATIVE_TIER if self._native is not None else NUMPY_TIER
+
+    @property
+    def active_tier(self) -> str:
+        """The tier serving ``run`` calls that carry no runtime override."""
+        if self._function is None:
+            return INTERPRETED_TIER
+        return NATIVE_TIER if self._native is not None else NUMPY_TIER
+
+    @property
+    def undecided(self) -> bool:
+        """Requested the native tier and has been neither built nor refused."""
+        return self.tier == NATIVE_TIER and self.state not in (NATIVE_TIER, "refused")
+
+    def promote(
+        self, scope: Callable[["CompiledKernel"], ContextManager] = contextlib.nullcontext
+    ) -> None:
+        """Decide an undecided kernel on the calling thread: build (or fetch)
+        its C kernel and publish it, or record why not.  ``scope(kernel)``
+        wraps the build and only a build — a decided kernel is left alone,
+        so every kernel is observed (and any fallback counted) once."""
+        with self._promote_lock:
+            if self.undecided:
+                with scope(self):
+                    self.state = "building"
+                    started = time.perf_counter()
+                    self._adopt(*native.instantiate(self.spec))
+                    self.build_seconds = time.perf_counter() - started
+
+    def load_cached(self) -> None:
+        """:meth:`promote` minus the compiler (pool workers): adopt what the
+        disk cache holds; a kernel it does not hold stays undecided."""
+        with self._promote_lock:
+            if self.undecided:
+                self._adopt(*native.load_cached(self.spec))
+
+    def _adopt(self, kernel, reason: Optional[str]) -> None:
+        self.native_fallback_reason = reason
+        if kernel is not None:
+            self.state = NATIVE_TIER
+        elif reason is not None:
+            self.state = "refused"
+        self._native = kernel  # last: ``run`` branches on it
 
     @classmethod
     def from_spec(cls, spec: KernelSpec, tier: str = NUMPY_TIER) -> "CompiledKernel":
@@ -118,6 +198,7 @@ class CompiledKernel:
         # compile outside the lock: kernel compilation is the slow part and
         # two concurrent rebuilds of the same spec are merely redundant
         kernel = cls(spec, tier=tier)
+        kernel.load_cached()
         with _KERNEL_REBUILD_LOCK:
             existing = _KERNEL_REBUILD_CACHE.get(key)
             if existing is not None:
@@ -129,7 +210,7 @@ class CompiledKernel:
             return kernel
 
     def __reduce__(self):
-        return (_rebuild_kernel, (self.spec, self.tier))
+        return (_rebuild_kernel, (self.spec, self.tier, self._native is not None))
 
     @staticmethod
     def _compile_function(source: str, function_name: str, filename: str):
@@ -162,17 +243,24 @@ class CompiledKernel:
         shared immutable one — incremental sessions pass their private
         :class:`~repro.core.codegen.incremental.IncrementalKernelRuntime`
         here so reductions hit persistent per-session state.  A runtime
-        override therefore forces the NumPy path even on a native-tier
+        override therefore forces the NumPy path even on a promoted
         kernel: the override's whole point is interposing on ``rt.reduce``
         calls, which the fused C loop does not make (nor does the
         interpreted tier, which ignores the override — sessions never pass
-        one to it).
+        one to it).  Such calls are not charged to ``numpy_seconds``: no C
+        kernel could have served them.
         """
         if self._function is None:  # interpreted tier: evaluate the IR itself
             return evaluate_temporal_expr(self.spec.te, env, t_start, t_end)
-        if runtime is None and self._native is not None:
+        if runtime is not None:
+            return self._function(env, t_start, t_end, runtime)
+        if self._native is not None:
             return self._native.run(env, t_start, t_end, self.runtime)
-        return self._function(env, t_start, t_end, runtime if runtime is not None else self.runtime)
+        started = time.perf_counter()
+        out = self._function(env, t_start, t_end, self.runtime)
+        # unlocked: a lost update under threads only delays a promotion
+        self.numpy_seconds += time.perf_counter() - started
+        return out
 
 
 @dataclass
@@ -210,6 +298,15 @@ class CompiledQuery:
     pass_manager: Optional[PassManager] = None
     report: Optional[ProgramReport] = None
 
+    #: where ``run`` sends the query, once, when the break-even rule fires —
+    #: set by whoever compiled it (``TiltEngine.compile`` queues it for the
+    #: builder thread).  ``None``: nothing to send — a NumPy-tier or
+    #: interpreted query, a pool worker's copy, or the hand-off has happened.
+    on_hot = None
+    #: ``build_scope(kernel)`` wraps each kernel build of :meth:`promote`
+    #: (the engine's span and counters)
+    build_scope = contextlib.nullcontext
+
     def __getstate__(self):
         # the pass manager holds optimizer history (closures over pass
         # objects) that is neither needed by a worker nor reliably
@@ -230,14 +327,19 @@ class CompiledQuery:
     def pickle_payload(self) -> Optional[Tuple[str, bytes]]:
         """``(digest, pickled bytes)`` for process-pool dispatch, or ``None``.
 
-        The bytes are computed once and cached: a long-running query is
-        serialized a single time no matter how many partitions are shipped.
-        ``None`` means the query's artifacts cannot cross a process boundary
-        (e.g. lambda-based custom aggregates) and the caller should fall
-        back to in-process execution.
+        The bytes are computed once per set of promoted kernels and cached:
+        a long-running query is serialized a single time no matter how many
+        partitions are shipped, and once more when it is promoted — each
+        kernel's pickle says whether it was, so a promoted query is a new
+        payload and a pool that was seeded with the old one is seeded again,
+        its workers loading the C kernels the promotion left in the disk
+        cache.  ``None`` means the query's artifacts cannot cross a process
+        boundary (e.g. lambda-based custom aggregates) and the caller should
+        fall back to in-process execution.
         """
-        payload = self.__dict__.get("_payload", False)
-        if payload is False:
+        promoted = tuple(k._native is not None for k in self.kernels)
+        memo = self.__dict__.get("_payload")
+        if memo is None or memo[0] != promoted:
             try:
                 blob = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
                 payload = (hashlib.sha256(blob).hexdigest(), blob)
@@ -247,8 +349,8 @@ class CompiledQuery:
                 # __reduce__ — propagates instead of being silently cached
                 # as "cannot use the process backend"
                 payload = None
-            self.__dict__["_payload"] = payload
-        return payload
+            memo = self.__dict__["_payload"] = (promoted, payload)
+        return memo[1]
 
     @property
     def picklable(self) -> bool:
@@ -264,18 +366,76 @@ class CompiledQuery:
         """True when the whole query collapsed into a single kernel."""
         return len(self.kernels) == 1
 
-    def kernel_plan(self) -> List[Dict[str, Optional[str]]]:
-        """One row per kernel: the tier requested, the tier actually serving
-        ``run`` and, when they differ, why."""
+    def kernel_plan(self) -> List[Dict[str, object]]:
+        """One row per kernel, read live: the tier requested, the tier
+        serving ``run`` right now and, when a native request was refused,
+        why; where the kernel is on the way there (``state``), what its
+        NumPy twin has cost so far and what deciding it cost."""
         return [
             {
                 "kernel": k.name,
                 "requested_tier": k.tier,
                 "active_tier": k.active_tier,
                 "fallback_reason": k.native_fallback_reason,
+                "state": k.state,
+                "numpy_seconds": k.numpy_seconds,
+                "build_seconds": k.build_seconds,
             }
             for k in self.kernels
         ]
+
+    # ------------------------------------------------------------------ #
+    # promotion
+    # ------------------------------------------------------------------ #
+    def promote(self) -> None:
+        """Decide every undecided kernel now, on the calling thread: the one
+        synchronous entry to the native tier (what ``compile_program(
+        codegen_tier="native")`` does inline and what the builder thread
+        runs).  May invoke the C compiler; never raises for a kernel that
+        cannot be built — it stays on NumPy with the reason in
+        :meth:`kernel_plan`."""
+        self.on_hot = None
+        for kernel in self.kernels:
+            kernel.promote(self.build_scope)
+
+    def hand_off(self) -> None:
+        """Send the query to ``on_hot`` — at most once, whichever thread
+        gets here first — with its undecided kernels marked ``queued``."""
+        with _HAND_OFF_LOCK:
+            send, self.on_hot = self.on_hot, None
+        if send is not None:
+            for kernel in self.kernels:
+                if kernel.undecided:
+                    kernel.state = "queued"
+            send(self)
+
+    def unqueue(self) -> int:
+        """The queued build was dropped: its kernels are plain NumPy again.
+        Returns how many were waiting."""
+        waiting = [k for k in self.kernels if k.state == "queued"]
+        for kernel in waiting:
+            kernel.state = NUMPY_TIER
+        return len(waiting)
+
+    def charge(self, seconds: float) -> None:
+        """Account ``seconds`` of NumPy-twin time this process did not see
+        kernel by kernel — a process pool's workers ran the kernels, the
+        dispatch took this long — split evenly over the undecided kernels,
+        and apply the break-even rule."""
+        if self.on_hot is not None:
+            waiting = [k for k in self.kernels if k.undecided]
+            for kernel in waiting:
+                kernel.numpy_seconds += seconds / len(waiting)
+            self._check_hot()
+
+    def _check_hot(self) -> None:
+        """The break-even rule: hand the query off once the NumPy twins of
+        its undecided kernels have together cost more than building those
+        kernels is expected to."""
+        waiting = [k for k in self.kernels if k.undecided]
+        spent = sum(k.numpy_seconds for k in waiting)
+        if spent > len(waiting) * native.expected_build_seconds():
+            self.hand_off()
 
     def kernel_named(self, name: str) -> CompiledKernel:
         for k in self.kernels:
@@ -332,10 +492,12 @@ class CompiledQuery:
                 env[kernel.name] = margin_env[kernel.name] = kernel.run(
                     margin_env, t_start - lookback, t_end + lookahead
                 )
+        if self.on_hot is not None:
+            self._check_hot()
         return env[self.program.output]
 
 
-def compile_program(
+def lower_program(
     program: TiltProgram,
     *,
     optimize: bool = True,
@@ -343,15 +505,16 @@ def compile_program(
     pass_manager: Optional[PassManager] = None,
     codegen_tier: str = NUMPY_TIER,
 ) -> CompiledQuery:
-    """Validate, optimize and lower a TiLT program to a :class:`CompiledQuery`.
+    """Validate, optimize and lower a TiLT program to a :class:`CompiledQuery`
+    whose kernels are instantiated but not promoted: a ``"native"`` request
+    is recorded on every kernel and served from its NumPy twin until
+    somebody calls :meth:`CompiledQuery.promote` — :func:`compile_program`
+    at once, ``TiltEngine.compile`` when the query has earned it.
 
     ``optimize=False`` skips the optimizer entirely (the "UnOpt" configuration
     of the Figure 10 study); ``enable_fusion=False`` keeps the cleanup passes
-    but disables operator fusion.  ``codegen_tier`` selects the tier every
-    kernel is instantiated on (``"numpy"`` or ``"native"``; native-tier
-    kernels that cannot be lowered fall back to NumPy individually).  The
-    engine's interpreted mode is ``optimize=False`` on
-    :data:`INTERPRETED_TIER`.
+    but disables operator fusion.  The engine's interpreted mode is
+    ``optimize=False`` on :data:`INTERPRETED_TIER`.
     """
     tiers = native.CODEGEN_TIERS + (INTERPRETED_TIER,)
     if codegen_tier not in tiers:
@@ -385,3 +548,28 @@ def compile_program(
     return CompiledQuery(
         program=program, boundary=boundary, kernels=kernels, pass_manager=pm, report=report
     )
+
+
+def compile_program(
+    program: TiltProgram,
+    *,
+    optimize: bool = True,
+    enable_fusion: bool = True,
+    pass_manager: Optional[PassManager] = None,
+    codegen_tier: str = NUMPY_TIER,
+) -> CompiledQuery:
+    """:func:`lower_program`, then promoted inline: with
+    ``codegen_tier="native"`` every kernel is built (or individually refused,
+    with the reason) before this returns — the caller pays the compiler.
+    ``"numpy"`` (the default here, where there is no engine to amortise a
+    build) has nothing to promote.
+    """
+    compiled = lower_program(
+        program,
+        optimize=optimize,
+        enable_fusion=enable_fusion,
+        pass_manager=pass_manager,
+        codegen_tier=codegen_tier,
+    )
+    compiled.promote()
+    return compiled

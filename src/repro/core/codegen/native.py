@@ -30,6 +30,19 @@ replicate bit for bit (pairwise-summed ``np.prod``, SIMD transcendentals,
 kernels silently stay on the NumPy tier, observable through :func:`stats`
 and the engine's ``repro_native_fallbacks_total`` counter.
 
+Life of a kernel
+----------------
+A native build is never paid by a caller.  A query starts on its NumPy
+kernels; :class:`~repro.core.codegen.compiled.CompiledQuery` charges each
+kernel the wall time its NumPy twin serves and, once that exceeds what
+building the kernels is expected to cost (:func:`expected_build_seconds`
+per kernel — the break-even tier-up rule), hands the query to this
+module's one daemon builder thread (:func:`submit_build`), which probes the
+toolchain, lowers, runs ``cc``, ``dlopen``s and publishes the kernel.
+:func:`instantiate` is the synchronous build that thread (and
+``CompiledQuery.promote``) calls; :func:`load_cached` is the same minus the
+compiler, for pool workers.
+
 Caching
 -------
 Compiled artifacts are cached at two levels, both keyed by
@@ -37,12 +50,19 @@ Compiled artifacts are cached at two levels, both keyed by
 
 * an in-process LRU of instantiated :class:`NativeKernel` objects,
   bounded like ``_KERNEL_REBUILD_CACHE``;
-* an on-disk ``.so`` cache (``REPRO_NATIVE_CACHE``, default under the
-  system temp dir) written via per-process temp files and an atomic
-  ``os.replace``, so process-pool workers and later sessions ``dlopen`` a
-  ready-made artifact instead of re-running the C compiler on the hot
-  path.  The generated ``.c`` source is kept next to the ``.so`` for
-  debuggability.
+* an on-disk ``.so`` cache (``REPRO_NATIVE_CACHE``, default
+  ``$TMPDIR/repro-native-<uid>``) written via per-process temp files and an
+  atomic ``os.replace``, so process-pool workers and later processes
+  ``dlopen`` a ready-made artifact instead of running the C compiler.  The
+  generated ``.c`` source is kept next to the ``.so`` for debuggability.
+
+The disk cache holds code this process will execute, so it is trusted only
+as far as it can be checked: the directory must belong to this user and be
+writable by nobody else (it is created ``0700``; anything else is refused
+with a stated reason and the kernel stays on NumPy), and every ``.so``
+carries a ``.sum`` sidecar (size and SHA-256, written by the same atomic
+replace) that must match before ``dlopen`` — a truncated or foreign artifact
+is rejected (``cache_rejects_total``) and rebuilt rather than mapped.
 
 Deployment settings: ``REPRO_NATIVE_CC`` (compiler, default ``cc``) and
 ``REPRO_NATIVE_CACHE`` (disk cache directory).  ``REPRO_NATIVE_DISABLE``
@@ -52,14 +72,18 @@ optional dependency.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import logging
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
 import time
-from collections import OrderedDict
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -93,7 +117,11 @@ __all__ = [
     "native_available",
     "lowering_blockers",
     "instantiate",
-    "precompile",
+    "load_cached",
+    "cached",
+    "expected_build_seconds",
+    "submit_build",
+    "drop_builds",
     "stats",
     "clear_caches",
     "NativeKernel",
@@ -105,6 +133,7 @@ NATIVE_TIER = "native"
 CODEGEN_TIERS = (NUMPY_TIER, NATIVE_TIER)
 
 _FUNC_NAME = "tilt_native"
+_LOG = logging.getLogger("repro.native")
 
 # ---------------------------------------------------------------------- #
 # toolchain detection / process-global state
@@ -123,7 +152,10 @@ _STATS = {
     "fallbacks_total": 0,
     "mem_hits_total": 0,
     "disk_hits_total": 0,
+    "cache_rejects_total": 0,
 }
+#: what one build is taken to cost before this process has measured any
+_BUILD_SECONDS_PRIOR = 0.1
 
 
 def _compiler() -> str:
@@ -163,9 +195,20 @@ def _reset_toolchain_cache() -> None:
 
 
 def stats() -> Dict[str, float]:
-    """Process-wide native-tier counters (compiles, seconds, fallbacks, hits)."""
+    """Process-wide native-tier counters (compiles, seconds, fallbacks,
+    cache hits and rejected cache artifacts)."""
     with _STATE_LOCK:
         return dict(_STATS)
+
+
+def expected_build_seconds() -> float:
+    """What building one kernel is expected to cost: the mean of the ``cc``
+    runs this process has timed, seeded with one 0.1 s observation.  The
+    other side of the break-even rule in ``CompiledQuery.run``."""
+    with _STATE_LOCK:
+        return (_BUILD_SECONDS_PRIOR + _STATS["compile_seconds_total"]) / (
+            1 + _STATS["compiles_total"]
+        )
 
 
 def clear_caches() -> None:
@@ -180,15 +223,153 @@ def _count(key: str, amount: float = 1) -> None:
         _STATS[key] += amount
 
 
-def _cache_dir() -> str:
+# ---------------------------------------------------------------------- #
+# the builder thread
+# ---------------------------------------------------------------------- #
+class _BuildQueue:
+    """The process's one native build queue: hot queries, and a daemon
+    thread that calls ``promote()`` on them one at a time — so no caller of
+    ``run`` ever waits for a compiler and a burst of hot queries costs the
+    host one ``cc`` at a time.  The thread is started by the first submit (a
+    process whose queries never get hot never has it) and, being a daemon,
+    never holds up interpreter exit.
+    """
+
+    def __init__(self) -> None:
+        self._ready = threading.Condition()
+        self._jobs: Deque[Tuple[object, object]] = deque()  # (owner, query)
+        self._thread: Optional[threading.Thread] = None
+
+    def submit(self, owner: object, query) -> None:
+        with self._ready:
+            self._jobs.append((owner, query))
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, name="repro-native-builder", daemon=True
+                )
+                self._thread.start()
+            self._ready.notify()
+
+    def drop(self, owner: object) -> list:
+        with self._ready:
+            dropped = [query for o, query in self._jobs if o is owner]
+            self._jobs = deque(job for job in self._jobs if job[0] is not owner)
+        return dropped
+
+    def _serve(self) -> None:
+        while True:
+            with self._ready:
+                while not self._jobs:
+                    self._ready.wait()
+                _, query = self._jobs.popleft()
+            try:
+                query.promote()
+            except Exception:  # the queue outlives any one query
+                _LOG.exception("native build raised")
+
+
+_BUILDS = _BuildQueue()
+
+
+def submit_build(owner: object, query) -> None:
+    """Queue ``query.promote()`` (a
+    :class:`~repro.core.codegen.compiled.CompiledQuery`) for the builder
+    thread.  ``owner`` is whoever may :func:`drop_builds` it again."""
+    _BUILDS.submit(owner, query)
+
+
+def drop_builds(owner: object) -> list:
+    """Take back every query ``owner`` has queued and the builder thread has
+    not started, and return them (theirs to ``unqueue()``).  A build already
+    running is not waited for."""
+    return _BUILDS.drop(owner)
+
+
+def _after_fork_in_child() -> None:
+    # the forking thread is the only one alive in the child: a lock another
+    # thread held, or a builder thread recorded as running, would wait forever
+    global _STATE_LOCK, _BUILD_LOCK, _BUILDS
+    _STATE_LOCK = threading.Lock()
+    _BUILD_LOCK = threading.Lock()
+    _BUILDS = _BuildQueue()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+# ---------------------------------------------------------------------- #
+# the disk cache: where it is, whether to trust it, what is in it
+# ---------------------------------------------------------------------- #
+class _NativeBuildError(RuntimeError):
+    pass
+
+
+def _cache_path() -> str:
     configured = os.environ.get("REPRO_NATIVE_CACHE")
     if configured:
-        path = configured
-    else:
-        uid = os.getuid() if hasattr(os, "getuid") else 0
-        path = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
-    os.makedirs(path, exist_ok=True)
+        return configured
+    uid = os.getuid() if hasattr(os, "getuid") else 0
+    return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
+
+
+def _trusted_cache_dir() -> str:
+    """The cache directory, created private if missing — or a refusal.
+
+    Artifacts in it are ``dlopen``ed, so a directory somebody else owns or
+    may write to (say, one pre-created under a shared ``/tmp``) is a way to
+    run their code: refuse it and leave the kernel on NumPy.
+    """
+    path = _cache_path()
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    if hasattr(os, "getuid"):
+        info = os.stat(path)
+        if info.st_uid != os.getuid() or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+            raise _NativeBuildError(
+                f"native cache directory {path!r} is owned by another user or writable "
+                "by group/others; refusing to load code from it"
+            )
     return path
+
+
+def _so_path(digest: str) -> str:
+    return os.path.join(_cache_path(), f"tilt-{digest[:32]}.so")
+
+
+def _sum_path(so: str) -> str:
+    return so + ".sum"
+
+
+def _checksum(blob: bytes) -> str:
+    return f"{len(blob)} {hashlib.sha256(blob).hexdigest()}\n"
+
+
+def _artifact_valid(so: str) -> bool:
+    """True when ``so`` is present and is the file its sidecar describes;
+    one that is present and is not (truncated, no sidecar) is a counted
+    reject — mapping it could kill the process with SIGBUS."""
+    if not os.path.exists(so):
+        return False
+    try:
+        with open(_sum_path(so)) as fh:
+            expected = fh.read()
+        with open(so, "rb") as fh:
+            valid = _checksum(fh.read()) == expected
+    except OSError:
+        valid = False
+    if not valid:
+        _count("cache_rejects_total")
+    return valid
+
+
+def cached(spec: KernelSpec) -> bool:
+    """True when the disk cache holds an artifact for ``spec`` — a cheap
+    look (no probe, no hash, nothing created) that decides whether a query
+    is promoted at compile time; validity is checked when it is loaded."""
+    if lowering_blockers(spec):
+        return False
+    so = _so_path(spec.digest())
+    return os.path.exists(so) and os.path.exists(_sum_path(so))
 
 
 # ---------------------------------------------------------------------- #
@@ -198,9 +379,16 @@ def lowering_blockers(spec: KernelSpec) -> List[str]:
     """Reasons this spec has no bit-exact native lowering (empty: lowerable):
     an operator or aggregate whose table row carries no C fragment.
 
-    Checked *before* :meth:`KernelSpec.digest` — custom aggregates can make
-    ``digest`` raise, and they are precisely what this walk rejects.
+    A pure function of the spec's rows — what the toolchain adds (a C
+    ``long double`` that is not NumPy's) is decided by :func:`instantiate`,
+    where the toolchain is probed.  Checked *before*
+    :meth:`KernelSpec.digest` — custom aggregates can make ``digest`` raise,
+    and they are precisely what this walk rejects.
     """
+    return _blockers(spec, longdouble_ok=True)
+
+
+def _blockers(spec: KernelSpec, longdouble_ok: bool) -> List[str]:
     if spec.te is None:
         return ["kernel spec carries no IR (pre-native-tier artifact)"]
     blockers: List[str] = []
@@ -221,7 +409,7 @@ def lowering_blockers(spec: KernelSpec) -> List[str]:
                     # the centering mean would have to be taken over the
                     # element-mapped array NumPy-side; not worth the seam
                     blockers.append("element-mapped extended-precision reduce is not lowered")
-                elif not _LONGDOUBLE_OK:
+                elif not longdouble_ok:
                     blockers.append("C long double does not match numpy longdouble")
         for child in expr.children():
             visit(child)
@@ -642,31 +830,22 @@ def _lower(spec: KernelSpec) -> _Lowered:
 
 
 # ---------------------------------------------------------------------- #
-# compilation + disk cache
+# compilation
 # ---------------------------------------------------------------------- #
-class _NativeBuildError(RuntimeError):
-    pass
+def _compile_so(so: str, c_source: str) -> None:
+    """Compile ``c_source`` into ``so`` and write its ``.sum`` sidecar.
 
-
-def _so_path(digest: str) -> str:
-    return os.path.join(_cache_dir(), f"tilt-{digest[:32]}.so")
-
-
-def _compile_so(digest: str, c_source: str) -> Tuple[str, bool]:
-    """Ensure the kernel's ``.so`` exists on disk; returns (path, compiled).
-
-    Written via a per-process temp file and atomic ``os.replace`` so
-    concurrent processes warming the same digest never observe a partial
-    artifact; the loser of the race just overwrites with identical bytes.
+    Both are written via per-process temp files and atomic ``os.replace``,
+    the sidecar last, so concurrent processes warming the same digest never
+    load a partial artifact (a ``.so`` whose sidecar is still the previous
+    one's fails validation and is rebuilt); the loser of a race overwrites
+    with identical bytes.
     """
-    so = _so_path(digest)
-    if os.path.exists(so):
-        return so, False
     base = so[: -len(".so")]
     tag = f".{os.getpid()}.{threading.get_ident()}"
-    c_path = base + ".c"
     tmp_c = base + tag + ".c"  # cc infers the language from the extension
     tmp_so = so + tag
+    tmp_sum = _sum_path(so) + tag
     with open(tmp_c, "w") as fh:
         fh.write(c_source)
     cmd = [
@@ -683,26 +862,26 @@ def _compile_so(digest: str, c_source: str) -> Tuple[str, bool]:
         "-lm",
     ]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    except Exception as exc:  # compiler missing mid-flight, timeout, ...
         try:
-            os.replace(tmp_c, c_path)
-        except OSError:
-            pass
-        raise _NativeBuildError(f"C compiler invocation failed: {exc}") from exc
-    try:
-        os.replace(tmp_c, c_path)  # keep the source for debuggability
-    except OSError:
-        pass
-    if proc.returncode != 0:
-        try:
-            os.unlink(tmp_so)
-        except OSError:
-            pass
-        tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-5:]
-        raise _NativeBuildError(f"cc exited {proc.returncode}: " + " | ".join(tail))
-    os.replace(tmp_so, so)
-    return so, True
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        except (OSError, subprocess.SubprocessError) as exc:  # compiler gone, timeout, ...
+            raise _NativeBuildError(f"C compiler invocation failed: {exc}") from exc
+        finally:
+            with contextlib.suppress(OSError):
+                os.replace(tmp_c, base + ".c")  # keep the source for debuggability
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-5:]
+            raise _NativeBuildError(f"cc exited {proc.returncode}: " + " | ".join(tail))
+        with open(tmp_so, "rb") as fh:
+            checksum = _checksum(fh.read())
+        with open(tmp_sum, "w") as fh:
+            fh.write(checksum)
+        os.replace(tmp_so, so)
+        os.replace(tmp_sum, _sum_path(so))
+    finally:
+        for leftover in (tmp_so, tmp_sum):
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
 
 
 # ---------------------------------------------------------------------- #
@@ -784,26 +963,47 @@ def instantiate(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
 
     Never raises: returns ``(kernel, None)`` on success or ``(None,
     reason)`` when the tier is unavailable, the spec is not lowerable, or
-    the build fails — every fallback is counted in :func:`stats`.
+    the build fails — every fallback is counted in :func:`stats`.  May run
+    the C compiler, so callers that must not wait go through
+    :func:`submit_build`.
     """
+    return _instantiate(spec, build=True)
+
+
+def load_cached(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]]:
+    """:func:`instantiate` for process-pool workers: loads what the memory
+    and disk caches hold and never invokes the compiler.  An artifact that
+    is simply not there yet is ``(None, None)`` — no fallback, nothing
+    counted; the kernel keeps serving from its NumPy twin."""
+    return _instantiate(spec, build=False)
+
+
+def _refuse(reason: str, digest: Optional[str] = None) -> Tuple[None, str]:
+    with _STATE_LOCK:
+        _STATS["fallbacks_total"] += 1
+        if digest is not None:
+            _FAILURE_CACHE[digest] = reason
+            while len(_FAILURE_CACHE) > _FAILURE_CACHE_LIMIT:
+                _FAILURE_CACHE.popitem(last=False)
+    return None, reason
+
+
+def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel], Optional[str]]:
     if not native_available():
-        _count("fallbacks_total")
-        return None, "native toolchain unavailable (cffi + C compiler required)"
+        return _refuse("native toolchain unavailable (cffi + C compiler required)")
     if spec.bounds_proof is None:
         # the C lowering indexes raw arrays where an uncovered access is
         # silent memory corruption, so it refuses to *trust* the margin
         # contract: only specs stamped by compile_program's analyzer gate
         # (repro.analysis bounds-safety proof) are lowered; everything else
         # falls back to the bounds-checked NumPy tier with this reason.
-        _count("fallbacks_total")
-        return None, (
+        return _refuse(
             "spec carries no bounds-safety proof (not produced by "
             "compile_program's analyzer gate); refusing native lowering"
         )
-    blockers = lowering_blockers(spec)
+    blockers = _blockers(spec, _LONGDOUBLE_OK)
     if blockers:
-        _count("fallbacks_total")
-        return None, "; ".join(blockers)
+        return _refuse("; ".join(blockers))
     digest = spec.digest()
     with _STATE_LOCK:
         kernel = _KERNEL_CACHE.get(digest)
@@ -813,28 +1013,29 @@ def instantiate(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
             return kernel, None
         failure = _FAILURE_CACHE.get(digest)
     if failure is not None:
-        _count("fallbacks_total")
-        return None, failure
+        return _refuse(failure)
     try:
         import cffi
 
+        _trusted_cache_dir()
+        so = _so_path(digest)
+        if not build and not _artifact_valid(so):
+            return None, None
         lowered = _lower(spec)
-        started = time.perf_counter()
-        with _BUILD_LOCK:
-            so, compiled = _compile_so(digest, lowered.c_source)
-        elapsed = time.perf_counter() - started
+        compiled, elapsed = False, 0.0
+        if build:
+            started = time.perf_counter()
+            with _BUILD_LOCK:  # one cc at a time, whoever asks
+                compiled = not _artifact_valid(so)
+                if compiled:
+                    _compile_so(so, lowered.c_source)
+            elapsed = time.perf_counter() - started
         ffi = cffi.FFI()
         ffi.cdef(lowered.cdef)
         lib = ffi.dlopen(so)
         kernel = NativeKernel(spec, digest, lowered, ffi, lib, so)
     except Exception as exc:
-        reason = f"native build failed: {exc}"
-        with _STATE_LOCK:
-            _FAILURE_CACHE[digest] = reason
-            while len(_FAILURE_CACHE) > _FAILURE_CACHE_LIMIT:
-                _FAILURE_CACHE.popitem(last=False)
-            _STATS["fallbacks_total"] += 1
-        return None, reason
+        return _refuse(f"native build failed: {exc}", digest)
     with _STATE_LOCK:
         if compiled:
             _STATS["compiles_total"] += 1
@@ -846,17 +1047,3 @@ def instantiate(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
         while len(_KERNEL_CACHE) > _KERNEL_CACHE_LIMIT:
             _KERNEL_CACHE.popitem(last=False)
     return kernel, None
-
-
-def precompile(specs: Iterable[KernelSpec]) -> Dict[str, Optional[str]]:
-    """Warm-compile kernels off the hot path (sessions, pool warm-up).
-
-    Returns ``{kernel name: fallback reason or None}``; the ``.so``
-    artifacts land in the shared disk cache, so process-pool workers
-    rebuilding a pickled spec ``dlopen`` instead of compiling.
-    """
-    results: Dict[str, Optional[str]] = {}
-    for spec in specs:
-        _, reason = instantiate(spec)
-        results[spec.name] = reason
-    return results

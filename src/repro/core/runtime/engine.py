@@ -6,9 +6,11 @@
    by the frontend translator) is validated and optimized;
 2. boundary conditions are resolved;
 3. one kernel per remaining temporal expression is generated and
-   instantiated on the engine's tier (``mode='interpreted'`` skips the
-   optimizer and instantiates every kernel on the reference-interpreter
-   tier — the same artifact, evaluated by the oracle);
+   instantiated on its NumPy twin; on the default ``native`` tier a query
+   that has run long enough to pay for it is promoted to its C kernels by
+   a background build (``mode='interpreted'`` skips the optimizer and
+   instantiates every kernel on the reference-interpreter tier — the same
+   artifact, evaluated by the oracle);
 4. at run time the input streams are converted to snapshot buffers,
    partitioned according to the boundary conditions, executed by a worker
    pool, and the per-partition outputs are concatenated back into a single
@@ -17,6 +19,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 import time
@@ -29,7 +32,7 @@ from ...errors import ExecutionError, QueryBuildError
 from ...obs.registry import MetricsRegistry
 from ...obs.trace import make_tracer
 from ..codegen import native
-from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery, compile_program
+from ..codegen.compiled import INTERPRETED_TIER, CompiledKernel, CompiledQuery, lower_program
 from ..ir.nodes import TiltProgram
 from ..lineage.boundary import BoundarySpec
 from .executor import (  # noqa: F401 - Executor re-exported
@@ -110,11 +113,18 @@ class TiltEngine:
         Control the optimizer pipeline (see
         :func:`repro.core.codegen.compile_program`).
     codegen_tier:
-        Kernel lowering tier: ``"numpy"`` (default, the reference
-        vectorized tier) or ``"native"`` (single-pass compiled-C kernels via
-        :mod:`repro.core.codegen.native`, falling back per kernel — counted,
-        with the reason on the kernel — when a construct is not lowerable
-        or the optional cffi/C-compiler dependency is missing).
+        Kernel lowering tier.  ``"native"`` (default): every query starts on
+        its NumPy kernels — compiling costs what it costs on ``"numpy"``,
+        no toolchain is probed — and is promoted to single-pass compiled-C
+        kernels (:mod:`repro.core.codegen.native`) by the process's builder
+        thread once its kernels have cost more wall time than building
+        them is expected to, or at compile time when the disk cache already
+        holds them; a kernel that cannot be promoted (construct not
+        lowerable, cffi or the C compiler missing, build failure, untrusted
+        cache directory) stays on NumPy — counted, with the reason in
+        ``CompiledQuery.kernel_plan()``.  ``CompiledQuery.promote()`` builds
+        on the calling thread instead.  ``"numpy"``: never promote (the
+        reference vectorized tier, bit-identical by contract).
     compile_cache_size:
         Bound on the per-engine compile cache (LRU eviction).  A long-lived
         engine serving many distinct programs — the multi-tenant service —
@@ -154,7 +164,7 @@ class TiltEngine:
         executor_kind: Optional[str] = None,
         optimize: bool = True,
         enable_fusion: bool = True,
-        codegen_tier: str = native.NUMPY_TIER,
+        codegen_tier: str = native.NATIVE_TIER,
         compile_cache_size: int = 32,
         trace=False,
         registry: Optional[MetricsRegistry] = None,
@@ -184,7 +194,7 @@ class TiltEngine:
         self.executor_kind = executor_kind
         self.optimize = bool(optimize) and not interpreted
         self.enable_fusion = enable_fusion
-        #: the tier every kernel this engine compiles is instantiated on
+        #: the tier every kernel this engine compiles requests
         self.codegen_tier = INTERPRETED_TIER if interpreted else codegen_tier
         self.compile_cache_size = int(compile_cache_size)
         self.tracer = make_tracer(trace)
@@ -199,9 +209,21 @@ class TiltEngine:
             "repro_native_compile_seconds_total",
             "Wall-clock seconds spent building native-tier kernels",
         )
+        self._m_native_promotions = self.registry.counter(
+            "repro_native_promotions_total",
+            "Kernels promoted from their NumPy twin to their C kernel",
+        )
         self._m_native_fallbacks = self.registry.counter(
             "repro_native_fallbacks_total",
             "Kernels that requested the native tier but fell back to NumPy",
+        )
+        self._m_native_cache_rejects = self.registry.counter(
+            "repro_native_cache_rejects_total",
+            "Disk-cache artifacts that failed validation and were rebuilt",
+        )
+        self._m_native_queue = self.registry.gauge(
+            "repro_native_build_queue_depth",
+            "Kernels of hot queries waiting for the native builder thread",
         )
         self._m_dispatch_fallbacks = self.registry.counter(
             "repro_dispatch_fallbacks_total",
@@ -242,19 +264,53 @@ class TiltEngine:
     # ------------------------------------------------------------------ #
     def compile(self, program: TiltProgram) -> CompiledQuery:
         """Compile ``program`` with this engine's settings (uncached — ``run``
-        and ``open_session`` go through :meth:`compile_cached`)."""
-        compiled = compile_program(
+        and ``open_session`` go through :meth:`compile_cached`).
+
+        Every kernel comes back on its NumPy twin.  On the native tier the
+        query is wired to tier up by itself (see ``codegen_tier``): nothing
+        is probed, imported, spawned or started here unless the disk cache
+        already holds every kernel, in which case loading them is queued
+        at once.
+        """
+        compiled = lower_program(
             program,
             optimize=self.optimize,
             enable_fusion=self.enable_fusion,
             codegen_tier=self.codegen_tier,
         )
-        for kernel in compiled.kernels:
-            if kernel.tier == native.NATIVE_TIER:
-                self._m_native_compile_seconds.inc(kernel.native_build_seconds)
-                if kernel.active_tier != native.NATIVE_TIER:
-                    self._m_native_fallbacks.inc()
+        if self.codegen_tier == native.NATIVE_TIER:
+            compiled.build_scope = self._native_build
+            compiled.on_hot = self._queue_build
+            if all(native.cached(k.spec) for k in compiled.kernels):
+                compiled.hand_off()  # promoting costs a dlopen per kernel, no cc
         return compiled
+
+    def _queue_build(self, compiled: CompiledQuery) -> None:
+        """``CompiledQuery.on_hot``: promote on the builder thread."""
+        self._m_native_queue.inc(sum(k.state == "queued" for k in compiled.kernels))
+        native.submit_build(self, compiled)
+
+    @contextlib.contextmanager
+    def _native_build(self, kernel: CompiledKernel):
+        """``CompiledQuery.build_scope``: one ``native.build`` span and the
+        registry's native counters per kernel build, charged on whichever
+        thread builds."""
+        if kernel.state == "queued":
+            self._m_native_queue.dec()
+        rejects = native.stats()["cache_rejects_total"]
+        with self.tracer.span("native.build", kernel=kernel.name) as sp:
+            yield
+            sp.set(
+                state=kernel.state,
+                build_seconds=kernel.build_seconds,
+                reason=kernel.native_fallback_reason,
+            )
+        self._m_native_compile_seconds.inc(kernel.build_seconds)
+        self._m_native_cache_rejects.inc(native.stats()["cache_rejects_total"] - rejects)
+        if kernel.state == native.NATIVE_TIER:
+            self._m_native_promotions.inc()
+        else:
+            self._m_native_fallbacks.inc()
 
     def analyze(self, program: TiltProgram):
         """Run the static analyzer over ``program`` without compiling it.
@@ -380,7 +436,9 @@ class TiltEngine:
     def close(self) -> None:
         """Shut down the shared worker pool and drop cached compilations.
 
-        Any session still open on the engine is **aborted** first (marked
+        Native builds this engine has queued and the builder thread has not
+        started are dropped (one already running is not waited for).  Any
+        session still open on the engine is **aborted** first (marked
         closed with no final output flush — a flush would run arbitrary
         query work inside a teardown path, on a pool that is about to be
         shut down).  Callers who want the tail output must ``close()`` their
@@ -389,6 +447,8 @@ class TiltEngine:
         """
         for session in self.open_sessions():
             session.abort()
+        for compiled in native.drop_builds(self):
+            self._m_native_queue.dec(compiled.unqueue())
         with self._lock:
             self._sessions.clear()
             if self._executor is not None:
@@ -576,7 +636,11 @@ class TiltEngine:
                     shipped.extend(records)
                 tracer.adopt(shipped)
                 pieces = outputs
-            self._charge_backend("process", time.perf_counter() - started, len(partitions))
+            seconds = time.perf_counter() - started
+            self._charge_backend("process", seconds, len(partitions))
+            # the workers ran the kernels: this is all the parent's copy of
+            # the query learns of what its NumPy twins cost
+            compiled.charge(seconds)
         return pieces
 
     def _charge_backend(self, kind: str, seconds: float, partitions: int) -> None:

@@ -44,6 +44,7 @@ __all__ = [
     "default_kind",
     "make_executor",
     "run_compiled_partition",
+    "worker_kernel_plan",
 ]
 
 T = TypeVar("T")
@@ -251,6 +252,15 @@ def _worker_compiled_query(digest: str, payload: Optional[bytes]):
         while len(_WORKER_QUERY_CACHE) > _WORKER_QUERY_CACHE_LIMIT:
             _WORKER_QUERY_CACHE.popitem(last=False)
     return compiled
+
+
+def worker_kernel_plan(task: Tuple):
+    """Process-pool task: ``kernel_plan()`` of this worker's copy of a query
+    — the copy it holds for ``task``'s digest or builds from its payload,
+    exactly as :func:`run_compiled_partition` would.  The parent's
+    ``kernel_plan()`` speaks for the parent's copy only; this is how a test
+    or an operator asks the pool."""
+    return _worker_compiled_query(task[0], task[1]).kernel_plan()
 
 
 def run_compiled_partition(task: Tuple):

@@ -55,7 +55,6 @@ import numpy as np
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
 from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery
 from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
-from ..codegen.native import NUMPY_TIER
 from ..ir.nodes import TiltProgram
 from .engine import QueryResult, TiltEngine
 from .growable import GrowableArray
@@ -254,23 +253,24 @@ class StreamingSession:
         output buffer.  Turn off for indefinitely running sessions, where
         only the per-tick deltas and live metrics are wanted.
     incremental:
-        Leave at ``None``: the session then *resolves* its tick path once,
-        from what it can observe, and reports the result as :attr:`plan`.
-        A query whose output kernel runs the NumPy tier ticks
-        **in-process**: one evaluation of ``(t_emitted, w]`` against
-        reduce-site state that persists across ticks where that pays
-        (prefix-decomposable aggregates over program inputs — tick cost
-        O(new events) instead of O(lookback + new events); see
-        :mod:`repro.core.codegen.incremental`).  Sessions whose output
-        kernel is native or interpreted **partition and dispatch** each
-        tick like a one-shot run (persistent state interposes on
-        ``rt.reduce`` calls, which neither the interpreter nor a fused C
-        loop makes).  ``False`` / ``True`` is the oracle switch the
-        differential tests and benchmark probes use to force
-        partition-and-dispatch / in-process ticks with the same resolved
-        site plan (on a native output kernel ``True`` therefore runs its
-        NumPy twin); an interpreted output kernel has no such twin and
-        ignores it.
+        Leave at ``None``: the session then *resolves* its tick path once
+        and reports the result as :attr:`plan`.  Every compiled query ticks
+        **in-process**: one evaluation of ``(t_emitted, w]`` on the output
+        kernel's NumPy twin against reduce-site state that persists across
+        ticks where that pays (prefix-decomposable aggregates over program
+        inputs — tick cost O(new events) instead of O(lookback + new
+        events); see :mod:`repro.core.codegen.incremental`).  The choice
+        does not depend on which tier serves the query's one-shot runs —
+        that changes while the session lives (see ``TiltEngine``'s
+        ``codegen_tier``); a promoted query's C kernels serve the
+        intermediates an in-process tick rebuilds and every partitioned
+        tick.  Sessions whose output kernel is interpreted **partition and
+        dispatch** each tick like a one-shot run (the interpreter makes no
+        ``rt.reduce`` calls for persistent state to interpose on).
+        ``False`` / ``True`` is the oracle switch the differential tests
+        and benchmark probes use to force partition-and-dispatch /
+        in-process ticks with the same resolved site plan; an interpreted
+        output kernel ignores it.
     trace_attrs:
         Attributes stamped onto every ``session.tick`` span this session
         emits (e.g. ``{"tenant": "alice"}``).  Ignored — at zero cost —
@@ -311,11 +311,8 @@ class StreamingSession:
                 sites += self._state.plan
             else:
                 sites += reduce_site_plan(kernel.spec, (), blanket=blanket)
-        #: the resolved execution plan: tick path and why; where a
-        #: partitioned tick dispatches and why; per kernel the tier requested,
-        #: the tier active and any fallback reason; per reduce site whether
-        #: its state persists across ticks and why
-        self.plan: Dict[str, object] = {
+        #: what was resolved here, once (see :attr:`plan`)
+        self._plan: Dict[str, object] = {
             "tick_path": "in-process" if in_process else "partition+dispatch",
             "reason": reason,
             "dispatch": (
@@ -323,7 +320,6 @@ class StreamingSession:
                 if in_process
                 else engine.dispatch_plan(compiled)
             ),
-            "kernels": compiled.kernel_plan(),
             "sites": sites,
         }
         self._pins: List[float] = []
@@ -431,15 +427,27 @@ class StreamingSession:
     def ticks(self) -> int:
         return self._ticks
 
+    @property
+    def plan(self) -> Dict[str, object]:
+        """The execution plan: tick path and why; where a partitioned tick
+        dispatches and why; per reduce site whether its state persists
+        across ticks and why — all resolved at construction — and, read
+        live, ``CompiledQuery.kernel_plan()``: per kernel the tier
+        requested, the tier active now, its promotion state and any
+        fallback reason."""
+        return {**self._plan, "kernels": self._compiled.kernel_plan()}
+
     @staticmethod
     def _resolve_tick_path(
         compiled: CompiledQuery, incremental: Optional[bool]
     ) -> Tuple[bool, str]:
-        """``(in-process?, reason)`` — see the ``incremental`` parameter."""
-        tier = compiled.kernel_named(compiled.output).active_tier
-        if incremental is not None and tier != INTERPRETED_TIER:
+        """``(in-process?, reason)`` — see the ``incremental`` parameter.
+        Reads the *requested* tier only: the active one changes over time."""
+        if compiled.kernel_named(compiled.output).tier == INTERPRETED_TIER:
+            return False, "interpreted output kernel"
+        if incremental is not None:
             return bool(incremental), "explicit override"
-        return tier == NUMPY_TIER, f"{tier} output kernel"
+        return True, "compiled output kernel"
 
     @property
     def incremental(self) -> bool:

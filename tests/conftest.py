@@ -12,8 +12,24 @@ from repro.core.codegen import native
 from repro.core.codegen.interpreter import evaluate_program
 from repro.core.lineage.boundary import resolve_boundaries
 from repro.core.runtime.engine import TiltEngine
+from repro.core.runtime.executor import worker_kernel_plan
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
+
+
+class PromotedEngine(TiltEngine):
+    """The ``native`` plan's engine: every query is promoted as it is
+    compiled (on the test's thread, not by the builder thread when the query
+    gets hot), so what the plan compares is deterministic — and it checks
+    that every kernel with a C lowering really is served by it."""
+
+    def compile(self, program):
+        compiled = super().compile(program)
+        compiled.promote()
+        for kernel in compiled.kernels:
+            if not native.lowering_blockers(kernel.spec):
+                assert kernel.active_tier == "native", (kernel.name, kernel.native_fallback_reason)
+        return compiled
 
 
 @dataclass(frozen=True)
@@ -22,9 +38,10 @@ class EnginePlan:
 
     name: str
     settings: Mapping[str, object] = field(default_factory=dict)
+    engine_class: type = TiltEngine
 
     def engine(self, **overrides) -> TiltEngine:
-        return TiltEngine(**{**self.settings, **overrides})
+        return self.engine_class(**{**self.settings, **overrides})
 
     def events(self, n: int) -> int:
         """Input size for this plan: the interpreter evaluates one snapshot
@@ -33,13 +50,17 @@ class EnginePlan:
 
 
 #: the engine configurations every differential suite must agree on — each
-#: used to be a CI leg selected by an environment variable; now one fixture
+#: used to be a CI leg selected by an environment variable; now one fixture.
+#: ``default`` is the engine as shipped (native tier, promoted in the
+#: background if a test's query ever gets hot); the pool and traced plans pin
+#: the NumPy tier and ``native`` promotes up front, so each tier is compared
+#: deterministically
 ENGINE_PLANS = [
     EnginePlan("default", {"workers": 1}),
-    EnginePlan("thread2", {"workers": 2, "executor_kind": "thread"}),
-    EnginePlan("process2", {"workers": 2, "executor_kind": "process"}),
-    EnginePlan("traced", {"workers": 1, "trace": True}),
-    EnginePlan("native", {"workers": 1, "codegen_tier": "native"}),
+    EnginePlan("thread2", {"workers": 2, "executor_kind": "thread", "codegen_tier": "numpy"}),
+    EnginePlan("process2", {"workers": 2, "executor_kind": "process", "codegen_tier": "numpy"}),
+    EnginePlan("traced", {"workers": 1, "trace": True, "codegen_tier": "numpy"}),
+    EnginePlan("native", {"workers": 1}, PromotedEngine),
     EnginePlan("interpreted", {"workers": 1, "mode": "interpreted"}),
 ]
 
@@ -50,6 +71,25 @@ def engine_plan(request) -> EnginePlan:
     if plan.name == "native" and not native.native_available():
         pytest.skip("native codegen toolchain (cffi + C compiler) unavailable")
     return plan
+
+
+@pytest.fixture(scope="session")
+def promoted_engine():
+    """The ``native`` plan's engine class, for tests that build their own."""
+    return PromotedEngine
+
+
+@pytest.fixture(scope="session")
+def worker_kernel_plans():
+    """``worker_kernel_plans(engine, compiled)``: what a process engine's
+    pool workers run ``compiled``'s current payload on — the parent's
+    ``kernel_plan()`` only speaks for the parent's copy."""
+
+    def probe(engine, compiled):
+        pool = engine.shared_executor()
+        return pool.map(worker_kernel_plan, [compiled.pickle_payload()] * (4 * pool.workers))
+
+    return probe
 
 
 @pytest.fixture

@@ -53,31 +53,33 @@ requires_native = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def process_engine():
     """One long-lived process pool shared by the whole equivalence sweep."""
-    with TiltEngine(workers=2, executor_kind="process", partitions_per_worker=3) as engine:
+    with TiltEngine(
+        workers=2, executor_kind="process", partitions_per_worker=3, codegen_tier="numpy"
+    ) as engine:
         yield engine
 
 
 @pytest.fixture(scope="module")
 def thread_engine():
-    with TiltEngine(workers=3, executor_kind="thread", partitions_per_worker=3) as engine:
-        yield engine
-
-
-@pytest.fixture(scope="module")
-def native_thread_engine():
-    """Thread-pool engine on the native tier, same grid as thread_engine."""
     with TiltEngine(
-        workers=3, executor_kind="thread", partitions_per_worker=3, codegen_tier="native"
+        workers=3, executor_kind="thread", partitions_per_worker=3, codegen_tier="numpy"
     ) as engine:
         yield engine
 
 
 @pytest.fixture(scope="module")
-def native_process_engine():
-    """Process-pool engine on the native tier, same grid as process_engine."""
-    with TiltEngine(
-        workers=2, executor_kind="process", partitions_per_worker=3, codegen_tier="native"
-    ) as engine:
+def native_thread_engine(promoted_engine):
+    """Thread-pool engine on promoted C kernels, same grid as thread_engine."""
+    with promoted_engine(workers=3, executor_kind="thread", partitions_per_worker=3) as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def native_process_engine(promoted_engine):
+    """Process-pool engine, same grid as process_engine, whose queries are
+    promoted before their first dispatch: the workers load the C kernels
+    from the disk cache when they are first sent the query."""
+    with promoted_engine(workers=2, executor_kind="process", partitions_per_worker=3) as engine:
         yield engine
 
 
@@ -156,14 +158,21 @@ class TestCodegenTierEquivalence:
 
     @pytest.mark.parametrize("name", sorted(ALL_APPLICATIONS))
     def test_every_app_bitwise_identical_numpy_vs_native(
-        self, name, thread_engine, native_thread_engine, process_engine, native_process_engine
+        self,
+        name,
+        promoted_engine,
+        thread_engine,
+        native_thread_engine,
+        process_engine,
+        native_process_engine,
+        worker_kernel_plans,
     ):
         app = ALL_APPLICATIONS[name]
         program = app.program()
         streams = app.streams(APP_EVENTS, seed=17)
-        with TiltEngine(workers=1) as serial_np:
+        with TiltEngine(workers=1, codegen_tier="numpy") as serial_np:
             reference = serial_np.run(program, streams).output
-        with TiltEngine(workers=1, codegen_tier="native") as serial_nat:
+        with promoted_engine(workers=1) as serial_nat:
             assert_bitwise_equal(serial_nat.run(program, streams).output, reference)
         thread_nat = native_thread_engine.run(program, streams).output
         assert_bitwise_equal(thread_nat, thread_engine.run(program, streams).output)
@@ -171,24 +180,30 @@ class TestCodegenTierEquivalence:
         process_nat = native_process_engine.run(program, streams).output
         assert_bitwise_equal(process_nat, process_engine.run(program, streams).output)
         assert process_nat == reference
+        # ... and it really was C kernels inside the pool workers
+        compiled = native_process_engine.compile_cached(program)
+        if native_process_engine.dispatch_plan(compiled)["backend"] == "process":
+            tiers = lambda plan: [row["active_tier"] for row in plan]  # noqa: E731
+            plans = worker_kernel_plans(native_process_engine, compiled)
+            assert plans and all(tiers(p) == tiers(compiled.kernel_plan()) for p in plans)
 
     @pytest.mark.parametrize("interval", [13.0, 41.5])
-    def test_ragged_partition_intervals_native(self, interval):
+    def test_ragged_partition_intervals_native(self, interval, promoted_engine):
         app = get_application("trading")
         program = app.program()
         streams = app.streams(700, seed=5)
-        with TiltEngine(workers=1) as serial:
+        with TiltEngine(workers=1, codegen_tier="numpy") as serial:
             reference = serial.run(program, streams).output
         for kind in ("thread", "process"):
             kw = dict(workers=2, executor_kind=kind, partition_interval=interval)
-            with TiltEngine(**kw) as np_eng:
+            with TiltEngine(**kw, codegen_tier="numpy") as np_eng:
                 np_out = np_eng.run(program, streams).output
-            with TiltEngine(**kw, codegen_tier="native") as nat_eng:
+            with promoted_engine(**kw) as nat_eng:
                 nat_out = nat_eng.run(program, streams).output
             assert_bitwise_equal(nat_out, np_out)
             assert nat_out == reference, kind
 
-    def test_streaming_session_ticks_native(self):
+    def test_streaming_session_ticks_native(self, promoted_engine):
         """Native-tier session ticks concatenate bitwise-identically to the
         NumPy tier over the same ragged tick schedule, and match the serial
         one-shot reference."""
@@ -196,21 +211,21 @@ class TestCodegenTierEquivalence:
         program = app.program()
         streams = app.streams(600, seed=11)
 
-        def session_output(**engine_kwargs):
-            with TiltEngine(**engine_kwargs) as engine:
+        def session_output(engine):
+            with engine:
                 session = engine.open_session(
                     program, sources_for_streams(streams, events_per_poll=83)
                 )
                 session.run_to_exhaustion()
                 return session.result().output
 
-        np_out = session_output(workers=1)
-        nat_out = session_output(workers=1, codegen_tier="native")
+        np_out = session_output(TiltEngine(workers=1, codegen_tier="numpy"))
+        nat_out = session_output(promoted_engine(workers=1))
         assert_bitwise_equal(nat_out, np_out)
-        with TiltEngine(workers=1) as serial:
+        with TiltEngine(workers=1, codegen_tier="numpy") as serial:
             assert nat_out == serial.run(program, streams).output
 
-    def test_incremental_session_native(self):
+    def test_incremental_session_native(self, promoted_engine):
         """Incremental mode (reduce-site runtime override) composes with the
         native tier: output kernels take the NumPy path under the override,
         intermediates run natively, output stays bitwise-identical."""
@@ -218,8 +233,8 @@ class TestCodegenTierEquivalence:
         program = app.program()
         streams = app.streams(600, seed=11)
 
-        def session_output(**engine_kwargs):
-            with TiltEngine(**engine_kwargs) as engine:
+        def session_output(engine):
+            with engine:
                 session = engine.open_session(
                     program,
                     sources_for_streams(streams, events_per_poll=83),
@@ -229,7 +244,8 @@ class TestCodegenTierEquivalence:
                 return session.result().output
 
         assert_bitwise_equal(
-            session_output(workers=1, codegen_tier="native"), session_output(workers=1)
+            session_output(promoted_engine(workers=1)),
+            session_output(TiltEngine(workers=1, codegen_tier="numpy")),
         )
 
 
@@ -327,13 +343,15 @@ class TestSerialization:
     def test_process_engine_seeds_pool_then_goes_digest_only(self):
         """After the first run, the engine marks the payload digest as
         seeded on its pool and later runs (and session ticks) dispatch
-        digest-only tasks — still byte-identical."""
+        digest-only tasks — still byte-identical.  (On the NumPy tier, where
+        a query is one payload for life; a promotion makes it a new one —
+        see ``test_promotion``.)"""
         app = get_application("trading")
         program = app.program()
         streams = app.streams(500, seed=21)
         with TiltEngine(workers=1) as serial:
             reference = serial.run(program, streams).output
-        with TiltEngine(workers=2, executor_kind="process") as engine:
+        with TiltEngine(workers=2, executor_kind="process", codegen_tier="numpy") as engine:
             compiled = engine.compile(program)
             digest, _ = compiled.pickle_payload()
             assert engine.run(compiled, streams).output == reference
@@ -367,7 +385,7 @@ class TestBackendSelection:
             monkeypatch.setenv(name, "process" if name == "REPRO_EXECUTOR" else "1")
         with TiltEngine(workers=1) as engine:
             assert engine.executor_kind == engine.shared_executor().kind == "serial"
-            assert engine.codegen_tier == "numpy" and not engine.tracer.enabled
+            assert engine.codegen_tier == "native" and not engine.tracer.enabled
         with TiltEngine(workers=2) as engine:
             assert engine.executor_kind == engine.shared_executor().kind == "thread"
             with pytest.raises(AttributeError, match="read-only"):

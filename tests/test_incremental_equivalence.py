@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import ALL_APPLICATIONS, get_application
-from repro.core.codegen import native
 from repro.core.ir import IRBuilder
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.session import StreamingSession
@@ -294,7 +293,7 @@ class TestResolvedPlan:
     def test_only_prefix_sites_over_inputs_persist(self):
         engine = TiltEngine(workers=1)
         plan = self._plan(engine, "vibration")
-        assert (plan["tick_path"], plan["reason"]) == ("in-process", "numpy output kernel")
+        assert (plan["tick_path"], plan["reason"]) == ("in-process", "compiled output kernel")
         by_agg = {row["aggregate"]: row for row in plan["sites"]}
         assert by_agg["mean"]["state"] == "persisted"
         assert by_agg["mean"]["strategy"] == "prefix"
@@ -323,29 +322,6 @@ class TestResolvedPlan:
         assert (off["tick_path"], off["reason"]) == ("partition+dispatch", "explicit override")
         assert {row["reason"] for row in off["sites"]} == {"partitioned tick path"}
         assert off["dispatch"] == {"backend": "serial", "reason": "engine setting"}
-
-    @pytest.mark.skipif(not native.native_available(), reason="needs cffi + C compiler")
-    def test_native_output_kernel_keeps_partition_and_dispatch(self):
-        """Persistent state interposes on ``rt.reduce``, which the fused C
-        loop never calls: resolving to in-process would silently discard
-        the native kernel, so the session partitions instead."""
-        app = get_application("trading")
-        streams = app.streams(900, seed=37)
-        engine = TiltEngine(workers=1, codegen_tier="native")
-        batch = engine.run(app.program(), streams)
-        session = run_session(engine, app.program(), streams, 128)
-        assert session.plan["tick_path"] == "partition+dispatch"
-        assert session.plan["reason"] == "native output kernel"
-        assert session.plan["kernels"] == [
-            {
-                "kernel": "uptrend",
-                "requested_tier": "native",
-                "active_tier": "native",
-                "fallback_reason": None,
-            }
-        ]
-        assert session.state_snapshots() == 0
-        assert session.result().output == batch.output
 
     def test_service_reports_tenant_plans(self):
         from repro.serve.service import QueryService

@@ -5,8 +5,9 @@ The cross-backend *equivalence* of the native tier lives in
 pins down the tier machinery itself — tier selection (the constructor
 argument, nothing else), per-kernel fallback when the toolchain is absent
 or a construct is not lowerable, digest-keyed JIT caching (memory
-LRU + shared disk cache + warm ``precompile``), tier-aware compile-cache
-keying and pickling, and the metrics/span/flight-recorder evidence trail.
+LRU + shared disk cache), tier-aware compile-cache keying and pickling,
+and the metrics/span/flight-recorder evidence trail.  How a running query
+gets from its NumPy kernels to its C kernels is ``tests/test_promotion.py``.
 """
 
 import os
@@ -52,18 +53,39 @@ def custom_agg_program():
 # tier selection
 # ---------------------------------------------------------------------- #
 class TestTierSelection:
-    def test_default_is_numpy(self):
+    def test_default_is_native_served_from_numpy(self, monkeypatch):
+        """The default engine requests the native tier and compiles to the
+        NumPy twins: promotion is something a query earns by running."""
+        monkeypatch.setattr(native, "cached", lambda spec: False)
         with TiltEngine(workers=1) as engine:
-            assert engine.codegen_tier == NUMPY_TIER
+            assert engine.codegen_tier == NATIVE_TIER
+            compiled = engine.compile(mean_program())
+            (row,) = compiled.kernel_plan()
+            assert (row["requested_tier"], row["active_tier"], row["state"]) == (
+                NATIVE_TIER, NUMPY_TIER, "numpy"
+            )
+            assert compiled.on_hot is not None
 
-    def test_constructor_selects_native(self):
+    def test_promote_is_the_synchronous_entry(self):
         """The request is honoured whether or not the toolchain is present —
         each kernel falls back on its own when it is not."""
         with TiltEngine(workers=1, codegen_tier="native") as engine:
-            assert engine.codegen_tier == NATIVE_TIER
-            (kernel,) = engine.compile(mean_program()).kernels
-            assert kernel.tier == NATIVE_TIER
+            compiled = engine.compile(mean_program())
+            compiled.promote()
+            (kernel,) = compiled.kernels
+            assert kernel.tier == NATIVE_TIER and not kernel.undecided
             assert (kernel.active_tier == NATIVE_TIER) == native.native_available()
+            assert compiled.on_hot is None
+
+    def test_numpy_tier_never_promotes(self):
+        with TiltEngine(workers=1, codegen_tier="numpy") as engine:
+            compiled = engine.compile(mean_program())
+            assert compiled.on_hot is None
+            compiled.promote()
+            (row,) = compiled.kernel_plan()
+            assert (row["requested_tier"], row["active_tier"], row["state"]) == (
+                NUMPY_TIER, NUMPY_TIER, "numpy"
+            )
 
     def test_invalid_tier_rejected(self):
         """``"auto"`` is gone with the rest: the tiers are the two names."""
@@ -93,15 +115,16 @@ class TestFallback:
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         app = get_application("trading")
         streams = app.streams(300, seed=3)
-        with TiltEngine(workers=1, codegen_tier="native") as engine:
+        with TiltEngine(workers=1) as engine:
             compiled = engine.compile(app.program())
+            compiled.promote()
             for kernel in compiled.kernels:
                 assert kernel.tier == NATIVE_TIER
-                assert kernel.active_tier == NUMPY_TIER
+                assert (kernel.active_tier, kernel.state) == (NUMPY_TIER, "refused")
                 assert "unavailable" in kernel.native_fallback_reason
             result = engine.run(compiled, streams).output
             assert engine._m_native_fallbacks.value == len(compiled.kernels)
-        with TiltEngine(workers=1) as engine:
+        with TiltEngine(workers=1, codegen_tier="numpy") as engine:
             assert result == engine.run(app.program(), streams).output
 
     @requires_native
@@ -112,7 +135,7 @@ class TestFallback:
         assert "aggregate" in kernel.native_fallback_reason
 
     @requires_native
-    def test_mixed_query_falls_back_per_kernel(self):
+    def test_mixed_query_falls_back_per_kernel(self, promoted_engine):
         """In one program, lowerable kernels go native while an unlowerable
         one (a custom Python aggregate) stays on NumPy — fallback is per
         kernel, not per query."""
@@ -124,7 +147,7 @@ class TestFallback:
             assert row["requested_tier"] == NATIVE_TIER
             assert (row["fallback_reason"] is None) == (row["active_tier"] == NATIVE_TIER)
         streams = app.streams(300, seed=3)
-        with TiltEngine(workers=1, codegen_tier="native") as engine:
+        with promoted_engine(workers=1) as engine:
             nat = engine.run(app.program(), streams).output
         with TiltEngine(workers=1, codegen_tier="numpy") as engine:
             assert nat == engine.run(app.program(), streams).output
@@ -180,16 +203,6 @@ class TestJITCache:
         assert again.kernels[0].active_tier == NATIVE_TIER
         after = native.stats()
         assert after["disk_hits_total"] > before["disk_hits_total"]
-
-    def test_precompile_warms_cache(self):
-        compiled = compile_program(mean_program())
-        native.clear_caches()
-        report = native.precompile(k.spec for k in compiled.kernels)
-        assert set(report.values()) == {None}
-        before = native.stats()
-        nat = compile_program(mean_program(), codegen_tier=NATIVE_TIER)
-        assert nat.kernels[0].active_tier == NATIVE_TIER
-        assert native.stats()["mem_hits_total"] > before["mem_hits_total"]
 
     def test_failure_cache_short_circuits(self):
         compiled = compile_program(custom_agg_program(), codegen_tier=NATIVE_TIER)
@@ -254,26 +267,37 @@ class TestObservability:
         assert spans and spans[0].attrs["tier"] == NATIVE_TIER
 
     def test_native_metrics_counters(self):
-        """Fallbacks and build seconds are charged to the engine registry."""
+        """Fallbacks, promotions and build seconds are charged to the engine
+        registry where the build happens."""
         app = get_application("pantom")  # custom agg kernel + lowerable ones
-        with TiltEngine(workers=1, codegen_tier="native") as engine:
+        with TiltEngine(workers=1) as engine:
             compiled = engine.compile(app.program())
+            compiled.promote()
             assert engine._m_native_fallbacks.value >= 1
-            native_kernels = [
-                k for k in compiled.kernels if k.active_tier == NATIVE_TIER
-            ]
-            assert native_kernels, "pantom has lowerable kernels too"
+            assert engine._m_native_promotions.value == sum(
+                k.active_tier == NATIVE_TIER for k in compiled.kernels
+            ) >= 1, "pantom has lowerable kernels too"
             reg = engine.registry.to_json()
-            assert "repro_native_fallbacks_total" in reg
-            assert "repro_native_compile_seconds_total" in reg
+            for name in (
+                "repro_native_fallbacks_total",
+                "repro_native_promotions_total",
+                "repro_native_compile_seconds_total",
+                "repro_native_cache_rejects_total",
+                "repro_native_build_queue_depth",
+            ):
+                assert name in reg
 
-    def test_flight_context_records_tiers(self):
+    def test_flight_context_reads_tiers_live(self, monkeypatch):
+        """The tenant's plan is not a snapshot taken at ``open_session``: a
+        promotion after the session opened shows in ``describe()`` and in
+        the flight-recorder context."""
         from repro.datagen.sources import sources_for_streams
         from repro.serve.service import QueryService
 
+        monkeypatch.setattr(native, "cached", lambda spec: False)
         app = get_application("trading")
         streams = app.streams(300, seed=5)
-        engine = TiltEngine(workers=1, codegen_tier="native")
+        engine = TiltEngine(workers=1)
         service = QueryService(engine)
         try:
             name = service.submit(
@@ -283,10 +307,15 @@ class TestObservability:
             service.run_until_idle()
             tenant = service._tenants[name]
             context = QueryService._flight_context(tenant)
+            assert {row["state"] for row in context["plan"]["kernels"]} == {"numpy"}
+            tenant.session.compiled.promote()
+            context = QueryService._flight_context(tenant)
             assert context["plan"]["kernels"] == tenant.session.compiled.kernel_plan()
             assert context["plan"]["kernels"] == tenant.describe()["plan"]["kernels"]
-            assert NATIVE_TIER in {row["active_tier"] for row in context["plan"]["kernels"]}
-            assert context["plan"]["dispatch"] == {"backend": "serial", "reason": "engine setting"}
+            assert {row["active_tier"] for row in context["plan"]["kernels"]} == {NATIVE_TIER}
+            assert context["plan"]["dispatch"] == {
+                "backend": "in-process", "reason": "ticks bypass the worker pool"
+            }
         finally:
             service.close()
             engine.close()
@@ -299,6 +328,7 @@ class TestObservability:
             "fallbacks_total",
             "mem_hits_total",
             "disk_hits_total",
+            "cache_rejects_total",
         } <= set(counters)
 
 
