@@ -27,21 +27,19 @@ builder thread).  Publishing the C kernel is one attribute store that
 is invisible in the output.  :meth:`CompiledQuery.promote` is the same
 build on the calling thread.  Where a process pool's workers run the
 kernels, the engine charges the parent's copy what each dispatch took
-(:meth:`CompiledQuery.charge`); a promoted query pickles to a new payload,
-so the pool is seeded again and its workers — which never compile — load
-what the build left in the disk cache.
+(:meth:`CompiledQuery.charge`); a promoted query pickles to new bytes, so
+the workers — which never compile — unpickle it again and load what the
+build left in the disk cache.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, ContextManager, Dict, List, Mapping, Optional
 
 from ...analysis.findings import ProgramReport
 from ...analysis.program import analyze_program
@@ -72,18 +70,6 @@ __all__ = [
 #: ``TiltEngine(mode="interpreted")``.
 INTERPRETED_TIER = "interpreted"
 
-#: per-process kernel rebuild cache, keyed by spec content digest.  When a
-#: pickled kernel arrives in a worker process (or is unpickled repeatedly in
-#: one), the generated source is compiled once and the instantiated kernel
-#: reused — rebuilding is the per-process analogue of the engine's compile
-#: cache, and like it the cache is LRU-bounded so a long-lived worker
-#: serving an unbounded stream of distinct queries releases old kernels
-#: (owners of a live CompiledQuery keep their kernels referenced anyway).
-_KERNEL_REBUILD_CACHE: "OrderedDict[Tuple[str, str], CompiledKernel]" = OrderedDict()
-_KERNEL_REBUILD_LOCK = threading.Lock()
-_KERNEL_REBUILD_LIMIT = 128
-
-
 #: guards the once-only hand-off of a hot query (held for two stores)
 _HAND_OFF_LOCK = threading.Lock()
 
@@ -92,15 +78,12 @@ def _rebuild_kernel(
     spec: KernelSpec, tier: str = NUMPY_TIER, promoted: bool = False
 ) -> "CompiledKernel":
     """Unpickle hook for :class:`CompiledKernel` (module-level so it pickles
-    by reference).  The requested codegen tier rides in the pickle; a
-    process-pool worker rebuilding a native-tier kernel loads the C kernel
-    the shared disk cache holds for it and otherwise serves from the NumPy
-    twin — workers never run the compiler.  ``promoted`` says the sender's
-    copy was on its C kernel, so the artifact is on disk by now: a worker
-    that rebuilt this kernel before it was looks again."""
-    kernel = CompiledKernel.from_spec(spec, tier=tier)
-    if promoted:
-        kernel.load_cached()
+    by reference).  A native-tier kernel loads the C kernel the disk cache
+    holds for it and otherwise serves from its NumPy twin — pool workers
+    never run the compiler.  ``promoted`` is unused here; it makes a
+    promoted query pickle to new bytes, which workers unpickle again."""
+    kernel = CompiledKernel(spec, tier=tier)
+    kernel.load_cached()
     return kernel
 
 
@@ -112,7 +95,7 @@ class CompiledKernel:
     aggregates are) from *a kernel instantiated in this process* (the exec'd
     function and its :class:`KernelRuntime`, which never cross a process
     boundary).  Pickling therefore ships only the spec and the tier;
-    unpickling re-instantiates through the per-process rebuild cache.
+    unpickling instantiates the kernel again.
     """
 
     def __init__(self, spec: KernelSpec, tier: str = NUMPY_TIER):
@@ -184,30 +167,6 @@ class CompiledKernel:
         elif reason is not None:
             self.state = "refused"
         self._native = kernel  # last: ``run`` branches on it
-
-    @classmethod
-    def from_spec(cls, spec: KernelSpec, tier: str = NUMPY_TIER) -> "CompiledKernel":
-        """Instantiate a kernel from its spec, reusing a previous
-        instantiation of an identical (spec, tier) in this process."""
-        key = (spec.digest(), tier)
-        with _KERNEL_REBUILD_LOCK:
-            kernel = _KERNEL_REBUILD_CACHE.get(key)
-            if kernel is not None:
-                _KERNEL_REBUILD_CACHE.move_to_end(key)
-                return kernel
-        # compile outside the lock: kernel compilation is the slow part and
-        # two concurrent rebuilds of the same spec are merely redundant
-        kernel = cls(spec, tier=tier)
-        kernel.load_cached()
-        with _KERNEL_REBUILD_LOCK:
-            existing = _KERNEL_REBUILD_CACHE.get(key)
-            if existing is not None:
-                _KERNEL_REBUILD_CACHE.move_to_end(key)
-                return existing
-            _KERNEL_REBUILD_CACHE[key] = kernel
-            while len(_KERNEL_REBUILD_CACHE) > _KERNEL_REBUILD_LIMIT:
-                _KERNEL_REBUILD_CACHE.popitem(last=False)
-            return kernel
 
     def __reduce__(self):
         return (_rebuild_kernel, (self.spec, self.tier, self._native is not None))
@@ -286,10 +245,10 @@ class CompiledQuery:
     A compiled query is picklable whenever all of its aggregates are
     (built-ins always; custom aggregates only when their callables are
     module-level functions).  Pickling ships the program, the boundary spec
-    and the kernel *specs*; unpickling re-instantiates the kernels through
-    the per-process rebuild cache.  :meth:`pickle_payload` is the
-    process-backend entry point and degrades to ``None`` instead of raising
-    when the query cannot cross a process boundary.
+    and the kernel *specs*; unpickling instantiates the kernels again.
+    :meth:`pickle_payload` is the process-backend entry point and degrades
+    to ``None`` instead of raising when the query cannot cross a process
+    boundary.
     """
 
     program: TiltProgram
@@ -324,25 +283,23 @@ class CompiledQuery:
     def __setstate__(self, state):
         self.__dict__.update(state)
 
-    def pickle_payload(self) -> Optional[Tuple[str, bytes]]:
-        """``(digest, pickled bytes)`` for process-pool dispatch, or ``None``.
+    def pickle_payload(self) -> Optional[bytes]:
+        """The pickled query every process-pool task carries, or ``None``.
 
         The bytes are computed once per set of promoted kernels and cached:
         a long-running query is serialized a single time no matter how many
-        partitions are shipped, and once more when it is promoted — each
-        kernel's pickle says whether it was, so a promoted query is a new
-        payload and a pool that was seeded with the old one is seeded again,
-        its workers loading the C kernels the promotion left in the disk
-        cache.  ``None`` means the query's artifacts cannot cross a process
-        boundary (e.g. lambda-based custom aggregates) and the caller should
-        fall back to in-process execution.
+        maps ship it, and once more when it is promoted — each kernel's
+        pickle says whether it was, so a promoted query is new bytes that
+        the workers unpickle again, loading the C kernels the promotion left
+        in the disk cache.  ``None`` means the query's artifacts cannot
+        cross a process boundary (e.g. lambda-based custom aggregates) and
+        the caller should fall back to in-process execution.
         """
         promoted = tuple(k._native is not None for k in self.kernels)
         memo = self.__dict__.get("_payload")
         if memo is None or memo[0] != promoted:
             try:
-                blob = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-                payload = (hashlib.sha256(blob).hexdigest(), blob)
+                payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
             except (pickle.PicklingError, TypeError, AttributeError, ValueError):
                 # the unpicklable-artifact cases (lambda aggregates and the
                 # like); anything else — MemoryError, a bug in a component's

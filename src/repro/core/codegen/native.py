@@ -48,8 +48,10 @@ Caching
 Compiled artifacts are cached at two levels, both keyed by
 ``KernelSpec.digest()``:
 
-* an in-process LRU of instantiated :class:`NativeKernel` objects,
-  bounded like ``_KERNEL_REBUILD_CACHE``;
+* an in-process LRU of instantiated :class:`NativeKernel` objects
+  (``_KERNEL_CACHE_LIMIT`` entries), so every copy of a kernel in one
+  process — a pool worker unpickling a query again included — shares one
+  ``dlopen``;
 * an on-disk ``.so`` cache (``REPRO_NATIVE_CACHE``, default
   ``$TMPDIR/repro-native-<uid>``) written via per-process temp files and an
   atomic ``os.replace``, so process-pool workers and later processes

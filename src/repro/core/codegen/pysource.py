@@ -115,11 +115,10 @@ class KernelSpec:
         """Content digest identifying this spec's executable artifact.
 
         Two specs with the same digest instantiate interchangeable kernels,
-        which is what the per-process rebuild cache keys on when a spec
-        crosses a process boundary (see
-        :meth:`repro.core.codegen.compiled.CompiledKernel.from_spec`).  The
-        digest covers everything execution depends on: the generated
-        sources, the time domain, the access pattern and the identity of
+        which is what the native tier's in-process and on-disk caches key on
+        (see :mod:`repro.core.codegen.native`).  The digest covers
+        everything execution depends on: the generated sources, the time
+        domain, the access pattern and the identity of
         every aggregate (built-ins by name; custom aggregates by their
         pickled callables — unpicklable aggregates make ``digest`` raise,
         matching the fact that such a spec cannot leave the process anyway).

@@ -20,11 +20,13 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import logging
 import threading
 import time
 import weakref
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -38,7 +40,6 @@ from ..lineage.boundary import BoundarySpec
 from .executor import (  # noqa: F401 - Executor re-exported
     EXECUTOR_KINDS,
     Executor,
-    PayloadMissError,
     default_kind,
     make_executor,
     run_compiled_partition,
@@ -229,6 +230,10 @@ class TiltEngine:
             "repro_dispatch_fallbacks_total",
             "Partition maps run on the in-process fallback instead of the engine's pool",
             reason="unpicklable",
+        )
+        self._m_pool_restarts = self.registry.counter(
+            "repro_pool_restarts_total",
+            "Process pools dropped after losing a worker (replaced at the next dispatch)",
         )
         self._m_backend: Dict[str, tuple] = {}
         # shared across run() calls and all sessions of this engine: one
@@ -544,10 +549,18 @@ class TiltEngine:
         """Execute the partitions on the pool :meth:`dispatch_plan` names.
 
         The single dispatch point shared by one-shot ``run`` calls and
-        streaming-session ticks.  On the process backend the query is
-        shipped as its cached pickle payload (serialized once, rebuilt once
-        per worker process); a query that cannot cross the process boundary
-        runs on the engine's in-process fallback (see :meth:`_fallback_for`).
+        streaming-session ticks.  On the process backend every task carries
+        the query's cached pickle payload (serialized once per promotion
+        state, unpickled once per worker process), and the parent's copy is
+        charged the dispatch's wall time, since the workers ran its kernels;
+        a query that cannot cross the process boundary runs on the engine's
+        in-process fallback (see :meth:`_fallback_for`).
+
+        A process pool that lost a worker is broken for good: the dispatch
+        that finds it so raises :class:`ExecutionError`, and the pool is
+        dropped, counted in ``repro_pool_restarts_total`` and replaced by a
+        fresh one at the next dispatch — forked from whichever thread makes
+        that dispatch.
 
         Every dispatch is wrapped in an ``executor.dispatch`` span and
         charged to the per-backend ``repro_kernel_seconds_total`` counter.
@@ -557,91 +570,72 @@ class TiltEngine:
         adopted under the dispatch span.
         """
         backend = self.dispatch_plan(compiled)["backend"]
-        if backend == "process":
-            return self._map_on_processes(compiled, partitions)
+        on_processes = backend == "process"
         executor = (
             self.shared_executor()
             if backend == self.executor_kind
             else self._fallback_for(compiled)
         )
         tracer = self.tracer
+        payload = compiled.pickle_payload() if on_processes or tracer.enabled else None
+        digest = None
+        if tracer.enabled:
+            digest = hashlib.sha256(payload).hexdigest()[:12] if payload is not None else ""
         with tracer.span(
-            "executor.dispatch", backend=backend, partitions=len(partitions)
+            "executor.dispatch", backend=backend, partitions=len(partitions), kernel_digest=digest
         ):
             started = time.perf_counter()
-            run_partition = lambda p: compiled.run(p.inputs, p.t_start, p.t_end)  # noqa: E731
-            if tracer.enabled:
-                # worker threads have empty span stacks, so the partition
-                # spans name the dispatch span as parent explicitly
-                parent = tracer.current_span_id()
-                payload = compiled.pickle_payload()  # memoized
-                digest12 = payload[0][:12] if payload is not None else ""
-                inner = run_partition
+            if on_processes:
+                task, items = run_compiled_partition, [(payload, p, digest) for p in partitions]
+            else:
+                task = lambda p: compiled.run(p.inputs, p.t_start, p.t_end)  # noqa: E731
+                items = partitions
+                if tracer.enabled:
+                    # worker threads have empty span stacks, so the partition
+                    # spans name the dispatch span as parent explicitly
+                    parent = tracer.current_span_id()
+                    inner = task
 
-                def run_partition(p):
-                    with tracer.span(
-                        "kernel.partition", parent=parent, index=p.index,
-                        t_start=p.t_start, t_end=p.t_end, kernel_digest=digest12,
-                    ):
-                        return inner(p)
+                    def task(p):
+                        with tracer.span(
+                            "kernel.partition", parent=parent, index=p.index,
+                            t_start=p.t_start, t_end=p.t_end, kernel_digest=digest,
+                        ):
+                            return inner(p)
 
-            pieces = executor.map(run_partition, partitions)
-            self._charge_backend(backend, time.perf_counter() - started, len(partitions))
-        return pieces
-
-    def _map_on_processes(
-        self, compiled: CompiledQuery, partitions: List[Partition]
-    ) -> List[SSBuf]:
-        executor = self.shared_executor()
-        tracer = self.tracer
-        digest, blob = compiled.pickle_payload()
-        trace_workers = tracer.enabled
-        with tracer.span(
-            "executor.dispatch",
-            backend="process",
-            partitions=len(partitions),
-            kernel_digest=digest[:12],
-        ):
-            started = time.perf_counter()
-            # ship the payload only until the pool has run it once;
-            # after that a long-lived session sends digest-only tasks
-            # per tick, and a worker that evicted (or never saw) the
-            # query raises PayloadMissError for one re-seeding retry.
-            pieces = None
-            if digest in executor.seeded_digests:
-                try:
-                    pieces = executor.map(
-                        run_compiled_partition,
-                        [(digest, None, p, trace_workers) for p in partitions],
-                    )
-                except PayloadMissError:
-                    pieces = None
-            if pieces is None:
-                pieces = executor.map(
-                    run_compiled_partition,
-                    [(digest, blob, p, trace_workers) for p in partitions],
-                )
-                if partitions:
-                    # an empty map never delivered the payload to
-                    # anyone — only a completed non-empty map counts
-                    # as seeding
-                    executor.seeded_digests.add(digest)
-            if trace_workers:
-                # traced tasks return (buffer, worker span records);
-                # re-parent the shipped records under this dispatch
-                outputs = []
-                shipped = []
-                for buf, records in pieces:
-                    outputs.append(buf)
-                    shipped.extend(records)
-                tracer.adopt(shipped)
-                pieces = outputs
+            try:
+                pieces = executor.map(task, items)
+            except BrokenProcessPool as exc:
+                self._drop_broken_pool(executor)
+                raise ExecutionError(
+                    "a process-pool worker died; the pool is replaced at the next dispatch"
+                ) from exc
+            if on_processes and tracer.enabled:
+                # traced tasks return (buffer, worker span records); re-parent
+                # the shipped records under this dispatch
+                tracer.adopt([record for _, records in pieces for record in records])
+                pieces = [buf for buf, _ in pieces]
             seconds = time.perf_counter() - started
-            self._charge_backend("process", seconds, len(partitions))
-            # the workers ran the kernels: this is all the parent's copy of
-            # the query learns of what its NumPy twins cost
-            compiled.charge(seconds)
+            self._charge_backend(backend, seconds, len(partitions))
+            if on_processes:
+                compiled.charge(seconds)
         return pieces
+
+    def _drop_broken_pool(self, executor: Executor) -> None:
+        """Shut down and forget a process pool that lost a worker, so the
+        next :meth:`shared_executor` call forks a fresh one — once, however
+        many dispatches found it broken."""
+        with self._lock:
+            if self._executor is not executor:
+                return
+            self._executor = None
+            executor.shutdown()
+        self._m_pool_restarts.inc()
+        _LOG.warning(
+            "a %s-worker process pool lost a worker; replacing the pool at the next dispatch",
+            executor.workers,
+            extra={"reason": "broken pool"},
+        )
 
     def _charge_backend(self, kind: str, seconds: float, partitions: int) -> None:
         """Accumulate dispatch time/partitions into the per-backend counters."""

@@ -12,29 +12,32 @@ trees.  Three executors are provided:
   release the GIL for their array work, so this gives real (if sub-linear)
   multi-core scaling on CPython;
 * :class:`ProcessPoolExecutor` — a pool of worker processes; partitions and
-  compiled-query payloads are pickled across the boundary, so scaling is not
-  bounded by the GIL at all.  Each worker process rebuilds the kernels from
-  the generated source once per query (content-digest cache) and then runs
-  partitions exactly as an in-process worker would.
+  the pickled query are shipped across the boundary, so the kernels are not
+  bounded by the GIL, but every map pays pickling both ways.  On a 2-vCPU
+  host the thread pool beats it on every picklable application at 200k
+  events (README, *Scalability*).
 
-Process dispatch cannot ship closures, so the engine submits the
-module-level :func:`run_compiled_partition` task with a ``(digest, payload,
-partition)`` tuple; queries whose artifacts cannot be pickled (e.g.
-lambda-based custom aggregates) never reach this path — the engine falls
-back to its in-process executor, counted and reported (see
+Process dispatch keeps no state in the parent: every map submits the
+module-level :func:`run_compiled_partition` task with a ``(payload,
+partition, digest)`` tuple, and each worker unpickles a payload it has not
+seen once (an LRU keyed by the payload bytes) and then runs partitions
+exactly as an in-process worker would.  Queries whose artifacts cannot be
+pickled (e.g. lambda-based custom aggregates) never reach this path — the
+engine falls back to its in-process executor, counted and reported (see
 :meth:`TiltEngine.dispatch_plan`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
+import functools
 import math
 import multiprocessing
 import os
-import threading
-from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Set, Tuple, TypeVar
+import pickle
+from typing import Callable, List, Sequence, Tuple, TypeVar
+
+from ...obs.trace import Tracer
 
 __all__ = [
     "Executor",
@@ -138,7 +141,9 @@ class ProcessPoolExecutor(Executor):
     function); the engine uses :func:`run_compiled_partition`.  The pool is
     long-lived — it is created once per engine and reused by every run and
     every streaming tick, so worker startup and per-query kernel rebuilds
-    are one-time costs.
+    are one-time costs.  The stdlib pool never replaces a dead worker: one
+    that dies breaks the pool for good, and the engine replaces the whole
+    pool (see ``TiltEngine._map_partitions``).
     """
 
     kind = "process"
@@ -147,11 +152,6 @@ class ProcessPoolExecutor(Executor):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
-        #: payload digests this pool has been seeded with (a completed map
-        #: that carried the payload); later dispatches for these digests may
-        #: go digest-only, with :class:`PayloadMissError` as the recovery
-        #: path for workers that evicted (or never saw) the query.
-        self.seeded_digests: Set[str] = set()
         self._pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=mp_context if mp_context is not None else _default_mp_context(),
@@ -164,13 +164,10 @@ class ProcessPoolExecutor(Executor):
         list(self._pool.map(_warm_worker, range(self.workers), chunksize=1))
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
         # One chunk per worker: besides cutting IPC round trips, pickle
-        # memoizes repeated objects *within* a chunk, so the shared query
-        # payload embedded in every task crosses the boundary once per
-        # worker instead of once per partition.  Static chunking is safe
+        # memoizes repeated objects *within* a chunk, so the query payload
+        # embedded in every task crosses the boundary once per worker per
+        # map instead of once per partition.  Static chunking is safe
         # here because partitions are cost-uniform by construction (equal
         # output intervals).
         chunksize = max(1, math.ceil(len(items) / self.workers))
@@ -205,112 +202,51 @@ def make_executor(workers: int, kind: str) -> Executor:
 # ---------------------------------------------------------------------- #
 # process-pool worker side
 # ---------------------------------------------------------------------- #
-class PayloadMissError(Exception):
-    """A worker received a digest-only task for a query it has not cached.
-
-    Raised back to the parent, which retries the map with the payload
-    attached (see ``TiltEngine._map_partitions``).  Happens when the worker
-    evicted the query from its bounded cache, or when a replacement worker
-    process joined the pool after the query was first seeded.
-    """
-
-    def __init__(self, digest: str):
-        super().__init__(digest)
-        self.digest = digest
+#: worker-side tracer: its span ids embed the worker's pid, so the records it
+#: ships back never collide with the parent tracer's
+_WORKER_TRACER = Tracer()
 
 
-#: per-process LRU of unpickled compiled queries, keyed by payload digest.
-#: Bounded so a long-lived worker serving many distinct queries cannot
-#: accumulate kernels without limit (mirrors the engine's LRU compile
-#: cache); eviction is recency-based, so a fleet's hot queries stay warm.
-#: The bound comfortably exceeds QueryService's default ``max_tenants``
-#: (64) — a full default-configuration fleet must not thrash the cache
-#: (every eviction costs a PayloadMissError retry of a whole map).
-_WORKER_QUERY_CACHE: "OrderedDict[str, object]" = OrderedDict()
-_WORKER_QUERY_LOCK = threading.Lock()
-_WORKER_QUERY_CACHE_LIMIT = 128
-
-#: worker-side span-id sequence — distinct from any parent-side tracer ids
-#: (those embed the parent pid; these the worker pid + a ``w`` marker)
-_WORKER_SPAN_IDS = itertools.count(1)
+@functools.lru_cache(maxsize=128)
+def _worker_query(payload: bytes):
+    """This worker's copy of the query ``payload`` pickles: unpickled (its
+    kernels rebuilt) once per distinct payload.  The bound comfortably
+    exceeds QueryService's default ``max_tenants`` (64), so a full
+    default-configuration fleet does not thrash it."""
+    return pickle.loads(payload)
 
 
-def _worker_compiled_query(digest: str, payload: Optional[bytes]):
-    import pickle
-
-    with _WORKER_QUERY_LOCK:
-        cached = _WORKER_QUERY_CACHE.get(digest)
-        if cached is not None:
-            _WORKER_QUERY_CACHE.move_to_end(digest)
-            return cached
-    if payload is None:
-        raise PayloadMissError(digest)
-    compiled = pickle.loads(payload)
-    with _WORKER_QUERY_LOCK:
-        _WORKER_QUERY_CACHE[digest] = compiled
-        _WORKER_QUERY_CACHE.move_to_end(digest)
-        while len(_WORKER_QUERY_CACHE) > _WORKER_QUERY_CACHE_LIMIT:
-            _WORKER_QUERY_CACHE.popitem(last=False)
-    return compiled
-
-
-def worker_kernel_plan(task: Tuple):
-    """Process-pool task: ``kernel_plan()`` of this worker's copy of a query
-    — the copy it holds for ``task``'s digest or builds from its payload,
-    exactly as :func:`run_compiled_partition` would.  The parent's
-    ``kernel_plan()`` speaks for the parent's copy only; this is how a test
-    or an operator asks the pool."""
-    return _worker_compiled_query(task[0], task[1]).kernel_plan()
+def worker_kernel_plan(payload: bytes):
+    """Process-pool task: ``kernel_plan()`` of this worker's copy of the
+    query ``payload`` pickles — the copy :func:`run_compiled_partition`
+    runs.  The parent's ``kernel_plan()`` speaks for the parent's copy only;
+    this is how a test or an operator asks the pool."""
+    return _worker_query(payload).kernel_plan()
 
 
 def run_compiled_partition(task: Tuple):
     """Process-pool task: run one partition of a compiled query.
 
-    ``task`` is ``(digest, payload, partition[, traced])`` where ``payload``
-    is the pickled :class:`~repro.core.codegen.compiled.CompiledQuery` — or
-    ``None`` once the parent has seeded the pool, so a long-running
-    streaming session ships only the digest per tick.  The expensive
-    unpickle+rebuild happens at most once per process, guarded by the
-    digest LRU; a digest-only miss raises :class:`PayloadMissError` for the
-    parent to retry with the payload.  ``partition`` is a
+    ``task`` is ``(payload, partition, digest)``: ``payload`` is
+    :meth:`~repro.core.codegen.compiled.CompiledQuery.pickle_payload`,
+    shipped with every map (one chunk per worker, so once per worker per
+    map), and unpickled once per worker; ``partition`` is a
     :class:`~repro.core.runtime.partition.Partition`.  Returns the output
     snapshot buffer, which pickles back to the parent as raw arrays.
 
-    With ``traced`` (the engine sets it when its tracer is enabled) the
-    partition is timed worker-side and the return value becomes
-    ``(buffer, [SpanRecord])`` — the span records ship back with the result
-    and are adopted under the parent's dispatch span, so a traced tick's
-    span tree crosses the process boundary intact.
+    ``digest`` is ``None`` unless the engine's tracer is enabled; then it is
+    the query's short digest, the partition is timed worker-side and the
+    return value becomes ``(buffer, [SpanRecord])`` — the span records ship
+    back with the result and are adopted under the parent's dispatch span,
+    so a traced tick's span tree crosses the process boundary intact.
     """
-    digest, payload, partition = task[0], task[1], task[2]
-    traced = len(task) > 3 and task[3]
-    compiled = _worker_compiled_query(digest, payload)
-    if not traced:
+    payload, partition, digest = task
+    compiled = _worker_query(payload)
+    if digest is None:
         return compiled.run(partition.inputs, partition.t_start, partition.t_end)
-    import time
-
-    from ...obs.trace import SpanRecord
-
-    wall = time.time()
-    c0 = time.thread_time()
-    t0 = time.perf_counter()
-    out = compiled.run(partition.inputs, partition.t_start, partition.t_end)
-    duration = time.perf_counter() - t0
-    cpu = time.thread_time() - c0
-    record = SpanRecord(
-        "kernel.partition",
-        f"{os.getpid():x}-w{next(_WORKER_SPAN_IDS):x}",
-        None,
-        wall,
-        duration,
-        cpu,
-        {
-            "index": partition.index,
-            "t_start": partition.t_start,
-            "t_end": partition.t_end,
-            "kernel_digest": digest[:12],
-        },
-        threading.get_ident(),
-        os.getpid(),
-    )
-    return out, [record]
+    with _WORKER_TRACER.span(
+        "kernel.partition", index=partition.index, t_start=partition.t_start,
+        t_end=partition.t_end, kernel_digest=digest,
+    ):
+        out = compiled.run(partition.inputs, partition.t_start, partition.t_end)
+    return out, _WORKER_TRACER.drain()

@@ -82,8 +82,9 @@ def promoted_engine():
 @pytest.fixture(scope="session")
 def worker_kernel_plans():
     """``worker_kernel_plans(engine, compiled)``: what a process engine's
-    pool workers run ``compiled``'s current payload on — the parent's
-    ``kernel_plan()`` only speaks for the parent's copy."""
+    pool workers run ``compiled`` on, asked with the payload every dispatch
+    carries — the parent's ``kernel_plan()`` only speaks for the parent's
+    copy."""
 
     def probe(engine, compiled):
         pool = engine.shared_executor()

@@ -12,19 +12,22 @@ logged in-process fallback for unpicklable queries) holds.
 """
 
 import logging
+import os
 import pickle
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.apps import ALL_APPLICATIONS, get_application
 from repro.core.codegen import native as native_codegen
-from repro.core.codegen.compiled import CompiledKernel, CompiledQuery, compile_program
+from repro.core.codegen.compiled import CompiledKernel, compile_program
 from repro.core.frontend.query import PAYLOAD, source
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.executor import (
-    _WORKER_QUERY_CACHE,
-    PayloadMissError,
+    _worker_query,
     ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
@@ -35,7 +38,7 @@ from repro.core.runtime.executor import (
 from repro.core.runtime.partition import Partition, partition_inputs
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.datagen.sources import sources_for_streams
-from repro.errors import QueryBuildError
+from repro.errors import ExecutionError, QueryBuildError
 from repro.windowing import MEAN, custom_aggregate
 
 E = PAYLOAD
@@ -280,18 +283,6 @@ class TestSerialization:
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.run({"stock": random_walk_buf}, 0.0, 200.0) == reference
 
-    def test_kernel_rebuild_cache_shares_instantiations(self):
-        """Unpickling the same kernel twice in one process instantiates it
-        once (content-digest rebuild cache)."""
-        program = source("stock").window(10, 1).aggregate(MEAN).to_program()
-        compiled = compile_program(program)
-        blob = pickle.dumps(compiled.kernels[0])
-        first = pickle.loads(blob)
-        second = pickle.loads(blob)
-        assert first is second
-        assert isinstance(first, CompiledKernel)
-        assert first.spec.digest() == compiled.kernels[0].spec.digest()
-
     def test_payload_computed_once_and_cached(self):
         program = get_application("trading").program()
         compiled = compile_program(program)
@@ -316,47 +307,72 @@ class TestSerialization:
         (exercised in-process, exactly as a pool worker would)."""
         program = get_application("trading").program()
         compiled = compile_program(program)
-        digest, blob = compiled.pickle_payload()
+        payload = compiled.pickle_payload()
         parts = partition_inputs(
             {"stock": random_walk_buf}, compiled.boundary, 0.0, 200.0, num_partitions=3
         )
-        pieces = [run_compiled_partition((digest, blob, p)) for p in parts]
+        pieces = [run_compiled_partition((payload, p, None)) for p in parts]
         expected = [compiled.run(p.inputs, p.t_start, p.t_end) for p in parts]
         assert pieces == expected
+        # traced: the same buffer, plus one worker-side span record
+        buf, (record,) = run_compiled_partition((payload, parts[0], "d" * 12))
+        assert buf == expected[0]
+        assert record.name == "kernel.partition" and record.attrs["kernel_digest"] == "d" * 12
 
-    def test_digest_only_task_misses_then_hits(self, random_walk_buf):
-        """A digest-only task raises ``PayloadMissError`` in a cold worker
-        and succeeds once the worker has been seeded — the steady-state
-        protocol that keeps session ticks from re-shipping the payload."""
+    def test_worker_unpickles_each_payload_once(self, random_walk_buf):
+        """A worker keeps one copy of each query, keyed by the payload bytes
+        every task carries: a later task with equal bytes reuses it."""
         program = get_application("trading").program()
         compiled = compile_program(program)
-        digest, blob = compiled.pickle_payload()
+        payload = compiled.pickle_payload()
         part = partition_inputs(
             {"stock": random_walk_buf}, compiled.boundary, 0.0, 100.0, num_partitions=1
         )[0]
-        _WORKER_QUERY_CACHE.pop(digest, None)  # make this "worker" cold
-        with pytest.raises(PayloadMissError):
-            run_compiled_partition((digest, None, part))
-        seeded = run_compiled_partition((digest, blob, part))
-        assert run_compiled_partition((digest, None, part)) == seeded
+        _worker_query.cache_clear()
+        first = run_compiled_partition((payload, part, None))
+        shipped_again = bytes(bytearray(payload))  # equal bytes, another object
+        assert run_compiled_partition((shipped_again, part, None)) == first
+        info = _worker_query.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _worker_query(shipped_again) is _worker_query(payload)
 
-    def test_process_engine_seeds_pool_then_goes_digest_only(self):
-        """After the first run, the engine marks the payload digest as
-        seeded on its pool and later runs (and session ticks) dispatch
-        digest-only tasks — still byte-identical.  (On the NumPy tier, where
-        a query is one payload for life; a promotion makes it a new one —
-        see ``test_promotion``.)"""
+    def test_unpickling_a_kernel_instantiates_it_again(self):
+        """No rebuild cache: each unpickle instantiates its own kernel from
+        the shipped spec, on the shipped tier."""
+        program = source("stock").window(10, 1).aggregate(MEAN).to_program()
+        compiled = compile_program(program)
+        blob = pickle.dumps(compiled.kernels[0])
+        first, second = pickle.loads(blob), pickle.loads(blob)
+        assert first is not second
+        assert isinstance(first, CompiledKernel) and isinstance(second, CompiledKernel)
+        assert first.spec.digest() == second.spec.digest() == compiled.kernels[0].spec.digest()
+        assert (first.tier, first.active_tier) == (second.tier, second.active_tier)
+
+    def test_every_process_dispatch_ships_the_payload(self, monkeypatch):
+        """Dispatch keeps no state in the parent: the second run's tasks
+        carry the query's memoised payload exactly as the first run's do —
+        and both stay byte-identical to serial execution."""
         app = get_application("trading")
         program = app.program()
         streams = app.streams(500, seed=21)
-        with TiltEngine(workers=1) as serial:
+        settings = dict(workers=2, codegen_tier="numpy")
+        with TiltEngine(executor_kind="serial", **settings) as serial:
             reference = serial.run(program, streams).output
-        with TiltEngine(workers=2, executor_kind="process", codegen_tier="numpy") as engine:
+        with TiltEngine(executor_kind="process", **settings) as engine:
             compiled = engine.compile(program)
-            digest, _ = compiled.pickle_payload()
-            assert engine.run(compiled, streams).output == reference
-            assert digest in engine.shared_executor().seeded_digests
-            assert engine.run(compiled, streams).output == reference
+            pool = engine.shared_executor()
+            shipped = []
+            pool_map = pool.map
+
+            def recording_map(fn, items):
+                shipped.append([payload for payload, _, _ in items])
+                return pool_map(fn, items)
+
+            monkeypatch.setattr(pool, "map", recording_map)
+            for _ in range(2):
+                assert_bitwise_equal(engine.run(compiled, streams).output, reference)
+        assert len(shipped) == 2 and all(shipped)
+        assert all(payload is compiled.pickle_payload() for tasks in shipped for payload in tasks)
 
 
 # ---------------------------------------------------------------------- #
@@ -444,5 +460,39 @@ class TestBackendSelection:
             assert compiled.picklable
             assert {row["active_tier"] for row in compiled.kernel_plan()} == {"interpreted"}
             assert_bitwise_equal(engine.run(compiled, streams).output, reference)
-            assert compiled.pickle_payload()[0] in engine.shared_executor().seeded_digests
+            assert engine.dispatch_plan(compiled)["backend"] == "process"
+            assert engine._m_backend["process"][1].value > 0
             assert engine._fallback_executor is None
+
+
+# ---------------------------------------------------------------------- #
+# worker death
+# ---------------------------------------------------------------------- #
+def test_killed_worker_fails_one_run_then_the_pool_is_replaced(caplog):
+    """The stdlib pool never replaces a dead worker, so one killed worker
+    breaks it for good.  The run that finds it broken raises
+    ``ExecutionError``; the engine drops the pool (counted, logged) and the
+    next run forks a fresh one and is byte-identical to serial execution."""
+    app = get_application("trading")
+    program = app.program()
+    streams = app.streams(500, seed=21)
+    settings = dict(workers=2, codegen_tier="numpy")
+    with TiltEngine(executor_kind="serial", **settings) as serial:
+        reference = serial.run(program, streams).output
+    with TiltEngine(executor_kind="process", **settings) as engine:
+        compiled = engine.compile(program)
+        assert_bitwise_equal(engine.run(compiled, streams).output, reference)
+        broken = engine.shared_executor()
+        os.kill(next(iter(broken._pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not broken._pool._broken:  # the pool's manager thread notices
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            with pytest.raises(ExecutionError) as failed:
+                engine.run(compiled, streams)
+        assert isinstance(failed.value.__cause__, BrokenProcessPool)
+        assert [r.reason for r in caplog.records] == ["broken pool"]
+        assert "repro_pool_restarts_total 1" in engine.registry.to_prometheus()
+        assert_bitwise_equal(engine.run(compiled, streams).output, reference)
+        assert engine.shared_executor() is not broken

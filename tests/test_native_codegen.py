@@ -21,8 +21,8 @@ from repro.core.codegen import native
 from repro.core.codegen.compiled import (
     NATIVE_TIER,
     NUMPY_TIER,
-    CompiledKernel,
     compile_program,
+    lower_program,
 )
 from repro.core.frontend.query import source
 from repro.core.runtime.engine import TiltEngine
@@ -187,22 +187,21 @@ class TestJITCache:
         assert after["compiles_total"] == before["compiles_total"]
 
     def test_disk_cache_survives_memory_flush(self, tmp_path, monkeypatch):
+        """What a pool worker does with a promoted query it has not seen:
+        unpickle it and load each kernel from disk, never compiling."""
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        from repro.core.codegen import compiled as compiled_mod
-
         native.clear_caches()
-        compiled_mod._KERNEL_REBUILD_CACHE.clear()
         compiled = compile_program(mean_program(), codegen_tier=NATIVE_TIER)
         assert compiled.kernels[0].active_tier == NATIVE_TIER
         sos = list(tmp_path.glob("tilt-*.so"))
         assert sos, "compiled artifact should land in the configured cache dir"
         native.clear_caches()
         before = native.stats()
-        compiled_mod._KERNEL_REBUILD_CACHE.clear()
-        again = compile_program(mean_program(), codegen_tier=NATIVE_TIER)
+        again = pickle.loads(compiled.pickle_payload())
         assert again.kernels[0].active_tier == NATIVE_TIER
         after = native.stats()
         assert after["disk_hits_total"] > before["disk_hits_total"]
+        assert after["compiles_total"] == before["compiles_total"]
 
     def test_failure_cache_short_circuits(self):
         compiled = compile_program(custom_agg_program(), codegen_tier=NATIVE_TIER)
@@ -230,28 +229,44 @@ class TestTierKeying:
             assert np_eng.compile_cached(program) is np_compiled
             assert nat_eng.compile_cached(program) is nat_compiled
 
-    def test_from_spec_keys_on_tier(self):
-        compiled = compile_program(mean_program())
-        spec = compiled.kernels[0].spec
-        a = CompiledKernel.from_spec(spec, tier=NUMPY_TIER)
-        b = CompiledKernel.from_spec(spec, tier=NATIVE_TIER)
-        assert a is not b
-        assert (a.tier, b.tier) == (NUMPY_TIER, NATIVE_TIER)
-        assert CompiledKernel.from_spec(spec, tier=NATIVE_TIER) is b
-
     def test_pickle_round_trip_preserves_tier(self):
         compiled = compile_program(mean_program(), codegen_tier=NATIVE_TIER)
         clone = pickle.loads(pickle.dumps(compiled.kernels[0]))
         assert clone.tier == NATIVE_TIER
         assert clone.active_tier == NATIVE_TIER
 
+    def test_unpickled_kernel_loads_only_what_the_cache_holds(self, tmp_path, monkeypatch):
+        """An unpickled kernel keeps its tier and never runs the compiler: a
+        native-tier kernel whose C kernel is not on disk stays undecided on
+        its NumPy twin, and loads the C kernel once a build has left it."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        native.clear_caches()
+        numpy_kernel = compile_program(mean_program()).kernels[0]
+        native_kernel = lower_program(mean_program(), codegen_tier=NATIVE_TIER).kernels[0]
+        before = native.stats()
+        numpy_clone = pickle.loads(pickle.dumps(numpy_kernel))
+        cold = pickle.loads(pickle.dumps(native_kernel))
+        assert (numpy_clone.tier, numpy_clone.active_tier) == (NUMPY_TIER, NUMPY_TIER)
+        assert (cold.tier, cold.active_tier) == (NATIVE_TIER, NUMPY_TIER) and cold.undecided
+        assert native.stats()["compiles_total"] == before["compiles_total"]
+        native_kernel.promote()
+        assert native_kernel.active_tier == NATIVE_TIER
+        native.clear_caches()
+        warm = pickle.loads(pickle.dumps(native_kernel))
+        assert (warm.tier, warm.active_tier) == (NATIVE_TIER, NATIVE_TIER)
+        assert native.stats()["compiles_total"] == before["compiles_total"] + 1
+
     def test_worker_payload_distinct_per_tier(self):
-        """The pickled worker payload differs per tier, so the worker-side
-        query cache (keyed on payload digest) can never mix tiers."""
+        """The pickled worker payload differs per tier and per promotion
+        state, so the worker-side query cache (keyed on the payload bytes)
+        can never mix tiers or keep serving a query from before its
+        promotion."""
         program = mean_program()
         np_payload = compile_program(program).pickle_payload()
-        nat_payload = compile_program(program, codegen_tier=NATIVE_TIER).pickle_payload()
-        assert np_payload[0] != nat_payload[0]
+        lowered = lower_program(program, codegen_tier=NATIVE_TIER)
+        unpromoted = lowered.pickle_payload()
+        lowered.promote()
+        assert len({np_payload, unpromoted, lowered.pickle_payload()}) == 3
 
 
 # ---------------------------------------------------------------------- #

@@ -155,8 +155,8 @@ def test_output_identical_before_during_and_after_promotion(
             else:
                 assert kernel.state == "refused" and kernel.native_fallback_reason
         if in_workers:
-            # the promotion made the query a new payload: the workers, which
-            # never compile, have been sent it and loaded what the parent built
+            # the promotion made the query new payload bytes: the workers,
+            # which never compile, unpickled it and loaded what the parent built
             for plan in worker_kernel_plans(engine, compiled):
                 assert active_tiers(plan) == active_tiers(compiled.kernel_plan()), label
 
@@ -165,18 +165,19 @@ def test_output_identical_before_during_and_after_promotion(
 def test_process_engine_promotes_by_itself_from_a_cold_cache(cold_cache, worker_kernel_plans):
     """The pool's workers run the kernels, so the parent's copy of the query
     is charged what each dispatch took; once that pays for the build the
-    parent builds, and the next dispatch re-seeds the pool."""
+    parent builds, and the next dispatch ships the promoted query's new
+    payload, which the workers unpickle and load from the disk cache."""
     program = unique_program(47)
     stream = {"x": get_application("trading").streams(4_000, seed=2)["stock"]}
     with TiltEngine(workers=2, executor_kind="process") as engine:
         compiled = engine.compile(program)
         first = engine.run(compiled, stream).output
-        before = compiled.pickle_payload()[0]
+        before = compiled.pickle_payload()
         (row,) = compiled.kernel_plan()
         assert row["state"] == NUMPY_TIER and row["numpy_seconds"] > 0.0
         wait_decided(compiled, while_waiting=lambda: engine.run(compiled, stream))
         assert compiled.kernels[0].active_tier == NATIVE_TIER
-        assert compiled.pickle_payload()[0] != before
+        assert compiled.pickle_payload() != before
         assert fingerprint(engine.run(compiled, stream).output) == fingerprint(first)
         for plan in worker_kernel_plans(engine, compiled):
             assert active_tiers(plan) == [NATIVE_TIER]
