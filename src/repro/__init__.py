@@ -65,9 +65,19 @@ from .core import (
 from .analysis import ProgramReport, analyze_program
 from .errors import TiltError
 from .obs import MetricsRegistry, Tracer
-from .serve import QueryService, ServiceStats
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the serving layer is loaded on first use, so a process that
+    # never serves never imports it
+    if name in ("QueryService", "ServiceStats"):
+        from . import serve
+
+        value = globals()[name] = getattr(serve, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

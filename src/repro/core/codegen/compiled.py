@@ -22,9 +22,13 @@ and once a query's undecided kernels have together cost more than building
 them is expected to (:func:`~repro.core.codegen.native.expected_build_seconds`
 each — break-even, the classic tier-up rule) the query is handed, once, to
 whoever compiled it (``on_hot``; the engine queues it for the process's
-builder thread).  Publishing the C kernel is one attribute store that
-``run`` branches on per call, and the tiers are bit-identical, so the swap
-is invisible in the output.  :meth:`CompiledQuery.promote` is the same
+builder thread).  A session's in-process ticks count like any run.
+Publishing the C kernel is one attribute store that ``run`` branches on per
+call — to the C kernel's run entry, or, for a call carrying a session's
+runtime, to its tick entry over that runtime's kept reduce-site arrays (a
+second artifact, built only for a kernel a session ticks) —
+and the tiers are bit-identical, so the swap is invisible in the output,
+mid-session included.  :meth:`CompiledQuery.promote` is the same
 build on the calling thread.  Where a process pool's workers run the
 kernels, the engine charges the parent's copy what each dispatch took
 (:meth:`CompiledQuery.charge`); a promoted query pickles to new bytes, so
@@ -108,10 +112,13 @@ class CompiledKernel:
         #: ``numpy`` / ``queued`` / ``building`` / ``native`` / ``refused``
         #: (see the module docstring); an interpreted kernel's is its tier
         self.state = NUMPY_TIER
-        #: wall seconds the NumPy twin has served without a runtime override
+        #: wall seconds the NumPy twin has served (session ticks included)
         self.numpy_seconds = 0.0
-        #: wall seconds :meth:`promote` spent deciding this kernel
+        #: wall seconds :meth:`promote` spent building this kernel
         self.build_seconds = 0.0
+        #: a session ticks this kernel (set when one opens): building it then
+        #: builds the C tick entry as well as the run entry
+        self.ticked = False
         self._promote_lock = threading.Lock()
         if tier == INTERPRETED_TIER:
             self.runtime = self._function = None
@@ -138,20 +145,30 @@ class CompiledKernel:
         """Requested the native tier and has been neither built nor refused."""
         return self.tier == NATIVE_TIER and self.state not in (NATIVE_TIER, "refused")
 
+    @property
+    def tick_pending(self) -> bool:
+        """Promoted before any session ticked it: the C kernel lacks the tick
+        entry a session now needs (ticks stay on the NumPy twin meanwhile)."""
+        c_kernel = self._native
+        return self.ticked and c_kernel is not None and not c_kernel.ticks
+
     def promote(
         self, scope: Callable[["CompiledKernel"], ContextManager] = contextlib.nullcontext
     ) -> None:
         """Decide an undecided kernel on the calling thread: build (or fetch)
-        its C kernel and publish it, or record why not.  ``scope(kernel)``
-        wraps the build and only a build — a decided kernel is left alone,
-        so every kernel is observed (and any fallback counted) once."""
+        its C kernel and publish it, or record why not — and give a promoted
+        kernel the tick entry it lacks (:attr:`tick_pending`).
+        ``scope(kernel)`` wraps the build and only a build — a decided
+        kernel is left alone, so every kernel is observed (and any fallback
+        counted) once per build."""
         with self._promote_lock:
-            if self.undecided:
+            # a loop: a session may mark the kernel ticked while it builds
+            while self.undecided or self.tick_pending:
                 with scope(self):
                     self.state = "building"
                     started = time.perf_counter()
-                    self._adopt(*native.instantiate(self.spec))
-                    self.build_seconds = time.perf_counter() - started
+                    self._adopt(*native.instantiate(self.spec, tick=self.ticked))
+                    self.build_seconds += time.perf_counter() - started
 
     def load_cached(self) -> None:
         """:meth:`promote` minus the compiler (pool workers): adopt what the
@@ -199,27 +216,41 @@ class CompiledKernel:
         """Execute the kernel over ``(t_start, t_end]``.
 
         ``runtime`` substitutes a caller-owned runtime for the kernel's
-        shared immutable one — incremental sessions pass their private
+        shared immutable one — an in-process session tick passes its private
         :class:`~repro.core.codegen.incremental.IncrementalKernelRuntime`
-        here so reductions hit persistent per-session state.  A runtime
-        override therefore forces the NumPy path even on a promoted
-        kernel: the override's whole point is interposing on ``rt.reduce``
-        calls, which the fused C loop does not make (nor does the
-        interpreted tier, which ignores the override — sessions never pass
-        one to it).  Such calls are not charged to ``numpy_seconds``: no C
-        kernel could have served them.
+        here so reductions hit persistent per-session state.  Such a call
+        goes to the C kernel's tick entry
+        (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`,
+        built with the kernel once a session has marked it :attr:`ticked`),
+        which reads the arrays of those same kept sites; without one the
+        NumPy twin runs with the override.  The interpreted tier ignores the
+        override (sessions never pass one to it).  Every call the NumPy twin
+        serves is charged to ``numpy_seconds``, a session's ticks included.
         """
         if self._function is None:  # interpreted tier: evaluate the IR itself
             return evaluate_temporal_expr(self.spec.te, env, t_start, t_end)
-        if runtime is not None:
-            return self._function(env, t_start, t_end, runtime)
-        if self._native is not None:
-            return self._native.run(env, t_start, t_end, self.runtime)
+        c_kernel = self._native
+        if c_kernel is not None:
+            if runtime is None:
+                return c_kernel.run(env, t_start, t_end, self.runtime)
+            if c_kernel.ticks:
+                return c_kernel.tick(env, t_start, t_end, runtime)
         started = time.perf_counter()
-        out = self._function(env, t_start, t_end, self.runtime)
+        out = self._function(env, t_start, t_end, self.runtime if runtime is None else runtime)
         # unlocked: a lost update under threads only delays a promotion
         self.numpy_seconds += time.perf_counter() - started
         return out
+
+    def entry(self, tick: bool) -> str:
+        """What serves a call right now: the C kernel's tick entry (a call
+        with a runtime override, ``tick``) or its run entry, or the name of
+        the tier whose Python kernel does."""
+        c_kernel = self._native
+        if c_kernel is None:
+            return self.active_tier
+        if not tick:
+            return native.RUN_ENTRY
+        return native.TICK_ENTRY if c_kernel.ticks else NUMPY_TIER
 
 
 @dataclass
@@ -327,12 +358,16 @@ class CompiledQuery:
         """One row per kernel, read live: the tier requested, the tier
         serving ``run`` right now and, when a native request was refused,
         why; where the kernel is on the way there (``state``), what its
-        NumPy twin has cost so far and what deciding it cost."""
+        NumPy twin has cost so far and what deciding it cost; and what
+        serves it on an in-process session tick (``tick_entry``: the output
+        kernel's C tick entry, an intermediate's C run entry, or the tier
+        name while on NumPy)."""
         return [
             {
                 "kernel": k.name,
                 "requested_tier": k.tier,
                 "active_tier": k.active_tier,
+                "tick_entry": k.entry(tick=k.name == self.output),
                 "fallback_reason": k.native_fallback_reason,
                 "state": k.state,
                 "numpy_seconds": k.numpy_seconds,
@@ -426,9 +461,11 @@ class CompiledQuery:
         ``output_runtime`` is the in-process session tick: the output kernel
         runs with that session-private runtime over ``inputs`` *unsliced*
         (its persistent reduce sites may only ever ingest true input
-        snapshots, never slice-clipped phantoms), while intermediates are
-        rebuilt from the margin slices a partition would have handed them —
-        byte-identical to the single-partition batch materialization.
+        snapshots, never slice-clipped phantoms) — on its C tick entry once
+        promoted — while intermediates are rebuilt from the margin slices a
+        partition would have handed them, byte-identical to the
+        single-partition batch materialization.  Either way the NumPy time
+        is charged and the break-even rule applies, as for any run.
         """
         env: Dict[str, SSBuf] = dict(inputs)
         missing = [name for name in self.program.inputs if name not in env]

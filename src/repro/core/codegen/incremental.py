@@ -29,6 +29,12 @@ Init/Acc/Result/Deacc escalation of the paper's aggregation template
   input columns are append-only (which makes "ingest the new tail"
   well-defined).
 
+A promoted output kernel reads the same kept indexes: its C tick entry
+(:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`)
+ingests each site exactly as ``rt.reduce`` would and then takes the
+index's arrays by pointer, so these sites are the one state a session has
+whichever tier serves it.
+
 The runtime also exposes the *retention floor* the session's carry-over
 pruning must respect: input snapshots newer than a site's ingest horizon
 have not been consumed yet and must survive pruning (see

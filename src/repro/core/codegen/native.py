@@ -2,7 +2,8 @@
 
 :mod:`repro.core.codegen.pysource` lowers a fused temporal expression to
 vectorized NumPy source — every operator still pays Python dispatch, a
-temporary, and one full array pass.  This module lowers the *same*
+temporary, and one full array pass.  This module (with
+:mod:`~repro.core.codegen.c_emit`, which writes the C) lowers the *same*
 :class:`~repro.core.codegen.pysource.KernelSpec` to a single-pass,
 loop-fused C kernel instead: point accesses become monotone two-pointer
 cursors, window reductions query precomputed prefix/deque indexes, and the
@@ -42,6 +43,22 @@ toolchain, lowers, runs ``cc``, ``dlopen``s and publishes the kernel.
 :func:`instantiate` is the synchronous build that thread (and
 ``CompiledQuery.promote``) calls; :func:`load_cached` is the same minus the
 compiler, for pool workers.
+
+Two entry points
+----------------
+A kernel has two C entry points over the same lowered expression, each its
+own artifact.  ``tilt_native`` (:data:`RUN_ENTRY`) serves a one-shot
+partition: it builds every index over the buffers it is handed.
+``tilt_tick`` (:data:`TICK_ENTRY`) serves a session's in-process tick: each
+prefix-sum group reads the arrays of the
+:class:`~repro.windowing.prefix.PrefixRangeIndex` the session keeps for that
+reduce site (passed by pointer on every call; NumPy still extends, prunes
+and rebases it), and each cursor starts at one binary search for the tick's
+first grid point instead of at the retained tail's first snapshot.  The
+tick entry keeps no state of its own, so a session promoted mid-stream
+hands nothing over.  It is built only for a kernel a session ticks
+(:func:`instantiate` with ``tick``): a second copy of the loop costs ``cc``
+time, and the break-even rule prices every query by what its builds cost.
 
 Caching
 -------
@@ -85,37 +102,25 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...errors import ExecutionError
-from ...windowing.functions import _BUILTIN_SINGLETONS, RMQ_DIRECTIONS, AggregateFunction
-from ..ir.nodes import (
-    ELEM_VAR,
-    BinOp,
-    Call,
-    Coalesce,
-    Const,
-    Expr,
-    IfThenElse,
-    IsValid,
-    Let,
-    Phi,
-    Reduce,
-    TIndex,
-    TRef,
-    TWindow,
-    UnaryOp,
-    Var,
-)
-from ..ops import bind
+from ...windowing.functions import _BUILTIN_SINGLETONS
+from ..ir.nodes import BinOp, Call, Expr, Reduce, UnaryOp
+from ..runtime.ssbuf import _ssbuf_from_arrays
 from .pysource import KernelSpec
+
+if TYPE_CHECKING:  # the emitter is imported by a build, not by import
+    from .c_emit import Lowered
 
 __all__ = [
     "NUMPY_TIER",
     "NATIVE_TIER",
     "CODEGEN_TIERS",
+    "RUN_ENTRY",
+    "TICK_ENTRY",
     "native_available",
     "lowering_blockers",
     "instantiate",
@@ -134,7 +139,10 @@ NATIVE_TIER = "native"
 #: accepted values for ``TiltEngine(codegen_tier=...)``
 CODEGEN_TIERS = (NUMPY_TIER, NATIVE_TIER)
 
-_FUNC_NAME = "tilt_native"
+#: the two C entry points of every lowered kernel (see "Two entry points")
+RUN_ENTRY = "tilt_native"
+TICK_ENTRY = "tilt_tick"
+
 _LOG = logging.getLogger("repro.native")
 
 # ---------------------------------------------------------------------- #
@@ -334,8 +342,9 @@ def _trusted_cache_dir() -> str:
     return path
 
 
-def _so_path(digest: str) -> str:
-    return os.path.join(_cache_path(), f"tilt-{digest[:32]}.so")
+def _so_path(digest: str, entry: str = RUN_ENTRY) -> str:
+    suffix = "-tick" if entry == TICK_ENTRY else ""
+    return os.path.join(_cache_path(), f"tilt-{digest[:32]}{suffix}.so")
 
 
 def _sum_path(so: str) -> str:
@@ -421,417 +430,6 @@ def _blockers(spec: KernelSpec, longdouble_ok: bool) -> List[str]:
 
 
 # ---------------------------------------------------------------------- #
-# C code generation
-# ---------------------------------------------------------------------- #
-def _c_float(value: float) -> str:
-    """Exact C literal for a Python float (hex form, no decimal rounding)."""
-    value = float(value)
-    if value != value:
-        return "NAN"
-    if value == float("inf"):
-        return "INFINITY"
-    if value == float("-inf"):
-        return "(-INFINITY)"
-    return value.hex()
-
-
-class _Group(NamedTuple):
-    """One per-(ref, aggregate, element) index built before the main loop.
-
-    Mirrors the NumPy tier's per-run reduce-site cache key, so e.g. two MEAN
-    windows over the same stream share one prefix index in both tiers.
-    """
-
-    index: int
-    ref: str
-    agg: AggregateFunction  # the row: range strategy, accumulator type, C fragments
-    element: Optional[Expr]
-
-
-class _CEmitter:
-    """Lowers one KernelSpec's fused IR to a C translation unit.
-
-    Mirrors :class:`~repro.core.codegen.pysource._ExprCompiler` node for
-    node: every emitted statement is the per-lane C image of the NumPy
-    template the Python tier executes for the same node, including eager
-    evaluation of both conditional branches and domain-masked lanes.
-    """
-
-    def __init__(self, spec: KernelSpec):
-        if spec.te is None:
-            raise ValueError("spec has no IR to lower")
-        self.spec = spec
-        self.refs: List[str] = list(spec.referenced)
-        self._ref_pos = {r: i for i, r in enumerate(self.refs)}
-        self._counter = 0
-        self._site_counter = 0
-        self.prelude: List[str] = []  # group index builds (before main loop)
-        self.decls: List[str] = []  # persistent cursors / deque heads
-        self.body: List[str] = []  # per-lane statements inside the loop
-        self.allocs: List[Tuple[str, str]] = []  # (ctype, name) malloc'd
-        self.groups: Dict[Tuple[str, int, Optional[int]], _Group] = {}
-        self.center_refs: List[str] = []  # one long double center per entry
-        self._point_sites: Dict[Tuple[str, float], Tuple[str, str]] = {}
-        self._reduce_sites: Dict[
-            Tuple[str, float, float, int, Optional[int]], Tuple[str, str]
-        ] = {}
-
-    # -- helpers ---------------------------------------------------------- #
-    def fresh(self) -> Tuple[str, str]:
-        self._counter += 1
-        return f"v{self._counter}", f"k{self._counter}"
-
-    def _ref_args(self, ref: str) -> Tuple[str, str, str, str, str]:
-        i = self._ref_pos[ref]
-        return (f"m{i}", f"bt{i}", f"bv{i}", f"bk{i}", f"bs{i}")
-
-    def _alloc(self, ctype: str, name: str, count: str, where: List[str]) -> None:
-        self.allocs.append((ctype, name))
-        where.append(f"    {name} = ({ctype}*)malloc(sizeof({ctype}) * (size_t)({count}));")
-        where.append(f"    if ({name} == NULL) {{ rc = 1; goto cleanup; }}")
-
-    # -- expression tree --------------------------------------------------- #
-    def compile(
-        self,
-        expr: Expr,
-        scope: Dict[str, Tuple[str, str]],
-        out: List[str],
-        elem: bool,
-    ) -> Tuple[str, str]:
-        emit = out.append
-        if isinstance(expr, Const):
-            v, k = self.fresh()
-            emit(f"        double {v} = {_c_float(expr.value)};")
-            emit(f"        int {k} = 1;")
-            return v, k
-        if isinstance(expr, Phi):
-            v, k = self.fresh()
-            emit(f"        double {v} = 0.0;")
-            emit(f"        int {k} = 0;")
-            return v, k
-        if isinstance(expr, Var):
-            if expr.name not in scope:
-                raise ValueError(f"unbound variable {expr.name!r} during native lowering")
-            return scope[expr.name]
-        if isinstance(expr, (TRef, TIndex)):
-            if elem:
-                raise ValueError("temporal access inside a reduce element expression")
-            ref = expr.ref if isinstance(expr, TIndex) else expr.name
-            return self._point_site(ref, float(getattr(expr, "offset", 0.0)))
-        if isinstance(expr, Reduce):
-            if elem:
-                raise ValueError("nested reduction inside a reduce element expression")
-            return self._reduce_site(expr)
-        if isinstance(expr, TWindow):
-            raise ValueError("windowed temporal object used outside a reduction")
-        if isinstance(expr, (BinOp, UnaryOp, Call)):
-            row = expr.row
-            pairs = [self.compile(operand, scope, out, elem) for operand in expr.children()]
-            v, k = self.fresh()
-            vals = bind(p[0] for p in pairs)
-            emit(f"        double {v} = {row.c.format(**vals)};")
-            mask = " && ".join(p[1] for p in pairs)
-            if row.c_domain is not None:
-                mask = f"({mask}) && {row.c_domain.format(**vals)}"
-            emit(f"        int {k} = {mask};")
-            return v, k
-        if isinstance(expr, IfThenElse):
-            cv, ck = self.compile(expr.cond, scope, out, elem)
-            tv, tk = self.compile(expr.then, scope, out, elem)
-            ev, ek = self.compile(expr.orelse, scope, out, elem)
-            v, k = self.fresh()
-            emit(f"        double {v} = (({cv} != 0.0) ? {tv} : {ev});")
-            emit(f"        int {k} = {ck} && (({cv} != 0.0) ? {tk} : {ek});")
-            return v, k
-        if isinstance(expr, IsValid):
-            _, ok = self.compile(expr.operand, scope, out, elem)
-            v, k = self.fresh()
-            emit(f"        double {v} = ({ok} ? 1.0 : 0.0);")
-            emit(f"        int {k} = 1;")
-            return v, k
-        if isinstance(expr, Coalesce):
-            ov, ok = self.compile(expr.operand, scope, out, elem)
-            dv, dk = self.compile(expr.default, scope, out, elem)
-            v, k = self.fresh()
-            emit(f"        double {v} = ({ok} ? {ov} : {dv});")
-            emit(f"        int {k} = {ok} || {dk};")
-            return v, k
-        if isinstance(expr, Let):
-            inner = dict(scope)
-            for name, value in expr.bindings:
-                inner[name] = self.compile(value, inner, out, elem)
-            return self.compile(expr.body, inner, out, elem)
-        raise ValueError(f"cannot lower IR node {type(expr).__name__}")
-
-    # -- point access sites ------------------------------------------------ #
-    def _point_site(self, ref: str, offset: float) -> Tuple[str, str]:
-        key = (ref, offset)
-        cached = self._point_sites.get(key)
-        if cached is not None:
-            return cached
-        self._site_counter += 1
-        s = f"p{self._site_counter}"
-        m, bt, bv, bk, bs = self._ref_args(ref)
-        v, k = self.fresh()
-        self.decls.append(f"    int64_t {s}_cur = 0;")
-        # mirror of SSBuf.values_at: searchsorted(times, q, 'left') by a
-        # monotone cursor; in_range = q > start_time && q <= times[m-1]
-        self.body.append(f"        double {s}_q = ts[i] + {_c_float(offset)};")
-        self.body.append(f"        double {v} = 0.0; int {k} = 0;")
-        self.body.append(f"        if ({m} > 0) {{")
-        self.body.append(
-            f"            while ({s}_cur < {m} && {bt}[{s}_cur] < {s}_q) {s}_cur++;"
-        )
-        self.body.append(f"            int64_t {s}_c = ({s}_cur < {m}) ? {s}_cur : ({m} - 1);")
-        self.body.append(
-            f"            {k} = ({s}_q > {bs}) && ({s}_q <= {bt}[{m} - 1]) && {bk}[{s}_c];"
-        )
-        self.body.append(f"            {v} = {k} ? {bv}[{s}_c] : 0.0;")
-        self.body.append("        }")
-        self._point_sites[key] = (v, k)
-        return v, k
-
-    # -- reduce groups ------------------------------------------------------ #
-    def _group_for(self, ref: str, agg, element: Optional[Expr]) -> _Group:
-        key = (ref, id(agg), id(element) if element is not None else None)
-        group = self.groups.get(key)
-        if group is None:
-            group = _Group(len(self.groups), ref, agg, element)
-            self.groups[key] = group
-            self._emit_group_build(group)
-        return group
-
-    def _emit_elem(self, group: _Group, out: List[str]) -> Tuple[str, str]:
-        """Mapped snapshot value/validity inside a group build loop.
-
-        The NumPy tier maps the *raw* values array (φ lanes included)
-        through the element function and ANDs the element's validity into
-        the buffer mask; replicated here per lane.
-        """
-        _, _, bv, bk, _ = self._ref_args(group.ref)
-        ev, ek = self.fresh()
-        out.append(f"        double {ev} = {bv}[j];")
-        out.append(f"        int {ek} = 1;")
-        if group.element is not None:
-            mv, mk = self.compile(group.element, {ELEM_VAR: (ev, ek)}, out, elem=True)
-        else:
-            mv, mk = ev, ek
-        xv, xk = self.fresh()
-        out.append(f"        double {xv} = {mv};")
-        out.append(f"        int {xk} = {bk}[j] && {mk};")
-        return xv, xk
-
-    def _emit_group_build(self, group: _Group) -> None:
-        g = f"g{group.index}"
-        m = self._ref_args(group.ref)[0]
-        pre = self.prelude
-        # every group carries the combined-validity prefix (drives φ)
-        self._alloc("int64_t", f"{g}_vp", f"{m} + 1", pre)
-        loop: List[str] = []
-        xv, xk = self._emit_elem(group, loop)
-        agg = group.agg
-        kind = agg.strategy.range
-        if kind == "prefix":
-            ext = agg.prefix_extended_precision
-            ctype = "long double" if ext else "double"
-            ncomp = len(agg.c_components)
-            for c in range(ncomp):
-                self._alloc(ctype, f"{g}_p{c}", f"{m} + 1", pre)
-            pre.append(f"    {g}_vp[0] = 0;")
-            for c in range(ncomp):
-                pre.append(f"    {g}_p{c}[0] = 0.0;")
-            pre.append(f"    for (int64_t j = 0; j < {m}; j++) {{")
-            pre.extend(loop)
-            # masked exactly as AggregateFunction.prefix_components: zeros at
-            # φ lanes, centred for an extended-precision row, then each
-            # component as the row's C text states it
-            if ext:
-                center = f"centers[{len(self.center_refs)}]"
-                self.center_refs.append(group.ref)
-                pre.append(f"        long double {g}_mx = (long double)({xk} ? {xv} : 0.0);")
-                pre.append(f"        long double {g}_cx = {g}_mx - {center};")
-                x, suffix = f"{g}_cx", "L"
-            else:
-                pre.append(f"        double {g}_mx = {xk} ? {xv} : 0.0;")
-                x, suffix = f"{g}_mx", ""
-            for c, comp in enumerate(agg.c_components):
-                pre.append(f"        {g}_p{c}[j + 1] = {g}_p{c}[j] + {comp.format(x=x, k=xk, L=suffix)};")
-            pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
-            pre.append("    }")
-        elif kind == "rmq":
-            fill = _c_float(RMQ_DIRECTIONS[agg.rmq].fill)
-            self._alloc("double", f"{g}_base", f"{m} > 0 ? {m} : 1", pre)
-            self._alloc("int64_t", f"{g}_nc", f"{m} + 1", pre)
-            pre.append(f"    {g}_vp[0] = 0; {g}_nc[0] = 0;")
-            pre.append(f"    for (int64_t j = 0; j < {m}; j++) {{")
-            pre.extend(loop)
-            pre.append(f"        {g}_base[j] = {xk} ? {xv} : {fill};")
-            pre.append(f"        {g}_nc[j + 1] = {g}_nc[j] + (isnan({g}_base[j]) ? 1 : 0);")
-            pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
-            pre.append("    }")
-        else:  # fold with an edge marker: valid-neighbour index arrays
-            self._alloc("double", f"{g}_x", f"{m} > 0 ? {m} : 1", pre)
-            self._alloc("unsigned char", f"{g}_ok", f"{m} > 0 ? {m} : 1", pre)
-            self._alloc("int64_t", f"{g}_nxt", f"{m} + 1", pre)
-            self._alloc("int64_t", f"{g}_prv", f"{m} > 0 ? {m} : 1", pre)
-            pre.append(f"    {g}_vp[0] = 0;")
-            pre.append(f"    for (int64_t j = 0; j < {m}; j++) {{")
-            pre.extend(loop)
-            pre.append(f"        {g}_x[j] = {xv};")
-            pre.append(f"        {g}_ok[j] = (unsigned char)({xk} != 0);")
-            pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
-            pre.append(f"        {g}_prv[j] = {g}_ok[j] ? j : (j > 0 ? {g}_prv[j - 1] : -1);")
-            pre.append("    }")
-            pre.append(f"    {g}_nxt[{m}] = {m};")
-            pre.append(f"    for (int64_t j = {m} - 1; j >= 0; j--)")
-            pre.append(f"        {g}_nxt[j] = {g}_ok[j] ? j : {g}_nxt[j + 1];")
-
-    # -- reduce sites -------------------------------------------------------- #
-    def _reduce_site(self, expr: Reduce) -> Tuple[str, str]:
-        window = expr.window
-        key = (
-            window.ref,
-            float(window.start_offset),
-            float(window.end_offset),
-            id(expr.agg),
-            id(expr.element) if expr.element is not None else None,
-        )
-        cached = self._reduce_sites.get(key)
-        if cached is not None:
-            return cached
-        group = self._group_for(window.ref, expr.agg, expr.element)
-        g = f"g{group.index}"
-        self._site_counter += 1
-        s = f"r{self._site_counter}"
-        m, bt, _, _, bs = self._ref_args(window.ref)
-        v, k = self.fresh()
-        body = self.body
-        self.decls.append(f"    int64_t {s}_lo = 0, {s}_hi = 0;")
-        # snapshot_range_indices by monotone cursors:
-        #   lo = searchsorted(times, ws, 'right')
-        #   hi = searchsorted(interval_starts, we, 'left')
-        body.append(f"        double {s}_ws = ts[i] + {_c_float(window.start_offset)};")
-        body.append(f"        double {s}_we = ts[i] + {_c_float(window.end_offset)};")
-        body.append(f"        while ({s}_lo < {m} && {bt}[{s}_lo] <= {s}_ws) {s}_lo++;")
-        body.append(
-            f"        while ({s}_hi < {m} && "
-            f"(({s}_hi == 0 ? {bs} : {bt}[{s}_hi - 1]) < {s}_we)) {s}_hi++;"
-        )
-        body.append(f"        int64_t {s}_qlo = {s}_lo;")
-        body.append(f"        int64_t {s}_qhi = ({s}_hi > {s}_lo) ? {s}_hi : {s}_lo;")
-        body.append(f"        int64_t {s}_cnt = {g}_vp[{s}_qhi] - {g}_vp[{s}_qlo];")
-        agg = group.agg
-        kind = agg.strategy.range
-        if kind == "prefix":
-            body.append(f"        int {k} = {s}_cnt > 0;")
-            # the row's result text over its components' window sums, in the
-            # accumulator type (long double exactly as PrefixRangeIndex)
-            sums = {
-                f"d{c}": f"{g}_p{c}[{s}_qhi] - {g}_p{c}[{s}_qlo]"
-                for c in range(len(agg.c_components))
-            }
-            body.extend("        " + line.format(s=s, **sums) for line in agg.c_result)
-            body.append(f"        double {v} = {k} ? {s}_res : 0.0;")
-        elif kind == "rmq":
-            pop = RMQ_DIRECTIONS[agg.rmq].c_evicts
-            self._alloc("int64_t", f"{s}_dq", f"{m} > 0 ? {m} : 1", self.prelude)
-            self.decls.append(f"    int64_t {s}_dh = 0, {s}_dt = 0, {s}_push = 0;")
-            body.append(f"        while ({s}_push < {s}_qhi) {{")
-            body.append(f"            double {s}_bv = {g}_base[{s}_push];")
-            body.append(
-                f"            while ({s}_dt > {s}_dh && "
-                f"{g}_base[{s}_dq[{s}_dt - 1]] {pop} {s}_bv) {s}_dt--;"
-            )
-            body.append(f"            {s}_dq[{s}_dt++] = {s}_push++;")
-            body.append("        }")
-            body.append(f"        while ({s}_dh < {s}_dt && {s}_dq[{s}_dh] < {s}_qlo) {s}_dh++;")
-            body.append(f"        int {k} = {s}_cnt > 0;")
-            body.append(f"        double {v} = 0.0;")
-            body.append(f"        if ({k}) {{")
-            # NaN anywhere in the span makes the sparse table's np.maximum
-            # chain return NaN; the deque cannot see that, so override
-            body.append(f"            if ({g}_nc[{s}_qhi] - {g}_nc[{s}_qlo] > 0) {v} = NAN;")
-            body.append(f"            else {v} = {g}_base[{s}_dq[{s}_dh]];")
-            body.append("        }")
-        else:  # fold: the window's first / last valid snapshot
-            body.append(f"        int {k} = 0;")
-            body.append(f"        double {v} = 0.0;")
-            body.append(f"        if ({s}_qhi > {s}_qlo) {{")
-            if agg.edge == 0:
-                body.append(f"            int64_t {s}_j = {g}_nxt[{s}_qlo];")
-                body.append(f"            if ({s}_j < {s}_qhi) {{ {v} = {g}_x[{s}_j]; {k} = 1; }}")
-            else:
-                body.append(f"            int64_t {s}_j = {g}_prv[{s}_qhi - 1];")
-                body.append(f"            if ({s}_j >= {s}_qlo) {{ {v} = {g}_x[{s}_j]; {k} = 1; }}")
-            body.append("        }")
-        self._reduce_sites[key] = (v, k)
-        return v, k
-
-    # -- assembly ------------------------------------------------------------ #
-    def generate(self) -> Tuple[str, str]:
-        """Returns ``(c_source, cdef)`` for this spec."""
-        out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
-        params = ["int64_t n", "const double* ts"]
-        for i in range(len(self.refs)):
-            params += [
-                f"int64_t m{i}",
-                f"const double* bt{i}",
-                f"const double* bv{i}",
-                f"const unsigned char* bk{i}",
-                f"double bs{i}",
-            ]
-        params += ["const long double* centers", "double* out_v", "unsigned char* out_k"]
-        signature = f"int64_t {_FUNC_NAME}({', '.join(params)})"
-        lines = [
-            f"/* native kernel for temporal expression ~{self.spec.name} */",
-            "#include <stdint.h>",
-            "#include <stdlib.h>",
-            "#include <math.h>",
-            "",
-            "/* NumPy's maximum/minimum: first operand wins on NaN */",
-            "#define NPMAX(a, b) (((a) > (b) || isnan(a)) ? (a) : (b))",
-            "#define NPMIN(a, b) (((a) < (b) || isnan(a)) ? (a) : (b))",
-            "",
-            signature,
-            "{",
-            "    int64_t rc = 0;",
-            "    (void)centers;",
-        ]
-        lines += [f"    {ctype}* {name} = NULL;" for ctype, name in self.allocs]
-        lines += self.prelude
-        lines += self.decls
-        lines.append("    for (int64_t i = 0; i < n; i++) {")
-        lines += self.body
-        lines.append(f"        out_v[i] = {out_v};")
-        lines.append(f"        out_k[i] = (unsigned char)({out_k} != 0);")
-        lines.append("    }")
-        if self.allocs:
-            lines.append("cleanup:")
-            lines += [f"    free({name});" for _, name in self.allocs]
-        lines.append("    return rc;")
-        lines.append("}")
-        return "\n".join(lines) + "\n", f"{signature};"
-
-
-class _Lowered:
-    """The C artifact of one spec, before compilation."""
-
-    __slots__ = ("c_source", "cdef", "refs", "center_refs")
-
-    def __init__(self, c_source: str, cdef: str, refs: List[str], center_refs: List[str]):
-        self.c_source = c_source
-        self.cdef = cdef
-        self.refs = refs
-        self.center_refs = center_refs
-
-
-def _lower(spec: KernelSpec) -> _Lowered:
-    emitter = _CEmitter(spec)
-    c_source, cdef = emitter.generate()
-    return _Lowered(c_source, cdef, emitter.refs, emitter.center_refs)
-
-
-# ---------------------------------------------------------------------- #
 # compilation
 # ---------------------------------------------------------------------- #
 def _compile_so(so: str, c_source: str) -> None:
@@ -889,48 +487,103 @@ def _compile_so(so: str, c_source: str) -> None:
 # ---------------------------------------------------------------------- #
 # the runnable kernel
 # ---------------------------------------------------------------------- #
+#: the timeline and valid prefix of a prefix index that holds nothing
+_NO_EDGES = np.zeros(1)
+_NO_EDGES.flags.writeable = False
+
+
 class NativeKernel:
     """A compiled, loaded, single-pass C kernel for one KernelSpec.
 
-    Drop-in for the generated-Python kernel function: ``run(env, t_start,
-    t_end, rt)`` returns the same :class:`~repro.core.runtime.ssbuf.SSBuf`
-    (bit-identical values), using the shared :class:`KernelRuntime` only
-    for the evaluation-time grid and output assembly.  The cffi call
-    releases the GIL, so thread-pool partitions genuinely overlap.
+    Drop-in for the generated-Python kernel function, with one method per C
+    entry point; both return the same
+    :class:`~repro.core.runtime.ssbuf.SSBuf` as the NumPy twin (bit-identical
+    values) and take the evaluation-time grid from the runtime ``rt``.
+    :meth:`run` serves a one-shot partition; :meth:`tick` — present when
+    :attr:`ticks` — a session's in-process tick, reading the reduce-site
+    arrays ``rt`` keeps.  Neither holds a pointer past its call, and the
+    cffi call releases the GIL, so thread-pool partitions genuinely overlap.
     """
 
-    def __init__(self, spec: KernelSpec, digest: str, lowered: _Lowered, ffi, lib, so_path: str):
+    def __init__(
+        self, spec: KernelSpec, digest: str, ffi, loaded: Dict[str, Tuple[Lowered, object, str]]
+    ):
+        """``loaded``: per entry point, its lowering, library and path."""
         self.spec = spec
         self.digest = digest
-        self.c_source = lowered.c_source
-        self.so_path = so_path
-        self._refs = lowered.refs
-        self._center_refs = lowered.center_refs
+        run, run_lib, self.so_path = loaded[RUN_ENTRY]
+        self.c_source = run.c_source
+        self._refs = run.refs
+        self._center_refs = run.center_refs
         self._ffi = ffi
-        self._fn = getattr(lib, _FUNC_NAME)
-        self._lib = lib  # keep the dlopen handle alive
+        self._fn = getattr(run_lib, RUN_ENTRY)
+        #: whether the tick entry was built (see :func:`instantiate`)
+        self.ticks = TICK_ENTRY in loaded
+        if self.ticks:
+            tick, tick_lib, _ = loaded[TICK_ENTRY]
+            self._tick_sites = tick.tick_sites
+            self._tick_fn = getattr(tick_lib, TICK_ENTRY)
+        self._libs = [lib for _, lib, _ in loaded.values()]  # keep the dlopen handles alive
 
-    def run(self, env, t_start: float, t_end: float, rt):
+    def _grid_and_inputs(self, env, t_start: float, t_end: float, rt):
+        """``(ts, args)``: the grid, and the call's arguments so far — the
+        grid and every referenced buffer by pointer (a validity mask as its
+        own bytes: a bool is one byte)."""
         ffi = self._ffi
         ts = np.ascontiguousarray(rt.eval_times(env, t_start, t_end), dtype=np.float64)
-        n = len(ts)
-        if n == 0:
-            return rt.empty(t_start)
-        args = [n, ffi.from_buffer("double[]", ts)]
-        keepalive = [ts]
+        args = [len(ts), ffi.from_buffer("double[]", ts)]
         for ref in self._refs:
             buf = env[ref]
-            bt = np.ascontiguousarray(buf.times, dtype=np.float64)
-            bv = np.ascontiguousarray(buf.values, dtype=np.float64)
-            bk = np.ascontiguousarray(buf.valid, dtype=np.uint8)
-            keepalive += [bt, bv, bk]
             args += [
-                len(bt),
-                ffi.from_buffer("double[]", bt),
-                ffi.from_buffer("double[]", bv),
-                ffi.from_buffer("unsigned char[]", bk),
+                len(buf.times),
+                ffi.from_buffer("double[]", np.ascontiguousarray(buf.times, dtype=np.float64)),
+                ffi.from_buffer("double[]", np.ascontiguousarray(buf.values, dtype=np.float64)),
+                ffi.from_buffer("unsigned char[]", buf.valid.view(np.uint8)),
                 float(buf.start_time),
             ]
+        return ts, args
+
+    def _call(self, fn, ts, args, t_start: float):
+        """Call an entry point with outputs sized here; they become the
+        output buffer as they are (C wrote every lane)."""
+        n = len(ts)
+        out_v = np.empty(n, dtype=np.float64)
+        out_k = np.empty(n, dtype=np.uint8)
+        args.append(self._ffi.from_buffer("double[]", out_v, require_writable=True))
+        args.append(self._ffi.from_buffer("unsigned char[]", out_k, require_writable=True))
+        if fn(*args) != 0:
+            raise ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
+        return _ssbuf_from_arrays(ts, out_v, out_k.view(np.bool_), float(t_start))
+
+    def tick(self, env, t_start: float, t_end: float, rt):
+        """One session tick over ``(t_start, t_end]``: :data:`TICK_ENTRY`
+        against the prefix arrays of the sites ``rt`` keeps — each brought
+        up to date by the same NumPy ``ingest`` the NumPy twin's
+        ``rt.reduce`` runs, so the tick's bytes do not depend on the tier —
+        and of a fresh site, built exactly as ``rt.reduce`` builds one, for
+        a group ``rt`` does not keep."""
+        ts, args = self._grid_and_inputs(env, t_start, t_end, rt)
+        if not len(ts):
+            return rt.empty(t_start)
+        ffi = self._ffi
+        for site_key, components, dtype in self._tick_sites:
+            ref, agg_idx, elem_idx = site_key
+            site = rt.sites.get(site_key) or rt.new_site(agg_idx, elem_idx)
+            site.ingest(env[ref], rt)
+            edges, valid_prefix, prefixes = site.index.arrays()
+            if not len(edges):  # nothing ingested: every window is φ
+                edges, valid_prefix = _NO_EDGES, _NO_EDGES
+                prefixes = [np.zeros(1, dtype=dtype)] * components
+            ctype = "long double[]" if dtype is np.longdouble else "double[]"
+            args += [len(edges) - 1, ffi.from_buffer("double[]", edges)]
+            args.append(ffi.from_buffer("double[]", valid_prefix))
+            args += [ffi.from_buffer(ctype, prefix) for prefix in prefixes]
+        return self._call(self._tick_fn, ts, args, t_start)
+
+    def run(self, env, t_start: float, t_end: float, rt):
+        ts, args = self._grid_and_inputs(env, t_start, t_end, rt)
+        if not len(ts):
+            return rt.empty(t_start)
         if self._center_refs:
             centers = np.empty(len(self._center_refs), dtype=np.longdouble)
             for i, ref in enumerate(self._center_refs):
@@ -942,26 +595,18 @@ class NativeKernel:
                     buf.valid, np.asarray(buf.values, dtype=np.float64), 0.0
                 ).astype(np.longdouble)
                 centers[i] = np.mean(masked) if len(masked) else np.longdouble(0.0)
-            keepalive.append(centers)
-            args.append(ffi.from_buffer("long double[]", centers))
+            args.append(self._ffi.from_buffer("long double[]", centers))
         else:
-            args.append(ffi.NULL)
-        out_v = np.empty(n, dtype=np.float64)
-        out_k = np.empty(n, dtype=np.uint8)
-        args.append(ffi.from_buffer("double[]", out_v, require_writable=True))
-        args.append(ffi.from_buffer("unsigned char[]", out_k, require_writable=True))
-        rc = self._fn(*args)
-        del keepalive
-        if rc != 0:
-            raise ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
-        return rt.build(ts, out_v, out_k.view(np.bool_), t_start)
+            args.append(self._ffi.NULL)
+        return self._call(self._fn, ts, args, t_start)
 
 
 # ---------------------------------------------------------------------- #
 # instantiation front door
 # ---------------------------------------------------------------------- #
-def instantiate(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]]:
-    """Build (or fetch from cache) the native kernel for a spec.
+def instantiate(spec: KernelSpec, tick: bool = False) -> Tuple[Optional[NativeKernel], Optional[str]]:
+    """Build (or fetch from cache) the native kernel for a spec — with its
+    tick entry too when ``tick`` (a session ticks it).
 
     Never raises: returns ``(kernel, None)`` on success or ``(None,
     reason)`` when the tier is unavailable, the spec is not lowerable, or
@@ -969,7 +614,7 @@ def instantiate(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
     the C compiler, so callers that must not wait go through
     :func:`submit_build`.
     """
-    return _instantiate(spec, build=True)
+    return _instantiate(spec, build=True, tick=tick)
 
 
 def load_cached(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]]:
@@ -977,7 +622,7 @@ def load_cached(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
     and disk caches hold and never invokes the compiler.  An artifact that
     is simply not there yet is ``(None, None)`` — no fallback, nothing
     counted; the kernel keeps serving from its NumPy twin."""
-    return _instantiate(spec, build=False)
+    return _instantiate(spec, build=False, tick=False)
 
 
 def _refuse(reason: str, digest: Optional[str] = None) -> Tuple[None, str]:
@@ -990,7 +635,9 @@ def _refuse(reason: str, digest: Optional[str] = None) -> Tuple[None, str]:
     return None, reason
 
 
-def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel], Optional[str]]:
+def _instantiate(
+    spec: KernelSpec, build: bool, tick: bool
+) -> Tuple[Optional[NativeKernel], Optional[str]]:
     if not native_available():
         return _refuse("native toolchain unavailable (cffi + C compiler required)")
     if spec.bounds_proof is None:
@@ -1009,7 +656,7 @@ def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel],
     digest = spec.digest()
     with _STATE_LOCK:
         kernel = _KERNEL_CACHE.get(digest)
-        if kernel is not None:
+        if kernel is not None and (kernel.ticks or not tick):
             _KERNEL_CACHE.move_to_end(digest)
             _STATS["mem_hits_total"] += 1
             return kernel, None
@@ -1019,31 +666,40 @@ def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel],
     try:
         import cffi
 
+        from .c_emit import lower, lower_tick
+
         _trusted_cache_dir()
-        so = _so_path(digest)
-        if not build and not _artifact_valid(so):
+        # one artifact per entry point: a kernel no session ticks never
+        # pays cc for the tick entry
+        entries = [(RUN_ENTRY, lower)] + ([(TICK_ENTRY, lower_tick)] if tick else [])
+        if not build and not all(_artifact_valid(_so_path(digest, e)) for e, _ in entries):
             return None, None
-        lowered = _lower(spec)
-        compiled, elapsed = False, 0.0
-        if build:
-            started = time.perf_counter()
-            with _BUILD_LOCK:  # one cc at a time, whoever asks
-                compiled = not _artifact_valid(so)
-                if compiled:
-                    _compile_so(so, lowered.c_source)
-            elapsed = time.perf_counter() - started
         ffi = cffi.FFI()
-        ffi.cdef(lowered.cdef)
-        lib = ffi.dlopen(so)
-        kernel = NativeKernel(spec, digest, lowered, ffi, lib, so)
+        loaded, timings = {}, []
+        for entry, lower_entry in entries:
+            so = _so_path(digest, entry)
+            lowered = lower_entry(spec)
+            if build:
+                started = time.perf_counter()
+                with _BUILD_LOCK:  # one cc at a time, whoever asks
+                    compiled = not _artifact_valid(so)
+                    if compiled:
+                        _compile_so(so, lowered.c_source)
+                timings.append(time.perf_counter() - started if compiled else None)
+            else:
+                timings.append(None)
+            ffi.cdef(lowered.cdef)
+            loaded[entry] = (lowered, ffi.dlopen(so), so)
+        kernel = NativeKernel(spec, digest, ffi, loaded)
     except Exception as exc:
         return _refuse(f"native build failed: {exc}", digest)
     with _STATE_LOCK:
-        if compiled:
-            _STATS["compiles_total"] += 1
-            _STATS["compile_seconds_total"] += elapsed
-        else:
-            _STATS["disk_hits_total"] += 1
+        for elapsed in timings:
+            if elapsed is None:
+                _STATS["disk_hits_total"] += 1
+            else:
+                _STATS["compiles_total"] += 1
+                _STATS["compile_seconds_total"] += elapsed
         _KERNEL_CACHE[digest] = kernel
         _KERNEL_CACHE.move_to_end(digest)
         while len(_KERNEL_CACHE) > _KERNEL_CACHE_LIMIT:

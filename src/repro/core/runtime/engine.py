@@ -303,14 +303,15 @@ class TiltEngine:
         if kernel.state == "queued":
             self._m_native_queue.dec()
         rejects = native.stats()["cache_rejects_total"]
+        spent = kernel.build_seconds
         with self.tracer.span("native.build", kernel=kernel.name) as sp:
             yield
             sp.set(
                 state=kernel.state,
-                build_seconds=kernel.build_seconds,
+                build_seconds=kernel.build_seconds - spent,
                 reason=kernel.native_fallback_reason,
             )
-        self._m_native_compile_seconds.inc(kernel.build_seconds)
+        self._m_native_compile_seconds.inc(kernel.build_seconds - spent)
         self._m_native_cache_rejects.inc(native.stats()["cache_rejects_total"] - rejects)
         if kernel.state == native.NATIVE_TIER:
             self._m_native_promotions.inc()

@@ -55,6 +55,7 @@ import numpy as np
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
 from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery
 from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
+from ..codegen.native import TICK_ENTRY
 from ..ir.nodes import TiltProgram
 from .engine import QueryResult, TiltEngine
 from .growable import GrowableArray
@@ -65,6 +66,8 @@ from .stream import ColumnChunk
 __all__ = ["TickResult", "StreamingSession"]
 
 _INF = float("inf")
+#: why a compiled query ticks in-process (until its output kernel is promoted)
+_COMPILED_OUTPUT = "compiled output kernel"
 
 
 class _IngestColumn:
@@ -255,18 +258,24 @@ class StreamingSession:
     incremental:
         Leave at ``None``: the session then *resolves* its tick path once
         and reports the result as :attr:`plan`.  Every compiled query ticks
-        **in-process**: one evaluation of ``(t_emitted, w]`` on the output
-        kernel's NumPy twin against reduce-site state that persists across
-        ticks where that pays (prefix-decomposable aggregates over program
-        inputs — tick cost O(new events) instead of O(lookback + new
-        events); see :mod:`repro.core.codegen.incremental`).  The choice
-        does not depend on which tier serves the query's one-shot runs —
-        that changes while the session lives (see ``TiltEngine``'s
-        ``codegen_tier``); a promoted query's C kernels serve the
-        intermediates an in-process tick rebuilds and every partitioned
-        tick.  Sessions whose output kernel is interpreted **partition and
-        dispatch** each tick like a one-shot run (the interpreter makes no
-        ``rt.reduce`` calls for persistent state to interpose on).
+        **in-process**: one evaluation of ``(t_emitted, w]`` of the output
+        kernel, under the session's runtime override, against reduce-site
+        state that persists across ticks where that pays
+        (prefix-decomposable aggregates over program inputs — tick cost
+        O(new events) instead of O(lookback + new events); see
+        :mod:`repro.core.codegen.incremental`).  The choice does not depend
+        on which tier serves the query: that changes while the session lives
+        (see ``TiltEngine``'s ``codegen_tier``), and ticks are charged to
+        the NumPy twins like one-shot runs, so a hot session gets its query
+        promoted.  From then on each tick is one call of the output C
+        kernel's tick entry over the arrays of those same kept sites (the
+        sites are still extended and pruned by NumPy, so the output bytes
+        do not depend on the tier and the promotion hands over nothing), the
+        intermediates it rebuilds run on their C kernels, and
+        ``plan["tick_entry"]`` reads ``tilt_tick``.  Sessions whose output
+        kernel is interpreted **partition and dispatch** each tick like a
+        one-shot run (the interpreter makes no ``rt.reduce`` calls for
+        persistent state to interpose on).
         ``False`` / ``True`` is the oracle switch the differential tests
         and benchmark probes use to force partition-and-dispatch /
         in-process ticks with the same resolved site plan; an interpreted
@@ -301,9 +310,13 @@ class StreamingSession:
         #: tick path only)
         self._state: Optional[IncrementalKernelRuntime] = None
         if in_process:
-            self._state = IncrementalKernelRuntime(
-                compiled.kernel_named(compiled.output), program.inputs
-            )
+            output = compiled.kernel_named(compiled.output)
+            self._state = IncrementalKernelRuntime(output, program.inputs)
+            # its C kernel is to have the tick entry too; one promoted
+            # before any session ticked it gets it from the builder thread
+            output.ticked = True
+            if output.tick_pending:
+                engine._queue_build(compiled)
         blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
         sites: List[Dict[str, object]] = []
         for kernel in compiled.kernels:
@@ -432,10 +445,18 @@ class StreamingSession:
         """The execution plan: tick path and why; where a partitioned tick
         dispatches and why; per reduce site whether its state persists
         across ticks and why — all resolved at construction — and, read
-        live, ``CompiledQuery.kernel_plan()``: per kernel the tier
-        requested, the tier active now, its promotion state and any
-        fallback reason."""
-        return {**self._plan, "kernels": self._compiled.kernel_plan()}
+        live, what serves the output kernel's ticks (``tick_entry``: the C
+        kernel's ``tilt_tick`` or ``tilt_native`` entry, or the tier name)
+        and ``CompiledQuery.kernel_plan()``: per kernel the tier requested,
+        the tier active now, its promotion state and any fallback reason.
+        An in-process session whose output kernel has been promoted says so
+        in ``reason`` as well."""
+        output = self._compiled.kernel_named(self._compiled.output)
+        entry = output.entry(tick=self._state is not None)
+        plan = {**self._plan, "tick_entry": entry, "kernels": self._compiled.kernel_plan()}
+        if entry == TICK_ENTRY and plan["reason"] == _COMPILED_OUTPUT:
+            plan["reason"] = f"promoted output kernel: ticks on {TICK_ENTRY}"
+        return plan
 
     @staticmethod
     def _resolve_tick_path(
@@ -447,7 +468,7 @@ class StreamingSession:
             return False, "interpreted output kernel"
         if incremental is not None:
             return bool(incremental), "explicit override"
-        return True, "compiled output kernel"
+        return True, _COMPILED_OUTPUT
 
     @property
     def incremental(self) -> bool:
@@ -692,7 +713,8 @@ class StreamingSession:
             if self._state is not None:
                 # in-process path: one evaluation of (t_emit, w] against
                 # persistent reduce-site state — no partitioner, no
-                # executor, no O(lookback) rebuild of the persisted indexes.
+                # executor, no O(lookback) rebuild of the persisted indexes;
+                # once promoted, one C call over those indexes' arrays.
                 # (An unfused query's intermediates are still rebuilt over
                 # their margin each tick, so flat-in-lookback tick cost
                 # needs the default fusion to a single kernel.)

@@ -44,7 +44,6 @@ Quickstart::
 """
 
 from .export import SpanTree, build_span_trees, chrome_trace_json, to_chrome_trace
-from .http import TelemetryServer
 from .logging import JsonFormatter, SpanCorrelationFilter, configure_json_logging
 from .recorder import FlightRecorder, PinnedTick
 from .registry import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
@@ -64,6 +63,17 @@ from .trace import (
     Tracer,
     make_tracer,
 )
+
+
+def __getattr__(name: str):
+    # PEP 562: the HTTP endpoint (and with it http.server) is loaded on first use
+    if name == "TelemetryServer":
+        from .http import TelemetryServer
+
+        globals()[name] = TelemetryServer
+        return TelemetryServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SpanRecord",

@@ -43,7 +43,7 @@ import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.runtime.engine import QueryResult, TiltEngine
 from ..core.runtime.session import StreamingSession, TickResult
@@ -53,11 +53,13 @@ from ..errors import ExecutionError, QueryBuildError
 from ..metrics.fleet import FleetSnapshot, aggregate_fleet
 from ..metrics.streaming import LatencyDistribution
 from ..obs.export import to_chrome_trace
-from ..obs.http import TelemetryServer
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SLOMonitor, SLOSpec, SLOStatus
 from .admission import AdmissionConfig, AdmissionController
 from .scheduler import SchedulerPolicy, TickScheduler, make_policy
+
+if TYPE_CHECKING:  # http.server is imported only by a service that serves
+    from ..obs.http import TelemetryServer
 
 __all__ = ["TenantSession", "ServiceStats", "QueryService"]
 
@@ -407,6 +409,8 @@ class QueryService:
         # cannot leave a half-constructed service holding a socket
         self._telemetry: Optional[TelemetryServer] = None
         if telemetry_port is not None:
+            from ..obs.http import TelemetryServer
+
             monitor = self._slo
             self._telemetry = TelemetryServer(
                 metrics=registry.to_prometheus,

@@ -142,6 +142,14 @@ class PrefixRangeIndex:
         """Interval start of the first snapshot held."""
         return float(self._edges.view[0]) if len(self._edges) else 0.0
 
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """``(edges, valid_prefix, prefixes)``: the live arrays every query
+        reads — ``start_time`` then each snapshot time, the count of valid
+        snapshots before each edge and one prefix per component — as views
+        valid until the next :meth:`extend` / :meth:`prune` (what the native
+        tick entry is handed by pointer)."""
+        return self._edges.view, self._valid_prefix.view, [p.view for p in self._prefixes]
+
     def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Aggregate each snapshot index range ``[lo_i, hi_i)``.
 

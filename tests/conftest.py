@@ -31,6 +31,16 @@ class PromotedEngine(TiltEngine):
                 assert kernel.active_tier == "native", (kernel.name, kernel.native_fallback_reason)
         return compiled
 
+    def open_session(self, *args, **kwargs):
+        """Likewise the C tick entry an in-process session needs, built here
+        rather than by the builder thread the session queues it for."""
+        session = super().open_session(*args, **kwargs)
+        session.compiled.promote()
+        output = session.compiled.kernel_named(session.compiled.output)
+        if session.incremental and not native.lowering_blockers(output.spec):
+            assert session.plan["tick_entry"] == native.TICK_ENTRY, output.native_fallback_reason
+        return session
+
 
 @dataclass(frozen=True)
 class EnginePlan:

@@ -10,7 +10,8 @@ it:
   toolchain is present) over an edge grid of ±0.0, negatives, NaN, ±inf,
   ±1e308 and non-integers;
 * aggregate rows — scalar fold ≡ range index ≡ the one reduce path with
-  session-kept sites fed ragged chunks ≡ native kernel, including all-φ and
+  session-kept sites fed ragged chunks ≡ native kernel (its run entry one
+  shot, its tick entry over the kept sites), including all-φ and
   single-snapshot windows, and ``vector_eval`` ≡ scalar fold.
 """
 
@@ -159,21 +160,30 @@ def test_aggregate_row_agrees_across_paths(agg, size):
     rt = IncrementalKernelRuntime(kernel, ["x"])
     persisted = agg.strategy.range == "prefix"
     assert [row["state"] for row in rt.plan] == ["persisted" if persisted else "per-invocation"]
-    pieces, done = [], 0
-    for cut in (1, 2, 9, 40, 47, 100, 101, N):
-        grown = SSBuf(buf.times[:cut], buf.values[:cut], buf.valid[:cut], start_time=0.0)
-        pieces.append(kernel.run({"x": grown}, float(done), float(cut), runtime=rt))
-        done = cut
+    ticked = tick_ragged(kernel, rt, buf)
     assert rt.retained() == (N if persisted else 0)
-    ticked = (
-        np.concatenate([p.values for p in pieces]),
-        np.concatenate([p.valid for p in pieces]),
-    )
     close(ticked, one_shot, "kept sites, ragged chunks")
-    # the native kernel: bit for bit where the row carries a C fragment
+    # the native kernel: bit for bit where the row carries a C fragment —
+    # its run entry one shot, its tick entry over the same kept sites
     (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
     if not agg.c_lowerable:
         assert f"aggregate {agg.name!r}" in native.lowering_blockers(kernel.spec)[0]
     elif native.native_available():
         assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         assert_same(run_tier(program, {"x": buf}, float(N), NATIVE_TIER), one_shot, True, "native")
+        kernel.ticked = True  # what opening a session does
+        kernel.promote()
+        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        ticked_c = tick_ragged(kernel, IncrementalKernelRuntime(kernel, ["x"]), buf)
+        assert_same(ticked_c, ticked, True, "native tick entry, ragged chunks")
+
+
+def tick_ragged(kernel, rt, buf):
+    """The kernel ticked over ``buf`` growing in ragged chunks, as a session
+    does, with ``rt`` keeping its sites: the concatenated ``(values, valid)``."""
+    pieces, done = [], 0
+    for cut in (1, 2, 9, 40, 47, 100, 101, N):
+        grown = SSBuf(buf.times[:cut], buf.values[:cut], buf.valid[:cut], start_time=0.0)
+        pieces.append(kernel.run({"x": grown}, float(done), float(cut), runtime=rt))
+        done = cut
+    return np.concatenate([p.values for p in pieces]), np.concatenate([p.valid for p in pieces])

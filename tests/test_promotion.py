@@ -5,30 +5,41 @@ The tier *equivalence* lives in the ``native`` plan of ``ENGINE_PLANS``;
 this module pins the machinery that moves a running query from one tier to
 the other — output identical before, during and after the swap on every
 backend; nothing added to the compile or first-result path; a failing, slow
-or absent compiler never reaching a caller of ``run``; sessions unaffected —
-and the two things the disk cache must get right now that it is on the
-default path: ``lowering_blockers`` independent of call order, and no code
-loaded from an artifact or a directory that cannot be trusted.
+or absent compiler never reaching a caller of ``run``; a session's ticks
+moving to the C tick entry with no byte of output changed, mid-session and
+across a rewind — and the two things the disk cache must get right now that
+it is on the default path: ``lowering_blockers`` independent of call order,
+and no code loaded from an artifact or a directory that cannot be trusted.
 """
 
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 import pytest
 
-from repro.apps import ALL_APPLICATIONS, get_application, trend_trading_query
+from repro.apps import (
+    ALL_APPLICATIONS,
+    get_application,
+    normalization_query,
+    trend_trading_query,
+    ysb_query,
+)
 from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
+from repro.core.codegen.incremental import IncrementalKernelRuntime
 from repro.core.frontend.query import source
 from repro.core.runtime.engine import TiltEngine
+from repro.core.runtime.ssbuf import SSBuf
 from repro.datagen.sources import sources_for_streams
-from repro.windowing import MEAN
+from repro.windowing import FIRST, MAX, MEAN
 
 requires_native = pytest.mark.skipif(
     not native.native_available(),
@@ -266,6 +277,53 @@ def test_lowering_blockers_do_not_depend_on_call_order(fresh_interpreter):
     assert not any(report["blockers_before_probe"])
 
 
+_COLD_PATH = """
+import json, os, sys, threading
+import repro
+from repro.apps import REAL_WORLD_APPLICATIONS, get_application, trend_trading_query
+from repro.datagen.sources import sources_for_streams
+
+engine = repro.TiltEngine(workers=1)
+program = trend_trading_query(short_window=10_000, long_window=40_000).to_program()
+streams = get_application("trading").streams(20_000, seed=0)
+session = engine.open_session(program, sources_for_streams(streams, events_per_poll=1_000))
+while not session.tick().output_snapshots:
+    assert not session.exhausted
+for app in REAL_WORLD_APPLICATIONS:
+    assert len(engine.run(app.program(), app.streams(2_500, seed=0)).output)
+report = {
+    "states": sorted({row["state"] for row in session.plan["kernels"]}),
+    "cffi_imported": "cffi" in sys.modules,
+    "threads": sorted(t.name for t in threading.enumerate()),
+}
+try:
+    os.waitpid(-1, os.WNOHANG)
+    report["children"] = True
+except ChildProcessError:
+    report["children"] = False
+print(json.dumps(report))
+"""
+
+
+def test_cold_path_runs_nothing_native_before_break_even(tmp_path):
+    """What ``setup_s`` times, in a fresh interpreter over an empty disk
+    cache: ``import repro``, the deep-window session ticked to its first
+    result, then each of the 8 applications run once at 2 500 events.  Ticks
+    are charged to the NumPy twins now, so this pins that none of it gets a
+    query hot: no cffi import, no builder thread, no child process."""
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_NATIVE_CACHE=str(tmp_path / "cache"))
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["states"] == [NUMPY_TIER]
+    assert not report["cffi_imported"]
+    assert report["threads"] == ["MainThread"]  # no repro-native-builder
+    assert not report["children"]
+    assert not (tmp_path / "cache").exists()
+
+
 # ---------------------------------------------------------------------- #
 # (c) a compiler that fails, sleeps, or must not be called
 # ---------------------------------------------------------------------- #
@@ -338,12 +396,77 @@ class TestHostileCompiler:
 # ---------------------------------------------------------------------- #
 # (d) sessions
 # ---------------------------------------------------------------------- #
+#: the session queries a promotion must be invisible in: a single fused
+#: kernel over deep windows (``session_deep_window``), an element-mapped
+#: count (``session_ysb``), an output kernel reducing two intermediates
+#: (``rsi``) and one reading two intermediates point-wise (``normalize``)
+SESSION_QUERIES = {
+    "trend": (
+        lambda: trend_trading_query(short_window=100, long_window=400).to_program(),
+        lambda: get_application("trading").streams(3_000, seed=6),
+        100,
+    ),
+    "ysb": (
+        lambda: ysb_query(window=0.25).to_program(),
+        lambda: get_application("ysb").streams(12_000, seed=6),
+        1_000,
+    ),
+    "rsi": (
+        lambda: get_application("rsi").program(),
+        lambda: get_application("rsi").streams(2_000, seed=6),
+        100,
+    ),
+    "normalize": (
+        lambda: normalization_query(window=2.0).to_program(),
+        lambda: get_application("normalize").streams(4_000, seed=6),
+        250,
+    ),
+}
+
+
+def crc(buf) -> int:
+    """What tiltbench checksums of every delta: times, validity and the
+    valid values."""
+    out = 0
+    for array in (buf.times, buf.valid, buf.values[buf.valid]):
+        out = zlib.crc32(array.tobytes(), out)
+    return out
+
+
+def tick_through(session, at_tick=lambda index: None) -> list:
+    """Tick to exhaustion and close; ``at_tick(index)`` runs before each
+    tick.  Returns ``(snapshots, crc, fingerprint)`` of every delta."""
+    deltas = []
+    while not session.exhausted:
+        at_tick(len(deltas))
+        deltas.append(session.tick().delta)
+    deltas.append(session.close().delta)
+    return [(len(d), crc(d), fingerprint(d)) for d in deltas]
+
+
+@pytest.fixture
+def count_native_calls(monkeypatch):
+    """``calls``: how often each C entry point has served a call so far."""
+    calls = {native.RUN_ENTRY: 0, native.TICK_ENTRY: 0}
+
+    def counting(method, entry):
+        def wrapper(self, *args, **kwargs):
+            calls[entry] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(native.NativeKernel, "run", counting(native.NativeKernel.run, native.RUN_ENTRY))
+    monkeypatch.setattr(native.NativeKernel, "tick", counting(native.NativeKernel.tick, native.TICK_ENTRY))
+    return calls
+
+
 @requires_native
 class TestSessions:
     def test_tick_path_is_the_same_before_and_after_promotion(self, compile_cold):
-        """The tick path no longer reads the active tier: a session opened
+        """The tick path does not read the active tier: a session opened
         before its query is promoted and one opened after both tick
-        in-process, and both report the kernels' tiers live."""
+        in-process, and both report live what serves their ticks."""
         app = get_application("rsi")
         program, streams = app.program(), app.streams(900, seed=4)
         with TiltEngine(workers=1) as engine:
@@ -353,32 +476,172 @@ class TestSessions:
             for _ in range(3):
                 early.tick()
             assert {row["state"] for row in early.plan["kernels"]} == {NUMPY_TIER}
+            assert (early.plan["reason"], early.plan["tick_entry"]) == (
+                "compiled output kernel", NUMPY_TIER
+            )
             compiled.promote()
             late = engine.open_session(program, sources_for_streams(streams, events_per_poll=100))
             for session in (early, late):
-                assert session.plan["tick_path"] == "in-process"
-                assert session.plan["reason"] == "compiled output kernel"
-                assert {row["active_tier"] for row in session.plan["kernels"]} == {NATIVE_TIER}
+                plan = session.plan
+                assert plan["tick_path"] == "in-process"
+                assert plan["reason"] == "promoted output kernel: ticks on tilt_tick"
+                assert plan["tick_entry"] == native.TICK_ENTRY
+                assert {row["active_tier"] for row in plan["kernels"]} == {NATIVE_TIER}
                 session.run_to_exhaustion()
                 assert session.result().output == batch
 
-    def test_single_fused_kernel_session_builds_nothing(self, compile_cold):
+    def test_hot_fused_session_is_promoted_and_ticks_on_c(
+        self, cold_cache, compile_cold, monkeypatch, count_native_calls
+    ):
         """``session_deep_window``'s shape: one fused output kernel, run
-        under the session's runtime override on every tick — no C kernel
-        could serve those calls, so none is charged for, queued or built."""
-        program = trend_trading_query(short_window=100, long_window=400).to_program()
-        streams = get_application("trading").streams(3_000, seed=6)
-        before = native.stats()
+        under the session's runtime override on every tick.  Its ticks are
+        charged to the NumPy twin, so the session gets hot by itself, the
+        builder thread promotes it, and from then on its plan names the C
+        tick entry and every tick is one call of it."""
+        monkeypatch.setattr(native, "expected_build_seconds", lambda: 1e-3)
+        make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
+        program, streams = make_program(), make_streams()
         with TiltEngine(workers=1) as engine:
-            session = engine.open_session(
-                program, sources_for_streams(streams, events_per_poll=100)
-            )
+            batch = engine.run(program, streams).output
+            session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+            (kernel,) = session.compiled.kernels
+            session.tick()
+            assert kernel.numpy_seconds > 0.0
+            for _ in range(20):  # (each tick costs well over 50 µs)
+                if kernel.state != NUMPY_TIER:
+                    break
+                session.tick()
+            assert kernel.state in ("queued", "building", NATIVE_TIER)
+            wait_decided(session.compiled)
+            assert kernel.state == NATIVE_TIER, kernel.native_fallback_reason
+            plan = session.plan
+            assert (plan["tick_path"], plan["tick_entry"]) == ("in-process", native.TICK_ENTRY)
+            assert plan["reason"] == "promoted output kernel: ticks on tilt_tick"
+            (row,) = plan["kernels"]
+            assert (row["tick_entry"], row["build_seconds"] > 0.0) == (native.TICK_ENTRY, True)
+            spent, served = kernel.numpy_seconds, count_native_calls[native.TICK_ENTRY]
             session.run_to_exhaustion()
-            assert session.plan["tick_path"] == "in-process"
-            (row,) = session.plan["kernels"]
-            assert (row["state"], row["numpy_seconds"], row["build_seconds"]) == (NUMPY_TIER, 0.0, 0.0)
-            assert engine._m_native_queue.value == 0
-        assert native.stats() == before
+            assert kernel.numpy_seconds == spent  # nothing more ran on NumPy
+            assert count_native_calls[native.TICK_ENTRY] > served
+            assert count_native_calls[native.RUN_ENTRY] == 0
+            assert session.result().output == batch
+        assert native.stats()["compiles_total"] >= 1
+
+    def test_session_on_a_promoted_query_gets_the_tick_entry_built(
+        self, cold_cache, compile_cold
+    ):
+        """The tick entry is an artifact of its own, built only for a kernel
+        a session ticks: one-shot use promotes the run entry alone, and a
+        session opened afterwards queues the tick entry for the builder
+        thread, ticking on the NumPy twin until it is published."""
+        make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
+        program, streams = make_program(), make_streams()
+        with TiltEngine(workers=1) as engine:
+            batch = engine.run(program, streams).output
+            compiled = engine.compile_cached(program)
+            compiled.promote()
+            (kernel,) = compiled.kernels
+            assert kernel.entry(tick=False) == native.RUN_ENTRY
+            assert kernel.entry(tick=True) == NUMPY_TIER
+            assert len(list(cold_cache.glob("*.so"))) == 1
+            assert not list(cold_cache.glob("*-tick.so"))
+            session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+            deadline = time.monotonic() + 60.0
+            while session.plan["tick_entry"] != native.TICK_ENTRY:
+                assert time.monotonic() < deadline, session.plan
+                time.sleep(0.002)
+            assert (kernel.state, kernel.tick_pending) == (NATIVE_TIER, False)
+            assert len(list(cold_cache.glob("*-tick.so"))) == 1
+            session.run_to_exhaustion()
+            assert session.result().output == batch
+
+    @pytest.mark.parametrize("name", sorted(SESSION_QUERIES))
+    def test_promotion_at_a_random_tick_is_invisible(self, name, compile_cold, count_native_calls):
+        """The kept reduce sites are the only session state and NumPy keeps
+        producing them, so promoting the query at any tick changes no byte
+        of any delta: the tick-concat equals an all-NumPy session's delta by
+        delta, and the one-shot run."""
+        make_program, make_streams, per_tick = SESSION_QUERIES[name]
+        program, streams = make_program(), make_streams()
+        with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as engine:
+            want = tick_through(
+                engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+            )
+        at = random.Random(name).randrange(1, len(want) - 2)
+        with TiltEngine(workers=1) as engine:
+            batch = engine.run(program, streams).output
+            session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+            compiled = session.compiled
+
+            def promote_at(index):
+                if index == at:
+                    assert count_native_calls == {native.RUN_ENTRY: 0, native.TICK_ENTRY: 0}
+                    compiled.promote()
+
+            got = tick_through(session, promote_at)
+            assert got == want, (name, at)
+            assert session.result().output == batch
+            entries = {row["kernel"]: row["tick_entry"] for row in session.plan["kernels"]}
+            # the output kernel on its tick entry, the intermediates it
+            # rebuilds each tick on their run entry
+            assert entries.pop(compiled.output) == native.TICK_ENTRY
+            assert set(entries.values()) <= {native.RUN_ENTRY}
+            emitted_after = sum(1 for snapshots, _, _ in want[at:] if snapshots)
+            assert count_native_calls[native.TICK_ENTRY] >= emitted_after > 0
+            assert (
+                count_native_calls[native.RUN_ENTRY]
+                == len(entries) * count_native_calls[native.TICK_ENTRY]
+            )
+
+    @pytest.mark.parametrize("agg", [MEAN, MAX, FIRST], ids=lambda agg: agg.name)
+    def test_tick_entry_over_an_input_that_has_not_started(self, agg):
+        """An input with no snapshot yet (a join's late side) still yields a
+        grid point, so the tick entry is called over an empty buffer and a
+        site that has ingested nothing: every window is φ, as on NumPy."""
+        program = source("x").window(3, 1).aggregate(agg).to_program()
+        (kernel,) = compile_program(program, codegen_tier=NATIVE_TIER).kernels
+        kernel.ticked = True
+        kernel.promote()
+        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        (twin,) = compile_program(program).kernels
+        env = {"x": SSBuf.empty(0.0)}
+        got = kernel.run(env, 0.0, 4.0, runtime=IncrementalKernelRuntime(kernel, ["x"]))
+        want = twin.run(env, 0.0, 4.0, runtime=IncrementalKernelRuntime(twin, ["x"]))
+        assert len(got) and not got.valid.any()
+        assert fingerprint(got) == fingerprint(want)
+
+    def test_rewind_after_promotion(self, compile_cold):
+        """A checkpoint taken on NumPy, a promotion, a rewind: the sites are
+        cleared and refilled from the retained carry-over by NumPy, and the
+        C tick entry replays exactly what the NumPy twin replays."""
+        make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
+        program, streams = make_program(), make_streams()
+
+        def replay(engine, promote):
+            session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+            for _ in range(8):
+                session.tick()
+            token = session.checkpoint()
+            first = [crc(session.tick().delta) for _ in range(6)]
+            if promote:
+                session.compiled.promote()
+                assert session.plan["tick_entry"] == native.TICK_ENTRY
+            session.rewind(token)
+            again = [crc(session.tick().delta) for _ in range(6)]
+            session.release(token)
+            rest = tick_through(session)
+            return first, again, rest, session.result().output
+
+        with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as engine:
+            want = replay(engine, promote=False)
+        with TiltEngine(workers=1) as engine:
+            batch = engine.run(program, streams).output
+            got = replay(engine, promote=True)
+        # (a replay re-bases the prefix sums on the retained carry-over, so
+        # it equals the first pass to SSBuf tolerance only — but the two
+        # tiers replay the same bytes)
+        assert got[:3] == want[:3]
+        assert got[3] == want[3] == batch
 
 
 # ---------------------------------------------------------------------- #
