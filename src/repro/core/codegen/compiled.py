@@ -17,12 +17,18 @@ therefore executes one kind of artifact however it was made.
 Life of a kernel that requested the native tier: ``numpy`` → ``queued`` →
 ``building`` → ``native`` (or ``refused``, with the reason).  It is always
 instantiated on its NumPy twin, which costs what a NumPy-tier kernel costs
-and needs no toolchain; ``run`` charges the twin's wall time to the kernel,
-and once a query's undecided kernels have together cost more than building
-them is expected to (:func:`~repro.core.codegen.native.expected_build_seconds`
-each — break-even, the classic tier-up rule) the query is handed, once, to
-whoever compiled it (``on_hot``; the engine queues it for the process's
-builder thread).  A session's in-process ticks count like any run.
+and needs no toolchain; ``run`` charges the twin's wall time to the kernel's
+:class:`~repro.core.codegen.native.KernelRecord` — one per kernel digest in
+the process, so equal queries in different engines, services or program
+objects heat one record — and once a query's undecided kernels' pooled heat
+exceeds what building them is expected to cost
+(:func:`~repro.core.codegen.native.expected_build_seconds` each — break-even,
+the classic tier-up rule) the query is handed, once, to whoever compiled it
+(``on_hot``; the engine queues it for the process's builder thread).  The
+first equal query there builds; the others find the kernel in its record.
+(A long-lived service with one program object per query gains nothing from
+the pooling: its heat already lived on one kernel.)  A session's in-process
+ticks count like any run.
 Publishing the C kernel is one attribute store that ``run`` branches on per
 call — to the C kernel's run entry, or, for a call carrying a session's
 runtime, to its tick entry over that runtime's kept reduce-site arrays (a
@@ -112,8 +118,9 @@ class CompiledKernel:
         #: ``numpy`` / ``queued`` / ``building`` / ``native`` / ``refused``
         #: (see the module docstring); an interpreted kernel's is its tier
         self.state = NUMPY_TIER
-        #: wall seconds the NumPy twin has served (session ticks included)
-        self.numpy_seconds = 0.0
+        #: the heat this kernel shares with every equal native-tier kernel in
+        #: the process (a private record when it cannot or may not build)
+        self.record = native.record(spec) if tier == NATIVE_TIER else native.KernelRecord()
         #: wall seconds :meth:`promote` spent building this kernel
         self.build_seconds = 0.0
         #: a session ticks this kernel (set when one opens): building it then
@@ -139,6 +146,19 @@ class CompiledKernel:
         if self._function is None:
             return INTERPRETED_TIER
         return NATIVE_TIER if self._native is not None else NUMPY_TIER
+
+    @property
+    def numpy_seconds(self) -> float:
+        """Wall seconds NumPy twins of this kernel's digest have served in
+        this process — this kernel's and every equal kernel's, session ticks
+        included (its own alone on a private record)."""
+        return self.record.heat
+
+    def charge(self, seconds: float) -> None:
+        """Add ``seconds`` of NumPy-twin time to the kernel's record: the one
+        writer of heat (unlocked — a lost update under threads only delays
+        a promotion)."""
+        self.record.heat += seconds
 
     @property
     def undecided(self) -> bool:
@@ -225,7 +245,7 @@ class CompiledKernel:
         which reads the arrays of those same kept sites; without one the
         NumPy twin runs with the override.  The interpreted tier ignores the
         override (sessions never pass one to it).  Every call the NumPy twin
-        serves is charged to ``numpy_seconds``, a session's ticks included.
+        serves is charged to the kernel's record, a session's ticks included.
         """
         if self._function is None:  # interpreted tier: evaluate the IR itself
             return evaluate_temporal_expr(self.spec.te, env, t_start, t_end)
@@ -237,8 +257,7 @@ class CompiledKernel:
                 return c_kernel.tick(env, t_start, t_end, runtime)
         started = time.perf_counter()
         out = self._function(env, t_start, t_end, self.runtime if runtime is None else runtime)
-        # unlocked: a lost update under threads only delays a promotion
-        self.numpy_seconds += time.perf_counter() - started
+        self.charge(time.perf_counter() - started)
         return out
 
     def entry(self, tick: bool) -> str:
@@ -357,14 +376,17 @@ class CompiledQuery:
     def kernel_plan(self) -> List[Dict[str, object]]:
         """One row per kernel, read live: the tier requested, the tier
         serving ``run`` right now and, when a native request was refused,
-        why; where the kernel is on the way there (``state``), what its
-        NumPy twin has cost so far and what deciding it cost; and what
-        serves it on an in-process session tick (``tick_entry``: the output
-        kernel's C tick entry, an intermediate's C run entry, or the tier
-        name while on NumPy)."""
+        why; where the kernel is on the way there (``state``), what NumPy
+        twins of its digest have cost so far in this process (``numpy_seconds``,
+        pooled over every equal kernel — ``digest`` is the first 12 hex
+        digits of the shared record's key, ``None`` on a private record) and
+        what deciding it cost; and what serves it on an in-process session
+        tick (``tick_entry``: the output kernel's C tick entry, an
+        intermediate's C run entry, or the tier name while on NumPy)."""
         return [
             {
                 "kernel": k.name,
+                "digest": k.record.digest[:12] if k.record.digest else None,
                 "requested_tier": k.tier,
                 "active_tier": k.active_tier,
                 "tick_entry": k.entry(tick=k.name == self.output),
@@ -417,13 +439,14 @@ class CompiledQuery:
         if self.on_hot is not None:
             waiting = [k for k in self.kernels if k.undecided]
             for kernel in waiting:
-                kernel.numpy_seconds += seconds / len(waiting)
+                kernel.charge(seconds / len(waiting))
             self._check_hot()
 
     def _check_hot(self) -> None:
-        """The break-even rule: hand the query off once the NumPy twins of
-        its undecided kernels have together cost more than building those
-        kernels is expected to."""
+        """The break-even rule: hand the query off once the pooled heat of
+        its undecided kernels — what NumPy twins of their digests have cost
+        in this process, whichever query ran them — exceeds what building
+        those kernels is expected to cost."""
         waiting = [k for k in self.kernels if k.undecided]
         spent = sum(k.numpy_seconds for k in waiting)
         if spent > len(waiting) * native.expected_build_seconds():

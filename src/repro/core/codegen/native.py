@@ -35,14 +35,17 @@ Life of a kernel
 ----------------
 A native build is never paid by a caller.  A query starts on its NumPy
 kernels; :class:`~repro.core.codegen.compiled.CompiledQuery` charges each
-kernel the wall time its NumPy twin serves and, once that exceeds what
-building the kernels is expected to cost (:func:`expected_build_seconds`
-per kernel — the break-even tier-up rule), hands the query to this
-module's one daemon builder thread (:func:`submit_build`), which probes the
-toolchain, lowers, runs ``cc``, ``dlopen``s and publishes the kernel.
-:func:`instantiate` is the synchronous build that thread (and
-``CompiledQuery.promote``) calls; :func:`load_cached` is the same minus the
-compiler, for pool workers.
+kernel the wall time its NumPy twin serves — to the kernel's
+:class:`KernelRecord`, which every equal kernel in the process shares — and,
+once its kernels' pooled heat exceeds what building them is expected to
+cost (:func:`expected_build_seconds` per kernel — the break-even tier-up
+rule), hands the query to this module's one daemon builder thread
+(:func:`submit_build`), which probes the toolchain, lowers, runs ``cc``,
+``dlopen``s and publishes the kernel.  :func:`instantiate` is the
+synchronous build that thread (and ``CompiledQuery.promote``) calls;
+:func:`load_cached` is the same minus the compiler, for pool workers.  A
+``cc`` still running when the interpreter exits is killed with it, and its
+temp files removed (an ``atexit`` hook registered by the first build).
 
 Two entry points
 ----------------
@@ -62,13 +65,20 @@ time, and the break-even rule prices every query by what its builds cost.
 
 Caching
 -------
-Compiled artifacts are cached at two levels, both keyed by
+What this process knows about a kernel is kept at two levels, both keyed by
 ``KernelSpec.digest()``:
 
-* an in-process LRU of instantiated :class:`NativeKernel` objects
-  (``_KERNEL_CACHE_LIMIT`` entries), so every copy of a kernel in one
-  process — a pool worker unpickling a query again included — shares one
-  ``dlopen``;
+* an in-process LRU of :class:`KernelRecord` objects
+  (``_KERNEL_CACHE_LIMIT`` entries), one per digest: the NumPy time every
+  copy of the kernel has served (its heat) and the outcome of building it —
+  the loaded :class:`NativeKernel` or the reason it was refused.  Equal
+  queries in different engines, services or program objects of one process
+  therefore pay toward one build, share one ``dlopen`` (a pool worker
+  unpickling a query again included) and are refused once.  A long-lived
+  service with one program object per query gains nothing from this: its
+  heat already lived on one kernel.  A spec with lowering blockers keeps a
+  private record (its digest may raise, and it never builds), as does a
+  kernel that did not request the native tier;
 * an on-disk ``.so`` cache (``REPRO_NATIVE_CACHE``, default
   ``$TMPDIR/repro-native-<uid>``) written via per-process temp files and an
   atomic ``os.replace``, so process-pool workers and later processes
@@ -91,11 +101,13 @@ optional dependency.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import hashlib
 import logging
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import tempfile
@@ -131,6 +143,8 @@ __all__ = [
     "drop_builds",
     "stats",
     "clear_caches",
+    "record",
+    "KernelRecord",
     "NativeKernel",
 ]
 
@@ -152,10 +166,8 @@ _STATE_LOCK = threading.Lock()
 _BUILD_LOCK = threading.Lock()
 _AVAILABLE: Optional[bool] = None
 _LONGDOUBLE_OK = False
-_KERNEL_CACHE: "OrderedDict[str, NativeKernel]" = OrderedDict()
+_RECORDS: "OrderedDict[str, KernelRecord]" = OrderedDict()
 _KERNEL_CACHE_LIMIT = 128
-_FAILURE_CACHE: "OrderedDict[str, str]" = OrderedDict()
-_FAILURE_CACHE_LIMIT = 256
 _STATS = {
     "compiles_total": 0,
     "compile_seconds_total": 0.0,
@@ -222,15 +234,60 @@ def expected_build_seconds() -> float:
 
 
 def clear_caches() -> None:
-    """Drop the in-memory kernel and failure caches (test hook; disk kept)."""
+    """Drop every kernel record — heat, loaded kernels, refusals (test hook;
+    disk kept).  Kernels compiled before keep the records they hold."""
     with _STATE_LOCK:
-        _KERNEL_CACHE.clear()
-        _FAILURE_CACHE.clear()
+        _RECORDS.clear()
 
 
 def _count(key: str, amount: float = 1) -> None:
     with _STATE_LOCK:
         _STATS[key] += amount
+
+
+# ---------------------------------------------------------------------- #
+# one record per kernel digest
+# ---------------------------------------------------------------------- #
+class KernelRecord:
+    """What this process knows about one kernel digest, shared by every
+    :class:`~repro.core.codegen.compiled.CompiledKernel` that holds it:
+    ``heat``, the wall seconds their NumPy twins have served (what the
+    break-even rule weighs), and the outcome of building it — the loaded
+    ``kernel``, or the ``refusal`` reason.  ``digest`` is ``None`` on a
+    private record."""
+
+    __slots__ = ("digest", "heat", "kernel", "refusal")
+
+    def __init__(self, digest: Optional[str] = None):
+        self.digest = digest
+        self.heat = 0.0
+        self.kernel: Optional[NativeKernel] = None
+        self.refusal: Optional[str] = None
+
+
+def record(spec: KernelSpec) -> KernelRecord:
+    """The process-wide record of ``spec``'s digest — or a private one for
+    a spec with lowering blockers, whose digest may raise and which never
+    builds.  A record the LRU evicts lives on in the kernels holding it; a
+    later equal kernel starts a new one."""
+    if lowering_blockers(spec):
+        return KernelRecord()
+    digest = spec.digest()
+    with _STATE_LOCK:
+        return _record(digest)
+
+
+def _record(digest: str) -> KernelRecord:
+    """The table's record of ``digest``, created or made most recent (hold
+    ``_STATE_LOCK``)."""
+    rec = _RECORDS.get(digest)
+    if rec is None:
+        rec = _RECORDS[digest] = KernelRecord(digest)
+        while len(_RECORDS) > _KERNEL_CACHE_LIMIT:
+            _RECORDS.popitem(last=False)
+    else:
+        _RECORDS.move_to_end(digest)
+    return rec
 
 
 # ---------------------------------------------------------------------- #
@@ -298,10 +355,13 @@ def drop_builds(owner: object) -> list:
 def _after_fork_in_child() -> None:
     # the forking thread is the only one alive in the child: a lock another
     # thread held, or a builder thread recorded as running, would wait forever
-    global _STATE_LOCK, _BUILD_LOCK, _BUILDS
+    # — and the parent's compiler is not the child's to kill at exit
+    global _STATE_LOCK, _BUILD_LOCK, _SPAWN_LOCK, _BUILDS, _IN_FLIGHT
     _STATE_LOCK = threading.Lock()
     _BUILD_LOCK = threading.Lock()
+    _SPAWN_LOCK = threading.Lock()
     _BUILDS = _BuildQueue()
+    _IN_FLIGHT = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -373,14 +433,15 @@ def _artifact_valid(so: str) -> bool:
     return valid
 
 
-def cached(spec: KernelSpec) -> bool:
-    """True when the disk cache holds an artifact for ``spec`` — a cheap
-    look (no probe, no hash, nothing created) that decides whether a query
-    is promoted at compile time; validity is checked when it is loaded."""
-    if lowering_blockers(spec):
+def cached(rec: KernelRecord) -> bool:
+    """True when the record holds a loaded kernel or the disk cache an
+    artifact for its digest — a cheap look (no probe, no hash, nothing
+    created) that decides whether a query is promoted at compile time;
+    validity is checked when it is loaded.  Never for a private record."""
+    if rec.digest is None:
         return False
-    so = _so_path(spec.digest())
-    return os.path.exists(so) and os.path.exists(_sum_path(so))
+    so = _so_path(rec.digest)
+    return rec.kernel is not None or (os.path.exists(so) and os.path.exists(_sum_path(so)))
 
 
 # ---------------------------------------------------------------------- #
@@ -432,6 +493,70 @@ def _blockers(spec: KernelSpec, longdouble_ok: bool) -> List[str]:
 # ---------------------------------------------------------------------- #
 # compilation
 # ---------------------------------------------------------------------- #
+#: the ``cc`` running now and its temp files (builds hold ``_BUILD_LOCK``,
+#: so there is at most one), for :func:`_kill_compiler`
+_IN_FLIGHT: Optional[Tuple[subprocess.Popen, Tuple[str, ...]]] = None
+#: set by :func:`_kill_compiler`: a compiler started after it has run is
+#: killed by whoever started it
+_EXITING = False
+_EXIT_HOOKED = False
+#: orders a compiler's registration against :func:`_kill_compiler`
+_SPAWN_LOCK = threading.Lock()
+
+
+def _kill_compiler() -> None:
+    """``atexit``: the builder is a daemon thread, so the interpreter may
+    exit mid-build — kill the compiler's process group (``cc1``, ``as``
+    included), reap it and delete its temp files rather than leave it
+    running, reparented to init, writing into the cache directory."""
+    global _EXITING
+    with _SPAWN_LOCK:
+        _EXITING = True
+        in_flight = _IN_FLIGHT
+    if in_flight is None:
+        return
+    proc, leftovers = in_flight
+    with contextlib.suppress(OSError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    with contextlib.suppress(subprocess.SubprocessError):
+        proc.wait(timeout=5)
+    for path in leftovers:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
+
+def _run_compiler(cmd: List[str], leftovers: Tuple[str, ...]) -> Tuple[int, str]:
+    """Run ``cmd`` in a process group of its own, where :func:`_kill_compiler`
+    can reach it; ``(returncode, output)``."""
+    global _IN_FLIGHT, _EXIT_HOOKED
+    if not _EXIT_HOOKED:
+        atexit.register(_kill_compiler)
+        _EXIT_HOOKED = True
+    proc = subprocess.Popen(
+        cmd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    with _SPAWN_LOCK:
+        exiting = _EXITING
+        if not exiting:
+            _IN_FLIGHT = (proc, leftovers)
+    try:
+        if exiting:  # the exit hook has run: this one is ours to kill
+            raise subprocess.SubprocessError("the interpreter is exiting")
+        output, _ = proc.communicate(timeout=120)
+    except subprocess.SubprocessError:
+        with contextlib.suppress(OSError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    finally:
+        _IN_FLIGHT = None
+    return proc.returncode, output
+
+
 def _compile_so(so: str, c_source: str) -> None:
     """Compile ``c_source`` into ``so`` and write its ``.sum`` sidecar.
 
@@ -463,15 +588,15 @@ def _compile_so(so: str, c_source: str) -> None:
     ]
     try:
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            returncode, output = _run_compiler(cmd, (tmp_c, tmp_so, tmp_sum))
         except (OSError, subprocess.SubprocessError) as exc:  # compiler gone, timeout, ...
             raise _NativeBuildError(f"C compiler invocation failed: {exc}") from exc
         finally:
             with contextlib.suppress(OSError):
                 os.replace(tmp_c, base + ".c")  # keep the source for debuggability
-        if proc.returncode != 0:
-            tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-5:]
-            raise _NativeBuildError(f"cc exited {proc.returncode}: " + " | ".join(tail))
+        if returncode != 0:
+            tail = output.strip().splitlines()[-5:]
+            raise _NativeBuildError(f"cc exited {returncode}: " + " | ".join(tail))
         with open(tmp_so, "rb") as fh:
             checksum = _checksum(fh.read())
         with open(tmp_sum, "w") as fh:
@@ -625,13 +750,11 @@ def load_cached(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
     return _instantiate(spec, build=False, tick=False)
 
 
-def _refuse(reason: str, digest: Optional[str] = None) -> Tuple[None, str]:
+def _refuse(reason: str, rec: Optional[KernelRecord] = None) -> Tuple[None, str]:
     with _STATE_LOCK:
         _STATS["fallbacks_total"] += 1
-        if digest is not None:
-            _FAILURE_CACHE[digest] = reason
-            while len(_FAILURE_CACHE) > _FAILURE_CACHE_LIMIT:
-                _FAILURE_CACHE.popitem(last=False)
+        if rec is not None:
+            rec.refusal = reason
     return None, reason
 
 
@@ -655,14 +778,13 @@ def _instantiate(
         return _refuse("; ".join(blockers))
     digest = spec.digest()
     with _STATE_LOCK:
-        kernel = _KERNEL_CACHE.get(digest)
+        rec = _record(digest)
+        kernel, refusal = rec.kernel, rec.refusal
         if kernel is not None and (kernel.ticks or not tick):
-            _KERNEL_CACHE.move_to_end(digest)
             _STATS["mem_hits_total"] += 1
             return kernel, None
-        failure = _FAILURE_CACHE.get(digest)
-    if failure is not None:
-        return _refuse(failure)
+    if refusal is not None:
+        return _refuse(refusal)
     try:
         import cffi
 
@@ -692,7 +814,7 @@ def _instantiate(
             loaded[entry] = (lowered, ffi.dlopen(so), so)
         kernel = NativeKernel(spec, digest, ffi, loaded)
     except Exception as exc:
-        return _refuse(f"native build failed: {exc}", digest)
+        return _refuse(f"native build failed: {exc}", rec)
     with _STATE_LOCK:
         for elapsed in timings:
             if elapsed is None:
@@ -700,8 +822,5 @@ def _instantiate(
             else:
                 _STATS["compiles_total"] += 1
                 _STATS["compile_seconds_total"] += elapsed
-        _KERNEL_CACHE[digest] = kernel
-        _KERNEL_CACHE.move_to_end(digest)
-        while len(_KERNEL_CACHE) > _KERNEL_CACHE_LIMIT:
-            _KERNEL_CACHE.popitem(last=False)
+        rec.kernel = kernel
     return kernel, None

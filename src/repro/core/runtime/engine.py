@@ -273,9 +273,9 @@ class TiltEngine:
 
         Every kernel comes back on its NumPy twin.  On the native tier the
         query is wired to tier up by itself (see ``codegen_tier``): nothing
-        is probed, imported, spawned or started here unless the disk cache
-        already holds every kernel, in which case loading them is queued
-        at once.
+        is probed, imported, spawned or started here unless this process's
+        kernel records or the disk cache already hold every kernel, in which
+        case loading them is queued at once.
         """
         compiled = lower_program(
             program,
@@ -286,8 +286,8 @@ class TiltEngine:
         if self.codegen_tier == native.NATIVE_TIER:
             compiled.build_scope = self._native_build
             compiled.on_hot = self._queue_build
-            if all(native.cached(k.spec) for k in compiled.kernels):
-                compiled.hand_off()  # promoting costs a dlopen per kernel, no cc
+            if all(native.cached(k.record) for k in compiled.kernels):
+                compiled.hand_off()  # a memory hit or a dlopen per kernel, no cc
         return compiled
 
     def _queue_build(self, compiled: CompiledQuery) -> None:

@@ -12,10 +12,12 @@ it is on the default path: ``lowering_blockers`` independent of call order,
 and no code loaded from an artifact or a directory that cannot be trusted.
 """
 
+import contextlib
 import hashlib
 import json
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
@@ -39,6 +41,7 @@ from repro.core.frontend.query import source
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.ssbuf import SSBuf
 from repro.datagen.sources import sources_for_streams
+from repro.serve import QueryService
 from repro.windowing import FIRST, MAX, MEAN
 
 requires_native = pytest.mark.skipif(
@@ -56,11 +59,12 @@ def fingerprint(buf) -> str:
     return h.hexdigest()
 
 
-def make_hot(compiled) -> None:
-    """Credit the query's NumPy twins with more wall time than any build
-    costs, so the next ``run`` finds the break-even rule satisfied."""
+def make_hot(compiled, seconds: float = 1e3) -> None:
+    """Credit each of the query's kernels with ``seconds`` of NumPy time —
+    by default more than any build costs, so the next ``run`` finds the
+    break-even rule satisfied."""
     for kernel in compiled.kernels:
-        kernel.numpy_seconds += 1e3
+        kernel.charge(seconds)
 
 
 def wait_decided(compiled, while_waiting=lambda: None, timeout=60.0) -> None:
@@ -106,7 +110,7 @@ def fake_cc(tmp_path, monkeypatch):
 def compile_cold(monkeypatch):
     """Whatever the disk cache holds, compile as if it held nothing: queries
     start on NumPy and are promoted when the test says so."""
-    monkeypatch.setattr(native, "cached", lambda spec: False)
+    monkeypatch.setattr(native, "cached", lambda rec: False)
 
 
 # ---------------------------------------------------------------------- #
@@ -642,6 +646,184 @@ class TestSessions:
         # tiers replay the same bytes)
         assert got[:3] == want[:3]
         assert got[3] == want[3] == batch
+
+
+# ---------------------------------------------------------------------- #
+# (e) heat is kept per kernel digest, process-wide
+# ---------------------------------------------------------------------- #
+#: what the break-even rule takes one build to cost in these tests
+BREAK_EVEN = 10.0
+
+
+def compiles() -> int:
+    return native.stats()["compiles_total"]
+
+
+@requires_native
+class TestPooledHeat:
+    @pytest.fixture(autouse=True)
+    def fixed_break_even(self, cold_cache, monkeypatch):
+        monkeypatch.setattr(native, "expected_build_seconds", lambda: BREAK_EVEN)
+
+    def test_two_engines_below_break_even_pay_together_for_one_build(self):
+        """Each engine's copy of ``rsi`` has earned 0.6 of a build: neither
+        is hot alone, the second makes the digest hot, its query builds the
+        three kernels once, and the first engine's copy then promotes from
+        the records — no second ``cc`` — with the output unchanged."""
+        app = get_application("rsi")
+        streams = app.streams(900, seed=4)
+        with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as oracle:
+            want = fingerprint(oracle.run(app.program(), streams).output)
+        first_engine, second_engine = TiltEngine(workers=1), TiltEngine(workers=1)
+        with first_engine, second_engine:
+            first = first_engine.compile(app.program())
+            make_hot(first, 0.6 * BREAK_EVEN)
+            assert fingerprint(first_engine.run(first, streams).output) == want
+            assert {k.state for k in first.kernels} == {NUMPY_TIER}  # not hot alone
+            before = compiles()
+            second = second_engine.compile(app.program())  # another program object
+            assert [k.record for k in second.kernels] == [k.record for k in first.kernels]
+            make_hot(second, 0.6 * BREAK_EVEN)
+            assert fingerprint(second_engine.run(second, streams).output) == want  # hands off
+            wait_decided(second)
+            assert compiles() - before == len(second.kernels)  # one run entry each
+            assert fingerprint(first_engine.run(first, streams).output) == want  # hands off
+            wait_decided(first)
+            assert compiles() - before == len(second.kernels)  # memory hits
+            for compiled, engine in ((first, first_engine), (second, second_engine)):
+                assert {k.active_tier for k in compiled.kernels} == {NATIVE_TIER}
+                assert fingerprint(engine.run(compiled, streams).output) == want
+            rows = zip(first.kernel_plan(), second.kernel_plan())
+            for mine, theirs in rows:
+                assert mine["digest"] == theirs["digest"] is not None
+                assert mine["numpy_seconds"] == theirs["numpy_seconds"] > BREAK_EVEN
+
+    def test_tenants_submitting_equal_programs_share_one_build(self):
+        """Two tenants of one service, each with its own program object of
+        the same query: two compiled queries, one pooled heat, one build —
+        each kernel's run entry and the output kernel's tick entry once."""
+        make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
+        streams = make_streams()
+        with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as oracle:
+            want = oracle.run(make_program(), streams).output
+        with TiltEngine(workers=1) as engine, QueryService(engine) as service:
+            for name in ("a", "b"):
+                feed = sources_for_streams(streams, events_per_poll=per_tick)
+                service.submit(make_program(), name=name, sources=feed)
+            a, b = (service._tenant(name).session.compiled for name in ("a", "b"))
+            assert a is not b
+            assert [k.record for k in a.kernels] == [k.record for k in b.kernels]
+            before = compiles()
+            make_hot(a, 0.6 * BREAK_EVEN)
+            service.step()
+            assert {k.state for k in a.kernels + b.kernels} == {NUMPY_TIER}
+            make_hot(b, 0.6 * BREAK_EVEN)
+            deadline = time.monotonic() + 60.0
+            while any(k.undecided for k in a.kernels + b.kernels):
+                assert time.monotonic() < deadline, (a.kernel_plan(), b.kernel_plan())
+                service.step()
+            assert compiles() - before == len(a.kernels) + 1  # + the tick entry
+            rows = [service.stats().tenants[name]["plan"] for name in ("a", "b")]
+            assert rows[0]["kernels"][0]["digest"] == rows[1]["kernels"][0]["digest"]
+            service.run_until_idle()
+            for name in ("a", "b"):
+                assert service.stats().tenants[name]["plan"]["tick_entry"] == native.TICK_ENTRY
+                assert service.result(name).output == want
+        assert compiles() - before == len(a.kernels) + 1
+
+    def test_record_table_stays_within_its_bound(self):
+        """More distinct kernels than the table holds: the least recently
+        compiled digests are forgotten, the newest kept."""
+        limit = native._KERNEL_CACHE_LIMIT
+        with TiltEngine(workers=1) as engine:
+            queries = []
+            for window in range(3, limit + 12):
+                queries.append(engine.compile(unique_program(window)))
+                assert len(native._RECORDS) <= limit
+        digests = [q.kernels[0].record.digest for q in queries]
+        assert len(set(digests)) == len(digests) > limit
+        assert digests[-1] in native._RECORDS and digests[0] not in native._RECORDS
+
+    def test_refused_digest_is_refused_again_without_the_compiler(self, fake_cc, tmp_path):
+        log = tmp_path / "cc.log"
+        fake_cc(f'echo called >> "{log}"\necho "boom" >&2; exit 3')
+        stream = {"x": get_application("trading").streams(400, seed=2)["stock"]}
+        reasons = []
+        for attempt in range(2):  # a second engine, and a second program object
+            with TiltEngine(workers=1) as engine:
+                compiled = engine.compile(unique_program(53))
+                if not attempt:  # the second copy is hot from the record
+                    make_hot(compiled, BREAK_EVEN)
+                engine.run(compiled, stream)
+                wait_decided(compiled)
+                (row,) = compiled.kernel_plan()
+                assert (row["state"], row["active_tier"]) == ("refused", NUMPY_TIER)
+                assert engine._m_native_fallbacks.value == 1
+                reasons.append(row["fallback_reason"])
+        assert "boom" in reasons[0] and reasons[0] == reasons[1]
+        assert log.read_text().splitlines() == ["called"]
+
+
+_EXIT_MID_BUILD = """
+import os, sys, time
+from repro import TiltEngine
+from repro.core.frontend.query import source
+from repro.windowing import MEAN
+
+pids = sys.argv[1]
+engine = TiltEngine(workers=1)
+compiled = engine.compile(source("x").window(57, 1).aggregate(MEAN).to_program())
+compiled.hand_off()  # to the builder thread, as a hot run would
+deadline = time.monotonic() + 30
+while not (os.path.exists(pids) and len(open(pids).read().split()) == 2):
+    assert time.monotonic() < deadline
+    time.sleep(0.01)
+print(os.getpid())
+"""
+
+
+def alive(pid: int) -> bool:
+    """Running (a zombie left for init to reap counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@requires_native
+def test_no_compiler_outlives_the_interpreter(tmp_path):
+    """The interpreter exits while the builder thread's ``cc`` — here a
+    script that forks a child of its own, as ``cc`` forks ``cc1`` — is
+    running: both are killed at exit instead of being left to init, and no
+    temp file of the build stays in the cache directory."""
+    pids = tmp_path / "cc.pids"
+    script = tmp_path / "slow-cc"
+    script.write_text(f'#!/bin/sh\nsleep 60 &\necho $$ $! > "{pids}"\nwait\n')
+    script.chmod(0o755)
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_NATIVE_CACHE=str(cache), REPRO_NATIVE_CC=str(script))
+    out = subprocess.run(
+        [sys.executable, "-c", _EXIT_MID_BUILD, str(pids)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    compiler = [int(pid) for pid in pids.read_text().split()]
+    try:
+        assert out.returncode == 0, out.stderr
+        deadline = time.monotonic() + 5.0
+        while any(alive(pid) for pid in compiler):
+            assert time.monotonic() < deadline, f"compiler {compiler} outlived the interpreter"
+            time.sleep(0.01)
+        tag = f".{out.stdout.split()[-1]}."
+        assert not [p.name for p in cache.iterdir() if tag in p.name]
+    finally:
+        for pid in compiler:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------- #
