@@ -6,6 +6,9 @@ fused IR into the C source of its run entry
 that of its tick entry (:data:`~repro.core.codegen.native.TICK_ENTRY`),
 for :mod:`repro.core.codegen.native` to compile.  They are separate units
 so that a kernel no session ticks never pays ``cc`` for the second one.
+Every tick unit links against one library, :data:`TICK_SUPPORT` (the
+evaluation grid), which a process builds once per cache instead of into
+each tick unit.
 Only a build needs this module, so it is imported by the build, never on
 the way to a first result.
 """
@@ -39,7 +42,7 @@ from ..ops import bind
 from .native import RUN_ENTRY, TICK_ENTRY
 from .pysource import KernelSpec
 
-__all__ = ["lower", "lower_tick", "Lowered"]
+__all__ = ["lower", "lower_tick", "Lowered", "TICK_SUPPORT"]
 
 
 def _c_float(value: float) -> str:
@@ -122,6 +125,142 @@ static int64_t tilt_starts_before(const double* t, int64_t m, double s, double q
 }
 """
 
+#: what a tick unit declares of the support library: the evaluation grid
+_C_GRID = """/* one (input, boundary offset) of the grid: m snapshot times t, start s */
+typedef struct { int64_t m; const double* t; double s; double o; } tilt_access;
+
+int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
+                  double t_start, double t_end, double* ts, int64_t cap);
+"""
+
+#: the body of ``tilt_grid``: grid.py's evaluation_times_for_accesses in C,
+#: byte for byte
+_C_GRID_BODY = """/* a run of candidate times: t[0..n) - o */
+typedef struct { const double* t; int64_t n; double o; } tilt_run;
+
+/* the grid index ceil(c/p - 1e-9) of a candidate c (its time when p == 0) */
+static double tilt_snap(double c, double p)
+{
+    return p > 0 ? ceil(c / p - 1e-9) : c;
+}
+
+/* a run snapped into b, the first of equal neighbours kept; returns their
+   count.  Snapping is monotone, so each group of equal ones is found by a
+   galloping search rather than by snapping every candidate. */
+static int64_t tilt_snapped(tilt_run run, double p, double* b)
+{
+    int64_t nb = 0, q = 0;
+    double k = tilt_snap(run.t[0] - run.o, p), kh = k;
+    while (q < run.n) {
+        int64_t lo = q, hi = q + 1, step = 1;
+        b[nb++] = k;
+        while (hi < run.n && (kh = tilt_snap(run.t[hi] - run.o, p)) == k) {
+            lo = hi;
+            step *= 2;
+            hi = lo + step;
+        }
+        hi = hi < run.n ? hi : run.n;
+        while (hi - lo > 1) {  /* kh: the snap at hi, once hi < run.n */
+            int64_t mid = lo + (hi - lo) / 2;
+            double km = tilt_snap(run.t[mid] - run.o, p);
+            if (km == k) lo = mid; else { hi = mid; kh = km; }
+        }
+        q = hi;
+        k = kh;
+    }
+    return nb;
+}
+
+/* the evaluation grid over (t_start, t_end] with precision p, as grid.py
+   builds it: the candidate runs — {t_end}, then per access its snapshot
+   times in (t_start+o, t_end+o] and its start time if that lies there —
+   snapped; on a precision grid each index k marks k and k - 1.  Where
+   grid.py reads the union off a bitmap (indices dense among the
+   candidates) so does this, the point of cell i being (i + first) * p;
+   otherwise the runs are merged one by one as _merge_runs merges them (of
+   two equal values the longer side's is kept, the union's on a tie).  The
+   union is cut to (t_start+1e-12, t_end+1e-12] and closed with t_end.
+   Returns the grid's length and writes it to ts only if that is at most
+   cap; -1 when its scratch memory cannot be had. */
+int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
+                  double t_start, double t_end, double* ts, int64_t cap)
+{
+    tilt_run* runs = (tilt_run*)malloc(sizeof(tilt_run) * (size_t)(2 * na + 1));
+    if (runs == NULL) return -1;
+    int64_t nr = 1, total = 0, widest = 1;
+    runs[0] = (tilt_run){&t_end, 1, 0.0};
+    for (int64_t r = 0; r < na; r++) {
+        double o = a[r].o;
+        int64_t lo = tilt_upper(a[r].t, a[r].m, t_start + o), hi = tilt_upper(a[r].t, a[r].m, t_end + o);
+        if (hi > lo) runs[nr++] = (tilt_run){a[r].t + lo, hi - lo, o};
+        if (a[r].m > 0 && t_start + o < a[r].s && a[r].s <= t_end + o) runs[nr++] = (tilt_run){&a[r].s, 1, o};
+    }
+    double kmin = INFINITY, kmax = -INFINITY;
+    for (int64_t r = 0; r < nr; r++) {
+        double k0 = tilt_snap(runs[r].t[0] - runs[r].o, p);
+        double k1 = tilt_snap(runs[r].t[runs[r].n - 1] - runs[r].o, p);
+        total += runs[r].n;
+        widest = runs[r].n > widest ? runs[r].n : widest;
+        kmin = k0 < kmin ? k0 : kmin;
+        kmax = k1 > kmax ? k1 : kmax;
+    }
+    double first = kmin - 1.0, cells = kmax - first + 1.0;
+    int dense = p > 0 && !(cells > 8.0 * (double)total + 64.0);
+    size_t bytes = sizeof(double) * (size_t)(4 * total + widest) + (dense ? (size_t)cells : 0);
+    double* mem = (double*)malloc(bytes);
+    if (mem == NULL) { free(runs); return -1; }
+    double *u = mem, *spare = mem + 2 * total, *b = mem + 4 * total;
+    int64_t nu = 0;
+    if (dense) {
+        unsigned char* mark = (unsigned char*)(b + widest);
+        for (int64_t i = 0; i < (int64_t)cells; i++) mark[i] = 0;
+        for (int64_t r = 0; r < nr; r++) {
+            int64_t nb = tilt_snapped(runs[r], p, b);
+            for (int64_t j = 0; j < nb; j++) {
+                int64_t at = (int64_t)(b[j] - first);
+                mark[at] = mark[at - 1] = 1;
+            }
+        }
+        for (int64_t i = 0; i < (int64_t)cells; i++)
+            if (mark[i]) u[nu++] = ((double)i + first) * p;
+    } else {
+        for (int64_t r = 0; r < nr; r++) {
+            int64_t nb = tilt_snapped(runs[r], p, b);
+            for (int shift = 0; shift < (p > 0 ? 2 : 1); shift++) {
+                if (shift)  /* then k - 1: the last point the old value holds */
+                    for (int64_t q = 0; q < nb; q++) b[q] = b[q] - 1.0;
+                const double *x = u, *y = b;
+                int64_t nx = nu, ny = nb, i = 0, j = 0, m = 0;
+                if (nx < ny) { x = b; y = u; nx = nb; ny = nu; }
+                while (i < nx && j < ny) {
+                    if (y[j] < x[i]) { spare[m++] = y[j++]; continue; }
+                    if (!(x[i] < y[j])) j++;
+                    spare[m++] = x[i++];
+                }
+                while (i < nx) spare[m++] = x[i++];
+                while (j < ny) spare[m++] = y[j++];
+                double* w = u;
+                u = spare;
+                spare = w;
+                nu = m;
+            }
+        }
+        if (p > 0)
+            for (int64_t j = 0; j < nu; j++) u[j] = u[j] * p;
+    }
+    int64_t lo = tilt_upper(u, nu, t_start + 1e-12), hi = tilt_upper(u, nu, t_end + 1e-12);
+    int closed = hi > lo && !(u[hi - 1] < t_end);
+    int64_t n = hi - lo + !closed;
+    if (n <= cap) {
+        for (int64_t j = lo; j < hi; j++) ts[j - lo] = u[j];
+        if (!closed) ts[n - 1] = t_end;
+    }
+    free(mem);
+    free(runs);
+    return n;
+}
+"""
+
 
 class _CEmitter:
     """Lowers one KernelSpec's fused IR to one C entry point.
@@ -132,13 +271,19 @@ class _CEmitter:
     evaluation of both conditional branches and domain-masked lanes.
 
     ``tick=False`` emits :data:`RUN_ENTRY`, which builds every index itself
-    and starts every cursor at 0.  ``tick=True`` emits :data:`TICK_ENTRY`:
-    each prefix group reads the arrays of the NumPy
+    over the grid it is handed and starts every cursor at 0.  ``tick=True``
+    emits :data:`TICK_ENTRY`, which runs in three steps.  Each prefix group
+    first extends the arrays of the
     :class:`~repro.windowing.prefix.PrefixRangeIndex` the caller passes (a
-    session's kept site, or one built for the call), and each cursor starts
-    at one binary search for the first grid point, then advances
-    monotonically — a tick's grid is a short run at the far end of a long
-    retained tail.
+    session's kept site, or a fresh one) by the input's newest snapshots —
+    the group's element map and components as the run entry emits them,
+    accumulated as ``PrefixRangeIndex.extend`` does, into rows the caller
+    reserved.  Then the entry builds its own grid (``tilt_grid``, with the
+    kernel's ``(input, boundary offset)`` pairs and precision as literals),
+    returning before anything allocates when the caller's outputs are too
+    short.  Last, the loop: each cursor starts at one binary search for the
+    first grid point, then advances monotonically — a tick's grid is a short
+    run at the far end of a long retained tail.
     """
 
     def __init__(self, spec: KernelSpec, tick: bool = False):
@@ -158,6 +303,7 @@ class _CEmitter:
         self.groups: Dict[tuple, _Group] = {}
         self.center_refs: List[str] = []  # one long double center per entry
         self.tick_sites: List[_TickSite] = []  # prefix groups of the tick entry
+        self.extends: List[str] = []  # the tick entry's site extends (run first)
         self._point_sites: Dict[Tuple[str, float], Tuple[str, str]] = {}
         self._reduce_sites: Dict[
             Tuple[str, float, float, int, Optional[int]], Tuple[str, str]
@@ -296,11 +442,36 @@ class _CEmitter:
 
     def _bind_tick_site(self, group: _Group) -> None:
         """A tick-entry prefix group: its timeline (``{g}_e``: start time,
-        then every snapshot time) and prefixes are parameters."""
+        then every snapshot time), valid prefix and component prefixes are
+        parameters, their last ``{g}_new`` rows reserved for the input's
+        newest snapshots, which the entry maps and accumulates into them
+        before anything else (an extended-precision row around the index's
+        centre ``{g}_c``)."""
         g = f"g{group.index}"
-        self.tick_sites.append(
-            _TickSite(group.site, len(group.agg.c_components), group.agg.prefix_dtype)
-        )
+        agg = group.agg
+        self.tick_sites.append(_TickSite(group.site, len(agg.c_components), agg.prefix_dtype))
+        m, bt = self._ref_args(group.ref)[:2]
+        ctype = "long double" if agg.prefix_extended_precision else "double"
+        ext = self.extends
+        ext.append(f"    int64_t {g}_from = {m} - {g}_new, {g}_at = {g}_m - {g}_new;")
+        ext.append(f"    double {g}_lv = {g}_vp[{g}_at], {g}_av = -0.0;")
+        for c in range(len(agg.c_components)):
+            ext.append(f"    {ctype} {g}_l{c} = {g}_p{c}[{g}_at], {g}_a{c} = -0.0;")
+        ext.append(f"    for (int64_t j = {g}_from; j < {m}; j++) {{")
+        ext.append(f"        int64_t {g}_r = {g}_at + 1 + (j - {g}_from);")
+        ext.append(f"        {g}_e[{g}_r] = {bt}[j];")
+        xv, xk = self._emit_elem(group, ext)
+        center = f"{g}_c[0]" if agg.prefix_extended_precision else None
+        terms = self._components(group, xv, xk, center, ext)
+        # PrefixRangeIndex._accumulate: the chunk's cumsum (-0.0 is the one
+        # start that leaves its first term as it is), plus the last sum held
+        # unless that is zero — which keeps a -0.0
+        ext.append(f"        {g}_av += {xk} ? 1.0 : 0.0;")
+        ext.append(f"        {g}_vp[{g}_r] = ({g}_lv != 0) ? {g}_av + {g}_lv : {g}_av;")
+        for c, term in enumerate(terms):
+            ext.append(f"        {g}_a{c} += {term};")
+            ext.append(f"        {g}_p{c}[{g}_r] = ({g}_l{c} != 0) ? {g}_a{c} + {g}_l{c} : {g}_a{c};")
+        ext.append("    }")
         self.prelude.append(f"    const double* {g}_t = {g}_e + 1;")
         self.prelude.append(f"    double {g}_s = {g}_e[0];")
 
@@ -332,6 +503,23 @@ class _CEmitter:
         out.append(f"        int {xk} = {bk}[j] && {mk};")
         return xv, xk
 
+    def _components(
+        self, group: _Group, xv: str, xk: str, center: Optional[str], out: List[str]
+    ) -> List[str]:
+        """The row's component terms of one mapped snapshot, masked exactly
+        as :meth:`AggregateFunction.prefix_components`: zeros at φ lanes,
+        centred on ``center`` for an extended-precision row, then each
+        component as the row's C text states it."""
+        g = f"g{group.index}"
+        if center is not None:
+            out.append(f"        long double {g}_mx = (long double)({xk} ? {xv} : 0.0);")
+            out.append(f"        long double {g}_cx = {g}_mx - {center};")
+            x, suffix = f"{g}_cx", "L"
+        else:
+            out.append(f"        double {g}_mx = {xk} ? {xv} : 0.0;")
+            x, suffix = f"{g}_mx", ""
+        return [comp.format(x=x, k=xk, L=suffix) for comp in group.agg.c_components]
+
     def _emit_group_build(self, group: _Group) -> None:
         g = f"g{group.index}"
         m = self._ref_args(group.ref)[0]
@@ -353,20 +541,12 @@ class _CEmitter:
                 pre.append(f"    {g}_p{c}[0] = 0.0;")
             pre.append(f"    for (int64_t j = 0; j < {m}; j++) {{")
             pre.extend(loop)
-            # masked exactly as AggregateFunction.prefix_components: zeros at
-            # φ lanes, centred for an extended-precision row, then each
-            # component as the row's C text states it
+            center = None
             if ext:
                 center = f"centers[{len(self.center_refs)}]"
                 self.center_refs.append(group.ref)
-                pre.append(f"        long double {g}_mx = (long double)({xk} ? {xv} : 0.0);")
-                pre.append(f"        long double {g}_cx = {g}_mx - {center};")
-                x, suffix = f"{g}_cx", "L"
-            else:
-                pre.append(f"        double {g}_mx = {xk} ? {xv} : 0.0;")
-                x, suffix = f"{g}_mx", ""
-            for c, comp in enumerate(agg.c_components):
-                pre.append(f"        {g}_p{c}[j + 1] = {g}_p{c}[j] + {comp.format(x=x, k=xk, L=suffix)};")
+            for c, term in enumerate(self._components(group, xv, xk, center, pre)):
+                pre.append(f"        {g}_p{c}[j + 1] = {g}_p{c}[j] + {term};")
             pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
             pre.append("    }")
         elif kind == "rmq":
@@ -498,10 +678,32 @@ class _CEmitter:
         return v, k
 
     # -- assembly ------------------------------------------------------------ #
+    def _grid(self) -> List[str]:
+        """The tick entry's evaluation grid: its ``(input, boundary offset)``
+        pairs in the order ``grid.py`` visits them, and the precision, as
+        literals.  A grid longer than ``cap`` returns before anything
+        allocates."""
+        pairs = []
+        for ref, pattern in self.spec.accesses.items():
+            m, bt, _, _, bs = self._ref_args(ref)
+            pairs += [f"{{{m}, {bt}, {bs}, {_c_float(o)}}}" for o in pattern.boundary_offsets()]
+        lines = []
+        if pairs:
+            lines.append(f"    const tilt_access grid[{len(pairs)}] = {{{', '.join(pairs)}}};")
+        lines.append(
+            f"    int64_t n = tilt_grid({'grid' if pairs else 'NULL'}, {len(pairs)}, "
+            f"{_c_float(self.spec.tdom.precision)}, t_start, t_end, ts, cap);"
+        )
+        lines.append("    if (n < 0 || n > cap) return n;")
+        return lines
+
     def generate(self) -> Tuple[str, str]:
         """Returns ``(function, signature)``: this entry point's C text."""
         out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
-        params = ["int64_t n", "const double* ts"]
+        if self.tick:
+            params = ["double t_start", "double t_end", "int64_t cap", "double* ts"]
+        else:
+            params = ["int64_t n", "const double* ts"]
         for i in range(len(self.refs)):
             params += [
                 f"int64_t m{i}",
@@ -514,15 +716,21 @@ class _CEmitter:
             for site in self.tick_sites:
                 g = f"g{self.groups[site.key].index}"
                 ctype = "long double" if site.dtype is np.longdouble else "double"
-                params += [f"int64_t {g}_m", f"const double* {g}_e", f"const double* {g}_vp"]
-                params += [f"const {ctype}* {g}_p{c}" for c in range(site.components)]
+                params += [f"int64_t {g}_m", f"double* {g}_e", f"double* {g}_vp"]
+                params += [f"{ctype}* {g}_p{c}" for c in range(site.components)]
+                params.append(f"int64_t {g}_new")
+                if site.dtype is np.longdouble:
+                    params.append(f"const long double* {g}_c")
         else:
             params.append("const long double* centers")
         params += ["double* out_v", "unsigned char* out_k"]
         signature = f"int64_t {TICK_ENTRY if self.tick else RUN_ENTRY}({', '.join(params)})"
         lines = [signature, "{", "    int64_t rc = 0;"]
-        lines.append("    if (n <= 0) return 0;" if self.tick else "    (void)centers;")
+        if not self.tick:
+            lines.append("    (void)centers;")
         lines += [f"    {ctype}* {name} = NULL;" for ctype, name in self.allocs]
+        if self.tick:  # the extends first: nothing before them can fail
+            lines += self.extends + self._grid()
         lines += self.prelude
         lines += self.decls
         lines.append("    for (int64_t i = 0; i < n; i++) {")
@@ -533,7 +741,7 @@ class _CEmitter:
         if self.allocs:
             lines.append("cleanup:")
             lines += [f"    free({name});" for _, name in self.allocs]
-        lines.append("    return rc;")
+        lines.append("    return rc ? -1 : n;" if self.tick else "    return rc;")
         lines.append("}")
         return "\n".join(lines) + "\n", f"{signature};"
 
@@ -554,8 +762,16 @@ def lower(spec: KernelSpec) -> Lowered:
 
 
 def lower_tick(spec: KernelSpec) -> Lowered:
-    """The tick entry's translation unit."""
-    return _unit(_CEmitter(spec, tick=True), _C_SEEK)
+    """The tick entry's translation unit; it links against
+    :data:`TICK_SUPPORT`."""
+    return _unit(_CEmitter(spec, tick=True), _C_SEEK, _C_GRID)
+
+
+#: the library every tick unit links against, built once per cache rather
+#: than into each kernel's unit (see ``native._load_support``): the grid
+TICK_SUPPORT = "\n".join(
+    ["/* support library of the native tick entries */\n" + _C_HEADER, _C_SEEK, _C_GRID, _C_GRID_BODY]
+)
 
 
 def _unit(emitter: _CEmitter, *helpers: str) -> Lowered:

@@ -190,6 +190,13 @@ class CompiledKernel:
                     self._adopt(*native.instantiate(self.spec, tick=self.ticked))
                     self.build_seconds += time.perf_counter() - started
 
+    def adopt(self, c_kernel) -> None:
+        """:meth:`promote` without a build: publish ``c_kernel``, the one an
+        equal kernel's build left in this kernel's record."""
+        with self._promote_lock:
+            if self.undecided:
+                self._adopt(c_kernel, None)
+
     def load_cached(self) -> None:
         """:meth:`promote` minus the compiler (pool workers): adopt what the
         disk cache holds; a kernel it does not hold stays undecided."""
@@ -242,7 +249,7 @@ class CompiledKernel:
         goes to the C kernel's tick entry
         (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`,
         built with the kernel once a session has marked it :attr:`ticked`),
-        which reads the arrays of those same kept sites; without one the
+        which extends those same kept sites itself; without one the
         NumPy twin runs with the override.  The interpreted tier ignores the
         override (sessions never pass one to it).  Every call the NumPy twin
         serves is charged to the kernel's record, a session's ticks included.
@@ -411,6 +418,19 @@ class CompiledQuery:
         self.on_hot = None
         for kernel in self.kernels:
             kernel.promote(self.build_scope)
+
+    def adopt_loaded(self) -> bool:
+        """Promote on the calling thread from the kernel records alone, when
+        every one of them already holds its loaded C kernel (an equal query
+        built them): memory hits — no ``cc``, no builder thread, nothing
+        left to hand off.  ``False``, and nothing adopted, otherwise."""
+        c_kernels = native.loaded([k.record for k in self.kernels])
+        if c_kernels is None:
+            return False
+        self.on_hot = None
+        for kernel, c_kernel in zip(self.kernels, c_kernels):
+            kernel.adopt(c_kernel)
+        return True
 
     def hand_off(self) -> None:
         """Send the query to ``on_hot`` — at most once, whichever thread

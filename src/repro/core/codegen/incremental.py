@@ -29,11 +29,14 @@ Init/Acc/Result/Deacc escalation of the paper's aggregation template
   input columns are append-only (which makes "ingest the new tail"
   well-defined).
 
-A promoted output kernel reads the same kept indexes: its C tick entry
+A promoted output kernel keeps the same indexes: its C tick entry
 (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`)
-ingests each site exactly as ``rt.reduce`` would and then takes the
-index's arrays by pointer, so these sites are the one state a session has
-whichever tier serves it.
+takes each index's arrays by pointer and extends them itself — into rows
+:meth:`ReduceSite.reserve <.runtime_support.ReduceSite.reserve>` reserved,
+with the bytes ``rt.reduce``'s NumPy ingest would have written — so these
+sites are the one state a session has whichever tier serves it.  Who
+feeds each one is in the session plan
+(:meth:`IncrementalKernelRuntime.extended_by`).
 
 The runtime also exposes the *retention floor* the session's carry-over
 pruning must respect: input snapshots newer than a site's ingest horizon
@@ -46,6 +49,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ...windowing.prefix import PrefixRangeIndex
+from .native import NUMPY_TIER
 from .runtime_support import KernelRuntime
 
 __all__ = ["persists", "reduce_site_plan", "IncrementalKernelRuntime"]
@@ -109,6 +113,9 @@ class IncrementalKernelRuntime(KernelRuntime):
         self._reduce_sites = kernel.spec.reduce_sites
         #: :func:`reduce_site_plan` rows, aligned with ``spec.reduce_sites``
         self.plan = reduce_site_plan(kernel.spec, frozenset(input_refs))
+        #: the lanes the C tick entry's outputs are first given: twice the
+        #: last grid, shrinking no faster than by half a tick
+        self.grid_lanes = 16
         self.clear()
 
     def clear(self) -> None:
@@ -120,6 +127,20 @@ class IncrementalKernelRuntime(KernelRuntime):
                 # growable, so the site holds its index from the start
                 index = PrefixRangeIndex(self.aggregates[agg_idx])
                 self.sites[ref, agg_idx, elem_idx] = self.new_site(agg_idx, elem_idx, index)
+
+    def extended_by(self, entry: str) -> List[str]:
+        """Per :attr:`plan` row, read live: what extends (or, per
+        invocation, builds) its site on the next tick — ``entry``, the entry
+        serving the kernel's ticks, except that NumPy opens an
+        extended-precision prefix index (its centre is ``np.mean``'s)."""
+        fed = []
+        for ref, _, _, agg_idx, elem_idx in self._reduce_sites:
+            site = self.sites.get((ref, agg_idx, elem_idx))
+            opening = self.aggregates[agg_idx].prefix_extended_precision and (
+                site is None or site.index.center is None
+            )
+            fed.append(NUMPY_TIER if opening else entry)
+        return fed
 
     def ingested_floor(self) -> float:
         """Oldest ingest horizon across sites — input newer than this has

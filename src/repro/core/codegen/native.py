@@ -51,17 +51,29 @@ Two entry points
 ----------------
 A kernel has two C entry points over the same lowered expression, each its
 own artifact.  ``tilt_native`` (:data:`RUN_ENTRY`) serves a one-shot
-partition: it builds every index over the buffers it is handed.
-``tilt_tick`` (:data:`TICK_ENTRY`) serves a session's in-process tick: each
-prefix-sum group reads the arrays of the
-:class:`~repro.windowing.prefix.PrefixRangeIndex` the session keeps for that
-reduce site (passed by pointer on every call; NumPy still extends, prunes
-and rebases it), and each cursor starts at one binary search for the tick's
-first grid point instead of at the retained tail's first snapshot.  The
-tick entry keeps no state of its own, so a session promoted mid-stream
-hands nothing over.  It is built only for a kernel a session ticks
-(:func:`instantiate` with ``tick``): a second copy of the loop costs ``cc``
-time, and the break-even rule prices every query by what its builds cost.
+partition: it builds every index over the buffers it is handed and
+evaluates the grid ``rt.eval_times`` built.  ``tilt_tick``
+(:data:`TICK_ENTRY`) serves a session's in-process tick and does the
+tick's per-row work itself.  First it extends each prefix-sum group's
+:class:`~repro.windowing.prefix.PrefixRangeIndex` — the one the session
+keeps for that reduce site, passed by pointer on every call — by the
+input's new snapshots: element map, masked components and the chunked
+accumulation, byte for byte what ``PrefixRangeIndex.extend`` writes, into
+rows Python reserved (Python keeps the growth, the ingest horizon, the
+prune rebase and an extended-precision index's first chunk, whose centre
+is ``np.mean``'s).  Nothing before the extends can fail, so a failed call
+leaves every site extended.  Then it builds the evaluation grid
+(``grid.py``'s bitmap or sorted-run merge, byte for byte, the kernel's
+offsets and precision passed as literals to ``tilt_grid``, which lives in
+one support library every tick unit links against: :func:`_load_support`)
+into outputs the caller sized; a grid that does not fit returns its length
+and the call is repeated, extends skipped.  Each cursor starts at one
+binary search for the tick's first grid point instead of at the retained
+tail's first snapshot.  The tick entry keeps no state of its own, so a
+session promoted mid-stream hands nothing over.  It is built only for a
+kernel a session ticks (:func:`instantiate` with ``tick``): a second loop
+and the extend code cost ``cc`` time, and the break-even rule prices every
+query by what its builds cost.
 
 Caching
 -------
@@ -138,6 +150,7 @@ __all__ = [
     "instantiate",
     "load_cached",
     "cached",
+    "loaded",
     "expected_build_seconds",
     "submit_build",
     "drop_builds",
@@ -402,9 +415,15 @@ def _trusted_cache_dir() -> str:
     return path
 
 
-def _so_path(digest: str, entry: str = RUN_ENTRY) -> str:
-    suffix = "-tick" if entry == TICK_ENTRY else ""
-    return os.path.join(_cache_path(), f"tilt-{digest[:32]}{suffix}.so")
+def _so_path(digest: str, tick_source: Optional[str] = None) -> str:
+    """The run entry's artifact or — given its C text — the tick entry's,
+    whose name carries a hash of that text too: the spec digest does not
+    cover how the tick entry is emitted, which has changed its parameters
+    before, and a stale artifact with other parameters must not load."""
+    name = f"tilt-{digest[:32]}"
+    if tick_source is not None:
+        name += f"-{hashlib.sha256(tick_source.encode()).hexdigest()[:12]}-tick"
+    return os.path.join(_cache_path(), name + ".so")
 
 
 def _sum_path(so: str) -> str:
@@ -442,6 +461,19 @@ def cached(rec: KernelRecord) -> bool:
         return False
     so = _so_path(rec.digest)
     return rec.kernel is not None or (os.path.exists(so) and os.path.exists(_sum_path(so)))
+
+
+def loaded(records: List[KernelRecord]) -> Optional[List["NativeKernel"]]:
+    """The C kernels ``records`` hold, counted as memory hits — or ``None``,
+    nothing counted, unless every record holds one and the tier is
+    available.  A record's kernel, once set, stays, so a caller may adopt
+    them on any thread without building (``CompiledQuery.adopt_loaded``)."""
+    with _STATE_LOCK:
+        kernels = [rec.kernel for rec in records]
+    if any(kernel is None for kernel in kernels) or not native_available():
+        return None
+    _count("mem_hits_total", len(kernels))
+    return kernels
 
 
 # ---------------------------------------------------------------------- #
@@ -609,6 +641,36 @@ def _compile_so(so: str, c_source: str) -> None:
                 os.unlink(leftover)
 
 
+#: the tick entries' support library once loaded (kept alive; see
+#: :func:`_load_support`)
+_SUPPORT = None
+
+
+def _load_support() -> None:
+    """Load the library every tick unit links against (``c_emit.TICK_SUPPORT``:
+    the evaluation grid — one artifact for all kernels, where a copy in each
+    tick unit would double its ``cc`` time), building it first if the cache
+    does not hold it.  Its symbols are loaded global, so a tick unit
+    ``dlopen``ed after it resolves ``tilt_grid`` there.  Its ``cc`` run is
+    no kernel's build and happens once per cache, so :func:`stats` does not
+    count it (nor does the break-even rule); the wall time of the build
+    that loads it does."""
+    global _SUPPORT
+    import cffi
+
+    from .c_emit import TICK_SUPPORT
+
+    with _BUILD_LOCK:
+        if _SUPPORT is not None:
+            return
+        tag = hashlib.sha256(TICK_SUPPORT.encode()).hexdigest()[:12]
+        so = os.path.join(_cache_path(), f"tilt-support-{tag}.so")
+        if not _artifact_valid(so):
+            _compile_so(so, TICK_SUPPORT)
+        ffi = cffi.FFI()
+        _SUPPORT = ffi.dlopen(so, ffi.RTLD_NOW | ffi.RTLD_GLOBAL)
+
+
 # ---------------------------------------------------------------------- #
 # the runnable kernel
 # ---------------------------------------------------------------------- #
@@ -623,11 +685,12 @@ class NativeKernel:
     Drop-in for the generated-Python kernel function, with one method per C
     entry point; both return the same
     :class:`~repro.core.runtime.ssbuf.SSBuf` as the NumPy twin (bit-identical
-    values) and take the evaluation-time grid from the runtime ``rt``.
-    :meth:`run` serves a one-shot partition; :meth:`tick` — present when
-    :attr:`ticks` — a session's in-process tick, reading the reduce-site
-    arrays ``rt`` keeps.  Neither holds a pointer past its call, and the
-    cffi call releases the GIL, so thread-pool partitions genuinely overlap.
+    values and times).  :meth:`run` serves a one-shot partition over the
+    grid the runtime ``rt`` builds; :meth:`tick` — present when
+    :attr:`ticks` — a session's in-process tick, extending the reduce sites
+    ``rt`` keeps and building its own grid.  Neither holds a pointer past its
+    call, and the cffi call releases the GIL, so thread-pool partitions
+    genuinely overlap.
     """
 
     def __init__(
@@ -650,13 +713,11 @@ class NativeKernel:
             self._tick_fn = getattr(tick_lib, TICK_ENTRY)
         self._libs = [lib for _, lib, _ in loaded.values()]  # keep the dlopen handles alive
 
-    def _grid_and_inputs(self, env, t_start: float, t_end: float, rt):
-        """``(ts, args)``: the grid, and the call's arguments so far — the
-        grid and every referenced buffer by pointer (a validity mask as its
-        own bytes: a bool is one byte)."""
+    def _inputs(self, env) -> list:
+        """Every referenced buffer by pointer (a validity mask as its own
+        bytes: a bool is one byte)."""
         ffi = self._ffi
-        ts = np.ascontiguousarray(rt.eval_times(env, t_start, t_end), dtype=np.float64)
-        args = [len(ts), ffi.from_buffer("double[]", ts)]
+        args = []
         for ref in self._refs:
             buf = env[ref]
             args += [
@@ -666,35 +727,41 @@ class NativeKernel:
                 ffi.from_buffer("unsigned char[]", buf.valid.view(np.uint8)),
                 float(buf.start_time),
             ]
-        return ts, args
+        return args
 
-    def _call(self, fn, ts, args, t_start: float):
-        """Call an entry point with outputs sized here; they become the
-        output buffer as they are (C wrote every lane)."""
-        n = len(ts)
+    def _outputs(self, n: int) -> Tuple[np.ndarray, np.ndarray, list]:
+        """``(out_v, out_k, pointers)``: ``n`` output lanes for C to write."""
         out_v = np.empty(n, dtype=np.float64)
         out_k = np.empty(n, dtype=np.uint8)
-        args.append(self._ffi.from_buffer("double[]", out_v, require_writable=True))
-        args.append(self._ffi.from_buffer("unsigned char[]", out_k, require_writable=True))
-        if fn(*args) != 0:
-            raise ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
-        return _ssbuf_from_arrays(ts, out_v, out_k.view(np.bool_), float(t_start))
+        ffi = self._ffi
+        return out_v, out_k, [
+            ffi.from_buffer("double[]", out_v, require_writable=True),
+            ffi.from_buffer("unsigned char[]", out_k, require_writable=True),
+        ]
+
+    def _failed(self) -> ExecutionError:
+        return ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
 
     def tick(self, env, t_start: float, t_end: float, rt):
-        """One session tick over ``(t_start, t_end]``: :data:`TICK_ENTRY`
-        against the prefix arrays of the sites ``rt`` keeps — each brought
-        up to date by the same NumPy ``ingest`` the NumPy twin's
-        ``rt.reduce`` runs, so the tick's bytes do not depend on the tier —
-        and of a fresh site, built exactly as ``rt.reduce`` builds one, for
-        a group ``rt`` does not keep."""
-        ts, args = self._grid_and_inputs(env, t_start, t_end, rt)
-        if not len(ts):
+        """One session tick over ``(t_start, t_end]``: one :data:`TICK_ENTRY`
+        call, which first extends the prefix sites ``rt`` keeps by the
+        inputs' new snapshots (the rows each site reserved here, see
+        :meth:`~repro.core.codegen.runtime_support.ReduceSite.reserve`),
+        then builds the grid and evaluates it.  A group ``rt`` does not keep
+        gets a fresh site, filled the same way from the whole input.  The
+        grid's length is not known before the call: outputs sized from the
+        session's recent grids (``rt.grid_lanes``) that turn out short are
+        sized again and the call repeated, its extends — done by then —
+        skipped."""
+        if t_end <= t_start:  # an empty grid: nothing to evaluate or ingest
             return rt.empty(t_start)
         ffi = self._ffi
+        args = self._inputs(env)
+        extends = []  # argument positions of the sites' new-row counts
         for site_key, components, dtype in self._tick_sites:
             ref, agg_idx, elem_idx = site_key
             site = rt.sites.get(site_key) or rt.new_site(agg_idx, elem_idx)
-            site.ingest(env[ref], rt)
+            new = site.reserve(env[ref], rt)
             edges, valid_prefix, prefixes = site.index.arrays()
             if not len(edges):  # nothing ingested: every window is φ
                 edges, valid_prefix = _NO_EDGES, _NO_EDGES
@@ -703,12 +770,30 @@ class NativeKernel:
             args += [len(edges) - 1, ffi.from_buffer("double[]", edges)]
             args.append(ffi.from_buffer("double[]", valid_prefix))
             args += [ffi.from_buffer(ctype, prefix) for prefix in prefixes]
-        return self._call(self._tick_fn, ts, args, t_start)
+            extends.append(len(args))
+            args.append(new)
+            if dtype is np.longdouble:
+                center = np.array([site.index.center or 0.0], dtype=np.longdouble)
+                args.append(ffi.from_buffer("long double[]", center))
+        while True:
+            cap = rt.grid_lanes
+            ts = np.empty(cap)
+            out_v, out_k, outs = self._outputs(cap)
+            n = self._tick_fn(t_start, t_end, cap, ffi.from_buffer("double[]", ts), *args, *outs)
+            if n < 0:
+                raise self._failed()
+            rt.grid_lanes = max(2 * n, cap // 2, 16)
+            if n <= cap:
+                return _ssbuf_from_arrays(ts[:n], out_v[:n], out_k[:n].view(np.bool_), float(t_start))
+            for at in extends:
+                args[at] = 0
 
     def run(self, env, t_start: float, t_end: float, rt):
-        ts, args = self._grid_and_inputs(env, t_start, t_end, rt)
+        ffi = self._ffi
+        ts = np.ascontiguousarray(rt.eval_times(env, t_start, t_end), dtype=np.float64)
         if not len(ts):
             return rt.empty(t_start)
+        args = [len(ts), ffi.from_buffer("double[]", ts), *self._inputs(env)]
         if self._center_refs:
             centers = np.empty(len(self._center_refs), dtype=np.longdouble)
             for i, ref in enumerate(self._center_refs):
@@ -720,10 +805,13 @@ class NativeKernel:
                     buf.valid, np.asarray(buf.values, dtype=np.float64), 0.0
                 ).astype(np.longdouble)
                 centers[i] = np.mean(masked) if len(masked) else np.longdouble(0.0)
-            args.append(self._ffi.from_buffer("long double[]", centers))
+            args.append(ffi.from_buffer("long double[]", centers))
         else:
-            args.append(self._ffi.NULL)
-        return self._call(self._fn, ts, args, t_start)
+            args.append(ffi.NULL)
+        out_v, out_k, outs = self._outputs(len(ts))
+        if self._fn(*args, *outs) != 0:
+            raise self._failed()
+        return _ssbuf_from_arrays(ts, out_v, out_k.view(np.bool_), float(t_start))
 
 
 # ---------------------------------------------------------------------- #
@@ -794,13 +882,13 @@ def _instantiate(
         # one artifact per entry point: a kernel no session ticks never
         # pays cc for the tick entry
         entries = [(RUN_ENTRY, lower)] + ([(TICK_ENTRY, lower_tick)] if tick else [])
-        if not build and not all(_artifact_valid(_so_path(digest, e)) for e, _ in entries):
+        if not build and not _artifact_valid(_so_path(digest)):  # (never a tick entry)
             return None, None
         ffi = cffi.FFI()
         loaded, timings = {}, []
         for entry, lower_entry in entries:
-            so = _so_path(digest, entry)
             lowered = lower_entry(spec)
+            so = _so_path(digest, lowered.c_source if entry == TICK_ENTRY else None)
             if build:
                 started = time.perf_counter()
                 with _BUILD_LOCK:  # one cc at a time, whoever asks
@@ -810,6 +898,8 @@ def _instantiate(
                 timings.append(time.perf_counter() - started if compiled else None)
             else:
                 timings.append(None)
+            if entry == TICK_ENTRY:  # before the unit that links against it
+                _load_support()
             ffi.cdef(lowered.cdef)
             loaded[entry] = (lowered, ffi.dlopen(so), so)
         kernel = NativeKernel(spec, digest, ffi, loaded)

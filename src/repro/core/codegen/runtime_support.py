@@ -15,7 +15,7 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...windowing.functions import AggregateFunction
-from ...windowing.prefix import snapshot_range_indices
+from ...windowing.prefix import PrefixRangeIndex, snapshot_range_indices
 from ...windowing.sliding import build_range_index
 from ..ir.nodes import TDom
 from ..lineage.boundary import AccessPattern
@@ -77,6 +77,26 @@ class ReduceSite:
             self.index.extend(times[idx:], values, ok, first_start)
         if len(times):
             self.ingested_through = float(times[-1])
+
+    def reserve(self, buf: SSBuf, rt: "KernelRuntime") -> int:
+        """The native tick entry's :meth:`ingest` of a prefix site: advance
+        the ingest horizon past ``buf``'s new snapshots and reserve their
+        rows in the index (:meth:`PrefixRangeIndex.reserve`); returns how
+        many rows the C entry is to fill — the tail of ``buf``.  The first
+        chunk of an extended-precision index is ingested here, by NumPy."""
+        if self.index is None:
+            self.index = PrefixRangeIndex(self.agg)
+        times = buf.times
+        idx = int(np.searchsorted(times, self.ingested_through, side="right"))
+        new = len(times) - idx
+        if not new:
+            return 0
+        if self.agg.prefix_extended_precision and self.index.center is None:
+            self.ingest(buf, rt)
+            return 0
+        self.index.reserve(new, buf.start_time if idx == 0 else float(times[idx - 1]))
+        self.ingested_through = float(times[-1])
+        return new
 
 
 class KernelRuntime:

@@ -274,8 +274,9 @@ class TiltEngine:
         Every kernel comes back on its NumPy twin.  On the native tier the
         query is wired to tier up by itself (see ``codegen_tier``): nothing
         is probed, imported, spawned or started here unless this process's
-        kernel records or the disk cache already hold every kernel, in which
-        case loading them is queued at once.
+        kernel records already hold every kernel — then they are adopted
+        here, on the calling thread — or the disk cache does, in which case
+        loading them is queued at once.
         """
         compiled = lower_program(
             program,
@@ -287,7 +288,10 @@ class TiltEngine:
             compiled.build_scope = self._native_build
             compiled.on_hot = self._queue_build
             if all(native.cached(k.record) for k in compiled.kernels):
-                compiled.hand_off()  # a memory hit or a dlopen per kernel, no cc
+                # memory hits are adopted here; a dlopen per kernel, no cc,
+                # is left to the builder thread
+                if not compiled.adopt_loaded():
+                    compiled.hand_off()
         return compiled
 
     def _queue_build(self, compiled: CompiledQuery) -> None:

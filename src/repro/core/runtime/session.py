@@ -268,14 +268,14 @@ class StreamingSession:
         (see ``TiltEngine``'s ``codegen_tier``), and ticks are charged to
         the NumPy twins like one-shot runs, so a hot session gets its query
         promoted.  From then on each tick is one call of the output C
-        kernel's tick entry over the arrays of those same kept sites (the
-        sites are still extended and pruned by NumPy, so the output bytes
-        do not depend on the tier and the promotion hands over nothing), the
-        intermediates it rebuilds run on their C kernels, and
-        ``plan["tick_entry"]`` reads ``tilt_tick``.  Sessions whose output
-        kernel is interpreted **partition and dispatch** each tick like a
-        one-shot run (the interpreter makes no ``rt.reduce`` calls for
-        persistent state to interpose on).
+        kernel's tick entry, which extends those same kept sites (with the
+        bytes NumPy would write, so the output does not depend on the tier
+        and the promotion hands over nothing; pruning stays with NumPy) and
+        builds the tick's grid, the intermediates it rebuilds run on their C
+        kernels, and ``plan["tick_entry"]`` reads ``tilt_tick``.  Sessions
+        whose output kernel is interpreted **partition and dispatch** each
+        tick like a one-shot run (the interpreter makes no ``rt.reduce``
+        calls for persistent state to interpose on).
         ``False`` / ``True`` is the oracle switch the differential tests
         and benchmark probes use to force partition-and-dispatch /
         in-process ticks with the same resolved site plan; an interpreted
@@ -318,12 +318,17 @@ class StreamingSession:
             if output.tick_pending:
                 engine._queue_build(compiled)
         blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
-        sites: List[Dict[str, object]] = []
-        for kernel in compiled.kernels:
-            if in_process and kernel.name == compiled.output:
-                sites += self._state.plan
-            else:
-                sites += reduce_site_plan(kernel.spec, (), blanket=blanket)
+        #: per kernel, its reduce-site rows — ``None`` for the ticked output
+        #: kernel, whose rows ``self._state.plan`` holds
+        self._site_rows = [
+            (
+                kernel,
+                None
+                if in_process and kernel.name == compiled.output
+                else reduce_site_plan(kernel.spec, (), blanket=blanket),
+            )
+            for kernel in compiled.kernels
+        ]
         #: what was resolved here, once (see :attr:`plan`)
         self._plan: Dict[str, object] = {
             "tick_path": "in-process" if in_process else "partition+dispatch",
@@ -333,7 +338,6 @@ class StreamingSession:
                 if in_process
                 else engine.dispatch_plan(compiled)
             ),
-            "sites": sites,
         }
         self._pins: List[float] = []
         self._boundary = compiled.boundary
@@ -446,14 +450,27 @@ class StreamingSession:
         dispatches and why; per reduce site whether its state persists
         across ticks and why — all resolved at construction — and, read
         live, what serves the output kernel's ticks (``tick_entry``: the C
-        kernel's ``tilt_tick`` or ``tilt_native`` entry, or the tier name)
-        and ``CompiledQuery.kernel_plan()``: per kernel the tier requested,
-        the tier active now, its promotion state and any fallback reason.
-        An in-process session whose output kernel has been promoted says so
-        in ``reason`` as well."""
+        kernel's ``tilt_tick`` or ``tilt_native`` entry, or the tier name),
+        per reduce site what extends or builds it on the next tick
+        (``extended_by``) and ``CompiledQuery.kernel_plan()``: per kernel
+        the tier requested, the tier active now, its promotion state and any
+        fallback reason.  An in-process session whose output kernel has been
+        promoted says so in ``reason`` as well."""
         output = self._compiled.kernel_named(self._compiled.output)
         entry = output.entry(tick=self._state is not None)
-        plan = {**self._plan, "tick_entry": entry, "kernels": self._compiled.kernel_plan()}
+        sites: List[Dict[str, object]] = []
+        for kernel, rows in self._site_rows:
+            if rows is None:
+                fed = zip(self._state.plan, self._state.extended_by(entry))
+            else:
+                fed = ((row, kernel.entry(tick=False)) for row in rows)
+            sites += (dict(row, extended_by=by) for row, by in fed)
+        plan = {
+            **self._plan,
+            "sites": sites,
+            "tick_entry": entry,
+            "kernels": self._compiled.kernel_plan(),
+        }
         if entry == TICK_ENTRY and plan["reason"] == _COMPILED_OUTPUT:
             plan["reason"] = f"promoted output kernel: ticks on {TICK_ENTRY}"
         return plan

@@ -11,7 +11,10 @@ The index is *growable*: a one-shot kernel invocation builds it with a
 single :meth:`PrefixRangeIndex.extend` over the whole buffer (one
 allocation and one ``cumsum`` per component), a streaming session keeps it
 across ticks, extending it by each tick's new snapshots and pruning what no
-future window can reach — the same class, the same query math.
+future window can reach — the same class, the same query math.  Once the
+session's query is promoted, the native tick entry does the extending: the
+index reserves the rows (:meth:`~PrefixRangeIndex.reserve`) and C fills
+them with the bytes :meth:`~PrefixRangeIndex.extend` would have written.
 """
 
 from __future__ import annotations
@@ -114,15 +117,39 @@ class PrefixRangeIndex:
         # is the buffer mean
         components, self._center = self.agg.prefix_components(values, valid, self._center)
         if not len(self._edges):
-            self._edges.append((start_time,))
-            self._valid_prefix.append((0.0,))
-            self._prefixes = [GrowableArray(self.dtype) for _ in components]
-            for prefix in self._prefixes:
-                prefix.append((0.0,))
+            self._open(start_time, len(components))
         self._edges.append(times)
         self._accumulate(self._valid_prefix, valid.astype(np.float64))
         for prefix, comp in zip(self._prefixes, components):
             self._accumulate(prefix, comp)
+
+    def reserve(self, n: int, start_time: float) -> None:
+        """Append ``n`` rows for the native tick entry to fill: its C code
+        writes exactly what :meth:`extend` would — the times, the valid
+        prefix and each component's prefix — into the rows reserved here,
+        and writes nowhere else.  ``start_time`` as for :meth:`extend`.  An
+        extended-precision index takes its first chunk through
+        :meth:`extend`: its centre is ``np.mean``'s pairwise sum."""
+        if not len(self._edges):
+            if self.agg.prefix_extended_precision:
+                raise ValueError("an extended-precision index is opened by extend()")
+            self._open(start_time, len(self.agg.c_components))
+        for column in (self._edges, self._valid_prefix, *self._prefixes):
+            column.grow(n)
+
+    def _open(self, start_time: float, components: int) -> None:
+        """The rows before the first snapshot: its start time and zero sums."""
+        self._edges.append((start_time,))
+        self._valid_prefix.append((0.0,))
+        self._prefixes = [GrowableArray(self.dtype) for _ in range(components)]
+        for prefix in self._prefixes:
+            prefix.append((0.0,))
+
+    @property
+    def center(self) -> Optional[np.longdouble]:
+        """The fixed centre an extended-precision index subtracts (``None``
+        before its first :meth:`extend`, and always on a float64 index)."""
+        return self._center
 
     @staticmethod
     def _accumulate(prefix: GrowableArray, comp: np.ndarray) -> None:

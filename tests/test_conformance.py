@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
@@ -178,12 +180,66 @@ def test_aggregate_row_agrees_across_paths(agg, size):
         assert_same(ticked_c, ticked, True, "native tick entry, ragged chunks")
 
 
-def tick_ragged(kernel, rt, buf):
+def tick_ragged(kernel, rt, buf, cuts=(1, 2, 9, 40, 47, 100, 101, N)):
     """The kernel ticked over ``buf`` growing in ragged chunks, as a session
     does, with ``rt`` keeping its sites: the concatenated ``(values, valid)``."""
     pieces, done = [], 0
-    for cut in (1, 2, 9, 40, 47, 100, 101, N):
+    for cut in cuts:
         grown = SSBuf(buf.times[:cut], buf.values[:cut], buf.valid[:cut], start_time=0.0)
         pieces.append(kernel.run({"x": grown}, float(done), float(cut), runtime=rt))
         done = cut
     return np.concatenate([p.values for p in pieces]), np.concatenate([p.valid for p in pieces])
+
+
+#: the prefix rows a session keeps and, once promoted, the tick entry extends
+KEPT_ROWS = [
+    agg for agg in builtin_aggregates().values()
+    if agg.strategy.range == "prefix" and agg.c_lowerable
+]
+
+
+@pytest.fixture(scope="module")
+def extend_kernels():
+    """``name -> (C kernel with its tick entry, NumPy twin)`` per kept row."""
+    if not native.native_available():
+        pytest.skip("native codegen toolchain (cffi + C compiler) unavailable")
+    kernels = {}
+    for agg in KEPT_ROWS:
+        program = window_program(agg, 3.0)
+        (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
+        kernel.ticked = True
+        kernel.promote()
+        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        kernels[agg.name] = kernel, compile_program(program, optimize=False).kernels[0]
+    return kernels
+
+
+@st.composite
+def edge_chunks(draw):
+    """Edge-grid values (±0.0 and NaN included) with φ lanes, and the ragged
+    cuts a session's ticks see them in."""
+    n = draw(st.integers(1, 24))
+    values = np.array(draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n)))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n), max_size=6)) | {n})
+    return values, valid, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from([agg.name for agg in KEPT_ROWS]), chunks=edge_chunks())
+@example(name="sum", chunks=(np.array([0.0, 0.0, -0.0, -0.0, 1.0]), np.ones(5, bool), [2, 5]))
+@example(name="mean", chunks=(np.array([-0.0, 2.0, -0.0]), np.ones(3, bool), [1, 3]))
+def test_c_extends_equal_numpy_extends(extend_kernels, name, chunks):
+    """The tick entry's extends write the kept site's rows exactly as
+    ``PrefixRangeIndex.extend`` does — the chunk's cumsum, then the last sum
+    held added unless it is zero, so a ``-0.0`` sum survives — whatever the
+    values and the chunking (an extended-precision row's first chunk goes
+    through NumPy for its centre, the rest through C)."""
+    kernel, twin = extend_kernels[name]
+    values, valid, cuts = chunks
+    buf = SSBuf(np.arange(1.0, len(values) + 1.0), values, valid, start_time=0.0)
+    with np.errstate(all="ignore"):
+        got, want = (
+            tick_ragged(k, IncrementalKernelRuntime(k, ["x"]), buf, cuts) for k in (kernel, twin)
+        )
+    assert_same(got, want, True, f"{name}: C extends")

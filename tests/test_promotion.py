@@ -7,7 +7,8 @@ the other — output identical before, during and after the swap on every
 backend; nothing added to the compile or first-result path; a failing, slow
 or absent compiler never reaching a caller of ``run``; a session's ticks
 moving to the C tick entry with no byte of output changed, mid-session and
-across a rewind — and the two things the disk cache must get right now that
+across a rewind, on a grid the entry builds byte for byte as ``grid.py``
+does — and the two things the disk cache must get right now that
 it is on the default path: ``lowering_blockers`` independent of call order,
 and no code loaded from an artifact or a directory that cannot be trusted.
 """
@@ -25,7 +26,10 @@ import tempfile
 import time
 import zlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import (
     ALL_APPLICATIONS,
@@ -36,13 +40,17 @@ from repro.apps import (
 )
 from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
+from repro.core.codegen.grid import evaluation_times_for_accesses
 from repro.core.codegen.incremental import IncrementalKernelRuntime
+from repro.core.codegen.runtime_support import KernelRuntime, ReduceSite
 from repro.core.frontend.query import source
+from repro.core.ir.builder import IRBuilder
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.ssbuf import SSBuf
 from repro.datagen.sources import sources_for_streams
 from repro.serve import QueryService
-from repro.windowing import FIRST, MAX, MEAN
+from repro.windowing import FIRST, MAX, MEAN, SUM
+from repro.windowing.prefix import PrefixRangeIndex
 
 requires_native = pytest.mark.skipif(
     not native.native_available(),
@@ -403,7 +411,10 @@ class TestHostileCompiler:
 #: the session queries a promotion must be invisible in: a single fused
 #: kernel over deep windows (``session_deep_window``), an element-mapped
 #: count (``session_ysb``), an output kernel reducing two intermediates
-#: (``rsi``) and one reading two intermediates point-wise (``normalize``)
+#: (``rsi``), one reading two intermediates point-wise (``normalize``), a
+#: windowed stddev over a program input (an extended-precision kept site)
+#: and a session long enough that its kept site is pruned and rebased many
+#: times after the tick entry has extended it (``long``)
 SESSION_QUERIES = {
     "trend": (
         lambda: trend_trading_query(short_window=100, long_window=400).to_program(),
@@ -424,6 +435,16 @@ SESSION_QUERIES = {
         lambda: normalization_query(window=2.0).to_program(),
         lambda: get_application("normalize").streams(4_000, seed=6),
         250,
+    ),
+    "stddev": (
+        lambda: source("stock").window(30, 1).stddev().to_program(),
+        lambda: get_application("trading").streams(3_000, seed=6),
+        100,
+    ),
+    "long": (
+        lambda: trend_trading_query(short_window=20, long_window=80).to_program(),
+        lambda: get_application("trading").streams(20_000, seed=6),
+        400,
     ),
 }
 
@@ -561,10 +582,12 @@ class TestSessions:
 
     @pytest.mark.parametrize("name", sorted(SESSION_QUERIES))
     def test_promotion_at_a_random_tick_is_invisible(self, name, compile_cold, count_native_calls):
-        """The kept reduce sites are the only session state and NumPy keeps
-        producing them, so promoting the query at any tick changes no byte
-        of any delta: the tick-concat equals an all-NumPy session's delta by
-        delta, and the one-shot run."""
+        """The kept reduce sites are the only session state: NumPy extends
+        them up to the promotion and the tick entry from then on (an
+        extended-precision site's first chunk aside), writing the bytes
+        NumPy would have written, so promoting the query at any tick changes
+        no byte of any delta: the tick-concat equals an all-NumPy session's
+        delta by delta, and the one-shot run."""
         make_program, make_streams, per_tick = SESSION_QUERIES[name]
         program, streams = make_program(), make_streams()
         with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as engine:
@@ -596,6 +619,50 @@ class TestSessions:
                 count_native_calls[native.RUN_ENTRY]
                 == len(entries) * count_native_calls[native.TICK_ENTRY]
             )
+
+    def test_promoted_tick_leaves_kept_sites_and_the_grid_to_c(self, compile_cold, monkeypatch):
+        """Once promoted, a tick neither builds the grid in NumPy nor runs a
+        NumPy ingest for a kept site — bar an extended-precision site's
+        first chunk, whose centre is NumPy's — and the sites are still
+        pruned and rebased by NumPy, the deltas unchanged."""
+        calls = {"eval_times": 0, "ingest": 0, "pruned": 0}
+
+        def counting(patch, cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            patch.setattr(cls, name, wrapper)
+
+        prune = PrefixRangeIndex.prune
+
+        def pruning(index, t):
+            held = len(index)
+            prune(index, t)
+            calls["pruned"] += len(index) < held
+
+        for name, first_chunk in (("long", 0), ("stddev", 1)):
+            make_program, make_streams, per_tick = SESSION_QUERIES[name]
+            program, streams = make_program(), make_streams()
+            with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as engine:
+                want = tick_through(
+                    engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+                )
+            with TiltEngine(workers=1) as engine, monkeypatch.context() as patch:
+                session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
+                session.compiled.promote()
+                calls.update(eval_times=0, ingest=0, pruned=0)
+                counting(patch, KernelRuntime, "eval_times")
+                counting(patch, ReduceSite, "ingest")
+                patch.setattr(PrefixRangeIndex, "prune", pruning)
+                assert tick_through(session) == want, name
+            assert (calls["eval_times"], calls["ingest"]) == (0, first_chunk), name
+            rows = [row for row in session.plan["sites"] if row["state"] == "persisted"]
+            assert rows and {row["extended_by"] for row in rows} == {native.TICK_ENTRY}
+            if name == "long":
+                assert calls["pruned"] > 5
 
     @pytest.mark.parametrize("agg", [MEAN, MAX, FIRST], ids=lambda agg: agg.name)
     def test_tick_entry_over_an_input_that_has_not_started(self, agg):
@@ -646,6 +713,92 @@ class TestSessions:
         # tiers replay the same bytes)
         assert got[:3] == want[:3]
         assert got[3] == want[3] == batch
+
+
+# ---------------------------------------------------------------------- #
+# (d) sessions: the tick entry's evaluation grid
+# ---------------------------------------------------------------------- #
+#: a two-input kernel with window edges and point accesses on both sides of
+#: zero; its grid precisions: dyadic, non-dyadic, none
+GRID_PRECISIONS = (0.25, 0.1, 0.0)
+#: candidate times: values within a grid step of zero (so an index snaps to
+#: -0.0 on one side and +0.0 on the other) and on the grid itself
+NEAR_ZERO = [-1.0, -0.25, -0.1, -1e-10, -0.0, 0.0, 1e-10, 0.1, 0.25, 0.75, 1.0]
+
+
+def grid_program(precision):
+    b = IRBuilder()
+    x, y = b.stream("x"), b.stream("y")
+    out = x.window(-1.0, 0.0).reduce(SUM) + y.at(0.75) + y.at(-0.5)
+    b.define("out", out, precision=precision)
+    return b.build(output="out")
+
+
+@pytest.fixture(scope="module")
+def grid_kernels():
+    """``precision -> (C kernel, NumPy twin)``, the C one with its tick entry."""
+    kernels = {}
+    for precision in GRID_PRECISIONS:
+        program = grid_program(precision)
+        (kernel,) = compile_program(program, codegen_tier=NATIVE_TIER).kernels
+        kernel.ticked = True
+        kernel.promote()
+        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        kernels[precision] = kernel, compile_program(program).kernels[0]
+    return kernels
+
+
+@st.composite
+def grid_buffers(draw, scale):
+    """A buffer over ``[-scale, scale]`` (empty sometimes), its start time
+    before, at or far before its first snapshot."""
+    times = draw(
+        st.lists(
+            st.floats(-scale, scale, allow_nan=False) | st.sampled_from(NEAR_ZERO), max_size=30
+        )
+    )
+    times = np.unique(np.array(times, dtype=np.float64))
+    lead = draw(st.sampled_from([0.0, 1e-10, 0.3, 2 * scale]))
+    start = float(times[0]) - lead if len(times) else draw(st.floats(-scale, scale))
+    values = np.arange(len(times), dtype=np.float64)
+    return SSBuf(times, values, np.ones(len(times), dtype=bool), start_time=start)
+
+
+@st.composite
+def grid_cases(draw):
+    scale = draw(st.sampled_from([2.0, 1000.0]))  # dense (bitmap) vs sparse (merge) indices
+    bounds = st.floats(-scale, scale, allow_nan=False) | st.sampled_from(NEAR_ZERO)
+    t_start, t_end = sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
+    env = {"x": draw(grid_buffers(scale)), "y": draw(grid_buffers(scale))}
+    return draw(st.sampled_from(GRID_PRECISIONS)), env, t_start, t_end, draw(st.integers(0, 24))
+
+
+@requires_native
+class TestTickGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases())
+    @example(  # +0.0 (-1.0 past a -1 offset) and -0.0 (-0.0 at offset 0) tie
+        case=(0.0, {"x": SSBuf([-1.0, -0.0], [1.0, 2.0]), "y": SSBuf.empty()}, -0.5, 0.5, 0)
+    )
+    def test_tick_grid_is_grid_py_byte_for_byte(self, grid_kernels, case):
+        """The grid the tick entry builds is ``grid.py``'s to the byte — a
+        zero's sign included — whichever of its paths (bitmap or merge,
+        with or without precision) ``grid.py`` takes, and whatever the
+        output capacity the call is first given (too short: sized again)."""
+        precision, env, t_start, t_end, cap = case
+        kernel, twin = grid_kernels[precision]
+        want = evaluation_times_for_accesses(
+            kernel.spec.accesses, env, kernel.spec.tdom, t_start, t_end
+        )
+        rt = IncrementalKernelRuntime(kernel, ["x", "y"])
+        rt.grid_lanes = cap
+        got = kernel.run(env, t_start, t_end, runtime=rt)
+        assert got.times.tobytes() == want.tobytes()
+        ref = twin.run(env, t_start, t_end, runtime=IncrementalKernelRuntime(twin, ["x", "y"]))
+        for got_array, want_array in zip(
+            (got.values, got.valid), (ref.values, ref.valid)
+        ):
+            assert got_array.tobytes() == want_array.tobytes()
 
 
 # ---------------------------------------------------------------------- #
@@ -731,6 +884,27 @@ class TestPooledHeat:
                 assert service.result(name).output == want
         assert compiles() - before == len(a.kernels) + 1
 
+    def test_a_built_query_is_adopted_at_compile(self, monkeypatch):
+        """Once the records hold every kernel of a query, an equal query a
+        new engine compiles comes back promoted — memory hits taken on the
+        compiling thread, no ``cc`` and nothing queued for the builder — so
+        a new service's sessions tick on C from their first tick."""
+        app = get_application("rsi")
+        streams = app.streams(900, seed=4)
+        with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as oracle:
+            want = fingerprint(oracle.run(app.program(), streams).output)
+        with TiltEngine(workers=1) as engine:
+            engine.compile(app.program()).promote()
+        queued = []
+        monkeypatch.setattr(native, "submit_build", lambda owner, query: queued.append(query))
+        before, hits = compiles(), native.stats()["mem_hits_total"]
+        with TiltEngine(workers=1) as engine:
+            compiled = engine.compile(app.program())
+            assert {k.state for k in compiled.kernels} == {NATIVE_TIER}
+            assert native.stats()["mem_hits_total"] - hits == len(compiled.kernels)
+            assert fingerprint(engine.run(compiled, streams).output) == want
+        assert (compiles(), queued) == (before, [])
+
     def test_record_table_stays_within_its_bound(self):
         """More distinct kernels than the table holds: the least recently
         compiled digests are forgotten, the newest kept."""
@@ -768,6 +942,7 @@ _EXIT_MID_BUILD = """
 import os, sys, time
 from repro import TiltEngine
 from repro.core.frontend.query import source
+from repro.core.ir.builder import IRBuilder
 from repro.windowing import MEAN
 
 pids = sys.argv[1]

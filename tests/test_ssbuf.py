@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.runtime.ssbuf import (
@@ -309,6 +309,7 @@ def assert_same_bytes(got: SSBuf, want: SSBuf):
     st.floats(min_value=0.0, max_value=1.0),
     st.booleans(),
 )
+@example([Event(2.0, 3.0, 0.0)], 0.0, 1.0, 0.0, False)  # b == start_time
 @settings(max_examples=200, deadline=None)
 def test_property_view_slice_matches_the_list_slice(events, a, b, prune, on_snapshot):
     """The view-returning slice equals the list-built one byte for byte —
@@ -319,10 +320,12 @@ def test_property_view_slice_matches_the_list_slice(events, a, b, prune, on_snap
         a, b = buf.times[int(a) % len(buf)], buf.times[int(b) % len(buf)]
     got = buf.slice(a, b)
     if a < b <= buf.start_time:
-        # wholly before the buffer: the list slice clipped a snapshot to
-        # ``b`` and then failed its own validation; the answer is φ
-        with pytest.raises(QueryBuildError):
-            list_slice(buf, a, b)
+        # wholly before the buffer: the answer is φ.  The list slice clipped
+        # a snapshot to ``b`` and then failed its own validation — or, at
+        # ``b == start_time``, kept that empty interval ``(b, b]``
+        if b < buf.start_time:
+            with pytest.raises(QueryBuildError):
+                list_slice(buf, a, b)
         assert len(got) == 0 and got.start_time == buf.start_time
         return
     want = list_slice(buf, a, b)
