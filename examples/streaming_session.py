@@ -60,8 +60,9 @@ def main() -> None:
         f"{len(final.delta)} snapshots through t={final.watermark:,.0f}s"
     )
     print(f"retained carry-over at close: {session.retained_snapshots()} input snapshots")
-    # numpy until the query has paid for its C kernels, then tilt_tick
-    print(f"ticks served by: {session.plan['tick_entry']}")
+    # "compiled output kernel" until the query has paid for its C kernels,
+    # then "promoted output kernel: ticks on tilt_tick"
+    print(f"ticks: {session.plan['reason']}")
     engine.close()
 
 

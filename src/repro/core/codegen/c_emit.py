@@ -1,14 +1,11 @@
-"""C emission for the native tier: a kernel spec's two translation units.
+"""C emission for the native tier: a kernel spec's translation unit.
 
 :func:`lower` turns a :class:`~repro.core.codegen.pysource.KernelSpec`'s
-fused IR into the C source of its run entry
-(:data:`~repro.core.codegen.native.RUN_ENTRY`), :func:`lower_tick` into
-that of its tick entry (:data:`~repro.core.codegen.native.TICK_ENTRY`),
-for :mod:`repro.core.codegen.native` to compile.  They are separate units
-so that a kernel no session ticks never pays ``cc`` for the second one.
-Every tick unit links against one library, :data:`TICK_SUPPORT` (the
-evaluation grid), which a process builds once per cache instead of into
-each tick unit.
+fused IR into the C source of its one entry point
+(:data:`~repro.core.codegen.native.TICK_ENTRY`), for
+:mod:`repro.core.codegen.native` to compile.  Every unit links against one
+library, :data:`TICK_SUPPORT` (the evaluation grid), which a process builds
+once per cache instead of into each unit.
 Only a build needs this module, so it is imported by the build, never on
 the way to a first result.
 """
@@ -39,10 +36,10 @@ from ..ir.nodes import (
     Var,
 )
 from ..ops import bind
-from .native import RUN_ENTRY, TICK_ENTRY
+from .native import TICK_ENTRY
 from .pysource import KernelSpec
 
-__all__ = ["lower", "lower_tick", "Lowered", "TICK_SUPPORT"]
+__all__ = ["lower", "Lowered", "TICK_SUPPORT"]
 
 
 def _c_float(value: float) -> str:
@@ -58,27 +55,24 @@ def _c_float(value: float) -> str:
 
 
 class _Group(NamedTuple):
-    """One per-(ref, aggregate, element) index built before the main loop.
-
-    Mirrors the NumPy tier's per-run reduce-site cache key, so e.g. two MEAN
-    windows over the same stream share one prefix index in both tiers.
-    """
+    """One per-(ref, aggregate, element) index of the entry: the NumPy
+    tier's reduce site ``site``, so e.g. two MEAN windows over the same
+    stream share one prefix index in both tiers."""
 
     index: int
     ref: str
     agg: AggregateFunction  # the row: range strategy, accumulator type, C fragments
     element: Optional[Expr]
-    #: the tick entry's NumPy reduce-site key ``(ref, agg_idx, elem_idx)``
-    site: Optional[Tuple[str, int, int]] = None
+    site: Tuple[str, int, int]  # the NumPy reduce-site key ``(ref, agg_idx, elem_idx)``
 
     @property
     def passed_in(self) -> bool:
-        """A tick-entry prefix group: the caller passes its index's arrays."""
-        return self.site is not None and self.agg.strategy.range == "prefix"
+        """A prefix group: the caller passes its index's arrays."""
+        return self.agg.strategy.range == "prefix"
 
 
-class _TickSite(NamedTuple):
-    """A prefix group of the tick entry: the caller passes its index arrays."""
+class _PrefixSite(NamedTuple):
+    """A prefix group: the caller passes its index arrays."""
 
     key: Tuple[str, int, int]  # ``(ref, agg_idx, elem_idx)``, as ``rt.sites`` keys it
     components: int
@@ -94,7 +88,7 @@ _C_HEADER = """#include <stdint.h>
 #define NPMIN(a, b) (((a) < (b) || isnan(a)) ? (a) : (b))
 """
 
-#: the tick entry's cursor seeks
+#: the cursor seeks
 _C_SEEK = """/* searchsorted(t[:m], q, 'left'): the first i with t[i] >= q */
 static int64_t tilt_lower(const double* t, int64_t m, double q)
 {
@@ -125,7 +119,7 @@ static int64_t tilt_starts_before(const double* t, int64_t m, double s, double q
 }
 """
 
-#: what a tick unit declares of the support library: the evaluation grid
+#: what a unit declares of the support library: the evaluation grid
 _C_GRID = """/* one (input, boundary offset) of the grid: m snapshot times t, start s */
 typedef struct { int64_t m; const double* t; double s; double o; } tilt_access;
 
@@ -263,47 +257,42 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
 
 
 class _CEmitter:
-    """Lowers one KernelSpec's fused IR to one C entry point.
+    """Lowers one KernelSpec's fused IR to its C entry point.
 
     Mirrors :class:`~repro.core.codegen.pysource._ExprCompiler` node for
     node: every emitted statement is the per-lane C image of the NumPy
     template the Python tier executes for the same node, including eager
     evaluation of both conditional branches and domain-masked lanes.
 
-    ``tick=False`` emits :data:`RUN_ENTRY`, which builds every index itself
-    over the grid it is handed and starts every cursor at 0.  ``tick=True``
-    emits :data:`TICK_ENTRY`, which runs in three steps.  Each prefix group
-    first extends the arrays of the
-    :class:`~repro.windowing.prefix.PrefixRangeIndex` the caller passes (a
-    session's kept site, or a fresh one) by the input's newest snapshots —
-    the group's element map and components as the run entry emits them,
+    The entry runs in three steps.  Each prefix group first extends the
+    arrays of the :class:`~repro.windowing.prefix.PrefixRangeIndex` the
+    caller passes (a session's kept site, or a fresh one) by the input's
+    newest snapshots — the group's element map and masked components,
     accumulated as ``PrefixRangeIndex.extend`` does, into rows the caller
     reserved.  Then the entry builds its own grid (``tilt_grid``, with the
-    kernel's ``(input, boundary offset)`` pairs and precision as literals),
-    returning before anything allocates when the caller's outputs are too
-    short.  Last, the loop: each cursor starts at one binary search for the
-    first grid point, then advances monotonically — a tick's grid is a short
-    run at the far end of a long retained tail.
+    kernel's ``(input, boundary offset)`` pairs and precision as literals)
+    into outputs the caller sized from a bound on its length.  Last, the
+    loop: each cursor starts at one binary search for the first grid point,
+    then advances monotonically — a tick's grid is a short run at the far
+    end of a long retained tail.
     """
 
-    def __init__(self, spec: KernelSpec, tick: bool = False):
+    def __init__(self, spec: KernelSpec):
         if spec.te is None:
             raise ValueError("spec has no IR to lower")
         self.spec = spec
-        self.tick = tick
         self.refs: List[str] = list(spec.referenced)
         self._ref_pos = {r: i for i, r in enumerate(self.refs)}
         self._counter = 0
         self._site_counter = 0
-        self._reduce_visits = 0  # tick entry: position in spec.reduce_sites
+        self._reduce_visits = 0  # position in spec.reduce_sites
         self.prelude: List[str] = []  # group index builds (before main loop)
         self.decls: List[str] = []  # persistent cursors / deque heads
         self.body: List[str] = []  # per-lane statements inside the loop
         self.allocs: List[Tuple[str, str]] = []  # (ctype, name) malloc'd
         self.groups: Dict[tuple, _Group] = {}
-        self.center_refs: List[str] = []  # one long double center per entry
-        self.tick_sites: List[_TickSite] = []  # prefix groups of the tick entry
-        self.extends: List[str] = []  # the tick entry's site extends (run first)
+        self.prefix_sites: List[_PrefixSite] = []  # prefix groups, in parameter order
+        self.extends: List[str] = []  # the prefix groups' extends (run first)
         self._point_sites: Dict[Tuple[str, float], Tuple[str, str]] = {}
         self._reduce_sites: Dict[
             Tuple[str, float, float, int, Optional[int]], Tuple[str, str]
@@ -406,8 +395,7 @@ class _CEmitter:
         s = f"p{self._site_counter}"
         m, bt, bv, bk, bs = self._ref_args(ref)
         v, k = self.fresh()
-        start = f"tilt_lower({bt}, {m}, ts[0] + {_c_float(offset)})" if self.tick else "0"
-        self.decls.append(f"    int64_t {s}_cur = {start};")
+        self.decls.append(f"    int64_t {s}_cur = tilt_lower({bt}, {m}, ts[0] + {_c_float(offset)});")
         # mirror of SSBuf.values_at: searchsorted(times, q, 'left') by a
         # monotone cursor; in_range = q > start_time && q <= times[m-1]
         self.body.append(f"        double {s}_q = ts[i] + {_c_float(offset)};")
@@ -427,21 +415,20 @@ class _CEmitter:
 
     # -- reduce groups ------------------------------------------------------ #
     def _group_for(self, ref: str, agg, element: Optional[Expr], site) -> _Group:
-        # the tick entry's groups are the NumPy tier's reduce sites, one
-        # index per rt.sites key; the run entry's are keyed by identity
-        key = site or (ref, id(agg), id(element) if element is not None else None)
-        group = self.groups.get(key)
+        # the groups are the NumPy tier's reduce sites, one index per
+        # rt.sites key
+        group = self.groups.get(site)
         if group is None:
             group = _Group(len(self.groups), ref, agg, element, site)
-            self.groups[key] = group
+            self.groups[site] = group
             if group.passed_in:
-                self._bind_tick_site(group)
+                self._bind_prefix_site(group)
             else:
                 self._emit_group_build(group)
         return group
 
-    def _bind_tick_site(self, group: _Group) -> None:
-        """A tick-entry prefix group: its timeline (``{g}_e``: start time,
+    def _bind_prefix_site(self, group: _Group) -> None:
+        """A prefix group: its timeline (``{g}_e``: start time,
         then every snapshot time), valid prefix and component prefixes are
         parameters, their last ``{g}_new`` rows reserved for the input's
         newest snapshots, which the entry maps and accumulates into them
@@ -449,7 +436,7 @@ class _CEmitter:
         centre ``{g}_c``)."""
         g = f"g{group.index}"
         agg = group.agg
-        self.tick_sites.append(_TickSite(group.site, len(agg.c_components), agg.prefix_dtype))
+        self.prefix_sites.append(_PrefixSite(group.site, len(agg.c_components), agg.prefix_dtype))
         m, bt = self._ref_args(group.ref)[:2]
         ctype = "long double" if agg.prefix_extended_precision else "double"
         ext = self.extends
@@ -529,27 +516,7 @@ class _CEmitter:
         loop: List[str] = []
         xv, xk = self._emit_elem(group, loop)
         agg = group.agg
-        kind = agg.strategy.range
-        if kind == "prefix":
-            ext = agg.prefix_extended_precision
-            ctype = "long double" if ext else "double"
-            ncomp = len(agg.c_components)
-            for c in range(ncomp):
-                self._alloc(ctype, f"{g}_p{c}", f"{m} + 1", pre)
-            pre.append(f"    {g}_vp[0] = 0;")
-            for c in range(ncomp):
-                pre.append(f"    {g}_p{c}[0] = 0.0;")
-            pre.append(f"    for (int64_t j = 0; j < {m}; j++) {{")
-            pre.extend(loop)
-            center = None
-            if ext:
-                center = f"centers[{len(self.center_refs)}]"
-                self.center_refs.append(group.ref)
-            for c, term in enumerate(self._components(group, xv, xk, center, pre)):
-                pre.append(f"        {g}_p{c}[j + 1] = {g}_p{c}[j] + {term};")
-            pre.append(f"        {g}_vp[j + 1] = {g}_vp[j] + ({xk} ? 1 : 0);")
-            pre.append("    }")
-        elif kind == "rmq":
+        if agg.strategy.range == "rmq":
             fill = _c_float(RMQ_DIRECTIONS[agg.rmq].fill)
             self._alloc("double", f"{g}_base", f"{m} > 0 ? {m} : 1", pre)
             self._alloc("int64_t", f"{g}_nc", f"{m} + 1", pre)
@@ -580,16 +547,14 @@ class _CEmitter:
     # -- reduce sites -------------------------------------------------------- #
     def _reduce_site(self, expr: Reduce) -> Tuple[str, str]:
         window = expr.window
-        site = None
-        if self.tick:
-            # the generated NumPy source makes one rt.reduce call per Reduce
-            # it visits, in this traversal order, and records each in
-            # reduce_sites: the key of the NumPy site this group must read
-            ref, _, _, agg_idx, elem_idx = self.spec.reduce_sites[self._reduce_visits]
-            self._reduce_visits += 1
-            if ref != window.ref or self.spec.aggregates[agg_idx] is not expr.agg:
-                raise ValueError("reduce sites out of step with the kernel's IR")
-            site = (ref, agg_idx, elem_idx)
+        # the generated NumPy source makes one rt.reduce call per Reduce it
+        # visits, in this traversal order, and records each in reduce_sites:
+        # the key of the NumPy site this group must read
+        ref, _, _, agg_idx, elem_idx = self.spec.reduce_sites[self._reduce_visits]
+        self._reduce_visits += 1
+        if ref != window.ref or self.spec.aggregates[agg_idx] is not expr.agg:
+            raise ValueError("reduce sites out of step with the kernel's IR")
+        site = (ref, agg_idx, elem_idx)
         key = (
             window.ref,
             float(window.start_offset),
@@ -607,13 +572,10 @@ class _CEmitter:
         m, bt, bs = self._timeline(group)
         v, k = self.fresh()
         body = self.body
-        if self.tick:
-            self.decls.append(
-                f"    int64_t {s}_lo = tilt_upper({bt}, {m}, ts[0] + {_c_float(window.start_offset)}),"
-                f" {s}_hi = tilt_starts_before({bt}, {m}, {bs}, ts[0] + {_c_float(window.end_offset)});"
-            )
-        else:
-            self.decls.append(f"    int64_t {s}_lo = 0, {s}_hi = 0;")
+        self.decls.append(
+            f"    int64_t {s}_lo = tilt_upper({bt}, {m}, ts[0] + {_c_float(window.start_offset)}),"
+            f" {s}_hi = tilt_starts_before({bt}, {m}, {bs}, ts[0] + {_c_float(window.end_offset)});"
+        )
         # snapshot_range_indices by monotone cursors:
         #   lo = searchsorted(times, ws, 'right')
         #   hi = searchsorted(interval_starts, we, 'left')
@@ -643,9 +605,7 @@ class _CEmitter:
             pop = RMQ_DIRECTIONS[agg.rmq].c_evicts
             self._alloc("int64_t", f"{s}_dq", f"{m} > 0 ? {m} : 1", self.prelude)
             # snapshots before the first window never reach the deque's front
-            self.decls.append(
-                f"    int64_t {s}_dh = 0, {s}_dt = 0, {s}_push = {s + '_lo' if self.tick else '0'};"
-            )
+            self.decls.append(f"    int64_t {s}_dh = 0, {s}_dt = 0, {s}_push = {s}_lo;")
             body.append(f"        while ({s}_push < {s}_qhi) {{")
             body.append(f"            double {s}_bv = {g}_base[{s}_push];")
             body.append(
@@ -679,10 +639,10 @@ class _CEmitter:
 
     # -- assembly ------------------------------------------------------------ #
     def _grid(self) -> List[str]:
-        """The tick entry's evaluation grid: its ``(input, boundary offset)``
+        """The evaluation grid: the kernel's ``(input, boundary offset)``
         pairs in the order ``grid.py`` visits them, and the precision, as
         literals.  A grid longer than ``cap`` returns before anything
-        allocates."""
+        allocates (the caller sized ``cap`` from a bound: a bug)."""
         pairs = []
         for ref, pattern in self.spec.accesses.items():
             m, bt, _, _, bs = self._ref_args(ref)
@@ -698,12 +658,9 @@ class _CEmitter:
         return lines
 
     def generate(self) -> Tuple[str, str]:
-        """Returns ``(function, signature)``: this entry point's C text."""
+        """Returns ``(function, signature)``: the entry point's C text."""
         out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
-        if self.tick:
-            params = ["double t_start", "double t_end", "int64_t cap", "double* ts"]
-        else:
-            params = ["int64_t n", "const double* ts"]
+        params = ["double t_start", "double t_end", "int64_t cap", "double* ts"]
         for i in range(len(self.refs)):
             params += [
                 f"int64_t m{i}",
@@ -712,25 +669,19 @@ class _CEmitter:
                 f"const unsigned char* bk{i}",
                 f"double bs{i}",
             ]
-        if self.tick:
-            for site in self.tick_sites:
-                g = f"g{self.groups[site.key].index}"
-                ctype = "long double" if site.dtype is np.longdouble else "double"
-                params += [f"int64_t {g}_m", f"double* {g}_e", f"double* {g}_vp"]
-                params += [f"{ctype}* {g}_p{c}" for c in range(site.components)]
-                params.append(f"int64_t {g}_new")
-                if site.dtype is np.longdouble:
-                    params.append(f"const long double* {g}_c")
-        else:
-            params.append("const long double* centers")
+        for site in self.prefix_sites:
+            g = f"g{self.groups[site.key].index}"
+            ctype = "long double" if site.dtype is np.longdouble else "double"
+            params += [f"int64_t {g}_m", f"double* {g}_e", f"double* {g}_vp"]
+            params += [f"{ctype}* {g}_p{c}" for c in range(site.components)]
+            params.append(f"int64_t {g}_new")
+            if site.dtype is np.longdouble:
+                params.append(f"const long double* {g}_c")
         params += ["double* out_v", "unsigned char* out_k"]
-        signature = f"int64_t {TICK_ENTRY if self.tick else RUN_ENTRY}({', '.join(params)})"
+        signature = f"int64_t {TICK_ENTRY}({', '.join(params)})"
         lines = [signature, "{", "    int64_t rc = 0;"]
-        if not self.tick:
-            lines.append("    (void)centers;")
         lines += [f"    {ctype}* {name} = NULL;" for ctype, name in self.allocs]
-        if self.tick:  # the extends first: nothing before them can fail
-            lines += self.extends + self._grid()
+        lines += self.extends + self._grid()  # the extends first: nothing before them can fail
         lines += self.prelude
         lines += self.decls
         lines.append("    for (int64_t i = 0; i < n; i++) {")
@@ -741,42 +692,32 @@ class _CEmitter:
         if self.allocs:
             lines.append("cleanup:")
             lines += [f"    free({name});" for _, name in self.allocs]
-        lines.append("    return rc ? -1 : n;" if self.tick else "    return rc;")
+        lines.append("    return rc ? -1 : n;")
         lines.append("}")
         return "\n".join(lines) + "\n", f"{signature};"
 
 
 class Lowered(NamedTuple):
-    """One entry point's C artifact, before compilation."""
+    """A kernel's C artifact, before compilation."""
 
     c_source: str
     cdef: str
     refs: List[str]
-    center_refs: List[str]  # the run entry's centring means, by input
-    tick_sites: List[_TickSite]  # the tick entry's prefix groups, in parameter order
+    prefix_sites: List[_PrefixSite]  # the prefix groups, in parameter order
 
 
 def lower(spec: KernelSpec) -> Lowered:
-    """The run entry's translation unit."""
-    return _unit(_CEmitter(spec))
+    """The kernel's translation unit; it links against :data:`TICK_SUPPORT`."""
+    emitter = _CEmitter(spec)
+    function, signature = emitter.generate()
+    c_source = "\n".join(
+        [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID, function]
+    )
+    return Lowered(c_source, signature, emitter.refs, emitter.prefix_sites)
 
 
-def lower_tick(spec: KernelSpec) -> Lowered:
-    """The tick entry's translation unit; it links against
-    :data:`TICK_SUPPORT`."""
-    return _unit(_CEmitter(spec, tick=True), _C_SEEK, _C_GRID)
-
-
-#: the library every tick unit links against, built once per cache rather
-#: than into each kernel's unit (see ``native._load_support``): the grid
+#: the library every kernel's unit links against, built once per cache
+#: rather than into each unit (see ``native._load_support``): the grid
 TICK_SUPPORT = "\n".join(
     ["/* support library of the native tick entries */\n" + _C_HEADER, _C_SEEK, _C_GRID, _C_GRID_BODY]
 )
-
-
-def _unit(emitter: _CEmitter, *helpers: str) -> Lowered:
-    function, signature = emitter.generate()
-    c_source = "\n".join(
-        [f"/* native kernel for temporal expression ~{emitter.spec.name} */\n{_C_HEADER}", *helpers, function]
-    )
-    return Lowered(c_source, signature, emitter.refs, emitter.center_refs, emitter.tick_sites)

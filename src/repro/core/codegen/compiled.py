@@ -30,9 +30,8 @@ first equal query there builds; the others find the kernel in its record.
 the pooling: its heat already lived on one kernel.)  A session's in-process
 ticks count like any run.
 Publishing the C kernel is one attribute store that ``run`` branches on per
-call — to the C kernel's run entry, or, for a call carrying a session's
-runtime, to its tick entry over that runtime's kept reduce-site arrays (a
-second artifact, built only for a kernel a session ticks) —
+call — to the C kernel's one entry, over the runtime's kept reduce-site
+arrays when a session's runtime is passed and over fresh ones otherwise —
 and the tiers are bit-identical, so the swap is invisible in the output,
 mid-session included.  :meth:`CompiledQuery.promote` is the same
 build on the calling thread.  Where a process pool's workers run the
@@ -123,9 +122,6 @@ class CompiledKernel:
         self.record = native.record(spec) if tier == NATIVE_TIER else native.KernelRecord()
         #: wall seconds :meth:`promote` spent building this kernel
         self.build_seconds = 0.0
-        #: a session ticks this kernel (set when one opens): building it then
-        #: builds the C tick entry as well as the run entry
-        self.ticked = False
         self._promote_lock = threading.Lock()
         if tier == INTERPRETED_TIER:
             self.runtime = self._function = None
@@ -165,29 +161,19 @@ class CompiledKernel:
         """Requested the native tier and has been neither built nor refused."""
         return self.tier == NATIVE_TIER and self.state not in (NATIVE_TIER, "refused")
 
-    @property
-    def tick_pending(self) -> bool:
-        """Promoted before any session ticked it: the C kernel lacks the tick
-        entry a session now needs (ticks stay on the NumPy twin meanwhile)."""
-        c_kernel = self._native
-        return self.ticked and c_kernel is not None and not c_kernel.ticks
-
     def promote(
         self, scope: Callable[["CompiledKernel"], ContextManager] = contextlib.nullcontext
     ) -> None:
         """Decide an undecided kernel on the calling thread: build (or fetch)
-        its C kernel and publish it, or record why not — and give a promoted
-        kernel the tick entry it lacks (:attr:`tick_pending`).
-        ``scope(kernel)`` wraps the build and only a build — a decided
-        kernel is left alone, so every kernel is observed (and any fallback
-        counted) once per build."""
+        its C kernel and publish it, or record why not.  ``scope(kernel)``
+        wraps the build and only a build — a decided kernel is left alone,
+        so every kernel is observed (and any fallback counted) once."""
         with self._promote_lock:
-            # a loop: a session may mark the kernel ticked while it builds
-            while self.undecided or self.tick_pending:
+            if self.undecided:
                 with scope(self):
                     self.state = "building"
                     started = time.perf_counter()
-                    self._adopt(*native.instantiate(self.spec, tick=self.ticked))
+                    self._adopt(*native.instantiate(self.spec))
                     self.build_seconds += time.perf_counter() - started
 
     def adopt(self, c_kernel) -> None:
@@ -245,38 +231,25 @@ class CompiledKernel:
         ``runtime`` substitutes a caller-owned runtime for the kernel's
         shared immutable one — an in-process session tick passes its private
         :class:`~repro.core.codegen.incremental.IncrementalKernelRuntime`
-        here so reductions hit persistent per-session state.  Such a call
-        goes to the C kernel's tick entry
-        (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`,
-        built with the kernel once a session has marked it :attr:`ticked`),
-        which extends those same kept sites itself; without one the
-        NumPy twin runs with the override.  The interpreted tier ignores the
-        override (sessions never pass one to it).  Every call the NumPy twin
-        serves is charged to the kernel's record, a session's ticks included.
+        here so reductions hit persistent per-session state.  A promoted
+        kernel serves every call from its C entry
+        (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`),
+        which extends those same kept sites itself, or fresh ones when the
+        runtime keeps none; otherwise the NumPy twin runs with the runtime.
+        The interpreted tier ignores the override (sessions never pass one
+        to it).  Every call the NumPy twin serves is charged to the kernel's
+        record, a session's ticks included.
         """
         if self._function is None:  # interpreted tier: evaluate the IR itself
             return evaluate_temporal_expr(self.spec.te, env, t_start, t_end)
+        rt = self.runtime if runtime is None else runtime
         c_kernel = self._native
         if c_kernel is not None:
-            if runtime is None:
-                return c_kernel.run(env, t_start, t_end, self.runtime)
-            if c_kernel.ticks:
-                return c_kernel.tick(env, t_start, t_end, runtime)
+            return c_kernel.tick(env, t_start, t_end, rt)
         started = time.perf_counter()
-        out = self._function(env, t_start, t_end, self.runtime if runtime is None else runtime)
+        out = self._function(env, t_start, t_end, rt)
         self.charge(time.perf_counter() - started)
         return out
-
-    def entry(self, tick: bool) -> str:
-        """What serves a call right now: the C kernel's tick entry (a call
-        with a runtime override, ``tick``) or its run entry, or the name of
-        the tier whose Python kernel does."""
-        c_kernel = self._native
-        if c_kernel is None:
-            return self.active_tier
-        if not tick:
-            return native.RUN_ENTRY
-        return native.TICK_ENTRY if c_kernel.ticks else NUMPY_TIER
 
 
 @dataclass
@@ -387,16 +360,13 @@ class CompiledQuery:
         twins of its digest have cost so far in this process (``numpy_seconds``,
         pooled over every equal kernel — ``digest`` is the first 12 hex
         digits of the shared record's key, ``None`` on a private record) and
-        what deciding it cost; and what serves it on an in-process session
-        tick (``tick_entry``: the output kernel's C tick entry, an
-        intermediate's C run entry, or the tier name while on NumPy)."""
+        what deciding it cost."""
         return [
             {
                 "kernel": k.name,
                 "digest": k.record.digest[:12] if k.record.digest else None,
                 "requested_tier": k.tier,
                 "active_tier": k.active_tier,
-                "tick_entry": k.entry(tick=k.name == self.output),
                 "fallback_reason": k.native_fallback_reason,
                 "state": k.state,
                 "numpy_seconds": k.numpy_seconds,
@@ -504,7 +474,7 @@ class CompiledQuery:
         ``output_runtime`` is the in-process session tick: the output kernel
         runs with that session-private runtime over ``inputs`` *unsliced*
         (its persistent reduce sites may only ever ingest true input
-        snapshots, never slice-clipped phantoms) — on its C tick entry once
+        snapshots, never slice-clipped phantoms) — on its C entry once
         promoted — while intermediates are rebuilt from the margin slices a
         partition would have handed them, byte-identical to the
         single-partition batch materialization.  Either way the NumPy time

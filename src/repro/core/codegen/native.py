@@ -47,33 +47,28 @@ synchronous build that thread (and ``CompiledQuery.promote``) calls;
 ``cc`` still running when the interpreter exits is killed with it, and its
 temp files removed (an ``atexit`` hook registered by the first build).
 
-Two entry points
-----------------
-A kernel has two C entry points over the same lowered expression, each its
-own artifact.  ``tilt_native`` (:data:`RUN_ENTRY`) serves a one-shot
-partition: it builds every index over the buffers it is handed and
-evaluates the grid ``rt.eval_times`` built.  ``tilt_tick``
-(:data:`TICK_ENTRY`) serves a session's in-process tick and does the
-tick's per-row work itself.  First it extends each prefix-sum group's
-:class:`~repro.windowing.prefix.PrefixRangeIndex` — the one the session
-keeps for that reduce site, passed by pointer on every call — by the
-input's new snapshots: element map, masked components and the chunked
-accumulation, byte for byte what ``PrefixRangeIndex.extend`` writes, into
-rows Python reserved (Python keeps the growth, the ingest horizon, the
-prune rebase and an extended-precision index's first chunk, whose centre
-is ``np.mean``'s).  Nothing before the extends can fail, so a failed call
-leaves every site extended.  Then it builds the evaluation grid
-(``grid.py``'s bitmap or sorted-run merge, byte for byte, the kernel's
-offsets and precision passed as literals to ``tilt_grid``, which lives in
-one support library every tick unit links against: :func:`_load_support`)
-into outputs the caller sized; a grid that does not fit returns its length
-and the call is repeated, extends skipped.  Each cursor starts at one
-binary search for the tick's first grid point instead of at the retained
-tail's first snapshot.  The tick entry keeps no state of its own, so a
-session promoted mid-stream hands nothing over.  It is built only for a
-kernel a session ticks (:func:`instantiate` with ``tick``): a second loop
-and the extend code cost ``cc`` time, and the break-even rule prices every
-query by what its builds cost.
+One entry point
+---------------
+A kernel has one C entry point, ``tilt_tick`` (:data:`TICK_ENTRY`), one
+artifact, and one call path: every call its kernel serves — a one-shot
+partition, an intermediate a tick rebuilds, a session's in-process tick —
+is one call of it (:meth:`NativeKernel.tick`).  First it extends each
+prefix-sum group's :class:`~repro.windowing.prefix.PrefixRangeIndex` by the
+input's new snapshots: the one a session keeps for that reduce site, or a
+fresh one (the whole input: a one-shot run's index, built the same way).
+It writes element map, masked components and the chunked accumulation,
+byte for byte what ``PrefixRangeIndex.extend`` writes, into rows Python
+reserved (Python keeps the growth, the ingest horizon, the prune rebase and
+an extended-precision index's centre, which is ``np.mean``'s).  Nothing
+before the extends can fail, so a failed call leaves every site extended.
+Then it builds the evaluation grid (``grid.py``'s bitmap or sorted-run
+merge, byte for byte, the kernel's offsets and precision passed as literals
+to ``tilt_grid``, which lives in one support library every unit links
+against: :func:`_load_support`) into outputs sized from a bound on its
+length.  Each cursor starts at one binary search for the first grid point.
+The entry keeps no state of its own and writes nothing to the runtime it
+is handed, so a kernel's shared immutable runtime serves concurrent
+partitions, and a session promoted mid-stream hands nothing over.
 
 Caching
 -------
@@ -117,6 +112,7 @@ import atexit
 import contextlib
 import hashlib
 import logging
+import math
 import os
 import shutil
 import signal
@@ -143,7 +139,6 @@ __all__ = [
     "NUMPY_TIER",
     "NATIVE_TIER",
     "CODEGEN_TIERS",
-    "RUN_ENTRY",
     "TICK_ENTRY",
     "native_available",
     "lowering_blockers",
@@ -166,8 +161,7 @@ NATIVE_TIER = "native"
 #: accepted values for ``TiltEngine(codegen_tier=...)``
 CODEGEN_TIERS = (NUMPY_TIER, NATIVE_TIER)
 
-#: the two C entry points of every lowered kernel (see "Two entry points")
-RUN_ENTRY = "tilt_native"
+#: the C entry point of every lowered kernel (see "One entry point")
 TICK_ENTRY = "tilt_tick"
 
 _LOG = logging.getLogger("repro.native")
@@ -415,15 +409,23 @@ def _trusted_cache_dir() -> str:
     return path
 
 
-def _so_path(digest: str, tick_source: Optional[str] = None) -> str:
-    """The run entry's artifact or — given its C text — the tick entry's,
-    whose name carries a hash of that text too: the spec digest does not
-    cover how the tick entry is emitted, which has changed its parameters
-    before, and a stale artifact with other parameters must not load."""
-    name = f"tilt-{digest[:32]}"
-    if tick_source is not None:
-        name += f"-{hashlib.sha256(tick_source.encode()).hexdigest()[:12]}-tick"
-    return os.path.join(_cache_path(), name + ".so")
+def _so_path(digest: str, c_source: str) -> str:
+    """The kernel's artifact: its name carries a hash of the C text as well
+    as the spec digest, which does not cover how the kernel is emitted — a
+    stale artifact of another emission must not load."""
+    tag = hashlib.sha256(c_source.encode()).hexdigest()[:12]
+    return os.path.join(_cache_path(), f"tilt-{digest[:32]}-{tag}.so")
+
+
+def _on_disk(digest: str) -> List[str]:
+    """The artifacts the disk cache holds of ``digest``, from any emission
+    — a directory listing, no lowering."""
+    path, prefix = _cache_path(), f"tilt-{digest[:32]}-"
+    try:
+        names = os.listdir(path)
+    except OSError:  # no cache yet
+        return []
+    return [os.path.join(path, n) for n in names if n.startswith(prefix) and n.endswith(".so")]
 
 
 def _sum_path(so: str) -> str:
@@ -454,13 +456,13 @@ def _artifact_valid(so: str) -> bool:
 
 def cached(rec: KernelRecord) -> bool:
     """True when the record holds a loaded kernel or the disk cache an
-    artifact for its digest — a cheap look (no probe, no hash, nothing
+    artifact for its digest — a cheap look (no probe, no lowering, nothing
     created) that decides whether a query is promoted at compile time;
-    validity is checked when it is loaded.  Never for a private record."""
+    validity, and that the artifact is this emission's, is checked when it
+    is loaded.  Never for a private record."""
     if rec.digest is None:
         return False
-    so = _so_path(rec.digest)
-    return rec.kernel is not None or (os.path.exists(so) and os.path.exists(_sum_path(so)))
+    return rec.kernel is not None or any(os.path.exists(_sum_path(so)) for so in _on_disk(rec.digest))
 
 
 def loaded(records: List[KernelRecord]) -> Optional[List["NativeKernel"]]:
@@ -641,20 +643,20 @@ def _compile_so(so: str, c_source: str) -> None:
                 os.unlink(leftover)
 
 
-#: the tick entries' support library once loaded (kept alive; see
-#: :func:`_load_support`)
+#: the support library once loaded (kept alive; see :func:`_load_support`)
 _SUPPORT = None
 
 
-def _load_support() -> None:
-    """Load the library every tick unit links against (``c_emit.TICK_SUPPORT``:
-    the evaluation grid — one artifact for all kernels, where a copy in each
-    tick unit would double its ``cc`` time), building it first if the cache
-    does not hold it.  Its symbols are loaded global, so a tick unit
-    ``dlopen``ed after it resolves ``tilt_grid`` there.  Its ``cc`` run is
-    no kernel's build and happens once per cache, so :func:`stats` does not
-    count it (nor does the break-even rule); the wall time of the build
-    that loads it does."""
+def _load_support(build: bool) -> bool:
+    """Load the library every kernel's unit links against
+    (``c_emit.TICK_SUPPORT``: the evaluation grid — one artifact for all
+    kernels, where a copy in each unit would double its ``cc`` time),
+    building it first if the cache does not hold it and ``build`` allows;
+    ``False`` when it is neither loaded nor on disk and may not be built.
+    Its symbols are loaded global, so a unit ``dlopen``ed after it resolves
+    ``tilt_grid`` there.  Its ``cc`` run is no kernel's build and happens
+    once per cache, so :func:`stats` does not count it (nor does the
+    break-even rule); the wall time of the build that loads it does."""
     global _SUPPORT
     import cffi
 
@@ -662,18 +664,24 @@ def _load_support() -> None:
 
     with _BUILD_LOCK:
         if _SUPPORT is not None:
-            return
+            return True
         tag = hashlib.sha256(TICK_SUPPORT.encode()).hexdigest()[:12]
-        so = os.path.join(_cache_path(), f"tilt-support-{tag}.so")
+        so = os.path.join(_cache_path(), f"support-{tag}.so")
         if not _artifact_valid(so):
+            if not build:
+                return False
             _compile_so(so, TICK_SUPPORT)
         ffi = cffi.FFI()
         _SUPPORT = ffi.dlopen(so, ffi.RTLD_NOW | ffi.RTLD_GLOBAL)
+        return True
 
 
 # ---------------------------------------------------------------------- #
 # the runnable kernel
 # ---------------------------------------------------------------------- #
+#: output lanes few enough that allocating them costs less than counting
+#: the grid's candidates (see ``NativeKernel._lanes``)
+_FEW_LANES = 4096
 #: the timeline and valid prefix of a prefix index that holds nothing
 _NO_EDGES = np.zeros(1)
 _NO_EDGES.flags.writeable = False
@@ -682,36 +690,26 @@ _NO_EDGES.flags.writeable = False
 class NativeKernel:
     """A compiled, loaded, single-pass C kernel for one KernelSpec.
 
-    Drop-in for the generated-Python kernel function, with one method per C
-    entry point; both return the same
-    :class:`~repro.core.runtime.ssbuf.SSBuf` as the NumPy twin (bit-identical
-    values and times).  :meth:`run` serves a one-shot partition over the
-    grid the runtime ``rt`` builds; :meth:`tick` — present when
-    :attr:`ticks` — a session's in-process tick, extending the reduce sites
-    ``rt`` keeps and building its own grid.  Neither holds a pointer past its
-    call, and the cffi call releases the GIL, so thread-pool partitions
-    genuinely overlap.
+    Drop-in for the generated-Python kernel function: :meth:`tick` returns
+    the same :class:`~repro.core.runtime.ssbuf.SSBuf` as the NumPy twin
+    (bit-identical values and times).  It holds no pointer past its call,
+    and the cffi call releases the GIL, so thread-pool partitions genuinely
+    overlap.
     """
 
-    def __init__(
-        self, spec: KernelSpec, digest: str, ffi, loaded: Dict[str, Tuple[Lowered, object, str]]
-    ):
-        """``loaded``: per entry point, its lowering, library and path."""
+    def __init__(self, spec: KernelSpec, ffi, lowered: Lowered, lib):
         self.spec = spec
-        self.digest = digest
-        run, run_lib, self.so_path = loaded[RUN_ENTRY]
-        self.c_source = run.c_source
-        self._refs = run.refs
-        self._center_refs = run.center_refs
+        self._refs = lowered.refs
+        self._sites = lowered.prefix_sites
         self._ffi = ffi
-        self._fn = getattr(run_lib, RUN_ENTRY)
-        #: whether the tick entry was built (see :func:`instantiate`)
-        self.ticks = TICK_ENTRY in loaded
-        if self.ticks:
-            tick, tick_lib, _ = loaded[TICK_ENTRY]
-            self._tick_sites = tick.tick_sites
-            self._tick_fn = getattr(tick_lib, TICK_ENTRY)
-        self._libs = [lib for _, lib, _ in loaded.values()]  # keep the dlopen handles alive
+        self._lib = lib  # keep the dlopen handle alive
+        self._fn = getattr(lib, TICK_ENTRY)
+        #: per input, the boundary offsets whose candidates the grid reads
+        self._grid_offsets = []
+        for ref, pattern in spec.accesses.items():
+            offsets = pattern.boundary_offsets()
+            if offsets:
+                self._grid_offsets.append((ref, np.fromiter(offsets, dtype=np.float64)))
 
     def _inputs(self, env) -> list:
         """Every referenced buffer by pointer (a validity mask as its own
@@ -729,39 +727,60 @@ class NativeKernel:
             ]
         return args
 
-    def _outputs(self, n: int) -> Tuple[np.ndarray, np.ndarray, list]:
-        """``(out_v, out_k, pointers)``: ``n`` output lanes for C to write."""
-        out_v = np.empty(n, dtype=np.float64)
-        out_k = np.empty(n, dtype=np.uint8)
+    def _lanes(self, env, t_start: float, t_end: float) -> int:
+        """An upper bound on the length of the grid over ``(t_start,
+        t_end]``.  On a precision grid ``p`` every point is some ``k * p``
+        in the interval, so there are at most ``(t_end - t_start) / p + 2``
+        of them (one more for rounding); when that is few, it is the bound.
+        Otherwise the candidates bound it: per ``(input, offset)`` pair
+        those in ``(t_start+o, t_end+o]`` and its start time, and ``t_end``
+        — one ``searchsorted`` per input, so a tick costs nothing per
+        retained snapshot — twice over on a precision grid, where each
+        marks ``k`` and ``k - 1``.  ``t_end`` closes the grid."""
+        precision = self.spec.tdom.precision
+        cells = (t_end - t_start) / precision if precision > 0 else math.inf
+        if cells <= _FEW_LANES:
+            return math.ceil(cells) + 4
+        candidates = 1
+        for ref, offsets in self._grid_offsets:
+            k = len(offsets)
+            edges = np.concatenate((t_start + offsets, t_end + offsets))
+            at = np.searchsorted(env[ref].times, edges, side="right")
+            candidates += int((at[k:] - at[:k]).sum()) + k
+        if precision <= 0:
+            return candidates + 1
+        points = 2 * candidates
+        if cells < points:  # (never for an unbounded interval)
+            points = math.ceil(cells) + 3
+        return points + 1
+
+    def _outputs(self, cap: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], list]:
+        """``((ts, out_v, out_k), pointers)``: ``cap`` lanes for C to write."""
+        arrays = (np.empty(cap), np.empty(cap), np.empty(cap, dtype=np.uint8))
         ffi = self._ffi
-        return out_v, out_k, [
-            ffi.from_buffer("double[]", out_v, require_writable=True),
-            ffi.from_buffer("unsigned char[]", out_k, require_writable=True),
+        ctypes = ("double[]", "double[]", "unsigned char[]")
+        return arrays, [
+            ffi.from_buffer(ctype, array, require_writable=True)
+            for ctype, array in zip(ctypes, arrays)
         ]
 
-    def _failed(self) -> ExecutionError:
-        return ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
-
     def tick(self, env, t_start: float, t_end: float, rt):
-        """One session tick over ``(t_start, t_end]``: one :data:`TICK_ENTRY`
-        call, which first extends the prefix sites ``rt`` keeps by the
-        inputs' new snapshots (the rows each site reserved here, see
+        """One call over ``(t_start, t_end]``: one :data:`TICK_ENTRY` call,
+        which first extends the prefix sites ``rt`` keeps by the inputs' new
+        snapshots (the rows each site reserved here, see
         :meth:`~repro.core.codegen.runtime_support.ReduceSite.reserve`),
         then builds the grid and evaluates it.  A group ``rt`` does not keep
-        gets a fresh site, filled the same way from the whole input.  The
-        grid's length is not known before the call: outputs sized from the
-        session's recent grids (``rt.grid_lanes``) that turn out short are
-        sized again and the call repeated, its extends — done by then —
-        skipped."""
+        — every group, on a kernel's shared runtime — gets a fresh site,
+        filled the same way from the whole input; ``rt`` itself is only
+        read.  A grid longer than its bound (:meth:`_lanes`) is a bug."""
         if t_end <= t_start:  # an empty grid: nothing to evaluate or ingest
             return rt.empty(t_start)
         ffi = self._ffi
         args = self._inputs(env)
-        extends = []  # argument positions of the sites' new-row counts
-        for site_key, components, dtype in self._tick_sites:
+        for site_key, components, dtype in self._sites:
             ref, agg_idx, elem_idx = site_key
             site = rt.sites.get(site_key) or rt.new_site(agg_idx, elem_idx)
-            new = site.reserve(env[ref], rt)
+            new = site.reserve(env[ref])
             edges, valid_prefix, prefixes = site.index.arrays()
             if not len(edges):  # nothing ingested: every window is φ
                 edges, valid_prefix = _NO_EDGES, _NO_EDGES
@@ -770,56 +789,27 @@ class NativeKernel:
             args += [len(edges) - 1, ffi.from_buffer("double[]", edges)]
             args.append(ffi.from_buffer("double[]", valid_prefix))
             args += [ffi.from_buffer(ctype, prefix) for prefix in prefixes]
-            extends.append(len(args))
             args.append(new)
             if dtype is np.longdouble:
                 center = np.array([site.index.center or 0.0], dtype=np.longdouble)
                 args.append(ffi.from_buffer("long double[]", center))
-        while True:
-            cap = rt.grid_lanes
-            ts = np.empty(cap)
-            out_v, out_k, outs = self._outputs(cap)
-            n = self._tick_fn(t_start, t_end, cap, ffi.from_buffer("double[]", ts), *args, *outs)
-            if n < 0:
-                raise self._failed()
-            rt.grid_lanes = max(2 * n, cap // 2, 16)
-            if n <= cap:
-                return _ssbuf_from_arrays(ts[:n], out_v[:n], out_k[:n].view(np.bool_), float(t_start))
-            for at in extends:
-                args[at] = 0
-
-    def run(self, env, t_start: float, t_end: float, rt):
-        ffi = self._ffi
-        ts = np.ascontiguousarray(rt.eval_times(env, t_start, t_end), dtype=np.float64)
-        if not len(ts):
-            return rt.empty(t_start)
-        args = [len(ts), ffi.from_buffer("double[]", ts), *self._inputs(env)]
-        if self._center_refs:
-            centers = np.empty(len(self._center_refs), dtype=np.longdouble)
-            for i, ref in enumerate(self._center_refs):
-                buf = env[ref]
-                # exactly PrefixRangeIndex's centering mean: np.mean over
-                # the zero-masked longdouble array (pairwise summation is
-                # NumPy's to make — its bits pass through untouched)
-                masked = np.where(
-                    buf.valid, np.asarray(buf.values, dtype=np.float64), 0.0
-                ).astype(np.longdouble)
-                centers[i] = np.mean(masked) if len(masked) else np.longdouble(0.0)
-            args.append(ffi.from_buffer("long double[]", centers))
-        else:
-            args.append(ffi.NULL)
-        out_v, out_k, outs = self._outputs(len(ts))
-        if self._fn(*args, *outs) != 0:
-            raise self._failed()
-        return _ssbuf_from_arrays(ts, out_v, out_k.view(np.bool_), float(t_start))
+        cap = self._lanes(env, t_start, t_end)
+        (ts, out_v, out_k), (ts_out, *outs) = self._outputs(cap)
+        n = self._fn(t_start, t_end, cap, ts_out, *args, *outs)
+        if n < 0:
+            raise ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
+        if n > cap:
+            raise ExecutionError(
+                f"native kernel ~{self.spec.name}: a grid of {n} points exceeds its bound of {cap}"
+            )
+        return _ssbuf_from_arrays(ts[:n], out_v[:n], out_k[:n].view(np.bool_), float(t_start))
 
 
 # ---------------------------------------------------------------------- #
 # instantiation front door
 # ---------------------------------------------------------------------- #
-def instantiate(spec: KernelSpec, tick: bool = False) -> Tuple[Optional[NativeKernel], Optional[str]]:
-    """Build (or fetch from cache) the native kernel for a spec — with its
-    tick entry too when ``tick`` (a session ticks it).
+def instantiate(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]]:
+    """Build (or fetch from cache) the native kernel for a spec.
 
     Never raises: returns ``(kernel, None)`` on success or ``(None,
     reason)`` when the tier is unavailable, the spec is not lowerable, or
@@ -827,7 +817,7 @@ def instantiate(spec: KernelSpec, tick: bool = False) -> Tuple[Optional[NativeKe
     the C compiler, so callers that must not wait go through
     :func:`submit_build`.
     """
-    return _instantiate(spec, build=True, tick=tick)
+    return _instantiate(spec, build=True)
 
 
 def load_cached(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]]:
@@ -835,7 +825,7 @@ def load_cached(spec: KernelSpec) -> Tuple[Optional[NativeKernel], Optional[str]
     and disk caches hold and never invokes the compiler.  An artifact that
     is simply not there yet is ``(None, None)`` — no fallback, nothing
     counted; the kernel keeps serving from its NumPy twin."""
-    return _instantiate(spec, build=False, tick=False)
+    return _instantiate(spec, build=False)
 
 
 def _refuse(reason: str, rec: Optional[KernelRecord] = None) -> Tuple[None, str]:
@@ -846,9 +836,7 @@ def _refuse(reason: str, rec: Optional[KernelRecord] = None) -> Tuple[None, str]
     return None, reason
 
 
-def _instantiate(
-    spec: KernelSpec, build: bool, tick: bool
-) -> Tuple[Optional[NativeKernel], Optional[str]]:
+def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel], Optional[str]]:
     if not native_available():
         return _refuse("native toolchain unavailable (cffi + C compiler required)")
     if spec.bounds_proof is None:
@@ -868,7 +856,7 @@ def _instantiate(
     with _STATE_LOCK:
         rec = _record(digest)
         kernel, refusal = rec.kernel, rec.refusal
-        if kernel is not None and (kernel.ticks or not tick):
+        if kernel is not None:
             _STATS["mem_hits_total"] += 1
             return kernel, None
     if refusal is not None:
@@ -876,41 +864,34 @@ def _instantiate(
     try:
         import cffi
 
-        from .c_emit import lower, lower_tick
+        from .c_emit import lower
 
         _trusted_cache_dir()
-        # one artifact per entry point: a kernel no session ticks never
-        # pays cc for the tick entry
-        entries = [(RUN_ENTRY, lower)] + ([(TICK_ENTRY, lower_tick)] if tick else [])
-        if not build and not _artifact_valid(_so_path(digest)):  # (never a tick entry)
+        if not build and not _on_disk(digest):
+            return None, None
+        lowered = lower(spec)
+        so = _so_path(digest, lowered.c_source)
+        elapsed = None
+        if build:
+            started = time.perf_counter()
+            with _BUILD_LOCK:  # one cc at a time, whoever asks
+                if not _artifact_valid(so):
+                    _compile_so(so, lowered.c_source)
+                    elapsed = time.perf_counter() - started
+        elif not _artifact_valid(so):  # another emission's, or damaged
+            return None, None
+        if not _load_support(build):  # before the unit that links against it
             return None, None
         ffi = cffi.FFI()
-        loaded, timings = {}, []
-        for entry, lower_entry in entries:
-            lowered = lower_entry(spec)
-            so = _so_path(digest, lowered.c_source if entry == TICK_ENTRY else None)
-            if build:
-                started = time.perf_counter()
-                with _BUILD_LOCK:  # one cc at a time, whoever asks
-                    compiled = not _artifact_valid(so)
-                    if compiled:
-                        _compile_so(so, lowered.c_source)
-                timings.append(time.perf_counter() - started if compiled else None)
-            else:
-                timings.append(None)
-            if entry == TICK_ENTRY:  # before the unit that links against it
-                _load_support()
-            ffi.cdef(lowered.cdef)
-            loaded[entry] = (lowered, ffi.dlopen(so), so)
-        kernel = NativeKernel(spec, digest, ffi, loaded)
+        ffi.cdef(lowered.cdef)
+        kernel = NativeKernel(spec, ffi, lowered, ffi.dlopen(so))
     except Exception as exc:
         return _refuse(f"native build failed: {exc}", rec)
     with _STATE_LOCK:
-        for elapsed in timings:
-            if elapsed is None:
-                _STATS["disk_hits_total"] += 1
-            else:
-                _STATS["compiles_total"] += 1
-                _STATS["compile_seconds_total"] += elapsed
+        if elapsed is None:
+            _STATS["disk_hits_total"] += 1
+        else:
+            _STATS["compiles_total"] += 1
+            _STATS["compile_seconds_total"] += elapsed
         rec.kernel = kernel
     return kernel, None

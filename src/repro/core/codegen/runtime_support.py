@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ...errors import ExecutionError
-from ...windowing.functions import AggregateFunction
+from ...windowing.functions import AggregateFunction, prefix_center
 from ...windowing.prefix import PrefixRangeIndex, snapshot_range_indices
 from ...windowing.sliding import build_range_index
 from ..ir.nodes import TDom
@@ -78,12 +78,12 @@ class ReduceSite:
         if len(times):
             self.ingested_through = float(times[-1])
 
-    def reserve(self, buf: SSBuf, rt: "KernelRuntime") -> int:
-        """The native tick entry's :meth:`ingest` of a prefix site: advance
-        the ingest horizon past ``buf``'s new snapshots and reserve their
-        rows in the index (:meth:`PrefixRangeIndex.reserve`); returns how
-        many rows the C entry is to fill — the tail of ``buf``.  The first
-        chunk of an extended-precision index is ingested here, by NumPy."""
+    def reserve(self, buf: SSBuf) -> int:
+        """The native entry's :meth:`ingest` of a prefix site: advance the
+        ingest horizon past ``buf``'s new snapshots and reserve their rows in
+        the index (:meth:`PrefixRangeIndex.reserve`), with the centre of an
+        extended-precision index this opens; returns how many rows the C
+        entry is to fill — the tail of ``buf``."""
         if self.index is None:
             self.index = PrefixRangeIndex(self.agg)
         times = buf.times
@@ -91,10 +91,10 @@ class ReduceSite:
         new = len(times) - idx
         if not new:
             return 0
+        center = None
         if self.agg.prefix_extended_precision and self.index.center is None:
-            self.ingest(buf, rt)
-            return 0
-        self.index.reserve(new, buf.start_time if idx == 0 else float(times[idx - 1]))
+            center = prefix_center(buf.values[idx:], buf.valid[idx:])
+        self.index.reserve(new, buf.start_time if idx == 0 else float(times[idx - 1]), center)
         self.ingested_through = float(times[-1])
         return new
 

@@ -55,7 +55,7 @@ import numpy as np
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
 from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery
 from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
-from ..codegen.native import TICK_ENTRY
+from ..codegen.native import NATIVE_TIER, TICK_ENTRY
 from ..ir.nodes import TiltProgram
 from .engine import QueryResult, TiltEngine
 from .growable import GrowableArray
@@ -268,11 +268,11 @@ class StreamingSession:
         (see ``TiltEngine``'s ``codegen_tier``), and ticks are charged to
         the NumPy twins like one-shot runs, so a hot session gets its query
         promoted.  From then on each tick is one call of the output C
-        kernel's tick entry, which extends those same kept sites (with the
+        kernel's entry, which extends those same kept sites (with the
         bytes NumPy would write, so the output does not depend on the tier
         and the promotion hands over nothing; pruning stays with NumPy) and
-        builds the tick's grid, the intermediates it rebuilds run on their C
-        kernels, and ``plan["tick_entry"]`` reads ``tilt_tick``.  Sessions
+        builds the tick's grid, and the intermediates it rebuilds run on
+        their C kernels.  Sessions
         whose output kernel is interpreted **partition and dispatch** each
         tick like a one-shot run (the interpreter makes no ``rt.reduce``
         calls for persistent state to interpose on).
@@ -310,16 +310,10 @@ class StreamingSession:
         #: tick path only)
         self._state: Optional[IncrementalKernelRuntime] = None
         if in_process:
-            output = compiled.kernel_named(compiled.output)
-            self._state = IncrementalKernelRuntime(output, program.inputs)
-            # its C kernel is to have the tick entry too; one promoted
-            # before any session ticked it gets it from the builder thread
-            output.ticked = True
-            if output.tick_pending:
-                engine._queue_build(compiled)
+            self._state = IncrementalKernelRuntime(compiled.kernel_named(compiled.output), program.inputs)
         blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
-        #: per kernel, its reduce-site rows — ``None`` for the ticked output
-        #: kernel, whose rows ``self._state.plan`` holds
+        #: per kernel, its reduce-site rows — ``None`` for the in-process
+        #: output kernel, whose rows ``self._state.plan`` holds
         self._site_rows = [
             (
                 kernel,
@@ -449,29 +443,21 @@ class StreamingSession:
         """The execution plan: tick path and why; where a partitioned tick
         dispatches and why; per reduce site whether its state persists
         across ticks and why — all resolved at construction — and, read
-        live, what serves the output kernel's ticks (``tick_entry``: the C
-        kernel's ``tilt_tick`` or ``tilt_native`` entry, or the tier name),
-        per reduce site what extends or builds it on the next tick
-        (``extended_by``) and ``CompiledQuery.kernel_plan()``: per kernel
-        the tier requested, the tier active now, its promotion state and any
-        fallback reason.  An in-process session whose output kernel has been
-        promoted says so in ``reason`` as well."""
-        output = self._compiled.kernel_named(self._compiled.output)
-        entry = output.entry(tick=self._state is not None)
+        live, per reduce site what extends or builds it on the next tick
+        (``extended_by``: its kernel's C entry ``tilt_tick`` once promoted,
+        else the tier's name) and ``CompiledQuery.kernel_plan()``: per
+        kernel the tier requested, the tier active now, its promotion state
+        and any fallback reason.  An in-process session whose output kernel
+        has been promoted says so in ``reason`` as well."""
         sites: List[Dict[str, object]] = []
         for kernel, rows in self._site_rows:
-            if rows is None:
-                fed = zip(self._state.plan, self._state.extended_by(entry))
-            else:
-                fed = ((row, kernel.entry(tick=False)) for row in rows)
-            sites += (dict(row, extended_by=by) for row, by in fed)
-        plan = {
-            **self._plan,
-            "sites": sites,
-            "tick_entry": entry,
-            "kernels": self._compiled.kernel_plan(),
-        }
-        if entry == TICK_ENTRY and plan["reason"] == _COMPILED_OUTPUT:
+            tier = kernel.active_tier
+            by = TICK_ENTRY if tier == NATIVE_TIER else tier
+            rows = self._state.plan if rows is None else rows
+            sites += (dict(row, extended_by=by) for row in rows)
+        plan = {**self._plan, "sites": sites, "kernels": self._compiled.kernel_plan()}
+        output = self._compiled.kernel_named(self._compiled.output)
+        if plan["reason"] == _COMPILED_OUTPUT and output.active_tier == NATIVE_TIER:
             plan["reason"] = f"promoted output kernel: ticks on {TICK_ENTRY}"
         return plan
 

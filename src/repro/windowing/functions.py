@@ -44,6 +44,7 @@ import numpy as np
 from ..errors import QueryBuildError
 
 __all__ = [
+    "prefix_center",
     "AggregateFunction",
     "AggregateStrategy",
     "RmqDirection",
@@ -95,6 +96,14 @@ RMQ_DIRECTIONS = {
     "max": RmqDirection(np.maximum, -math.inf, "<="),
     "min": RmqDirection(np.minimum, math.inf, ">="),
 }
+
+
+def prefix_center(values: np.ndarray, valid: np.ndarray) -> np.longdouble:
+    """The centre an extended-precision prefix index subtracts for its
+    lifetime: ``np.mean`` of its first chunk, zero-masked at φ lanes, in
+    ``longdouble``.  Pairwise summation is NumPy's to make, so the native
+    tier takes these bits as given rather than replicating them in C."""
+    return np.mean(np.where(valid, np.asarray(values, dtype=np.float64), 0.0).astype(np.longdouble))
 
 
 @dataclass(frozen=True)
@@ -204,7 +213,7 @@ class AggregateFunction:
         )
         if self.prefix_extended_precision:
             if center is None:
-                center = np.mean(masked)
+                center = prefix_center(values, valid)
             masked = masked - center
         return [np.where(valid, comp, 0.0) for comp in self.prefix_arrays(masked)], center
 

@@ -12,9 +12,10 @@ single :meth:`PrefixRangeIndex.extend` over the whole buffer (one
 allocation and one ``cumsum`` per component), a streaming session keeps it
 across ticks, extending it by each tick's new snapshots and pruning what no
 future window can reach — the same class, the same query math.  Once the
-session's query is promoted, the native tick entry does the extending: the
-index reserves the rows (:meth:`~PrefixRangeIndex.reserve`) and C fills
-them with the bytes :meth:`~PrefixRangeIndex.extend` would have written.
+query is promoted, its native entry does the extending, one-shot runs
+included: the index reserves the rows (:meth:`~PrefixRangeIndex.reserve`,
+an extended-precision index taking its centre there) and C fills them with
+the bytes :meth:`~PrefixRangeIndex.extend` would have written.
 """
 
 from __future__ import annotations
@@ -123,17 +124,16 @@ class PrefixRangeIndex:
         for prefix, comp in zip(self._prefixes, components):
             self._accumulate(prefix, comp)
 
-    def reserve(self, n: int, start_time: float) -> None:
-        """Append ``n`` rows for the native tick entry to fill: its C code
-        writes exactly what :meth:`extend` would — the times, the valid
-        prefix and each component's prefix — into the rows reserved here,
-        and writes nowhere else.  ``start_time`` as for :meth:`extend`.  An
-        extended-precision index takes its first chunk through
-        :meth:`extend`: its centre is ``np.mean``'s pairwise sum."""
+    def reserve(self, n: int, start_time: float, center=None) -> None:
+        """Append ``n`` rows for the native entry to fill: its C code writes
+        exactly what :meth:`extend` would — the times, the valid prefix and
+        each component's prefix — into the rows reserved here, and writes
+        nowhere else.  ``start_time`` as for :meth:`extend`; ``center``, read
+        by the reservation that opens an extended-precision index, is the
+        one :meth:`extend` would take (``prefix_center`` of the chunk)."""
         if not len(self._edges):
-            if self.agg.prefix_extended_precision:
-                raise ValueError("an extended-precision index is opened by extend()")
             self._open(start_time, len(self.agg.c_components))
+            self._center = center
         for column in (self._edges, self._valid_prefix, *self._prefixes):
             column.grow(n)
 
@@ -174,7 +174,7 @@ class PrefixRangeIndex:
         reads — ``start_time`` then each snapshot time, the count of valid
         snapshots before each edge and one prefix per component — as views
         valid until the next :meth:`extend` / :meth:`prune` (what the native
-        tick entry is handed by pointer)."""
+        entry is handed by pointer)."""
         return self._edges.view, self._valid_prefix.view, [p.view for p in self._prefixes]
 
     def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,9 @@ from repro.core.runtime.stream import Event, EventStream
 class PromotedEngine(TiltEngine):
     """The ``native`` plan's engine: every query is promoted as it is
     compiled (on the test's thread, not by the builder thread when the query
-    gets hot), so what the plan compares is deterministic — and it checks
-    that every kernel with a C lowering really is served by it."""
+    gets hot), so what the plan compares is deterministic — one-shot runs
+    and session ticks alike — and it checks that every kernel with a C
+    lowering really is served by it."""
 
     def compile(self, program):
         compiled = super().compile(program)
@@ -30,16 +31,6 @@ class PromotedEngine(TiltEngine):
             if not native.lowering_blockers(kernel.spec):
                 assert kernel.active_tier == "native", (kernel.name, kernel.native_fallback_reason)
         return compiled
-
-    def open_session(self, *args, **kwargs):
-        """Likewise the C tick entry an in-process session needs, built here
-        rather than by the builder thread the session queues it for."""
-        session = super().open_session(*args, **kwargs)
-        session.compiled.promote()
-        output = session.compiled.kernel_named(session.compiled.output)
-        if session.incremental and not native.lowering_blockers(output.spec):
-            assert session.plan["tick_entry"] == native.TICK_ENTRY, output.native_fallback_reason
-        return session
 
 
 @dataclass(frozen=True)

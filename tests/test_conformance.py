@@ -10,9 +10,10 @@ it:
   toolchain is present) over an edge grid of ±0.0, negatives, NaN, ±inf,
   ±1e308 and non-integers;
 * aggregate rows — scalar fold ≡ range index ≡ the one reduce path with
-  session-kept sites fed ragged chunks ≡ native kernel (its run entry one
-  shot, its tick entry over the kept sites), including all-φ and
-  single-snapshot windows, and ``vector_eval`` ≡ scalar fold.
+  session-kept sites fed ragged chunks ≡ native kernel (one shot, and over
+  the kept sites), including all-φ and single-snapshot windows, and
+  ``vector_eval`` ≡ scalar fold; every prefix row keeps a leading ``-0.0``
+  on both tiers.
 """
 
 import itertools
@@ -166,18 +167,15 @@ def test_aggregate_row_agrees_across_paths(agg, size):
     assert rt.retained() == (N if persisted else 0)
     close(ticked, one_shot, "kept sites, ragged chunks")
     # the native kernel: bit for bit where the row carries a C fragment —
-    # its run entry one shot, its tick entry over the same kept sites
+    # one shot, and over the same kept sites
     (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
     if not agg.c_lowerable:
         assert f"aggregate {agg.name!r}" in native.lowering_blockers(kernel.spec)[0]
     elif native.native_available():
         assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         assert_same(run_tier(program, {"x": buf}, float(N), NATIVE_TIER), one_shot, True, "native")
-        kernel.ticked = True  # what opening a session does
-        kernel.promote()
-        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
         ticked_c = tick_ragged(kernel, IncrementalKernelRuntime(kernel, ["x"]), buf)
-        assert_same(ticked_c, ticked, True, "native tick entry, ragged chunks")
+        assert_same(ticked_c, ticked, True, "native, kept sites, ragged chunks")
 
 
 def tick_ragged(kernel, rt, buf, cuts=(1, 2, 9, 40, 47, 100, 101, N)):
@@ -191,7 +189,7 @@ def tick_ragged(kernel, rt, buf, cuts=(1, 2, 9, 40, 47, 100, 101, N)):
     return np.concatenate([p.values for p in pieces]), np.concatenate([p.valid for p in pieces])
 
 
-#: the prefix rows a session keeps and, once promoted, the tick entry extends
+#: the prefix rows a session keeps and, once promoted, the C entry extends
 KEPT_ROWS = [
     agg for agg in builtin_aggregates().values()
     if agg.strategy.range == "prefix" and agg.c_lowerable
@@ -200,18 +198,37 @@ KEPT_ROWS = [
 
 @pytest.fixture(scope="module")
 def extend_kernels():
-    """``name -> (C kernel with its tick entry, NumPy twin)`` per kept row."""
+    """``name -> (C kernel, NumPy twin)`` per kept row."""
     if not native.native_available():
         pytest.skip("native codegen toolchain (cffi + C compiler) unavailable")
     kernels = {}
     for agg in KEPT_ROWS:
         program = window_program(agg, 3.0)
         (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
-        kernel.ticked = True
-        kernel.promote()
-        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         kernels[agg.name] = kernel, compile_program(program, optimize=False).kernels[0]
     return kernels
+
+
+@pytest.mark.parametrize("agg", KEPT_ROWS, ids=lambda agg: agg.name)
+def test_prefix_row_keeps_a_leading_negative_zero(extend_kernels, agg):
+    """Eight ``-0.0`` snapshots from the buffer's start, then ordinary
+    values: a window over the leading zeros is ``-0.0`` on NumPy, whose
+    prefix sums start from ``-0.0``, and must be on C too — one shot and
+    ticked over kept sites, bit for bit.  The interpreter is left out:
+    prefix differencing keeps a zero's sign only for windows that start at
+    row 0, and the scalar fold sums from ``+0.0``."""
+    kernel, twin = extend_kernels[agg.name]
+    values = np.concatenate((np.full(8, -0.0), 1.0 + np.arange(8.0)))
+    buf = SSBuf(np.arange(1.0, 17.0), values, np.ones(16, dtype=bool), start_time=0.0)
+    one_shot = [k.run({"x": buf}, 0.0, 16.0) for k in (kernel, twin)]
+    got, want = ((out.values, out.valid) for out in one_shot)
+    assert_same(got, want, True, f"{agg.name}: one shot")
+    if agg.name in ("sum", "mean"):
+        assert np.signbit(want[0][:3]).all(), want[0][:3]
+    cuts = (1, 3, 8, 11, 16)
+    got, want = (tick_ragged(k, IncrementalKernelRuntime(k, ["x"]), buf, cuts) for k in (kernel, twin))
+    assert_same(got, want, True, f"{agg.name}: kept sites, ragged chunks")
 
 
 @st.composite
@@ -230,11 +247,11 @@ def edge_chunks(draw):
 @example(name="sum", chunks=(np.array([0.0, 0.0, -0.0, -0.0, 1.0]), np.ones(5, bool), [2, 5]))
 @example(name="mean", chunks=(np.array([-0.0, 2.0, -0.0]), np.ones(3, bool), [1, 3]))
 def test_c_extends_equal_numpy_extends(extend_kernels, name, chunks):
-    """The tick entry's extends write the kept site's rows exactly as
+    """The C entry's extends write the kept site's rows exactly as
     ``PrefixRangeIndex.extend`` does — the chunk's cumsum, then the last sum
     held added unless it is zero, so a ``-0.0`` sum survives — whatever the
-    values and the chunking (an extended-precision row's first chunk goes
-    through NumPy for its centre, the rest through C)."""
+    values and the chunking (an extended-precision row's centre is NumPy's,
+    taken from the first chunk; every row, that chunk included, is C's)."""
     kernel, twin = extend_kernels[name]
     values, valid, cuts = chunks
     buf = SSBuf(np.arange(1.0, len(values) + 1.0), values, valid, start_time=0.0)

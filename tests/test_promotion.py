@@ -6,7 +6,7 @@ this module pins the machinery that moves a running query from one tier to
 the other — output identical before, during and after the swap on every
 backend; nothing added to the compile or first-result path; a failing, slow
 or absent compiler never reaching a caller of ``run``; a session's ticks
-moving to the C tick entry with no byte of output changed, mid-session and
+moving to the C entry with no byte of output changed, mid-session and
 across a rewind, on a grid the entry builds byte for byte as ``grid.py``
 does — and the two things the disk cache must get right now that
 it is on the default path: ``lowering_blockers`` independent of call order,
@@ -48,6 +48,7 @@ from repro.core.ir.builder import IRBuilder
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.ssbuf import SSBuf
 from repro.datagen.sources import sources_for_streams
+from repro.errors import ExecutionError
 from repro.serve import QueryService
 from repro.windowing import FIRST, MAX, MEAN, SUM
 from repro.windowing.prefix import PrefixRangeIndex
@@ -414,7 +415,7 @@ class TestHostileCompiler:
 #: (``rsi``), one reading two intermediates point-wise (``normalize``), a
 #: windowed stddev over a program input (an extended-precision kept site)
 #: and a session long enough that its kept site is pruned and rebased many
-#: times after the tick entry has extended it (``long``)
+#: times after the C entry has extended it (``long``)
 SESSION_QUERIES = {
     "trend": (
         lambda: trend_trading_query(short_window=100, long_window=400).to_program(),
@@ -471,18 +472,15 @@ def tick_through(session, at_tick=lambda index: None) -> list:
 
 @pytest.fixture
 def count_native_calls(monkeypatch):
-    """``calls``: how often each C entry point has served a call so far."""
-    calls = {native.RUN_ENTRY: 0, native.TICK_ENTRY: 0}
+    """``calls``: how often the C entry point has served a call so far."""
+    calls = {native.TICK_ENTRY: 0}
+    tick = native.NativeKernel.tick
 
-    def counting(method, entry):
-        def wrapper(self, *args, **kwargs):
-            calls[entry] += 1
-            return method(self, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        calls[native.TICK_ENTRY] += 1
+        return tick(self, *args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(native.NativeKernel, "run", counting(native.NativeKernel.run, native.RUN_ENTRY))
-    monkeypatch.setattr(native.NativeKernel, "tick", counting(native.NativeKernel.tick, native.TICK_ENTRY))
+    monkeypatch.setattr(native.NativeKernel, "tick", counting)
     return calls
 
 
@@ -501,16 +499,15 @@ class TestSessions:
             for _ in range(3):
                 early.tick()
             assert {row["state"] for row in early.plan["kernels"]} == {NUMPY_TIER}
-            assert (early.plan["reason"], early.plan["tick_entry"]) == (
-                "compiled output kernel", NUMPY_TIER
-            )
+            assert early.plan["reason"] == "compiled output kernel"
+            assert {row["extended_by"] for row in early.plan["sites"]} == {NUMPY_TIER}
             compiled.promote()
             late = engine.open_session(program, sources_for_streams(streams, events_per_poll=100))
             for session in (early, late):
                 plan = session.plan
                 assert plan["tick_path"] == "in-process"
                 assert plan["reason"] == "promoted output kernel: ticks on tilt_tick"
-                assert plan["tick_entry"] == native.TICK_ENTRY
+                assert {row["extended_by"] for row in plan["sites"]} == {native.TICK_ENTRY}
                 assert {row["active_tier"] for row in plan["kernels"]} == {NATIVE_TIER}
                 session.run_to_exhaustion()
                 assert session.result().output == batch
@@ -522,7 +519,7 @@ class TestSessions:
         under the session's runtime override on every tick.  Its ticks are
         charged to the NumPy twin, so the session gets hot by itself, the
         builder thread promotes it, and from then on its plan names the C
-        tick entry and every tick is one call of it."""
+        entry and every tick is one call of it."""
         monkeypatch.setattr(native, "expected_build_seconds", lambda: 1e-3)
         make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
         program, streams = make_program(), make_streams()
@@ -540,25 +537,24 @@ class TestSessions:
             wait_decided(session.compiled)
             assert kernel.state == NATIVE_TIER, kernel.native_fallback_reason
             plan = session.plan
-            assert (plan["tick_path"], plan["tick_entry"]) == ("in-process", native.TICK_ENTRY)
+            assert plan["tick_path"] == "in-process"
             assert plan["reason"] == "promoted output kernel: ticks on tilt_tick"
             (row,) = plan["kernels"]
-            assert (row["tick_entry"], row["build_seconds"] > 0.0) == (native.TICK_ENTRY, True)
+            assert (row["active_tier"], row["build_seconds"] > 0.0) == (NATIVE_TIER, True)
             spent, served = kernel.numpy_seconds, count_native_calls[native.TICK_ENTRY]
             session.run_to_exhaustion()
             assert kernel.numpy_seconds == spent  # nothing more ran on NumPy
             assert count_native_calls[native.TICK_ENTRY] > served
-            assert count_native_calls[native.RUN_ENTRY] == 0
             assert session.result().output == batch
         assert native.stats()["compiles_total"] >= 1
 
-    def test_session_on_a_promoted_query_gets_the_tick_entry_built(
-        self, cold_cache, compile_cold
+    def test_session_on_a_query_promoted_one_shot_ticks_on_c_from_its_first_tick(
+        self, cold_cache, compile_cold, count_native_calls
     ):
-        """The tick entry is an artifact of its own, built only for a kernel
-        a session ticks: one-shot use promotes the run entry alone, and a
-        session opened afterwards queues the tick entry for the builder
-        thread, ticking on the NumPy twin until it is published."""
+        """A kernel has one artifact whatever serves it: a query promoted by
+        one-shot use builds one unit per kernel, and a session opened on it
+        afterwards ticks on that same C entry from its first tick, with
+        nothing built, queued or charged to NumPy."""
         make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
         program, streams = make_program(), make_streams()
         with TiltEngine(workers=1) as engine:
@@ -566,25 +562,21 @@ class TestSessions:
             compiled = engine.compile_cached(program)
             compiled.promote()
             (kernel,) = compiled.kernels
-            assert kernel.entry(tick=False) == native.RUN_ENTRY
-            assert kernel.entry(tick=True) == NUMPY_TIER
-            assert len(list(cold_cache.glob("*.so"))) == 1
-            assert not list(cold_cache.glob("*-tick.so"))
+            assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
+            assert len(list(cold_cache.glob(f"tilt-{kernel.record.digest[:32]}-*.so"))) == 1
+            built, spent = compiles(), kernel.numpy_seconds
             session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
-            deadline = time.monotonic() + 60.0
-            while session.plan["tick_entry"] != native.TICK_ENTRY:
-                assert time.monotonic() < deadline, session.plan
-                time.sleep(0.002)
-            assert (kernel.state, kernel.tick_pending) == (NATIVE_TIER, False)
-            assert len(list(cold_cache.glob("*-tick.so"))) == 1
+            assert session.plan["reason"] == "promoted output kernel: ticks on tilt_tick"
+            session.tick()
+            assert count_native_calls[native.TICK_ENTRY] == 1
             session.run_to_exhaustion()
+            assert (compiles(), kernel.numpy_seconds) == (built, spent)
             assert session.result().output == batch
 
     @pytest.mark.parametrize("name", sorted(SESSION_QUERIES))
     def test_promotion_at_a_random_tick_is_invisible(self, name, compile_cold, count_native_calls):
         """The kept reduce sites are the only session state: NumPy extends
-        them up to the promotion and the tick entry from then on (an
-        extended-precision site's first chunk aside), writing the bytes
+        them up to the promotion and the C entry from then on, writing the bytes
         NumPy would have written, so promoting the query at any tick changes
         no byte of any delta: the tick-concat equals an all-NumPy session's
         delta by delta, and the one-shot run."""
@@ -602,29 +594,27 @@ class TestSessions:
 
             def promote_at(index):
                 if index == at:
-                    assert count_native_calls == {native.RUN_ENTRY: 0, native.TICK_ENTRY: 0}
+                    assert count_native_calls == {native.TICK_ENTRY: 0}
                     compiled.promote()
 
             got = tick_through(session, promote_at)
             assert got == want, (name, at)
             assert session.result().output == batch
-            entries = {row["kernel"]: row["tick_entry"] for row in session.plan["kernels"]}
-            # the output kernel on its tick entry, the intermediates it
-            # rebuilds each tick on their run entry
-            assert entries.pop(compiled.output) == native.TICK_ENTRY
-            assert set(entries.values()) <= {native.RUN_ENTRY}
+            assert {row["active_tier"] for row in session.plan["kernels"]} == {NATIVE_TIER}
+            # every kernel on the C entry, once per tick: the output kernel
+            # and each intermediate it rebuilds
+            calls, kernels = count_native_calls[native.TICK_ENTRY], len(compiled.kernels)
             emitted_after = sum(1 for snapshots, _, _ in want[at:] if snapshots)
-            assert count_native_calls[native.TICK_ENTRY] >= emitted_after > 0
-            assert (
-                count_native_calls[native.RUN_ENTRY]
-                == len(entries) * count_native_calls[native.TICK_ENTRY]
-            )
+            assert calls % kernels == 0 and calls // kernels >= emitted_after > 0
 
-    def test_promoted_tick_leaves_kept_sites_and_the_grid_to_c(self, compile_cold, monkeypatch):
-        """Once promoted, a tick neither builds the grid in NumPy nor runs a
-        NumPy ingest for a kept site — bar an extended-precision site's
-        first chunk, whose centre is NumPy's — and the sites are still
-        pruned and rebased by NumPy, the deltas unchanged."""
+    def test_promoted_tick_leaves_kept_sites_and_the_grid_to_c(
+        self, compile_cold, monkeypatch, count_native_calls
+    ):
+        """Once promoted, neither a tick nor a one-shot run builds the grid
+        in NumPy or runs a NumPy ingest — an extended-precision site's first
+        chunk included, whose centre NumPy computes and C is handed — and a
+        session's sites are still pruned and rebased by NumPy, the deltas
+        unchanged.  Every call is one call of the one C entry."""
         calls = {"eval_times": 0, "ingest": 0, "pruned": 0}
 
         def counting(patch, cls, name):
@@ -643,37 +633,42 @@ class TestSessions:
             prune(index, t)
             calls["pruned"] += len(index) < held
 
-        for name, first_chunk in (("long", 0), ("stddev", 1)):
+        for name in ("long", "stddev"):
             make_program, make_streams, per_tick = SESSION_QUERIES[name]
             program, streams = make_program(), make_streams()
             with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as engine:
+                batch = engine.run(program, streams).output
                 want = tick_through(
                     engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
                 )
             with TiltEngine(workers=1) as engine, monkeypatch.context() as patch:
                 session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
-                session.compiled.promote()
+                compiled = session.compiled
+                compiled.promote()
                 calls.update(eval_times=0, ingest=0, pruned=0)
                 counting(patch, KernelRuntime, "eval_times")
                 counting(patch, ReduceSite, "ingest")
                 patch.setattr(PrefixRangeIndex, "prune", pruning)
-                assert tick_through(session) == want, name
-            assert (calls["eval_times"], calls["ingest"]) == (0, first_chunk), name
-            rows = [row for row in session.plan["sites"] if row["state"] == "persisted"]
-            assert rows and {row["extended_by"] for row in rows} == {native.TICK_ENTRY}
+                served = count_native_calls[native.TICK_ENTRY]
+                assert engine.run(compiled, streams).output == batch
+                assert count_native_calls[native.TICK_ENTRY] - served == len(compiled.kernels)
+                first = session.tick().delta
+                rows = [row for row in session.plan["sites"] if row["state"] == "persisted"]
+                assert rows and {row["extended_by"] for row in rows} == {native.TICK_ENTRY}
+                got = [(len(first), crc(first), fingerprint(first))] + tick_through(session)
+                assert got == want, name
+            assert (calls["eval_times"], calls["ingest"]) == (0, 0), name
             if name == "long":
                 assert calls["pruned"] > 5
 
     @pytest.mark.parametrize("agg", [MEAN, MAX, FIRST], ids=lambda agg: agg.name)
     def test_tick_entry_over_an_input_that_has_not_started(self, agg):
         """An input with no snapshot yet (a join's late side) still yields a
-        grid point, so the tick entry is called over an empty buffer and a
+        grid point, so the C entry is called over an empty buffer and a
         site that has ingested nothing: every window is φ, as on NumPy."""
         program = source("x").window(3, 1).aggregate(agg).to_program()
         (kernel,) = compile_program(program, codegen_tier=NATIVE_TIER).kernels
-        kernel.ticked = True
-        kernel.promote()
-        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         (twin,) = compile_program(program).kernels
         env = {"x": SSBuf.empty(0.0)}
         got = kernel.run(env, 0.0, 4.0, runtime=IncrementalKernelRuntime(kernel, ["x"]))
@@ -683,8 +678,8 @@ class TestSessions:
 
     def test_rewind_after_promotion(self, compile_cold):
         """A checkpoint taken on NumPy, a promotion, a rewind: the sites are
-        cleared and refilled from the retained carry-over by NumPy, and the
-        C tick entry replays exactly what the NumPy twin replays."""
+        cleared and refilled from the retained carry-over — by the C entry,
+        which replays exactly what the NumPy twin replays."""
         make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
         program, streams = make_program(), make_streams()
 
@@ -696,7 +691,7 @@ class TestSessions:
             first = [crc(session.tick().delta) for _ in range(6)]
             if promote:
                 session.compiled.promote()
-                assert session.plan["tick_entry"] == native.TICK_ENTRY
+                assert session.plan["reason"] == "promoted output kernel: ticks on tilt_tick"
             session.rewind(token)
             again = [crc(session.tick().delta) for _ in range(6)]
             session.release(token)
@@ -716,7 +711,7 @@ class TestSessions:
 
 
 # ---------------------------------------------------------------------- #
-# (d) sessions: the tick entry's evaluation grid
+# (d) sessions: the C entry's evaluation grid
 # ---------------------------------------------------------------------- #
 #: a two-input kernel with window edges and point accesses on both sides of
 #: zero; its grid precisions: dyadic, non-dyadic, none
@@ -736,14 +731,12 @@ def grid_program(precision):
 
 @pytest.fixture(scope="module")
 def grid_kernels():
-    """``precision -> (C kernel, NumPy twin)``, the C one with its tick entry."""
+    """``precision -> (C kernel, NumPy twin)``."""
     kernels = {}
     for precision in GRID_PRECISIONS:
         program = grid_program(precision)
         (kernel,) = compile_program(program, codegen_tier=NATIVE_TIER).kernels
-        kernel.ticked = True
-        kernel.promote()
-        assert kernel.entry(tick=True) == native.TICK_ENTRY, kernel.native_fallback_reason
+        assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         kernels[precision] = kernel, compile_program(program).kernels[0]
     return kernels
 
@@ -770,7 +763,7 @@ def grid_cases(draw):
     bounds = st.floats(-scale, scale, allow_nan=False) | st.sampled_from(NEAR_ZERO)
     t_start, t_end = sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
     env = {"x": draw(grid_buffers(scale)), "y": draw(grid_buffers(scale))}
-    return draw(st.sampled_from(GRID_PRECISIONS)), env, t_start, t_end, draw(st.integers(0, 24))
+    return draw(st.sampled_from(GRID_PRECISIONS)), env, t_start, t_end
 
 
 @requires_native
@@ -778,27 +771,54 @@ class TestTickGrid:
     @settings(max_examples=300, deadline=None)
     @given(case=grid_cases())
     @example(  # +0.0 (-1.0 past a -1 offset) and -0.0 (-0.0 at offset 0) tie
-        case=(0.0, {"x": SSBuf([-1.0, -0.0], [1.0, 2.0]), "y": SSBuf.empty()}, -0.5, 0.5, 0)
+        case=(0.0, {"x": SSBuf([-1.0, -0.0], [1.0, 2.0]), "y": SSBuf.empty()}, -0.5, 0.5)
     )
     def test_tick_grid_is_grid_py_byte_for_byte(self, grid_kernels, case):
-        """The grid the tick entry builds is ``grid.py``'s to the byte — a
+        """The grid the C entry builds is ``grid.py``'s to the byte — a
         zero's sign included — whichever of its paths (bitmap or merge,
-        with or without precision) ``grid.py`` takes, and whatever the
-        output capacity the call is first given (too short: sized again)."""
-        precision, env, t_start, t_end, cap = case
+        with or without precision) ``grid.py`` takes, and no longer than
+        the bound its outputs are sized from."""
+        precision, env, t_start, t_end = case
         kernel, twin = grid_kernels[precision]
         want = evaluation_times_for_accesses(
             kernel.spec.accesses, env, kernel.spec.tdom, t_start, t_end
         )
-        rt = IncrementalKernelRuntime(kernel, ["x", "y"])
-        rt.grid_lanes = cap
-        got = kernel.run(env, t_start, t_end, runtime=rt)
+        assert len(want) <= kernel._native._lanes(env, t_start, t_end)
+        got = kernel.run(env, t_start, t_end, runtime=IncrementalKernelRuntime(kernel, ["x", "y"]))
         assert got.times.tobytes() == want.tobytes()
         ref = twin.run(env, t_start, t_end, runtime=IncrementalKernelRuntime(twin, ["x", "y"]))
         for got_array, want_array in zip(
             (got.values, got.valid), (ref.values, ref.valid)
         ):
             assert got_array.tobytes() == want_array.tobytes()
+
+    def test_a_grid_longer_than_its_bound_raises_and_writes_nothing_past_it(
+        self, grid_kernels, monkeypatch
+    ):
+        """The bound sizes the outputs and nothing resizes them, so a grid
+        that exceeds it is a bug: the call raises instead of retrying, and C
+        writes nothing past the lanes it was given."""
+        kernel, _ = grid_kernels[0.25]
+        env = {"x": SSBuf(np.arange(1.0, 41.0), np.arange(40.0)), "y": SSBuf.empty()}
+        points = len(evaluation_times_for_accesses(kernel.spec.accesses, env, kernel.spec.tdom, 0.0, 40.0))
+        cap, fill = points // 2, 0xA5
+        handed = []
+        outputs = native.NativeKernel._outputs
+
+        def padded(self, lanes):  # the lanes asked for, then a guard zone
+            arrays, pointers = outputs(self, lanes + 64)
+            for array in arrays:
+                array.view(np.uint8)[:] = fill
+            handed.append(arrays)
+            return arrays, pointers
+
+        monkeypatch.setattr(native.NativeKernel, "_lanes", lambda self, env, t_start, t_end: cap)
+        monkeypatch.setattr(native.NativeKernel, "_outputs", padded)
+        with pytest.raises(ExecutionError, match="exceeds its bound"):
+            kernel.run(env, 0.0, 40.0)
+        (arrays,) = handed
+        for array in arrays:
+            assert (array[cap:].view(np.uint8) == fill).all()
 
 
 # ---------------------------------------------------------------------- #
@@ -839,7 +859,7 @@ class TestPooledHeat:
             make_hot(second, 0.6 * BREAK_EVEN)
             assert fingerprint(second_engine.run(second, streams).output) == want  # hands off
             wait_decided(second)
-            assert compiles() - before == len(second.kernels)  # one run entry each
+            assert compiles() - before == len(second.kernels)  # one unit each
             assert fingerprint(first_engine.run(first, streams).output) == want  # hands off
             wait_decided(first)
             assert compiles() - before == len(second.kernels)  # memory hits
@@ -854,7 +874,7 @@ class TestPooledHeat:
     def test_tenants_submitting_equal_programs_share_one_build(self):
         """Two tenants of one service, each with its own program object of
         the same query: two compiled queries, one pooled heat, one build —
-        each kernel's run entry and the output kernel's tick entry once."""
+        each kernel's one unit once."""
         make_program, make_streams, per_tick = SESSION_QUERIES["trend"]
         streams = make_streams()
         with TiltEngine(workers=1, codegen_tier=NUMPY_TIER) as oracle:
@@ -875,14 +895,15 @@ class TestPooledHeat:
             while any(k.undecided for k in a.kernels + b.kernels):
                 assert time.monotonic() < deadline, (a.kernel_plan(), b.kernel_plan())
                 service.step()
-            assert compiles() - before == len(a.kernels) + 1  # + the tick entry
+            assert compiles() - before == len(a.kernels)
             rows = [service.stats().tenants[name]["plan"] for name in ("a", "b")]
             assert rows[0]["kernels"][0]["digest"] == rows[1]["kernels"][0]["digest"]
             service.run_until_idle()
             for name in ("a", "b"):
-                assert service.stats().tenants[name]["plan"]["tick_entry"] == native.TICK_ENTRY
+                plan = service.stats().tenants[name]["plan"]
+                assert plan["reason"] == "promoted output kernel: ticks on tilt_tick"
                 assert service.result(name).output == want
-        assert compiles() - before == len(a.kernels) + 1
+        assert compiles() - before == len(a.kernels)
 
     def test_a_built_query_is_adopted_at_compile(self, monkeypatch):
         """Once the records hold every kernel of a query, an equal query a
