@@ -35,8 +35,7 @@ takes each index's arrays by pointer and extends them itself — into rows
 :meth:`ReduceSite.reserve <.runtime_support.ReduceSite.reserve>` reserved,
 with the bytes ``rt.reduce``'s NumPy ingest would have written, an
 extended-precision index's first chunk included — so these sites are the
-one state a session has whichever tier serves it.  Who feeds them is in
-the session plan (``extended_by``: the entry serving the kernel).
+one state a session has whichever tier serves it.
 
 The runtime also exposes the *retention floor* the session's carry-over
 pruning must respect: input snapshots newer than a site's ingest horizon

@@ -417,17 +417,6 @@ def _so_path(digest: str, c_source: str) -> str:
     return os.path.join(_cache_path(), f"tilt-{digest[:32]}-{tag}.so")
 
 
-def _on_disk(digest: str) -> List[str]:
-    """The artifacts the disk cache holds of ``digest``, from any emission
-    — a directory listing, no lowering."""
-    path, prefix = _cache_path(), f"tilt-{digest[:32]}-"
-    try:
-        names = os.listdir(path)
-    except OSError:  # no cache yet
-        return []
-    return [os.path.join(path, n) for n in names if n.startswith(prefix) and n.endswith(".so")]
-
-
 def _sum_path(so: str) -> str:
     return so + ".sum"
 
@@ -454,15 +443,21 @@ def _artifact_valid(so: str) -> bool:
     return valid
 
 
-def cached(rec: KernelRecord) -> bool:
-    """True when the record holds a loaded kernel or the disk cache an
-    artifact for its digest — a cheap look (no probe, no lowering, nothing
-    created) that decides whether a query is promoted at compile time;
-    validity, and that the artifact is this emission's, is checked when it
-    is loaded.  Never for a private record."""
+def cached(spec: KernelSpec, rec: KernelRecord) -> bool:
+    """True when ``spec``'s record holds a loaded kernel or the disk cache
+    this emission's artifact of it — the look that decides whether a query
+    is promoted at compile time: it lowers the spec (a fraction of a
+    millisecond) to name the artifact, but probes, builds and creates
+    nothing.  An artifact another emission of the digest left is no hit;
+    validity is checked when the artifact is loaded.  Never for a private
+    record."""
     if rec.digest is None:
         return False
-    return rec.kernel is not None or any(os.path.exists(_sum_path(so)) for so in _on_disk(rec.digest))
+    if rec.kernel is not None:
+        return True
+    from .c_emit import lower
+
+    return os.path.exists(_sum_path(_so_path(rec.digest, lower(spec).c_source)))
 
 
 def loaded(records: List[KernelRecord]) -> Optional[List["NativeKernel"]]:
@@ -679,9 +674,6 @@ def _load_support(build: bool) -> bool:
 # ---------------------------------------------------------------------- #
 # the runnable kernel
 # ---------------------------------------------------------------------- #
-#: output lanes few enough that allocating them costs less than counting
-#: the grid's candidates (see ``NativeKernel._lanes``)
-_FEW_LANES = 4096
 #: the timeline and valid prefix of a prefix index that holds nothing
 _NO_EDGES = np.zeros(1)
 _NO_EDGES.flags.writeable = False
@@ -729,18 +721,14 @@ class NativeKernel:
 
     def _lanes(self, env, t_start: float, t_end: float) -> int:
         """An upper bound on the length of the grid over ``(t_start,
-        t_end]``.  On a precision grid ``p`` every point is some ``k * p``
-        in the interval, so there are at most ``(t_end - t_start) / p + 2``
-        of them (one more for rounding); when that is few, it is the bound.
-        Otherwise the candidates bound it: per ``(input, offset)`` pair
-        those in ``(t_start+o, t_end+o]`` and its start time, and ``t_end``
-        — one ``searchsorted`` per input, so a tick costs nothing per
-        retained snapshot — twice over on a precision grid, where each
-        marks ``k`` and ``k - 1``.  ``t_end`` closes the grid."""
+        t_end]``: the candidates — per ``(input, offset)`` pair those in
+        ``(t_start+o, t_end+o]`` and its start time, and ``t_end``, counted
+        with one ``searchsorted`` per input, so a tick costs nothing per
+        retained snapshot — twice over on a precision grid ``p``, where each
+        marks ``k`` and ``k - 1``, but never more than the ``(t_end -
+        t_start) / p + 2`` multiples of ``p`` in the interval (one more for
+        rounding).  ``t_end`` closes the grid."""
         precision = self.spec.tdom.precision
-        cells = (t_end - t_start) / precision if precision > 0 else math.inf
-        if cells <= _FEW_LANES:
-            return math.ceil(cells) + 4
         candidates = 1
         for ref, offsets in self._grid_offsets:
             k = len(offsets)
@@ -749,7 +737,7 @@ class NativeKernel:
             candidates += int((at[k:] - at[:k]).sum()) + k
         if precision <= 0:
             return candidates + 1
-        points = 2 * candidates
+        points, cells = 2 * candidates, (t_end - t_start) / precision
         if cells < points:  # (never for an unbounded interval)
             points = math.ceil(cells) + 3
         return points + 1
@@ -791,7 +779,8 @@ class NativeKernel:
             args += [ffi.from_buffer(ctype, prefix) for prefix in prefixes]
             args.append(new)
             if dtype is np.longdouble:
-                center = np.array([site.index.center or 0.0], dtype=np.longdouble)
+                center = 0.0 if site.index.center is None else site.index.center
+                center = np.array([center], dtype=np.longdouble)
                 args.append(ffi.from_buffer("long double[]", center))
         cap = self._lanes(env, t_start, t_end)
         (ts, out_v, out_k), (ts_out, *outs) = self._outputs(cap)
@@ -867,8 +856,6 @@ def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel],
         from .c_emit import lower
 
         _trusted_cache_dir()
-        if not build and not _on_disk(digest):
-            return None, None
         lowered = lower(spec)
         so = _so_path(digest, lowered.c_source)
         elapsed = None
@@ -878,7 +865,7 @@ def _instantiate(spec: KernelSpec, build: bool) -> Tuple[Optional[NativeKernel],
                 if not _artifact_valid(so):
                     _compile_so(so, lowered.c_source)
                     elapsed = time.perf_counter() - started
-        elif not _artifact_valid(so):  # another emission's, or damaged
+        elif not _artifact_valid(so):  # not built yet, or damaged
             return None, None
         if not _load_support(build):  # before the unit that links against it
             return None, None

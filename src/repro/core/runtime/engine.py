@@ -287,7 +287,7 @@ class TiltEngine:
         if self.codegen_tier == native.NATIVE_TIER:
             compiled.build_scope = self._native_build
             compiled.on_hot = self._queue_build
-            if all(native.cached(k.record) for k in compiled.kernels):
+            if all(native.cached(k.spec, k.record) for k in compiled.kernels):
                 # memory hits are adopted here; a dlopen per kernel, no cc,
                 # is left to the builder thread
                 if not compiled.adopt_loaded():

@@ -312,17 +312,12 @@ class StreamingSession:
         if in_process:
             self._state = IncrementalKernelRuntime(compiled.kernel_named(compiled.output), program.inputs)
         blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
-        #: per kernel, its reduce-site rows — ``None`` for the in-process
-        #: output kernel, whose rows ``self._state.plan`` holds
-        self._site_rows = [
-            (
-                kernel,
-                None
-                if in_process and kernel.name == compiled.output
-                else reduce_site_plan(kernel.spec, (), blanket=blanket),
-            )
-            for kernel in compiled.kernels
-        ]
+        sites: List[Dict[str, object]] = []
+        for kernel in compiled.kernels:
+            if in_process and kernel.name == compiled.output:
+                sites += self._state.plan
+            else:
+                sites += reduce_site_plan(kernel.spec, (), blanket=blanket)
         #: what was resolved here, once (see :attr:`plan`)
         self._plan: Dict[str, object] = {
             "tick_path": "in-process" if in_process else "partition+dispatch",
@@ -332,6 +327,7 @@ class StreamingSession:
                 if in_process
                 else engine.dispatch_plan(compiled)
             ),
+            "sites": sites,
         }
         self._pins: List[float] = []
         self._boundary = compiled.boundary
@@ -443,19 +439,13 @@ class StreamingSession:
         """The execution plan: tick path and why; where a partitioned tick
         dispatches and why; per reduce site whether its state persists
         across ticks and why — all resolved at construction — and, read
-        live, per reduce site what extends or builds it on the next tick
-        (``extended_by``: its kernel's C entry ``tilt_tick`` once promoted,
-        else the tier's name) and ``CompiledQuery.kernel_plan()``: per
-        kernel the tier requested, the tier active now, its promotion state
-        and any fallback reason.  An in-process session whose output kernel
-        has been promoted says so in ``reason`` as well."""
-        sites: List[Dict[str, object]] = []
-        for kernel, rows in self._site_rows:
-            tier = kernel.active_tier
-            by = TICK_ENTRY if tier == NATIVE_TIER else tier
-            rows = self._state.plan if rows is None else rows
-            sites += (dict(row, extended_by=by) for row in rows)
-        plan = {**self._plan, "sites": sites, "kernels": self._compiled.kernel_plan()}
+        live, ``CompiledQuery.kernel_plan()``: per kernel the tier
+        requested, the tier active now (which also says what feeds the
+        kernel's sites: its C entry ``tilt_tick`` once promoted), its
+        promotion state and any fallback reason.  An in-process session
+        whose output kernel has been promoted says so in ``reason`` as
+        well."""
+        plan = {**self._plan, "kernels": self._compiled.kernel_plan()}
         output = self._compiled.kernel_named(self._compiled.output)
         if plan["reason"] == _COMPILED_OUTPUT and output.active_tier == NATIVE_TIER:
             plan["reason"] = f"promoted output kernel: ticks on {TICK_ENTRY}"

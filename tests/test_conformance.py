@@ -231,6 +231,16 @@ def test_prefix_row_keeps_a_leading_negative_zero(extend_kernels, agg):
     assert_same(got, want, True, f"{agg.name}: kept sites, ragged chunks")
 
 
+def value_bytes(array: np.ndarray) -> bytes:
+    """The bytes of ``array``'s values, every NaN collapsed to one as in
+    :func:`canonical_bits` — an x87 ``long double`` holds its value in the
+    first 10 of its 16 bytes; the rest is padding nobody writes."""
+    array = np.where(np.isnan(array), array.dtype.type(np.nan), array)
+    if array.dtype == np.longdouble and np.finfo(np.longdouble).nmant == 63:
+        return array.view(np.uint8).reshape(len(array), -1)[:, :10].tobytes()
+    return array.tobytes()
+
+
 @st.composite
 def edge_chunks(draw):
     """Edge-grid values (±0.0 and NaN included) with φ lanes, and the ragged
@@ -246,17 +256,25 @@ def edge_chunks(draw):
 @given(name=st.sampled_from([agg.name for agg in KEPT_ROWS]), chunks=edge_chunks())
 @example(name="sum", chunks=(np.array([0.0, 0.0, -0.0, -0.0, 1.0]), np.ones(5, bool), [2, 5]))
 @example(name="mean", chunks=(np.array([-0.0, 2.0, -0.0]), np.ones(3, bool), [1, 3]))
+@example(name="variance", chunks=(np.array([-0.0, -0.0, 2.0]), np.ones(3, bool), [1, 3]))
 def test_c_extends_equal_numpy_extends(extend_kernels, name, chunks):
     """The C entry's extends write the kept site's rows exactly as
     ``PrefixRangeIndex.extend`` does — the chunk's cumsum, then the last sum
     held added unless it is zero, so a ``-0.0`` sum survives — whatever the
     values and the chunking (an extended-precision row's centre is NumPy's,
-    taken from the first chunk; every row, that chunk included, is C's)."""
+    taken from the first chunk, a ``-0.0`` centre included; every row, that
+    chunk included, is C's).  The rows themselves are compared, not only
+    the outputs: a variance squares away a sum's sign."""
     kernel, twin = extend_kernels[name]
     values, valid, cuts = chunks
     buf = SSBuf(np.arange(1.0, len(values) + 1.0), values, valid, start_time=0.0)
+    runtimes = [IncrementalKernelRuntime(k, ["x"]) for k in (kernel, twin)]
     with np.errstate(all="ignore"):
-        got, want = (
-            tick_ragged(k, IncrementalKernelRuntime(k, ["x"]), buf, cuts) for k in (kernel, twin)
-        )
+        got, want = (tick_ragged(k, rt, buf, cuts) for k, rt in zip((kernel, twin), runtimes))
     assert_same(got, want, True, f"{name}: C extends")
+    kept = [[site.index.arrays() for site in rt.sites.values()] for rt in runtimes]
+    assert len(kept[0]) == len(kept[1]) == 1
+    (edges, valid_prefix, prefixes), (edges_np, valid_prefix_np, prefixes_np) = kept[0][0], kept[1][0]
+    assert edges.tobytes() == edges_np.tobytes()
+    assert valid_prefix.tobytes() == valid_prefix_np.tobytes()
+    assert [value_bytes(p) for p in prefixes] == [value_bytes(p) for p in prefixes_np], name

@@ -56,7 +56,7 @@ class TestTierSelection:
     def test_default_is_native_served_from_numpy(self, monkeypatch):
         """The default engine requests the native tier and compiles to the
         NumPy twins: promotion is something a query earns by running."""
-        monkeypatch.setattr(native, "cached", lambda rec: False)
+        monkeypatch.setattr(native, "cached", lambda spec, rec: False)
         with TiltEngine(workers=1) as engine:
             assert engine.codegen_tier == NATIVE_TIER
             compiled = engine.compile(mean_program())
@@ -309,7 +309,7 @@ class TestObservability:
         from repro.datagen.sources import sources_for_streams
         from repro.serve.service import QueryService
 
-        monkeypatch.setattr(native, "cached", lambda rec: False)
+        monkeypatch.setattr(native, "cached", lambda spec, rec: False)
         app = get_application("trading")
         streams = app.streams(300, seed=5)
         engine = TiltEngine(workers=1)

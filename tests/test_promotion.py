@@ -119,7 +119,7 @@ def fake_cc(tmp_path, monkeypatch):
 def compile_cold(monkeypatch):
     """Whatever the disk cache holds, compile as if it held nothing: queries
     start on NumPy and are promoted when the test says so."""
-    monkeypatch.setattr(native, "cached", lambda rec: False)
+    monkeypatch.setattr(native, "cached", lambda spec, rec: False)
 
 
 # ---------------------------------------------------------------------- #
@@ -500,14 +500,12 @@ class TestSessions:
                 early.tick()
             assert {row["state"] for row in early.plan["kernels"]} == {NUMPY_TIER}
             assert early.plan["reason"] == "compiled output kernel"
-            assert {row["extended_by"] for row in early.plan["sites"]} == {NUMPY_TIER}
             compiled.promote()
             late = engine.open_session(program, sources_for_streams(streams, events_per_poll=100))
             for session in (early, late):
                 plan = session.plan
                 assert plan["tick_path"] == "in-process"
                 assert plan["reason"] == "promoted output kernel: ticks on tilt_tick"
-                assert {row["extended_by"] for row in plan["sites"]} == {native.TICK_ENTRY}
                 assert {row["active_tier"] for row in plan["kernels"]} == {NATIVE_TIER}
                 session.run_to_exhaustion()
                 assert session.result().output == batch
@@ -653,8 +651,10 @@ class TestSessions:
                 assert engine.run(compiled, streams).output == batch
                 assert count_native_calls[native.TICK_ENTRY] - served == len(compiled.kernels)
                 first = session.tick().delta
-                rows = [row for row in session.plan["sites"] if row["state"] == "persisted"]
-                assert rows and {row["extended_by"] for row in rows} == {native.TICK_ENTRY}
+                plan = session.plan
+                tiers = {row["kernel"]: row["active_tier"] for row in plan["kernels"]}
+                rows = [row for row in plan["sites"] if row["state"] == "persisted"]
+                assert rows and {tiers[row["kernel"]] for row in rows} == {NATIVE_TIER}
                 got = [(len(first), crc(first), fingerprint(first))] + tick_through(session)
                 assert got == want, name
             assert (calls["eval_times"], calls["ingest"]) == (0, 0), name
@@ -1082,6 +1082,27 @@ class TestCacheTrust:
         assert after["cache_rejects_total"] == before["cache_rejects_total"] + 1
         assert after["compiles_total"] == before["compiles_total"]
         assert after["fallbacks_total"] == before["fallbacks_total"]
+
+    def test_another_emissions_artifact_is_no_hit(self, cold_cache, monkeypatch):
+        """An artifact of the digest under another C text's hash (an older
+        emission) is not cached: ``engine.compile`` leaves the query to the
+        break-even rule, and a pool worker neither loads nor rejects it."""
+        program = unique_program(45)
+        compile_program(program, codegen_tier=NATIVE_TIER)
+        (so,) = cold_cache.glob("tilt-*.so")
+        stale = so.with_name(f"{so.name.rsplit('-', 1)[0]}-000000000000.so")
+        for suffix in ("", ".sum"):
+            os.replace(str(so) + suffix, str(stale) + suffix)
+        native.clear_caches()
+        queued = []
+        monkeypatch.setattr(native, "submit_build", lambda owner, query: queued.append(query))
+        before = native.stats()
+        with TiltEngine(workers=1) as engine:
+            (kernel,) = engine.compile(program).kernels
+            assert not native.cached(kernel.spec, kernel.record)
+            assert (kernel.state, queued) == (NUMPY_TIER, [])
+            assert native.load_cached(kernel.spec) == (None, None)
+        assert native.stats() == before
 
     def test_default_directory_is_created_private(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_NATIVE_CACHE", raising=False)
