@@ -46,7 +46,7 @@ setup(
     python_requires=">=3.8",
     install_requires=["numpy>=1.20"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

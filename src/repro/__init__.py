@@ -7,16 +7,14 @@ runtime for stream queries.  This package provides:
   resolution, the optimizer (operator fusion across pipeline breakers), the
   code-generating and interpreted backends, and the partition-parallel
   engine;
-* ``repro.windowing`` — sliding-window aggregation algorithms and the
-  Init/Acc/Result/Deacc aggregate template;
-* ``repro.spe`` — event-centric baseline engines modelled after Trill,
-  StreamBox, Grizzly and LightSaber;
+* ``repro.windowing`` — the Init/Acc/Result/Deacc aggregate template and
+  the range indexes windows are evaluated with;
+* ``repro.spe`` — the event-centric baseline engine, modelled after Trill;
 * ``repro.datagen`` — synthetic data generators standing in for the paper's
   datasets;
 * ``repro.apps`` — the Yahoo Streaming Benchmark and the eight real-world
   applications of the paper's evaluation;
-* ``repro.metrics`` — throughput and latency-bounded-throughput harnesses,
-  plus live session and fleet metrics;
+* ``repro.metrics`` — live session and fleet metrics;
 * ``repro.serve`` — the multi-tenant streaming query service: tick
   scheduling (round-robin / deficit fair-share), admission control and
   fleet-level observability over one shared engine;

@@ -86,13 +86,13 @@ def _run_rows() -> int:
         )
     aggregates = builtin_aggregates()
     print(f"aggregates ({len(aggregates)} rows)")
-    print(f"  {'name':<13s}{'range':<8s}{'online':<19s}{'session state':<16s}{'accumulator':<13s}tiers")
+    print(f"  {'name':<13s}{'range':<8s}{'session state':<16s}{'accumulator':<13s}tiers")
     for agg in aggregates.values():
-        strategy = agg.strategy
+        ranged = agg.strategy.range
         state = "persisted" if persists(agg) else "per-invocation"
-        accumulator = agg.prefix_dtype.__name__ if strategy.range == "prefix" else "-"
+        accumulator = agg.prefix_dtype.__name__ if ranged == "prefix" else "-"
         print(
-            f"  {agg.name:<13s}{strategy.range:<8s}{strategy.online:<19s}{state:<16s}"
+            f"  {agg.name:<13s}{ranged:<8s}{state:<16s}"
             f"{accumulator:<13s}{tiers(agg.c_lowerable)}"
         )
     return 0

@@ -5,8 +5,8 @@ Streaming Benchmark) is described by a :class:`StreamingApplication`: a
 name, the frontend query DAG, and a synthetic data generator.  Because the
 query is expressed once against the engine-agnostic frontend, the same
 application object runs on TiLT (via ``to_program`` + ``TiltEngine``) and on
-every baseline engine that supports its operators — mirroring how the paper
-implements each benchmark in both Trill and TiLT.
+the Trill-like baseline — mirroring how the paper implements each benchmark
+in both Trill and TiLT.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class StreamingApplication:
         return engine.run(self.program(), streams)
 
     def run_baseline(self, engine, streams: Dict[str, EventStream]) -> EventStream:
-        """Run the application on one of the baseline engines."""
+        """Run the application on the baseline engine."""
         return engine.run(self.query(), streams)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -20,10 +20,10 @@ Init/Acc/Result/Deacc escalation of the paper's aggregation template
   extends the component cumsums in O(new) and queries stay vectorized.
 * every other reduction builds its :class:`~.runtime_support.ReduceSite` in
   the invocation, like a one-shot run (sparse table / per-window fold): a
-  persistent form would have to walk snapshots in Python (the online
-  aggregators of :mod:`repro.windowing.online`, the paper's reference
-  algorithms), which measured slower per tick than rebuilding the
-  vectorized index.
+  persistent form would have to walk snapshots in Python with an
+  insert/evict aggregator (Subtract-on-Evict, two stacks — the test
+  suite keeps them as the windowing oracle), which measured slower per tick
+  than rebuilding the vectorized index.
 * reductions over *intermediate* expressions never persist: intermediates
   are rebuilt from scratch each tick over their margin window, whereas
   input columns are append-only (which makes "ingest the new tail"

@@ -2,7 +2,7 @@
 
 One :class:`Op` row states an operator's meaning side by side in every
 form a consumer needs — the scalar reference (interpreter, constant
-folder), the NumPy template (``pysource``, ``vectoreval``) and the per-lane
+folder), the NumPy template (``pysource``) and the per-lane
 C template (``native``; ``None`` where portable C cannot replicate NumPy's
 bits: SIMD transcendentals and ``np.mod``).  IR node validation, the
 lowerability walk and ``python -m repro.analysis --rows`` read the same

@@ -3,8 +3,8 @@
 The compiled kernels are pure functions of their partition, so parallel
 execution needs no locks, no shared aggregation state and no cross-worker
 communication — the property the paper credits for TiLT's scalability
-advantage over Grizzly's atomic shared state and LightSaber's aggregation
-trees.  Three executors are provided:
+advantage over engines that share aggregation state between workers.
+Three executors are provided:
 
 * :class:`SerialExecutor` — runs partitions in the calling thread (the
   single-worker configuration, and the deterministic mode used by tests);

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
+from ...metrics.streaming import SessionMetrics
 from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery
 from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
 from ..codegen.native import NATIVE_TIER, TICK_ENTRY
@@ -375,11 +376,6 @@ class StreamingSession:
         self._deltas: List[SSBuf] = []
         self._total_partitions = 0
         self._total_events = 0
-
-        # imported lazily: repro.metrics sits above the core layers in the
-        # package hierarchy, and importing it at module load time would
-        # create an import cycle through repro.apps.
-        from ...metrics.streaming import SessionMetrics
 
         self.metrics = SessionMetrics()
         self.metrics.bind_registry(engine.registry)

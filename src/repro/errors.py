@@ -65,12 +65,9 @@ class AdmissionError(TiltError):
 
 
 class UnsupportedOperationError(TiltError):
-    """An engine was asked to run an operator it does not implement.
-
-    The baseline engines (Grizzly-like, LightSaber-like) raise this for
-    temporal joins and other operators outside their aggregation-only
-    vocabulary, mirroring the coverage limitations reported in the paper.
-    """
+    """An engine was asked to run an operator it does not implement (the
+    Trill-like baseline raises it for a frontend node it has no event-centric
+    operator for)."""
 
 
 class OverlappingEventsError(TiltError):

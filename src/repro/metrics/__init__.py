@@ -1,24 +1,8 @@
-"""Measurement harness: throughput, latency-bounded throughput, reports,
-live metrics for continuous streaming sessions, and fleet-level aggregates
-for the multi-tenant query service."""
+"""Live metrics of continuous streaming sessions and fleet-level aggregates
+of the multi-tenant query service."""
 
 from .fleet import FleetSnapshot, aggregate_fleet, jain_fairness_index
-from .latency import (
-    LatencySweepPoint,
-    baseline_latency_sweep,
-    events_to_interval,
-    tilt_latency_sweep,
-)
-from .report import (
-    arithmetic_mean,
-    format_sweep,
-    format_table,
-    geometric_mean,
-    speedups,
-    throughput_table,
-)
 from .streaming import LatencyDistribution, RollingThroughput, SessionMetrics
-from .throughput import ThroughputResult, baseline_throughput, measure, tilt_throughput
 
 __all__ = [
     "RollingThroughput",
@@ -27,18 +11,4 @@ __all__ = [
     "FleetSnapshot",
     "aggregate_fleet",
     "jain_fairness_index",
-    "ThroughputResult",
-    "measure",
-    "tilt_throughput",
-    "baseline_throughput",
-    "LatencySweepPoint",
-    "tilt_latency_sweep",
-    "baseline_latency_sweep",
-    "events_to_interval",
-    "format_table",
-    "throughput_table",
-    "speedups",
-    "geometric_mean",
-    "arithmetic_mean",
-    "format_sweep",
 ]

@@ -1,16 +1,16 @@
 """Live metrics for continuous streaming sessions.
 
-The one-shot harnesses in :mod:`repro.metrics.throughput` time a complete
-query run over a prepared dataset.  A :class:`~repro.core.runtime.session.StreamingSession`
-instead runs indefinitely in micro-batch ticks, so its interesting numbers
-are *rolling*: the sustained ingest rate over the last few seconds of
+A one-shot run is timed as a whole over a prepared dataset.  A
+:class:`~repro.core.runtime.session.StreamingSession` instead runs
+indefinitely in micro-batch ticks, so its interesting numbers are
+*rolling*: the sustained ingest rate over the last few seconds of
 processing, and the distribution of per-tick latencies (the time from
 pulling a micro-batch to emitting its output delta, which bounds result
 staleness the same way batch size bounds it in Figure 9 of the paper).
 
 This module is deliberately dependency-free (NumPy only) so the session
-runtime can use it without creating an upward import from
-``repro.core.runtime`` into the measurement harnesses.
+runtime can import it without pulling in anything above
+``repro.core.runtime``.
 """
 
 from __future__ import annotations

@@ -1,24 +1,11 @@
-"""Baseline stream processing engines (event-centric comparators).
+"""The event-centric baseline engine the paper compares TiLT against.
 
-Four engines modelled on the systems the paper evaluates against:
-
-* :class:`~repro.spe.trill.TrillEngine` — interpreted, micro-batched, full
-  operator coverage, partitioned-stream parallelism only;
-* :class:`~repro.spe.streambox.StreamBoxEngine` — interpreted, pipeline/data
-  parallel, O(n²) temporal join;
-* :class:`~repro.spe.grizzly.GrizzlyEngine` — vectorized aggregation-only
-  engine with shared (locked) aggregation state;
-* :class:`~repro.spe.lightsaber.LightSaberEngine` — vectorized
-  aggregation-only engine with pane-based parallel aggregation.
-
-All engines consume the same frontend query DAG (``repro.core.frontend``),
-so every application in ``repro.apps`` is written exactly once and runs on
-any engine that supports its operators.
+:class:`~repro.spe.trill.TrillEngine` is modelled on Microsoft Trill:
+interpreted, micro-batched, with full operator coverage.  It consumes the
+same frontend query DAG (``repro.core.frontend``) as TiLT, so every
+application in ``repro.apps`` is written exactly once and runs on both.
 """
 
-from .grizzly import GrizzlyEngine
-from .lightsaber import LightSaberEngine
-from .streambox import StreamBoxEngine
 from .trill import TrillEngine
 
-__all__ = ["TrillEngine", "StreamBoxEngine", "GrizzlyEngine", "LightSaberEngine"]
+__all__ = ["TrillEngine"]

@@ -1,11 +1,9 @@
-"""Shared infrastructure of the baseline (event-centric) engines."""
+"""Operators and per-event expression evaluation of the baseline engine."""
 
-from .batches import ColumnarBatch, batches_from_stream, stream_from_batches
 from .expreval import eval_event_expr
 from .operators import (
     ChopOperator,
     MergeJoinOperator,
-    NestedLoopJoinOperator,
     SelectOperator,
     ShiftOperator,
     StatefulOperator,
@@ -14,9 +12,6 @@ from .operators import (
 )
 
 __all__ = [
-    "ColumnarBatch",
-    "batches_from_stream",
-    "stream_from_batches",
     "eval_event_expr",
     "StatefulOperator",
     "SelectOperator",
@@ -25,5 +20,4 @@ __all__ = [
     "ChopOperator",
     "WindowAggregateOperator",
     "MergeJoinOperator",
-    "NestedLoopJoinOperator",
 ]

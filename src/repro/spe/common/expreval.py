@@ -1,11 +1,11 @@
-"""Per-event scalar expression evaluation for the interpreted baselines.
+"""Per-event scalar expression evaluation for the interpreted baseline.
 
 The frontend expresses Select/Where/Join payload functions as TiLT scalar
 expressions over placeholders (``PAYLOAD``, ``LEFT``, ``RIGHT``).  The
-event-centric baseline engines evaluate those expressions one event at a
-time by walking the expression tree — precisely the per-event interpretation
+event-centric baseline evaluates those expressions one event at a time by
+walking the expression tree — precisely the per-event interpretation
 overhead the paper attributes to engines like Trill, and the reason the
-baselines are slow relative to TiLT's generated kernels.
+baseline is slow relative to TiLT's generated kernels.
 """
 
 from __future__ import annotations

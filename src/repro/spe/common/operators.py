@@ -1,17 +1,16 @@
 """Stateful, event-centric physical operators.
 
-These are the building blocks of the interpreted baseline engines (the
-Trill-like and StreamBox-like SPEs).  Each operator follows the classic
-iterator/push model the paper describes in Section 3: it receives events (in
-micro-batches), updates its internal state, and emits output events to the
-next operator in the data-flow graph.  All per-event work happens in Python,
-including the per-event evaluation of user expressions — the interpretation
-overhead that compiler-based engines eliminate.
+These are the building blocks of the interpreted Trill-like baseline
+engine.  Each operator follows the classic iterator/push model the paper
+describes in Section 3: it receives events (in micro-batches), updates its
+internal state, and emits output events to the next operator in the
+data-flow graph.  All per-event work happens in Python, including the
+per-event evaluation of user expressions — the interpretation overhead that
+compiler-based engines eliminate.
 
-Operator state is explicit so that queries can be executed batch-by-batch
-(the streaming execution mode used for the latency-bounded throughput study,
-Figure 9): ``process`` consumes one input batch, ``flush`` drains any
-remaining state at end-of-stream.
+Operator state is explicit so that a query runs batch by batch (the
+engine's ``batch_size``): ``process`` consumes one input batch, ``flush``
+drains any remaining state at end-of-stream.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "ChopOperator",
     "WindowAggregateOperator",
     "MergeJoinOperator",
-    "NestedLoopJoinOperator",
     "coalesce_events",
 ]
 
@@ -193,7 +191,7 @@ def coalesce_events(left: Sequence[Event], right: Sequence[Event]) -> List[Event
     """Left-preferring temporal merge of two in-order event sequences.
 
     Emits the left events unchanged, plus the portions of right events not
-    covered by any left event.  Used by the baseline engines to implement the
+    covered by any left event.  Used by the baseline engine to implement the
     frontend Coalesce operator (the imputation query).
     """
     out: List[Event] = list(left)
@@ -225,7 +223,7 @@ def coalesce_events(left: Sequence[Event], right: Sequence[Event]) -> List[Event
 
 
 class _JoinState:
-    """Shared state/logic of the two join implementations."""
+    """Buffered events, watermarks and payload evaluation of a temporal join."""
 
     def __init__(self, expr: Expr):
         self.expr = expr
@@ -299,43 +297,5 @@ class MergeJoinOperator:
                     out.append(Event(window[0], window[1], value))
             own.append(e)
         st.evict()
-        out.sort(key=lambda ev: (ev.start, ev.end))
-        return out
-
-
-class NestedLoopJoinOperator(MergeJoinOperator):
-    """Temporal join with an all-pairs scan (the StreamBox-style O(n²) join).
-
-    Identical results to :class:`MergeJoinOperator` but compares every new
-    event against *every* buffered event of the other side without exploiting
-    event order, and keeps a much larger buffer because it only evicts
-    lazily.  This reproduces the quadratic join cost the paper measures for
-    StreamBox (Section 7.1).
-    """
-
-    #: evict only when the buffer exceeds this many events (lazy eviction)
-    EVICTION_THRESHOLD = 4096
-
-    def _process(self, events: Sequence[Event], left_side: bool) -> List[Event]:
-        st = self._state
-        out: List[Event] = []
-        own = st.left if left_side else st.right
-        other = st.right if left_side else st.left
-        for e in events:
-            if left_side:
-                st.left_wm = max(st.left_wm, e.start)
-            else:
-                st.right_wm = max(st.right_wm, e.start)
-            for o in other:  # no ordering assumptions: full scan
-                pair = (e, o) if left_side else (o, e)
-                window = st.overlap(*pair)
-                if window is None:
-                    continue
-                value, ok = st.payload(*pair)
-                if ok:
-                    out.append(Event(window[0], window[1], value))
-            own.append(e)
-        if len(st.left) + len(st.right) > self.EVICTION_THRESHOLD:
-            st.evict()
         out.sort(key=lambda ev: (ev.start, ev.end))
         return out

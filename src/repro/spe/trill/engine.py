@@ -9,19 +9,19 @@ properties the paper attributes to Microsoft Trill (Section 3 and 8):
   user's Select/Where/Join expressions;
 * events move between operators in columnar micro-batches of a configurable
   size — the knob behind the latency/throughput trade-off of Figure 9;
-* the only available parallelism is over *partitioned input streams*
-  (``run_partitioned``); a single partition is always processed by a single
-  worker, which is why Trill scales worst in the Figure 8 study.
+* Trill parallelises only over partitioned input streams, one partition
+  per worker, which is why it scales worst in the paper's Figure 8 study;
+  this engine models one partition and runs on the calling thread.
 
 The engine supports the full operator vocabulary (Select, Where, Shift,
 Chop, windowed aggregation with arbitrary aggregate functions, temporal
-Join), which is why it is the only baseline that can run all eight
-real-world applications — mirroring the situation in the paper.
+Join), which is why Trill is the only baseline of the paper that can run
+all eight real-world applications.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping
 
 from ...core.frontend.query import (
     Chop,
@@ -34,8 +34,7 @@ from ...core.frontend.query import (
     Where,
     WindowAggregate,
 )
-from ...core.runtime.executor import default_kind, make_executor
-from ...core.runtime.stream import Event, EventStream, interleave
+from ...core.runtime.stream import Event, EventStream
 from ...errors import ExecutionError, UnsupportedOperationError
 from ..common.operators import (
     ChopOperator,
@@ -53,16 +52,10 @@ __all__ = ["TrillEngine"]
 class TrillEngine:
     """Interpreted, micro-batched, event-centric baseline engine."""
 
-    #: temporal-join implementation (overridden by the StreamBox-like engine)
-    join_operator_cls = MergeJoinOperator
-    #: human-readable engine name used by the benchmark harness
-    name = "trill"
-
-    def __init__(self, batch_size: int = 4096, workers: int = 1):
+    def __init__(self, batch_size: int = 4096):
         if batch_size <= 0:
             raise ExecutionError("batch_size must be positive")
         self.batch_size = int(batch_size)
-        self.workers = max(1, int(workers))
 
     # ------------------------------------------------------------------ #
     # public API
@@ -73,26 +66,6 @@ class TrillEngine:
         events = self._execute(query, streams, memo)
         return EventStream(sorted(events, key=lambda e: (e.start, e.end)),
                           name="output", check_order=False)
-
-    def run_partitioned(
-        self,
-        query: QueryNode,
-        partitions: Sequence[Mapping[str, EventStream]],
-    ) -> EventStream:
-        """Run the query independently over pre-partitioned input streams.
-
-        This is the engine's only parallelization strategy: each partition
-        (e.g. one stock symbol, one campaign) is processed end-to-end by one
-        worker; the per-partition outputs are interleaved into a single
-        output stream.  The degree of parallelism is limited by the number of
-        partitions, as the paper points out.
-        """
-        executor = make_executor(self.workers, default_kind(self.workers))
-        try:
-            outputs = executor.map(lambda p: self.run(query, p), list(partitions))
-        finally:
-            executor.shutdown()
-        return interleave(outputs, name="output")
 
     # ------------------------------------------------------------------ #
     # DAG interpretation
@@ -166,7 +139,7 @@ class TrillEngine:
     ) -> List[Event]:
         left = self._execute(node.parents[0], streams, memo)
         right = self._execute(node.parents[1], streams, memo)
-        op = self.join_operator_cls(node.expr)
+        op = MergeJoinOperator(node.expr)
         out: List[Event] = []
         left_batches = list(_chunks(left, self.batch_size))
         right_batches = list(_chunks(right, self.batch_size))

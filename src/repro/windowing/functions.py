@@ -70,16 +70,13 @@ State = Any
 class AggregateStrategy(NamedTuple):
     """How an aggregate is evaluated — the one place its optional hooks are
     ranked.  Every consumer (the range index a reduce site builds, the
-    online insert/evict aggregators, the native emitter, a session's reduce
-    site plan) reads this instead of probing the hooks itself.
+    native emitter, a session's reduce site plan) reads this instead of
+    probing the hooks itself.
     """
 
     #: vectorized index built per buffer: ``'prefix'`` (prefix sums),
     #: ``'rmq'`` (sparse table) or ``'fold'`` (per-window reduction)
     range: str
-    #: insert/evict structure: ``'subtract-on-evict'`` (has ``deacc``),
-    #: ``'two-stacks'`` (has ``merge``) or ``'refold'``
-    online: str
 
 
 class RmqDirection(NamedTuple):
@@ -112,9 +109,8 @@ class AggregateFunction:
 
     Parameters mirror the Init/Acc/Result/Deacc template of the paper plus
     optional vectorization hooks (see module docstring).  ``merge`` combines
-    two partial states and is required by tree-structured parallel
-    aggregation (the LightSaber-like baseline) and by partial-aggregate
-    parallelization.
+    two partial states, as tree-structured and partial-aggregate parallel
+    reductions (and the two-stacks insert/evict aggregator) need.
     """
 
     name: str
@@ -161,20 +157,12 @@ class AggregateFunction:
 
     @property
     def strategy(self) -> AggregateStrategy:
-        """Cheapest evaluation structures the provided hooks admit."""
+        """Cheapest range index the provided hooks admit."""
         if self.prefix_arrays is not None and self.prefix_result is not None:
-            ranged = "prefix"
-        elif self.rmq is not None:
-            ranged = "rmq"
-        else:
-            ranged = "fold"
-        if self.invertible:
-            online = "subtract-on-evict"
-        elif self.mergeable:
-            online = "two-stacks"
-        else:
-            online = "refold"
-        return AggregateStrategy(ranged, online)
+            return AggregateStrategy("prefix")
+        if self.rmq is not None:
+            return AggregateStrategy("rmq")
+        return AggregateStrategy("fold")
 
     def fold(self, values: Sequence[float]) -> Tuple[float, bool]:
         """Reduce a sequence of values with the scalar template.

@@ -1,4 +1,4 @@
-"""Online (streaming) sliding-window aggregators.
+"""Online (streaming) sliding-window aggregators: the windowing oracle.
 
 These are the incremental algorithms referenced by the paper's aggregation
 template (Section 6.1.2) and by the sliding-window aggregation literature it
@@ -10,12 +10,12 @@ cites:
   associative aggregate (Max, Min, custom), using the classic two-stack
   queue construction.
 * :class:`RecomputeAggregator` — the O(window) strawman that re-folds the
-  whole window on every query; used as the semantic reference in tests and
-  by the deliberately naive parts of the baseline engines.
+  whole window on every query; the semantic reference of the other two.
 
-All three expose the same interface (``insert``, ``evict``, ``query``) so the
-loop-synthesis backend and the baseline SPEs can pick whichever matches the
-aggregate's capabilities.
+All three expose the same interface (``insert``, ``evict``, ``query``).  The
+engine evaluates windows with vectorized range indexes instead
+(``repro.windowing.sliding.build_range_index``); the tests check those
+indexes, window by window, against these aggregators.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from .functions import AggregateFunction
+from repro.windowing.functions import AggregateFunction
 
 __all__ = ["SubtractOnEvict", "TwoStacksAggregator", "RecomputeAggregator", "make_online_aggregator"]
 
@@ -147,19 +147,15 @@ class RecomputeAggregator:
         return len(self._window)
 
 
-_ONLINE = {
-    "subtract-on-evict": SubtractOnEvict,
-    "two-stacks": TwoStacksAggregator,
-    "refold": RecomputeAggregator,
-}
-
-
 def make_online_aggregator(agg: AggregateFunction):
     """Pick the best online aggregator available for ``agg``.
 
     Subtract-on-Evict for invertible aggregates, two-stacks for mergeable
-    ones, and full recomputation otherwise — the escalation the paper's
-    code generator applies, ranked once in
-    :attr:`AggregateFunction.strategy`.
+    ones, and full recomputation otherwise — the escalation of the paper's
+    aggregation template.
     """
-    return _ONLINE[agg.strategy.online](agg)
+    if agg.invertible:
+        return SubtractOnEvict(agg)
+    if agg.mergeable:
+        return TwoStacksAggregator(agg)
+    return RecomputeAggregator(agg)

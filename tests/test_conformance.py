@@ -5,10 +5,10 @@ Every consumer of an operator or aggregate reads one row
 suite iterates the tables, so a row added later is covered without editing
 it:
 
-* operator rows — scalar reference ≡ interpreter ≡ NumPy kernel ≡
-  ``vectoreval`` ≡ C kernel (when the row has a C template and the
-  toolchain is present) over an edge grid of ±0.0, negatives, NaN, ±inf,
-  ±1e308 and non-integers;
+* operator rows — scalar reference ≡ interpreter ≡ NumPy kernel ≡ C
+  kernel (when the row has a C template and the toolchain is present)
+  over an edge grid of ±0.0, negatives, NaN, ±inf, ±1e308 and
+  non-integers;
 * aggregate rows — scalar fold ≡ range index ≡ the one reduce path with
   session-kept sites fed ragged chunks ≡ native kernel (one shot, and over
   the kept sites), including all-φ and single-snapshot windows, and
@@ -28,11 +28,10 @@ from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
 from repro.core.codegen.incremental import IncrementalKernelRuntime
 from repro.core.ir.builder import IRBuilder
-from repro.core.ir.nodes import BinOp, Call, Const, UnaryOp, Var
+from repro.core.ir.nodes import BinOp, Call, Const, UnaryOp
 from repro.core.ops import OPS, eval_op
 from repro.core.runtime.ssbuf import SSBuf
 from repro.errors import ValidationError
-from repro.spe.common.vectoreval import eval_expr_vectorized
 from repro.windowing import builtin_aggregates, range_aggregate
 
 GRID = [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 0.5, -2.5, math.nan, math.inf, -math.inf, 1e308, -1e308]
@@ -85,11 +84,6 @@ def test_operator_row_agrees_across_tiers(row):
         label = f"{form} {row.name!r}"
         assert_same(run_tier(program, env, n, "interpreted"), want, True, f"{label} interpreted")
         assert_same(run_tier(program, env, n, NUMPY_TIER), want, exact, f"{label} numpy")
-        bound = {name: (env[name].values, env[name].valid) for name in env}
-        expr = NODES[form](row.name, *(Var(name) for name in "ab"[: row.arity]))
-        with np.errstate(all="ignore"):
-            vectored = eval_expr_vectorized(expr, bound, n)
-        assert_same(vectored, want, exact, f"{label} vectoreval")
         (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
         if row.c is None:
             assert "no bit-stable native lowering" in native.lowering_blockers(kernel.spec)[0]

@@ -1,116 +1,6 @@
-"""Tests for the measurement harness (throughput, latency sweeps, reports)."""
+"""Tests for the live metrics of streaming sessions."""
 
-import numpy as np
 import pytest
-
-from repro.apps import TREND_TRADING, YSB
-from repro.metrics import (
-    ThroughputResult,
-    arithmetic_mean,
-    baseline_latency_sweep,
-    baseline_throughput,
-    events_to_interval,
-    format_sweep,
-    format_table,
-    geometric_mean,
-    measure,
-    speedups,
-    throughput_table,
-    tilt_latency_sweep,
-    tilt_throughput,
-)
-from repro.spe import TrillEngine
-
-
-class TestThroughputResult:
-    def test_events_per_second_and_speedup(self):
-        fast = ThroughputResult("a", "w", input_events=1000, elapsed_seconds=0.5)
-        slow = ThroughputResult("b", "w", input_events=1000, elapsed_seconds=5.0)
-        assert fast.events_per_second == 2000
-        assert fast.millions_per_second == pytest.approx(0.002)
-        assert fast.speedup_over(slow) == pytest.approx(10.0)
-
-    def test_measure_repeats_and_median(self):
-        calls = []
-
-        def run():
-            calls.append(1)
-            return "out"
-
-        result = measure(run, engine="e", workload="w", input_events=10, repeats=3,
-                         count_output=lambda r: 7)
-        assert len(calls) == 3
-        assert result.runs == 3
-        assert result.output_events == 7
-        assert len(result.per_run_seconds) == 3
-
-
-class TestHarness:
-    def test_tilt_throughput(self):
-        streams = TREND_TRADING.streams(500, seed=0)
-        result = tilt_throughput(TREND_TRADING, streams, workers=2)
-        assert result.input_events == 500
-        assert result.events_per_second > 0
-        assert result.output_events > 0
-
-    def test_baseline_throughput(self):
-        streams = TREND_TRADING.streams(300, seed=0)
-        result = baseline_throughput(TREND_TRADING, TrillEngine(batch_size=128), streams)
-        assert result.engine == "trill"
-        assert result.events_per_second > 0
-
-    def test_events_to_interval(self):
-        streams = YSB.streams(1000, seed=0)
-        interval = events_to_interval(streams, 100)
-        # 10k events/sec -> 100 events take about 10 ms
-        assert interval == pytest.approx(0.01, rel=0.2)
-
-    def test_tilt_latency_sweep_monotone_batches(self):
-        streams = TREND_TRADING.streams(400, seed=0)
-        points = tilt_latency_sweep(TREND_TRADING, streams, [50, 200])
-        assert len(points) == 2
-        assert points[0].batch_events == 50
-        assert all(p.events_per_second > 0 for p in points)
-
-    def test_baseline_latency_sweep(self):
-        streams = TREND_TRADING.streams(400, seed=0)
-        points = baseline_latency_sweep(
-            TREND_TRADING, lambda b: TrillEngine(batch_size=b), streams, [50, 200]
-        )
-        assert len(points) == 2
-        assert format_sweep("trill", points).startswith("trill:")
-
-
-class TestReporting:
-    def test_format_table_alignment(self):
-        text = format_table(["a", "bbbb"], [[1, 2.5], ["x", 12345.0]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert "12,345" in text
-
-    def test_throughput_table_and_speedups(self):
-        results = {
-            "w1": {
-                "tilt": ThroughputResult("tilt", "w1", 1000, 0.1),
-                "trill": ThroughputResult("trill", "w1", 1000, 1.0),
-            },
-            "w2": {
-                "tilt": ThroughputResult("tilt", "w2", 1000, 0.2),
-                "trill": ThroughputResult("trill", "w2", 1000, 4.0),
-            },
-        }
-        table = throughput_table(results)
-        assert "workload" in table and "tilt (Mev/s)" in table
-        ratio = speedups(results, subject="tilt", baseline="trill")
-        assert ratio["w1"] == pytest.approx(10.0)
-        assert ratio["w2"] == pytest.approx(20.0)
-        assert geometric_mean(ratio.values()) == pytest.approx(np.sqrt(200.0))
-        assert arithmetic_mean(ratio.values()) == pytest.approx(15.0)
-
-    def test_means_edge_cases(self):
-        assert geometric_mean([]) == 0.0
-        assert arithmetic_mean([]) == 0.0
-        assert geometric_mean([0.0, 4.0]) == 4.0
 
 
 class TestStreamingMetrics:

@@ -32,13 +32,16 @@ from repro.windowing import (
     SUM_SQUARES,
     VARIANCE,
     range_aggregate,
+    snapshot_range_indices,
+)
+from repro.windowing.functions import builtin_aggregates
+
+from fixtures.online import (
     RecomputeAggregator,
     SubtractOnEvict,
     TwoStacksAggregator,
     make_online_aggregator,
-    snapshot_range_indices,
 )
-from repro.windowing.functions import builtin_aggregates
 
 INVERTIBLE = [SUM, COUNT, MEAN, SUM_SQUARES, VARIANCE, STDDEV]
 
@@ -198,16 +201,22 @@ class TestEscalation:
         assert isinstance(make_online_aggregator(LAST), RecomputeAggregator)
 
     def test_strategy_matches_capabilities(self):
-        """The one classification every consumer reads: which index a
-        a reduce site builds (``prefix`` is also what a session's reduce
-        site persists) and which online aggregator runs."""
-        strategies = {a.name: a.strategy for a in builtin_aggregates().values()}
-        assert strategies["sum"] == ("prefix", "subtract-on-evict")
-        assert strategies["variance"] == ("prefix", "subtract-on-evict")
-        assert strategies["max"] == ("rmq", "two-stacks")
-        assert strategies["product"] == ("fold", "two-stacks")
-        assert strategies["first"] == ("fold", "refold")
-        assert strategies["stddev"].range == "prefix"
+        """The one classification every consumer reads — which index a
+        reduce site builds (``prefix`` is also what a session's reduce site
+        persists) — and the online aggregator the oracle picks."""
+        rows = builtin_aggregates()
+        picks = {
+            name: (rows[name].strategy.range, type(make_online_aggregator(rows[name])))
+            for name in ("sum", "variance", "stddev", "max", "product", "first")
+        }
+        assert picks == {
+            "sum": ("prefix", SubtractOnEvict),
+            "variance": ("prefix", SubtractOnEvict),
+            "stddev": ("prefix", SubtractOnEvict),
+            "max": ("rmq", TwoStacksAggregator),
+            "product": ("fold", TwoStacksAggregator),
+            "first": ("fold", RecomputeAggregator),
+        }
 
 
 def reference_query(buf, agg, window_starts, window_ends):

@@ -1,28 +1,26 @@
-"""Tests for the baseline (event-centric) engines and their operators."""
+"""Tests for the Trill-like baseline engine and its operators."""
 
 import numpy as np
 import pytest
 
 from repro.core.frontend.query import LEFT, PAYLOAD, RIGHT, source
-from repro.core.ir.nodes import Var, when
+from repro.core.ir.nodes import Var
 from repro.core.runtime.ssbuf import ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
-from repro.errors import UnsupportedOperationError
-from repro.spe import GrizzlyEngine, LightSaberEngine, StreamBoxEngine, TrillEngine
-from repro.spe.common.batches import ColumnarBatch, batches_from_stream, stream_from_batches
+from repro.spe import TrillEngine
 from repro.spe.common.expreval import eval_event_expr
 from repro.spe.common.operators import (
     ChopOperator,
     MergeJoinOperator,
-    NestedLoopJoinOperator,
     SelectOperator,
     ShiftOperator,
     WhereOperator,
     WindowAggregateOperator,
     coalesce_events,
 )
-from repro.spe.common.vectoreval import eval_expr_vectorized
-from repro.windowing import COUNT, MEAN, SUM
+from repro.windowing import MEAN, SUM
+
+from fixtures.joins import NestedLoopJoinOperator
 
 E = PAYLOAD
 
@@ -30,36 +28,10 @@ E = PAYLOAD
 # ---------------------------------------------------------------------- #
 # shared infrastructure
 # ---------------------------------------------------------------------- #
-class TestBatches:
-    def test_round_trip(self, regular_stream):
-        batches = batches_from_stream(regular_stream, 32)
-        assert len(batches) == 4
-        assert sum(len(b) for b in batches) == 100
-        back = stream_from_batches(batches)
-        assert len(back) == 100
-        assert back[0].value() == regular_stream[0].value()
-
-    def test_empty_batch(self):
-        batch = ColumnarBatch.empty()
-        assert len(batch) == 0 and batch.to_events() == []
-
-    def test_invalid_batch_size(self, regular_stream):
-        with pytest.raises(ValueError):
-            batches_from_stream(regular_stream, 0)
-
-
 class TestExpressionEvaluation:
     def test_event_expr(self):
         value, ok = eval_event_expr(Var("%payload") * 2.0 + 1.0, {"%payload": (5.0, True)})
         assert ok and value == 11.0
-
-    def test_vectorized_matches_scalar(self):
-        expr = when((Var("%payload") % 2.0).eq(0.0), Var("%payload") * 3.0, 0.0)
-        values = np.arange(10, dtype=float)
-        vec, ok = eval_expr_vectorized(expr, {"%payload": (values, np.ones(10, dtype=bool))}, 10)
-        for i, v in enumerate(values):
-            sv, sk = eval_event_expr(expr, {"%payload": (float(v), True)})
-            assert ok[i] == sk and vec[i] == pytest.approx(sv)
 
 
 # ---------------------------------------------------------------------- #
@@ -120,24 +92,7 @@ class TestOperators:
 # ---------------------------------------------------------------------- #
 # engines
 # ---------------------------------------------------------------------- #
-def ysb_like_query():
-    return source("values").where((E % 2.0).eq(0.0)).window(10, 10).count()
-
-
 class TestEngines:
-    def test_all_engines_agree_on_aggregation_query(self, regular_stream):
-        query = ysb_like_query()
-        streams = {"values": regular_stream}
-        outputs = {}
-        outputs["trill"] = TrillEngine(batch_size=16).run(query, streams)
-        outputs["streambox"] = StreamBoxEngine(batch_size=16, workers=2).run(query, streams)
-        outputs["grizzly"] = GrizzlyEngine(workers=2).run(query, streams)
-        outputs["lightsaber"] = LightSaberEngine(workers=2).run(query, streams)
-        reference = sorted((e.start, e.end, e.payload) for e in outputs["trill"])
-        assert reference  # non-empty
-        for name, stream in outputs.items():
-            assert sorted((e.start, e.end, e.payload) for e in stream) == reference, name
-
     def test_trill_join_matches_tilt(self, random_walk_stream):
         from repro import TiltEngine
 
@@ -156,53 +111,9 @@ class TestEngines:
         assert np.array_equal(tk, bk)
         assert np.allclose(tv[tk], bv[bk])
 
-    def test_streambox_uses_nested_loop_join(self):
-        assert StreamBoxEngine.join_operator_cls is NestedLoopJoinOperator
-        assert TrillEngine.join_operator_cls is MergeJoinOperator
-
-    def test_trill_partitioned_execution(self, regular_stream):
-        query = source("values").select(E + 1.0)
-        partitions = [
-            {"values": regular_stream.slice_time(0.0, 50.0)},
-            {"values": regular_stream.slice_time(50.0, 100.0)},
-        ]
-        out = TrillEngine(workers=2).run_partitioned(query, partitions)
-        assert len(out) == 100
-
     def test_missing_stream_raises(self):
         with pytest.raises(Exception):
             TrillEngine().run(source("ghost").select(E + 1), {})
-
-    def test_grizzly_rejects_join(self, regular_stream):
-        query = source("values").join(source("values").shift(1.0), LEFT - RIGHT)
-        with pytest.raises(UnsupportedOperationError):
-            GrizzlyEngine().run(query, {"values": regular_stream})
-
-    def test_lightsaber_rejects_join_and_shift(self, regular_stream):
-        join_query = source("values").join(source("values").shift(1.0), LEFT - RIGHT)
-        with pytest.raises(UnsupportedOperationError):
-            LightSaberEngine().run(join_query, {"values": regular_stream})
-        with pytest.raises(UnsupportedOperationError):
-            LightSaberEngine().run(source("values").shift(1.0), {"values": regular_stream})
-
-    def test_grizzly_select_where(self, regular_stream):
-        out = GrizzlyEngine().run(source("values").select(E * 2).where(E > 100.0),
-                                  {"values": regular_stream})
-        assert all(e.value() > 100.0 for e in out)
-        assert len(out) == 49
-
-    def test_lightsaber_sliding_window(self, regular_stream):
-        out = LightSaberEngine(workers=2).run(source("values").sum(10, 5), {"values": regular_stream})
-        trill = TrillEngine().run(source("values").sum(10, 5), {"values": regular_stream})
-        assert sorted((e.start, e.end, e.payload) for e in out) == sorted(
-            (e.start, e.end, e.payload) for e in trill
-        )
-
-    def test_engine_names(self):
-        assert TrillEngine().name == "trill"
-        assert StreamBoxEngine().name == "streambox"
-        assert GrizzlyEngine().name == "grizzly"
-        assert LightSaberEngine().name == "lightsaber"
 
     def test_invalid_batch_size(self):
         with pytest.raises(Exception):

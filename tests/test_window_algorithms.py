@@ -13,18 +13,18 @@ from repro.windowing import (
     MIN,
     STDDEV,
     SUM,
-    PrefixRangeIndex,
-    RecomputeAggregator,
     SparseTableRMQ,
+    range_aggregate,
+    snapshot_range_indices,
+)
+
+from fixtures.online import (
+    RecomputeAggregator,
     SubtractOnEvict,
     TwoStacksAggregator,
     make_online_aggregator,
-    range_aggregate,
-    snapshot_range_indices,
-    streaming_window_aggregate,
-    window_aggregate,
-    window_grid,
 )
+from fixtures.windows import streaming_window_aggregate, window_aggregate, window_grid
 
 
 def brute_force_window(buf: SSBuf, ws: float, we: float, agg):
