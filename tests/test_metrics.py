@@ -1,4 +1,4 @@
-"""Tests for the live metrics of streaming sessions."""
+"""Tests for the live metrics of streaming sessions and their fleet aggregates."""
 
 import pytest
 
@@ -52,6 +52,29 @@ class TestStreamingMetrics:
         assert summary["events_per_second"] == pytest.approx(1000 / 0.6)
         assert "ticks" in m.format()
 
+    def test_empty_metrics_read_zero(self):
+        from repro.metrics import LatencyDistribution, RollingThroughput, SessionMetrics
+
+        roll = RollingThroughput()
+        assert roll.events_per_second == 0.0 and roll.cumulative_events_per_second == 0.0
+        lat = LatencyDistribution()
+        assert lat.p50 == 0.0 and lat.p99 == 0.0 and lat.mean == 0.0
+        assert SessionMetrics().throughput == 0.0
+
+    def test_subscribers_see_every_tick(self):
+        from repro.metrics import SessionMetrics
+
+        m = SessionMetrics()
+        seen = []
+        callback = lambda **tick: seen.append(tick)  # noqa: E731
+        m.subscribe(callback)
+        m.record_tick(input_events=5, output_snapshots=1, seconds=0.2)
+        m.unsubscribe(callback)
+        m.unsubscribe(callback)  # a second removal is a no-op
+        m.record_tick(input_events=7, output_snapshots=0, seconds=0.1, emitted=False)
+        assert seen == [dict(input_events=5, output_snapshots=1, seconds=0.2, emitted=True)]
+        assert m.ticks == 2
+
     def test_invalid_configs(self):
         from repro.metrics import LatencyDistribution, RollingThroughput
 
@@ -59,3 +82,25 @@ class TestStreamingMetrics:
             RollingThroughput(window_ticks=0)
         with pytest.raises(ValueError):
             LatencyDistribution(capacity=0)
+
+
+class TestFleetMetrics:
+    def test_weights_normalize_fairness(self):
+        from repro.metrics import SessionMetrics, aggregate_fleet
+
+        heavy, light = SessionMetrics(), SessionMetrics()
+        heavy.record_tick(input_events=200, output_snapshots=2, seconds=0.2)
+        light.record_tick(input_events=100, output_snapshots=1, seconds=0.1)
+        tenants = {"heavy": heavy, "light": light}
+        # twice the engine time is the weighted fair share of a weight-2 tenant
+        assert aggregate_fleet(tenants, weights={"heavy": 2.0, "light": 1.0}).fairness == pytest.approx(1.0)
+        assert aggregate_fleet(tenants).fairness == pytest.approx(0.9)
+
+    def test_empty_fleet(self):
+        from repro.metrics import aggregate_fleet
+
+        snap = aggregate_fleet({})
+        assert snap.tenants == 0 and snap.input_events == 0
+        assert snap.events_per_second == 0.0 and snap.tick_latency_p99 == 0.0
+        assert snap.fairness == 1.0
+        assert "0/0 tenants active" in snap.format()
