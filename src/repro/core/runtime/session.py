@@ -377,8 +377,7 @@ class StreamingSession:
         self._total_partitions = 0
         self._total_events = 0
 
-        self.metrics = SessionMetrics()
-        self.metrics.bind_registry(engine.registry)
+        self.metrics = SessionMetrics(engine.registry)
         self._m_pruned = engine.registry.counter(
             "repro_pruned_snapshots_total",
             "Carry-over input snapshots retired by watermark pruning",

@@ -2,10 +2,9 @@
 of the multi-tenant query service."""
 
 from .fleet import FleetSnapshot, aggregate_fleet, jain_fairness_index
-from .streaming import LatencyDistribution, RollingThroughput, SessionMetrics
+from .streaming import LatencyDistribution, SessionMetrics
 
 __all__ = [
-    "RollingThroughput",
     "LatencyDistribution",
     "SessionMetrics",
     "FleetSnapshot",

@@ -21,7 +21,7 @@ the serving layer can use it without importing the measurement harnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,7 +63,6 @@ class FleetSnapshot:
     queue_depth: int
     shed_events: int
     fairness: float
-    per_tenant_events_per_second: Dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> Dict[str, float]:
         """JSON-friendly flat rendering (stable keys)."""
@@ -138,7 +137,4 @@ def aggregate_fleet(
         queue_depth=sum((queue_depths or {}).values()),
         shed_events=sum((shed_events or {}).values()),
         fairness=jain_fairness_index(shares),
-        per_tenant_events_per_second={
-            n: per_tenant[n].throughput for n in names
-        },
     )

@@ -17,63 +17,11 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RollingThroughput", "LatencyDistribution", "SessionMetrics"]
-
-
-class RollingThroughput:
-    """Events per second over a sliding window of recent ticks.
-
-    The window is bounded by tick count, so a long-running session uses O(1)
-    memory: old ticks fall out as new ones are recorded.  Cumulative totals
-    are tracked separately and never forget.
-
-    Readers and the recording thread may differ (a monitoring thread polls
-    service stats while the scheduler records ticks), so the window is read
-    and written under a lock.
-    """
-
-    def __init__(self, window_ticks: int = 64):
-        if window_ticks < 1:
-            raise ValueError("window_ticks must be >= 1")
-        self.window_ticks = int(window_ticks)
-        self._window: Deque[Tuple[int, float]] = deque(maxlen=self.window_ticks)
-        self._lock = threading.Lock()
-        self.total_events = 0
-        self.total_seconds = 0.0
-
-    def record(self, events: int, seconds: float) -> None:
-        with self._lock:
-            self._window.append((int(events), float(seconds)))
-            self.total_events += int(events)
-            self.total_seconds += float(seconds)
-
-    @property
-    def window_events(self) -> int:
-        with self._lock:
-            return sum(e for e, _ in self._window)
-
-    @property
-    def window_seconds(self) -> float:
-        with self._lock:
-            return sum(s for _, s in self._window)
-
-    @property
-    def events_per_second(self) -> float:
-        """Rolling throughput over the window (0.0 before any work)."""
-        seconds = self.window_seconds
-        if seconds <= 0.0:
-            return 0.0
-        return self.window_events / seconds
-
-    @property
-    def cumulative_events_per_second(self) -> float:
-        if self.total_seconds <= 0.0:
-            return 0.0
-        return self.total_events / self.total_seconds
+__all__ = ["LatencyDistribution", "SessionMetrics"]
 
 
 class LatencyDistribution:
@@ -83,8 +31,7 @@ class LatencyDistribution:
     are therefore *recent* percentiles, which is what a live dashboard wants
     from a server that has been up for days.
 
-    Like :class:`RollingThroughput`, safe to read from a monitoring thread
-    while another thread records.
+    Safe to read from a monitoring thread while another thread records.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -111,7 +58,7 @@ class LatencyDistribution:
 
         The sample window is copied and sorted once, however many quantiles
         are requested — the batch API callers should prefer over repeated
-        ``p50``/``p95``/``p99`` reads, each of which snapshots on its own.
+        ``p50``/``p99`` reads, each of which snapshots on its own.
         """
         samples = self.samples()
         if not samples:
@@ -133,10 +80,6 @@ class LatencyDistribution:
         return self.percentile(50.0)
 
     @property
-    def p95(self) -> float:
-        return self.percentile(95.0)
-
-    @property
     def p99(self) -> float:
         return self.percentile(99.0)
 
@@ -154,11 +97,23 @@ class SessionMetrics:
     Sessions call :meth:`record_tick` once per micro-batch; everything else
     is derived.  ``busy_seconds`` counts only time spent inside ticks, so
     ``throughput`` matches the paper's metric (events per second of query
-    execution, excluding idle/arrival time).
+    execution, excluding idle/arrival time); ``rolling_throughput`` is the
+    same rate over the last ``window_ticks`` ticks, read and written under
+    one lock (a monitoring thread may read while the scheduler records).
+
+    Given a :class:`~repro.obs.registry.MetricsRegistry` (a session passes
+    its engine's), ``record_tick`` is also the one write path of the
+    registry's tick totals and tick-latency histogram.
     """
 
-    def __init__(self, *, window_ticks: int = 64, latency_history: int = 1024):
-        self.rolling = RollingThroughput(window_ticks=window_ticks)
+    def __init__(
+        self, registry=None, *, window_ticks: int = 64, latency_history: int = 1024
+    ):
+        if window_ticks < 1:
+            raise ValueError("window_ticks must be >= 1")
+        self.window_ticks = int(window_ticks)
+        self._window: Deque[Tuple[int, float]] = deque(maxlen=self.window_ticks)
+        self._lock = threading.Lock()
         self.latency = LatencyDistribution(capacity=latency_history)
         self.ticks = 0
         self.empty_ticks = 0
@@ -166,46 +121,14 @@ class SessionMetrics:
         self.output_snapshots = 0
         self.busy_seconds = 0.0
         self._registry_sinks = None
-        self._subscribers: List = []
-
-    def bind_registry(self, registry) -> None:
-        """Publish this session's tick stream into a central
-        :class:`~repro.obs.registry.MetricsRegistry`.
-
-        Sessions bind their owning engine's registry at construction, so the
-        unified exporters see fleet-wide tick totals and the tick-latency
-        histogram without any layer keeping a second copy of the counts —
-        ``record_tick`` is the single write path for both views.
-        """
-        if registry is None:
-            self._registry_sinks = None
-            return
-        self._registry_sinks = (
-            registry.counter("repro_ticks_total", "Micro-batch ticks executed"),
-            registry.counter("repro_empty_ticks_total", "Ticks that emitted no output"),
-            registry.counter("repro_ingested_events_total", "Input events ingested"),
-            registry.counter("repro_output_snapshots_total", "Output snapshots emitted"),
-            registry.histogram("repro_tick_seconds", "Per-tick wall time"),
-        )
-
-    def subscribe(self, callback) -> None:
-        """Register an observer invoked after every :meth:`record_tick`.
-
-        The callback receives the tick observation as keyword arguments
-        (``input_events``, ``output_snapshots``, ``seconds``, ``emitted``).
-        This is how derived consumers — the serving layer's SLO monitor —
-        see every tick without a second write path: sessions keep calling
-        ``record_tick`` exactly as before, whether they run standalone or
-        under a service.  Callbacks run on the recording (scheduling)
-        thread and must be cheap and exception-free.
-        """
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback) -> None:
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
+        if registry is not None:
+            self._registry_sinks = (
+                registry.counter("repro_ticks_total", "Micro-batch ticks executed"),
+                registry.counter("repro_empty_ticks_total", "Ticks that emitted no output"),
+                registry.counter("repro_ingested_events_total", "Input events ingested"),
+                registry.counter("repro_output_snapshots_total", "Output snapshots emitted"),
+                registry.histogram("repro_tick_seconds", "Per-tick wall time"),
+            )
 
     def record_tick(
         self,
@@ -215,13 +138,16 @@ class SessionMetrics:
         seconds: float,
         emitted: bool = True,
     ) -> None:
-        self.ticks += 1
-        if not emitted:
-            self.empty_ticks += 1
-        self.input_events += int(input_events)
-        self.output_snapshots += int(output_snapshots)
-        self.busy_seconds += float(seconds)
-        self.rolling.record(input_events, seconds)
+        input_events = int(input_events)
+        seconds = float(seconds)
+        with self._lock:
+            self.ticks += 1
+            if not emitted:
+                self.empty_ticks += 1
+            self.input_events += input_events
+            self.output_snapshots += int(output_snapshots)
+            self.busy_seconds += seconds
+            self._window.append((input_events, seconds))
         self.latency.record(seconds)
         sinks = self._registry_sinks
         if sinks is not None:
@@ -230,17 +156,10 @@ class SessionMetrics:
             if not emitted:
                 empty.inc()
             if input_events:
-                events.inc(int(input_events))
+                events.inc(input_events)
             if output_snapshots:
                 snaps.inc(int(output_snapshots))
-            hist.observe(float(seconds))
-        for callback in self._subscribers:
-            callback(
-                input_events=input_events,
-                output_snapshots=output_snapshots,
-                seconds=seconds,
-                emitted=emitted,
-            )
+            hist.observe(seconds)
 
     @property
     def throughput(self) -> float:
@@ -251,7 +170,14 @@ class SessionMetrics:
 
     @property
     def rolling_throughput(self) -> float:
-        return self.rolling.events_per_second
+        """Events per second over the last ``window_ticks`` ticks (0.0
+        before any work)."""
+        with self._lock:
+            events = sum(e for e, _ in self._window)
+            seconds = sum(s for _, s in self._window)
+        if seconds <= 0.0:
+            return 0.0
+        return events / seconds
 
     def summary(self) -> Dict[str, float]:
         """Snapshot of the headline numbers (stable keys, JSON-friendly)."""

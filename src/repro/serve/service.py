@@ -43,7 +43,7 @@ import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.runtime.engine import QueryResult, TiltEngine
 from ..core.runtime.session import StreamingSession, TickResult
@@ -118,9 +118,7 @@ class TenantSession:
         #: analyzer cost estimates); lets the fair-share policy seed
         #: ``cost_ewma`` before the first tick is ever measured
         self.static_cost = 0.0
-        self.ticks_scheduled = 0
         self.shed_events = 0
-        self.admitted_wall = now
         self.last_emit_wall = now
         #: wall time this tenant last received a tick (emitting or not);
         #: deadline escalation measures from max(last emit, last service)
@@ -131,9 +129,6 @@ class TenantSession:
         self._pending: List[TickResult] = []
         #: lazily built kernel/source evidence for flight-recorder pins
         self._flight_context: Optional[Dict[str, object]] = None
-        #: the SLO observer subscribed to this tenant's session metrics
-        #: (kept so lifecycle transitions can unsubscribe it)
-        self._slo_observer = None
         #: False once a tick made no progress and no new input has arrived
         #: since — the scheduler skips the tenant until it is poked.  The
         #: sequence number detects input arriving *during* a tick, so a
@@ -188,16 +183,18 @@ class TenantSession:
         """JSON-friendly per-tenant stats row, including the session's
         resolved execution plan."""
         m = self.session.metrics
+        tick_p50, tick_p99 = m.latency.quantiles([50.0, 99.0])
+        gap_p50, gap_p99 = self.emit_gaps.quantiles([50.0, 99.0])
         return {
             "state": self.state,
             "weight": self.weight,
-            "ticks_scheduled": float(self.ticks_scheduled),
+            "ticks_scheduled": float(m.ticks),
             "input_events": float(m.input_events),
             "events_per_second": m.throughput,
-            "tick_latency_p50": m.latency.p50,
-            "tick_latency_p99": m.latency.p99,
-            "emit_gap_p50": self.emit_gaps.p50,
-            "emit_gap_p99": self.emit_gaps.p99,
+            "tick_latency_p50": tick_p50,
+            "tick_latency_p99": tick_p99,
+            "emit_gap_p50": gap_p50,
+            "emit_gap_p99": gap_p99,
             "queue_depth": float(self.queue_depth),
             "shed_events": float(self.shed_events),
             "cost_ewma": float(self.cost_ewma or 0.0),
@@ -355,9 +352,7 @@ class QueryService:
         self._g_fairness = registry.gauge(
             "repro_fairness_index", "Jain fairness index over weighted tenant busy time"
         )
-        # escalation counts are monotonic, so they export as counters (the
-        # registry's unit-suffix audit rejects a ``_total``-less gauge for
-        # them); stats() pushes deltas since the previous export
+        # counted by step() at the select that takes the escalation
         self._c_escalations = registry.counter(
             "repro_scheduler_escalations_total",
             "Deadline/SLO escalations taken by the scheduler",
@@ -366,8 +361,6 @@ class QueryService:
             "repro_slo_escalations_total",
             "Escalations taken on SLO breach state alone (no overdue deadline)",
         )
-        self._exported_escalations = 0
-        self._exported_slo_escalations = 0
         self._h_emit_gap = registry.histogram(
             "repro_emit_gap_seconds",
             "Wall-clock gap between consecutive emitted ticks per tenant",
@@ -412,8 +405,15 @@ class QueryService:
             from ..obs.http import TelemetryServer
 
             monitor = self._slo
+
+            def scrape() -> str:
+                with self._lock:
+                    tenants = list(self._tenants.items())
+                self._fleet(tenants)
+                return registry.to_prometheus()
+
             self._telemetry = TelemetryServer(
-                metrics=registry.to_prometheus,
+                metrics=scrape,
                 health=monitor.healthz if monitor is not None else None,
                 slo=(
                     (lambda: monitor.evaluate().to_dict())
@@ -604,33 +604,10 @@ class QueryService:
             )
             self._tenants[tenant_name] = tenant
             self._scheduler.admit(tenant)
+            self._g_active.inc()
             self._submitted += 1
             if self._slo is not None:
-                # observe every tick through the session's own metrics hook:
-                # record_tick stays the single write path whether the session
-                # runs standalone or under a service.  The callback fires
-                # inside session.tick(), before _advance updates
-                # last_emit_wall, so the gap it computes is the wall-clock
-                # staleness this emission just ended.
                 self._slo.watch(tenant_name)
-
-                def _observe(
-                    *,
-                    input_events,
-                    output_snapshots,
-                    seconds,
-                    emitted,
-                    _tenant=tenant,
-                    _monitor=self._slo,
-                    _clock=self._clock,
-                ):
-                    gap = _clock() - _tenant.last_emit_wall if emitted else None
-                    _monitor.record_tick(
-                        _tenant.name, seconds=seconds, emitted=emitted, emit_gap=gap
-                    )
-
-                tenant._slo_observer = _observe
-                session.metrics.subscribe(_observe)
         self._wake.set()
         return tenant_name
 
@@ -748,19 +725,17 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # scheduling loop
     # ------------------------------------------------------------------ #
-    def _release_slo(self, tenant: TenantSession, *, forget: bool) -> None:
-        """Detach a tenant leaving the ready set from SLO tracking.
-
-        ``forget`` drops its burn-rate state entirely (finish/cancel: the
-        promise ends with the tenant); a *failed* tenant is kept so its
-        error-objective breach persists until the embedder forgets it.
-        """
-        if self._slo is None:
-            return
-        if tenant._slo_observer is not None:
-            tenant.session.metrics.unsubscribe(tenant._slo_observer)
-            tenant._slo_observer = None
-        if forget:
+    def _retire(self, tenant: TenantSession, state: str) -> None:
+        """Move an ACTIVE tenant to ``state`` for good (caller holds the lock):
+        end its session unflushed, release blocked producers, drop it from
+        the scheduler and the active gauge.  A *failed* tenant stays
+        watched, so its error-objective breach persists until forgotten."""
+        tenant.state = state
+        tenant.session.abort()
+        tenant.close_inputs()
+        self._scheduler.remove(tenant)
+        self._g_active.dec()
+        if self._slo is not None and state != FAILED:
             self._slo.forget(tenant.name)
 
     def _refresh_urgent(self, now: float) -> frozenset:
@@ -798,9 +773,16 @@ class QueryService:
                     urgent = (
                         self._refresh_urgent(now) if self._slo is not None else ()
                     )
+                    scheduler = self._scheduler
+                    escalations = scheduler.escalations
+                    slo_escalations = scheduler.slo_escalations
                     with tracer.span("scheduler.select", ready=len(ready)) as sel:
-                        tenant = self._scheduler.select(ready, now, urgent=urgent)
+                        tenant = scheduler.select(ready, now, urgent=urgent)
                         sel.set(tenant=tenant.name)
+                    if scheduler.escalations != escalations:
+                        self._c_escalations.inc()
+                    if scheduler.slo_escalations != slo_escalations:
+                        self._c_slo_escalations.inc()
                     dirty_seq = tenant._dirty_seq
                 except BaseException:
                     step_span.__exit__(None, None, None)
@@ -892,39 +874,41 @@ class QueryService:
                 # ``repro.serve`` logger.
                 tenant.error = exc
                 tenant.traceback = formatted
-                tenant.state = FAILED
-                tenant.session.abort()
-                tenant.close_inputs()
-                self._scheduler.remove(tenant)
+                self._retire(tenant, FAILED)
                 self._m_failures.inc()
-                # a failed tenant stays *watched* (its error objective is a
-                # permanent breach driving /healthz to 503) but stops
-                # feeding observations
-                self._release_slo(tenant, forget=False)
             if self._slo is not None:
                 self._slo.record_failure(tenant.name, error=repr(exc))
             _LOG.error(
                 "tenant %r failed during tick %d and was isolated: %r",
                 tenant.name,
-                tenant.ticks_scheduled,
+                session.metrics.ticks,
                 exc,
                 exc_info=exc,
                 extra={
                     "tenant": tenant.name,
-                    "tick": tenant.ticks_scheduled,
+                    "tick": session.metrics.ticks,
                     "tenant_error": repr(exc),
                 },
             )
             return None
         now = self._clock()
         with self._lock:
-            tenant.ticks_scheduled += 1
             tenant.last_service_wall = now
             self._scheduler.record(tenant, result.elapsed_seconds)
+            gap = now - tenant.last_emit_wall if result.emitted else None
+            # a tenant cancelled mid-tick is already retired and unwatched
+            active = tenant.state == ACTIVE
+            if active and self._slo is not None:
+                self._slo.record_tick(
+                    tenant.name,
+                    seconds=result.elapsed_seconds,
+                    emitted=result.emitted,
+                    emit_gap=gap,
+                    now=now,
+                )
             if finished:
-                tenant.state = FINISHED
-                self._scheduler.remove(tenant)
-                self._release_slo(tenant, forget=True)
+                if active:
+                    self._retire(tenant, FINISHED)
             elif not result.events_ingested and not result.emitted:
                 if session.exhausted:
                     tenant.mark_dirty()  # flush on the next turn
@@ -933,7 +917,6 @@ class QueryService:
                     # marked mid-tick (the verdict would be stale)
                     tenant._dirty = False
             if result.emitted:
-                gap = now - tenant.last_emit_wall
                 tenant.emit_gaps.record(gap)
                 self._h_emit_gap.observe(gap)
                 tenant.last_emit_wall = now
@@ -1009,54 +992,44 @@ class QueryService:
             tenant = self._tenant(name)
             if tenant.state != ACTIVE:
                 return False
-            tenant.session.abort()
-            tenant.state = CANCELLED
-            tenant.close_inputs()  # wake any producer blocked in ingest
-            self._scheduler.remove(tenant)
-            self._release_slo(tenant, forget=True)
+            self._retire(tenant, CANCELLED)
         self._wake.set()
         return True
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
+    def _fleet(self, tenants: List[Tuple[str, TenantSession]]) -> FleetSnapshot:
+        """Aggregate ``(name, tenant)`` pairs and refresh the queue-depth and
+        fairness gauges from the result: no writer keeps those two current,
+        so :meth:`stats` and every telemetry scrape go through here.
+
+        The heavy part — copying and merging every tenant's latency sample
+        window — runs outside the service lock (the per-metric locks make
+        the reads safe), so monitoring never stalls the scheduling loop.
+        """
+        fleet = aggregate_fleet(
+            {n: t.session.metrics for n, t in tenants},
+            active=[n for n, t in tenants if t.state == ACTIVE],
+            weights={n: t.weight for n, t in tenants},
+            queue_depths={n: t.queue_depth for n, t in tenants},
+            shed_events={n: t.shed_events for n, t in tenants},
+        )
+        self._g_queue.set(float(fleet.queue_depth))
+        self._g_fairness.set(fleet.fairness)
+        return fleet
+
     def stats(self) -> ServiceStats:
         """Fleet snapshot: scheduler, admission, and aggregated metrics."""
         with self._lock:
             tenants = list(self._tenants.items())
-            active = [n for n, t in tenants if t.state == ACTIVE]
             policy = self._scheduler.policy.name
             ticks_dispatched = self._scheduler.ticks_dispatched
             escalations = self._scheduler.escalations
             slo_escalations = self._scheduler.slo_escalations
             submitted = self._submitted
             rejected = self._admission.rejected_tenants
-            # escalation totals export as counters: push the delta since
-            # the previous stats() call
-            esc_delta = escalations - self._exported_escalations
-            self._exported_escalations = escalations
-            slo_esc_delta = slo_escalations - self._exported_slo_escalations
-            self._exported_slo_escalations = slo_escalations
-        # the heavy part — copying and merging every tenant's latency
-        # sample window — runs outside the service lock (the per-metric
-        # locks make the reads safe), so monitoring never stalls the
-        # scheduling loop
-        fleet = aggregate_fleet(
-            {n: t.session.metrics for n, t in tenants},
-            active=active,
-            weights={n: t.weight for n, t in tenants},
-            queue_depths={n: t.queue_depth for n, t in tenants},
-            shed_events={n: t.shed_events for n, t in tenants},
-        )
-        # push the point-in-time fleet numbers into the registry gauges so
-        # a Prometheus scrape of engine.registry sees the serving layer too
-        self._g_active.set(float(fleet.active_tenants))
-        self._g_queue.set(float(fleet.queue_depth))
-        self._g_fairness.set(fleet.fairness)
-        if esc_delta > 0:
-            self._c_escalations.inc(esc_delta)
-        if slo_esc_delta > 0:
-            self._c_slo_escalations.inc(slo_esc_delta)
+        fleet = self._fleet(tenants)
         return ServiceStats(
             policy=policy,
             ticks_dispatched=ticks_dispatched,
@@ -1088,11 +1061,7 @@ class QueryService:
             self._closed = True
             for tenant in self._tenants.values():
                 if tenant.state == ACTIVE:
-                    tenant.session.abort()
-                    tenant.state = CANCELLED
-                    tenant.close_inputs()
-                    self._scheduler.remove(tenant)
-                    self._release_slo(tenant, forget=True)
+                    self._retire(tenant, CANCELLED)
         if self._owns_engine:
             self._engine.close()
 

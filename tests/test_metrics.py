@@ -5,16 +5,16 @@ import pytest
 
 class TestStreamingMetrics:
     def test_rolling_throughput_window(self):
-        from repro.metrics import RollingThroughput
+        from repro.metrics import SessionMetrics
 
-        roll = RollingThroughput(window_ticks=2)
-        roll.record(100, 1.0)
-        roll.record(100, 1.0)
-        roll.record(400, 1.0)
+        m = SessionMetrics(window_ticks=2)
+        for events in (100, 100, 400):
+            m.record_tick(input_events=events, output_snapshots=0, seconds=1.0)
         # window holds the last two ticks only; cumulative remembers all
-        assert roll.events_per_second == pytest.approx(250.0)
-        assert roll.cumulative_events_per_second == pytest.approx(200.0)
-        assert roll.total_events == 600
+        assert m.rolling_throughput == pytest.approx(250.0)
+        assert m.summary()["rolling_events_per_second"] == pytest.approx(250.0)
+        assert m.throughput == pytest.approx(200.0)
+        assert m.input_events == 600
 
     def test_latency_distribution_percentiles(self):
         from repro.metrics import LatencyDistribution
@@ -53,33 +53,18 @@ class TestStreamingMetrics:
         assert "ticks" in m.format()
 
     def test_empty_metrics_read_zero(self):
-        from repro.metrics import LatencyDistribution, RollingThroughput, SessionMetrics
-
-        roll = RollingThroughput()
-        assert roll.events_per_second == 0.0 and roll.cumulative_events_per_second == 0.0
-        lat = LatencyDistribution()
-        assert lat.p50 == 0.0 and lat.p99 == 0.0 and lat.mean == 0.0
-        assert SessionMetrics().throughput == 0.0
-
-    def test_subscribers_see_every_tick(self):
-        from repro.metrics import SessionMetrics
+        from repro.metrics import LatencyDistribution, SessionMetrics
 
         m = SessionMetrics()
-        seen = []
-        callback = lambda **tick: seen.append(tick)  # noqa: E731
-        m.subscribe(callback)
-        m.record_tick(input_events=5, output_snapshots=1, seconds=0.2)
-        m.unsubscribe(callback)
-        m.unsubscribe(callback)  # a second removal is a no-op
-        m.record_tick(input_events=7, output_snapshots=0, seconds=0.1, emitted=False)
-        assert seen == [dict(input_events=5, output_snapshots=1, seconds=0.2, emitted=True)]
-        assert m.ticks == 2
+        assert m.rolling_throughput == 0.0 and m.throughput == 0.0
+        lat = LatencyDistribution()
+        assert lat.p50 == 0.0 and lat.p99 == 0.0 and lat.mean == 0.0
 
     def test_invalid_configs(self):
-        from repro.metrics import LatencyDistribution, RollingThroughput
+        from repro.metrics import LatencyDistribution, SessionMetrics
 
         with pytest.raises(ValueError):
-            RollingThroughput(window_ticks=0)
+            SessionMetrics(window_ticks=0)
         with pytest.raises(ValueError):
             LatencyDistribution(capacity=0)
 

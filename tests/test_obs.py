@@ -374,10 +374,9 @@ class TestSessionMetricsRegistry:
         assert p99 == pytest.approx(dist.percentile(99.0))
         assert LatencyDistribution().quantiles([50.0, 95.0]) == [0.0, 0.0]
 
-    def test_bind_registry_single_write_path(self):
+    def test_registry_single_write_path(self):
         reg = MetricsRegistry()
-        m = SessionMetrics()
-        m.bind_registry(reg)
+        m = SessionMetrics(reg)
         m.record_tick(input_events=10, output_snapshots=3, seconds=0.01)
         m.record_tick(input_events=0, output_snapshots=0, seconds=0.001, emitted=False)
         doc = reg.to_json()

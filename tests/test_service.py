@@ -540,3 +540,123 @@ class TestSLOIntegration:
             service.run_until_idle()
             summary = service.stats().summary()
             assert "slo_escalations" in summary
+
+
+class TestLiveRegistry:
+    """Every serving number in the registry is written where it changes,
+    so a scrape reads it current without anyone calling ``stats()``."""
+
+    class Clock:
+        def __init__(self):
+            self.now = 0.0
+
+        def __call__(self):
+            return self.now
+
+    @staticmethod
+    def value(engine, name):
+        return engine.registry.to_json()[name]["series"][0]["value"]
+
+    @staticmethod
+    def unbounded(service, name, **kw):
+        feed = GeneratorSource(
+            lambda i: stock_price_stream(200, seed=i), name="stock", events_per_poll=100
+        )
+        service.submit(
+            get_application("trading").program(),
+            name=name,
+            sources=[feed],
+            retain_output=False,
+            **kw,
+        )
+
+    def test_scrape_is_current_without_stats(self):
+        import urllib.request
+
+        clock = self.Clock()
+        engine = TiltEngine(workers=1)
+        service = QueryService(engine, clock=clock, telemetry_port=0)
+        try:
+            self.unbounded(service, "late", deadline=1.0)
+            service.submit(get_application("trading").program(), name="push")
+            events = get_application("trading").streams(300, seed=4)["stock"].events
+            assert service.ingest("push", events) == 300
+            for _ in range(2):
+                clock.now += 5.0  # "late" is overdue: its select escalates
+                assert service.step() is not None
+            assert self.value(engine, "repro_scheduler_escalations_total") == 2
+            assert self.value(engine, "repro_active_tenants") == 2
+            with urllib.request.urlopen(service.telemetry.url + "/metrics", timeout=5) as resp:
+                lines = resp.read().decode().splitlines()
+            samples = dict(line.rsplit(" ", 1) for line in lines if not line.startswith("#"))
+            assert float(samples["repro_scheduler_escalations_total"]) == 2
+            assert float(samples["repro_active_tenants"]) == 2
+            assert float(samples["repro_queue_depth"]) == 300
+        finally:
+            service.close()
+            engine.close()
+
+    def test_active_tenants_sum_over_services_on_one_engine(self):
+        engine = TiltEngine(workers=1)
+        first, second = QueryService(engine), QueryService(engine)
+        try:
+            for i in range(2):
+                self.unbounded(first, f"a{i}")
+            for i in range(3):
+                self.unbounded(second, f"b{i}")
+            assert self.value(engine, "repro_active_tenants") == 5
+            second.cancel("b0")
+            first.run_until_idle(max_ticks=4)
+            first.stats()  # reading one service's stats must not narrow the gauge
+            assert self.value(engine, "repro_active_tenants") == 4
+            first.close()
+            assert self.value(engine, "repro_active_tenants") == 2
+        finally:
+            first.close()
+            second.close()
+            engine.close()
+
+    def test_slo_monitor_sees_each_tick_once(self):
+        with QueryService(workers=1, slo=True) as service:
+            seen = []
+            record = service.slo_monitor.record_tick
+
+            def counting(tenant, **kw):
+                seen.append(tenant)
+                record(tenant, **kw)
+
+            service.slo_monitor.record_tick = counting
+            app = get_application("trading")
+            service.submit(
+                app.program(),
+                name="finite",
+                sources=sources_for_streams(app.streams(400, seed=5), events_per_poll=90),
+            )
+            self.unbounded(service, "endless")
+            service.run_until_idle(max_ticks=40)
+            finite = service._tenants["finite"]
+            assert finite.state == "finished"
+            # every tick, the closing flush included, observed exactly once
+            assert seen.count("finite") == finite.session.metrics.ticks
+            endless = service._tenants["endless"].session.metrics
+            assert seen.count("endless") == endless.ticks > 0
+            service.cancel("endless")
+            service.run_until_idle()
+            assert seen.count("endless") == endless.ticks
+            assert "endless" not in service.slo_monitor.tenants()
+
+            class CancelMidTick(GeneratorSource):
+                def poll(self, max_events=None):
+                    service.cancel("doomed")
+                    return super().poll(max_events)
+
+            feed = CancelMidTick(
+                lambda i: stock_price_stream(200, seed=i), name="stock", events_per_poll=100
+            )
+            service.submit(app.program(), name="doomed", sources=[feed])
+            assert service.step() is not None  # the tick completes, cancelled
+            assert service._tenants["doomed"].state == "cancelled"
+            assert "doomed" not in seen
+            assert "doomed" not in service.slo_monitor.tenants()
+            gauge = service.engine.registry.to_json()["repro_active_tenants"]
+            assert gauge["series"][0]["value"] == 0
