@@ -194,7 +194,7 @@ class _DomainChecker(ExprVisitor):
     # sites ------------------------------------------------------------ #
     def visit_binop(self, node: BinOp) -> None:
         if node.op in ("/", "%") and self._guard_depth == 0:  # lint: allow(LNT107)
-            if not self._nonzero_const(node.rhs):
+            if not self._nonzero(node.rhs):
                 self.sites.append(
                     ("DOM001", f"'{node.op}' with a possibly-zero divisor")
                 )
@@ -220,9 +220,16 @@ class _DomainChecker(ExprVisitor):
             self.sites.append(("DOM003", "log of a possibly-non-positive operand"))
 
     # operand facts ---------------------------------------------------- #
-    @staticmethod
-    def _nonzero_const(expr: Expr) -> bool:
-        return isinstance(expr, Const) and expr.value != 0.0
+    @classmethod
+    def _nonzero(cls, expr: Expr) -> bool:
+        if isinstance(expr, Const):
+            return expr.value != 0.0
+        # max(x, c) with c > 0 is c or more (or NaN): never zero
+        return (
+            isinstance(expr, BinOp)
+            and expr.op == "max"  # lint: allow(LNT107)
+            and (cls._positive_const(expr.lhs) or cls._positive_const(expr.rhs))
+        )
 
     @staticmethod
     def _nonnegative(expr: Expr) -> bool:

@@ -4,46 +4,30 @@ The Pan-Tompkins algorithm detects the QRS complexes (heartbeats) in an ECG
 signal through a cascade of filtering stages: band-pass filtering, a
 derivative, squaring, and moving-window integration followed by
 thresholding.  Each stage maps onto a temporal operator: the band-pass is a
-difference of two moving averages, the derivative is a custom window
-aggregate, squaring is a Select, the integrator is another moving average,
-and thresholding is a Where.
+difference of two moving averages, the derivative is the window's last
+minus first sample over its span (three window aggregates joined), squaring
+is a Select, the integrator is another moving average, and thresholding is
+a Where.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..core.frontend.query import LEFT, PAYLOAD, RIGHT, QueryNode, source
+from ..core.ir.nodes import BinOp, Const
 from ..core.runtime.stream import EventStream
 from ..datagen.generators import ecg_stream
-from ..windowing.functions import MEAN, custom_aggregate
+from ..windowing.functions import COUNT, FIRST, LAST, MEAN
 from .base import StreamingApplication
 
-__all__ = ["pan_tompkins_query", "PAN_TOMPKINS", "ECG_FREQUENCY_HZ", "five_point_derivative"]
+__all__ = ["pan_tompkins_query", "PAN_TOMPKINS", "ECG_FREQUENCY_HZ"]
 
 E = PAYLOAD
 
 #: sampling frequency of the synthetic ECG waveform
 ECG_FREQUENCY_HZ = 128.0
 _PERIOD = 1.0 / ECG_FREQUENCY_HZ
-
-#: custom reduction: discrete derivative over a short window (last - first,
-#: normalised by the window span).  State is (first, last, count).
-five_point_derivative = custom_aggregate(
-    name="window_derivative",
-    init=lambda: (None, None, 0),
-    acc=lambda s, v: (v if s[0] is None else s[0], v, s[2] + 1),
-    result=lambda s: 0.0 if s[2] < 2 else (s[1] - s[0]) / max(s[2] - 1, 1),
-    merge=lambda a, b: (
-        a[0] if a[0] is not None else b[0],
-        b[1] if b[1] is not None else a[1],
-        a[2] + b[2],
-    ),
-    vector_eval=lambda vals: 0.0 if len(vals) < 2 else float(vals[-1] - vals[0]) / (len(vals) - 1),
-)
-
 
 def pan_tompkins_query(
     frequency_hz: float = ECG_FREQUENCY_HZ,
@@ -66,7 +50,14 @@ def pan_tompkins_query(
     narrow = ecg.window(16 * period, period).aggregate(MEAN).named("ma_narrow")
     wide = ecg.window(80 * period, period).aggregate(MEAN).named("ma_wide")
     bandpass = narrow.join(wide, LEFT - RIGHT).named("bandpass")
-    derivative = bandpass.window(5 * period, period).aggregate(five_point_derivative).named(
+    # (last - first) / (count - 1) over 5 samples; a one-sample window has
+    # last == first and the divisor max(count - 1, 1) = 1, so it is 0.0
+    spread = (
+        bandpass.window(5 * period, period).aggregate(LAST)
+        .join(bandpass.window(5 * period, period).aggregate(FIRST), LEFT - RIGHT)
+    )
+    samples = bandpass.window(5 * period, period).aggregate(COUNT)
+    derivative = spread.join(samples, LEFT / BinOp("max", RIGHT - 1.0, Const(1.0))).named(
         "derivative"
     )
     squared = derivative.select(E * E).named("squared")

@@ -9,15 +9,13 @@ into a combined health indicator that is thresholded to raise alerts.
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
-import numpy as np
-
 from ..core.frontend.query import LEFT, PAYLOAD, RIGHT, QueryNode, source
+from ..core.ir.nodes import Var
 from ..core.runtime.stream import EventStream
 from ..datagen.generators import vibration_stream
-from ..windowing.functions import MAX, MEAN, custom_aggregate
+from ..windowing.functions import MAX, MEAN, AggregateFunction, derived_aggregate
 from .base import StreamingApplication
 
 __all__ = ["vibration_query", "VIBRATION", "VIBRATION_FREQUENCY_HZ", "kurtosis_aggregate"]
@@ -31,33 +29,29 @@ E = PAYLOAD
 VIBRATION_FREQUENCY_HZ = 8192.0
 
 
-def _kurtosis_from_moments(state) -> float:
-    n, s1, s2, s3, s4 = state
-    if n < 2:
-        return 0.0
+def _kurtosis() -> AggregateFunction:
+    """The (non-excess) kurtosis ``m4 / m2²`` of a window from its raw
+    moments — the Custom-Agg of the vibration-analysis query, as one derived
+    prefix row: five window sums, one index, every tier.
+
+    A window of fewer than two samples has no spread, nor does a flat one:
+    a variance under 2⁻²⁰ of the mean square is what the float64 raw moments
+    leave of a constant window (``m4`` is then mostly cancellation error).
+    Either way the divisor is zero and ``/`` gives the kurtosis 0.0."""
+    n, s1, s2, s3, s4 = (Var(name) for name in ("n", "s1", "s2", "s3", "s4"))
     mean = s1 / n
-    m2 = s2 / n - mean ** 2
-    if m2 <= 0:
-        return 0.0
-    m4 = s4 / n - 4 * mean * (s3 / n) + 6 * mean ** 2 * (s2 / n) - 3 * mean ** 4
-    return m4 / (m2 ** 2)
-
-
-#: custom reduction computing the (non-excess) kurtosis of a window from its
-#: raw moments — the Custom-Agg of the vibration-analysis query.
-kurtosis_aggregate = custom_aggregate(
-    name="kurtosis",
-    init=lambda: (0.0, 0.0, 0.0, 0.0, 0.0),
-    acc=lambda s, v: (s[0] + 1, s[1] + v, s[2] + v * v, s[3] + v ** 3, s[4] + v ** 4),
-    result=_kurtosis_from_moments,
-    deacc=lambda s, v: (s[0] - 1, s[1] - v, s[2] - v * v, s[3] - v ** 3, s[4] - v ** 4),
-    merge=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-    vector_eval=lambda vals: float(
-        np.mean((vals - vals.mean()) ** 4) / max(np.var(vals) ** 2, 1e-30)
+    mean_square = s2 / n
+    m2 = mean_square - mean * mean
+    m4 = s4 / n - 4.0 * mean * (s3 / n) + 6.0 * mean * mean * mean_square - 3.0 * mean * mean * mean * mean
+    spread = m2 * ((n >= 2.0) & (m2 > 2.0 ** -20 * mean_square))
+    return derived_aggregate(
+        "kurtosis",
+        {"n": 1.0, "s1": E, "s2": E * E, "s3": E * E * E, "s4": E * E * E * E},
+        m4 / (spread * spread),
     )
-    if len(vals) >= 2
-    else 0.0,
-)
+
+
+kurtosis_aggregate = _kurtosis()
 
 
 def vibration_query(
@@ -71,7 +65,7 @@ def vibration_query(
       element map followed by a Select);
     * peak: windowed Max;
     * crest factor: peak / RMS (Join);
-    * kurtosis: custom aggregate from raw moments;
+    * kurtosis: a derived aggregate over raw moments;
     * alert: kurtosis + crest factor joined and thresholded (Join + Where).
     """
     vib = source("vibration")

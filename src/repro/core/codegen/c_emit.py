@@ -35,23 +35,11 @@ from ..ir.nodes import (
     UnaryOp,
     Var,
 )
-from ..ops import bind
+from ..ops import bind, c_literal
 from .native import TICK_ENTRY
 from .pysource import KernelSpec
 
 __all__ = ["lower", "Lowered", "TICK_SUPPORT"]
-
-
-def _c_float(value: float) -> str:
-    """Exact C literal for a Python float (hex form, no decimal rounding)."""
-    value = float(value)
-    if value != value:
-        return "NAN"
-    if value == float("inf"):
-        return "INFINITY"
-    if value == float("-inf"):
-        return "(-INFINITY)"
-    return value.hex()
 
 
 class _Group(NamedTuple):
@@ -86,6 +74,16 @@ _C_HEADER = """#include <stdint.h>
 /* NumPy's maximum/minimum: first operand wins on NaN */
 #define NPMAX(a, b) (((a) > (b) || isnan(a)) ? (a) : (b))
 #define NPMIN(a, b) (((a) < (b) || isnan(a)) ? (a) : (b))
+
+/* np.mod: npy_divmod's remainder — fmod, moved to the divisor's sign when
+   nonzero, a zero remainder signed as the divisor */
+static inline double tilt_mod(double a, double b)
+{
+    double mod = fmod(a, b);
+    if (mod == 0.0) return copysign(0.0, b);
+    if ((b < 0.0) != (mod < 0.0)) mod += b;
+    return mod;
+}
 """
 
 #: the cursor seeks
@@ -323,7 +321,7 @@ class _CEmitter:
         emit = out.append
         if isinstance(expr, Const):
             v, k = self.fresh()
-            emit(f"        double {v} = {_c_float(expr.value)};")
+            emit(f"        double {v} = {c_literal(expr.value)};")
             emit(f"        int {k} = 1;")
             return v, k
         if isinstance(expr, Phi):
@@ -395,10 +393,10 @@ class _CEmitter:
         s = f"p{self._site_counter}"
         m, bt, bv, bk, bs = self._ref_args(ref)
         v, k = self.fresh()
-        self.decls.append(f"    int64_t {s}_cur = tilt_lower({bt}, {m}, ts[0] + {_c_float(offset)});")
+        self.decls.append(f"    int64_t {s}_cur = tilt_lower({bt}, {m}, ts[0] + {c_literal(offset)});")
         # mirror of SSBuf.values_at: searchsorted(times, q, 'left') by a
         # monotone cursor; in_range = q > start_time && q <= times[m-1]
-        self.body.append(f"        double {s}_q = ts[i] + {_c_float(offset)};")
+        self.body.append(f"        double {s}_q = ts[i] + {c_literal(offset)};")
         self.body.append(f"        double {v} = 0.0; int {k} = 0;")
         self.body.append(f"        if ({m} > 0) {{")
         self.body.append(
@@ -517,7 +515,7 @@ class _CEmitter:
         xv, xk = self._emit_elem(group, loop)
         agg = group.agg
         if agg.strategy.range == "rmq":
-            fill = _c_float(RMQ_DIRECTIONS[agg.rmq].fill)
+            fill = c_literal(RMQ_DIRECTIONS[agg.rmq].fill)
             self._alloc("double", f"{g}_base", f"{m} > 0 ? {m} : 1", pre)
             self._alloc("int64_t", f"{g}_nc", f"{m} + 1", pre)
             pre.append(f"    {g}_vp[0] = 0; {g}_nc[0] = 0;")
@@ -573,14 +571,14 @@ class _CEmitter:
         v, k = self.fresh()
         body = self.body
         self.decls.append(
-            f"    int64_t {s}_lo = tilt_upper({bt}, {m}, ts[0] + {_c_float(window.start_offset)}),"
-            f" {s}_hi = tilt_starts_before({bt}, {m}, {bs}, ts[0] + {_c_float(window.end_offset)});"
+            f"    int64_t {s}_lo = tilt_upper({bt}, {m}, ts[0] + {c_literal(window.start_offset)}),"
+            f" {s}_hi = tilt_starts_before({bt}, {m}, {bs}, ts[0] + {c_literal(window.end_offset)});"
         )
         # snapshot_range_indices by monotone cursors:
         #   lo = searchsorted(times, ws, 'right')
         #   hi = searchsorted(interval_starts, we, 'left')
-        body.append(f"        double {s}_ws = ts[i] + {_c_float(window.start_offset)};")
-        body.append(f"        double {s}_we = ts[i] + {_c_float(window.end_offset)};")
+        body.append(f"        double {s}_ws = ts[i] + {c_literal(window.start_offset)};")
+        body.append(f"        double {s}_we = ts[i] + {c_literal(window.end_offset)};")
         body.append(f"        while ({s}_lo < {m} && {bt}[{s}_lo] <= {s}_ws) {s}_lo++;")
         body.append(
             f"        while ({s}_hi < {m} && "
@@ -646,13 +644,13 @@ class _CEmitter:
         pairs = []
         for ref, pattern in self.spec.accesses.items():
             m, bt, _, _, bs = self._ref_args(ref)
-            pairs += [f"{{{m}, {bt}, {bs}, {_c_float(o)}}}" for o in pattern.boundary_offsets()]
+            pairs += [f"{{{m}, {bt}, {bs}, {c_literal(o)}}}" for o in pattern.boundary_offsets()]
         lines = []
         if pairs:
             lines.append(f"    const tilt_access grid[{len(pairs)}] = {{{', '.join(pairs)}}};")
         lines.append(
             f"    int64_t n = tilt_grid({'grid' if pairs else 'NULL'}, {len(pairs)}, "
-            f"{_c_float(self.spec.tdom.precision)}, t_start, t_end, ts, cap);"
+            f"{c_literal(self.spec.tdom.precision)}, t_start, t_end, ts, cap);"
         )
         lines.append("    if (n < 0 || n > cap) return n;")
         return lines

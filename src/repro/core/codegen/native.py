@@ -23,13 +23,15 @@ itself (pairwise summation is not replicated in C; the one place it matters
 is computed Python-side and passed in), hex-float constants, and
 division-by-zero masking.  What lowers is whatever carries a C fragment in
 the two semantics tables — an :class:`~repro.core.ops.Op` row with a ``c``
-template, a built-in :class:`~repro.windowing.functions.AggregateFunction`
-row that is ``c_lowerable`` (``python -m repro.analysis --rows`` lists
-both).  Rows without one — NumPy lowerings that portable C cannot
-replicate bit for bit (pairwise-summed ``np.prod``, SIMD transcendentals,
-``np.mod``) — and custom Python aggregates are **not lowered**: such
-kernels silently stay on the NumPy tier, observable through :func:`stats`
-and the engine's ``repro_native_fallbacks_total`` counter.
+template, a built-in or derived
+:class:`~repro.windowing.functions.AggregateFunction` row that is
+``c_lowerable`` (``python -m repro.analysis --rows`` lists the tables; a
+derived row's C text is generated from the operator rows).  Rows without
+one — NumPy lowerings that portable C cannot replicate bit for bit
+(pairwise-summed ``np.prod``, SIMD transcendentals) — and opaque custom
+aggregates (Python callables) are **not lowered**: such kernels silently
+stay on the NumPy tier, observable through :func:`stats` and the engine's
+``repro_native_fallbacks_total`` counter.
 
 Life of a kernel
 ----------------
@@ -127,7 +129,6 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ...errors import ExecutionError
-from ...windowing.functions import _BUILTIN_SINGLETONS
 from ..ir.nodes import BinOp, Call, Expr, Reduce, UnaryOp
 from ..runtime.ssbuf import _ssbuf_from_arrays
 from .pysource import KernelSpec
@@ -501,7 +502,7 @@ def _blockers(spec: KernelSpec, longdouble_ok: bool) -> List[str]:
                 blockers.append(f"{kind} {expr.row.name!r} has no bit-stable native lowering")
         elif isinstance(expr, Reduce):
             agg = expr.agg
-            if _BUILTIN_SINGLETONS.get(agg.name) is not agg:
+            if not agg.generated:
                 blockers.append(f"custom aggregate {agg.name!r} requires Python folds")
             elif not agg.c_lowerable:
                 blockers.append(f"aggregate {agg.name!r} has no bit-stable native lowering")
@@ -525,11 +526,11 @@ def _blockers(spec: KernelSpec, longdouble_ok: bool) -> List[str]:
 #: the ``cc`` running now and its temp files (builds hold ``_BUILD_LOCK``,
 #: so there is at most one), for :func:`_kill_compiler`
 _IN_FLIGHT: Optional[Tuple[subprocess.Popen, Tuple[str, ...]]] = None
-#: set by :func:`_kill_compiler`: a compiler started after it has run is
-#: killed by whoever started it
+#: set by :func:`_kill_compiler`: no compiler starts after it has run
 _EXITING = False
 _EXIT_HOOKED = False
-#: orders a compiler's registration against :func:`_kill_compiler`
+#: held while a compiler is started and registered, and by
+#: :func:`_kill_compiler` while it reads the registration
 _SPAWN_LOCK = threading.Lock()
 
 
@@ -561,20 +562,21 @@ def _run_compiler(cmd: List[str], leftovers: Tuple[str, ...]) -> Tuple[int, str]
     if not _EXIT_HOOKED:
         atexit.register(_kill_compiler)
         _EXIT_HOOKED = True
-    proc = subprocess.Popen(
-        cmd,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        start_new_session=True,
-    )
+    # started and registered in one step: a compiler the exit hook cannot
+    # see is never running, and none starts once the hook has run.  Only
+    # the exit hook waits on this lock, for the fork and exec
     with _SPAWN_LOCK:
-        exiting = _EXITING
-        if not exiting:
-            _IN_FLIGHT = (proc, leftovers)
-    try:
-        if exiting:  # the exit hook has run: this one is ours to kill
+        if _EXITING:
             raise subprocess.SubprocessError("the interpreter is exiting")
+        proc = subprocess.Popen(  # lint: allow(LNT101)
+            cmd,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        )
+        _IN_FLIGHT = (proc, leftovers)
+    try:
         output, _ = proc.communicate(timeout=120)
     except subprocess.SubprocessError:
         with contextlib.suppress(OSError):

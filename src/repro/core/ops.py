@@ -4,7 +4,8 @@ One :class:`Op` row states an operator's meaning side by side in every
 form a consumer needs — the scalar reference (interpreter, constant
 folder), the NumPy template (``pysource``) and the per-lane
 C template (``native``; ``None`` where portable C cannot replicate NumPy's
-bits: SIMD transcendentals and ``np.mod``).  IR node validation, the
+bits: SIMD transcendentals; ``np.mod`` is NumPy's ``npy_divmod``, which
+portable C restates as ``tilt_mod``).  IR node validation, the
 lowerability walk and ``python -m repro.analysis --rows`` read the same
 rows, so adding an operator is adding one row here.
 
@@ -24,7 +25,7 @@ import math
 import operator
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["Op", "OPS", "eval_op", "bind"]
+__all__ = ["Op", "OPS", "eval_op", "bind", "c_literal"]
 
 
 class Op(NamedTuple):
@@ -57,6 +58,18 @@ def eval_op(row: Op, args: Sequence[float]) -> Tuple[float, bool]:
 def bind(operands: Sequence) -> Dict[str, object]:
     """Operands under the names the row templates use (``.format(**bind(...))``)."""
     return dict(zip("ab", operands))
+
+
+def c_literal(value: float) -> str:
+    """Exact C literal for a float (hex form, no decimal rounding)."""
+    value = float(value)
+    if value != value:
+        return "NAN"
+    if value == math.inf:
+        return "INFINITY"
+    if value == -math.inf:
+        return "(-INFINITY)"
+    return value.hex()
 
 
 def _pow(a: float, b: float) -> float:
@@ -97,10 +110,12 @@ _ROWS = (
         identity=(None, 1.0),
     ),
     # floored like np.mod (sign of the divisor); the scalar side used C's
-    # truncating fmod, so folding ``-7 % 3`` changed a query's result
+    # truncating fmod, so folding ``-7 % 3`` changed a query's result.  The C
+    # side is npy_divmod's remainder (``tilt_mod`` in the kernel header)
     Op(
         "%", _B, 2, operator.mod, "_np.mod({a}, _np.where({b} != 0, {b}, 1.0))",
-        domain=lambda a, b: b != 0, numpy_domain="({b} != 0)",
+        "tilt_mod({a}, (({b} != 0.0) ? {b} : 1.0))",
+        domain=lambda a, b: b != 0, numpy_domain="({b} != 0)", c_domain="({b} != 0.0)",
     ),
     Op("**", _B, 2, _pow, "_np.power({a}, {b})"),
     # np.minimum/np.maximum: a NaN operand wins (first operand on a tie);

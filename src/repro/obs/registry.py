@@ -284,6 +284,12 @@ class MetricsRegistry:
             "histogram", name, help, labels, buckets=buckets or DEFAULT_BUCKETS
         )
 
+    def remove(self, name: str, **labels) -> None:
+        """Drop one series whose owner is gone (a closed service's); the
+        family stays registered."""
+        with self._lock:
+            self._instruments.pop((name, _label_key(labels)), None)
+
     # -- introspection --------------------------------------------------- #
     def families(self) -> Dict[str, Tuple[str, str]]:
         with self._lock:

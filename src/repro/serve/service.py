@@ -38,6 +38,7 @@ backpressured producers cannot deadlock the scheduler.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 import time
@@ -66,6 +67,8 @@ __all__ = ["TenantSession", "ServiceStats", "QueryService"]
 #: tenant-isolation failures are reported here (as well as being retained on
 #: the failed tenant) — a service embedder points a handler at this logger
 _LOG = logging.getLogger("repro.serve")
+#: the ``service`` label of a service's per-service gauges
+_SERVICE_IDS = itertools.count()
 
 #: tenant lifecycle states
 ACTIVE = "active"
@@ -346,11 +349,17 @@ class QueryService:
         self._g_active = registry.gauge(
             "repro_active_tenants", "Tenants currently in the ACTIVE state"
         )
+        # summed over the services on the engine: each adds the change in
+        # its own depth, and takes its share back at close()
         self._g_queue = registry.gauge(
-            "repro_queue_depth", "Events queued service-wide awaiting ingestion"
+            "repro_queue_depth", "Events queued awaiting ingestion, over every service"
         )
+        self._queue_reported = 0.0
+        self._service_label = str(next(_SERVICE_IDS))
         self._g_fairness = registry.gauge(
-            "repro_fairness_index", "Jain fairness index over weighted tenant busy time"
+            "repro_fairness_index",
+            "Jain fairness index over weighted tenant busy time",
+            service=self._service_label,
         )
         # counted by step() at the select that takes the escalation
         self._c_escalations = registry.counter(
@@ -1002,7 +1011,9 @@ class QueryService:
     def _fleet(self, tenants: List[Tuple[str, TenantSession]]) -> FleetSnapshot:
         """Aggregate ``(name, tenant)`` pairs and refresh the queue-depth and
         fairness gauges from the result: no writer keeps those two current,
-        so :meth:`stats` and every telemetry scrape go through here.
+        so :meth:`stats` and every telemetry scrape go through here.  The
+        queue depth is this service's share of an engine-wide sum, the
+        fairness index a series of its own (label ``service``).
 
         The heavy part — copying and merging every tenant's latency sample
         window — runs outside the service lock (the per-metric locks make
@@ -1015,7 +1026,10 @@ class QueryService:
             queue_depths={n: t.queue_depth for n, t in tenants},
             shed_events={n: t.shed_events for n, t in tenants},
         )
-        self._g_queue.set(float(fleet.queue_depth))
+        with self._lock:
+            if not self._closed:
+                self._g_queue.inc(fleet.queue_depth - self._queue_reported)
+                self._queue_reported = fleet.queue_depth
         self._g_fairness.set(fleet.fairness)
         return fleet
 
@@ -1062,6 +1076,9 @@ class QueryService:
             for tenant in self._tenants.values():
                 if tenant.state == ACTIVE:
                     self._retire(tenant, CANCELLED)
+            self._g_queue.dec(self._queue_reported)
+            self._queue_reported = 0.0
+            self._engine.registry.remove("repro_fairness_index", service=self._service_label)
         if self._owns_engine:
             self._engine.close()
 

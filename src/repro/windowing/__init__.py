@@ -2,7 +2,8 @@
 
 Aggregate function templates (Init/Acc/Result/Deacc, Section 6.1.2 of the
 paper) and the range indexes the TiLT backend evaluates windows with:
-prefix sums, a sparse-table RMQ, and a per-window fold.
+prefix sums, a sparse-table RMQ, a first/last-valid search, and a
+per-window fold.
 """
 
 from .functions import (
@@ -20,6 +21,7 @@ from .functions import (
     AggregateFunction,
     builtin_aggregates,
     custom_aggregate,
+    derived_aggregate,
 )
 from .prefix import PrefixRangeIndex, snapshot_range_indices
 from .sliding import build_range_index, range_aggregate
@@ -29,6 +31,7 @@ __all__ = [
     "AggregateFunction",
     "builtin_aggregates",
     "custom_aggregate",
+    "derived_aggregate",
     "SUM",
     "COUNT",
     "PRODUCT",

@@ -21,8 +21,14 @@ may derive, and nothing elsewhere is keyed by an aggregate's name —
 * ``rmq`` — a range-min/range-max query answered by a sparse table
   (:data:`RMQ_DIRECTIONS` holds what each direction means in NumPy and C).
 * ``edge`` — the aggregate picks the window's first / last valid snapshot.
-* ``vector_eval`` — a generic NumPy reduction applied per window (used by
-  custom aggregates such as kurtosis or crest factor).
+* ``vector_eval`` — a generic NumPy reduction applied per window (what an
+  opaque :func:`custom_aggregate` may bring).
+
+A **derived** row (:func:`derived_aggregate`) is a prefix row stated as
+data: component expressions of the snapshot value and a finish over their
+window sums, written in the operator table's rows.  Its scalar template,
+NumPy hooks and C text are all generated from that one definition, so its
+tiers agree by construction and the native tier lowers it like a built-in.
 
 :attr:`AggregateFunction.strategy` ranks these hooks once; the range index
 (``windowing/sliding.py::build_range_index``), the native emitter, a
@@ -41,6 +47,8 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.ir.nodes import BinOp, Call, Const, Expr, UnaryOp, Var, lift
+from ..core.ops import bind, c_literal, eval_op
 from ..errors import QueryBuildError
 
 __all__ = [
@@ -61,6 +69,7 @@ __all__ = [
     "FIRST",
     "LAST",
     "custom_aggregate",
+    "derived_aggregate",
     "builtin_aggregates",
 ]
 
@@ -141,6 +150,10 @@ class AggregateFunction:
     #: sums ``{d0}``, ``{d1}``, ...
     c_components: Optional[Tuple[str, ...]] = None
     c_result: Optional[Tuple[str, ...]] = None
+    #: a derived row's definition, ``(components, finish)`` as
+    #: :func:`derived_aggregate` took them: what every hook above was
+    #: generated from, and what the row pickles as
+    derivation: Optional[Tuple[Tuple[Tuple[str, Expr], ...], Expr]] = None
 
     # ------------------------------------------------------------------ #
     # scalar evaluation (semantic reference)
@@ -211,6 +224,13 @@ class AggregateFunction:
             return np.asarray(self.prefix_result(*sums), dtype=np.float64)
 
     @property
+    def generated(self) -> bool:
+        """True when the library wrote this row's lowerings (a built-in or a
+        derived row), so its C text may be trusted; an opaque
+        :func:`custom_aggregate` is Python callables only."""
+        return self.derivation is not None or _BUILTIN_SINGLETONS.get(self.name) is self
+
+    @property
     def c_lowerable(self) -> bool:
         """True when the row carries a C fragment for its range strategy."""
         if self.strategy.range == "prefix":
@@ -234,6 +254,9 @@ class AggregateFunction:
         # decide between process dispatch and its thread fallback.
         if _BUILTIN_SINGLETONS.get(self.name) is self:
             return (_restore_builtin_aggregate, (self.name,))
+        if self.derivation is not None:  # rebuilt from its definition
+            components, finish = self.derivation
+            return (derived_aggregate, (self.name, dict(components), finish))
         return super().__reduce_ex__(protocol)
 
 
@@ -431,6 +454,169 @@ def custom_aggregate(
         merge=merge,
         vector_eval=vector_eval,
     )
+
+
+# ---------------------------------------------------------------------- #
+# derived rows
+# ---------------------------------------------------------------------- #
+def derived_aggregate(name: str, components: Dict[str, Any], finish: Any) -> AggregateFunction:
+    """A prefix row stated as data, lowered to every tier from one definition.
+
+    ``components`` maps a name to an expression of the snapshot value
+    (:data:`~repro.core.frontend.query.PAYLOAD`, ``E`` in the apps) or a
+    constant; each is summed over the window in float64.  ``finish`` is an
+    expression over ``Var(name)`` — those window sums — giving the window's
+    result.  Both are IR expressions of :class:`~repro.core.ops.Op` rows
+    (``Const``, ``Var``, ``BinOp``, ``UnaryOp``, ``Call``), and every hook of
+    the returned row comes from those rows: the scalar template (a state of
+    running sums) from their scalar functions, ``prefix_arrays`` /
+    ``prefix_result`` from their NumPy templates and ``c_components`` /
+    ``c_result`` from their C templates (``None`` when a row has none: the
+    kernel then stays on NumPy).  A window result cannot carry φ, so the
+    only partial operator allowed is ``/``, whose zero divisor gives 0.0 on
+    every tier; ``**`` and ``pow`` have no C template, so write a power as
+    a product.  An empty window is φ, as for every prefix row.
+
+    Example — the mean of squares, as MEAN with ``element=E * E`` computes
+    it::
+
+        derived_aggregate("mean_square", {"n": 1.0, "sq": E * E}, Var("sq") / Var("n"))
+    """
+    from ..core.frontend.query import PAYLOAD
+
+    names = tuple(components)
+    exprs = tuple(lift(e) for e in components.values())
+    finish = lift(finish)
+    if not exprs:
+        raise QueryBuildError(f"derived aggregate {name!r} needs at least one component")
+    for n, expr in zip(names, exprs):
+        _check_derived(name, f"component {n!r}", expr, {PAYLOAD.name})
+    _check_derived(name, "finish", finish, set(names))
+
+    def acc(state, v, sign=1.0):
+        env = {PAYLOAD.name: v}
+        return tuple(s + sign * _scalar(e, env) for s, e in zip(state, exprs))
+
+    sums = tuple(f"w{i}" for i in range(len(names)))
+    numpy_components = _numpy_function(exprs, ("x",), {PAYLOAD.name: "x"})
+    numpy_finish = _numpy_function((finish,), sums, dict(zip(names, sums)))
+    c_parts = [_c_expression(e, {PAYLOAD.name: "{x}"}) for e in exprs]
+    c_finish = _c_statements(finish, {n: f"{{d{i}}}" for i, n in enumerate(names)})
+    lowerable = None not in c_parts and c_finish is not None
+    return AggregateFunction(
+        name=name,
+        init=lambda: (0.0,) * len(exprs),
+        acc=acc,
+        result=lambda state: _scalar(finish, dict(zip(names, state))),
+        deacc=lambda state, v: acc(state, v, -1.0),
+        merge=lambda a, b: tuple(x + y for x, y in zip(a, b)),
+        prefix_arrays=numpy_components,
+        prefix_result=lambda *window_sums: numpy_finish(*window_sums)[0],
+        # masked as prefix_components masks: a φ lane adds 0.0 to every sum
+        c_components=tuple(f"({{k}} ? {c} : 0.0{{L}})" for c in c_parts) if lowerable else None,
+        c_result=c_finish if lowerable else None,
+        derivation=(tuple(zip(names, exprs)), finish),
+    )
+
+
+def _check_derived(name: str, label: str, expr: Expr, leaves) -> None:
+    for node in _postorder(expr):
+        if not isinstance(node, (Const, Var, BinOp, UnaryOp, Call)):
+            raise QueryBuildError(
+                f"derived aggregate {name!r}: {label} holds a {type(node).__name__} node"
+            )
+        if isinstance(node, Var) and node.name not in leaves:
+            raise QueryBuildError(
+                f"derived aggregate {name!r}: {label} reads {node.name!r}; it may read {sorted(leaves)}"
+            )
+        if not isinstance(node, (Const, Var)) and node.row.domain is not None and node.row.name != "/":
+            raise QueryBuildError(
+                f"derived aggregate {name!r}: {label} uses {node.row.name!r}, whose φ "
+                "outside its domain a window result cannot carry"
+            )
+
+
+def _postorder(expr: Expr) -> list:
+    """Every node of ``expr`` once, operands first (shared ones visited once)."""
+    seen, order = set(), []
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for child in node.children():
+                visit(child)
+            order.append(node)
+
+    visit(expr)
+    return order
+
+
+def _scalar(expr: Expr, env: Dict[str, float]) -> float:
+    """The rows' scalar functions; outside ``/``'s domain its value, 0.0."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        return env[expr.name]
+    return eval_op(expr.row, [_scalar(c, env) for c in expr.children()])[0]
+
+
+def _numpy_function(exprs: Sequence[Expr], params: Tuple[str, ...], leaves: Dict[str, str]) -> Callable:
+    """A NumPy function of ``params`` returning ``exprs`` as arrays, written
+    from the rows' NumPy templates, one temporary per node (constants are
+    full arrays: ``/``'s template sizes its output from its left operand)."""
+    names: Dict[int, str] = {}
+    consts: Dict[str, float] = {}
+    lines = [f"def _derived({', '.join(params)}):", f"    _shape = _np.shape({params[0]})"]
+    for expr in exprs:
+        for node in _postorder(expr):
+            if id(node) in names:
+                continue
+            if isinstance(node, Const):
+                const = f"_c{len(consts)}"
+                consts[const] = node.value
+                value = f"_np.full(_shape, {const})"
+            elif isinstance(node, Var):
+                value = leaves[node.name]
+            else:
+                value = node.row.numpy.format(**bind(names[id(c)] for c in node.children()))
+            names[id(node)] = f"_t{len(names)}"
+            lines.append(f"    {names[id(node)]} = {value}")
+    lines.append(f"    return ({', '.join(names[id(e)] for e in exprs)},)")
+    namespace = {"_np": np, **consts}
+    exec("\n".join(lines), namespace)  # noqa: S102 - source built from the operator table
+    return namespace["_derived"]
+
+
+def _c_expression(expr: Expr, leaves: Dict[str, str]) -> Optional[str]:
+    """``expr`` as one C expression from the rows' C templates (``None``
+    when a row has none)."""
+    if isinstance(expr, Const):
+        return c_literal(expr.value)
+    if isinstance(expr, Var):
+        return leaves[expr.name]
+    operands = [_c_expression(c, leaves) for c in expr.children()]
+    if expr.row.c is None or None in operands:
+        return None
+    return expr.row.c.format(**bind(operands))
+
+
+def _c_statements(expr: Expr, leaves: Dict[str, str]) -> Optional[Tuple[str, ...]]:
+    """Statements computing ``double {s}_res`` from ``expr``, one temporary
+    per node, as ``c_result`` states them (``None`` when a row has no C)."""
+    names: Dict[int, str] = {}
+    lines = []
+    for node in _postorder(expr):
+        if isinstance(node, Const):
+            value = c_literal(node.value)
+        elif isinstance(node, Var):
+            value = leaves[node.name]
+        elif node.row.c is None:
+            return None
+        else:
+            value = node.row.c.format(**bind(names[id(c)] for c in node.children()))
+        names[id(node)] = f"{{s}}_f{len(names)}"
+        lines.append(f"double {names[id(node)]} = {value};")
+    return tuple(lines) + (f"double {{s}}_res = {names[id(expr)]};",)
 
 
 def _restore_builtin_aggregate(name: str) -> AggregateFunction:

@@ -2,8 +2,8 @@
 
 :func:`build_range_index` / :func:`range_aggregate` evaluate an aggregate
 over *arbitrary* per-output windows ``(ws_i, we_i]`` of an SSBuf.  The
-aggregate's row picks a prefix-sum index, a sparse table, or a generic
-per-window reduction.  This is the primitive every reduce site of the
+aggregate's row picks a prefix-sum index, a sparse table, a search for the
+window's first / last valid snapshot, or a generic per-window reduction.  This is the primitive every reduce site of the
 code-generation backend builds for a ``Reduce`` node.
 """
 
@@ -18,7 +18,7 @@ from .functions import AggregateFunction
 from .prefix import PrefixRangeIndex, snapshot_range_indices
 from .sparse_table import SparseTableRMQ
 
-__all__ = ["FoldRangeIndex", "build_range_index", "range_aggregate"]
+__all__ = ["FoldRangeIndex", "EdgeRangeIndex", "build_range_index", "range_aggregate"]
 
 
 class FoldRangeIndex:
@@ -47,6 +47,33 @@ class FoldRangeIndex:
         return out, ok
 
 
+class EdgeRangeIndex:
+    """The ``fold`` strategy of an edge row (FIRST / LAST): each window's
+    first / last valid snapshot, found by one search of the valid positions
+    per window — no call per window."""
+
+    def __init__(self, edge: int, values: np.ndarray, valid: np.ndarray):
+        self._edge = edge
+        self._values = values
+        self._at = np.flatnonzero(valid)
+
+    def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        at = self._at
+        if self._edge == 0:  # the first valid position at or after lo
+            j = np.searchsorted(at, lo, side="left")
+            ok = j < len(at)
+            pick = at[np.minimum(j, len(at) - 1)] if len(at) else j
+            ok &= pick < hi
+        else:  # the last valid position before hi
+            j = np.searchsorted(at, hi, side="left") - 1
+            ok = j >= 0
+            pick = at[np.maximum(j, 0)] if len(at) else j
+            ok &= pick >= lo
+        out = np.zeros(len(lo))
+        out[ok] = self._values[pick[ok]]
+        return out, ok
+
+
 def build_range_index(
     agg: AggregateFunction,
     times: np.ndarray,
@@ -67,6 +94,8 @@ def build_range_index(
         return index
     if kind == "rmq":
         return SparseTableRMQ(values, valid, mode=agg.rmq)
+    if agg.edge is not None:
+        return EdgeRangeIndex(agg.edge, values, valid)
     return FoldRangeIndex(agg, values, valid)
 
 

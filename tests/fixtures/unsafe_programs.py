@@ -99,6 +99,13 @@ def _unguarded_divide() -> TiltProgram:
     return _prog([out], "out")
 
 
+def _divide_by_max_with_zero() -> TiltProgram:
+    # ~x / max(~x[-1], 0) — a floor of zero is no guard (DOM001).
+    divisor = BinOp("max", TIndex("x", -1.0), Const(0.0))
+    out = TemporalExpr("out", _TD, BinOp("/", TIndex("x", 0.0), divisor))
+    return _prog([out], "out")
+
+
 def _unguarded_sqrt() -> TiltProgram:
     # sqrt of a raw stream value that may be negative (DOM002).
     out = TemporalExpr("out", _TD, Call("sqrt", (TIndex("x", 0.0),)))
@@ -130,6 +137,7 @@ UNSAFE_PROGRAMS: List[UnsafeProgram] = [
     UnsafeProgram("dead-definition", _dead_definition(), "DD001", "warning"),
     UnsafeProgram("unused-input", _unused_input(), "DD002", "warning"),
     UnsafeProgram("unguarded-divide", _unguarded_divide(), "DOM001", "warning"),
+    UnsafeProgram("divide-by-max-with-zero", _divide_by_max_with_zero(), "DOM001", "warning"),
     UnsafeProgram("unguarded-sqrt", _unguarded_sqrt(), "DOM002", "warning"),
     UnsafeProgram("unguarded-log", _unguarded_log(), "DOM003", "warning"),
     UnsafeProgram("misaligned-precision", _misaligned_precision(), "BS004", "warning"),
@@ -139,11 +147,13 @@ UNSAFE_PROGRAMS: List[UnsafeProgram] = [
 def guarded_domain_program() -> TiltProgram:
     """Negative control: the same divide/sqrt sites, properly guarded.
 
-    The division result flows through ``Coalesce`` and the sqrt operand is
-    ``abs``-wrapped — the analyzer must emit no DOM findings.
+    The division result flows through ``Coalesce``, a second divisor is
+    floored at a positive constant (``max(~x[-1], 1)``) and the sqrt operand
+    is ``abs``-wrapped — the analyzer must emit no DOM findings.
     """
     div = BinOp("/", TIndex("x", 0.0), TIndex("x", -1.0))
+    floored = BinOp("/", TIndex("x", 0.0), BinOp("max", TIndex("x", -1.0), Const(1.0)))
     root = Call("sqrt", (UnaryOp("abs", TIndex("x", 0.0)),))
     valid = IsValid(TIndex("x", 0.0))
-    body = BinOp("+", Coalesce(div, Const(0.0)), BinOp("+", root, valid))
+    body = BinOp("+", Coalesce(div, Const(0.0)), BinOp("+", root, BinOp("+", valid, floored)))
     return _prog([TemporalExpr("out", _TD, body)], "out")

@@ -41,6 +41,8 @@ from repro.datagen.sources import sources_for_streams
 from repro.errors import ExecutionError, QueryBuildError
 from repro.windowing import MEAN, custom_aggregate
 
+from fixtures.opaque import OPAQUE_VIBRATION
+
 E = PAYLOAD
 
 #: events per application — small enough to keep the sweep fast, large
@@ -416,7 +418,7 @@ class TestBackendSelection:
         in-process fallback and still matches serial output — and the
         downgrade is counted per dispatch, logged once per query and
         reported by the dispatch plan."""
-        app = get_application("vibration")  # custom lambda aggregates
+        app = OPAQUE_VIBRATION  # a custom lambda aggregate
         program = app.program()
         streams = app.streams(400, seed=2)
         with TiltEngine(workers=1) as serial:

@@ -13,26 +13,33 @@ it:
   session-kept sites fed ragged chunks ≡ native kernel (one shot, and over
   the kept sites), including all-φ and single-snapshot windows, and
   ``vector_eval`` ≡ scalar fold; every prefix row keeps a leading ``-0.0``
-  on both tiers.
+  on both tiers;
+* derived rows (``derived_aggregate``: kurtosis and a mean of squares) —
+  the same paths against the row's own scalar fold, flat windows included,
+  and the C extends of their kept sites;
+* ``%`` against ``np.mod`` itself over its edge pairs.
 """
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.manufacturing import kurtosis_aggregate
 from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
 from repro.core.codegen.incremental import IncrementalKernelRuntime
 from repro.core.ir.builder import IRBuilder
-from repro.core.ir.nodes import BinOp, Call, Const, UnaryOp
+from repro.core.frontend.query import PAYLOAD as E
+from repro.core.ir.nodes import BinOp, Call, Const, UnaryOp, Var
 from repro.core.ops import OPS, eval_op
 from repro.core.runtime.ssbuf import SSBuf
-from repro.errors import ValidationError
-from repro.windowing import builtin_aggregates, range_aggregate
+from repro.errors import QueryBuildError, ValidationError
+from repro.windowing import builtin_aggregates, derived_aggregate, range_aggregate
 
 GRID = [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 0.5, -2.5, math.nan, math.inf, -math.inf, 1e308, -1e308]
 NODES = {"binop": BinOp, "unop": UnaryOp, "call": lambda name, *args: Call(name, args)}
@@ -98,6 +105,36 @@ def test_unknown_names_and_wrong_forms_are_rejected():
             node(name, Const(1.0), Const(2.0)) if node is BinOp else node(name, Const(1.0))
     with pytest.raises(ValidationError):  # arity comes from the row
         Call("atan2", (Const(1.0),))
+
+
+#: ``%`` operands: ±0, ±inf, NaN, negative divisors, |a| ≫ |b| (1e300 and
+#: the smallest subnormal), and b = 0, which is φ by the row's domain
+MOD_EDGES = (
+    0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 7.0, -7.0, 1e300, -1e300, 5e-324, -5e-324,
+    math.inf, -math.inf, math.nan,
+)
+
+
+def test_mod_is_np_mod_on_every_tier():
+    """Each tier's ``%`` against ``np.mod`` itself, not against another tier:
+    a NumPy whose remainder moved would fail here, not slip past a
+    scalar ≡ NumPy ≡ C comparison."""
+    a, b = np.array(list(itertools.product(MOD_EDGES, repeat=2))).T
+    n = len(a)
+    times = np.arange(1.0, n + 1.0)
+    ones = np.ones(n, dtype=bool)
+    env = {"a": SSBuf(times, a, ones, start_time=0.0), "b": SSBuf(times, b, ones, start_time=0.0)}
+    ib = IRBuilder()
+    ib.define("out", ib.stream("a").at(0.0) % ib.stream("b").at(0.0), precision=1)
+    program = ib.build(output="out")
+    with np.errstate(all="ignore"):
+        want = (np.mod(a, b), b != 0)
+    assert not want[1].all() and np.isnan(want[0][want[1]]).any()
+    tiers = ["interpreted", NUMPY_TIER] + ([NATIVE_TIER] if native.native_available() else [])
+    for tier in tiers:
+        assert_same(run_tier(program, env, n, tier), want, True, f"% on {tier}")
+    (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
+    assert not native.lowering_blockers(kernel.spec)
 
 
 # ---------------------------------------------------------------------- #
@@ -183,11 +220,112 @@ def tick_ragged(kernel, rt, buf, cuts=(1, 2, 9, 40, 47, 100, 101, N)):
     return np.concatenate([p.values for p in pieces]), np.concatenate([p.valid for p in pieces])
 
 
+#: derived rows: five raw moments under a guarded finish, and two
+#: components (one of them a constant) under ``/``
+DERIVED_ROWS = [
+    kurtosis_aggregate,
+    derived_aggregate("mean_square", {"n": 1.0, "sq": E * E}, Var("sq") / Var("n")),
+]
+
+
+def derived_buffer():
+    """:func:`aggregate_buffer` with a flat stretch of a value whose sums
+    round (0.3): windows inside it have no spread, however the sums were
+    formed."""
+    buf = aggregate_buffer()
+    values = buf.values.copy()
+    values[100:114] = 0.3
+    return SSBuf(buf.times, values, buf.valid, start_time=0.0)
+
+
+@pytest.mark.parametrize("size", WINDOWS)
+@pytest.mark.parametrize("agg", DERIVED_ROWS, ids=lambda agg: agg.name)
+def test_derived_row_agrees_with_its_scalar_fold(agg, size):
+    """A derived row's one definition, on every path: its scalar fold (the
+    oracle) ≡ the NumPy prefix index ≡ the NumPy kernel ≡ kept sites fed
+    ragged chunks, and the C kernel bit for bit with NumPy — over random
+    windows, one-snapshot windows (n = 1), flat windows (m2 = 0) and φ
+    gaps."""
+    buf = derived_buffer()
+    ends = buf.times
+    lo = [max(int(t - size), 0) for t in ends]
+    folds = [agg.fold(buf.values[a : int(t)][buf.valid[a : int(t)]]) for a, t in zip(lo, ends)]
+    want = (np.array([v for v, _ in folds]), np.array([ok for _, ok in folds]))
+    assert not want[1][45:55].any() and want[1][:3].all()
+
+    def close(got, label):
+        np.testing.assert_array_equal(got[1], want[1], err_msg=f"{label}: validity")
+        np.testing.assert_allclose(got[0][want[1]], want[0][want[1]], rtol=1e-9, atol=1e-12, err_msg=label)
+
+    close(range_aggregate(buf, ends - size, ends, agg), "range index")
+    program = window_program(agg, size)
+    one_shot = run_tier(program, {"x": buf}, float(N), NUMPY_TIER)
+    close(one_shot, "numpy kernel")
+    (kernel,) = compile_program(program, optimize=False).kernels
+    rt = IncrementalKernelRuntime(kernel, ["x"])
+    assert [row["state"] for row in rt.plan] == ["persisted"]
+    ticked = tick_ragged(kernel, rt, buf)
+    close(ticked, "kept sites, ragged chunks")
+    if agg is kurtosis_aggregate:  # no spread: 0.0 on every path
+        flat = np.zeros(N, dtype=bool)
+        flat[int(size) + 99 : 114] = True  # windows inside the flat stretch
+        if size == 1.0:
+            flat[:] = want[1]  # and every one-snapshot window
+        for label, got in (("fold", want), ("numpy", one_shot), ("ticked", ticked)):
+            assert (got[0][flat] == 0.0).all(), label
+    (kernel,) = compile_program(program, optimize=False, codegen_tier=NATIVE_TIER).kernels
+    assert not native.lowering_blockers(kernel.spec)
+    if native.native_available():
+        assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
+        assert_same(run_tier(program, {"x": buf}, float(N), NATIVE_TIER), one_shot, True, "native")
+        ticked_c = tick_ragged(kernel, IncrementalKernelRuntime(kernel, ["x"]), buf)
+        assert_same(ticked_c, ticked, True, "native, kept sites, ragged chunks")
+
+
+def test_derived_rows_are_identified_by_their_definition():
+    """Two derived rows with one name and different finishes are different
+    kernels: different digests, different results.  A row pickles as its
+    definition, so a round trip keeps the digest."""
+    s, n = Var("s"), Var("n")
+    mean = derived_aggregate("ratio", {"n": 1.0, "s": E}, s / n)
+    double = derived_aggregate("ratio", {"n": 1.0, "s": E}, s / n * 2.0)
+    clone = pickle.loads(pickle.dumps(double))
+    specs = [
+        compile_program(window_program(agg, 6.0), optimize=False).kernels[0].spec
+        for agg in (mean, double, clone)
+    ]
+    assert specs[0].digest() != specs[1].digest() == specs[2].digest()
+    buf = aggregate_buffer()
+    tier = NATIVE_TIER if native.native_available() else NUMPY_TIER
+    (v1, ok1), (v2, ok2) = (run_tier(window_program(agg, 6.0), {"x": buf}, float(N), tier) for agg in (mean, double))
+    np.testing.assert_array_equal(ok1, ok2)
+    assert ok1.any() and np.array_equal(v2[ok2], 2.0 * v1[ok1])
+
+
+def test_derived_rows_refuse_what_a_window_result_cannot_state():
+    s, n = Var("s"), Var("n")
+    for components, finish, reason in (
+        ({"s": E}, Var("t"), "reads 't'"),
+        ({"s": Var("v")}, s, "reads 'v'"),
+        ({"s": E}, s.sqrt(), "uses 'sqrt'"),
+        ({"s": E % 2.0}, s, "uses '%'"),
+        ({"s": E}, s.is_valid(), "IsValid"),
+        ({}, Const(0.0), "at least one component"),
+    ):
+        with pytest.raises(QueryBuildError, match=reason):
+            derived_aggregate("bad", components, finish)
+    # a row without a C template is a row NumPy serves and C refuses
+    power = derived_aggregate("power", {"n": 1.0, "s": E}, (s / n) ** 2.0)
+    assert power.strategy.range == "prefix" and not power.c_lowerable
+    (kernel,) = compile_program(window_program(power, 6.0), optimize=False).kernels
+    assert native.lowering_blockers(kernel.spec) == ["aggregate 'power' has no bit-stable native lowering"]
+
+
 #: the prefix rows a session keeps and, once promoted, the C entry extends
 KEPT_ROWS = [
     agg for agg in builtin_aggregates().values()
     if agg.strategy.range == "prefix" and agg.c_lowerable
-]
+] + DERIVED_ROWS
 
 
 @pytest.fixture(scope="module")

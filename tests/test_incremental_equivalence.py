@@ -34,6 +34,8 @@ from repro.errors import ExecutionError
 from repro.windowing import SUM
 from repro.windowing.functions import builtin_aggregates, custom_aggregate
 
+from fixtures.opaque import OPAQUE_PANTOM, OPAQUE_VIBRATION
+
 N_EVENTS = 2_500
 
 #: the session's own resolution, then the two forced paths
@@ -283,8 +285,8 @@ class TestResolvedPlan:
     backend, per-kernel tier and per reduce site."""
 
     @staticmethod
-    def _plan(engine, app_name, **kwargs):
-        app = get_application(app_name)
+    def _plan(engine, app, **kwargs):
+        app = get_application(app) if isinstance(app, str) else app
         session = engine.open_session(
             app.program(), sources_for_streams(app.streams(200, seed=36)), **kwargs
         )
@@ -292,7 +294,7 @@ class TestResolvedPlan:
 
     def test_only_prefix_sites_over_inputs_persist(self):
         engine = TiltEngine(workers=1)
-        plan = self._plan(engine, "vibration")
+        plan = self._plan(engine, OPAQUE_VIBRATION)
         assert (plan["tick_path"], plan["reason"]) == ("in-process", "compiled output kernel")
         by_agg = {row["aggregate"]: row for row in plan["sites"]}
         assert by_agg["mean"]["state"] == "persisted"
@@ -301,10 +303,15 @@ class TestResolvedPlan:
             assert by_agg[name]["state"] == "per-invocation"
             assert by_agg[name]["strategy"] == strategy
             assert by_agg[name]["reason"] == "no prefix decomposition"
+        # the app's kurtosis is a derived prefix row: its site persists
+        kurtosis = {row["aggregate"]: row for row in self._plan(engine, "vibration")["sites"]}
+        assert (kurtosis["kurtosis"]["strategy"], kurtosis["kurtosis"]["state"]) == (
+            "prefix", "persisted"
+        )
         # pantom's output kernel reduces an intermediate: nothing to persist
-        # (its five-point derivative and band-pass means live in
-        # intermediate kernels, rebuilt over their margin each tick)
-        plan = self._plan(engine, "pantom")
+        # (its window derivative and band-pass means live in intermediate
+        # kernels, rebuilt over their margin each tick)
+        plan = self._plan(engine, OPAQUE_PANTOM)
         assert plan["tick_path"] == "in-process"
         assert {row["state"] for row in plan["sites"]} == {"per-invocation"}
         reasons = {row["kernel"]: row["reason"] for row in plan["sites"]}

@@ -29,6 +29,8 @@ from repro.core.runtime.engine import TiltEngine
 from repro.errors import CompilationError, QueryBuildError
 from repro.windowing import MEAN, SUM, custom_aggregate
 
+from fixtures.opaque import OPAQUE_PANTOM
+
 requires_native = pytest.mark.skipif(
     not native.native_available(),
     reason="native codegen toolchain (cffi + C compiler) unavailable",
@@ -139,7 +141,7 @@ class TestFallback:
         """In one program, lowerable kernels go native while an unlowerable
         one (a custom Python aggregate) stays on NumPy — fallback is per
         kernel, not per query."""
-        app = get_application("pantom")
+        app = OPAQUE_PANTOM
         compiled = compile_program(app.program(), codegen_tier=NATIVE_TIER)
         rows = compiled.kernel_plan()
         assert {row["active_tier"] for row in rows} == {NUMPY_TIER, NATIVE_TIER}
@@ -284,7 +286,7 @@ class TestObservability:
     def test_native_metrics_counters(self):
         """Fallbacks, promotions and build seconds are charged to the engine
         registry where the build happens."""
-        app = get_application("pantom")  # custom agg kernel + lowerable ones
+        app = OPAQUE_PANTOM  # custom agg kernel + lowerable ones
         with TiltEngine(workers=1) as engine:
             compiled = engine.compile(app.program())
             compiled.promote()

@@ -53,6 +53,8 @@ from repro.serve import QueryService
 from repro.windowing import FIRST, MAX, MEAN, SUM
 from repro.windowing.prefix import PrefixRangeIndex
 
+from fixtures.opaque import OPAQUE_PANTOM
+
 requires_native = pytest.mark.skipif(
     not native.native_available(),
     reason="native codegen toolchain (cffi + C compiler) unavailable",
@@ -337,6 +339,50 @@ def test_cold_path_runs_nothing_native_before_break_even(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+_FIRST_RESULTS = """
+import json
+from repro.core.codegen import native
+from tiltbench.workloads import make_workload
+
+report = {}
+for name in ("oneshot_apps", "session_ysb", "session_deep_window", "service_fleet"):
+    native.clear_caches()  # heat is per interpreter: each probe starts cold
+    make_workload(name, 0, "setup").first_result()
+    report[name] = native.stats()["compiles_total"]
+print(json.dumps(report))
+"""
+
+
+def test_no_workload_first_result_builds_a_kernel(tmp_path):
+    """What ``setup_s`` times for each benchmark workload, over an empty
+    disk cache: the first result is served by NumPy twins alone, so no
+    ``cc`` runs inside the timed probe."""
+    root = os.path.dirname(SRC)
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join((SRC, root)), REPRO_NATIVE_CACHE=str(tmp_path / "cache")
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_RESULTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report == dict.fromkeys(report, 0) and len(report) == 4
+
+
+@requires_native
+@pytest.mark.parametrize("name", sorted(ALL_APPLICATIONS))
+def test_every_app_kernel_promotes(name, compile_cold):
+    """Zero refused kernels: every kernel of every application lowers to C,
+    the Table-2 custom aggregates (``pantom``'s derivative, ``vibration``'s
+    kurtosis) and ``where``'s ``%`` included."""
+    compiled = compile_program(ALL_APPLICATIONS[name].program(), codegen_tier=NATIVE_TIER)
+    compiled.promote()
+    plan = compiled.kernel_plan()
+    assert plan and [(row["state"], row["fallback_reason"]) for row in plan] == [
+        (NATIVE_TIER, None)
+    ] * len(plan), plan
+
+
 # ---------------------------------------------------------------------- #
 # (c) a compiler that fails, sleeps, or must not be called
 # ---------------------------------------------------------------------- #
@@ -413,9 +459,12 @@ class TestHostileCompiler:
 #: kernel over deep windows (``session_deep_window``), an element-mapped
 #: count (``session_ysb``), an output kernel reducing two intermediates
 #: (``rsi``), one reading two intermediates point-wise (``normalize``), a
-#: windowed stddev over a program input (an extended-precision kept site)
-#: and a session long enough that its kept site is pruned and rebased many
-#: times after the C entry has extended it (``long``)
+#: windowed stddev over a program input (an extended-precision kept site),
+#: a session long enough that its kept site is pruned and rebased many
+#: times after the C entry has extended it (``long``), and the two Table-2
+#: custom aggregates: ``pantom``'s first/last/count derivative (three
+#: kernels) and ``vibration``'s derived kurtosis row (a five-component kept
+#: site)
 SESSION_QUERIES = {
     "trend": (
         lambda: trend_trading_query(short_window=100, long_window=400).to_program(),
@@ -446,6 +495,16 @@ SESSION_QUERIES = {
         lambda: trend_trading_query(short_window=20, long_window=80).to_program(),
         lambda: get_application("trading").streams(20_000, seed=6),
         400,
+    ),
+    "pantom": (
+        lambda: get_application("pantom").program(),
+        lambda: get_application("pantom").streams(3_000, seed=6),
+        250,
+    ),
+    "vibration": (
+        lambda: get_application("vibration").program(),
+        lambda: get_application("vibration").streams(12_000, seed=6),
+        1_500,
     ),
 }
 
@@ -960,12 +1019,31 @@ class TestPooledHeat:
 
 
 _EXIT_MID_BUILD = """
-import os, sys, time
+import os, sys, threading, time
 from repro import TiltEngine
+from repro.core.codegen import native
 from repro.core.frontend.query import source
 from repro.core.ir.builder import IRBuilder
 from repro.windowing import MEAN
 
+
+class LateLock:
+    # the builder thread takes the spawn lock half a second late: were a
+    # compiler started before it is registered, the interpreter would exit
+    # inside that gap every time
+    def __init__(self, lock):
+        self.lock = lock
+
+    def __enter__(self):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.5)
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+native._SPAWN_LOCK = LateLock(native._SPAWN_LOCK)
 pids = sys.argv[1]
 engine = TiltEngine(workers=1)
 compiled = engine.compile(source("x").window(57, 1).aggregate(MEAN).to_program())
@@ -996,7 +1074,9 @@ def test_no_compiler_outlives_the_interpreter(tmp_path):
     """The interpreter exits while the builder thread's ``cc`` — here a
     script that forks a child of its own, as ``cc`` forks ``cc1`` — is
     running: both are killed at exit instead of being left to init, and no
-    temp file of the build stays in the cache directory."""
+    temp file of the build stays in the cache directory.  The builder takes
+    the spawn lock late, so a compiler started before it is registered
+    would be missed by the exit hook every time, not only under load."""
     pids = tmp_path / "cc.pids"
     script = tmp_path / "slow-cc"
     script.write_text(f'#!/bin/sh\nsleep 60 &\necho $$ $! > "{pids}"\nwait\n')
@@ -1027,7 +1107,7 @@ def test_no_compiler_outlives_the_interpreter(tmp_path):
 # ---------------------------------------------------------------------- #
 @requires_native
 def test_each_build_is_one_span_and_one_counter_increment(compile_cold):
-    app = get_application("pantom")  # lowerable kernels and a custom Python fold
+    app = OPAQUE_PANTOM  # lowerable kernels and a custom Python fold
     with TiltEngine(workers=1, trace=True) as engine:
         compiled = engine.compile(app.program())
         compiled.promote()

@@ -616,6 +616,39 @@ class TestLiveRegistry:
             second.close()
             engine.close()
 
+    def test_queue_depth_and_fairness_survive_another_services_stats(self):
+        """Two services on one engine: A holds 300 queued events and has run
+        one of its two tenants, B is idle.  B's ``stats()`` neither resets
+        the engine's queue depth (a sum over services) nor overwrites A's
+        fairness index (a series per service); closing a service takes
+        its share back out of the sum and its series out of the registry."""
+        engine = TiltEngine(workers=1)
+        first, second = QueryService(engine), QueryService(engine)
+        try:
+            self.unbounded(first, "busy")
+            first.submit(get_application("trading").program(), name="push")
+            events = get_application("trading").streams(300, seed=4)["stock"].events
+            assert first.ingest("push", events) == 300
+            first.step()  # only "busy" is ready: the busy-time shares differ
+            fairness = first.stats().fleet.fairness
+            idle = second.stats().fleet.fairness
+            assert fairness != idle
+            assert self.value(engine, "repro_queue_depth") == 300
+            series = engine.registry.to_json()["repro_fairness_index"]["series"]
+            assert len({row["labels"]["service"] for row in series}) == 2
+            assert sorted(row["value"] for row in series) == sorted([fairness, idle])
+            second.close()
+            assert self.value(engine, "repro_queue_depth") == 300
+            (row,) = engine.registry.to_json()["repro_fairness_index"]["series"]
+            assert row["value"] == fairness
+            first.close()
+            assert self.value(engine, "repro_queue_depth") == 0
+            assert engine.registry.to_json()["repro_fairness_index"]["series"] == []
+        finally:
+            first.close()
+            second.close()
+            engine.close()
+
     def test_slo_monitor_sees_each_tick_once(self):
         with QueryService(workers=1, slo=True) as service:
             seen = []
