@@ -70,7 +70,7 @@ def _run_apps(verbose: bool) -> int:
 
 
 def _run_rows() -> int:
-    from ..core.codegen.incremental import persists
+    from ..core.codegen.runtime_support import persists
     from ..core.ops import OPS
     from ..windowing.functions import builtin_aggregates
 

@@ -13,9 +13,8 @@ by memory:
     exempt (that is what conditions are for).
 ``LNT102`` — mutation of module-level shared state from generated-kernel
     helper modules
-    ``runtime_support.py`` / ``incremental.py`` objects are shared by every
-    compiled kernel across every session and thread; their functions must
-    stay re-entrant (``global`` rebinding or mutating a module-level
+    ``runtime_support.py`` serves every compiled kernel across every
+    session and thread; its functions must stay re-entrant (``global`` rebinding or mutating a module-level
     container is a cross-tenant race).
 ``LNT103`` — Prometheus metric-name discipline
     Counter names end in ``_total``; gauge/histogram names never do; all
@@ -79,7 +78,6 @@ __all__ = ["LintViolation", "lint_file", "lint_paths", "lint_source"]
 #: every compiled kernel in the process) — the LNT102 re-entrancy scope
 KERNEL_HELPER_MODULES = (
     "core/codegen/runtime_support.py",
-    "core/codegen/incremental.py",
 )
 
 #: modules between a source's ``poll`` and the kernel — the LNT104 scope

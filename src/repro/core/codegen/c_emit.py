@@ -17,6 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ...windowing.functions import RMQ_DIRECTIONS, AggregateFunction
+from ...windowing.prefix import PRUNE_MIN
 from ..ir.nodes import (
     ELEM_VAR,
     BinOp,
@@ -60,9 +61,10 @@ class _Group(NamedTuple):
 
 
 class _PrefixSite(NamedTuple):
-    """A prefix group: the caller passes its index arrays."""
+    """A prefix group: the caller binds its index arrays in the struct."""
 
     key: Tuple[str, int, int]  # ``(ref, agg_idx, elem_idx)``, as ``rt.sites`` keys it
+    name: str  # the group's prefix in the struct's field names (``g3``)
     components: int
     dtype: type  # the accumulator dtype of the component prefixes
 
@@ -123,6 +125,8 @@ typedef struct { int64_t m; const double* t; double s; double o; } tilt_access;
 
 int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
                   double t_start, double t_end, double* ts, int64_t cap);
+int64_t tilt_compact(double* ts, double* v, unsigned char* k, int64_t n);
+int64_t tilt_prune(double* vp, void** ps, int64_t np, int extended, const double* t, int64_t m, double floor);
 """
 
 #: the body of ``tilt_grid``: grid.py's evaluation_times_for_accesses in C,
@@ -254,6 +258,12 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
 """
 
 
+#: the arrays of a prefix group that holds no rows: its start time and sums
+_C_NONE = """static double tilt_none[1] = {0.0};
+static long double tilt_none_l[1] = {0.0L};
+"""
+
+
 class _CEmitter:
     """Lowers one KernelSpec's fused IR to its C entry point.
 
@@ -262,17 +272,16 @@ class _CEmitter:
     template the Python tier executes for the same node, including eager
     evaluation of both conditional branches and domain-masked lanes.
 
-    The entry runs in three steps.  Each prefix group first extends the
-    arrays of the :class:`~repro.windowing.prefix.PrefixRangeIndex` the
-    caller passes (a session's kept site, or a fresh one) by the input's
-    newest snapshots — the group's element map and masked components,
-    accumulated as ``PrefixRangeIndex.extend`` does, into rows the caller
-    reserved.  Then the entry builds its own grid (``tilt_grid``, with the
-    kernel's ``(input, boundary offset)`` pairs and precision as literals)
-    into outputs the caller sized from a bound on its length.  Last, the
-    loop: each cursor starts at one binary search for the first grid point,
-    then advances monotonically — a tick's grid is a short run at the far
-    end of a long retained tail.
+    The entry takes one struct (:meth:`_struct`).  Each prefix group first
+    extends the :class:`~repro.windowing.prefix.PrefixRangeIndex` the caller
+    binds by the input's newest snapshots, into rows the caller reserved, as
+    ``PrefixRangeIndex.extend`` would.  Then the entry builds its grid
+    (``tilt_grid``, the kernel's ``(input, boundary offset)`` pairs and
+    precision as literals) into the caller's lanes, or returns its length
+    when they are too few; evaluates it, each cursor starting at one binary
+    search for the first grid point, then advancing monotonically; compacts
+    the lanes when the caller asks; and prunes each group the caller gave a
+    floor.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -428,13 +437,13 @@ class _CEmitter:
     def _bind_prefix_site(self, group: _Group) -> None:
         """A prefix group: its timeline (``{g}_e``: start time,
         then every snapshot time), valid prefix and component prefixes are
-        parameters, their last ``{g}_new`` rows reserved for the input's
-        newest snapshots, which the entry maps and accumulates into them
+        bound in the struct, their last ``{g}_new`` rows reserved for the
+        input's newest snapshots, which the entry maps and accumulates into them
         before anything else (an extended-precision row around the index's
         centre ``{g}_c``)."""
         g = f"g{group.index}"
         agg = group.agg
-        self.prefix_sites.append(_PrefixSite(group.site, len(agg.c_components), agg.prefix_dtype))
+        self.prefix_sites.append(_PrefixSite(group.site, g, len(agg.c_components), agg.prefix_dtype))
         m, bt = self._ref_args(group.ref)[:2]
         ctype = "long double" if agg.prefix_extended_precision else "double"
         ext = self.extends
@@ -639,8 +648,8 @@ class _CEmitter:
     def _grid(self) -> List[str]:
         """The evaluation grid: the kernel's ``(input, boundary offset)``
         pairs in the order ``grid.py`` visits them, and the precision, as
-        literals.  A grid longer than ``cap`` returns before anything
-        allocates (the caller sized ``cap`` from a bound: a bug)."""
+        literals.  A grid longer than ``cap`` returns its length before
+        anything allocates: the caller grows the lanes and calls again."""
         pairs = []
         for ref, pattern in self.spec.accesses.items():
             m, bt, _, _, bs = self._ref_args(ref)
@@ -655,29 +664,52 @@ class _CEmitter:
         lines.append("    if (n < 0 || n > cap) return n;")
         return lines
 
-    def generate(self) -> Tuple[str, str]:
-        """Returns ``(function, signature)``: the entry point's C text."""
-        out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
-        params = ["double t_start", "double t_end", "int64_t cap", "double* ts"]
+    def _struct(self) -> Tuple[List[str], List[str], List[str]]:
+        """``(fields, loads, prunes)``: the struct the caller binds (see
+        ``native._Bound``), the entry's locals read from it, and each prefix
+        group's ``PrefixRangeIndex.prune`` (a floor of ``-inf`` never fires)."""
+        fields = ["double t_start, t_end;", "int64_t cap, compact;", "double *ts, *out_v;", "unsigned char* out_k;"]
+        loads = [
+            "    const double t_start = S->t_start, t_end = S->t_end;",
+            "    const int64_t cap = S->cap, compact = S->compact;",
+            "    double *ts = S->ts, *out_v = S->out_v;",
+            "    unsigned char* out_k = S->out_k;",
+        ]
         for i in range(len(self.refs)):
-            params += [
-                f"int64_t m{i}",
-                f"const double* bt{i}",
-                f"const double* bv{i}",
-                f"const unsigned char* bk{i}",
-                f"double bs{i}",
-            ]
+            fields += [f"int64_t i{i}_lo, i{i}_n;", f"const double *i{i}_t, *i{i}_v;", f"const unsigned char* i{i}_k;", f"double i{i}_s;"]
+            loads.append(f"    const int64_t m{i} = S->i{i}_n - S->i{i}_lo;")
+            loads.append(f"    const double *bt{i} = S->i{i}_t + S->i{i}_lo, *bv{i} = S->i{i}_v + S->i{i}_lo, bs{i} = S->i{i}_s;")
+            loads.append(f"    const unsigned char* bk{i} = S->i{i}_k + S->i{i}_lo;")
+        prunes = []
         for site in self.prefix_sites:
-            g = f"g{self.groups[site.key].index}"
-            ctype = "long double" if site.dtype is np.longdouble else "double"
-            params += [f"int64_t {g}_m", f"double* {g}_e", f"double* {g}_vp"]
-            params += [f"{ctype}* {g}_p{c}" for c in range(site.components)]
-            params.append(f"int64_t {g}_new")
+            g, sums = site.name, [f"p{c}" for c in range(site.components)]
+            ctype, none = ("long double", "tilt_none_l") if site.dtype is np.longdouble else ("double", "tilt_none")
+            fields += [f"int64_t {g}_lo, {g}_n, {g}_new, {g}_drop;", f"double {g}_floor;", f"double *{g}_e, *{g}_vp;"]
+            fields += [f"{ctype}* {g}_{p};" for p in sums]
+            loads.append(f"    const int64_t {g}_rows = S->{g}_n - S->{g}_lo, {g}_new = S->{g}_new;")
+            loads.append(f"    const int64_t {g}_m = {g}_rows > 0 ? {g}_rows - 1 : 0;")
+            for name, ctp, empty in [("e", "double", "tilt_none"), ("vp", "double", "tilt_none")] + [(p, ctype, none) for p in sums]:
+                loads.append(f"    {ctp}* {g}_{name} = {g}_rows > 0 ? S->{g}_{name} + S->{g}_lo : {empty};")
             if site.dtype is np.longdouble:
-                params.append(f"const long double* {g}_c")
-        params += ["double* out_v", "unsigned char* out_k"]
-        signature = f"int64_t {TICK_ENTRY}({', '.join(params)})"
+                fields.append(f"const long double* {g}_c;")
+                loads.append(f"    const long double* {g}_c = S->{g}_c;")
+            extended = int(site.dtype is np.longdouble)
+            if sums:
+                loads.append(f"    void* {g}_ps[{len(sums)}] = {{{', '.join(f'{g}_{p}' for p in sums)}}};")
+            prunes.append(
+                f"    S->{g}_drop = tilt_prune({g}_vp, {f'{g}_ps' if sums else 'NULL'}, {len(sums)}, "
+                f"{extended}, {g}_t, {g}_m, S->{g}_floor);"
+            )
+        return fields, loads, prunes
+
+    def generate(self) -> Tuple[str, str]:
+        """Returns ``(unit text, cdef)``: the struct and the entry point."""
+        out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
+        fields, loads, prunes = self._struct()
+        struct = "typedef struct {\n" + "".join(f"    {f}\n" for f in fields) + "} tilt_state;\n"
+        signature = f"int64_t {TICK_ENTRY}(tilt_state* S)"
         lines = [signature, "{", "    int64_t rc = 0;"]
+        lines += loads
         lines += [f"    {ctype}* {name} = NULL;" for ctype, name in self.allocs]
         lines += self.extends + self._grid()  # the extends first: nothing before them can fail
         lines += self.prelude
@@ -687,12 +719,14 @@ class _CEmitter:
         lines.append(f"        out_v[i] = {out_v};")
         lines.append(f"        out_k[i] = (unsigned char)({out_k} != 0);")
         lines.append("    }")
+        lines.append("    int64_t w = compact ? tilt_compact(ts, out_v, out_k, n) : n;")
+        lines += prunes
         if self.allocs:
             lines.append("cleanup:")
             lines += [f"    free({name});" for _, name in self.allocs]
-        lines.append("    return rc ? -1 : n;")
+        lines.append("    return rc ? -1 : w;")
         lines.append("}")
-        return "\n".join(lines) + "\n", f"{signature};"
+        return struct + "\n" + "\n".join(lines) + "\n", f"{struct}{signature};"
 
 
 class Lowered(NamedTuple):
@@ -707,15 +741,44 @@ class Lowered(NamedTuple):
 def lower(spec: KernelSpec) -> Lowered:
     """The kernel's translation unit; it links against :data:`TICK_SUPPORT`."""
     emitter = _CEmitter(spec)
-    function, signature = emitter.generate()
+    function, cdef = emitter.generate()
     c_source = "\n".join(
-        [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID, function]
+        [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID, _C_NONE, function]
     )
-    return Lowered(c_source, signature, emitter.refs, emitter.prefix_sites)
+    return Lowered(c_source, cdef, emitter.refs, emitter.prefix_sites)
 
+
+#: SSBuf.compact over an entry's lanes, PrefixRangeIndex.prune of its groups
+_C_AFTER_LOOP = f"""/* SSBuf.compact: a lane equal (!= on both: NaN never merges, -0.0 does
+   with +0.0) to the one before replaces it; returns the lanes kept */
+int64_t tilt_compact(double* ts, double* v, unsigned char* k, int64_t n)
+{{
+    int64_t w = 0;
+    for (int64_t i = 0; i < n; i++) {{
+        if (w > 0 && k[w - 1] == k[i] && (!k[i] || v[w - 1] == v[i])) w--;
+        ts[w] = ts[i]; v[w] = v[i]; k[w++] = k[i];
+    }}
+    return w;
+}}
+
+/* PrefixRangeIndex.prune of a group with m snapshot times t: k, the times at
+   or before floor, once k >= {PRUNE_MIN} and 2k >= m, after every sum (np of
+   them, long double when extended) is rebased on row k; else 0 */
+int64_t tilt_prune(double* vp, void** ps, int64_t np, int extended, const double* t, int64_t m, double floor)
+{{
+    int64_t k = tilt_upper(t, m, floor);
+    if (k < {PRUNE_MIN} || 2 * k < m) return 0;
+#define TILT_REBASE(T, a) {{ T* x = (T*)(a); T b = x[k]; for (int64_t r = k; r <= m; r++) x[r] -= b; }}
+    TILT_REBASE(double, vp)
+    for (int64_t c = 0; c < np; c++)
+        if (extended) TILT_REBASE(long double, ps[c]) else TILT_REBASE(double, ps[c])
+    return k;
+}}
+"""
 
 #: the library every kernel's unit links against, built once per cache
-#: rather than into each unit (see ``native._load_support``): the grid
+#: rather than into each unit (see ``native._load_support``): the grid, the
+#: compaction and the prune
 TICK_SUPPORT = "\n".join(
-    ["/* support library of the native tick entries */\n" + _C_HEADER, _C_SEEK, _C_GRID, _C_GRID_BODY]
+    ["/* support library of the native tick entries */\n" + _C_HEADER, _C_SEEK, _C_GRID, _C_GRID_BODY, _C_AFTER_LOOP]
 )

@@ -16,26 +16,20 @@ therefore executes one kind of artifact however it was made.
 
 Life of a kernel that requested the native tier: ``numpy`` → ``queued`` →
 ``building`` → ``native`` (or ``refused``, with the reason).  It is always
-instantiated on its NumPy twin, which costs what a NumPy-tier kernel costs
-and needs no toolchain; ``run`` charges the twin's wall time to the kernel's
+instantiated on its NumPy twin, which needs no toolchain; ``run`` charges
+the twin's wall time to the kernel's
 :class:`~repro.core.codegen.native.KernelRecord` — one per kernel digest in
-the process, so equal queries in different engines, services or program
-objects heat one record — and once a query's undecided kernels' pooled heat
-exceeds what building them is expected to cost
-(:func:`~repro.core.codegen.native.expected_build_seconds` each — break-even,
-the classic tier-up rule) the query is handed, once, to whoever compiled it
-(``on_hot``; the engine queues it for the process's builder thread).  The
-first equal query there builds; the others find the kernel in its record.
-(A long-lived service with one program object per query gains nothing from
-the pooling: its heat already lived on one kernel.)  A session's in-process
-ticks count like any run.
+the process, so equal queries heat one record, a session's ticks included —
+and once a query's undecided kernels' pooled heat exceeds what building them
+is expected to cost (:func:`~repro.core.codegen.native.expected_build_seconds`
+each: the break-even tier-up rule) the query is handed, once, to whoever
+compiled it (``on_hot``; the engine queues it for the builder thread).
 Publishing the C kernel is one attribute store that ``run`` branches on per
-call — to the C kernel's one entry, over the runtime's kept reduce-site
-arrays when a session's runtime is passed and over fresh ones otherwise —
-and the tiers are bit-identical, so the swap is invisible in the output,
-mid-session included.  :meth:`CompiledQuery.promote` is the same
-build on the calling thread.  Where a process pool's workers run the
-kernels, the engine charges the parent's copy what each dispatch took
+call — to the C kernel's one entry, over the caller's runtime — and the
+tiers are bit-identical, so the swap is invisible in the output,
+mid-session included.  :meth:`CompiledQuery.promote` is the same build on
+the calling thread.  Where a process pool's workers run the kernels, the
+engine charges the parent's copy what each dispatch took
 (:meth:`CompiledQuery.charge`); a promoted query pickles to new bytes, so
 the workers — which never compile — unpickle it again and load what the
 build left in the disk cache.
@@ -102,8 +96,8 @@ class CompiledKernel:
     The class separates *what a kernel is* (the :class:`KernelSpec`: sources,
     fused IR, aggregate descriptors, access pattern — picklable whenever its
     aggregates are) from *a kernel instantiated in this process* (the exec'd
-    function and its :class:`KernelRuntime`, which never cross a process
-    boundary).  Pickling therefore ships only the spec and the tier;
+    function and element maps; the :class:`KernelRuntime` objects its callers
+    hold never cross a process boundary).  Pickling therefore ships only the spec and the tier;
     unpickling instantiates the kernel again.
     """
 
@@ -124,14 +118,13 @@ class CompiledKernel:
         self.build_seconds = 0.0
         self._promote_lock = threading.Lock()
         if tier == INTERPRETED_TIER:
-            self.runtime = self._function = None
+            self.element_functions = self._function = None
             self.state = INTERPRETED_TIER
             return
-        element_functions = [
+        self.element_functions = [
             self._compile_function(src, ELEMENT_FUNCTION_NAME, f"<tilt-element-{spec.name}-{i}>")
             for i, src in enumerate(spec.element_sources)
         ]
-        self.runtime = KernelRuntime(spec.accesses, spec.tdom, spec.aggregates, element_functions)
         self._function = self._compile_function(
             spec.source, KERNEL_FUNCTION_NAME, f"<tilt-kernel-{spec.name}>"
         )
@@ -226,27 +219,21 @@ class CompiledKernel:
         t_end: float,
         runtime: Optional[KernelRuntime] = None,
     ) -> SSBuf:
-        """Execute the kernel over ``(t_start, t_end]``.
-
-        ``runtime`` substitutes a caller-owned runtime for the kernel's
-        shared immutable one — an in-process session tick passes its private
-        :class:`~repro.core.codegen.incremental.IncrementalKernelRuntime`
-        here so reductions hit persistent per-session state.  A promoted
-        kernel serves every call from its C entry
-        (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`),
-        which extends those same kept sites itself, or fresh ones when the
-        runtime keeps none; otherwise the NumPy twin runs with the runtime.
-        The interpreted tier ignores the override (sessions never pass one
-        to it).  Every call the NumPy twin serves is charged to the kernel's
-        record, a session's ticks included.
-        """
+        """Execute the kernel over ``(t_start, t_end]`` with the caller's
+        :class:`KernelRuntime` (a session keeps one per kernel; ``None``: a
+        fresh one) — on the C entry once promoted
+        (:meth:`NativeKernel.tick <repro.core.codegen.native.NativeKernel.tick>`,
+        whose result is a view of the runtime's lanes), else on the NumPy
+        twin, charged to the kernel's record.  The interpreted tier ignores
+        the runtime."""
         if self._function is None:  # interpreted tier: evaluate the IR itself
             return evaluate_temporal_expr(self.spec.te, env, t_start, t_end)
-        rt = self.runtime if runtime is None else runtime
+        rt = KernelRuntime(self) if runtime is None else runtime
         c_kernel = self._native
         if c_kernel is not None:
             return c_kernel.tick(env, t_start, t_end, rt)
         started = time.perf_counter()
+        rt.begin()
         out = self._function(env, t_start, t_end, rt)
         self.charge(time.perf_counter() - started)
         return out
@@ -463,23 +450,17 @@ class CompiledQuery:
         inputs: Mapping[str, SSBuf],
         t_start: float,
         t_end: float,
-        output_runtime: Optional[KernelRuntime] = None,
+        runtimes: Optional[Mapping[str, KernelRuntime]] = None,
     ) -> SSBuf:
-        """Execute the query over ``(t_start, t_end]`` and return the output buffer.
-
-        Intermediate (non-output) expressions are materialized over an
-        interval extended by the resolved margins so that downstream kernels
-        can read into the past/future they need.
-
-        ``output_runtime`` is the in-process session tick: the output kernel
-        runs with that session-private runtime over ``inputs`` *unsliced*
-        (its persistent reduce sites may only ever ingest true input
-        snapshots, never slice-clipped phantoms) — on its C entry once
-        promoted — while intermediates are rebuilt from the margin slices a
-        partition would have handed them, byte-identical to the
-        single-partition batch materialization.  Either way the NumPy time
-        is charged and the break-even rule applies, as for any run.
-        """
+        """Execute the query over ``(t_start, t_end]`` and return the output
+        buffer; intermediates are materialized over the interval extended by
+        the resolved margins.  ``runtimes`` (by kernel name) is the
+        in-process session tick: the output kernel runs over ``inputs``
+        *unsliced* (its kept sites must never ingest a slice-clipped
+        phantom), intermediates over the margin slices a partition would
+        have handed them.  Without it every kernel gets a fresh runtime.
+        Either way the NumPy time is charged and the break-even rule
+        applies."""
         env: Dict[str, SSBuf] = dict(inputs)
         missing = [name for name in self.program.inputs if name not in env]
         if missing:
@@ -487,17 +468,18 @@ class CompiledQuery:
         lookback = self.boundary.max_lookback
         lookahead = self.boundary.max_lookahead
         margin_env = env
-        if output_runtime is not None and len(self.kernels) > 1:
+        if runtimes is not None and len(self.kernels) > 1:
             margin_env = {
                 name: buf.slice(*self.boundary.input_interval(name, t_start, t_end))
                 for name, buf in inputs.items()
             }
         for kernel in self.kernels:
+            runtime = None if runtimes is None else runtimes[kernel.name]
             if kernel.name == self.program.output:
-                env[kernel.name] = kernel.run(env, t_start, t_end, runtime=output_runtime)
+                env[kernel.name] = kernel.run(env, t_start, t_end, runtime)
             else:
                 env[kernel.name] = margin_env[kernel.name] = kernel.run(
-                    margin_env, t_start - lookback, t_end + lookahead
+                    margin_env, t_start - lookback, t_end + lookahead, runtime
                 )
         if self.on_hot is not None:
             self._check_hot()

@@ -10,102 +10,70 @@ cursors, window reductions query precomputed prefix/deque indexes, and the
 whole scalar expression tree runs per output lane inside one loop — the
 keep-hot-data-in-register move the paper makes with LLVM, made here with
 ``cffi`` (ABI mode, no setuptools) plus the system C compiler behind an
-optional dependency.
+optional dependency.  ``docs/architecture.md`` §5 has the details.
 
 Tier contract
 -------------
-The native tier is **bit-compatible** with the NumPy tier: for every
-lowerable construct the emitted C replicates NumPy's observable arithmetic
-exactly — sequential ``np.cumsum`` prefix sums, ``np.maximum``'s
-first-operand-wins NaN ordering, extended ``long double`` accumulation for
-extended-precision rows with the centering mean computed by ``np.mean``
-itself (pairwise summation is not replicated in C; the one place it matters
-is computed Python-side and passed in), hex-float constants, and
-division-by-zero masking.  What lowers is whatever carries a C fragment in
-the two semantics tables — an :class:`~repro.core.ops.Op` row with a ``c``
-template, a built-in or derived
-:class:`~repro.windowing.functions.AggregateFunction` row that is
-``c_lowerable`` (``python -m repro.analysis --rows`` lists the tables; a
-derived row's C text is generated from the operator rows).  Rows without
-one — NumPy lowerings that portable C cannot replicate bit for bit
-(pairwise-summed ``np.prod``, SIMD transcendentals) — and opaque custom
-aggregates (Python callables) are **not lowered**: such kernels silently
-stay on the NumPy tier, observable through :func:`stats` and the engine's
-``repro_native_fallbacks_total`` counter.
+The native tier is **bit-compatible** with the NumPy tier: the emitted C
+replicates NumPy's observable arithmetic exactly (sequential ``np.cumsum``
+prefix sums, ``np.maximum``'s NaN ordering, ``long double`` accumulation
+around a centre ``np.mean`` computes Python-side, hex-float constants,
+division-by-zero masking).  What lowers is whatever carries a C fragment in
+the two semantics tables (``python -m repro.analysis --rows``); anything
+else — and an opaque custom aggregate — silently stays on the NumPy tier,
+counted in :func:`stats` and ``repro_native_fallbacks_total``.
 
 Life of a kernel
 ----------------
 A native build is never paid by a caller.  A query starts on its NumPy
-kernels; :class:`~repro.core.codegen.compiled.CompiledQuery` charges each
-kernel the wall time its NumPy twin serves — to the kernel's
-:class:`KernelRecord`, which every equal kernel in the process shares — and,
-once its kernels' pooled heat exceeds what building them is expected to
-cost (:func:`expected_build_seconds` per kernel — the break-even tier-up
-rule), hands the query to this module's one daemon builder thread
-(:func:`submit_build`), which probes the toolchain, lowers, runs ``cc``,
-``dlopen``s and publishes the kernel.  :func:`instantiate` is the
-synchronous build that thread (and ``CompiledQuery.promote``) calls;
-:func:`load_cached` is the same minus the compiler, for pool workers.  A
-``cc`` still running when the interpreter exits is killed with it, and its
-temp files removed (an ``atexit`` hook registered by the first build).
+kernels; :class:`~repro.core.codegen.compiled.CompiledQuery` charges the
+NumPy time to each kernel's :class:`KernelRecord` (shared by every equal
+kernel in the process) and, once that heat exceeds
+:func:`expected_build_seconds` per kernel (break-even), hands the query to
+this module's one daemon builder thread (:func:`submit_build`).
+:func:`instantiate` is the synchronous build it calls; :func:`load_cached`
+is the same minus the compiler, for pool workers.  A ``cc`` still running
+at interpreter exit is killed and its temp files removed (``atexit``).
 
 One entry point
 ---------------
 A kernel has one C entry point, ``tilt_tick`` (:data:`TICK_ENTRY`), one
 artifact, and one call path: every call its kernel serves — a one-shot
 partition, an intermediate a tick rebuilds, a session's in-process tick —
-is one call of it (:meth:`NativeKernel.tick`).  First it extends each
-prefix-sum group's :class:`~repro.windowing.prefix.PrefixRangeIndex` by the
-input's new snapshots: the one a session keeps for that reduce site, or a
-fresh one (the whole input: a one-shot run's index, built the same way).
-It writes element map, masked components and the chunked accumulation,
-byte for byte what ``PrefixRangeIndex.extend`` writes, into rows Python
-reserved (Python keeps the growth, the ingest horizon, the prune rebase and
-an extended-precision index's centre, which is ``np.mean``'s).  Nothing
-before the extends can fail, so a failed call leaves every site extended.
-Then it builds the evaluation grid (``grid.py``'s bitmap or sorted-run
-merge, byte for byte, the kernel's offsets and precision passed as literals
-to ``tilt_grid``, which lives in one support library every unit links
-against: :func:`_load_support`) into outputs sized from a bound on its
-length.  Each cursor starts at one binary search for the first grid point.
-The entry keeps no state of its own and writes nothing to the runtime it
-is handed, so a kernel's shared immutable runtime serves concurrent
-partitions, and a session promoted mid-stream hands nothing over.
+is one call of it (:meth:`NativeKernel.tick`) over one pointer: the struct
+of the caller's :class:`~repro.core.codegen.runtime_support.KernelRuntime`
+(:class:`_Bound`), made by the runtime's first call and rebound only where
+a :class:`~repro.core.runtime.growable.GrowableArray` was reallocated.  The
+entry extends each prefix site (a kept one by the new snapshots, a
+rewound per-call one by the whole input) into rows Python reserved, builds
+the grid (``grid.py``'s, byte for byte, in ``tilt_grid``, which lives in
+one support library every unit links against: :func:`_load_support`) into
+the runtime's output lanes — or returns its length when they are too few
+and is called again with them grown — evaluates it, and for a session's
+output kernel compacts the lanes as ``SSBuf.compact`` would and prunes the
+kept sites as ``PrefixRangeIndex.prune`` would.  Nothing before the extends
+can fail, and the entry keeps no state of its own, so a session promoted
+mid-stream hands nothing over.
 
 Caching
 -------
-What this process knows about a kernel is kept at two levels, both keyed by
-``KernelSpec.digest()``:
-
-* an in-process LRU of :class:`KernelRecord` objects
-  (``_KERNEL_CACHE_LIMIT`` entries), one per digest: the NumPy time every
-  copy of the kernel has served (its heat) and the outcome of building it —
-  the loaded :class:`NativeKernel` or the reason it was refused.  Equal
-  queries in different engines, services or program objects of one process
-  therefore pay toward one build, share one ``dlopen`` (a pool worker
-  unpickling a query again included) and are refused once.  A long-lived
-  service with one program object per query gains nothing from this: its
-  heat already lived on one kernel.  A spec with lowering blockers keeps a
-  private record (its digest may raise, and it never builds), as does a
-  kernel that did not request the native tier;
-* an on-disk ``.so`` cache (``REPRO_NATIVE_CACHE``, default
-  ``$TMPDIR/repro-native-<uid>``) written via per-process temp files and an
-  atomic ``os.replace``, so process-pool workers and later processes
-  ``dlopen`` a ready-made artifact instead of running the C compiler.  The
-  generated ``.c`` source is kept next to the ``.so`` for debuggability.
-
-The disk cache holds code this process will execute, so it is trusted only
-as far as it can be checked: the directory must belong to this user and be
-writable by nobody else (it is created ``0700``; anything else is refused
-with a stated reason and the kernel stays on NumPy), and every ``.so``
-carries a ``.sum`` sidecar (size and SHA-256, written by the same atomic
-replace) that must match before ``dlopen`` — a truncated or foreign artifact
-is rejected (``cache_rejects_total``) and rebuilt rather than mapped.
+Two levels, both keyed by ``KernelSpec.digest()``: an in-process LRU of
+:class:`KernelRecord` objects (``_KERNEL_CACHE_LIMIT``; heat and the
+loaded kernel or refusal — equal kernels pay toward one build, share one
+``dlopen`` and are refused once; a spec with lowering blockers, or a
+kernel that did not request the native tier, keeps a private record), and
+an on-disk ``.so`` cache (``REPRO_NATIVE_CACHE``, default
+``$TMPDIR/repro-native-<uid>``, the ``.c`` kept beside each ``.so``)
+written through per-process temp files and an atomic ``os.replace``.  The
+disk cache holds code this process will execute, so it is trusted only as
+far as it can be checked: the directory must belong to this user and be
+writable by nobody else (created ``0700``), and every ``.so`` must match
+its ``.sum`` sidecar (size and SHA-256) before ``dlopen`` — a truncated or
+foreign artifact is rejected (``cache_rejects_total``) and rebuilt.
 
 Deployment settings: ``REPRO_NATIVE_CC`` (compiler, default ``cc``) and
-``REPRO_NATIVE_CACHE`` (disk cache directory).  ``REPRO_NATIVE_DISABLE``
-forces the tier unavailable — the test hook that simulates a missing
-optional dependency.
+``REPRO_NATIVE_CACHE``.  ``REPRO_NATIVE_DISABLE`` forces the tier
+unavailable — the test hook that simulates a missing optional dependency.
 """
 
 from __future__ import annotations
@@ -676,9 +644,11 @@ def _load_support(build: bool) -> bool:
 # ---------------------------------------------------------------------- #
 # the runnable kernel
 # ---------------------------------------------------------------------- #
-#: the timeline and valid prefix of a prefix index that holds nothing
-_NO_EDGES = np.zeros(1)
-_NO_EDGES.flags.writeable = False
+_CTYPES = {
+    np.dtype(np.float64): "double[]",
+    np.dtype(np.longdouble): "long double[]",
+    np.dtype(np.uint8): "unsigned char[]",
+}
 
 
 class NativeKernel:
@@ -686,9 +656,9 @@ class NativeKernel:
 
     Drop-in for the generated-Python kernel function: :meth:`tick` returns
     the same :class:`~repro.core.runtime.ssbuf.SSBuf` as the NumPy twin
-    (bit-identical values and times).  It holds no pointer past its call,
-    and the cffi call releases the GIL, so thread-pool partitions genuinely
-    overlap.
+    (bit-identical values and times).  Its state lives in the caller's
+    runtime, and the cffi call releases the GIL, so thread-pool partitions
+    (each with a fresh runtime) genuinely overlap.
     """
 
     def __init__(self, spec: KernelSpec, ffi, lowered: Lowered, lib):
@@ -698,102 +668,172 @@ class NativeKernel:
         self._ffi = ffi
         self._lib = lib  # keep the dlopen handle alive
         self._fn = getattr(lib, TICK_ENTRY)
-        #: per input, the boundary offsets whose candidates the grid reads
-        self._grid_offsets = []
-        for ref, pattern in spec.accesses.items():
-            offsets = pattern.boundary_offsets()
-            if offsets:
-                self._grid_offsets.append((ref, np.fromiter(offsets, dtype=np.float64)))
-
-    def _inputs(self, env) -> list:
-        """Every referenced buffer by pointer (a validity mask as its own
-        bytes: a bool is one byte)."""
-        ffi = self._ffi
-        args = []
-        for ref in self._refs:
-            buf = env[ref]
-            args += [
-                len(buf.times),
-                ffi.from_buffer("double[]", np.ascontiguousarray(buf.times, dtype=np.float64)),
-                ffi.from_buffer("double[]", np.ascontiguousarray(buf.values, dtype=np.float64)),
-                ffi.from_buffer("unsigned char[]", buf.valid.view(np.uint8)),
-                float(buf.start_time),
-            ]
-        return args
-
-    def _lanes(self, env, t_start: float, t_end: float) -> int:
-        """An upper bound on the length of the grid over ``(t_start,
-        t_end]``: the candidates — per ``(input, offset)`` pair those in
-        ``(t_start+o, t_end+o]`` and its start time, and ``t_end``, counted
-        with one ``searchsorted`` per input, so a tick costs nothing per
-        retained snapshot — twice over on a precision grid ``p``, where each
-        marks ``k`` and ``k - 1``, but never more than the ``(t_end -
-        t_start) / p + 2`` multiples of ``p`` in the interval (one more for
-        rounding).  ``t_end`` closes the grid."""
-        precision = self.spec.tdom.precision
-        candidates = 1
-        for ref, offsets in self._grid_offsets:
-            k = len(offsets)
-            edges = np.concatenate((t_start + offsets, t_end + offsets))
-            at = np.searchsorted(env[ref].times, edges, side="right")
-            candidates += int((at[k:] - at[:k]).sum()) + k
-        if precision <= 0:
-            return candidates + 1
-        points, cells = 2 * candidates, (t_end - t_start) / precision
-        if cells < points:  # (never for an unbounded interval)
-            points = math.ceil(cells) + 3
-        return points + 1
-
-    def _outputs(self, cap: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], list]:
-        """``((ts, out_v, out_k), pointers)``: ``cap`` lanes for C to write."""
-        arrays = (np.empty(cap), np.empty(cap), np.empty(cap, dtype=np.uint8))
-        ffi = self._ffi
-        ctypes = ("double[]", "double[]", "unsigned char[]")
-        return arrays, [
-            ffi.from_buffer(ctype, array, require_writable=True)
-            for ctype, array in zip(ctypes, arrays)
+        #: per input, how many ``(input, boundary offset)`` pairs of the grid read it
+        self._grid_reads = [len(spec.accesses[ref].boundary_offsets()) for ref in self._refs]
+        #: the struct's field names: per input, per prefix site (see ``c_emit._struct``)
+        self._input_fields = [tuple(f"i{i}_{f}" for f in ("t", "v", "k", "lo", "n", "s")) for i in range(len(self._refs))]
+        self._site_fields = [
+            (
+                tuple(f"{site.name}_{f}" for f in ("e", "vp", *(f"p{c}" for c in range(site.components)))),
+                tuple(f"{site.name}_{f}" for f in ("lo", "n", "new", "floor", "drop", "c")),
+            )
+            for site in self._sites
         ]
 
     def tick(self, env, t_start: float, t_end: float, rt):
-        """One call over ``(t_start, t_end]``: one :data:`TICK_ENTRY` call,
-        which first extends the prefix sites ``rt`` keeps by the inputs' new
-        snapshots (the rows each site reserved here, see
-        :meth:`~repro.core.codegen.runtime_support.ReduceSite.reserve`),
-        then builds the grid and evaluates it.  A group ``rt`` does not keep
-        — every group, on a kernel's shared runtime — gets a fresh site,
-        filled the same way from the whole input; ``rt`` itself is only
-        read.  A grid longer than its bound (:meth:`_lanes`) is a bug."""
+        """One :data:`TICK_ENTRY` call over ``(t_start, t_end]`` and ``rt``'s
+        struct (:class:`_Bound`, made by the runtime's first call).  The
+        result is a view of ``rt``'s lanes, valid until its next call."""
         if t_end <= t_start:  # an empty grid: nothing to evaluate or ingest
             return rt.empty(t_start)
-        ffi = self._ffi
-        args = self._inputs(env)
-        for site_key, components, dtype in self._sites:
-            ref, agg_idx, elem_idx = site_key
-            site = rt.sites.get(site_key) or rt.new_site(agg_idx, elem_idx)
-            new = site.reserve(env[ref])
-            edges, valid_prefix, prefixes = site.index.arrays()
-            if not len(edges):  # nothing ingested: every window is φ
-                edges, valid_prefix = _NO_EDGES, _NO_EDGES
-                prefixes = [np.zeros(1, dtype=dtype)] * components
-            ctype = "long double[]" if dtype is np.longdouble else "double[]"
-            args += [len(edges) - 1, ffi.from_buffer("double[]", edges)]
-            args.append(ffi.from_buffer("double[]", valid_prefix))
-            args += [ffi.from_buffer(ctype, prefix) for prefix in prefixes]
-            args.append(new)
+        rt.begin()
+        return (rt.bound or _Bound(self, rt)).call(rt, env, t_start, t_end)
+
+
+class _Bound:
+    """One runtime's struct for one kernel's entry: pointers, live windows
+    and capacities of the inputs, the prefix sites' arrays and the output
+    lanes.  A :class:`~repro.core.runtime.growable.GrowableArray` (an ingest
+    column, a site's array) is rebound only when its ``gen`` says it was
+    reallocated — a call writes every live window ``[lo, n)`` anyway — and
+    a buffer a call is handed (no column) is bound by that call."""
+
+    def __init__(self, kernel: NativeKernel, rt):
+        from ...windowing.prefix import PrefixRangeIndex
+
+        # not the runtime, which holds this: a cycle would keep a one-shot
+        # call's arrays alive until the collector runs, and later calls
+        # would fault in fresh pages
+        self.kernel, self.st, self.lanes, self.cap = kernel, kernel._ffi.new("tilt_state *"), (), 0
+        self._keep: Dict[str, object] = {}  # what each bound pointer points into
+        #: ``[field, GrowableArray, gen bound]`` per bound array
+        self.arrays: List[list] = []
+        #: per input: ref, ingest column (or ``None``), field names
+        self.inputs = []
+        for ref, names in zip(kernel._refs, kernel._input_fields):
+            column = rt.columns.get(ref)
+            if column is not None:
+                self.arrays += [[f, a, -1] for f, a in zip(names, (column._times, column._values, column._valid))]
+            self.inputs.append((ref, column, names))
+        #: no input is a column: every call's buffers bound the grid tightly
+        self.presize = all(column is None for _, column, _ in self.inputs)
+        #: per prefix site: ref, site, kept?, centre (extended precision),
+        #: ``[horizon, column rows appended]`` at its last reserve, fields
+        self.sites = []
+        for (key, dtype), (fields, names) in zip(((s.key, s.dtype) for s in kernel._sites), kernel._site_fields):
+            site = rt.site(key)
+            if site.index is None:
+                site.index = PrefixRangeIndex(site.agg)
+            self.arrays += [[f, a, -1] for f, a in zip(fields, site.index.storage())]
+            center = None
             if dtype is np.longdouble:
-                center = 0.0 if site.index.center is None else site.index.center
-                center = np.array([center], dtype=np.longdouble)
-                args.append(ffi.from_buffer("long double[]", center))
-        cap = self._lanes(env, t_start, t_end)
-        (ts, out_v, out_k), (ts_out, *outs) = self._outputs(cap)
-        n = self._fn(t_start, t_end, cap, ts_out, *args, *outs)
-        if n < 0:
-            raise ExecutionError(f"native kernel ~{self.spec.name} failed to allocate")
-        if n > cap:
-            raise ExecutionError(
-                f"native kernel ~{self.spec.name}: a grid of {n} points exceeds its bound of {cap}"
-            )
-        return _ssbuf_from_arrays(ts[:n], out_v[:n], out_k[:n].view(np.bool_), float(t_start))
+                center = np.zeros(1, dtype=np.longdouble)
+                setattr(self.st, names[5], self._pin(names[5], center))
+            setattr(self.st, names[3], -math.inf)
+            self.sites.append((key[0], site, key in rt.kept, center, [None, 0], names))
+        self.st.compact = rt.compact
+        rt.bound = self
+
+    def _pin(self, field: str, array: np.ndarray, writable: bool = True):
+        """``array``'s pointer (a bool as one byte), kept alive for ``field``."""
+        if array.dtype == np.bool_:
+            array = array.view(np.uint8)
+        cdata = self._keep[field] = self.kernel._ffi.from_buffer(
+            _CTYPES[array.dtype], array, require_writable=writable
+        )
+        return cdata
+
+    def _size_lanes(self, cap: int) -> None:
+        lanes = (np.empty(cap), np.empty(cap), np.empty(cap, dtype=np.uint8))
+        st = self.st
+        st.ts, st.out_v, st.out_k = (self._pin(f, a) for f, a in zip(("ts", "out_v", "out_k"), lanes))
+        st.cap = self.cap = cap
+        self.lanes = lanes[:2] + (lanes[2].view(np.bool_),)
+
+    def _grid_bound(self, rows, span: float) -> int:
+        """A bound on the grid's length: every candidate (``t_end``, and per
+        ``(input, offset)`` pair each snapshot and the start time), twice on
+        a precision grid ``p`` (each marks ``k`` and ``k - 1``) but at most
+        the ``span / p + 3`` multiples of ``p``; plus the closing ``t_end``."""
+        points = 1 + sum(k * (m + 1) for k, m in zip(self.kernel._grid_reads, rows))
+        precision = self.kernel.spec.tdom.precision
+        if precision > 0:
+            points = min(2 * points, math.ceil(span / precision) + 3)
+        return points + 1
+
+    def call(self, rt, env, t_start: float, t_end: float):
+        st = self.st
+        st.t_start, st.t_end = t_start, t_end
+        rows = []
+        for ref, column, (t, v, k, lo, n, s) in self.inputs:
+            if column is None:  # a buffer of this call
+                buf = env[ref]
+                times = np.ascontiguousarray(buf.times, dtype=np.float64)
+                setattr(st, t, self._pin(t, times, False))
+                setattr(st, v, self._pin(v, np.ascontiguousarray(buf.values, dtype=np.float64), False))
+                setattr(st, k, self._pin(k, buf.valid, False))
+                live = (0, len(times), buf.start_time)
+            else:
+                live = (column._times._lo, column._times._n, column.anchor or 0.0)
+            setattr(st, lo, live[0])
+            setattr(st, n, live[1])
+            setattr(st, s, live[2])
+            rows.append(live[1] - live[0])
+        floor = rt.prune_to
+        for ref, site, kept, center, mark, (lo, n, new, *_) in self.sites:
+            column = rt.columns.get(ref)
+            edges = site.index.storage()[0]
+            if column is not None and site.ingested_through == mark[0] and len(edges):
+                # a site over a column, caught up through mark: the rows
+                # appended since are the new ones (as a searchsorted says)
+                rows_new = column.appended - mark[1]
+                if rows_new:  # (the index is open: no start time is read)
+                    site.index.reserve(rows_new, column.prev_end)
+                    site.ingested_through = column.prev_end
+            else:
+                rows_new = site.reserve(env[ref] if column is None else column.materialize())
+            if column is not None:
+                mark[:] = (site.ingested_through, column.appended)
+            setattr(st, new, rows_new)
+            setattr(st, lo, edges._lo)
+            setattr(st, n, edges._n)
+            if center is not None and site.index.center is not None:
+                center[0] = site.index.center
+            if kept and site.ingested_through < floor:
+                floor = site.ingested_through
+        for slot in self.arrays:
+            if slot[2] != slot[1].gen:
+                slot[2] = slot[1].gen
+                setattr(st, slot[0], self._pin(slot[0], slot[1]._data))
+        for _, _, kept, _, _, names in self.sites:  # a session's floor prunes its kept sites
+            if kept:
+                setattr(st, names[3], floor)
+        # lanes for the grid: sized from its bound by a runtime's first call,
+        # and by every call over buffers (one-shot, intermediates); over a
+        # session's columns — the bound counts the whole retained tail —
+        # they grow only when a grid outgrows them
+        if self.presize or not self.lanes:
+            need = self._grid_bound(rows, t_end - t_start)
+            if need > self.cap:
+                self._size_lanes(max(need, 2 * self.cap))
+        count = self.kernel._fn(st)
+        if count > self.cap:  # more points than lanes: grow them, extend nothing twice
+            self._size_lanes(max(count, 2 * self.cap))
+            for *_, names in self.sites:
+                setattr(st, names[2], 0)
+            count = self.kernel._fn(st)
+        if count < 0:
+            raise ExecutionError(f"native kernel ~{self.kernel.spec.name} failed to allocate")
+        if floor > -math.inf:
+            for _, site, kept, _, _, names in self.sites:
+                dropped = getattr(st, names[4]) if kept else 0
+                if dropped:
+                    site.index.drop(dropped)
+            rt.pruned = floor
+        ts, values, valid = self.lanes
+        out = _ssbuf_from_arrays(ts[:count], values[:count], valid[:count], float(t_start))
+        out.compacted = rt.compact
+        return out
 
 
 # ---------------------------------------------------------------------- #

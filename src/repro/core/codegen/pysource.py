@@ -79,7 +79,7 @@ class KernelSpec:
     #: ``(ref, start_offset, end_offset, agg_idx, elem_idx)``.  Derived from
     #: the same compilation pass that emits the call, so it is exactly the
     #: set of reductions a session plans state for (see
-    #: :func:`repro.core.codegen.incremental.reduce_site_plan`).  Not part
+    #: :func:`repro.core.codegen.runtime_support.reduce_site_plan`).  Not part
     #: of :meth:`digest` — it is fully determined by ``source`` (every entry
     #: mirrors an emitted call).
     reduce_sites: List[Tuple[str, float, float, int, int]] = field(default_factory=list)

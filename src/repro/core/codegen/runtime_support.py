@@ -2,9 +2,26 @@
 
 A generated kernel is pure straight-line NumPy code; everything that cannot
 be expressed as source text — the aggregate function registry, compiled
-element-map functions, the evaluation-grid computation and the snapshot
-buffer constructors — is provided through a :class:`KernelRuntime` instance
-(`rt` in the generated source).
+element-map functions, the evaluation-grid computation, the snapshot
+buffer constructors and the reduce sites — is provided through a
+:class:`KernelRuntime` instance (`rt` in the generated source), which a
+kernel's C entry is handed as well.
+
+A session keeps one runtime per kernel, whose *kept* reduce sites persist
+across ticks and ingest only the snapshots that arrived since the last one
+— tick cost O(new events) instead of O(lookback + new events).
+:func:`reduce_site_plan` decides per site, from
+:attr:`AggregateFunction.strategy` (the Init/Acc/Result/Deacc escalation of
+the paper's aggregation template, Section 6.1.2): a ``prefix`` row
+(``python -m repro.analysis --rows``) over a *program input* keeps a
+growable :class:`~repro.windowing.prefix.PrefixRangeIndex`, extended by
+NumPy or, with the same bytes, by the promoted kernel's C entry — one state
+whichever tier serves the session.  Every other reduction is rebuilt every
+call: a persistent sparse table or fold would walk snapshots in Python with
+an insert/evict aggregator (the test suite keeps those as the windowing
+oracle), measured slower than the vectorized rebuild.  Reductions over
+*intermediate* expressions never persist: intermediates are rebuilt each
+tick over their margin window, whereas input columns are append-only.
 """
 
 from __future__ import annotations
@@ -17,25 +34,59 @@ from ...errors import ExecutionError
 from ...windowing.functions import AggregateFunction, prefix_center
 from ...windowing.prefix import PrefixRangeIndex, snapshot_range_indices
 from ...windowing.sliding import build_range_index
-from ..ir.nodes import TDom
-from ..lineage.boundary import AccessPattern
 from ..runtime.ssbuf import SSBuf, _ssbuf_from_arrays
 from .grid import evaluation_times_for_accesses
 
-__all__ = ["KernelRuntime", "ReduceSite"]
+__all__ = ["KernelRuntime", "ReduceSite", "persists", "reduce_site_plan"]
+
+_INF = float("inf")
+
+
+def persists(agg) -> bool:
+    """A site can be kept across ticks only on a growable range index —
+    the prefix one (see ``windowing/sliding.py::build_range_index``)."""
+    return agg.strategy.range == "prefix"
+
+
+def reduce_site_plan(spec, input_refs, blanket: Optional[str] = None) -> List[Dict[str, object]]:
+    """One row per entry of ``spec.reduce_sites``: does its state persist
+    across ticks, and why.
+
+    ``blanket`` is a reason *no* site of this kernel persists (the session
+    partitions its ticks, or the kernel materializes an intermediate).
+    """
+    rows = []
+    for ref, start_offset, end_offset, agg_idx, _ in spec.reduce_sites:
+        strategy = spec.aggregates[agg_idx].strategy
+        if blanket is not None:
+            persisted, reason = False, blanket
+        elif ref not in input_refs:
+            persisted, reason = False, "reduces an intermediate expression"
+        elif persists(spec.aggregates[agg_idx]):
+            persisted, reason = True, "prefix-decomposable over a program input"
+        else:
+            persisted, reason = False, "no prefix decomposition"
+        rows.append(
+            {
+                "kernel": spec.name,
+                "ref": ref,
+                "window": (start_offset, end_offset),
+                "aggregate": spec.aggregates[agg_idx].name,
+                "strategy": strategy.range,
+                "state": "persisted" if persisted else "per-invocation",
+                "reason": reason,
+            }
+        )
+    return rows
 
 
 class ReduceSite:
     """One ``(input, aggregate, element map)`` reduction's state: the
     element map, the range index the aggregate's row picks, and the input
-    time the index has consumed through.
-
-    The same object serves both lifetimes.  A one-shot run creates it in the
-    invocation's ``cache`` and its single :meth:`ingest` builds the index
-    over the partition's slice; a session keeps it (see
-    :class:`~repro.core.codegen.incremental.IncrementalKernelRuntime`) and
-    every tick's :meth:`ingest` appends the input column's new tail.  All
-    windows over the same triple share one site: an index is window-agnostic.
+    time the index has consumed through.  A per-call site is rewound at the
+    start of every call and its :meth:`ingest` builds the index over the
+    call's buffer; a kept site's appends the column's new tail.  All windows
+    over one triple share its site: an index is window-agnostic.
     """
 
     __slots__ = ("agg", "_element", "index", "ingested_through")
@@ -47,19 +98,22 @@ class ReduceSite:
         #: growable one up front
         self.index = index
         #: input time up to which this site has consumed snapshots
-        self.ingested_through = -float("inf")
+        self.ingested_through = -_INF
+
+    def rewind(self) -> None:
+        """Hold nothing again; a prefix index keeps its storage."""
+        self.ingested_through = -_INF
+        if isinstance(self.index, PrefixRangeIndex):
+            self.index.rewind()
+        else:
+            self.index = None
 
     def ingest(self, buf: SSBuf, rt: "KernelRuntime") -> None:
-        """Consume every snapshot of ``buf`` newer than the ingest horizon.
-
-        Idempotent within an invocation (a second call over the same buffer
-        is a no-op) and robust to carry-over pruning between ticks:
-        snapshots the column dropped below the retention floor are — by the
-        margin invariant — strictly older than any window a future tick
-        queries.  A site that outlives the invocation must be fed the
-        unsliced input column: a slice-clipped phantom snapshot must never
-        be appended to.
-        """
+        """Consume every snapshot of ``buf`` newer than the ingest horizon:
+        idempotent within a call, and robust to carry-over pruning (what a
+        column dropped is older than any window a later tick queries).  A
+        kept site must be fed the unsliced input column, never a
+        slice-clipped phantom snapshot."""
         times = buf.times
         idx = int(np.searchsorted(times, self.ingested_through, side="right"))
         if idx >= len(times) and self.index is not None:
@@ -79,13 +133,10 @@ class ReduceSite:
             self.ingested_through = float(times[-1])
 
     def reserve(self, buf: SSBuf) -> int:
-        """The native entry's :meth:`ingest` of a prefix site: advance the
-        ingest horizon past ``buf``'s new snapshots and reserve their rows in
-        the index (:meth:`PrefixRangeIndex.reserve`), with the centre of an
-        extended-precision index this opens; returns how many rows the C
-        entry is to fill — the tail of ``buf``."""
-        if self.index is None:
-            self.index = PrefixRangeIndex(self.agg)
+        """The C entry's :meth:`ingest`: reserve rows for ``buf``'s new tail
+        (:meth:`PrefixRangeIndex.reserve`, with the centre of an
+        extended-precision index this opens), advance the horizon and
+        return how many rows C is to fill (the index is a prefix one)."""
         times = buf.times
         idx = int(np.searchsorted(times, self.ingested_through, side="right"))
         new = len(times) - idx
@@ -100,53 +151,73 @@ class ReduceSite:
 
 
 class KernelRuntime:
-    """Per-kernel helper object passed to generated code as ``rt``.
-
-    The runtime is **immutable after construction**: it carries only the
-    compile-time registries (aggregates, element maps, access patterns), no
-    execution state.  Anything that lives for one kernel invocation — the
-    cursor table and the :class:`ReduceSite` indexes, both held in the
-    invocation's ``cache`` dict — is allocated by the generated
-    kernel itself and threaded through the ``rt`` calls, so one compiled
-    query can run concurrently over many partitions (threads sharing a
-    ``CompiledQuery``, or a process pool's per-process rebuilds) without
-    any cross-run interference.  An earlier design kept the aggregator
-    cache on the runtime, keyed by ``id(buf)`` and cleared by
-    :meth:`eval_times`; that was both a cross-thread stomp (one partition
-    wiping another's cache mid-run) and an ``id``-reuse staleness hazard.
-
-    Parameters
-    ----------
-    accesses:
-        Access pattern of the kernel's expression (drives the evaluation
-        grid).
-    tdom:
-        Time domain of the temporal expression (precision snapping).
-    aggregates:
-        Registry of aggregate functions, indexed by the integers embedded in
-        the generated source.
-    element_functions:
-        Compiled element-map functions (one per registered element source).
+    """The state one caller keeps for one kernel, passed to generated code
+    as ``rt``: the kernel's registries, every reduce site it reads — *kept*
+    when :func:`reduce_site_plan` persists it over
+    ``input_refs``, else *per-call*, rewound at each call's start
+    (:meth:`begin`) — and, once its C entry has been called, that entry's
+    struct and output lanes (``bound``).  A one-shot call gets a fresh
+    runtime; a session keeps one per kernel, and for its output kernel sets
+    ``compact`` (the C entry writes ``SSBuf.compact``'s form), ``columns``
+    (ingest columns the entry binds by pointer) and, before each tick,
+    ``prune_to`` (the floor its pins and lookback allow: :meth:`prune`).
     """
 
     #: exposed so generated code can say ``_np = rt.np``
     np = np
 
-    def __init__(
-        self,
-        accesses: Mapping[str, AccessPattern],
-        tdom: TDom,
-        aggregates: List[AggregateFunction],
-        element_functions: List,
-    ):
-        self.accesses = accesses
-        self.tdom = tdom
-        self.aggregates = aggregates
-        self.element_functions = element_functions
-        #: reduce sites that outlive an invocation, by ``(ref, agg_idx,
-        #: elem_idx)`` — none on a compiled kernel's shared runtime; a
-        #: session's private runtime fills it from its site plan
-        self.sites: Dict[tuple, ReduceSite] = {}
+    def __init__(self, kernel, input_refs=(), compact: bool = False):
+        spec = kernel.spec
+        self.accesses, self.tdom, self.aggregates = spec.accesses, spec.tdom, spec.aggregates
+        self.element_functions = kernel.element_functions
+        #: :func:`reduce_site_plan` rows, aligned with ``spec.reduce_sites``
+        self.plan = reduce_site_plan(spec, frozenset(input_refs)) if input_refs else []
+        self.kept = frozenset(
+            (ref, agg_idx, elem_idx)
+            for (ref, _, _, agg_idx, elem_idx), row in zip(spec.reduce_sites, self.plan)
+            if row["state"] == "persisted"
+        )
+        self.compact = compact
+        self.columns: Dict[str, object] = {}
+        self.bound = None
+        self.prune_to = -_INF
+        #: the floor the C entry pruned the kept sites to in this call
+        self.pruned: Optional[float] = None
+        #: every reduce site by ``(ref, agg_idx, elem_idx)``; a kept one holds
+        #: its growable index from the start
+        self.sites: Dict[tuple, ReduceSite] = {
+            key: self.new_site(key[1], key[2], PrefixRangeIndex(self.aggregates[key[1]]))
+            for key in self.kept
+        }
+
+    def begin(self) -> None:
+        """Rewind every per-call site: the start of a call."""
+        if len(self.sites) > len(self.kept):
+            for key, site in self.sites.items():
+                if key not in self.kept:
+                    site.rewind()
+
+    def clear(self) -> None:
+        """Forget all accumulated state (sites re-ingest from the retained
+        carry-over on the next call) — the session's rewind."""
+        for site in self.sites.values():
+            site.rewind()
+
+    def retained(self) -> int:
+        """Total snapshots held across the kept sites (introspection)."""
+        return sum(len(self.sites[key].index) for key in self.kept)
+
+    def prune(self) -> float:
+        """Prune the kept sites to ``prune_to`` or the oldest kept site's
+        ingest horizon, whichever is older (input past a horizon is not
+        consumed yet) — unless the C entry did in this call — and return
+        that floor."""
+        floor, self.pruned = self.pruned, None
+        if floor is None:
+            floor = min([self.prune_to] + [self.sites[key].ingested_through for key in self.kept])
+            for key in self.kept:
+                self.sites[key].index.prune(floor)
+        return floor
 
     # ------------------------------------------------------------------ #
     # hooks called from generated code
@@ -181,26 +252,18 @@ class KernelRuntime:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized reduction over ``~ref[t+start_offset : t+end_offset]``.
 
-        ``cache`` is the invocation's private state (a fresh dict per
-        generated-kernel call): several reductions over the same input
-        within one invocation share the :class:`ReduceSite` and the cursors
-        of their window edges, and nothing outlives the run — except a site
-        the runtime itself keeps (:attr:`sites`), whose windows index the
-        site's own timeline, not the (pruned) input column.
+        ``cache`` is the invocation's cursor table (a fresh dict per
+        generated-kernel call), shared by every window edge at one offset of
+        one input.  A kept site's windows index the site's own timeline, a
+        per-call site's the input buffer.
         """
         buf = env.get(ref)
         if buf is None:
             raise ExecutionError(f"unknown temporal object ~{ref}")
-        # keyed by input *name*, not id(buf): within one invocation the env
-        # binding is stable, and names cannot be recycled the way object ids
-        # of freed buffers can.
         key = (ref, agg_idx, elem_idx)
-        kept = self.sites.get(key)
-        site = kept if kept is not None else cache.get(key)
-        if site is None:
-            site = cache[key] = self.new_site(agg_idx, elem_idx)
+        site = self.site(key)
         site.ingest(buf, self)
-        held, cursors = (buf, ref) if kept is None else (site.index, site)
+        held, cursors = (site.index, site) if key in self.kept else (buf, ref)
         return site.index.query_indices(
             *self._window(cache, cursors, held, ts, start_offset, end_offset)
         )
@@ -220,6 +283,13 @@ class KernelRuntime:
         """A fresh site for registry entries ``agg_idx`` / ``elem_idx`` (-1: none)."""
         element = self.element_functions[elem_idx] if elem_idx >= 0 else None
         return ReduceSite(self.aggregates[agg_idx], element, index)
+
+    def site(self, key) -> ReduceSite:
+        """The site of ``key`` — ``(ref, agg_idx, elem_idx)`` — made on first use."""
+        site = self.sites.get(key)
+        if site is None:
+            site = self.sites[key] = self.new_site(key[1], key[2])
+        return site
 
     # ------------------------------------------------------------------ #
     # internal helpers

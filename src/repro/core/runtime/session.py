@@ -12,36 +12,23 @@ sources in micro-batch *ticks*.  Each tick
    :meth:`SSBuf.from_events` uses;
 2. computes the new output **watermark** ``w`` — the time up to which the
    output is fully determined by the ingested input;
-3. re-plans only the new output interval ``(t_emitted, w]`` with the same
-   boundary-margin partitioner as the batch engine and executes the
-   partitions on the engine's shared worker pool;
+3. evaluates only the new output interval ``(t_emitted, w]`` — in-process on
+   the session's kernel runtimes (one C call once promoted), or partitioned
+   and dispatched like a batch run (see :attr:`StreamingSession.plan`);
 4. emits the resulting output *delta* and prunes the retained input tail.
 
-Correctness contract (tick concatenation ≡ one-shot batch)
-----------------------------------------------------------
-The session maintains two invariants derived from the resolved
-:class:`~repro.core.lineage.boundary.BoundarySpec`:
-
-* **Watermark trails the ingest horizon by the lookahead margin.**  Producing
-  output over ``(Ts, Te]`` reads input up to ``Te + lookahead``, so a tick
-  may only emit up to ``w = horizon - max_lookahead`` (where ``horizon`` is
-  the sources' completeness watermark).  ``w`` is additionally snapped *down*
-  to the query's coarsest time-domain precision so tick edges — like the
-  batch partitioner's interior edges — never fall inside a precision
-  interval.
-* **Carry-over retains the lookback margin.**  After emitting through ``w``,
-  every future partition starts at ``p_start >= w`` and reads input back to
-  ``p_start - lookback``, so the retained per-input tail is pruned to
-  ``(w - max_lookback, ·]`` and nothing older is ever needed again.
-
-Within those invariants every partition slice handed to a kernel is
-byte-identical to the slice the one-shot batch run would have produced for
-the same output interval, so concatenating the per-tick deltas and merging
-adjacent equal snapshots reproduces the batch output exactly.  (Tick and
-partition edges do introduce extra snapshot boundaries, but — as in the
-batch engine — they always carry the value the output already holds there,
-and :meth:`SSBuf.compact` removes such duplicates canonically.)  The
-equivalence is asserted byte-for-byte in ``tests/test_streaming_session.py``.
+Correctness contract (tick concatenation ≡ one-shot batch): the watermark
+trails the sources' completeness horizon by the lookahead margin (output
+over ``(Ts, Te]`` reads input up to ``Te + lookahead``), snapped *down* to
+the query's coarsest precision so tick edges, like batch partition edges,
+never fall inside a precision interval; and the carry-over keeps the
+lookback margin (every later interval starts at ``w`` or after and reads
+back to ``w - max_lookback``).  Within those invariants every slice a kernel
+reads is byte-identical to the one the one-shot run reads for the same
+output interval, so concatenating the deltas and merging adjacent equal
+snapshots (:meth:`SSBuf.compact` — tick edges carry the value the output
+already holds) reproduces the batch output exactly, as
+``tests/test_streaming_session.py`` asserts byte for byte.
 """
 
 from __future__ import annotations
@@ -55,7 +42,7 @@ import numpy as np
 from ...errors import ExecutionError, OverlappingEventsError, QueryBuildError
 from ...metrics.streaming import SessionMetrics
 from ..codegen.compiled import INTERPRETED_TIER, CompiledQuery
-from ..codegen.incremental import IncrementalKernelRuntime, reduce_site_plan
+from ..codegen.runtime_support import KernelRuntime, reduce_site_plan
 from ..codegen.native import NATIVE_TIER, TICK_ENTRY
 from ..ir.nodes import TiltProgram
 from .engine import QueryResult, TiltEngine
@@ -77,21 +64,12 @@ class _IngestColumn:
     Each source chunk is laid out once by
     :func:`~repro.core.runtime.ssbuf.change_points` — the builder behind
     ``SSBuf.from_events`` — and appended to every column the source feeds
-    (see :func:`_append_chunk`).  The column therefore materializes, at any
-    point, exactly the prefix of the buffer the batch ingest would have
-    built — which is what the byte-identical equivalence of session and
-    batch execution rests on.
-
-    ``anchor`` is the materialized buffer's ``start_time``; pruning advances
-    it (see :meth:`prune`), matching ``SSBuf.slice``'s clamping semantics so
-    partition slices taken from the pruned buffer are unchanged.
-
-    Storage is a trio of :class:`GrowableArray`: appending a tick's events,
-    materializing the buffer (a zero-copy view) and pruning the dead head
-    are all O(new events) per tick — O(live) only when the amortized
-    compaction fires.  Keeping every per-tick column operation off the
-    O(retained) path is what lets sessions with persistent reduce-site
-    state achieve lookback-independent tick cost.
+    (:func:`_append_chunk`), so the column materializes, at any point,
+    exactly the prefix of the buffer the batch ingest would have built.
+    ``anchor`` is that buffer's ``start_time``; pruning advances it as
+    ``SSBuf.slice`` clamps.  Storage is a trio of :class:`GrowableArray`
+    (which a promoted kernel binds by pointer): append, materialize (a
+    zero-copy view) and prune are O(new events) per tick.
     """
 
     __slots__ = (
@@ -99,6 +77,7 @@ class _IngestColumn:
         "field",
         "anchor",
         "prev_end",
+        "appended",
         "_times",
         "_values",
         "_valid",
@@ -110,6 +89,8 @@ class _IngestColumn:
         self.field = field
         self.anchor: Optional[float] = None
         self.prev_end: Optional[float] = None
+        #: rows appended over the column's life
+        self.appended = 0
         self._times = GrowableArray()
         self._values = GrowableArray()
         self._valid = GrowableArray(dtype=bool)
@@ -124,6 +105,7 @@ class _IngestColumn:
         self._times.append(times)
         self._values.append(values)
         self._valid.append(valid)
+        self.appended += len(times)
         self.prev_end = float(times[-1])
         self._cache = None
 
@@ -151,14 +133,15 @@ class _IngestColumn:
         Matches ``SSBuf.slice`` semantics: a snapshot spanning ``t`` is kept
         whole and the buffer's ``start_time`` advances to ``t`` — any later
         ``slice(in_lo, in_hi)`` with ``in_lo >= t`` is byte-identical to the
-        same slice of the unpruned buffer.  The dead head is dropped lazily
-        (amortized compaction), keeping per-tick pruning O(log retained).
+        same slice of the unpruned buffer.  The dead head is only skipped
+        (compacted by a later append), keeping per-tick pruning O(log
+        retained).
         Returns the number of snapshots newly retired (for the pruned-input
         accounting in the metrics registry).
         """
         if t <= (self.anchor if self.anchor is not None else 0.0):
             return 0
-        pruned = int(np.searchsorted(self._times.view, t, side="right"))
+        pruned = int(self._times.view.searchsorted(t, side="right"))
         for arr in (self._times, self._values, self._valid):
             arr.drop_prefix(pruned)
         self.anchor = t
@@ -259,28 +242,18 @@ class StreamingSession:
     incremental:
         Leave at ``None``: the session then *resolves* its tick path once
         and reports the result as :attr:`plan`.  Every compiled query ticks
-        **in-process**: one evaluation of ``(t_emitted, w]`` of the output
-        kernel, under the session's runtime override, against reduce-site
-        state that persists across ticks where that pays
-        (prefix-decomposable aggregates over program inputs — tick cost
-        O(new events) instead of O(lookback + new events); see
-        :mod:`repro.core.codegen.incremental`).  The choice does not depend
-        on which tier serves the query: that changes while the session lives
-        (see ``TiltEngine``'s ``codegen_tier``), and ticks are charged to
-        the NumPy twins like one-shot runs, so a hot session gets its query
-        promoted.  From then on each tick is one call of the output C
-        kernel's entry, which extends those same kept sites (with the
-        bytes NumPy would write, so the output does not depend on the tier
-        and the promotion hands over nothing; pruning stays with NumPy) and
-        builds the tick's grid, and the intermediates it rebuilds run on
-        their C kernels.  Sessions
-        whose output kernel is interpreted **partition and dispatch** each
-        tick like a one-shot run (the interpreter makes no ``rt.reduce``
-        calls for persistent state to interpose on).
-        ``False`` / ``True`` is the oracle switch the differential tests
-        and benchmark probes use to force partition-and-dispatch /
-        in-process ticks with the same resolved site plan; an interpreted
-        output kernel ignores it.
+        **in-process**: one evaluation of ``(t_emitted, w]`` per tick, on
+        one runtime per kernel whose kept reduce sites persist across ticks
+        where that pays (:func:`~repro.core.codegen.runtime_support.reduce_site_plan`), whichever
+        tier serves the query — ticks are charged to the NumPy twins, so a
+        hot session gets its query promoted, and from then on a tick is one
+        call of each kernel's C entry over the same sites, with the bytes
+        NumPy would write (``docs/architecture.md`` §5, *The C entry*).  An
+        interpreted output kernel **partitions and dispatches** each tick
+        like a one-shot run.  ``False`` / ``True`` is the oracle switch the
+        differential tests and benchmark probes use to force
+        partition-and-dispatch / in-process ticks with the same resolved
+        site plan; an interpreted output kernel ignores it.
     trace_attrs:
         Attributes stamped onto every ``session.tick`` span this session
         emits (e.g. ``{"tenant": "alice"}``).  Ignored — at zero cost —
@@ -306,19 +279,21 @@ class StreamingSession:
         program = compiled.program
         self._program = program
         self._compiled = compiled
+        self._output = compiled.kernel_named(compiled.output)
         in_process, reason = self._resolve_tick_path(compiled, incremental)
-        #: persistent reduce-site state of the output kernel (in-process
-        #: tick path only)
-        self._state: Optional[IncrementalKernelRuntime] = None
+        #: one runtime per kernel (in-process tick path only); the output
+        #: kernel's (``_state``) keeps its planned sites and compacts
+        self._runtimes: Dict[str, KernelRuntime] = {}
+        self._state: Optional[KernelRuntime] = None
         if in_process:
-            self._state = IncrementalKernelRuntime(compiled.kernel_named(compiled.output), program.inputs)
+            self._runtimes = {kernel.name: KernelRuntime(kernel) for kernel in compiled.kernels}
+            self._state = KernelRuntime(self._output, program.inputs, compact=True)
+            self._runtimes[compiled.output] = self._state
         blanket = "intermediate kernel: rebuilt each tick" if in_process else "partitioned tick path"
         sites: List[Dict[str, object]] = []
         for kernel in compiled.kernels:
-            if in_process and kernel.name == compiled.output:
-                sites += self._state.plan
-            else:
-                sites += reduce_site_plan(kernel.spec, (), blanket=blanket)
+            own = in_process and kernel is self._output
+            sites += self._state.plan if own else reduce_site_plan(kernel.spec, (), blanket=blanket)
         #: what was resolved here, once (see :attr:`plan`)
         self._plan: Dict[str, object] = {
             "tick_path": "in-process" if in_process else "partition+dispatch",
@@ -332,6 +307,8 @@ class StreamingSession:
         }
         self._pins: List[float] = []
         self._boundary = compiled.boundary
+        self._lookback = compiled.boundary.max_lookback
+        self._lookahead = compiled.boundary.max_lookahead
         self._alignment = max((te.tdom.precision for te in program.exprs), default=0.0)
         self._max_events_per_tick = max_events_per_tick
         self._retain_output = retain_output
@@ -367,6 +344,8 @@ class StreamingSession:
         missing = [n for n in program.inputs if n not in self._columns]
         if missing:
             raise ExecutionError(f"no source covers input streams: {missing}")
+        if self._state is not None:  # bound by pointer once the kernel is on C
+            self._state.columns = self._columns
 
         self._user_t_start = t_start
         self._t_emit: Optional[float] = None
@@ -690,32 +669,36 @@ class StreamingSession:
         if forced_end is not None:
             w = forced_end
         else:
-            w = horizon - self._boundary.max_lookahead
+            w = horizon - self._lookahead
             if w < _INF and self._alignment > 0:
                 w = snap_down(w, self._alignment)
         if not (w > self._t_emit) or w == _INF:
             return (self._t_emit, self._t_emit, SSBuf.empty(self._t_emit), 0)
 
         with self._tracer.span("tick.emit", t_start=self._t_emit, t_end=w):
-            inputs = {name: col.materialize() for name, col in self._columns.items()}
-            if self._state is not None:
+            rt = self._state
+            if rt is not None:
                 # in-process path: one evaluation of (t_emit, w] against
-                # persistent reduce-site state — no partitioner, no
-                # executor, no O(lookback) rebuild of the persisted indexes;
-                # once promoted, one C call over those indexes' arrays.
-                # (An unfused query's intermediates are still rebuilt over
-                # their margin each tick, so flat-in-lookback tick cost
-                # needs the default fusion to a single kernel.)
+                # persistent reduce-site state; once promoted, one C call
+                # over the runtime's struct, which also prunes kept sites
                 with self._tracer.span("emit.incremental") as sp:
                     (self._m_state_hits if self._state_warm else self._m_state_misses).inc()
                     self._state_warm = True
-                    piece = self._compiled.run(
-                        inputs, self._t_emit, w, output_runtime=self._state
-                    )
-                    sp.set(state_snapshots=self._state.retained())
+                    rt.prune_to = self._prune_floor(w)
+                    c_kernel = self._output._native
+                    if c_kernel is not None and self._compiled.fused:
+                        # its every input is a column the struct binds
+                        piece = c_kernel.tick(None, self._t_emit, w, rt)
+                    else:
+                        inputs = {name: col.materialize() for name, col in self._columns.items()}
+                        piece = self._compiled.run(inputs, self._t_emit, w, self._runtimes)
+                    if self._tracer.enabled:
+                        sp.set(state_snapshots=rt.retained())
+                # a view of the C entry's lanes when on C, compacted there
                 delta = piece.compact()
                 num_partitions = 1
             else:
+                inputs = {name: col.materialize() for name, col in self._columns.items()}
                 with self._tracer.span("emit.plan") as sp:
                     partitions = self._engine._partition(
                         inputs, self._boundary, self._t_emit, w, self._alignment
@@ -731,6 +714,10 @@ class StreamingSession:
             # never an output stamped complete through a watermark whose
             # delta is missing.
             if self._retain_output and len(delta):
+                if rt is not None:  # the next tick overwrites the lanes
+                    delta = _ssbuf_from_arrays(
+                        delta.times.copy(), delta.values.copy(), delta.valid.copy(), delta.start_time
+                    )
                 self._deltas.append(delta)
             self._t_emit = w
             self._emitted_any = True
@@ -739,39 +726,26 @@ class StreamingSession:
             # unless a checkpoint pin or an incremental site's ingest horizon
             # still needs them (see _prune_floor).
             with self._tracer.span("emit.prune") as sp:
-                prune_to = self._prune_floor(w)
+                prune_to = self._prune_floor(w) if rt is None else rt.prune()
                 pruned = 0
                 for col in self._columns.values():
                     pruned += col.prune(prune_to)
-                if self._state is not None:
-                    self._state.prune(prune_to)
                 if pruned:
                     self._m_pruned.inc(pruned)
                 sp.set(pruned=pruned, floor=prune_to)
         return (t_lo, w, delta, num_partitions)
 
     def _prune_floor(self, w: float) -> float:
-        """Oldest input time the carry-over must retain after emitting ``w``.
-
-        The naive rule ``w - max_lookback`` is correct only for stateless
-        partition-and-dispatch sessions.  Two things can hold input alive
-        longer:
-
-        * an active checkpoint pin (a :meth:`rewind` may re-emit from the
-          pinned watermark, whose partitions read back to
-          ``pin - max_lookback``);
-        * persistent reduce-site state whose ingest horizon trails the
-          watermark — input newer than a site's ``ingested_through`` has not
-          been consumed into any persistent index yet, so discarding it
-          would silently corrupt every later window crossing the gap.
-        """
+        """Oldest input time the carry-over must retain after emitting
+        ``w``: ``w - max_lookback``, held back by an active checkpoint pin
+        (a :meth:`rewind` may re-emit from it).  Kept reduce sites hold it
+        back further — input past a site's ingest horizon is not consumed
+        yet — a minimum the runtime takes after the tick's ingest
+        (``KernelRuntime.prune``)."""
         floor = w
         if self._pins:
             floor = min(floor, min(self._pins))
-        floor -= self._boundary.max_lookback
-        if self._state is not None:
-            floor = min(floor, self._state.ingested_floor())
-        return floor
+        return floor - self._lookback
 
     def _finish_tick(
         self,

@@ -74,6 +74,9 @@ class SSBuf:
     ``_IngestColumn.materialize``.
     """
 
+    #: set on a buffer written compacted (a session's C output lanes)
+    compacted = False
+
     def __init__(
         self,
         times: Sequence[float],
@@ -325,7 +328,7 @@ class SSBuf:
         compaction erases exactly those, so per-tick deltas concatenate to
         the same bytes as a one-shot run.
         """
-        if len(self.times) <= 1:
+        if self.compacted or len(self.times) <= 1:
             return self
         valid, values = self.valid, self.values
         keep = np.ones(len(self.times), dtype=bool)

@@ -27,7 +27,11 @@ import numpy as np
 from ..core.runtime.growable import GrowableArray
 from .functions import AggregateFunction
 
-__all__ = ["PrefixRangeIndex", "snapshot_range_indices"]
+__all__ = ["PrefixRangeIndex", "snapshot_range_indices", "PRUNE_MIN"]
+
+#: a kept index drops the snapshots a prune floor retires once there are at
+#: least this many of them (and they are at least half of what it holds)
+PRUNE_MIN = 256
 
 
 def snapshot_range_indices(
@@ -94,7 +98,7 @@ class PrefixRangeIndex:
         self._edges = GrowableArray()
         self._center: Optional[np.longdouble] = None
         self._valid_prefix = GrowableArray()
-        self._prefixes: List[GrowableArray] = []
+        self._prefixes = [GrowableArray(self.dtype) for _ in agg.c_components or ()]
 
     def __len__(self) -> int:
         """Snapshots currently held."""
@@ -139,11 +143,18 @@ class PrefixRangeIndex:
 
     def _open(self, start_time: float, components: int) -> None:
         """The rows before the first snapshot: its start time and zero sums."""
+        if len(self._prefixes) != components:
+            self._prefixes = [GrowableArray(self.dtype) for _ in range(components)]
         self._edges.append((start_time,))
-        self._valid_prefix.append((0.0,))
-        self._prefixes = [GrowableArray(self.dtype) for _ in range(components)]
-        for prefix in self._prefixes:
+        for prefix in (self._valid_prefix, *self._prefixes):
             prefix.append((0.0,))
+
+    def rewind(self) -> None:
+        """Hold nothing again — what a fresh index holds — keeping every
+        array's storage (a native kernel's binding of it included)."""
+        self._center = None
+        for column in (self._edges, self._valid_prefix, *self._prefixes):
+            column.rewind()
 
     @property
     def center(self) -> Optional[np.longdouble]:
@@ -177,6 +188,12 @@ class PrefixRangeIndex:
         entry is handed by pointer)."""
         return self._edges.view, self._valid_prefix.view, [p.view for p in self._prefixes]
 
+    def storage(self) -> Tuple[GrowableArray, ...]:
+        """The arrays :meth:`arrays` views — edges, valid prefix, one prefix
+        per component — for a native kernel to bind; they live as long as
+        the index (a rewind keeps them)."""
+        return (self._edges, self._valid_prefix, *self._prefixes)
+
     def query_indices(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Aggregate each snapshot index range ``[lo_i, hi_i)``.
 
@@ -198,13 +215,23 @@ class PrefixRangeIndex:
         The cumsums are rebased to the new front so totals stay bounded by
         the retained window, which keeps the floating-point drift of a
         long-running session within the tolerance of ``SSBuf.__eq__``.
-        Amortized: O(log n) per call, O(live) when the drop fires.
+        The drop fires once ``k`` snapshots are at or before ``t``, where
+        ``k`` is at least :data:`PRUNE_MIN` and half of those held, so
+        one array read decides a call that does not fire; O(live) when it
+        does.  A native entry applies this rule in C (:meth:`drop` then
+        moves the front).
         """
-        k = int(np.searchsorted(self._edges.view[1:], t, side="right"))
-        if k < GrowableArray.COMPACT_MIN_DEAD or 2 * k < len(self):
+        held = len(self)
+        need = max(PRUNE_MIN, (held + 1) // 2)
+        if need > held or self._edges.view[need] > t:  # edges[need] is time need - 1
             return
-        self._edges.drop_prefix(k)
+        k = int(np.searchsorted(self._edges.view[1:], t, side="right"))
+        self.drop(k)
         for prefix in (self._valid_prefix, *self._prefixes):
-            prefix.drop_prefix(k)
             live = prefix.view
             live -= live[0]
+
+    def drop(self, k: int) -> None:
+        """Retire the ``k`` oldest snapshots without rebasing the sums."""
+        for column in (self._edges, self._valid_prefix, *self._prefixes):
+            column.drop_prefix(k)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.codegen import (
     CompiledQuery,
     Interpreter,
+    KernelRuntime,
     compile_program,
     evaluate_expr_at,
     evaluate_program,
@@ -292,7 +293,7 @@ class TestCursorTable:
 
     @staticmethod
     def calls(kernel, env, t_start, t_end):
-        rt = kernel.runtime
+        rt = KernelRuntime(kernel)
         ts = rt.eval_times(env, t_start, t_end)
         sites = [
             lambda cache, site=site: rt.reduce(env, site[0], site[1], site[2], site[3], site[4], ts, cache)

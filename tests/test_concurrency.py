@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps import get_application
 from repro.core.codegen.compiled import compile_program
+from repro.core.codegen.runtime_support import KernelRuntime
 from repro.core.frontend.query import PAYLOAD, source
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.ssbuf import ssbuf_from_stream
@@ -120,12 +121,13 @@ class TestKernelRuntimeIsolation:
         return source("stock").window(12, 1).aggregate(SUM, element=E * E).to_program()
 
     def test_kernel_runtime_carries_no_execution_state(self):
-        """The shared runtime object must be stateless across invocations —
-        this is the contract the concurrency fix introduced (the old
-        runtime fails here by carrying ``_range_cache``)."""
+        """A compiled kernel holds no runtime: every one-shot call gets a
+        fresh one, so concurrent partitions share no execution state (the
+        old shared runtime failed here by carrying ``_range_cache``)."""
         compiled = compile_program(self._elem_mapped_program())
         for kernel in compiled.kernels:
-            assert not hasattr(kernel.runtime, "_range_cache")
+            assert not hasattr(kernel, "runtime")
+            assert not hasattr(KernelRuntime(kernel), "_range_cache")
 
     def test_concurrent_eval_times_cannot_stomp_a_running_invocation(self, monkeypatch):
         """Simulates the hostile interleave: partition B calls
@@ -144,7 +146,7 @@ class TestKernelRuntimeIsolation:
         monkeypatch.setattr(rs, "ReduceSite", CountingSite)
         program = source("stock").window(10, 1).aggregate(MEAN).to_program()
         compiled = compile_program(program)
-        rt = compiled.kernels[0].runtime
+        rt = KernelRuntime(compiled.kernels[0])
         stream = EventStream.from_samples([float(i) for i in range(60)], period=1.0)
         env_a = {"stock": ssbuf_from_stream(stream)}
         env_b = {"stock": ssbuf_from_stream(stream).slice(10.0, 50.0)}

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.apps.manufacturing import kurtosis_aggregate
 from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
-from repro.core.codegen.incremental import IncrementalKernelRuntime
+from repro.core.codegen.runtime_support import KernelRuntime
 from repro.core.ir.builder import IRBuilder
 from repro.core.frontend.query import PAYLOAD as E
 from repro.core.ir.nodes import BinOp, Call, Const, UnaryOp, Var
@@ -191,7 +191,7 @@ def test_aggregate_row_agrees_across_paths(agg, size):
     close(one_shot, want, "numpy kernel")
     # the same reduce path with session-kept sites, fed ragged chunks
     (kernel,) = compile_program(program, optimize=False).kernels
-    rt = IncrementalKernelRuntime(kernel, ["x"])
+    rt = KernelRuntime(kernel, ["x"])
     persisted = agg.strategy.range == "prefix"
     assert [row["state"] for row in rt.plan] == ["persisted" if persisted else "per-invocation"]
     ticked = tick_ragged(kernel, rt, buf)
@@ -205,19 +205,21 @@ def test_aggregate_row_agrees_across_paths(agg, size):
     elif native.native_available():
         assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         assert_same(run_tier(program, {"x": buf}, float(N), NATIVE_TIER), one_shot, True, "native")
-        ticked_c = tick_ragged(kernel, IncrementalKernelRuntime(kernel, ["x"]), buf)
+        ticked_c = tick_ragged(kernel, KernelRuntime(kernel, ["x"]), buf)
         assert_same(ticked_c, ticked, True, "native, kept sites, ragged chunks")
 
 
 def tick_ragged(kernel, rt, buf, cuts=(1, 2, 9, 40, 47, 100, 101, N)):
     """The kernel ticked over ``buf`` growing in ragged chunks, as a session
-    does, with ``rt`` keeping its sites: the concatenated ``(values, valid)``."""
+    does, with ``rt`` keeping its sites: the concatenated ``(values, valid)``
+    (copied per call: a C entry's result is a view of ``rt``'s lanes)."""
     pieces, done = [], 0
     for cut in cuts:
         grown = SSBuf(buf.times[:cut], buf.values[:cut], buf.valid[:cut], start_time=0.0)
-        pieces.append(kernel.run({"x": grown}, float(done), float(cut), runtime=rt))
+        piece = kernel.run({"x": grown}, float(done), float(cut), runtime=rt)
+        pieces.append((piece.values.copy(), piece.valid.copy()))
         done = cut
-    return np.concatenate([p.values for p in pieces]), np.concatenate([p.valid for p in pieces])
+    return np.concatenate([v for v, _ in pieces]), np.concatenate([k for _, k in pieces])
 
 
 #: derived rows: five raw moments under a guarded finish, and two
@@ -262,7 +264,7 @@ def test_derived_row_agrees_with_its_scalar_fold(agg, size):
     one_shot = run_tier(program, {"x": buf}, float(N), NUMPY_TIER)
     close(one_shot, "numpy kernel")
     (kernel,) = compile_program(program, optimize=False).kernels
-    rt = IncrementalKernelRuntime(kernel, ["x"])
+    rt = KernelRuntime(kernel, ["x"])
     assert [row["state"] for row in rt.plan] == ["persisted"]
     ticked = tick_ragged(kernel, rt, buf)
     close(ticked, "kept sites, ragged chunks")
@@ -278,7 +280,7 @@ def test_derived_row_agrees_with_its_scalar_fold(agg, size):
     if native.native_available():
         assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         assert_same(run_tier(program, {"x": buf}, float(N), NATIVE_TIER), one_shot, True, "native")
-        ticked_c = tick_ragged(kernel, IncrementalKernelRuntime(kernel, ["x"]), buf)
+        ticked_c = tick_ragged(kernel, KernelRuntime(kernel, ["x"]), buf)
         assert_same(ticked_c, ticked, True, "native, kept sites, ragged chunks")
 
 
@@ -359,7 +361,7 @@ def test_prefix_row_keeps_a_leading_negative_zero(extend_kernels, agg):
     if agg.name in ("sum", "mean"):
         assert np.signbit(want[0][:3]).all(), want[0][:3]
     cuts = (1, 3, 8, 11, 16)
-    got, want = (tick_ragged(k, IncrementalKernelRuntime(k, ["x"]), buf, cuts) for k in (kernel, twin))
+    got, want = (tick_ragged(k, KernelRuntime(k, ["x"]), buf, cuts) for k in (kernel, twin))
     assert_same(got, want, True, f"{agg.name}: kept sites, ragged chunks")
 
 
@@ -400,7 +402,7 @@ def test_c_extends_equal_numpy_extends(extend_kernels, name, chunks):
     kernel, twin = extend_kernels[name]
     values, valid, cuts = chunks
     buf = SSBuf(np.arange(1.0, len(values) + 1.0), values, valid, start_time=0.0)
-    runtimes = [IncrementalKernelRuntime(k, ["x"]) for k in (kernel, twin)]
+    runtimes = [KernelRuntime(k, ["x"]) for k in (kernel, twin)]
     with np.errstate(all="ignore"):
         got, want = (tick_ragged(k, rt, buf, cuts) for k, rt in zip((kernel, twin), runtimes))
     assert_same(got, want, True, f"{name}: C extends")

@@ -2,8 +2,8 @@
 
 A session resolves its own tick path (``incremental=None``: in-process
 against persistent reduce-site state where that pays, see
-:mod:`repro.core.codegen.incremental`); ``incremental=False`` / ``True``
-force partition-and-dispatch / in-process with the same resolved site plan.
+:func:`repro.core.codegen.runtime_support.reduce_site_plan`);
+``incremental=False`` / ``True`` force partition-and-dispatch / in-process with the same resolved site plan.
 All three must be *byte-identical* — same timestamps, validity mask and
 start time, values equal to within floating-point reassociation
 (``SSBuf.__eq__``) — to each other and to one one-shot ``TiltEngine.run``

@@ -41,7 +41,6 @@ from repro.apps import (
 from repro.core.codegen import native
 from repro.core.codegen.compiled import NATIVE_TIER, NUMPY_TIER, compile_program
 from repro.core.codegen.grid import evaluation_times_for_accesses
-from repro.core.codegen.incremental import IncrementalKernelRuntime
 from repro.core.codegen.runtime_support import KernelRuntime, ReduceSite
 from repro.core.frontend.query import source
 from repro.core.ir.builder import IRBuilder
@@ -669,10 +668,10 @@ class TestSessions:
     ):
         """Once promoted, neither a tick nor a one-shot run builds the grid
         in NumPy or runs a NumPy ingest — an extended-precision site's first
-        chunk included, whose centre NumPy computes and C is handed — and a
-        session's sites are still pruned and rebased by NumPy, the deltas
-        unchanged.  Every call is one call of the one C entry."""
-        calls = {"eval_times": 0, "ingest": 0, "pruned": 0}
+        chunk included, whose centre NumPy computes and C is handed — nor
+        prunes a kept site in NumPy: the C entry drops and rebases it, the
+        deltas unchanged.  Every call is one call of the one C entry."""
+        calls = {"eval_times": 0, "ingest": 0, "prune": 0, "dropped": 0}
 
         def counting(patch, cls, name):
             method = getattr(cls, name)
@@ -683,12 +682,11 @@ class TestSessions:
 
             patch.setattr(cls, name, wrapper)
 
-        prune = PrefixRangeIndex.prune
+        drop = PrefixRangeIndex.drop
 
-        def pruning(index, t):
-            held = len(index)
-            prune(index, t)
-            calls["pruned"] += len(index) < held
+        def dropping(index, k):
+            calls["dropped"] += 1
+            drop(index, k)
 
         for name in ("long", "stddev"):
             make_program, make_streams, per_tick = SESSION_QUERIES[name]
@@ -702,10 +700,11 @@ class TestSessions:
                 session = engine.open_session(program, sources_for_streams(streams, events_per_poll=per_tick))
                 compiled = session.compiled
                 compiled.promote()
-                calls.update(eval_times=0, ingest=0, pruned=0)
+                calls.update(eval_times=0, ingest=0, prune=0, dropped=0)
                 counting(patch, KernelRuntime, "eval_times")
                 counting(patch, ReduceSite, "ingest")
-                patch.setattr(PrefixRangeIndex, "prune", pruning)
+                counting(patch, PrefixRangeIndex, "prune")
+                patch.setattr(PrefixRangeIndex, "drop", dropping)
                 served = count_native_calls[native.TICK_ENTRY]
                 assert engine.run(compiled, streams).output == batch
                 assert count_native_calls[native.TICK_ENTRY] - served == len(compiled.kernels)
@@ -716,9 +715,9 @@ class TestSessions:
                 assert rows and {tiers[row["kernel"]] for row in rows} == {NATIVE_TIER}
                 got = [(len(first), crc(first), fingerprint(first))] + tick_through(session)
                 assert got == want, name
-            assert (calls["eval_times"], calls["ingest"]) == (0, 0), name
+            assert (calls["eval_times"], calls["ingest"], calls["prune"]) == (0, 0, 0), name
             if name == "long":
-                assert calls["pruned"] > 5
+                assert calls["dropped"] > 5
 
     @pytest.mark.parametrize("agg", [MEAN, MAX, FIRST], ids=lambda agg: agg.name)
     def test_tick_entry_over_an_input_that_has_not_started(self, agg):
@@ -730,8 +729,8 @@ class TestSessions:
         assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
         (twin,) = compile_program(program).kernels
         env = {"x": SSBuf.empty(0.0)}
-        got = kernel.run(env, 0.0, 4.0, runtime=IncrementalKernelRuntime(kernel, ["x"]))
-        want = twin.run(env, 0.0, 4.0, runtime=IncrementalKernelRuntime(twin, ["x"]))
+        got = kernel.run(env, 0.0, 4.0, runtime=KernelRuntime(kernel, ["x"]))
+        want = twin.run(env, 0.0, 4.0, runtime=KernelRuntime(twin, ["x"]))
         assert len(got) and not got.valid.any()
         assert fingerprint(got) == fingerprint(want)
 
@@ -835,49 +834,66 @@ class TestTickGrid:
     def test_tick_grid_is_grid_py_byte_for_byte(self, grid_kernels, case):
         """The grid the C entry builds is ``grid.py``'s to the byte — a
         zero's sign included — whichever of its paths (bitmap or merge,
-        with or without precision) ``grid.py`` takes, and no longer than
-        the bound its outputs are sized from."""
+        with or without precision) ``grid.py`` takes; and a call whose
+        output lanes are too few for it grows them and calls again without
+        extending the kept sites twice, to the same bytes as a call whose
+        lanes were sized from the bound."""
         precision, env, t_start, t_end = case
         kernel, twin = grid_kernels[precision]
         want = evaluation_times_for_accesses(
             kernel.spec.accesses, env, kernel.spec.tdom, t_start, t_end
         )
-        assert len(want) <= kernel._native._lanes(env, t_start, t_end)
-        got = kernel.run(env, t_start, t_end, runtime=IncrementalKernelRuntime(kernel, ["x", "y"]))
+        got = kernel.run(env, t_start, t_end, runtime=KernelRuntime(kernel, ["x", "y"]))
         assert got.times.tobytes() == want.tobytes()
-        ref = twin.run(env, t_start, t_end, runtime=IncrementalKernelRuntime(twin, ["x", "y"]))
-        for got_array, want_array in zip(
-            (got.values, got.valid), (ref.values, ref.valid)
+        ref = twin.run(env, t_start, t_end, runtime=KernelRuntime(twin, ["x", "y"]))
+        undersized = KernelRuntime(kernel, ["x", "y"])
+        bound = native._Bound(kernel._native, undersized)
+        bound._size_lanes(1)
+        bound.presize = False  # as over a session's columns: grown only when outgrown
+        again = kernel.run(env, t_start, t_end, runtime=undersized)
+        assert undersized.bound.cap >= len(want)
+        for got_array, again_array, want_array in zip(
+            (got.values, got.valid), (again.values, again.valid), (ref.values, ref.valid)
         ):
-            assert got_array.tobytes() == want_array.tobytes()
+            assert got_array.tobytes() == again_array.tobytes() == want_array.tobytes()
+        assert again.times.tobytes() == want.tobytes()
 
-    def test_a_grid_longer_than_its_bound_raises_and_writes_nothing_past_it(
+    def test_undersized_lanes_grow_and_the_call_repeats_writing_nothing_past_them(
         self, grid_kernels, monkeypatch
     ):
-        """The bound sizes the outputs and nothing resizes them, so a grid
-        that exceeds it is a bug: the call raises instead of retrying, and C
-        writes nothing past the lanes it was given."""
-        kernel, _ = grid_kernels[0.25]
+        """Output lanes fewer than the grid's points: the entry returns the
+        count having written nothing into them, the lanes grow to it and
+        the second call fills them — the same bytes as lanes sized from the
+        bound at once."""
+        kernel, twin = grid_kernels[0.25]
         env = {"x": SSBuf(np.arange(1.0, 41.0), np.arange(40.0)), "y": SSBuf.empty()}
         points = len(evaluation_times_for_accesses(kernel.spec.accesses, env, kernel.spec.tdom, 0.0, 40.0))
         cap, fill = points // 2, 0xA5
         handed = []
-        outputs = native.NativeKernel._outputs
+        size_lanes = native._Bound._size_lanes
 
         def padded(self, lanes):  # the lanes asked for, then a guard zone
-            arrays, pointers = outputs(self, lanes + 64)
-            for array in arrays:
+            size_lanes(self, lanes + 64)
+            self.cap = self.st.cap = lanes
+            for array in self.lanes:
                 array.view(np.uint8)[:] = fill
-            handed.append(arrays)
-            return arrays, pointers
+            handed.append(self.lanes)
 
-        monkeypatch.setattr(native.NativeKernel, "_lanes", lambda self, env, t_start, t_end: cap)
-        monkeypatch.setattr(native.NativeKernel, "_outputs", padded)
-        with pytest.raises(ExecutionError, match="exceeds its bound"):
-            kernel.run(env, 0.0, 40.0)
-        (arrays,) = handed
-        for array in arrays:
-            assert (array[cap:].view(np.uint8) == fill).all()
+        monkeypatch.setattr(native._Bound, "_size_lanes", padded)
+        rt = KernelRuntime(kernel)
+        bound = native._Bound(kernel._native, rt)
+        bound._size_lanes(cap)
+        bound.presize = False  # as over a session's columns: grown only when outgrown
+        got = kernel.run(env, 0.0, 40.0, runtime=rt)
+        first, second = handed
+        for array in first:  # the call that found them too few wrote nothing
+            assert (array.view(np.uint8) == fill).all()
+        assert len(second[0]) - 64 == max(points, 2 * cap)
+        for array in second:
+            assert (array[points:].view(np.uint8) == fill).all()
+        want = twin.run(env, 0.0, 40.0)
+        for got_array, want_array in zip((got.times, got.values, got.valid), (want.times, want.values, want.valid)):
+            assert got_array.tobytes() == want_array.tobytes()
 
 
 # ---------------------------------------------------------------------- #

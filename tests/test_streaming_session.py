@@ -361,21 +361,23 @@ class TestViewsDoNotOutliveTheirSource:
     @pytest.mark.parametrize("name", ["select", "trading", "rsi"])
     def test_retained_deltas_survive_in_place_column_compaction(self, name, monkeypatch):
         """A partition-path session slices views of its ingest columns; the
-        columns compact *in place* under those views once the pruned head
-        outnumbers the tail.  Every retained delta must still hold the bytes
-        it was emitted with, and their concat must equal the one-shot run."""
+        columns compact *in place* under those views once an append finds
+        them full and the pruned head is more than half.  Every retained
+        delta must still hold the bytes it was emitted with, and their
+        concat must equal the one-shot run."""
         from repro.core.runtime.growable import GrowableArray
 
         compactions = []
-        drop_prefix = GrowableArray.drop_prefix
+        grow = GrowableArray.grow
 
-        def spy(self, k):
-            dead = self._lo + k
-            drop_prefix(self, k)
-            if self._lo < dead:
+        def spy(self, m):
+            dead, data = self._lo, self._data
+            grown = grow(self, m)
+            if dead and self._data is data and self._lo == 0:
                 compactions.append(dead)
+            return grown
 
-        monkeypatch.setattr(GrowableArray, "drop_prefix", spy)
+        monkeypatch.setattr(GrowableArray, "grow", spy)
         _, program, app = next(c for c in self.programs() if c[0] == name)
         streams = app.streams(4000, seed=9)
         with TiltEngine(workers=1) as engine:
