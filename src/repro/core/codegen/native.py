@@ -717,8 +717,7 @@ class _Bound:
             self.inputs.append((ref, column, names))
         #: no input is a column: every call's buffers bound the grid tightly
         self.presize = all(column is None for _, column, _ in self.inputs)
-        #: per prefix site: ref, site, kept?, centre (extended precision),
-        #: ``[horizon, column rows appended]`` at its last reserve, fields
+        #: per prefix site: ref, site, kept?, centre (extended precision), fields
         self.sites = []
         for (key, dtype), (fields, names) in zip(((s.key, s.dtype) for s in kernel._sites), kernel._site_fields):
             site = rt.site(key)
@@ -730,7 +729,7 @@ class _Bound:
                 center = np.zeros(1, dtype=np.longdouble)
                 setattr(self.st, names[5], self._pin(names[5], center))
             setattr(self.st, names[3], -math.inf)
-            self.sites.append((key[0], site, key in rt.kept, center, [None, 0], names))
+            self.sites.append((key[0], site, key in rt.kept, center, names))
         self.st.compact = rt.compact
         rt.bound = self
 
@@ -780,21 +779,10 @@ class _Bound:
             setattr(st, s, live[2])
             rows.append(live[1] - live[0])
         floor = rt.prune_to
-        for ref, site, kept, center, mark, (lo, n, new, *_) in self.sites:
+        for ref, site, kept, center, (lo, n, new, *_) in self.sites:
             column = rt.columns.get(ref)
             edges = site.index.storage()[0]
-            if column is not None and site.ingested_through == mark[0] and len(edges):
-                # a site over a column, caught up through mark: the rows
-                # appended since are the new ones (as a searchsorted says)
-                rows_new = column.appended - mark[1]
-                if rows_new:  # (the index is open: no start time is read)
-                    site.index.reserve(rows_new, column.prev_end)
-                    site.ingested_through = column.prev_end
-            else:
-                rows_new = site.reserve(env[ref] if column is None else column.materialize())
-            if column is not None:
-                mark[:] = (site.ingested_through, column.appended)
-            setattr(st, new, rows_new)
+            setattr(st, new, site.reserve(env[ref] if column is None else column.materialize()))
             setattr(st, lo, edges._lo)
             setattr(st, n, edges._n)
             if center is not None and site.index.center is not None:
@@ -805,7 +793,7 @@ class _Bound:
             if slot[2] != slot[1].gen:
                 slot[2] = slot[1].gen
                 setattr(st, slot[0], self._pin(slot[0], slot[1]._data))
-        for _, _, kept, _, _, names in self.sites:  # a session's floor prunes its kept sites
+        for _, _, kept, _, names in self.sites:  # a session's floor prunes its kept sites
             if kept:
                 setattr(st, names[3], floor)
         # lanes for the grid: sized from its bound by a runtime's first call,
@@ -825,7 +813,7 @@ class _Bound:
         if count < 0:
             raise ExecutionError(f"native kernel ~{self.kernel.spec.name} failed to allocate")
         if floor > -math.inf:
-            for _, site, kept, _, _, names in self.sites:
+            for _, site, kept, _, names in self.sites:
                 dropped = getattr(st, names[4]) if kept else 0
                 if dropped:
                     site.index.drop(dropped)

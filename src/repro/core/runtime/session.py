@@ -77,7 +77,6 @@ class _IngestColumn:
         "field",
         "anchor",
         "prev_end",
-        "appended",
         "_times",
         "_values",
         "_valid",
@@ -89,8 +88,6 @@ class _IngestColumn:
         self.field = field
         self.anchor: Optional[float] = None
         self.prev_end: Optional[float] = None
-        #: rows appended over the column's life
-        self.appended = 0
         self._times = GrowableArray()
         self._values = GrowableArray()
         self._valid = GrowableArray(dtype=bool)
@@ -105,7 +102,6 @@ class _IngestColumn:
         self._times.append(times)
         self._values.append(values)
         self._valid.append(valid)
-        self.appended += len(times)
         self.prev_end = float(times[-1])
         self._cache = None
 
@@ -113,9 +109,9 @@ class _IngestColumn:
         """The retained tail of this input as a snapshot buffer.
 
         A validated-by-construction view over the live window of the
-        column's arrays — no copy.  The view stays stable for the duration
-        of a tick (appends land beyond it; compaction only happens in
-        :meth:`prune`, which also drops the cache).
+        column's arrays — no copy.  The view stays valid until the next
+        :meth:`append`, which may compact the arrays in place (and drops
+        the cache).
         """
         if self._cache is None:
             anchor = 0.0 if self.anchor is None else float(self.anchor)
@@ -694,8 +690,11 @@ class StreamingSession:
                         piece = self._compiled.run(inputs, self._t_emit, w, self._runtimes)
                     if self._tracer.enabled:
                         sp.set(state_snapshots=rt.retained())
-                # a view of the C entry's lanes when on C, compacted there
                 delta = piece.compact()
+                if len(delta):  # on C, a view of lanes the next tick overwrites
+                    delta = _ssbuf_from_arrays(
+                        delta.times.copy(), delta.values.copy(), delta.valid.copy(), delta.start_time
+                    )
                 num_partitions = 1
             else:
                 inputs = {name: col.materialize() for name, col in self._columns.items()}
@@ -714,10 +713,6 @@ class StreamingSession:
             # never an output stamped complete through a watermark whose
             # delta is missing.
             if self._retain_output and len(delta):
-                if rt is not None:  # the next tick overwrites the lanes
-                    delta = _ssbuf_from_arrays(
-                        delta.times.copy(), delta.values.copy(), delta.valid.copy(), delta.start_time
-                    )
                 self._deltas.append(delta)
             self._t_emit = w
             self._emitted_any = True

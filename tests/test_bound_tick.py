@@ -25,9 +25,10 @@ from repro.core.frontend.query import source
 from repro.core.runtime.engine import TiltEngine
 from repro.core.runtime.growable import GrowableArray
 from repro.core.runtime.session import _IngestColumn
-from repro.core.runtime.ssbuf import ssbuf_from_stream
+from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import EventStream
 from repro.datagen.sources import sources_for_streams
+from repro.serve import QueryService
 from repro.windowing import MEAN
 from repro.windowing.prefix import PRUNE_MIN, PrefixRangeIndex
 
@@ -98,6 +99,55 @@ class TestSteadyTick:
         assert got == want
         assert spent["from_buffer"] <= 20, spent
         assert (spent["ReduceSite"], spent["PrefixRangeIndex"], spent["KernelRuntime"]) == (0, 0, 0)
+
+    def test_held_deltas_of_an_unretained_session_keep_their_bytes(self):
+        """With ``retain_output=False`` nothing copies a delta for the
+        session, yet every ``TickResult`` the caller holds — from
+        ``tick()`` and ``run_to_exhaustion()``, which ends with
+        ``close()``'s — keeps the bytes it was emitted with, and all the
+        held deltas concatenate to the one-shot output."""
+        make_program, make_streams, per_tick = STEADY["ysb"]
+        program, streams = make_program(), make_streams()
+        with TiltEngine(workers=1) as engine:
+            batch = engine.run(program, streams).output
+            compiled = engine.compile(program)
+            compiled.promote()
+            session = engine.open_session(
+                compiled, sources_for_streams(streams, events_per_poll=per_tick), retain_output=False
+            )
+            held, at_emission = [], []
+            for _ in range(30):
+                held.append(session.tick())
+                at_emission.append(crc_bytes(held[-1].delta))
+            held += session.run_to_exhaustion()  # ends with close()'s
+        assert [crc_bytes(r.delta) for r in held[:30]] == at_emission
+        assert sum(bool(len(r.delta)) for r in held[:30]) > 5
+        assert SSBuf.concat([r.delta for r in held if len(r.delta)]).compact() == batch
+
+    def test_a_service_tenant_drained_late_keeps_each_deltas_bytes(self):
+        """A service tenant with ``retain_output=False`` queues its
+        ``TickResult``s until ``results()`` drains them: drained after
+        several ticks, each still holds its own delta."""
+        make_program, make_streams, per_tick = STEADY["ysb"]
+        program, streams = make_program(), make_streams()
+        with TiltEngine(workers=1) as engine:
+            batch = engine.run(program, streams).output
+            compiled = engine.compile(program)
+            compiled.promote()
+            with QueryService(engine) as service:
+                name = service.submit(
+                    compiled, sources=sources_for_streams(streams, events_per_poll=per_tick), retain_output=False
+                )
+                held, at_emission = [], []
+                while (result := service.step()) is not None:
+                    if result.emitted:
+                        at_emission.append(crc_bytes(result.delta))
+                    if len(at_emission) % 5 == 0:
+                        held += service.results(name)
+                held += service.results(name)
+        assert len(held) > 5
+        assert [crc_bytes(r.delta) for r in held] == at_emission
+        assert SSBuf.concat([r.delta for r in held if len(r.delta)]).compact() == batch
 
     def test_intermediate_runtimes_live_as_long_as_the_session(self, counts):
         """``rsi``: its intermediates tick on runtimes the session made
@@ -177,13 +227,14 @@ def reference_schedule(times, start, ticks, lookback):
     ``through``, the floor is ``min(w - lookback, through)``; a column past
     its anchor drops every snapshot at or before it, and a kept site drops
     (and rebases) them once they are at least ``PRUNE_MIN`` and half of
-    what it holds.  ``ticks`` is ``(tick, w, through, rows ingested)``;
-    returns the ``(tick, rows dropped)`` of the column and of the site."""
+    what it holds.  ``ticks`` is ``(tick, w, through)``; returns the
+    ``(tick, rows dropped)`` of the column and of the site."""
     columns, sites = [], []
     anchor, column_front, site_front = start, 0, 0
-    for tick, w, through, ingested in ticks:
+    for tick, w, through in ticks:
         floor = min(w - lookback, through)
         below = int(np.searchsorted(times, floor, side="right"))
+        ingested = int(np.searchsorted(times, through, side="right"))
         if floor > anchor:
             if below > column_front:
                 columns.append((tick, below - column_front))
@@ -255,7 +306,7 @@ def run_schedule(program, stream, budgets, promote_at, observed, tick_no):
             result = session.tick(max_events=budgets[tick_no[0] % len(budgets)])
             column = session._columns["x"]
             if result.emitted:
-                ticks.append((tick_no[0], result.t_end, column.prev_end, column.appended))
+                ticks.append((tick_no[0], result.t_end, column.prev_end))
             tick_no[0] += 1
         want = reference_schedule(buf.times, buf.start_time, ticks, session.boundary.max_lookback)
         assert (observed["column"], observed["site"]) == want, (promote_at, ticks)
