@@ -4,8 +4,10 @@
 fused IR into the C source of its one entry point
 (:data:`~repro.core.codegen.native.TICK_ENTRY`), for
 :mod:`repro.core.codegen.native` to compile.  Every unit links against one
-library, :data:`TICK_SUPPORT` (the evaluation grid), which a process builds
-once per cache instead of into each unit.
+library, :data:`TICK_SUPPORT` (the evaluation grid: ``tilt_merge``, merged
+inside the entry's loop, without a precision; ``tilt_grid``, built first,
+with one), which a process builds once per cache instead of into each
+unit.
 Only a build needs this module, so it is imported by the build, never on
 the way to a first result.
 """
@@ -258,6 +260,122 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
 """
 
 
+#: a grid without a precision, merged inside the evaluation loop: what a
+#: unit declares of the support library's merge
+_C_MERGE = """/* one run of grid candidates: the n times t minus o */
+typedef struct { const double* t; int64_t n; double o; } tilt_run;
+
+/* the merge between batches (see tilt_merge); the arrays are the entry's */
+typedef struct {
+    const tilt_run* R;
+    int64_t nr, nc, zl, *first;
+    const double **q, **e, *o;
+    double *y, *z, t_lo, t_hi, t_end, last;
+    unsigned char* hz;
+    int zs, more;
+} tilt_merger;
+
+int64_t tilt_merge(tilt_merger* G, double* ts, int64_t cap, int64_t n);
+double tilt_zero(const tilt_merger* G);
+"""
+
+#: the support library's merge
+_C_MERGE_BODY = """typedef struct {
+    const tilt_run* R;
+    int64_t nr, nc, zl, *first;
+    const double **q, **e, *o;
+    double *y, *z, t_lo, t_hi, t_end, last;
+    unsigned char* hz;
+    int zs, more;
+} tilt_merger;
+
+/* grid.py's grid without a precision, merged: the nr runs R — t_end, then
+   per (input, boundary offset) its snapshot times in (t_start+o, t_end+o]
+   and its start time if that lies there — as nc cursors, cursor j at
+   candidate y[j] = *q[j] - o[j] of its run (1 + 2j) until e[j], the last
+   over t_end and the start times (runs 0, 2, 4, ...), sorted.  Each step
+   takes the smallest candidate and passes it in every cursor (galloping
+   over equal ones), cut to (t_lo, t_hi] as it goes and closed with t_end.
+   Writes up to 256 more times into ts[n..) — those cap holds; the rest are
+   counted — and returns the new n.  A call that can meet a zero (zs)
+   counts per run the points it is the first to hold, for tilt_zero. */
+int64_t tilt_merge(tilt_merger* G, double* ts, int64_t cap, int64_t n)
+{
+    const int64_t to = n + 256, nc = G->nc;
+    const double **q = G->q, **e = G->e, *o = G->o;
+    double* y = G->y;
+    while (n < to) {
+        double x = y[nc - 1];
+        for (int64_t j = 0; j < nc - 1; j++) x = y[j] < x ? y[j] : x;
+        if (!(x < INFINITY)) {  /* none left: t_end closes the grid */
+            G->more = 0;
+            if (n == 0 || G->last < G->t_end) {
+                if (n < cap) ts[n] = G->t_end;
+                n++;
+            }
+            break;
+        }
+        int64_t f = G->nr, extra = 0;
+        for (int64_t j = nc - 1; j >= 0; j--) {
+            if (y[j] != x) continue;
+            if (j == nc - 1) extra = 1; else f = 1 + 2 * j;
+            const double *c = q[j] + 1, *end = e[j];
+            if (c < end && *c - o[j] <= x) {  /* gallop */
+                int64_t lo = 0, hi = 1, m = end - c, step = 1;
+                while (hi < m && c[hi] - o[j] <= x) { lo = hi; step *= 2; hi = lo + step; }
+                hi = hi < m ? hi : m;
+                while (hi - lo > 1) {
+                    int64_t mid = lo + (hi - lo) / 2;
+                    if (c[mid] - o[j] <= x) lo = mid; else hi = mid;
+                }
+                c += hi;
+            }
+            q[j] = c;
+            y[j] = c < end ? *c - o[j] : INFINITY;
+        }
+        if (G->zs) {  /* the first run holding x; each run's zero */
+            const tilt_run* R = G->R;
+            for (int64_t r = 0; extra && r < f; r += 2)
+                if (R[r].n && R[r].t[0] - R[r].o == x) f = r;
+            if (x == 0.0)
+                for (int64_t r = 0; r < G->nr; r++) {
+                    int64_t at = tilt_lower(R[r].t, R[r].n, R[r].o);
+                    if (at < R[r].n && R[r].t[at] - R[r].o == 0.0) { G->z[r] = R[r].t[at] - R[r].o; G->hz[r] = 1; }
+                }
+            G->first[f]++;
+        }
+        if (!(x > G->t_lo && x <= G->t_hi)) continue;  /* the cut */
+        if (x == 0.0) G->zl = n;
+        G->last = x;
+        if (n < cap) ts[n] = x;
+        n++;
+    }
+    return n;
+}
+
+/* the zero _merge_runs keeps: it merges the runs in order, each with its
+   equal neighbours dropped, and of two equal points keeps the longer
+   side's (the union's on a tie) */
+double tilt_zero(const tilt_merger* G)
+{
+    int64_t held = 0;
+    double zero = 0.0;
+    int found = 0;
+    for (int64_t r = 0; r < G->nr; r++) {
+        const tilt_run* R = G->R + r;
+        if (G->hz[r]) {
+            int64_t distinct = R->n > 0;
+            for (int64_t i = 1; i < R->n; i++) distinct += R->t[i] - R->o != R->t[i - 1] - R->o;
+            if (!found || held < distinct) zero = G->z[r];
+            found = 1;
+        }
+        held += G->first[r];
+    }
+    return zero;
+}
+"""
+
+
 #: the arrays of a prefix group that holds no rows: its start time and sums
 _C_NONE = """static double tilt_none[1] = {0.0};
 static long double tilt_none_l[1] = {0.0L};
@@ -275,13 +393,14 @@ class _CEmitter:
     The entry takes one struct (:meth:`_struct`).  Each prefix group first
     extends the :class:`~repro.windowing.prefix.PrefixRangeIndex` the caller
     binds by the input's newest snapshots, into rows the caller reserved, as
-    ``PrefixRangeIndex.extend`` would.  Then the entry builds its grid
-    (``tilt_grid``, the kernel's ``(input, boundary offset)`` pairs and
-    precision as literals) into the caller's lanes, or returns its length
-    when they are too few; evaluates it, each cursor starting at one binary
-    search for the first grid point, then advancing monotonically; compacts
-    the lanes when the caller asks; and prunes each group the caller gave a
-    floor.
+    ``PrefixRangeIndex.extend`` would.  Then it evaluates the grid in the
+    caller's lanes — without a precision merged a batch at a time by
+    ``tilt_merge`` (:meth:`_merge` opens its runs), with one built first by
+    ``tilt_grid`` (:meth:`_grid`), the kernel's ``(input, boundary offset)``
+    pairs and precision as literals — every cursor starting at ``t_start``
+    and advancing monotonically; returns the grid's length when the lanes
+    are too few; compacts the lanes when the caller asks; and prunes each
+    group the caller gave a floor.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -304,6 +423,11 @@ class _CEmitter:
         self._reduce_sites: Dict[
             Tuple[str, float, float, int, Optional[int]], Tuple[str, str]
         ] = {}
+        #: the grid's ``(input, boundary offset)`` pairs in ``grid.py``'s
+        #: order; pair ``j`` has runs ``1 + 2j`` (its snapshot times, from
+        #: index ``l{j}``) and ``2 + 2j`` (its start time), after ``t_end``'s
+        self.pairs = [(ref, float(o)) for ref, pattern in spec.accesses.items() for o in pattern.boundary_offsets()]
+        self._run_lo = {pair: f"l{j}" for j, pair in enumerate(self.pairs)}
 
     # -- helpers ---------------------------------------------------------- #
     def fresh(self) -> Tuple[str, str]:
@@ -402,10 +526,17 @@ class _CEmitter:
         s = f"p{self._site_counter}"
         m, bt, bv, bk, bs = self._ref_args(ref)
         v, k = self.fresh()
-        self.decls.append(f"    int64_t {s}_cur = tilt_lower({bt}, {m}, ts[0] + {c_literal(offset)});")
+        # the first grid point's searchsorted(times, q, 'left') is at or past
+        # the grid run's first index less the times equal to t_start + offset
+        # (the run's own rounding differs from q's)
+        low = f"t_start + {c_literal(offset)}"
+        self.decls.append(
+            f"    int64_t {s}_cur = {self._run_lo[key]};"
+            f" while ({s}_cur > 0 && !({bt}[{s}_cur - 1] < {low})) {s}_cur--;"
+        )
         # mirror of SSBuf.values_at: searchsorted(times, q, 'left') by a
         # monotone cursor; in_range = q > start_time && q <= times[m-1]
-        self.body.append(f"        double {s}_q = ts[i] + {c_literal(offset)};")
+        self.body.append(f"        double {s}_q = t + {c_literal(offset)};")
         self.body.append(f"        double {v} = 0.0; int {k} = 0;")
         self.body.append(f"        if ({m} > 0) {{")
         self.body.append(
@@ -579,15 +710,22 @@ class _CEmitter:
         m, bt, bs = self._timeline(group)
         v, k = self.fresh()
         body = self.body
+        # over the input's own times, the window start's grid run starts where
+        # the cursor does
+        lo = (
+            f"tilt_upper({bt}, {m}, t_start + {c_literal(window.start_offset)})"
+            if group.passed_in
+            else self._run_lo[(window.ref, float(window.start_offset))]
+        )
         self.decls.append(
-            f"    int64_t {s}_lo = tilt_upper({bt}, {m}, ts[0] + {c_literal(window.start_offset)}),"
-            f" {s}_hi = tilt_starts_before({bt}, {m}, {bs}, ts[0] + {c_literal(window.end_offset)});"
+            f"    int64_t {s}_lo = {lo},"
+            f" {s}_hi = tilt_starts_before({bt}, {m}, {bs}, t_start + {c_literal(window.end_offset)});"
         )
         # snapshot_range_indices by monotone cursors:
         #   lo = searchsorted(times, ws, 'right')
         #   hi = searchsorted(interval_starts, we, 'left')
-        body.append(f"        double {s}_ws = ts[i] + {c_literal(window.start_offset)};")
-        body.append(f"        double {s}_we = ts[i] + {c_literal(window.end_offset)};")
+        body.append(f"        double {s}_ws = t + {c_literal(window.start_offset)};")
+        body.append(f"        double {s}_we = t + {c_literal(window.end_offset)};")
         body.append(f"        while ({s}_lo < {m} && {bt}[{s}_lo] <= {s}_ws) {s}_lo++;")
         body.append(
             f"        while ({s}_hi < {m} && "
@@ -645,15 +783,25 @@ class _CEmitter:
         return v, k
 
     # -- assembly ------------------------------------------------------------ #
+    def _runs(self) -> List[str]:
+        """Per grid pair ``j``, ``l{j}``: the first of the input's snapshot
+        times past ``t_start + o`` — where its grid run starts, and where the
+        cursors of a point or a window start at ``o`` over the input start."""
+        lines = []
+        for j, (ref, offset) in enumerate(self.pairs):
+            m, bt = self._ref_args(ref)[:2]
+            lines.append(f"    int64_t l{j} = tilt_upper({bt}, {m}, t_start + {c_literal(offset)});")
+        return lines
+
     def _grid(self) -> List[str]:
-        """The evaluation grid: the kernel's ``(input, boundary offset)``
-        pairs in the order ``grid.py`` visits them, and the precision, as
+        """A precision grid: ``tilt_grid`` (the support library's, ``grid.py``'s
+        bitmap or merge) into the caller's lanes, the pairs and precision as
         literals.  A grid longer than ``cap`` returns its length before
         anything allocates: the caller grows the lanes and calls again."""
         pairs = []
-        for ref, pattern in self.spec.accesses.items():
+        for ref, offset in self.pairs:
             m, bt, _, _, bs = self._ref_args(ref)
-            pairs += [f"{{{m}, {bt}, {bs}, {c_literal(o)}}}" for o in pattern.boundary_offsets()]
+            pairs.append(f"{{{m}, {bt}, {bs}, {c_literal(offset)}}}")
         lines = []
         if pairs:
             lines.append(f"    const tilt_access grid[{len(pairs)}] = {{{', '.join(pairs)}}};")
@@ -662,6 +810,37 @@ class _CEmitter:
             f"{c_literal(self.spec.tdom.precision)}, t_start, t_end, ts, cap);"
         )
         lines.append("    if (n < 0 || n > cap) return n;")
+        return lines
+
+    def _merge(self) -> List[str]:
+        """A grid without a precision: the entry's lines that open
+        ``grid.py``'s runs ``R`` as the cursors of ``tilt_merge`` (the
+        support library's), one per snapshot run and the last over ``t_end``
+        and the start times, sorted into ``E``."""
+        nr, nc = 1 + 2 * len(self.pairs), len(self.pairs) + 1
+        lines = [
+            f"    tilt_run R[{nr}];",
+            f"    const double *q[{nc}], *e[{nc}], o[{nc}] = {{{', '.join(c_literal(o) for _, o in self.pairs)}{', ' if self.pairs else ''}0.0}};",
+            f"    double E[{nc}], y[{nc}], z[{nr}];",
+            f"    int64_t first[{nr}] = {{0}}, nE = 1;",
+            f"    unsigned char hz[{nr}] = {{0}};",
+            f"    tilt_merger G = {{R, {nr}, {nc}, -1, first, q, e, o, y, z, t_start + 1e-12, t_end + 1e-12, t_end,",
+            "                      -INFINITY, hz, t_start + 1e-12 < 0.0 && 0.0 <= t_end + 1e-12, 1};",
+            "    R[0] = (tilt_run){&G.t_end, 1, 0.0};",
+            "    E[0] = t_end;",
+        ]
+        for j, (ref, offset) in enumerate(self.pairs):
+            m, bt, _, _, bs = self._ref_args(ref)
+            o, r = c_literal(offset), 1 + 2 * j
+            lines.append(f"    R[{r}] = (tilt_run){{{bt} + l{j}, tilt_upper({bt}, {m}, t_end + {o}) - l{j}, {o}}};")
+            lines.append(f"    R[{r + 1}] = (tilt_run){{&{bs}, {m} > 0 && t_start + {o} < {bs} && {bs} <= t_end + {o}, {o}}};")
+            lines.append(f"    if (R[{r + 1}].n) E[nE++] = {bs} - {o};")
+            lines.append(f"    q[{j}] = R[{r}].t; e[{j}] = R[{r}].t + R[{r}].n; y[{j}] = R[{r}].n ? R[{r}].t[0] - {o} : INFINITY;")
+        lines += [
+            "    for (int64_t i = 1; i < nE; i++)  /* sorted */",
+            "        for (int64_t j = i; j > 0 && E[j] < E[j - 1]; j--) { double x = E[j]; E[j] = E[j - 1]; E[j - 1] = x; }",
+            f"    q[{nc - 1}] = E; e[{nc - 1}] = E + nE; y[{nc - 1}] = E[0];",
+        ]
         return lines
 
     def _struct(self) -> Tuple[List[str], List[str], List[str]]:
@@ -706,21 +885,42 @@ class _CEmitter:
         """Returns ``(unit text, cdef)``: the struct and the entry point."""
         out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
         fields, loads, prunes = self._struct()
+        merged = not self.spec.tdom.precision > 0
+        opens = self._merge() if merged else []
         struct = "typedef struct {\n" + "".join(f"    {f}\n" for f in fields) + "} tilt_state;\n"
         signature = f"int64_t {TICK_ENTRY}(tilt_state* S)"
         lines = [signature, "{", "    int64_t rc = 0;"]
         lines += loads
         lines += [f"    {ctype}* {name} = NULL;" for ctype, name in self.allocs]
-        lines += self.extends + self._grid()  # the extends first: nothing before them can fail
-        lines += self.prelude
-        lines += self.decls
-        lines.append("    for (int64_t i = 0; i < n; i++) {")
-        lines += self.body
-        lines.append(f"        out_v[i] = {out_v};")
-        lines.append(f"        out_k[i] = (unsigned char)({out_k} != 0);")
+        lines += self.extends  # first: nothing before them can fail
+        if not merged:
+            lines += self._grid()
+        lines += self.prelude + self._runs() + opens + self.decls
+        if merged:
+            lines += [
+                "    int64_t n = 0;",
+                "    for (int64_t from = 0; G.more; from = n) {  /* a batch merged into the lanes, then evaluated there */",
+                "        n = tilt_merge(&G, ts, cap, n);",
+                "        for (int64_t i = from; i < n && i < cap; i++) {",
+            ]
+        else:
+            lines.append("    {")
+            lines.append("        for (int64_t i = 0; i < n; i++) {")
+        lines.append("            const double t = ts[i];")
+        lines += ["    " + line for line in self.body]
+        lines += [
+            f"            out_v[i] = {out_v};",
+            f"            out_k[i] = (unsigned char)({out_k} != 0);",
+            "        }",
+            "    }",
+            "    int64_t w = n;",
+            "    if (n <= cap) {",
+        ]
+        if merged:
+            lines.append("        if (G.zl >= 0 && G.zs) ts[G.zl] = tilt_zero(&G);")
+        lines.append("        if (compact) w = tilt_compact(ts, out_v, out_k, n);")
+        lines += ["    " + line for line in prunes]
         lines.append("    }")
-        lines.append("    int64_t w = compact ? tilt_compact(ts, out_v, out_k, n) : n;")
-        lines += prunes
         if self.allocs:
             lines.append("cleanup:")
             lines += [f"    free({name});" for _, name in self.allocs]
@@ -742,9 +942,10 @@ def lower(spec: KernelSpec) -> Lowered:
     """The kernel's translation unit; it links against :data:`TICK_SUPPORT`."""
     emitter = _CEmitter(spec)
     function, cdef = emitter.generate()
-    c_source = "\n".join(
-        [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID, _C_NONE, function]
-    )
+    parts = [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID]
+    if not spec.tdom.precision > 0:
+        parts.append(_C_MERGE)
+    c_source = "\n".join(parts + [_C_NONE, function])
     return Lowered(c_source, cdef, emitter.refs, emitter.prefix_sites)
 
 
@@ -780,5 +981,5 @@ int64_t tilt_prune(double* vp, void** ps, int64_t np, int extended, const double
 #: rather than into each unit (see ``native._load_support``): the grid, the
 #: compaction and the prune
 TICK_SUPPORT = "\n".join(
-    ["/* support library of the native tick entries */\n" + _C_HEADER, _C_SEEK, _C_GRID, _C_GRID_BODY, _C_AFTER_LOOP]
+    ["/* support library of the native tick entries */\n" + _C_HEADER, _C_SEEK, _C_GRID, _C_GRID_BODY, _C_MERGE_BODY, _C_AFTER_LOOP]
 )

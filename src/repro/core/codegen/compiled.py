@@ -451,6 +451,7 @@ class CompiledQuery:
         t_start: float,
         t_end: float,
         runtimes: Optional[Mapping[str, KernelRuntime]] = None,
+        compact: bool = False,
     ) -> SSBuf:
         """Execute the query over ``(t_start, t_end]`` and return the output
         buffer; intermediates are materialized over the interval extended by
@@ -458,9 +459,10 @@ class CompiledQuery:
         in-process session tick: the output kernel runs over ``inputs``
         *unsliced* (its kept sites must never ingest a slice-clipped
         phantom), intermediates over the margin slices a partition would
-        have handed them.  Without it every kernel gets a fresh runtime.
-        Either way the NumPy time is charged and the break-even rule
-        applies."""
+        have handed them.  Without it every kernel gets a fresh runtime —
+        the output kernel's one that writes ``SSBuf.compact``'s form in C
+        when ``compact`` (a partition the caller compacts anyway).  Either
+        way the NumPy time is charged and the break-even rule applies."""
         env: Dict[str, SSBuf] = dict(inputs)
         missing = [name for name in self.program.inputs if name not in env]
         if missing:
@@ -476,6 +478,8 @@ class CompiledQuery:
         for kernel in self.kernels:
             runtime = None if runtimes is None else runtimes[kernel.name]
             if kernel.name == self.program.output:
+                if runtime is None and compact:
+                    runtime = KernelRuntime(kernel, compact=True)
                 env[kernel.name] = kernel.run(env, t_start, t_end, runtime)
             else:
                 env[kernel.name] = margin_env[kernel.name] = kernel.run(

@@ -45,12 +45,14 @@ of the caller's :class:`~repro.core.codegen.runtime_support.KernelRuntime`
 (:class:`_Bound`), made by the runtime's first call and rebound only where
 a :class:`~repro.core.runtime.growable.GrowableArray` was reallocated.  The
 entry extends each prefix site (a kept one by the new snapshots, a
-rewound per-call one by the whole input) into rows Python reserved, builds
-the grid (``grid.py``'s, byte for byte, in ``tilt_grid``, which lives in
-one support library every unit links against: :func:`_load_support`) into
-the runtime's output lanes — or returns its length when they are too few
-and is called again with them grown — evaluates it, and for a session's
-output kernel compacts the lanes as ``SSBuf.compact`` would and prunes the
+rewound per-call one by the whole input) into rows Python reserved, and
+evaluates ``grid.py``'s grid, byte for byte, in the runtime's output lanes:
+without a precision it merges the grid's runs inside its evaluation loop, a
+batch of times at a time; with one it builds the grid first, in
+``tilt_grid`` (which lives in one support library every unit links
+against: :func:`_load_support`).  When the lanes are too few it returns
+the count and is called again with them grown.  For an output kernel it
+compacts the lanes as ``SSBuf.compact`` would, and for a session prunes the
 kept sites as ``PrefixRangeIndex.prune`` would.  Nothing before the extends
 can fail, and the entry keeps no state of its own, so a session promoted
 mid-stream hands nothing over.

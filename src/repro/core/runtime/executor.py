@@ -232,7 +232,8 @@ def run_compiled_partition(task: Tuple):
     shipped with every map (one chunk per worker, so once per worker per
     map), and unpickled once per worker; ``partition`` is a
     :class:`~repro.core.runtime.partition.Partition`.  Returns the output
-    snapshot buffer, which pickles back to the parent as raw arrays.
+    snapshot buffer (compacted by a C output kernel, as the engine compacts
+    the pieces anyway), which pickles back to the parent as raw arrays.
 
     ``digest`` is ``None`` unless the engine's tracer is enabled; then it is
     the query's short digest, the partition is timed worker-side and the
@@ -243,10 +244,10 @@ def run_compiled_partition(task: Tuple):
     payload, partition, digest = task
     compiled = _worker_query(payload)
     if digest is None:
-        return compiled.run(partition.inputs, partition.t_start, partition.t_end)
+        return compiled.run(partition.inputs, partition.t_start, partition.t_end, compact=True)
     with _WORKER_TRACER.span(
         "kernel.partition", index=partition.index, t_start=partition.t_start,
         t_end=partition.t_end, kernel_digest=digest,
     ):
-        out = compiled.run(partition.inputs, partition.t_start, partition.t_end)
+        out = compiled.run(partition.inputs, partition.t_start, partition.t_end, compact=True)
     return out, _WORKER_TRACER.drain()

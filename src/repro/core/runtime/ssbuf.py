@@ -368,7 +368,10 @@ class SSBuf:
         ``start_time`` order) contributes the snapshots after the end of what
         precedes it, losing a repeated edge time or an overlapping head.  The
         result starts at the earliest piece's ``start_time`` — also when
-        every piece is empty — and a single piece is not copied.
+        every piece is empty — and a single piece is not copied.  Pieces
+        all written compacted make a compacted result: :meth:`compact` keeps
+        a snapshot unless the next one equals it, so only the last snapshot
+        before each seam can merge.
         """
         if not parts:
             return SSBuf.empty()
@@ -382,7 +385,18 @@ class SSBuf:
         if not runs:
             return SSBuf.empty(parts[0].start_time)
         columns = runs[0] if len(runs) == 1 else [np.concatenate(c) for c in zip(*runs)]
-        return _ssbuf_from_arrays(*columns, parts[0].start_time)
+        compacted = all(part.compacted for part in parts)
+        if compacted and len(runs) > 1:
+            times, values, valid = columns
+            seams = np.cumsum([len(run[0]) for run in runs[:-1]]) - 1
+            same = (valid[seams] == valid[seams + 1]) & (~valid[seams] | (values[seams] == values[seams + 1]))
+            if same.any():
+                keep = np.ones(len(times), dtype=bool)
+                keep[seams[same]] = False
+                columns = (times[keep], values[keep], valid[keep])
+        out = _ssbuf_from_arrays(*columns, parts[0].start_time)
+        out.compacted = compacted
+        return out
 
 
 def change_points(

@@ -824,12 +824,38 @@ def grid_cases(draw):
     return draw(st.sampled_from(GRID_PRECISIONS)), env, t_start, t_end
 
 
+#: one snapshot at -0.1 whose own key is -0.0: five candidates, so grid.py
+#: reads the grid off a bitmap (+0.0) up to 8 * 5 + 64 cells and merges it
+#: (-0.0) past that; a t_end of 25.5 makes exactly 104 cells at p = 0.25
+SWITCH = {"x": SSBuf([-0.1], [1.0], start_time=-0.1), "y": SSBuf.empty()}
+
+
+def dense_cells(count: int = 5000) -> SSBuf:
+    """``count`` snapshots in about 8 cells of 0.25: the galloping a
+    ``session_ysb`` tick takes."""
+    times = np.linspace(0.01, 1.99, count)
+    return SSBuf(times, np.arange(count, dtype=np.float64) % 7, start_time=0.0)
+
+
 @requires_native
 class TestTickGrid:
     @settings(max_examples=300, deadline=None)
     @given(case=grid_cases())
     @example(  # +0.0 (-1.0 past a -1 offset) and -0.0 (-0.0 at offset 0) tie
         case=(0.0, {"x": SSBuf([-1.0, -0.0], [1.0, 2.0]), "y": SSBuf.empty()}, -0.5, 0.5)
+    )
+    @example(case=(0.25, {"x": dense_cells(), "y": SSBuf.empty()}, 0.0, 2.0))
+    @example(case=(0.25, {"x": dense_cells(), "y": dense_cells()}, 0.0, 2.0))
+    @example(case=(0.25, SWITCH, -0.2, 25.5))  # the bitmap's last cell count
+    @example(case=(0.25, SWITCH, -0.2, 25.75))  # one cell past it: merged
+    @example(  # a start time at t_start + 0 (excluded) and at t_end - 1 (included)
+        case=(0.25, {"x": SSBuf([1.5], [1.0], start_time=0.5), "y": SSBuf.empty()}, 0.5, 1.5)
+    )
+    @example(  # the same with no precision
+        case=(0.0, {"x": SSBuf([1.5], [1.0], start_time=0.5), "y": SSBuf.empty()}, 0.5, 1.5)
+    )
+    @example(  # t_end between grid points
+        case=(0.25, {"x": SSBuf([0.3, 0.9], [1.0, 2.0]), "y": SSBuf([0.2], [3.0])}, 0.0, 1.3)
     )
     def test_tick_grid_is_grid_py_byte_for_byte(self, grid_kernels, case):
         """The grid the C entry builds is ``grid.py``'s to the byte — a
@@ -857,6 +883,53 @@ class TestTickGrid:
         ):
             assert got_array.tobytes() == again_array.tobytes() == want_array.tobytes()
         assert again.times.tobytes() == want.tobytes()
+
+    def test_the_switch_examples_straddle_grid_pys_bitmap(self, grid_kernels):
+        """The two ``SWITCH`` examples above are the bitmap's last cell count
+        and one past it: the zero grid point is +0.0 on one side and -0.0 on
+        the other, and the C entry writes each."""
+        kernel, _ = grid_kernels[0.25]
+        signs = []
+        for t_end in (25.5, 25.75):
+            got = kernel.run(SWITCH, -0.2, t_end, runtime=KernelRuntime(kernel, ["x", "y"]))
+            (zero,) = got.times[got.times == 0.0]
+            signs.append(np.signbit(zero))
+        assert signs == [False, True]
+
+    @pytest.mark.parametrize("precision", [0.0, 0.25])
+    def test_lanes_outgrown_mid_loop_with_a_kept_and_an_rmq_site(self, precision):
+        """Lanes that run out halfway through the grid — without a
+        precision, halfway through the merge the loop evaluates in them —
+        and the entry counts the rest and is called again: the kept prefix
+        site extended once, the rmq site rebuilt, to the bytes of a call with
+        lanes sized from the bound, and of the NumPy twin."""
+        b = IRBuilder()
+        x = b.stream("x")
+        b.define("out", x.window(-1.0, 0.0).reduce(SUM) + x.window(-2.0, 0.0).reduce(MAX), precision=precision)
+        program = b.build(output="out")
+        (kernel,) = compile_program(program, codegen_tier=NATIVE_TIER).kernels
+        assert kernel.active_tier == NATIVE_TIER, kernel.native_fallback_reason
+        (twin,) = compile_program(program).kernels
+        times = np.cumsum(np.random.default_rng(5).uniform(0.05, 0.6, 400))
+        env = {"x": SSBuf(times, np.sin(times))}
+        t_end = float(times[-1])
+        outs, sizes = [], []
+        for cap in (None, 7):
+            rt = KernelRuntime(kernel, ["x"])
+            assert len(rt.kept) == 1  # the SUM; the MAX is an rmq site, rebuilt every call
+            if cap is not None:
+                bound = native._Bound(kernel._native, rt)
+                bound._size_lanes(cap)
+                bound.presize = False  # as over a session's columns
+            outs.append(kernel.run(env, 0.0, t_end, runtime=rt))
+            (key,) = rt.kept
+            sizes.append(len(rt.sites[key].index))
+        assert rt.bound.cap > 7  # grown, and the call repeated
+        assert sizes[0] == sizes[1] == len(times)  # extended once
+        want = twin.run(env, 0.0, t_end)
+        for got in outs:
+            for a, w in ((got.times, want.times), (got.values, want.values), (got.valid, want.valid)):
+                assert a.tobytes() == w.tobytes()
 
     def test_undersized_lanes_grow_and_the_call_repeats_writing_nothing_past_them(
         self, grid_kernels, monkeypatch
