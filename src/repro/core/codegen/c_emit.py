@@ -262,10 +262,7 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
 
 #: a grid without a precision, merged inside the evaluation loop: what a
 #: unit declares of the support library's merge
-_C_MERGE = """/* one run of grid candidates: the n times t minus o */
-typedef struct { const double* t; int64_t n; double o; } tilt_run;
-
-/* the merge between batches (see tilt_merge); the arrays are the entry's */
+_C_MERGER = """/* the merge between batches (see tilt_merge); the arrays are the entry's */
 typedef struct {
     const tilt_run* R;
     int64_t nr, nc, zl, *first;
@@ -274,21 +271,17 @@ typedef struct {
     unsigned char* hz;
     int zs, more;
 } tilt_merger;
+"""
+_C_MERGE = """/* one run of grid candidates: the n times t minus o */
+typedef struct { const double* t; int64_t n; double o; } tilt_run;
 
+""" + _C_MERGER + """
 int64_t tilt_merge(tilt_merger* G, double* ts, int64_t cap, int64_t n);
 double tilt_zero(const tilt_merger* G);
 """
 
 #: the support library's merge
-_C_MERGE_BODY = """typedef struct {
-    const tilt_run* R;
-    int64_t nr, nc, zl, *first;
-    const double **q, **e, *o;
-    double *y, *z, t_lo, t_hi, t_end, last;
-    unsigned char* hz;
-    int zs, more;
-} tilt_merger;
-
+_C_MERGE_BODY = _C_MERGER + """
 /* grid.py's grid without a precision, merged: the nr runs R — t_end, then
    per (input, boundary offset) its snapshot times in (t_start+o, t_end+o]
    and its start time if that lies there — as nc cursors, cursor j at
