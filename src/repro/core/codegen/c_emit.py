@@ -4,10 +4,10 @@
 fused IR into the C source of its one entry point
 (:data:`~repro.core.codegen.native.TICK_ENTRY`), for
 :mod:`repro.core.codegen.native` to compile.  Every unit links against one
-library, :data:`TICK_SUPPORT` (the evaluation grid: ``tilt_merge``, merged
-inside the entry's loop, without a precision; ``tilt_grid``, built first,
-with one), which a process builds once per cache instead of into each
-unit.
+library, :data:`TICK_SUPPORT` (the evaluation grid: ``tilt_merge_open``
+and ``tilt_merge``, merged inside the entry's loop, without a precision;
+``tilt_grid``, built first, with one), which a process builds once per
+cache instead of into each unit.
 Only a build needs this module, so it is imported by the build, never on
 the way to a first result.
 """
@@ -71,9 +71,21 @@ class _PrefixSite(NamedTuple):
     dtype: type  # the accumulator dtype of the component prefixes
 
 
-_C_HEADER = """#include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
+#: what every unit includes: the C library functions the emitted code calls
+#: are declared here rather than taken from <math.h> and <stdlib.h>, whose
+#: parsing is a fifth of a unit's ``cc`` time (a C template that calls
+#: another one adds it to this list)
+_C_HEADER = """#include <stddef.h>
+#include <stdint.h>
+
+void* malloc(size_t size);
+void free(void* p);
+double sqrt(double x), floor(double x), ceil(double x), fabs(double x);
+double fmod(double x, double y), copysign(double x, double y);
+long double sqrtl(long double x);
+#define isnan(x) __builtin_isnan(x)
+#define INFINITY __builtin_inff()
+#define NAN __builtin_nanf("")
 
 /* NumPy's maximum/minimum: first operand wins on NaN */
 #define NPMAX(a, b) (((a) > (b) || isnan(a)) ? (a) : (b))
@@ -90,9 +102,12 @@ static inline double tilt_mod(double a, double b)
 }
 """
 
-#: the cursor seeks
-_C_SEEK = """/* searchsorted(t[:m], q, 'left'): the first i with t[i] >= q */
-static int64_t tilt_lower(const double* t, int64_t m, double q)
+#: the cursor seeks, called a few times a call: out of line, since a copy
+#: inlined at every call site costs ``cc`` time and saves nothing
+_C_SEEK = """#define TILT_SEEK __attribute__((noinline)) static int64_t
+
+/* searchsorted(t[:m], q, 'left'): the first i with t[i] >= q */
+TILT_SEEK tilt_lower(const double* t, int64_t m, double q)
 {
     int64_t lo = 0, hi = m;
     while (lo < hi) {
@@ -103,7 +118,7 @@ static int64_t tilt_lower(const double* t, int64_t m, double q)
 }
 
 /* searchsorted(t[:m], q, 'right'): the first i with t[i] > q */
-static int64_t tilt_upper(const double* t, int64_t m, double q)
+TILT_SEEK tilt_upper(const double* t, int64_t m, double q)
 {
     int64_t lo = 0, hi = m;
     while (lo < hi) {
@@ -114,44 +129,64 @@ static int64_t tilt_upper(const double* t, int64_t m, double q)
 }
 
 /* how many interval starts (s, t[0], ..., t[m-2]) lie before q */
-static int64_t tilt_starts_before(const double* t, int64_t m, double s, double q)
+TILT_SEEK tilt_starts_before(const double* t, int64_t m, double s, double q)
 {
     if (m == 0 || !(s < q)) return 0;
     return 1 + tilt_lower(t, m - 1, q);
 }
+
+/* searchsorted(t, q, 'left') from at, an index at or past it whose times
+   before it equal q or exceed it (a grid run's first index, computed with
+   another rounding than q's) */
+TILT_SEEK tilt_back(const double* t, int64_t at, double q)
+{
+    while (at > 0 && !(t[at - 1] < q)) at--;
+    return at;
+}
 """
 
-#: what a unit declares of the support library: the evaluation grid
+#: what every unit declares of the support library: an (input, boundary
+#: offset) pair of the grid, the compaction and the prune
 _C_GRID = """/* one (input, boundary offset) of the grid: m snapshot times t, start s */
 typedef struct { int64_t m; const double* t; double s; double o; } tilt_access;
+/* a run of grid candidates: the n times t minus o */
+typedef struct { const double* t; int64_t n; double o; } tilt_run;
 
-int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
-                  double t_start, double t_end, double* ts, int64_t cap);
 int64_t tilt_compact(double* ts, double* v, unsigned char* k, int64_t n);
 int64_t tilt_prune(double* vp, void** ps, int64_t np, int extended, const double* t, int64_t m, double floor);
 """
 
-#: the body of ``tilt_grid``: grid.py's evaluation_times_for_accesses in C,
-#: byte for byte
-_C_GRID_BODY = """/* a run of candidate times: t[0..n) - o */
-typedef struct { const double* t; int64_t n; double o; } tilt_run;
+#: what a unit with a precision declares of the support library's grid
+_C_SNAPPED = """int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
+                  double t_start, double t_end, double* ts, int64_t cap, int64_t* l);
+"""
 
-/* the grid index ceil(c/p - 1e-9) of a candidate c (its time when p == 0) */
-static double tilt_snap(double c, double p)
+#: the body of ``tilt_grid``: grid.py's evaluation_times_for_accesses with a
+#: precision, in C, byte for byte
+_C_GRID_BODY = """/* the grid index ceil(c/p - 1e-9) of a candidate c */
+static inline double tilt_snap(double c, double p)
 {
-    return p > 0 ? ceil(c / p - 1e-9) : c;
+    return ceil(c / p - 1e-9);
 }
 
-/* a run snapped into b, the first of equal neighbours kept; returns their
-   count.  Snapping is monotone, so each group of equal ones is found by a
-   galloping search rather than by snapping every candidate. */
-static int64_t tilt_snapped(tilt_run run, double p, double* b)
+/* a run snapped, the first of equal neighbours kept: into b, returning
+   their count, or, given a bitmap mark whose cell 0 is index first, marking
+   each index k and k - 1.  Snapping is monotone, so each group of equal
+   ones is found by a galloping search rather than by snapping every
+   candidate. */
+__attribute__((always_inline)) static inline int64_t tilt_snapped(tilt_run run, double p, double* b,
+                                                                  unsigned char* mark, double first)
 {
     int64_t nb = 0, q = 0;
     double k = tilt_snap(run.t[0] - run.o, p), kh = k;
     while (q < run.n) {
         int64_t lo = q, hi = q + 1, step = 1;
-        b[nb++] = k;
+        if (mark) {
+            int64_t at = (int64_t)(k - first);
+            mark[at] = mark[at - 1] = 1;
+        } else {
+            b[nb++] = k;
+        }
         while (hi < run.n && (kh = tilt_snap(run.t[hi] - run.o, p)) == k) {
             lo = hi;
             step *= 2;
@@ -169,19 +204,20 @@ static int64_t tilt_snapped(tilt_run run, double p, double* b)
     return nb;
 }
 
-/* the evaluation grid over (t_start, t_end] with precision p, as grid.py
+/* the evaluation grid over (t_start, t_end] with precision p > 0, as grid.py
    builds it: the candidate runs — {t_end}, then per access its snapshot
    times in (t_start+o, t_end+o] and its start time if that lies there —
-   snapped; on a precision grid each index k marks k and k - 1.  Where
-   grid.py reads the union off a bitmap (indices dense among the
-   candidates) so does this, the point of cell i being (i + first) * p;
-   otherwise the runs are merged one by one as _merge_runs merges them (of
-   two equal values the longer side's is kept, the union's on a tie).  The
-   union is cut to (t_start+1e-12, t_end+1e-12] and closed with t_end.
-   Returns the grid's length and writes it to ts only if that is at most
-   cap; -1 when its scratch memory cannot be had. */
-int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
-                  double t_start, double t_end, double* ts, int64_t cap)
+   snapped, each index k marking k and k - 1.  Where grid.py reads the union
+   off a bitmap (indices dense among the candidates) so does this, the point
+   of cell i being (i + first) * p; otherwise the runs are merged one by one
+   as _merge_runs merges them (of two equal values the longer side's is
+   kept, the union's on a tie).  The union is cut to
+   (t_start+1e-12, t_end+1e-12] and closed with t_end.  Sets l[r], the first
+   of access r's times past t_start + o.  Returns the grid's length and
+   writes it to ts only if that is at most cap; -1 when its scratch memory
+   cannot be had. */
+__attribute__((always_inline)) static inline int64_t tilt_grid_in(
+    const tilt_access* a, int64_t na, double p, double t_start, double t_end, double* ts, int64_t cap, int64_t* l)
 {
     tilt_run* runs = (tilt_run*)malloc(sizeof(tilt_run) * (size_t)(2 * na + 1));
     if (runs == NULL) return -1;
@@ -189,7 +225,7 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
     runs[0] = (tilt_run){&t_end, 1, 0.0};
     for (int64_t r = 0; r < na; r++) {
         double o = a[r].o;
-        int64_t lo = tilt_upper(a[r].t, a[r].m, t_start + o), hi = tilt_upper(a[r].t, a[r].m, t_end + o);
+        int64_t lo = l[r] = tilt_upper(a[r].t, a[r].m, t_start + o), hi = tilt_upper(a[r].t, a[r].m, t_end + o);
         if (hi > lo) runs[nr++] = (tilt_run){a[r].t + lo, hi - lo, o};
         if (a[r].m > 0 && t_start + o < a[r].s && a[r].s <= t_end + o) runs[nr++] = (tilt_run){&a[r].s, 1, o};
     }
@@ -203,7 +239,7 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
         kmax = k1 > kmax ? k1 : kmax;
     }
     double first = kmin - 1.0, cells = kmax - first + 1.0;
-    int dense = p > 0 && !(cells > 8.0 * (double)total + 64.0);
+    int dense = !(cells > 8.0 * (double)total + 64.0);
     size_t bytes = sizeof(double) * (size_t)(4 * total + widest) + (dense ? (size_t)cells : 0);
     double* mem = (double*)malloc(bytes);
     if (mem == NULL) { free(runs); return -1; }
@@ -212,19 +248,13 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
     if (dense) {
         unsigned char* mark = (unsigned char*)(b + widest);
         for (int64_t i = 0; i < (int64_t)cells; i++) mark[i] = 0;
-        for (int64_t r = 0; r < nr; r++) {
-            int64_t nb = tilt_snapped(runs[r], p, b);
-            for (int64_t j = 0; j < nb; j++) {
-                int64_t at = (int64_t)(b[j] - first);
-                mark[at] = mark[at - 1] = 1;
-            }
-        }
+        for (int64_t r = 0; r < nr; r++) tilt_snapped(runs[r], p, NULL, mark, first);
         for (int64_t i = 0; i < (int64_t)cells; i++)
             if (mark[i]) u[nu++] = ((double)i + first) * p;
     } else {
         for (int64_t r = 0; r < nr; r++) {
-            int64_t nb = tilt_snapped(runs[r], p, b);
-            for (int shift = 0; shift < (p > 0 ? 2 : 1); shift++) {
+            int64_t nb = tilt_snapped(runs[r], p, b, NULL, 0.0);
+            for (int shift = 0; shift < 2; shift++) {
                 if (shift)  /* then k - 1: the last point the old value holds */
                     for (int64_t q = 0; q < nb; q++) b[q] = b[q] - 1.0;
                 const double *x = u, *y = b;
@@ -243,8 +273,7 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
                 nu = m;
             }
         }
-        if (p > 0)
-            for (int64_t j = 0; j < nu; j++) u[j] = u[j] * p;
+        for (int64_t j = 0; j < nu; j++) u[j] = u[j] * p;
     }
     int64_t lo = tilt_upper(u, nu, t_start + 1e-12), hi = tilt_upper(u, nu, t_end + 1e-12);
     int closed = hi > lo && !(u[hi - 1] < t_end);
@@ -257,41 +286,115 @@ int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
     free(runs);
     return n;
 }
+
+#define TILT_GRID_ARGS const tilt_access* a, int64_t na, double p, double t_start, double t_end, \
+                       double* ts, int64_t cap, int64_t* l
+
+static int64_t tilt_grid_any(TILT_GRID_ARGS)
+{
+    return tilt_grid_in(a, na, p, t_start, t_end, ts, cap, l);
+}
+
+/* the same where the CPU rounds in one instruction: SSE4.1's roundsd, the
+   ceil glibc itself picks there, where a call of ceil per snap was most of
+   the grid's time */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("sse4.1"))) static int64_t tilt_grid_sse41(TILT_GRID_ARGS)
+{
+    return tilt_grid_in(a, na, p, t_start, t_end, ts, cap, l);
+}
+#endif
+
+int64_t tilt_grid(TILT_GRID_ARGS)
+{
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (__builtin_cpu_supports("sse4.1")) return tilt_grid_sse41(a, na, p, t_start, t_end, ts, cap, l);
+#endif
+    return tilt_grid_any(a, na, p, t_start, t_end, ts, cap, l);
+}
 """
 
 
-#: a grid without a precision, merged inside the evaluation loop: what a
-#: unit declares of the support library's merge
+#: a grid without a precision, merged inside the evaluation loop: the
+#: merge's state between batches, which the entry allocates on its stack
+#: (the arrays sized by its pair count) and ``tilt_merge_open`` fills
 _C_MERGER = """/* the merge between batches (see tilt_merge); the arrays are the entry's */
 typedef struct {
-    const tilt_run* R;
-    int64_t nr, nc, zl, *first;
-    const double **q, **e, *o;
-    double *y, *z, t_lo, t_hi, t_end, last;
+    tilt_run* R;
+    const double **q, **e;
+    double *o, *y, *z, *E;
+    int64_t* first;
     unsigned char* hz;
+    int64_t nr, nc, zl;
+    double t_lo, t_hi, t_end, last;
     int zs, more;
 } tilt_merger;
 """
-_C_MERGE = """/* one run of grid candidates: the n times t minus o */
-typedef struct { const double* t; int64_t n; double o; } tilt_run;
 
-""" + _C_MERGER + """
+#: what a unit without a precision declares of the support library's merge
+_C_MERGE = _C_MERGER + """
+void tilt_merge_open(tilt_merger* G, const tilt_access* a, int64_t na, double t_start, double t_end, int64_t* l);
 int64_t tilt_merge(tilt_merger* G, double* ts, int64_t cap, int64_t n);
 double tilt_zero(const tilt_merger* G);
 """
 
 #: the support library's merge
 _C_MERGE_BODY = _C_MERGER + """
-/* grid.py's grid without a precision, merged: the nr runs R — t_end, then
-   per (input, boundary offset) its snapshot times in (t_start+o, t_end+o]
-   and its start time if that lies there — as nc cursors, cursor j at
-   candidate y[j] = *q[j] - o[j] of its run (1 + 2j) until e[j], the last
-   over t_end and the start times (runs 0, 2, 4, ...), sorted.  Each step
-   takes the smallest candidate and passes it in every cursor (galloping
-   over equal ones), cut to (t_lo, t_hi] as it goes and closed with t_end.
-   Writes up to 256 more times into ts[n..) — those cap holds; the rest are
-   counted — and returns the new n.  A call that can meet a zero (zs)
-   counts per run the points it is the first to hold, for tilt_zero. */
+/* opens grid.py's runs of the na pairs a over (t_start, t_end] as the
+   merge's cursors: run 0 is t_end; pair j has runs 1 + 2j (its snapshot
+   times in (t_start+o, t_end+o], from l[j]) and 2 + 2j (its start time, if
+   it lies there).  Cursor j (< na) walks run 1 + 2j; the last, cursor na,
+   walks t_end and the start times, sorted into E. */
+void tilt_merge_open(tilt_merger* G, const tilt_access* a, int64_t na, double t_start, double t_end, int64_t* l)
+{
+    int64_t nE = 1;
+    G->nr = 1 + 2 * na;
+    G->nc = na + 1;
+    G->zl = -1;
+    G->t_lo = t_start + 1e-12;
+    G->t_hi = t_end + 1e-12;
+    G->t_end = t_end;
+    G->last = -INFINITY;
+    G->zs = G->t_lo < 0.0 && 0.0 <= G->t_hi;
+    G->more = 1;
+    G->R[0] = (tilt_run){&G->t_end, 1, 0.0};
+    G->E[0] = t_end;
+    for (int64_t j = 0; j < na; j++) {
+        const double o = a[j].o, *t = a[j].t;
+        const int64_t m = a[j].m, lo = l[j] = tilt_upper(t, m, t_start + o);
+        tilt_run* R = G->R + 1 + 2 * j;
+        R[0] = (tilt_run){t + lo, tilt_upper(t, m, t_end + o) - lo, o};
+        R[1] = (tilt_run){&a[j].s, m > 0 && t_start + o < a[j].s && a[j].s <= t_end + o, o};
+        if (R[1].n) G->E[nE++] = a[j].s - o;
+        G->q[j] = R[0].t;
+        G->e[j] = R[0].t + R[0].n;
+        G->o[j] = o;
+        G->y[j] = R[0].n ? R[0].t[0] - o : INFINITY;
+    }
+    for (int64_t i = 1; i < nE; i++)  /* sorted */
+        for (int64_t j = i; j > 0 && G->E[j] < G->E[j - 1]; j--) {
+            double x = G->E[j];
+            G->E[j] = G->E[j - 1];
+            G->E[j - 1] = x;
+        }
+    G->q[na] = G->E;
+    G->e[na] = G->E + nE;
+    G->o[na] = 0.0;
+    G->y[na] = G->E[0];
+    for (int64_t r = 0; r < G->nr; r++) {
+        G->first[r] = 0;
+        G->hz[r] = 0;
+    }
+}
+
+/* grid.py's grid without a precision, merged from the cursors
+   tilt_merge_open opened, cursor j at candidate y[j] = *q[j] - o[j] until
+   e[j].  Each step takes the smallest candidate and passes it in every
+   cursor (galloping over equal ones), cut to (t_lo, t_hi] as it goes and
+   closed with t_end.  Writes up to 256 more times into ts[n..) — those cap
+   holds; the rest are counted — and returns the new n.  A call that can
+   meet a zero (zs) counts per run the points it is the first to hold, for
+   tilt_zero. */
 int64_t tilt_merge(tilt_merger* G, double* ts, int64_t cap, int64_t n)
 {
     const int64_t to = n + 256, nc = G->nc;
@@ -388,9 +491,9 @@ class _CEmitter:
     binds by the input's newest snapshots, into rows the caller reserved, as
     ``PrefixRangeIndex.extend`` would.  Then it evaluates the grid in the
     caller's lanes — without a precision merged a batch at a time by
-    ``tilt_merge`` (:meth:`_merge` opens its runs), with one built first by
-    ``tilt_grid`` (:meth:`_grid`), the kernel's ``(input, boundary offset)``
-    pairs and precision as literals — every cursor starting at ``t_start``
+    ``tilt_merge``, with one built first by ``tilt_grid`` (:meth:`_open`),
+    the kernel's ``(input, boundary offset)`` pairs and precision as
+    literals — every cursor starting at ``t_start``
     and advancing monotonically; returns the grid's length when the lanes
     are too few; compacts the lanes when the caller asks; and prunes each
     group the caller gave a floor.
@@ -417,10 +520,9 @@ class _CEmitter:
             Tuple[str, float, float, int, Optional[int]], Tuple[str, str]
         ] = {}
         #: the grid's ``(input, boundary offset)`` pairs in ``grid.py``'s
-        #: order; pair ``j`` has runs ``1 + 2j`` (its snapshot times, from
-        #: index ``l{j}``) and ``2 + 2j`` (its start time), after ``t_end``'s
+        #: order; pair ``j``'s grid run starts at index ``l[j]`` (:meth:`_open`)
         self.pairs = [(ref, float(o)) for ref, pattern in spec.accesses.items() for o in pattern.boundary_offsets()]
-        self._run_lo = {pair: f"l{j}" for j, pair in enumerate(self.pairs)}
+        self._run_lo = {pair: f"l[{j}]" for j, pair in enumerate(self.pairs)}
 
     # -- helpers ---------------------------------------------------------- #
     def fresh(self) -> Tuple[str, str]:
@@ -519,13 +621,10 @@ class _CEmitter:
         s = f"p{self._site_counter}"
         m, bt, bv, bk, bs = self._ref_args(ref)
         v, k = self.fresh()
-        # the first grid point's searchsorted(times, q, 'left') is at or past
-        # the grid run's first index less the times equal to t_start + offset
-        # (the run's own rounding differs from q's)
-        low = f"t_start + {c_literal(offset)}"
+        # the first grid point's searchsorted(times, q, 'left'), from the
+        # grid run's first index (whose rounding differs from q's)
         self.decls.append(
-            f"    int64_t {s}_cur = {self._run_lo[key]};"
-            f" while ({s}_cur > 0 && !({bt}[{s}_cur - 1] < {low})) {s}_cur--;"
+            f"    int64_t {s}_cur = tilt_back({bt}, {self._run_lo[key]}, t_start + {c_literal(offset)});"
         )
         # mirror of SSBuf.values_at: searchsorted(times, q, 'left') by a
         # monotone cursor; in_range = q > start_time && q <= times[m-1]
@@ -776,64 +875,36 @@ class _CEmitter:
         return v, k
 
     # -- assembly ------------------------------------------------------------ #
-    def _runs(self) -> List[str]:
-        """Per grid pair ``j``, ``l{j}``: the first of the input's snapshot
-        times past ``t_start + o`` — where its grid run starts, and where the
-        cursors of a point or a window start at ``o`` over the input start."""
-        lines = []
-        for j, (ref, offset) in enumerate(self.pairs):
-            m, bt = self._ref_args(ref)[:2]
-            lines.append(f"    int64_t l{j} = tilt_upper({bt}, {m}, t_start + {c_literal(offset)});")
-        return lines
-
-    def _grid(self) -> List[str]:
-        """A precision grid: ``tilt_grid`` (the support library's, ``grid.py``'s
-        bitmap or merge) into the caller's lanes, the pairs and precision as
-        literals.  A grid longer than ``cap`` returns its length before
-        anything allocates: the caller grows the lanes and calls again."""
+    def _open(self) -> List[str]:
+        """The grid's opening lines: its ``(input, boundary offset)`` pairs
+        and precision as literals, and ``l[j]``, the first of pair ``j``'s
+        snapshot times past ``t_start + o`` — where its grid run starts, and
+        where the cursors of a point or a window start at ``o`` over the
+        input start.  With a precision ``tilt_grid`` builds the grid
+        (``grid.py``'s bitmap or merge) into the caller's lanes first, or,
+        when they are too few, returns its length before anything allocates;
+        without one ``tilt_merge_open`` opens its runs as the cursors that
+        ``tilt_merge`` merges inside the loop."""
         pairs = []
         for ref, offset in self.pairs:
             m, bt, _, _, bs = self._ref_args(ref)
             pairs.append(f"{{{m}, {bt}, {bs}, {c_literal(offset)}}}")
-        lines = []
+        na, grid = len(pairs), "grid" if pairs else "NULL"
+        lines = [f"    int64_t l[{max(na, 1)}];"]
         if pairs:
-            lines.append(f"    const tilt_access grid[{len(pairs)}] = {{{', '.join(pairs)}}};")
-        lines.append(
-            f"    int64_t n = tilt_grid({'grid' if pairs else 'NULL'}, {len(pairs)}, "
-            f"{c_literal(self.spec.tdom.precision)}, t_start, t_end, ts, cap);"
-        )
-        lines.append("    if (n < 0 || n > cap) return n;")
-        return lines
-
-    def _merge(self) -> List[str]:
-        """A grid without a precision: the entry's lines that open
-        ``grid.py``'s runs ``R`` as the cursors of ``tilt_merge`` (the
-        support library's), one per snapshot run and the last over ``t_end``
-        and the start times, sorted into ``E``."""
-        nr, nc = 1 + 2 * len(self.pairs), len(self.pairs) + 1
-        lines = [
-            f"    tilt_run R[{nr}];",
-            f"    const double *q[{nc}], *e[{nc}], o[{nc}] = {{{', '.join(c_literal(o) for _, o in self.pairs)}{', ' if self.pairs else ''}0.0}};",
-            f"    double E[{nc}], y[{nc}], z[{nr}];",
-            f"    int64_t first[{nr}] = {{0}}, nE = 1;",
-            f"    unsigned char hz[{nr}] = {{0}};",
-            f"    tilt_merger G = {{R, {nr}, {nc}, -1, first, q, e, o, y, z, t_start + 1e-12, t_end + 1e-12, t_end,",
-            "                      -INFINITY, hz, t_start + 1e-12 < 0.0 && 0.0 <= t_end + 1e-12, 1};",
-            "    R[0] = (tilt_run){&G.t_end, 1, 0.0};",
-            "    E[0] = t_end;",
-        ]
-        for j, (ref, offset) in enumerate(self.pairs):
-            m, bt, _, _, bs = self._ref_args(ref)
-            o, r = c_literal(offset), 1 + 2 * j
-            lines.append(f"    R[{r}] = (tilt_run){{{bt} + l{j}, tilt_upper({bt}, {m}, t_end + {o}) - l{j}, {o}}};")
-            lines.append(f"    R[{r + 1}] = (tilt_run){{&{bs}, {m} > 0 && t_start + {o} < {bs} && {bs} <= t_end + {o}, {o}}};")
-            lines.append(f"    if (R[{r + 1}].n) E[nE++] = {bs} - {o};")
-            lines.append(f"    q[{j}] = R[{r}].t; e[{j}] = R[{r}].t + R[{r}].n; y[{j}] = R[{r}].n ? R[{r}].t[0] - {o} : INFINITY;")
-        lines += [
-            "    for (int64_t i = 1; i < nE; i++)  /* sorted */",
-            "        for (int64_t j = i; j > 0 && E[j] < E[j - 1]; j--) { double x = E[j]; E[j] = E[j - 1]; E[j - 1] = x; }",
-            f"    q[{nc - 1}] = E; e[{nc - 1}] = E + nE; y[{nc - 1}] = E[0];",
-        ]
+            lines.append(f"    const tilt_access grid[{na}] = {{{', '.join(pairs)}}};")
+        if self.spec.tdom.precision > 0:
+            lines.append(
+                f"    int64_t n = tilt_grid({grid}, {na}, {c_literal(self.spec.tdom.precision)}, "
+                "t_start, t_end, ts, cap, l);"
+            )
+            lines.append("    if (n < 0 || n > cap) return n;")
+        else:
+            nr, nc = 1 + 2 * na, na + 1
+            lines.append(f"    tilt_run R[{nr}]; const double *q[{nc}], *e[{nc}]; double o[{nc}], y[{nc}], z[{nr}], E[{nc}];")
+            lines.append(f"    int64_t first[{nr}]; unsigned char hz[{nr}];")
+            lines.append("    tilt_merger G = {R, q, e, o, y, z, E, first, hz};")
+            lines.append(f"    tilt_merge_open(&G, {grid}, {na}, t_start, t_end, l);")
         return lines
 
     def _struct(self) -> Tuple[List[str], List[str], List[str]]:
@@ -879,16 +950,13 @@ class _CEmitter:
         out_v, out_k = self.compile(self.spec.te.expr, {}, self.body, elem=False)
         fields, loads, prunes = self._struct()
         merged = not self.spec.tdom.precision > 0
-        opens = self._merge() if merged else []
         struct = "typedef struct {\n" + "".join(f"    {f}\n" for f in fields) + "} tilt_state;\n"
         signature = f"int64_t {TICK_ENTRY}(tilt_state* S)"
         lines = [signature, "{", "    int64_t rc = 0;"]
         lines += loads
         lines += [f"    {ctype}* {name} = NULL;" for ctype, name in self.allocs]
         lines += self.extends  # first: nothing before them can fail
-        if not merged:
-            lines += self._grid()
-        lines += self.prelude + self._runs() + opens + self.decls
+        lines += self._open() + self.prelude + self.decls
         if merged:
             lines += [
                 "    int64_t n = 0;",
@@ -935,10 +1003,10 @@ def lower(spec: KernelSpec) -> Lowered:
     """The kernel's translation unit; it links against :data:`TICK_SUPPORT`."""
     emitter = _CEmitter(spec)
     function, cdef = emitter.generate()
-    parts = [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID]
-    if not spec.tdom.precision > 0:
-        parts.append(_C_MERGE)
-    c_source = "\n".join(parts + [_C_NONE, function])
+    grid = _C_SNAPPED if spec.tdom.precision > 0 else _C_MERGE
+    c_source = "\n".join(
+        [f"/* native kernel for temporal expression ~{spec.name} */\n{_C_HEADER}", _C_SEEK, _C_GRID, grid, _C_NONE, function]
+    )
     return Lowered(c_source, cdef, emitter.refs, emitter.prefix_sites)
 
 

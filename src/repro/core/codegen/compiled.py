@@ -451,7 +451,6 @@ class CompiledQuery:
         t_start: float,
         t_end: float,
         runtimes: Optional[Mapping[str, KernelRuntime]] = None,
-        compact: bool = False,
     ) -> SSBuf:
         """Execute the query over ``(t_start, t_end]`` and return the output
         buffer; intermediates are materialized over the interval extended by
@@ -459,10 +458,11 @@ class CompiledQuery:
         in-process session tick: the output kernel runs over ``inputs``
         *unsliced* (its kept sites must never ingest a slice-clipped
         phantom), intermediates over the margin slices a partition would
-        have handed them.  Without it every kernel gets a fresh runtime —
-        the output kernel's one that writes ``SSBuf.compact``'s form in C
-        when ``compact`` (a partition the caller compacts anyway).  Either
-        way the NumPy time is charged and the break-even rule applies."""
+        have handed them.  Without it every kernel gets a fresh runtime, the
+        output kernel's one that writes ``SSBuf.compact``'s form in C (a
+        partition's piece, which its caller compacts anyway; one snapshot
+        per grid point is what ``CompiledKernel.run`` returns).  Either way
+        the NumPy time is charged and the break-even rule applies."""
         env: Dict[str, SSBuf] = dict(inputs)
         missing = [name for name in self.program.inputs if name not in env]
         if missing:
@@ -478,7 +478,7 @@ class CompiledQuery:
         for kernel in self.kernels:
             runtime = None if runtimes is None else runtimes[kernel.name]
             if kernel.name == self.program.output:
-                if runtime is None and compact:
+                if runtime is None:
                     runtime = KernelRuntime(kernel, compact=True)
                 env[kernel.name] = kernel.run(env, t_start, t_end, runtime)
             else:

@@ -48,9 +48,9 @@ entry extends each prefix site (a kept one by the new snapshots, a
 rewound per-call one by the whole input) into rows Python reserved, and
 evaluates ``grid.py``'s grid, byte for byte, in the runtime's output lanes:
 without a precision it merges the grid's runs inside its evaluation loop, a
-batch of times at a time; with one it builds the grid first, in
-``tilt_grid`` (which lives in one support library every unit links
-against: :func:`_load_support`).  When the lanes are too few it returns
+batch of times at a time; with one it builds the grid first (the merge and
+``tilt_grid`` live in one support library every unit links against:
+:func:`_load_support`).  When the lanes are too few it returns
 the count and is called again with them grown.  For an output kernel it
 compacts the lanes as ``SSBuf.compact`` would, and for a session prunes the
 kept sites as ``PrefixRangeIndex.prune`` would.  Nothing before the extends
@@ -621,7 +621,7 @@ def _load_support(build: bool) -> bool:
     building it first if the cache does not hold it and ``build`` allows;
     ``False`` when it is neither loaded nor on disk and may not be built.
     Its symbols are loaded global, so a unit ``dlopen``ed after it resolves
-    ``tilt_grid`` there.  Its ``cc`` run is no kernel's build and happens
+    ``tilt_grid`` and the merge there.  Its ``cc`` run is no kernel's build and happens
     once per cache, so :func:`stats` does not count it (nor does the
     break-even rule); the wall time of the build that loads it does."""
     global _SUPPORT

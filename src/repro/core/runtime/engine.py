@@ -593,7 +593,7 @@ class TiltEngine:
             if on_processes:
                 task, items = run_compiled_partition, [(payload, p, digest) for p in partitions]
             else:
-                task = lambda p: compiled.run(p.inputs, p.t_start, p.t_end, compact=True)  # noqa: E731
+                task = lambda p: compiled.run(p.inputs, p.t_start, p.t_end)  # noqa: E731
                 items = partitions
                 if tracer.enabled:
                     # worker threads have empty span stacks, so the partition

@@ -244,10 +244,10 @@ def run_compiled_partition(task: Tuple):
     payload, partition, digest = task
     compiled = _worker_query(payload)
     if digest is None:
-        return compiled.run(partition.inputs, partition.t_start, partition.t_end, compact=True)
+        return compiled.run(partition.inputs, partition.t_start, partition.t_end)
     with _WORKER_TRACER.span(
         "kernel.partition", index=partition.index, t_start=partition.t_start,
         t_end=partition.t_end, kernel_digest=digest,
     ):
-        out = compiled.run(partition.inputs, partition.t_start, partition.t_end, compact=True)
+        out = compiled.run(partition.inputs, partition.t_start, partition.t_end)
     return out, _WORKER_TRACER.drain()

@@ -74,7 +74,8 @@ class SSBuf:
     ``_IngestColumn.materialize``.
     """
 
-    #: set on a buffer written compacted (a session's C output lanes)
+    #: set on a buffer written compacted (a C output kernel's lanes, and a
+    #: concatenation of such pieces); kept through pickling
     compacted = False
 
     def __init__(
@@ -108,7 +109,7 @@ class SSBuf:
         # reconstructed without re-validation: the arrays of a live buffer
         # are already ordered/equal-length, and skipping the checks keeps
         # process-parallel partition transfer cheap.
-        return (_ssbuf_from_arrays, (self.times, self.values, self.valid, self.start_time))
+        return (_ssbuf_from_arrays, (self.times, self.values, self.valid, self.start_time, self.compacted))
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -330,12 +331,11 @@ class SSBuf:
         """
         if self.compacted or len(self.times) <= 1:
             return self
-        valid, values = self.valid, self.values
         keep = np.ones(len(self.times), dtype=bool)
-        keep[:-1] = (valid[:-1] != valid[1:]) | (valid[:-1] & (values[:-1] != values[1:]))
+        keep[:-1] = _differs(self.valid, self.values, slice(None, -1), slice(1, None))
         if keep.all():
             return self
-        return _ssbuf_from_arrays(self.times[keep], values[keep], valid[keep], self.start_time)
+        return _ssbuf_from_arrays(self.times[keep], self.values[keep], self.valid[keep], self.start_time)
 
     def map_values(self, fn) -> "SSBuf":
         """Apply ``fn`` to every valid snapshot value (φ snapshots unchanged)."""
@@ -389,14 +389,12 @@ class SSBuf:
         if compacted and len(runs) > 1:
             times, values, valid = columns
             seams = np.cumsum([len(run[0]) for run in runs[:-1]]) - 1
-            same = (valid[seams] == valid[seams + 1]) & (~valid[seams] | (values[seams] == values[seams + 1]))
+            same = ~_differs(valid, values, seams, seams + 1)
             if same.any():
                 keep = np.ones(len(times), dtype=bool)
                 keep[seams[same]] = False
                 columns = (times[keep], values[keep], valid[keep])
-        out = _ssbuf_from_arrays(*columns, parts[0].start_time)
-        out.compacted = compacted
-        return out
+        return _ssbuf_from_arrays(*columns, parts[0].start_time, compacted)
 
 
 def change_points(
@@ -441,17 +439,27 @@ def change_points(
     return times, valid, values
 
 
-def _ssbuf_from_arrays(times, values, valid, start_time) -> "SSBuf":
+def _ssbuf_from_arrays(times, values, valid, start_time, compacted=False) -> "SSBuf":
     """An :class:`SSBuf` over arrays that are ordered and equal-length by
     construction: no validation pass, no copy.  The one constructor behind
     every derived buffer (see the class docstring) and the unpickle hook of
-    :meth:`SSBuf.__reduce__`."""
+    :meth:`SSBuf.__reduce__`, which passes ``compacted`` on."""
     buf = SSBuf.__new__(SSBuf)
     buf.times = times
     buf.values = values
     buf.valid = valid
     buf.start_time = start_time
+    if compacted:
+        buf.compacted = True
     return buf
+
+
+def _differs(valid, values, i, j) -> np.ndarray:
+    """Where compaction keeps snapshot ``i`` before snapshot ``j``: their
+    validity differs or, when valid, their values compare ``!=`` (NaN never
+    merges; -0.0 does with +0.0).  The C entries' ``tilt_compact`` applies
+    the same rule."""
+    return (valid[i] != valid[j]) | (valid[i] & (values[i] != values[j]))
 
 
 def ssbuf_from_stream(

@@ -321,6 +321,28 @@ class TestSerialization:
         assert buf == expected[0]
         assert record.name == "kernel.partition" and record.attrs["kernel_digest"] == "d" * 12
 
+    @requires_native
+    def test_promoted_pieces_stay_compacted_through_pickling(self, random_walk_buf):
+        """A promoted output kernel compacts each partition's piece in C; the
+        piece keeps its ``compacted`` flag through the pickling that carries
+        it back from a pool worker, so their concatenation re-checks only the
+        seams and comes out compacted, byte-equal to the NumPy pieces
+        concatenated and compacted whole."""
+        compiled = compile_program(get_application("trading").program(), codegen_tier="native")
+        payload = compiled.pickle_payload()
+        parts = partition_inputs(
+            {"stock": random_walk_buf}, compiled.boundary, 0.0, 200.0, num_partitions=3
+        )
+        pieces = [pickle.loads(pickle.dumps(run_compiled_partition((payload, p, None)))) for p in parts]
+        assert all(piece.compacted for piece in pieces)
+        out = SSBuf.concat(pieces)
+        assert out.compacted and out.compact() is out
+        numpy = compile_program(get_application("trading").program())
+        want = SSBuf.concat([numpy.run(p.inputs, p.t_start, p.t_end) for p in parts]).compact()
+        assert not want.compacted
+        for got, expected in zip((out.times, out.values, out.valid), (want.times, want.values, want.valid)):
+            assert got.tobytes() == expected.tobytes()
+
     def test_worker_unpickles_each_payload_once(self, random_walk_buf):
         """A worker keeps one copy of each query, keyed by the payload bytes
         every task carries: a later task with equal bytes reuses it."""

@@ -64,7 +64,10 @@ def assert_same(got, want, exact, label):
 
 
 def run_tier(program, env, t_end, tier):
-    out = compile_program(program, optimize=False, codegen_tier=tier).run(env, 0.0, t_end)
+    """The program's one kernel over ``(0, t_end]``: one snapshot per grid
+    point (a query's run compacts a C output kernel's lanes)."""
+    (kernel,) = compile_program(program, optimize=False, codegen_tier=tier).kernels
+    out = kernel.run(env, 0.0, t_end)
     return np.asarray(out.values), np.asarray(out.valid)
 
 

@@ -373,10 +373,11 @@ class TestConstructEquivalence:
 
         for agg in (a for a in builtin_aggregates().values() if a.rmq is not None):
             program = source("x").window(8, 1).aggregate(agg).to_program()
-            np_out = compile_program(program).run({"x": buf}, 0.0, float(n))
-            nat = compile_program(program, codegen_tier=NATIVE_TIER)
-            assert nat.kernels[-1].active_tier == NATIVE_TIER
-            nat_out = nat.run({"x": buf}, 0.0, float(n))
+            (np_kernel,) = compile_program(program).kernels
+            (nat_kernel,) = compile_program(program, codegen_tier=NATIVE_TIER).kernels
+            assert nat_kernel.active_tier == NATIVE_TIER
+            np_out = np_kernel.run({"x": buf}, 0.0, float(n))
+            nat_out = nat_kernel.run({"x": buf}, 0.0, float(n))
             assert np.array_equal(
                 np.asarray(np_out.values).view(np.uint64),
                 np.asarray(nat_out.values).view(np.uint64),
