@@ -73,8 +73,8 @@ class _PrefixSite(NamedTuple):
 
 #: what every unit includes: the C library functions the emitted code calls
 #: are declared here rather than taken from <math.h> and <stdlib.h>, whose
-#: parsing is a fifth of a unit's ``cc`` time (a C template that calls
-#: another one adds it to this list)
+#: parsing is a fifth of a unit's ``cc`` time (a C template that calls a
+#: function not listed here adds its declaration)
 _C_HEADER = """#include <stddef.h>
 #include <stdint.h>
 
