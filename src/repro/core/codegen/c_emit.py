@@ -169,13 +169,14 @@ static inline double tilt_snap(double c, double p)
     return ceil(c / p - 1e-9);
 }
 
+#define TILT_SNAPPED_ARGS tilt_run run, double p, double* b, unsigned char* mark, double first
+
 /* a run snapped, the first of equal neighbours kept: into b, returning
    their count, or, given a bitmap mark whose cell 0 is index first, marking
    each index k and k - 1.  Snapping is monotone, so each group of equal
    ones is found by a galloping search rather than by snapping every
    candidate. */
-__attribute__((always_inline)) static inline int64_t tilt_snapped(tilt_run run, double p, double* b,
-                                                                  unsigned char* mark, double first)
+__attribute__((always_inline)) static inline int64_t tilt_snapped_in(TILT_SNAPPED_ARGS)
 {
     int64_t nb = 0, q = 0;
     double k = tilt_snap(run.t[0] - run.o, p), kh = k;
@@ -204,6 +205,21 @@ __attribute__((always_inline)) static inline int64_t tilt_snapped(tilt_run run, 
     return nb;
 }
 
+static int64_t tilt_snapped_any(TILT_SNAPPED_ARGS)
+{
+    return tilt_snapped_in(run, p, b, mark, first);
+}
+
+/* the same where the CPU rounds in one instruction: SSE4.1's roundsd, the
+   ceil glibc itself picks there, where a call of ceil per snap was most of
+   the grid's time */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("sse4.1"))) static int64_t tilt_snapped_sse41(TILT_SNAPPED_ARGS)
+{
+    return tilt_snapped_in(run, p, b, mark, first);
+}
+#endif
+
 /* the evaluation grid over (t_start, t_end] with precision p > 0, as grid.py
    builds it: the candidate runs — {t_end}, then per access its snapshot
    times in (t_start+o, t_end+o] and its start time if that lies there —
@@ -216,9 +232,13 @@ __attribute__((always_inline)) static inline int64_t tilt_snapped(tilt_run run, 
    of access r's times past t_start + o.  Returns the grid's length and
    writes it to ts only if that is at most cap; -1 when its scratch memory
    cannot be had. */
-__attribute__((always_inline)) static inline int64_t tilt_grid_in(
-    const tilt_access* a, int64_t na, double p, double t_start, double t_end, double* ts, int64_t cap, int64_t* l)
+int64_t tilt_grid(const tilt_access* a, int64_t na, double p,
+                  double t_start, double t_end, double* ts, int64_t cap, int64_t* l)
 {
+    int64_t (*snapped)(TILT_SNAPPED_ARGS) = tilt_snapped_any;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (__builtin_cpu_supports("sse4.1")) snapped = tilt_snapped_sse41;
+#endif
     tilt_run* runs = (tilt_run*)malloc(sizeof(tilt_run) * (size_t)(2 * na + 1));
     if (runs == NULL) return -1;
     int64_t nr = 1, total = 0, widest = 1;
@@ -248,12 +268,12 @@ __attribute__((always_inline)) static inline int64_t tilt_grid_in(
     if (dense) {
         unsigned char* mark = (unsigned char*)(b + widest);
         for (int64_t i = 0; i < (int64_t)cells; i++) mark[i] = 0;
-        for (int64_t r = 0; r < nr; r++) tilt_snapped(runs[r], p, NULL, mark, first);
+        for (int64_t r = 0; r < nr; r++) snapped(runs[r], p, NULL, mark, first);
         for (int64_t i = 0; i < (int64_t)cells; i++)
             if (mark[i]) u[nu++] = ((double)i + first) * p;
     } else {
         for (int64_t r = 0; r < nr; r++) {
-            int64_t nb = tilt_snapped(runs[r], p, b, NULL, 0.0);
+            int64_t nb = snapped(runs[r], p, b, NULL, 0.0);
             for (int shift = 0; shift < 2; shift++) {
                 if (shift)  /* then k - 1: the last point the old value holds */
                     for (int64_t q = 0; q < nb; q++) b[q] = b[q] - 1.0;
@@ -285,32 +305,6 @@ __attribute__((always_inline)) static inline int64_t tilt_grid_in(
     free(mem);
     free(runs);
     return n;
-}
-
-#define TILT_GRID_ARGS const tilt_access* a, int64_t na, double p, double t_start, double t_end, \
-                       double* ts, int64_t cap, int64_t* l
-
-static int64_t tilt_grid_any(TILT_GRID_ARGS)
-{
-    return tilt_grid_in(a, na, p, t_start, t_end, ts, cap, l);
-}
-
-/* the same where the CPU rounds in one instruction: SSE4.1's roundsd, the
-   ceil glibc itself picks there, where a call of ceil per snap was most of
-   the grid's time */
-#if defined(__x86_64__) && defined(__GNUC__)
-__attribute__((target("sse4.1"))) static int64_t tilt_grid_sse41(TILT_GRID_ARGS)
-{
-    return tilt_grid_in(a, na, p, t_start, t_end, ts, cap, l);
-}
-#endif
-
-int64_t tilt_grid(TILT_GRID_ARGS)
-{
-#if defined(__x86_64__) && defined(__GNUC__)
-    if (__builtin_cpu_supports("sse4.1")) return tilt_grid_sse41(a, na, p, t_start, t_end, ts, cap, l);
-#endif
-    return tilt_grid_any(a, na, p, t_start, t_end, ts, cap, l);
 }
 """
 
